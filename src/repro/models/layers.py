@@ -115,6 +115,17 @@ class ModelSpec:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tensor names in model {self.name!r}")
 
+    def __getstate__(self) -> dict:
+        """Pickle the value, not the lazy caches.
+
+        The caches (traversal orders, the run-identity payload) rebuild
+        on demand; shipping them would bloat every spec sent to a pool
+        worker.
+        """
+        state = dict(self.__dict__)
+        state["_tensor_cache"] = {}
+        return state
+
     # -- Table I quantities ------------------------------------------------
 
     @property

@@ -31,6 +31,7 @@ from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.runner.spec import RunSpec
 from repro.schedulers.base import get_scheduler
+from repro.schedulers.engine import record_fallback
 from repro.schedulers.multirank import (
     _policy_scheduler,
     _validate_heterogeneous,
@@ -104,7 +105,7 @@ def _spec_table(spec: RunSpec):
 def _record_single(spec: RunSpec) -> _Recorded:
     options = dict(spec.options)
     if options.pop("fastpath", None) is False:
-        raise FastPathUnsupported("spec disables the fast path")
+        raise FastPathUnsupported("spec disables the fast path", reason="disabled")
     scheduler = get_scheduler(spec.scheduler, **options)
     timing = TimingModel.for_model(
         spec.model,
@@ -128,9 +129,11 @@ def _record_single(spec: RunSpec) -> _Recorded:
 def _record_multirank(spec: RunSpec) -> _Recorded:
     options = dict(spec.options)
     if not set(options) <= _MULTIRANK_OPTION_KEYS:
-        raise FastPathUnsupported("unrecognised multirank options take the classic path")
+        raise FastPathUnsupported(
+            "unrecognised multirank options take the classic path", reason="options"
+        )
     if options.get("fastpath") is False:
-        raise FastPathUnsupported("spec disables the fast path")
+        raise FastPathUnsupported("spec disables the fast path", reason="disabled")
     fusion_buffer_bytes = options.get("fusion_buffer_bytes", 25e6)
     collapse = options.get("collapse", True)
     trace = options.get("trace", False)
@@ -233,7 +236,8 @@ def run_batched(
         started = time.perf_counter()
         try:
             item = _record(spec)
-        except FastPathUnsupported:
+        except FastPathUnsupported as exc:
+            record_fallback("batched", "classic", exc)
             continue
         item.index = index
         item.seconds = time.perf_counter() - started

@@ -149,11 +149,13 @@ class RunSpec:
 
         Underscore-prefixed dataclass fields are dropped recursively:
         they are lazy caches (e.g. ``ModelSpec._tensor_cache``) whose
-        fill state must not perturb the fingerprint.
+        fill state must not perturb the fingerprint.  The ``"model"``
+        entry is shared with every spec over the same model object:
+        treat the payload as read-only.
         """
         payload = {
             "scheduler": self.scheduler,
-            "model": _public_fields(dataclasses.asdict(self.model)),
+            "model": _model_payload(self.model),
             "cluster": _public_fields(dataclasses.asdict(self.cluster)),
             "batch_size": self.batch_size,
             "algorithm": self.algorithm,
@@ -188,9 +190,19 @@ class RunSpec:
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical JSON; stable across processes."""
-        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
-        return digest.hexdigest()
+        """SHA-256 of the canonical JSON; stable across processes.
+
+        Computed on first read and memoised in the instance ``__dict__``
+        (the frozen ``__setattr__`` only guards fields; every field is
+        immutable, so the digest cannot go stale).  Deliberately a plain
+        ``property``, not a ``functools.cached_property``: profilers wrap
+        its ``fget`` to time identity work.
+        """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+            self.__dict__["_fingerprint"] = digest
+        return digest
 
     @property
     def label(self) -> str:
@@ -252,6 +264,22 @@ class RunSpec:
             workload=self.workload,
             **dict(self.options),
         )
+
+
+def _model_payload(model: ModelSpec) -> dict:
+    """Public-field payload of ``model``, built once per model object.
+
+    ``dataclasses.asdict`` over a zoo model walks tens of kilobytes of
+    layer data, so the result is kept in the model's underscore lazy
+    cache (excluded from the payload itself).  ``ModelSpec`` is frozen
+    and its layers and tensors are tuples of frozen dataclasses, so the
+    cached payload cannot go stale.
+    """
+    payload = model._tensor_cache.get("payload")
+    if payload is None:
+        payload = _public_fields(dataclasses.asdict(model))
+        model._tensor_cache["payload"] = payload
+    return payload
 
 
 def _public_fields(value):

@@ -11,7 +11,7 @@ from repro.models.layers import ModelSpec
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
-from repro.schedulers.engine import FastIterationContext, IterationContext
+from repro.schedulers.engine import FastIterationContext, IterationContext, record_fallback
 from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled
 from repro.sim.trace import Tracer, subtract_intervals, total_length
 from repro.telemetry.registry import default_registry
@@ -161,8 +161,8 @@ class Scheduler(ABC):
                 self._schedule_onto(ctx, iterations, workload)
                 ctx.run()
                 return ctx
-            except FastPathUnsupported:
-                pass
+            except FastPathUnsupported as exc:
+                record_fallback("fastpath", "event", exc)
         ctx = IterationContext(timing, cost, faults=faults)
         self._schedule_onto(ctx, iterations, workload)
         ctx.run()
@@ -209,12 +209,14 @@ class Scheduler(ABC):
             raise ValueError(f"need >= 3 iterations to reach steady state, got {iterations}")
         if not self.supports_fast_path:
             raise FastPathUnsupported(
-                f"scheduler {self.name!r} opts out of the fast path"
+                f"scheduler {self.name!r} opts out of the fast path",
+                reason="opt_out",
             )
         if not self.supports_batched_run():
             raise FastPathUnsupported(
                 f"scheduler {self.name!r} customises run(); recording one "
-                f"schedule would skip its outer procedure"
+                f"schedule would skip its outer procedure",
+                reason="custom_run",
             )
         workload = self._resolve_workload(workload, timing, cost)
         ctx = FastIterationContext(timing, cost, faults=normalize_plan(faults))

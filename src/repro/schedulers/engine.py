@@ -25,7 +25,7 @@ from repro.faults.timing import TimingFaultInjector
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import FastTimeline
+from repro.sim.fastpath import FastPathUnsupported, FastTimeline
 from repro.sim.resources import Job, Stream
 from repro.sim.trace import Tracer
 from repro.telemetry.registry import default_registry
@@ -293,6 +293,18 @@ class IterationContext:
                 raise RuntimeError(f"job {job.name} never ran; dependency deadlock?")
             starts.append(job.start)
         return starts
+
+
+def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
+    """Count one fall back from a fast engine to a slower one.
+
+    Published as ``sim.fallbacks{from,to,reason}``; ``reason`` is the
+    exception's fixed code, never its message, so the label set stays
+    bounded.
+    """
+    default_registry().counter(
+        "sim.fallbacks", "fast-path fallbacks to a slower engine"
+    ).inc(**{"from": source, "to": target, "reason": exc.reason})
 
 
 class FastIterationContext(IterationContext):

@@ -64,7 +64,7 @@ from repro.faults.timing import (
 from repro.schedulers.base import Scheduler
 from repro.schedulers.ddp import DDP_DEFAULT_BUCKET_BYTES, DDPScheduler
 from repro.schedulers.dear import DeARScheduler
-from repro.schedulers.engine import COLLECTIVE_CATEGORIES, IterationContext
+from repro.schedulers.engine import COLLECTIVE_CATEGORIES, IterationContext, record_fallback
 from repro.schedulers.horovod import HOROVOD_DEFAULT_BUFFER_BYTES, HorovodScheduler
 from repro.schedulers.mg_wfbp import MGWFBPScheduler
 from repro.schedulers.wfbp import WFBPScheduler
@@ -665,7 +665,8 @@ def record_heterogeneous_fast(
     scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
     if not scheduler.supports_fast_path:
         raise FastPathUnsupported(
-            f"scheduler {scheduler.name!r} opts out of the fast path"
+            f"scheduler {scheduler.name!r} opts out of the fast path",
+            reason="opt_out",
         )
     cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
     timings = _make_timings(model, compute_scales, batch_size, iteration_compute)
@@ -799,7 +800,8 @@ def simulate_heterogeneous(
             scheduler._schedule_onto(fast_ctx, iterations, workload)
             fast_ctx.run()
             ctx = fast_ctx
-        except FastPathUnsupported:
+        except FastPathUnsupported as exc:
+            record_fallback("multirank-fastpath", "multirank-event", exc)
             ctx = None
     if ctx is None:
         event_ctx = MultiRankIterationContext(

@@ -56,7 +56,8 @@ class RequestBatcher:
     sleeps for the batch window after waking, drains everything queued,
     dedupes by fingerprint (every duplicate is a ``serve.dedup_hits``),
     and resolves the unique specs with one :func:`run_many` call so the
-    cache and the batched replay see the whole batch at once.
+    cache and the batched replay see the whole batch at once.  A failing
+    spec fails only the requests that asked for it.
     """
 
     def __init__(
@@ -144,19 +145,31 @@ class RequestBatcher:
                     "requests answered by another in-flight request",
                 ).inc()
             waiters[fingerprint].append(future)
-        try:
-            results = run_many(unique, jobs=self._jobs, cache=self._cache)
-        except Exception as exc:  # surface, don't kill the worker thread
-            registry.counter("serve.errors", "failed requests, by stage").inc(
-                len(batch), stage="compute"
-            )
-            for futures in waiters.values():
+        for spec, outcome in zip(unique, self._resolve(unique)):
+            futures = waiters[spec.fingerprint]
+            if isinstance(outcome, Exception):
+                registry.counter("serve.errors", "failed requests, by stage").inc(
+                    len(futures), stage="compute"
+                )
                 for future in futures:
-                    future.set_exception(exc)
-            return
-        for spec, result in zip(unique, results):
-            for future in waiters[spec.fingerprint]:
-                future.set_result(result)
+                    future.set_exception(outcome)
+            else:
+                for future in futures:
+                    future.set_result(outcome)
+
+    def _resolve(self, specs: list[RunSpec]) -> list:
+        """One result or exception per spec, in order.
+
+        The whole batch goes through one :func:`run_many`; if that
+        raises, each spec is retried alone so a bad spec fails only its
+        own waiters, never the requests it was batched with.
+        """
+        try:
+            return run_many(specs, jobs=self._jobs, cache=self._cache)
+        except Exception as exc:  # surface, don't kill the worker thread
+            if len(specs) == 1:
+                return [exc]
+        return [self._resolve([spec])[0] for spec in specs]
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):

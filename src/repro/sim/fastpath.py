@@ -68,7 +68,17 @@ _NEG_INF = float("-inf")
 
 
 class FastPathUnsupported(RuntimeError):
-    """The schedule uses a feature only the event-driven kernel has."""
+    """The schedule uses a feature only the event-driven kernel has.
+
+    ``reason`` is a short fixed code (``dynamic_duration``,
+    ``dynamic_gate``, ``dynamic_event``, ``opt_out``, ``custom_run``,
+    ``disabled``, ``options``) for the ``sim.fallbacks`` metric; the
+    message is free text for humans.
+    """
+
+    def __init__(self, message: str = "", reason: str = "unsupported"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class DeferredDuration:
@@ -184,14 +194,16 @@ class FastStream:
         else:
             if isinstance(body, bool) or not isinstance(body, (int, float)):
                 raise FastPathUnsupported(
-                    f"fast path requires fixed job durations, got {type(body).__name__}"
+                    f"fast path requires fixed job durations, got {type(body).__name__}",
+                    reason="dynamic_duration",
                 )
             if body < 0:
                 raise ValueError(f"job {name!r} has negative duration {body}")
             duration = float(body)
         if gate is not None and not isinstance(gate, FastGate):
             raise FastPathUnsupported(
-                f"fast path requires static job gates, got {type(gate).__name__}"
+                f"fast path requires static job gates, got {type(gate).__name__}",
+                reason="dynamic_gate",
             )
         self.jobs_submitted += 1
         return self._timeline._record(
@@ -226,13 +238,16 @@ class FastSimShim:
         for event in events:
             if not isinstance(event, FastGate):
                 raise FastPathUnsupported(
-                    f"fast path cannot wait on {type(event).__name__}"
+                    f"fast path cannot wait on {type(event).__name__}",
+                    reason="dynamic_gate",
                 )
             job_ids.extend(event.job_ids)
         return FastGate(tuple(job_ids))
 
     def _unsupported(self, feature: str):
-        raise FastPathUnsupported(f"fast path does not support {feature}")
+        raise FastPathUnsupported(
+            f"fast path does not support {feature}", reason="dynamic_event"
+        )
 
     def event(self, name: str = ""):
         self._unsupported("dynamic events (sim.event)")

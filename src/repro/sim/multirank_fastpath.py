@@ -156,7 +156,8 @@ class MultiRankStream:
         if gate is not None and not isinstance(gate, MultiRankGate):
             raise FastPathUnsupported(
                 f"multi-rank fast path requires static slot gates, "
-                f"got {type(gate).__name__}"
+                f"got {type(gate).__name__}",
+                reason="dynamic_gate",
             )
         return gate
 
@@ -176,7 +177,8 @@ class MultiRankStream:
             if not isinstance(body, np.ndarray):
                 raise FastPathUnsupported(
                     f"multi-rank fast path requires per-rank duration "
-                    f"vectors, got {type(body).__name__}"
+                    f"vectors, got {type(body).__name__}",
+                    reason="dynamic_duration",
                 )
             if body.shape != (self._timeline.world,):
                 raise ValueError(
@@ -209,7 +211,8 @@ class MultiRankStream:
             if isinstance(body, bool) or not isinstance(body, (int, float)):
                 raise FastPathUnsupported(
                     f"multi-rank fast path requires fixed collective "
-                    f"durations, got {type(body).__name__}"
+                    f"durations, got {type(body).__name__}",
+                    reason="dynamic_duration",
                 )
             if body < 0:
                 raise ValueError(f"collective {name!r} has negative duration {body}")
@@ -235,14 +238,16 @@ class MultiRankSimShim:
         for event in events:
             if not isinstance(event, MultiRankGate):
                 raise FastPathUnsupported(
-                    f"multi-rank fast path cannot wait on {type(event).__name__}"
+                    f"multi-rank fast path cannot wait on {type(event).__name__}",
+                    reason="dynamic_gate",
                 )
             slot_ids.extend(event.slot_ids)
         return MultiRankGate(tuple(slot_ids))
 
     def _unsupported(self, feature: str):
         raise FastPathUnsupported(
-            f"multi-rank fast path does not support {feature}"
+            f"multi-rank fast path does not support {feature}",
+            reason="dynamic_event",
         )
 
     def event(self, name: str = ""):

@@ -152,6 +152,47 @@ class TestBatchingAndDedup:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+class TestFailureIsolation:
+    """A spec that fails to compute fails only its own requests."""
+
+    #: Passes wire validation, then raises TypeError in the scheduler.
+    BAD = {**PAYLOAD, "options": {"bogus": 1}}
+
+    @pytest.fixture()
+    def slow_window(self, tmp_path):
+        instance = SimulationServer(
+            port=0,
+            cache=ResultCache(root=tmp_path / "serve-cache"),
+            batch_window=0.5,
+            jobs=1,
+        ).start()
+        yield ServeClient(instance.url, timeout=120.0)
+        instance.shutdown()
+
+    @staticmethod
+    def _status(client, payload):
+        try:
+            client.simulate(payload)
+        except ServeError as exc:
+            return exc.status
+        return 200
+
+    def test_bad_spec_does_not_fail_its_batch(self, slow_window):
+        batches_before = _counter("serve.batches")
+        errors_before = _counter("serve.errors", stage="compute")
+        payloads = [PAYLOAD, self.BAD, self.BAD]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            statuses = list(pool.map(
+                lambda payload: self._status(slow_window, payload), payloads
+            ))
+        assert statuses == [200, 500, 500]
+        assert _counter("serve.batches") - batches_before == 1
+        assert _counter("serve.errors", stage="compute") - errors_before == 2
+        # The good spec's result was computed and cached despite its
+        # neighbour: a repeat is a plain hit.
+        assert self._status(slow_window, PAYLOAD) == 200
+
+
 class TestShutdown:
     def test_drain_then_refuse(self, server, client):
         client.simulate(PAYLOAD)  # in-flight work before the drain
