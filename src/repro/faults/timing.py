@@ -25,9 +25,12 @@ fault test suite and the multirank differential suite.
 Link degradation is priced by real degraded cost models, not by naive
 scaling: each distinct ``plan.link_factors(now)`` combination gets one
 :class:`~repro.network.cost_model.CollectiveTimeModel` built over
-``cluster.degraded(...)`` and cached, so e.g. a hierarchical
-collective correctly feels an *inter-node-only* fault on its inter
-phase while the intra phase stays at full speed.
+``cluster.degraded(...)`` by
+:meth:`~repro.network.cost_model.CollectiveTimeModel.with_cluster`
+(which keeps the healthy model's algorithm, protocol, channels, chunking
+and selection table) and cached, so e.g. a hierarchical collective
+correctly feels an *inter-node-only* fault on its inter phase while the
+intra phase stays at full speed.
 
 Every perturbation is recorded: ``faults.degraded_link_seconds`` /
 ``faults.straggler_seconds`` counters into the telemetry registry, and
@@ -89,12 +92,7 @@ class TimingFaultInjector:
     ) -> CollectiveTimeModel:
         model = self._models.get(factors)
         if model is None:
-            model = CollectiveTimeModel(
-                self.cost.cluster.degraded(*factors),
-                algorithm=self.cost.algorithm,
-                gamma=self.cost.gamma,
-                startup_overhead=self.cost.startup_overhead,
-            )
+            model = self.cost.with_cluster(self.cost.cluster.degraded(*factors))
             self._models[factors] = model
         return model
 

@@ -6,16 +6,20 @@ The paper analyses communication with the classic alpha–beta cost model
 ``beta`` the per-element transmission time.  This package provides:
 
 - :mod:`repro.network.fabric` — link and cluster topology descriptions;
-- :mod:`repro.network.cost_model` — per-algorithm collective time
-  formulas (ring, double binary tree, recursive halving-doubling,
-  hierarchical two-level ring) and the :class:`CollectiveTimeModel`
+- :mod:`repro.network.cost_model` — one collective time formula per
+  (algorithm, op) (ring, double binary tree, recursive
+  halving-doubling, hierarchical two-level ring, synthesized
+  schedules), each taking a scalar size or a numpy size vector, one
+  table dispatching to them, and the :class:`CollectiveTimeModel`
   facade used by the schedulers;
 - :mod:`repro.network.presets` — calibrated 10GbE / 100GbIB / NVLink
   numbers matching the paper's testbed (§VI-A), including the paper's
   own spot checks (1 MB all-reduce ≈ 4.5 ms on 64 GPUs / 10GbE);
-- :mod:`repro.network.protocol` — NCCL protocol tiers (Simple/LL/LL128),
-  multi-channel striping, and chunked pipelined rounds, vectorized over
-  size sweeps (opt-in; defaults are bit-identical to the plain model);
+- :mod:`repro.network.protocol` — NCCL protocol tiers (Simple/LL/LL128)
+  and multi-channel striping resolved into effective alpha/beta, and
+  :func:`collective_times`, which prices size sweeps through the same
+  formula table as the model (opt-in; defaults are bit-identical to the
+  plain model);
 - :mod:`repro.network.autotuner` — per-(op, size, topology) selection of
   (algorithm, protocol, channels), memoized into size-bucketed tables
   that ``CollectiveTimeModel(algorithm="auto")`` consults.

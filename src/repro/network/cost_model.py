@@ -3,7 +3,10 @@
 All functions take the message size in **bytes** (the size of the full
 gradient buffer being aggregated), the number of participating workers
 ``p``, and per-hop ``alpha`` (s) / ``beta`` (s/byte).  They return the
-wall-clock time of the collective in seconds.
+wall-clock time of the collective in seconds.  Each formula is plain
+arithmetic, so ``nbytes`` may be a Python float or a numpy size vector:
+the schedulers' scalar queries and the autotuner's vectorized sweeps
+run the same code.
 
 The ring formulas are exactly the paper's Eq. 3–5:
 
@@ -14,13 +17,20 @@ The ring formulas are exactly the paper's Eq. 3–5:
 The optional ``gamma`` term charges the per-byte reduction arithmetic
 (the paper omits it in Eq. 3; we default it to 0 for parity but keep it
 available for sensitivity studies).
+
+:func:`collective_price` is the single dispatch from (operation,
+algorithm) to formula; :class:`CollectiveTimeModel` and
+:func:`repro.network.protocol.collective_times` both price through it.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.network.fabric import ClusterSpec
+from repro.network.protocol import resolve_links
 from repro.telemetry.registry import default_registry
 
 __all__ = [
@@ -41,39 +51,49 @@ __all__ = [
     "send_recv_time",
     "broadcast_time",
     "negotiation_time",
+    "collective_price",
     "CollectiveTimeModel",
 ]
 
 
-def _validate(nbytes: float, p: int) -> None:
-    if nbytes < 0:
+def _check_size(nbytes) -> None:
+    if (nbytes < 0).any() if isinstance(nbytes, np.ndarray) else nbytes < 0:
         raise ValueError(f"message size must be non-negative, got {nbytes}")
+
+
+def _validate(nbytes, p: int) -> None:
+    _check_size(nbytes)
     if p < 1:
         raise ValueError(f"worker count must be >= 1, got {p}")
 
 
 def ring_reduce_scatter_time(
-    nbytes: float, p: int, alpha: float, beta: float, gamma: float = 0.0
+    nbytes: float, p: int, alpha: float, beta: float, gamma: float = 0.0,
+    chunks: int = 1,
 ) -> float:
     """Ring reduce-scatter over ``p`` workers (paper Eq. 3).
 
     ``P-1`` rounds, each sending one ``d/P`` chunk to the ring neighbour
     and reducing the received chunk (``gamma`` per byte, default free).
+    ``chunks > 1`` pipelines each round's payload: ``(P-1 + k-1)``
+    stages of ``d/(P*k)`` bytes.
     """
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
-    chunk = nbytes / p
-    return (p - 1) * (alpha + chunk * beta + chunk * gamma)
+        return 0.0 * nbytes
+    chunk = nbytes / (p * chunks)
+    return (p - 1 + chunks - 1) * (alpha + chunk * beta + chunk * gamma)
 
 
-def ring_all_gather_time(nbytes: float, p: int, alpha: float, beta: float) -> float:
-    """Ring all-gather over ``p`` workers (paper Eq. 4)."""
+def ring_all_gather_time(
+    nbytes: float, p: int, alpha: float, beta: float, chunks: int = 1
+) -> float:
+    """Ring all-gather over ``p`` workers (paper Eq. 4), optionally chunked."""
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
-    chunk = nbytes / p
-    return (p - 1) * (alpha + chunk * beta)
+        return 0.0 * nbytes
+    chunk = nbytes / (p * chunks)
+    return (p - 1 + chunks - 1) * (alpha + chunk * beta)
 
 
 def ring_all_reduce_time(
@@ -96,7 +116,7 @@ def recursive_halving_reduce_scatter_time(
     """
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
+        return 0.0 * nbytes
     if p & (p - 1):
         raise ValueError(f"recursive halving requires power-of-two workers, got {p}")
     rounds = int(math.log2(p))
@@ -108,7 +128,7 @@ def recursive_doubling_all_gather_time(nbytes: float, p: int, alpha: float, beta
     """Recursive-doubling all-gather, the mirror of recursive halving."""
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
+        return 0.0 * nbytes
     if p & (p - 1):
         raise ValueError(f"recursive doubling requires power-of-two workers, got {p}")
     rounds = int(math.log2(p))
@@ -136,7 +156,7 @@ def tree_reduce_time(
     """
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
+        return 0.0 * nbytes
     depth = max(1, math.ceil(math.log2(p)))
     chunks = max(1, pipeline_chunks)
     per_chunk = nbytes / chunks
@@ -168,7 +188,7 @@ def broadcast_time(nbytes: float, p: int, alpha: float, beta: float) -> float:
     """Binomial-tree broadcast: ``ceil(log2 P)`` rounds of the full message."""
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
+        return 0.0 * nbytes
     return math.ceil(math.log2(p)) * (alpha + nbytes * beta)
 
 
@@ -180,6 +200,7 @@ def hierarchical_reduce_scatter_time(
     intra_beta: float,
     inter_alpha: float,
     inter_beta: float,
+    chunks: int = 1,
 ) -> float:
     """Two-level reduce-scatter: intra-node ring RS then inter-node ring RS.
 
@@ -189,12 +210,13 @@ def hierarchical_reduce_scatter_time(
     paper cites as decomposable).  The ``g`` rings share each node's
     single NIC, so the effective per-ring inter-node bandwidth is
     ``1/g`` of the link's — the scheme wins on latency (fewer rounds),
-    not on inter-node volume.
+    not on inter-node volume.  ``chunks`` pipelines the inter phase.
     """
     _validate(nbytes, nodes * gpus_per_node)
     intra = ring_reduce_scatter_time(nbytes, gpus_per_node, intra_alpha, intra_beta)
     inter = ring_reduce_scatter_time(
-        nbytes / gpus_per_node, nodes, inter_alpha, inter_beta * gpus_per_node
+        nbytes / gpus_per_node, nodes, inter_alpha, inter_beta * gpus_per_node,
+        chunks=chunks,
     )
     return intra + inter
 
@@ -207,11 +229,12 @@ def hierarchical_all_gather_time(
     intra_beta: float,
     inter_alpha: float,
     inter_beta: float,
+    chunks: int = 1,
 ) -> float:
     """Two-level all-gather, the mirror of the hierarchical reduce-scatter."""
     _validate(nbytes, nodes * gpus_per_node)
     inter = ring_all_gather_time(
-        nbytes / gpus_per_node, nodes, inter_alpha, inter_beta * gpus_per_node
+        nbytes / gpus_per_node, nodes, inter_alpha, inter_beta * gpus_per_node, chunks
     )
     intra = ring_all_gather_time(nbytes, gpus_per_node, intra_alpha, intra_beta)
     return inter + intra
@@ -234,21 +257,21 @@ def hierarchical_all_reduce_time(
     )
 
 
-def pairwise_all_to_all_time(nbytes: float, p: int, alpha: float, beta: float) -> float:
+def pairwise_all_to_all_time(
+    nbytes: float, p: int, alpha: float, beta: float, chunks: int = 1
+) -> float:
     """Pairwise-exchange all-to-all over ``p`` workers.
 
     ``nbytes`` is the per-rank send buffer; each of the ``P-1`` rounds
     exchanges one ``d/P`` chunk with a distinct peer (the classic
-    XOR/modular pairwise schedule).  The per-round term is written
-    exactly like :func:`ring_all_gather_time`'s so the two ops share
-    float association — the vectorized twin in
-    :mod:`repro.network.protocol` mirrors this form bit-for-bit.
+    XOR/modular pairwise schedule), written exactly like
+    :func:`ring_all_gather_time` so the two ops share float association.
     """
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
-    chunk = nbytes / p
-    return (p - 1) * (alpha + chunk * beta)
+        return 0.0 * nbytes
+    chunk = nbytes / (p * chunks)
+    return (p - 1 + chunks - 1) * (alpha + chunk * beta)
 
 
 def bruck_all_to_all_time(nbytes: float, p: int, alpha: float, beta: float) -> float:
@@ -260,7 +283,7 @@ def bruck_all_to_all_time(nbytes: float, p: int, alpha: float, beta: float) -> f
     """
     _validate(nbytes, p)
     if p == 1:
-        return 0.0
+        return 0.0 * nbytes
     if p & (p - 1):
         raise ValueError(f"Bruck all-to-all requires power-of-two workers, got {p}")
     rounds = int(math.log2(p))
@@ -276,6 +299,7 @@ def hierarchical_all_to_all_time(
     intra_beta: float,
     inter_alpha: float,
     inter_beta: float,
+    chunks: int = 1,
 ) -> float:
     """Two-level all-to-all: intra-node exchange, then inter-node exchange.
 
@@ -289,15 +313,14 @@ def hierarchical_all_to_all_time(
     _validate(nbytes, nodes * gpus_per_node)
     intra = pairwise_all_to_all_time(nbytes, gpus_per_node, intra_alpha, intra_beta)
     inter = pairwise_all_to_all_time(
-        nbytes, nodes, inter_alpha, inter_beta * gpus_per_node
+        nbytes, nodes, inter_alpha, inter_beta * gpus_per_node, chunks
     )
     return intra + inter
 
 
 def send_recv_time(nbytes: float, alpha: float, beta: float) -> float:
     """One point-to-point message: ``alpha + d * beta``."""
-    if nbytes < 0:
-        raise ValueError(f"message size must be non-negative, got {nbytes}")
+    _check_size(nbytes)
     return alpha + nbytes * beta
 
 
@@ -309,6 +332,99 @@ def negotiation_time(p: int, alpha: float, payload_bytes: float = 8.0, beta: flo
     by latency.  Modelled as a ring all-reduce of ``payload_bytes``.
     """
     return ring_all_reduce_time(payload_bytes, p, alpha, beta)
+
+
+# -- the (algorithm, op) -> formula table --------------------------------------
+#
+# Every row takes (nbytes, cluster, links, gamma, chunks), where ``links``
+# is the (flat, intra, inter) triple of (alpha, beta) pairs returned by
+# :func:`repro.network.protocol.resolve_links`.  Flat algorithms run on
+# ``flat``; the two-level ones run their intra-node phase on ``intra``
+# and their inter-node phase on ``inter``.
+
+
+def _pairwise(d, c, links, gamma, chunks):
+    return pairwise_all_to_all_time(d, c.world_size, *links[0], chunks)
+
+
+def _synthesized(op: str, objective: str):
+    def price(d, c, links, gamma, chunks):
+        # Late import: the synthesizer lives with the data-level collectives.
+        from repro.collectives.synthesis import schedule_for_cluster, schedule_times
+
+        # Like hierarchical, the governing link runs under the protocol
+        # tier and the other at the calibrated baseline; single-node
+        # worlds are governed by the intra-node link.
+        intra = links[1] if c.multi_node else links[0]
+        t = schedule_times(schedule_for_cluster(c, op, objective), d, intra, links[2], gamma)
+        return t if isinstance(d, np.ndarray) else float(t)
+
+    return price
+
+
+_FORMULAS = {
+    ("ring", "reduce_scatter"): lambda d, c, links, gamma, chunks: (
+        ring_reduce_scatter_time(d, c.world_size, *links[0], gamma, chunks)),
+    ("ring", "all_gather"): lambda d, c, links, gamma, chunks: (
+        ring_all_gather_time(d, c.world_size, *links[0], chunks)),
+    ("ring", "all_to_all"): _pairwise,
+    ("halving_doubling", "reduce_scatter"): lambda d, c, links, gamma, chunks: (
+        recursive_halving_reduce_scatter_time(d, c.world_size, *links[0], gamma)),
+    ("halving_doubling", "all_gather"): lambda d, c, links, gamma, chunks: (
+        recursive_doubling_all_gather_time(d, c.world_size, *links[0])),
+    ("halving_doubling", "all_to_all"): lambda d, c, links, gamma, chunks: (
+        bruck_all_to_all_time(d, c.world_size, *links[0])),
+    ("tree", "reduce_scatter"): lambda d, c, links, gamma, chunks: (
+        tree_reduce_time(d, c.world_size, *links[0], gamma)),
+    ("tree", "all_gather"): lambda d, c, links, gamma, chunks: (
+        tree_broadcast_time(d, c.world_size, *links[0])),
+    # Trees and the synthesizers have no personalized-exchange schedule;
+    # their all-to-all is the pairwise exchange.
+    ("tree", "all_to_all"): _pairwise,
+    ("hierarchical", "reduce_scatter"): lambda d, c, links, gamma, chunks: (
+        hierarchical_reduce_scatter_time(
+            d, c.nodes, c.gpus_per_node, *links[1], *links[2], chunks)),
+    ("hierarchical", "all_gather"): lambda d, c, links, gamma, chunks: (
+        hierarchical_all_gather_time(
+            d, c.nodes, c.gpus_per_node, *links[1], *links[2], chunks)),
+    ("hierarchical", "all_to_all"): lambda d, c, links, gamma, chunks: (
+        hierarchical_all_to_all_time(
+            d, c.nodes, c.gpus_per_node, *links[1], *links[2], chunks)),
+    ("synth_lat", "all_to_all"): _pairwise,
+    ("synth_bw", "all_to_all"): _pairwise,
+    **{
+        (algorithm, op): _synthesized(op, objective)
+        for algorithm, objective in (("synth_lat", "latency"), ("synth_bw", "bandwidth"))
+        for op in ("reduce_scatter", "all_gather", "all_reduce")
+    },
+}
+
+
+def collective_price(
+    op: str,
+    algorithm: str,
+    nbytes,
+    cluster: ClusterSpec,
+    links,
+    gamma: float = 0.0,
+    chunks: int = 1,
+):
+    """Alpha-beta time of one collective, without the startup overhead.
+
+    ``op`` is ``"reduce_scatter"``, ``"all_gather"``, ``"all_to_all"``
+    or ``"all_reduce"``; a preset's all-reduce is its reduce-scatter
+    plus its all-gather, a synthesized one is its own schedule.
+    ``nbytes`` is a float or a size vector; ``chunks`` pipelines the
+    ring-style rounds.
+    """
+    formula = _FORMULAS.get((algorithm, op))
+    if formula is not None:
+        return formula(nbytes, cluster, links, gamma, chunks)
+    if op == "all_reduce" and (algorithm, "reduce_scatter") in _FORMULAS:
+        return collective_price(
+            "reduce_scatter", algorithm, nbytes, cluster, links, gamma, chunks
+        ) + collective_price("all_gather", algorithm, nbytes, cluster, links, gamma, chunks)
+    raise ValueError(f"unknown algorithm {algorithm!r} for op {op!r}")
 
 
 class CollectiveTimeModel:
@@ -341,12 +457,17 @@ class CollectiveTimeModel:
       :mod:`repro.network.protocol` (NCCL tiers, channel striping,
       chunked pipelining).
 
+    The effective (alpha, beta) pairs are resolved once here (once per
+    table selection for ``"auto"``), and every collective is priced by
+    :func:`collective_price`.
+
     Results are memoized per instance: sweeps and BO warm-up query the
     same handful of ``nbytes`` values thousands of times, so each
     (operation, nbytes) pair is computed once.  The model is treated as
     immutable after construction — mutate ``algorithm`` / ``gamma`` /
     ``startup_overhead`` on a live instance and the memo goes stale;
-    build a fresh model instead.
+    build a fresh model instead (:meth:`with_cluster` rebuilds one over
+    another cluster).
     """
 
     ALGORITHMS = (
@@ -371,6 +492,8 @@ class CollectiveTimeModel:
             )
         if algorithm == "halving_doubling" and cluster.world_size & (cluster.world_size - 1):
             raise ValueError("halving_doubling requires a power-of-two world size")
+        if ring_chunks < 1:
+            raise ValueError(f"ring_chunks must be >= 1, got {ring_chunks}")
         self.cluster = cluster
         self.algorithm = algorithm
         self.gamma = gamma
@@ -399,9 +522,15 @@ class CollectiveTimeModel:
                 "do not also pass fixed protocol/channels/ring_chunks"
             )
         self._alpha, self._beta = cluster.flat_alpha_beta()
+        #: What every call without a table selection is priced with
+        #: (``"auto"`` falls back to plain ring).
+        self._algorithm = "ring" if algorithm == "auto" else algorithm
+        self._links = resolve_links(cluster, protocol, channels)[1]
+        #: Table selection -> its resolved links.
+        self._selection_links: dict = {}
         #: (operation tag, nbytes) -> seconds; missing is None (0.0 is
         #: a legitimate cached value for empty messages).
-        self._memo: dict[tuple[str, float], float] = {}
+        self._memo: dict[tuple, float] = {}
         # Children are bound once here so the per-query cost is a single
         # attribute add (sweeps and BO issue millions of lookups).
         registry = default_registry()
@@ -413,12 +542,26 @@ class CollectiveTimeModel:
         )
         self._query_counters = {
             op: queries.labels(op=op, algorithm=algorithm)
-            for op in ("rs", "ag", "neg", "a2a", "p2p")
+            for op in ("rs", "ag", "neg", "a2a", "p2p", "sub")
         }
         self._hit_counters = {
             op: hits.labels(op=op, algorithm=algorithm)
-            for op in ("rs", "ag", "neg", "a2a", "p2p")
+            for op in ("rs", "ag", "neg", "a2a", "p2p", "sub")
         }
+
+    def with_cluster(self, cluster: ClusterSpec) -> "CollectiveTimeModel":
+        """The same pricing settings over another cluster (e.g. degraded links).
+
+        Carries the algorithm, gamma, overhead, protocol, channels, ring
+        chunking and this model's resolved selection table — an untabled
+        ``"auto"`` stays untabled instead of consulting the registry.
+        """
+        model = CollectiveTimeModel(
+            cluster, self.algorithm, self.gamma, self.startup_overhead,
+            self.protocol, self.channels, self.ring_chunks, self._table,
+        )
+        model._table = self._table
+        return model
 
     @property
     def world_size(self) -> int:
@@ -452,129 +595,50 @@ class CollectiveTimeModel:
         """Bottleneck link bandwidth ``B`` used by the S^max model (bytes/s)."""
         return 1.0 / self._beta
 
+    def _memoized(self, key: tuple, price, *args) -> float:
+        """``price(*args)`` memoized under ``key``, whose first item labels
+        the ``costmodel.queries`` / ``costmodel.memo_hits`` counters."""
+        op = key[0]
+        self._query_counters[op].inc()
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = price(*args)
+        else:
+            self._hit_counters[op].inc()
+        return cached
+
     def _finish(self, t: float, nbytes: float) -> float:
         if nbytes <= 0:
             return 0.0
         return t + self.startup_overhead
 
+    def _collective(self, op: str, nbytes: float) -> float:
+        _check_size(nbytes)
+        algorithm, links, chunks = self._algorithm, self._links, self.ring_chunks
+        if self._table is not None:
+            selection = self._table.lookup(op, nbytes)
+            if selection is not None:
+                algorithm, chunks = selection.algorithm, 1
+                links = self._selection_links.get(selection)
+                if links is None:
+                    links = self._selection_links[selection] = resolve_links(
+                        self.cluster, selection.protocol, selection.channels
+                    )[1]
+        t = collective_price(op, algorithm, nbytes, self.cluster, links, self.gamma, chunks)
+        return self._finish(t, nbytes)
+
     def reduce_scatter(self, nbytes: float) -> float:
         """Time of the first decoupled operation (OP1) for ``nbytes``."""
-        key = ("rs", nbytes)
-        self._query_counters["rs"].inc()
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = self._reduce_scatter(nbytes)
-        else:
-            self._hit_counters["rs"].inc()
-        return cached
-
-    def _tuned_time(self, op: str, nbytes: float) -> float | None:
-        """Protocol-aware price for one call, or None for the plain path.
-
-        ``"auto"`` consults the selection table (falling back to the
-        exact plain-ring scalar path when no table is loaded or the
-        table has no entry); a fixed algorithm in protocol mode routes
-        through :func:`repro.network.protocol.collective_time` with this
-        model's protocol/channels/chunking.
-        """
-        if self.algorithm == "auto":
-            selection = (
-                self._table.lookup(op, nbytes) if self._table is not None else None
-            )
-            if selection is None:
-                return None
-            from repro.network.protocol import collective_time
-
-            return collective_time(
-                op,
-                nbytes,
-                self.cluster,
-                algorithm=selection.algorithm,
-                protocol=selection.protocol,
-                channels=selection.channels,
-                gamma=self.gamma,
-                startup_overhead=self.startup_overhead,
-            )
-        if self._protocol_mode or self.algorithm in ("synth_lat", "synth_bw"):
-            # Synthesized schedules have no scalar closed form: they are
-            # always priced through the step-level protocol path.
-            from repro.network.protocol import collective_time
-
-            return collective_time(
-                op,
-                nbytes,
-                self.cluster,
-                algorithm=self.algorithm,
-                protocol=self.protocol,
-                channels=self.channels,
-                ring_chunks=self.ring_chunks,
-                gamma=self.gamma,
-                startup_overhead=self.startup_overhead,
-            )
-        return None
-
-    def _reduce_scatter(self, nbytes: float) -> float:
-        tuned = self._tuned_time("reduce_scatter", nbytes)
-        if tuned is not None:
-            return tuned
-        p = self.world_size
-        if self.algorithm in ("ring", "auto"):
-            t = ring_reduce_scatter_time(nbytes, p, self._alpha, self._beta, self.gamma)
-        elif self.algorithm == "halving_doubling":
-            t = recursive_halving_reduce_scatter_time(
-                nbytes, p, self._alpha, self._beta, self.gamma
-            )
-        elif self.algorithm == "tree":
-            t = tree_reduce_time(nbytes, p, self._alpha, self._beta, self.gamma)
-        else:
-            t = hierarchical_reduce_scatter_time(
-                nbytes,
-                self.cluster.nodes,
-                self.cluster.gpus_per_node,
-                self.cluster.intra_link.alpha,
-                self.cluster.intra_link.beta,
-                self.cluster.inter_link.alpha,
-                self.cluster.inter_link.beta,
-            )
-        return self._finish(t, nbytes)
+        return self._memoized(("rs", nbytes), self._collective, "reduce_scatter", nbytes)
 
     def all_gather(self, nbytes: float) -> float:
         """Time of the second decoupled operation (OP2) for ``nbytes``."""
-        key = ("ag", nbytes)
-        self._query_counters["ag"].inc()
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = self._all_gather(nbytes)
-        else:
-            self._hit_counters["ag"].inc()
-        return cached
-
-    def _all_gather(self, nbytes: float) -> float:
-        tuned = self._tuned_time("all_gather", nbytes)
-        if tuned is not None:
-            return tuned
-        p = self.world_size
-        if self.algorithm in ("ring", "auto"):
-            t = ring_all_gather_time(nbytes, p, self._alpha, self._beta)
-        elif self.algorithm == "halving_doubling":
-            t = recursive_doubling_all_gather_time(nbytes, p, self._alpha, self._beta)
-        elif self.algorithm == "tree":
-            t = tree_broadcast_time(nbytes, p, self._alpha, self._beta)
-        else:
-            t = hierarchical_all_gather_time(
-                nbytes,
-                self.cluster.nodes,
-                self.cluster.gpus_per_node,
-                self.cluster.intra_link.alpha,
-                self.cluster.intra_link.beta,
-                self.cluster.inter_link.alpha,
-                self.cluster.inter_link.beta,
-            )
-        return self._finish(t, nbytes)
+        return self._memoized(("ag", nbytes), self._collective, "all_gather", nbytes)
 
     def all_reduce(self, nbytes: float) -> float:
         """Time of the fused primitive; equals RS + AG by construction."""
         if nbytes <= 0:
+            _check_size(nbytes)
             return 0.0
         return self.reduce_scatter(nbytes) + self.all_gather(nbytes) - self.startup_overhead
 
@@ -582,39 +646,12 @@ class CollectiveTimeModel:
         """Personalized exchange of a ``nbytes`` per-rank send buffer.
 
         ``ring`` (and untabled ``auto``) price the pairwise-exchange
-        schedule; ``halving_doubling`` prices Bruck; ``tree`` has no
-        personalized-exchange analogue and falls back to pairwise;
-        ``hierarchical`` prices the two-phase node-then-NIC shuffle.
+        schedule; ``halving_doubling`` prices Bruck; ``tree`` and the
+        synthesized families have no personalized-exchange analogue and
+        fall back to pairwise; ``hierarchical`` prices the two-phase
+        node-then-NIC shuffle.
         """
-        key = ("a2a", nbytes)
-        self._query_counters["a2a"].inc()
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = self._all_to_all(nbytes)
-        else:
-            self._hit_counters["a2a"].inc()
-        return cached
-
-    def _all_to_all(self, nbytes: float) -> float:
-        tuned = self._tuned_time("all_to_all", nbytes)
-        if tuned is not None:
-            return tuned
-        p = self.world_size
-        if self.algorithm == "halving_doubling":
-            t = bruck_all_to_all_time(nbytes, p, self._alpha, self._beta)
-        elif self.algorithm == "hierarchical":
-            t = hierarchical_all_to_all_time(
-                nbytes,
-                self.cluster.nodes,
-                self.cluster.gpus_per_node,
-                self.cluster.intra_link.alpha,
-                self.cluster.intra_link.beta,
-                self.cluster.inter_link.alpha,
-                self.cluster.inter_link.beta,
-            )
-        else:  # ring / auto-without-entry / tree
-            t = pairwise_all_to_all_time(nbytes, p, self._alpha, self._beta)
-        return self._finish(t, nbytes)
+        return self._memoized(("a2a", nbytes), self._collective, "all_to_all", nbytes)
 
     def all_to_allv(self, nbytes: float) -> float:
         """Variable-count exchange, priced at the busiest rank's bytes.
@@ -629,15 +666,7 @@ class CollectiveTimeModel:
 
     def send_recv(self, nbytes: float) -> float:
         """One point-to-point message on the flat fabric."""
-        key = ("p2p", nbytes)
-        self._query_counters["p2p"].inc()
-        cached = self._memo.get(key)
-        if cached is None:
-            t = send_recv_time(nbytes, self._alpha, self._beta)
-            cached = self._memo[key] = self._finish(t, nbytes)
-        else:
-            self._hit_counters["p2p"].inc()
-        return cached
+        return self._memoized(("p2p", nbytes), self._subgroup, "send_recv", nbytes, 1)
 
     def subgroup_time(self, kind: str, nbytes: float, peers: int) -> float:
         """Price a collective restricted to a ``peers``-rank subgroup.
@@ -653,11 +682,11 @@ class CollectiveTimeModel:
         """
         if peers < 1:
             raise ValueError(f"subgroup collectives need peers >= 1, got {peers}")
-        key = ("sub", kind, nbytes, peers)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        p = peers
+        return self._memoized(
+            ("sub", kind, nbytes, peers), self._subgroup, kind, nbytes, peers
+        )
+
+    def _subgroup(self, kind: str, nbytes: float, p: int) -> float:
         if kind == "send_recv":
             t = send_recv_time(nbytes, self._alpha, self._beta)
         elif kind == "all_reduce":
@@ -670,75 +699,13 @@ class CollectiveTimeModel:
             t = pairwise_all_to_all_time(nbytes, p, self._alpha, self._beta)
         else:
             raise ValueError(f"unknown collective kind {kind!r}")
-        cached = self._memo[key] = self._finish(t, nbytes)
-        return cached
+        return self._finish(t, nbytes)
 
     def negotiation(self, payload_bytes: float = 8.0) -> float:
         """One metadata-consensus round on this cluster."""
-        key = ("neg", payload_bytes)
-        self._query_counters["neg"].inc()
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._memo[key] = negotiation_time(
-                self.world_size, self._alpha, payload_bytes, self._beta
-            )
-        else:
-            self._hit_counters["neg"].inc()
-        return cached
-
-    def sweep(self, op: str, sizes):
-        """Vectorized collective times over a numpy vector of sizes.
-
-        One formula pass per distinct selection — never a Python loop
-        per size (the tune harness and the selection-table builder are
-        built on this).  ``op`` is one of ``"reduce_scatter"``,
-        ``"all_gather"``, ``"all_reduce"``, ``"all_to_all"``.  Returns
-        ``np.ndarray``
-        aligned with ``sizes``; matches the scalar methods bit-for-bit.
-        """
-        import numpy as np
-
-        from repro.network.protocol import collective_times
-
-        d = np.asarray(sizes, dtype=float)
-        if self.algorithm == "auto" and self._table is not None:
-            # Group sizes by their table selection: one vector pass per
-            # distinct winner.
-            selections = [self._table.lookup(op, s) for s in d]
-            out = np.zeros_like(d)
-            for selection in {s for s in selections if s is not None}:
-                mask = np.array([s == selection for s in selections])
-                out[mask] = collective_times(
-                    op,
-                    d[mask],
-                    self.cluster,
-                    algorithm=selection.algorithm,
-                    protocol=selection.protocol,
-                    channels=selection.channels,
-                    gamma=self.gamma,
-                    startup_overhead=self.startup_overhead,
-                )
-            none_mask = np.array([s is None for s in selections])
-            if none_mask.any():
-                out[none_mask] = collective_times(
-                    op,
-                    d[none_mask],
-                    self.cluster,
-                    algorithm="ring",
-                    gamma=self.gamma,
-                    startup_overhead=self.startup_overhead,
-                )
-            return out
-        return collective_times(
-            op,
-            d,
-            self.cluster,
-            algorithm="ring" if self.algorithm == "auto" else self.algorithm,
-            protocol=self.protocol,
-            channels=self.channels,
-            ring_chunks=self.ring_chunks,
-            gamma=self.gamma,
-            startup_overhead=self.startup_overhead,
+        return self._memoized(
+            ("neg", payload_bytes), negotiation_time,
+            self.world_size, self._alpha, payload_bytes, self._beta,
         )
 
     def describe(self) -> str:

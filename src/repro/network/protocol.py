@@ -30,14 +30,18 @@ differential tests pin.
 round's payload into pipelined sub-chunks: ``(P-1 + k-1)`` stages of
 ``d/(P*k)`` bytes instead of ``P-1`` rounds of ``d/P``.
 
-Everything here is vectorized over numpy size arrays: the tune harness
+This module only turns a (protocol, channels) choice into effective
+(alpha, beta) pairs (:func:`resolve_links`); the round formulas live in
+:mod:`repro.network.cost_model`, whose one formula table both the
+scalar :class:`~repro.network.cost_model.CollectiveTimeModel` and the
+vectorized :func:`collective_times` price through.  The tune harness
 and the selection-table builder evaluate a whole size sweep in one
-pass (counted by the ``network.cost_model.evals`` telemetry counter).
+:func:`collective_times` pass (counted by the
+``network.cost_model.evals`` telemetry counter).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -58,6 +62,7 @@ __all__ = [
     "channel_bandwidth_factor",
     "effective_alpha_beta",
     "governing_link",
+    "resolve_links",
     "collective_times",
     "collective_time",
 ]
@@ -209,94 +214,41 @@ def effective_alpha_beta(
     return alpha, beta
 
 
-# -- vectorized per-algorithm formulas ----------------------------------------
-#
-# Each mirrors its scalar twin in repro.network.cost_model with the SAME
-# floating-point association, so a one-element vector reproduces the
-# scalar result bit-for-bit (the differential tests rely on this).
+def resolve_links(
+    cluster: ClusterSpec,
+    protocol: Union[str, ProtocolSpec, None] = None,
+    channels: Optional[int] = None,
+    enforce_capability: bool = True,
+) -> tuple[ProtocolSpec, tuple]:
+    """The protocol tier and the (alpha, beta) pairs a collective runs on.
 
+    Returns ``(spec, (flat, intra, inter))``: ``flat`` paces the flat
+    algorithms under the tier and channel count; the two-level ones run
+    their inter-node phase under the tier (``inter``) and their
+    intra-node phase at the calibrated baseline (``intra``).
+    ``protocol=None`` means the calibrated Simple tier at the governing
+    link's calibrated channel count, where ``flat`` is the cluster's
+    plain flat-ring pair bit-for-bit.
 
-def _ring_reduce_scatter(d, p, alpha, beta, gamma, chunks):
-    if p == 1:
-        return np.zeros_like(d)
-    per = d / (p * chunks)
-    return (p - 1 + chunks - 1) * (alpha + per * beta + per * gamma)
-
-
-def _ring_all_gather(d, p, alpha, beta, chunks):
-    if p == 1:
-        return np.zeros_like(d)
-    per = d / (p * chunks)
-    return (p - 1 + chunks - 1) * (alpha + per * beta)
-
-
-def _halving_reduce_scatter(d, p, alpha, beta, gamma):
-    if p == 1:
-        return np.zeros_like(d)
-    if p & (p - 1):
-        raise ValueError(f"recursive halving requires power-of-two workers, got {p}")
-    rounds = int(math.log2(p))
-    volume = d * (p - 1) / p
-    return rounds * alpha + volume * (beta + gamma)
-
-
-def _doubling_all_gather(d, p, alpha, beta):
-    if p == 1:
-        return np.zeros_like(d)
-    if p & (p - 1):
-        raise ValueError(f"recursive doubling requires power-of-two workers, got {p}")
-    rounds = int(math.log2(p))
-    volume = d * (p - 1) / p
-    return rounds * alpha + volume * beta
-
-
-def _tree_reduce(d, p, alpha, beta, gamma, pipeline_chunks=16):
-    if p == 1:
-        return np.zeros_like(d)
-    depth = max(1, math.ceil(math.log2(p)))
-    chunks = max(1, pipeline_chunks)
-    per_chunk = d / chunks
-    return (depth + chunks - 1) * (alpha + per_chunk * (beta + gamma))
-
-
-def _hierarchical_reduce_scatter(d, cluster, intra_ab, inter_ab, gamma, chunks):
-    g = cluster.gpus_per_node
-    intra = _ring_reduce_scatter(d, g, intra_ab[0], intra_ab[1], 0.0, 1)
-    inter = _ring_reduce_scatter(
-        d / g, cluster.nodes, inter_ab[0], inter_ab[1] * g, 0.0, chunks
+    With ``enforce_capability`` (default), a protocol outside the
+    governing link's capability set raises ``ValueError`` — a 10GbE
+    socket transport has no LL/LL128 tiers to select.
+    """
+    link = governing_link(cluster)
+    spec = SIMPLE if protocol is None else resolve_protocol(protocol)
+    if enforce_capability and spec.name not in link.protocols:
+        raise ValueError(
+            f"protocol {spec.name!r} not supported by link {link.name!r} "
+            f"(capabilities: {link.protocols})"
+        )
+    channels = link.channels if channels is None else int(channels)
+    flat = effective_alpha_beta(*cluster.flat_alpha_beta(), spec, channels, link.channels)
+    inter = effective_alpha_beta(
+        cluster.inter_link.alpha, cluster.inter_link.beta,
+        spec, channels, cluster.inter_link.channels,
     )
-    return intra + inter
-
-
-def _hierarchical_all_gather(d, cluster, intra_ab, inter_ab, chunks):
-    g = cluster.gpus_per_node
-    inter = _ring_all_gather(d / g, cluster.nodes, inter_ab[0], inter_ab[1] * g, chunks)
-    intra = _ring_all_gather(d, g, intra_ab[0], intra_ab[1], 1)
-    return inter + intra
-
-
-def _pairwise_all_to_all(d, p, alpha, beta, chunks):
-    if p == 1:
-        return np.zeros_like(d)
-    per = d / (p * chunks)
-    return (p - 1 + chunks - 1) * (alpha + per * beta)
-
-
-def _bruck_all_to_all(d, p, alpha, beta):
-    if p == 1:
-        return np.zeros_like(d)
-    if p & (p - 1):
-        raise ValueError(f"Bruck all-to-all requires power-of-two workers, got {p}")
-    rounds = int(math.log2(p))
-    half = d / 2
-    return rounds * (alpha + half * beta)
-
-
-def _hierarchical_all_to_all(d, cluster, intra_ab, inter_ab, chunks):
-    g = cluster.gpus_per_node
-    intra = _pairwise_all_to_all(d, g, intra_ab[0], intra_ab[1], 1)
-    inter = _pairwise_all_to_all(d, cluster.nodes, inter_ab[0], inter_ab[1] * g, chunks)
-    return intra + inter
+    intra = (cluster.intra_link.alpha, cluster.intra_link.beta)
+    return spec, (flat, intra, inter)
 
 
 _OPS = ("reduce_scatter", "all_gather", "all_reduce", "all_to_all")
@@ -316,15 +268,17 @@ def collective_times(
 ) -> np.ndarray:
     """Protocol-aware collective times over a numpy vector of sizes.
 
-    One pass evaluates the whole sweep (no Python loop per size); the
+    One pass evaluates the whole sweep (no Python loop per size) through
+    the same formula table as :class:`~repro.network.cost_model.CollectiveTimeModel`
+    (:func:`~repro.network.cost_model.collective_price`); the
     ``network.cost_model.evals`` counter records the evaluation count.
     ``protocol=None`` means the calibrated Simple tier at the link's
-    calibrated channel count — the plain alpha-beta model.
-
-    With ``enforce_capability`` (default), a protocol outside the
-    governing link's capability set raises ``ValueError`` — a 10GbE
-    socket transport has no LL/LL128 tiers to select.
+    calibrated channel count — the plain alpha-beta model.  See
+    :func:`resolve_links` for ``enforce_capability``.
     """
+    # Late import: the cost model resolves its links through this module.
+    from repro.network.cost_model import collective_price
+
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}; expected one of {_OPS}")
     if ring_chunks < 1:
@@ -332,95 +286,8 @@ def collective_times(
     d = np.asarray(sizes, dtype=float)
     if np.any(d < 0):
         raise ValueError("message sizes must be non-negative")
-
-    link = governing_link(cluster)
-    spec = SIMPLE if protocol is None else resolve_protocol(protocol)
-    if enforce_capability and spec.name not in link.protocols:
-        raise ValueError(
-            f"protocol {spec.name!r} not supported by link {link.name!r} "
-            f"(capabilities: {link.protocols})"
-        )
-    channels = link.channels if channels is None else int(channels)
-
-    flat_alpha, flat_beta = cluster.flat_alpha_beta()
-    alpha, beta = effective_alpha_beta(
-        flat_alpha, flat_beta, spec, channels, link.channels
-    )
-    # Hierarchical runs its inter-node phase under the protocol tier and
-    # its intra-node phase at the calibrated baseline.
-    inter_ab = effective_alpha_beta(
-        cluster.inter_link.alpha, cluster.inter_link.beta,
-        spec, channels, cluster.inter_link.channels,
-    )
-    intra_ab = (cluster.intra_link.alpha, cluster.intra_link.beta)
-
-    p = cluster.world_size
-    if algorithm == "ring":
-        if op == "reduce_scatter":
-            t = _ring_reduce_scatter(d, p, alpha, beta, gamma, ring_chunks)
-        elif op == "all_gather":
-            t = _ring_all_gather(d, p, alpha, beta, ring_chunks)
-        elif op == "all_to_all":
-            t = _pairwise_all_to_all(d, p, alpha, beta, ring_chunks)
-        else:
-            t = _ring_reduce_scatter(d, p, alpha, beta, gamma, ring_chunks) + \
-                _ring_all_gather(d, p, alpha, beta, ring_chunks)
-    elif algorithm == "halving_doubling":
-        if op == "reduce_scatter":
-            t = _halving_reduce_scatter(d, p, alpha, beta, gamma)
-        elif op == "all_gather":
-            t = _doubling_all_gather(d, p, alpha, beta)
-        elif op == "all_to_all":
-            t = _bruck_all_to_all(d, p, alpha, beta)
-        else:
-            t = _halving_reduce_scatter(d, p, alpha, beta, gamma) + \
-                _doubling_all_gather(d, p, alpha, beta)
-    elif algorithm == "tree":
-        if op == "reduce_scatter":
-            t = _tree_reduce(d, p, alpha, beta, gamma)
-        elif op == "all_gather":
-            t = _tree_reduce(d, p, alpha, beta, 0.0)
-        elif op == "all_to_all":
-            # Trees have no personalized-exchange analogue; fall back to
-            # the pairwise schedule (the scalar model does the same).
-            t = _pairwise_all_to_all(d, p, alpha, beta, ring_chunks)
-        else:
-            t = _tree_reduce(d, p, alpha, beta, gamma) + _tree_reduce(d, p, alpha, beta, 0.0)
-    elif algorithm == "hierarchical":
-        if op == "reduce_scatter":
-            t = _hierarchical_reduce_scatter(
-                d, cluster, intra_ab, inter_ab, gamma, ring_chunks
-            )
-        elif op == "all_gather":
-            t = _hierarchical_all_gather(d, cluster, intra_ab, inter_ab, ring_chunks)
-        elif op == "all_to_all":
-            t = _hierarchical_all_to_all(d, cluster, intra_ab, inter_ab, ring_chunks)
-        else:
-            t = _hierarchical_reduce_scatter(
-                d, cluster, intra_ab, inter_ab, gamma, ring_chunks
-            ) + _hierarchical_all_gather(d, cluster, intra_ab, inter_ab, ring_chunks)
-    elif algorithm in ("synth_lat", "synth_bw"):
-        if op == "all_to_all":
-            # The synthesizers cover RS/AG/AR; personalized exchange
-            # falls back to the pairwise schedule like tree does.
-            t = _pairwise_all_to_all(d, p, alpha, beta, ring_chunks)
-        else:
-            # Late import: synthesis depends on this module for pricing.
-            from repro.collectives.synthesis import schedule_for_cluster, schedule_times
-
-            objective = "latency" if algorithm == "synth_lat" else "bandwidth"
-            schedule = schedule_for_cluster(cluster, op, objective)
-            # Same convention as hierarchical: the governing link runs
-            # under the protocol tier, the other at the calibrated
-            # baseline.  Single-node worlds are governed by intra.
-            if cluster.multi_node:
-                step_intra, step_inter = intra_ab, inter_ab
-            else:
-                step_intra, step_inter = (alpha, beta), inter_ab
-            t = schedule_times(schedule, d, step_intra, step_inter, gamma)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
+    spec, links = resolve_links(cluster, protocol, channels, enforce_capability)
+    t = collective_price(op, algorithm, d, cluster, links, gamma, ring_chunks)
     # Empty messages are free; non-empty ones pay the software overhead
     # once per collective (the scalar model's fused all-reduce also
     # charges a single overhead: RS + AG - one of the two).

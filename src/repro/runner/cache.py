@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: Bump when simulator semantics or the result layout change.
-SCHEMA_VERSION = "dear-cache-v1"
+SCHEMA_VERSION = "dear-cache-v2"
 
 #: Store-level lifetime counters (JSON), kept next to the schema
 #: directories so ``dear-repro cache stats`` can report hit rates across

@@ -194,3 +194,61 @@ class TestDegradedCluster:
         nbytes = 25e6
         assert degraded.all_reduce(nbytes) > healthy.all_reduce(nbytes)
         assert degraded.reduce_scatter(nbytes) > healthy.reduce_scatter(nbytes)
+
+
+class TestDegradedModelKeepsTuning:
+    """A degraded link reprices the healthy model's own tuning, only slower.
+
+    The degraded model must keep the selection table and the protocol
+    settings: with the inter-link beta raised by ``FACTOR`` every price
+    lands between the healthy price and ``FACTOR`` times it.  Rebuilding
+    the degraded model as plain ring breaks both bounds.
+    """
+
+    FACTOR = 1.0001
+    KINDS = ("reduce_scatter", "all_gather", "all_reduce", "all_to_all")
+    SIZES = (4096, 10**6, 25 * 10**6, 2**30)
+
+    def _tuned_models(self):
+        from repro.network.autotuner import build_selection_table
+        from repro.network.presets import cluster_100gbib
+
+        cluster = cluster_100gbib()
+        return {
+            "auto+table": CollectiveTimeModel(
+                cluster, algorithm="auto", table=build_selection_table(cluster)
+            ),
+            "ll128/c1": CollectiveTimeModel(cluster, protocol="ll128", channels=1),
+        }
+
+    def test_degraded_price_brackets_healthy(self):
+        from repro.faults.timing import TimingFaultInjector
+
+        plan = FaultPlan(link_faults=(LinkFault(0.0, 1e9, beta_factor=self.FACTOR),))
+        for label, cost in self._tuned_models().items():
+            injector = TimingFaultInjector(plan, cost)
+            for kind in self.KINDS:
+                for nbytes in self.SIZES:
+                    healthy = getattr(cost, kind)(nbytes)
+                    degraded = injector.collective_duration(kind, nbytes, 0.0, 0.5)
+                    assert healthy <= degraded <= healthy * self.FACTOR, (
+                        label, kind, nbytes
+                    )
+
+    def test_with_cluster_carries_every_setting(self, ethernet_cluster):
+        from repro.network.autotuner import NO_TABLE
+
+        cluster = ethernet_cluster.degraded(inter_beta=2.0)
+        untabled = CollectiveTimeModel(ethernet_cluster, algorithm="auto", table=None)
+        assert untabled.with_cluster(cluster)._table is None
+        pinned = CollectiveTimeModel(ethernet_cluster, algorithm="auto", table=NO_TABLE)
+        assert pinned.with_cluster(cluster)._table is NO_TABLE
+        fixed = CollectiveTimeModel(
+            ethernet_cluster, algorithm="tree", gamma=1e-10, startup_overhead=1e-3,
+            channels=1, ring_chunks=4,
+        ).with_cluster(cluster)
+        assert fixed.cluster is cluster
+        assert (fixed.algorithm, fixed.gamma, fixed.startup_overhead) == (
+            "tree", 1e-10, 1e-3
+        )
+        assert (fixed.protocol, fixed.channels, fixed.ring_chunks) == (None, 1, 4)

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.network.autotuner import (
@@ -250,20 +249,3 @@ class TestAutoAlgorithm:
         auto = CollectiveTimeModel(cluster, algorithm="auto")
         assert auto._table is table
         assert "auto[" in auto.describe()
-
-    def test_auto_sweep_matches_scalar(self):
-        cluster = cluster_100gbib()
-        table = build_selection_table(cluster)
-        auto = CollectiveTimeModel(cluster, algorithm="auto", table=table)
-        sizes = np.array([1e3, 1e5, 25e6, 1e9])
-        out = auto.sweep("all_reduce", sizes)
-        for nbytes, t in zip(sizes, out):
-            assert auto.all_reduce(float(nbytes)) == t
-
-    def test_auto_no_table_sweep_matches_ring(self):
-        cluster = cluster_10gbe()
-        auto = CollectiveTimeModel(cluster, algorithm="auto")
-        ring = CollectiveTimeModel(cluster)
-        sizes = np.array([1e3, 25e6])
-        assert np.array_equal(auto.sweep("all_gather", sizes),
-                              ring.sweep("all_gather", sizes))

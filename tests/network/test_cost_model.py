@@ -187,10 +187,15 @@ class TestMemoization:
 
     def test_memoized_values_match_direct_formulas(self):
         model = CollectiveTimeModel(cluster_10gbe())
+        p, alpha, beta = model.world_size, model.alpha, model.beta
         for nbytes in (1.0, 1e4, 25e6):
             for _ in range(2):  # second pass reads the memo
-                assert model.reduce_scatter(nbytes) == model._reduce_scatter(nbytes)
-                assert model.all_gather(nbytes) == model._all_gather(nbytes)
+                assert model.reduce_scatter(nbytes) == ring_reduce_scatter_time(
+                    nbytes, p, alpha, beta
+                )
+                assert model.all_gather(nbytes) == ring_all_gather_time(
+                    nbytes, p, alpha, beta
+                )
 
     def test_distinct_sizes_distinct_entries(self):
         model = CollectiveTimeModel(cluster_10gbe())

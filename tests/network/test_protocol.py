@@ -223,13 +223,6 @@ class TestModelProtocolMode:
         with pytest.raises(ValueError):
             CollectiveTimeModel(cluster_100gbib(), algorithm="auto", protocol="ll")
 
-    def test_sweep_matches_scalar_in_protocol_mode(self):
-        model = CollectiveTimeModel(cluster_100gbib(), protocol="ll128",
-                                    ring_chunks=4)
-        out = model.sweep("all_reduce", SIZES)
-        for nbytes, t in zip(SIZES, out):
-            assert model.all_reduce(float(nbytes)) == t
-
     def test_describe_mentions_protocol(self):
         text = CollectiveTimeModel(cluster_100gbib(), protocol="ll",
                                    channels=2).describe()

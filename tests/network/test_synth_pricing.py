@@ -136,12 +136,6 @@ class TestCostModelIntegration:
             assert model.reduce_scatter(2.0**20) + model.all_gather(2.0**20) == \
                 pytest.approx(model.all_reduce(2.0**20))
 
-    def test_sweep_matches_scalar_path(self):
-        model = CollectiveTimeModel(cluster_10gbe(), algorithm="synth_lat")
-        swept = model.sweep("all_reduce", SIZES)
-        scalars = np.array([model.all_reduce(size) for size in SIZES])
-        np.testing.assert_allclose(swept, scalars, rtol=1e-12)
-
     def test_all_to_all_falls_back_to_pairwise(self):
         cluster = cluster_10gbe()
         synth = CollectiveTimeModel(cluster, algorithm="synth_lat")
