@@ -13,10 +13,9 @@ engine runs the schedule.  On the event kernel the engine submits
 :meth:`~TimingFaultInjector.collective_body`); on the vectorized
 replays it submits *priced* duration placeholders resolved once the
 replay knows each job's start time — :class:`PricedCompute` /
-:class:`PricedCollective` (single-rank
-:class:`~repro.sim.fastpath.FastTimeline`) and
-:class:`RankPricedCompute` (rank-axis
-:class:`~repro.sim.multirank_fastpath.MultiRankTimeline`).  Both
+:class:`PricedCollective` (one duration per slot) and
+:class:`RankPricedCompute` (one per rank of a multi-rank
+:class:`~repro.sim.fastpath.Timeline`).  Both
 shapes call the same pricing functions with the same (base, start)
 arguments, so faulty runs no longer force a fall-back to the event
 kernel and the engines stay bit-for-bit comparable — pinned by the
@@ -46,8 +45,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.network.cost_model import CollectiveTimeModel
-from repro.sim.fastpath import DeferredDuration
-from repro.sim.multirank_fastpath import DeferredRankDurations
+from repro.sim.fastpath import DeferredDuration, DeferredRankDurations
 from repro.telemetry.registry import default_registry
 
 __all__ = [

@@ -10,16 +10,16 @@ through this subsystem, which layers three things on the simulator:
   ``DEAR_CACHE=0`` disables), versioned by a schema tag;
 - **fan-out** — :func:`run_many` evaluates independent specs with
   deterministic, input-order results: compatible specs batch into
-  config-axis vectorized replays (:mod:`repro.runner.batched`,
-  ``DEAR_BATCHED``), the rest runs on a process pool (``DEAR_JOBS``
-  workers) with graceful serial fallback.
+  config-axis vectorized replays (:mod:`repro.runner.batched`), the
+  rest runs on a process pool (``DEAR_JOBS`` workers) with graceful
+  serial fallback.
 
 :func:`simulate_cached` is the drop-in facade for single calls;
 :mod:`repro.runner.bench` and :mod:`repro.runner.report` turn batches
 of runs into the ``BENCH_<date>.json`` artifact CI consumes.
 """
 
-from repro.runner.batched import batched_enabled, run_batched
+from repro.runner.batched import run_batched
 from repro.runner.bench import bench_suites, run_bench
 from repro.runner.cache import (
     SCHEMA_VERSION,
@@ -45,7 +45,6 @@ __all__ = [
     "BenchReporter",
     "ResultCache",
     "RunSpec",
-    "batched_enabled",
     "bench_filename",
     "bench_suites",
     "compare_to_baseline",

@@ -3,9 +3,10 @@
 The fan-out executor's unit of work used to be one spec = one replay.
 This module turns a sweep into tensor work instead: every pending spec
 is *recorded* (schedule captured, nothing replayed), the recordings are
-grouped by structural signature (see :mod:`repro.sim.batched` — policy
-grids over models, clusters, fusion plans, and fault scenarios collapse
-into a handful of groups), and each group replays in one numpy pass.
+grouped by :meth:`~repro.sim.fastpath.Timeline.signature` (policy grids
+over models, clusters, fusion plans, and fault scenarios collapse into a
+handful of groups), and each group replays in one
+:func:`~repro.sim.fastpath.replay` call.
 Each spec's result is then assembled by the exact measurement code the
 sequential path uses (:meth:`repro.schedulers.base.Scheduler.measure` /
 :func:`repro.schedulers.multirank.finalize_heterogeneous`), so batched
@@ -15,10 +16,9 @@ results are bit-identical to per-spec runs — pinned by
 Specs the recorder cannot express — dynamic schedules (bytescheduler),
 fast path disabled per spec, exotic multirank options — return ``None``
 from :func:`run_batched` and fall through to the executor's pool/serial
-path, which computes them the classic way.
-
-Disable globally with ``DEAR_BATCHED=0``; ``DEAR_FASTPATH=0`` also
-disables it (batching *is* the fast path, applied across configs).
+path, which computes them the classic way.  ``DEAR_FASTPATH=0``
+disables batching altogether (batching *is* the fast path, applied
+across configs).
 """
 
 from __future__ import annotations
@@ -40,16 +40,10 @@ from repro.schedulers.multirank import (
     record_heterogeneous_fast,
     wrap_collapsed,
 )
-from repro.sim.batched import (
-    fast_signature,
-    multirank_signature,
-    replay_fast_batch,
-    replay_multirank_batch,
-)
-from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled
+from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled, replay
 from repro.telemetry.registry import default_registry
 
-__all__ = ["batched_enabled", "run_batched"]
+__all__ = ["run_batched"]
 
 #: The multirank options the recorder understands; anything else falls
 #: back to :func:`simulate_heterogeneous` via the classic path.
@@ -62,12 +56,10 @@ _MULTIRANK_OPTION_KEYS = frozenset(
 #: not change any config's results (chunks replay independently).
 _MAX_GROUP_ELEMENTS = 8_388_608
 
-
-def batched_enabled() -> bool:
-    """Whether run_many may batch compatible specs (``DEAR_BATCHED``)."""
-    from repro.core.env import env_flag
-
-    return env_flag("DEAR_BATCHED", True) and fast_path_enabled()
+#: The one replay under two names, so a profiler can tell one-rank
+#: groups (the first) from multi-rank groups (the second) apart.
+replay_fast_batch = replay
+replay_multirank_batch = replay
 
 
 class _Recorded:
@@ -75,9 +67,9 @@ class _Recorded:
 
     __slots__ = ("index", "key", "ctx", "finalize", "seconds")
 
-    def __init__(self, key: tuple, ctx, finalize: Callable[[], object]):
+    def __init__(self, ctx, finalize: Callable[[], object]):
         self.index = -1
-        self.key = key
+        self.key = ctx._timeline.signature()
         self.ctx = ctx
         self.finalize = finalize
         self.seconds = 0.0
@@ -119,11 +111,7 @@ def _record_single(spec: RunSpec) -> _Recorded:
         timing, cost, iterations=spec.iterations, faults=spec.faults,
         workload=spec.workload,
     )
-    return _Recorded(
-        ("fast", fast_signature(ctx._timeline)),
-        ctx,
-        lambda: scheduler.measure(ctx, spec.iterations),
-    )
+    return _Recorded(ctx, lambda: scheduler.measure(ctx, spec.iterations))
 
 
 def _record_multirank(spec: RunSpec) -> _Recorded:
@@ -159,7 +147,6 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
             timing, cost, iterations=spec.iterations, workload=spec.workload
         )
         return _Recorded(
-            ("fast", fast_signature(ctx._timeline)),
             ctx,
             lambda: wrap_collapsed(
                 scheduler.measure(ctx, spec.iterations),
@@ -185,7 +172,6 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
     )
     compute_scales = tuple(float(scale) for scale in spec.compute_scales)
     return _Recorded(
-        ("multi", multirank_signature(ctx._timeline)),
         ctx,
         lambda: finalize_heterogeneous(
             ctx, spec.scheduler, spec.model, spec.cluster,
@@ -200,15 +186,9 @@ def _record(spec: RunSpec) -> _Recorded:
     return _record_single(spec)
 
 
-def _group_elements(key: tuple, group: list) -> int:
-    ctx = group[0].ctx
-    slots = len(ctx._timeline._handles)
-    world = ctx._timeline.world if key[0] == "multi" else 1
-    return len(group) * max(1, slots) * world
-
-
-def _chunks(key: tuple, group: list):
-    per_config = max(1, _group_elements(key, group[:1]))
+def _chunks(group: list):
+    timeline = group[0].ctx._timeline
+    per_config = max(1, timeline.slots_recorded) * timeline.world
     size = max(1, _MAX_GROUP_ELEMENTS // per_config)
     for lo in range(0, len(group), size):
         yield group[lo:lo + size]
@@ -228,7 +208,7 @@ def run_batched(
     if not specs:
         return []
     out: list[Optional[tuple[object, float]]] = [None] * len(specs)
-    if not batched_enabled():
+    if not fast_path_enabled():
         return out
 
     recorded: list[_Recorded] = []
@@ -251,15 +231,15 @@ def run_batched(
     group_size = registry.histogram(
         "runner.batched.group_size", "specs replayed per batched group"
     )
-    for key, group in groups.items():
-        for chunk in _chunks(key, group):
+    for group in groups.values():
+        for chunk in _chunks(group):
             replay_started = time.perf_counter()
             timelines = [item.ctx._timeline for item in chunk]
             tracers = [item.ctx.tracer for item in chunk]
-            if key[0] == "multi":
-                replay_multirank_batch(timelines, tracers)
-            else:
+            if timelines[0].world == 1:
                 replay_fast_batch(timelines, tracers)
+            else:
+                replay_multirank_batch(timelines, tracers)
             share = (time.perf_counter() - replay_started) / len(chunk)
             group_size.observe(len(chunk))
             for item in chunk:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
+from repro.bayesopt.optimizer import BayesianOptimizer
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.models.layers import ModelSpec
 from repro.models.profiles import TimingModel
@@ -186,6 +187,47 @@ class Scheduler(ABC):
             workload=workload,
         )
         return self.measure(ctx, iterations)
+
+    def _run_bo(
+        self,
+        make_trial: Callable[[float], "Scheduler"],
+        timing: TimingModel,
+        cost: CollectiveTimeModel,
+        iterations: int,
+        faults: Optional[FaultPlan] = None,
+        fastpath: Optional[bool] = None,
+        workload=None,
+    ) -> ScheduleResult:
+        """The paper's run-time loop: measure, fit the GP, re-fuse.
+
+        Tunes the fusion buffer size of a BO-mode scheduler (its
+        ``bo_low``/``bo_high``/``bo_seed``/``bo_trials`` settings):
+        each trial is ``make_trial(buffer_bytes).run(...)``, scored by
+        throughput, and the best size is run once more for the result.
+        """
+        optimizer = BayesianOptimizer(self.bo_low, self.bo_high, seed=self.bo_seed)
+        # Resolve once so every trial shares one built DAG.
+        workload = self._resolve_workload(workload, timing, cost)
+
+        def measure(buffer_bytes: float) -> ScheduleResult:
+            return make_trial(buffer_bytes).run(
+                timing, cost, iterations=iterations, faults=faults,
+                fastpath=fastpath, workload=workload,
+            )
+
+        history = []
+        for _ in range(self.bo_trials):
+            x = optimizer.suggest()
+            result = measure(x)
+            optimizer.observe(x, result.throughput)
+            history.append((x, result.throughput))
+        best_x, _ = optimizer.best
+        final = measure(best_x)
+        final.scheduler = self.name
+        final.extras.update(
+            {"fusion": "bo", "buffer_bytes": best_x, "bo_history": history}
+        )
+        return final
 
     def record_fast(
         self,

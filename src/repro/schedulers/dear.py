@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bayesopt.optimizer import BayesianOptimizer
 from repro.core.fusion import (
     FusionPlan,
     buffer_size_groups,
@@ -190,36 +189,13 @@ class DeARScheduler(Scheduler):
             return super().run(timing, cost, iterations=iterations,
                                faults=faults, fastpath=fastpath,
                                workload=workload)
-        return self._run_bo(timing, cost, iterations, faults=faults,
-                            fastpath=fastpath, workload=workload)
-
-    def _run_bo(self, timing: TimingModel, cost: CollectiveTimeModel,
-                iterations: int, faults=None, fastpath=None,
-                workload=None) -> ScheduleResult:
-        """The paper's run-time loop: measure, fit the GP, re-fuse."""
-        optimizer = BayesianOptimizer(self.bo_low, self.bo_high, seed=self.bo_seed)
-        # Resolve once so the 15 trials share one built DAG.
-        workload = self._resolve_workload(workload, timing, cost)
-
-        def measure(buffer_bytes: float) -> ScheduleResult:
-            trial = DeARScheduler(fusion="buffer", buffer_bytes=buffer_bytes)
-            return trial.run(timing, cost, iterations=iterations,
-                             faults=faults, fastpath=fastpath,
-                             workload=workload)
-
-        history = []
-        for _ in range(self.bo_trials):
-            x = optimizer.suggest()
-            result = measure(x)
-            optimizer.observe(x, result.throughput)
-            history.append((x, result.throughput))
-        best_x, _ = optimizer.best
-        final = measure(best_x)
-        final.scheduler = self.name
-        final.extras.update(
-            {"fusion": "bo", "buffer_bytes": best_x, "bo_history": history}
+        return self._run_bo(
+            lambda buffer_bytes: DeARScheduler(
+                fusion="buffer", buffer_bytes=buffer_bytes
+            ),
+            timing, cost, iterations, faults=faults, fastpath=fastpath,
+            workload=workload,
         )
-        return final
 
     def supports_batched_run(self) -> bool:
         # BO mode wraps run() in the tuning loop; the other fusion

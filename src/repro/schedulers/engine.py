@@ -25,7 +25,7 @@ from repro.faults.timing import TimingFaultInjector
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import FastPathUnsupported, FastTimeline
+from repro.sim.fastpath import FastPathUnsupported, Timeline
 from repro.sim.resources import Job, Stream
 from repro.sim.trace import Tracer
 from repro.telemetry.registry import default_registry
@@ -310,8 +310,8 @@ def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
 class FastIterationContext(IterationContext):
     """IterationContext backed by the vectorized replay.
 
-    Presents the same submit API, but records jobs into a
-    :class:`~repro.sim.fastpath.FastTimeline` instead of driving the
+    Presents the same submit API, but records jobs into a one-rank
+    :class:`~repro.sim.fastpath.Timeline` instead of driving the
     event kernel; :meth:`run` replays the recorded schedule in closed
     form (see :mod:`repro.sim.fastpath` for the recurrence and its
     equivalence argument).  Timing faults record *priced* duration
@@ -331,7 +331,7 @@ class FastIterationContext(IterationContext):
         self.cost = cost
         self.model = timing.model
         self.tracer = tracer if tracer is not None else Tracer()
-        self._timeline = FastTimeline()
+        self._timeline = Timeline()
         self.sim = self._timeline.sim
         self.compute = self._timeline.stream("compute", actor="gpu.compute")
         self.comm = self._timeline.stream("comm", actor="gpu.comm")
@@ -378,7 +378,7 @@ class FastIterationContext(IterationContext):
         """Post-replay bookkeeping: fault markers plus stream metrics.
 
         Factored out of :meth:`run` so a config-axis batched replay
-        (:mod:`repro.sim.batched`), which replays many recorded
+        (:mod:`repro.runner.batched`), which replays many recorded
         contexts in one numpy pass, performs the same per-context
         publication afterwards.
         """

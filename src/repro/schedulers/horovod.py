@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bayesopt.optimizer import BayesianOptimizer
 from repro.core.fusion import FusionGroup
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
@@ -87,36 +86,14 @@ class HorovodScheduler(WFBPScheduler):
             return super().run(timing, cost, iterations=iterations,
                                faults=faults, fastpath=fastpath,
                                workload=workload)
-        return self._run_bo(timing, cost, iterations, faults=faults,
-                            fastpath=fastpath, workload=workload)
-
-    def _run_bo(self, timing: TimingModel, cost: CollectiveTimeModel,
-                iterations: int, faults=None, fastpath=None,
-                workload=None) -> ScheduleResult:
-        optimizer = BayesianOptimizer(self.bo_low, self.bo_high, seed=self.bo_seed)
-        workload = self._resolve_workload(workload, timing, cost)
-
-        def measure(buffer_bytes: float) -> ScheduleResult:
-            trial = HorovodScheduler(
-                buffer_bytes=buffer_bytes, cycle_time=self.cycle_time, fusion="buffer"
-            )
-            return trial.run(timing, cost, iterations=iterations,
-                             faults=faults, fastpath=fastpath,
-                             workload=workload)
-
-        history = []
-        for _ in range(self.bo_trials):
-            x = optimizer.suggest()
-            result = measure(x)
-            optimizer.observe(x, result.throughput)
-            history.append((x, result.throughput))
-        best_x, _ = optimizer.best
-        final = measure(best_x)
-        final.scheduler = self.name
-        final.extras.update(
-            {"fusion": "bo", "buffer_bytes": best_x, "bo_history": history}
+        return self._run_bo(
+            lambda buffer_bytes: HorovodScheduler(
+                buffer_bytes=buffer_bytes, cycle_time=self.cycle_time,
+                fusion="buffer",
+            ),
+            timing, cost, iterations, faults=faults, fastpath=fastpath,
+            workload=workload,
         )
-        return final
 
     def supports_batched_run(self) -> bool:
         # BO mode wraps run() in the tuning loop; the other fusion

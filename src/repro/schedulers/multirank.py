@@ -26,9 +26,9 @@ them.  Two execution engines back that API:
   rendezvous collectives on the event kernel — fully general, but
   O(world x jobs) events;
 - :class:`FastMultiRankContext` records the same schedule into a
-  :class:`~repro.sim.multirank_fastpath.MultiRankTimeline` and replays
-  it in closed form along the rank axis — the engine that makes
-  1024-GPU sweeps interactive.
+  ``world``-rank :class:`~repro.sim.fastpath.Timeline` and replays it in
+  closed form along the rank axis — the engine that makes 1024-GPU
+  sweeps interactive.
 
 Engine selection mirrors :meth:`repro.schedulers.base.Scheduler.run`:
 vectorized replay first (honouring ``DEAR_FASTPATH`` and the
@@ -46,6 +46,7 @@ Entry point: :func:`simulate_heterogeneous`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -58,6 +59,7 @@ from repro.network.fabric import ClusterSpec
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.faults.timing import (
     PricedCollective,
+    PricedCompute,
     RankPricedCompute,
     TimingFaultInjector,
 )
@@ -69,8 +71,7 @@ from repro.schedulers.horovod import HOROVOD_DEFAULT_BUFFER_BYTES, HorovodSchedu
 from repro.schedulers.mg_wfbp import MGWFBPScheduler
 from repro.schedulers.wfbp import WFBPScheduler
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled
-from repro.sim.multirank_fastpath import MultiRankTimeline
+from repro.sim.fastpath import FastPathUnsupported, Timeline, fast_path_enabled
 from repro.sim.resources import Stream
 from repro.sim.trace import Tracer
 from repro.telemetry.registry import default_registry
@@ -181,7 +182,7 @@ class _EventJobSet:
     ``metadata`` is the single dict shared by every rank's job, so
     scheduler-side mutations (flow ids) reach all per-rank spans — the
     same sharing the fast engine's
-    :class:`~repro.sim.multirank_fastpath.MultiRankJobSet` has.
+    :class:`~repro.sim.fastpath.JobSet` has.
     """
 
     __slots__ = ("jobs", "metadata", "done")
@@ -498,8 +499,8 @@ class MultiRankIterationContext(_MultiRankContextBase):
 class FastMultiRankContext(_MultiRankContextBase):
     """Every rank on the rank-axis vectorized replay.
 
-    Records the schedule into a
-    :class:`~repro.sim.multirank_fastpath.MultiRankTimeline`; dynamic
+    Records the schedule into a ``world``-rank
+    :class:`~repro.sim.fastpath.Timeline`; dynamic
     features raise :class:`~repro.sim.fastpath.FastPathUnsupported` and
     the caller falls back to :class:`MultiRankIterationContext`.
     Timing faults stay on this engine: compute slots carry
@@ -516,16 +517,24 @@ class FastMultiRankContext(_MultiRankContextBase):
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
         super().__init__(timings, cost, tracer=tracer, faults=faults)
-        self._timeline = MultiRankTimeline(self.world)
+        self._timeline = Timeline(self.world)
         self.sim = self._timeline.sim
         self.compute = self._timeline.stream("compute")
         self.comm = self._timeline.stream("comm")
 
     def _submit_compute(self, durations, name, category, gate, metadata):
-        vec, _ = durations
-        body = (
-            vec if self.faults is None else RankPricedCompute(self.faults, vec)
-        )
+        vec, per_rank = durations
+        if self.world == 1:
+            # A one-rank timeline records plain floats.
+            body = (
+                per_rank[0] if self.faults is None
+                else PricedCompute(self.faults, per_rank[0])
+            )
+        else:
+            body = (
+                vec if self.faults is None
+                else RankPricedCompute(self.faults, vec)
+            )
         return self.compute.submit(
             body, name=name, category=category, gate=gate, metadata=metadata
         )
@@ -586,7 +595,14 @@ def _validate_heterogeneous(
         )
     if iterations < 3:
         raise ValueError("need >= 3 iterations for a steady-state measurement")
-    return tuple(float(scale) for scale in compute_scales)
+    scales = tuple(float(scale) for scale in compute_scales)
+    for rank, scale in enumerate(scales):
+        if not math.isfinite(scale) or scale < 0:
+            raise ValueError(
+                f"compute scale of rank {rank} must be finite and >= 0, "
+                f"got {scale}"
+            )
+    return scales
 
 
 def collapses_to_single_rank(

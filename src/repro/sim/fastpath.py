@@ -1,67 +1,95 @@
-"""Vectorized timeline replay for static-gate stream schedules.
+"""Vectorized replay of recorded static two-stream schedules.
 
 The event-driven kernel (:mod:`repro.sim.engine`) is fully general:
-processes, dynamic events, priority engines.  But every single-rank
-scheduler policy in this repository submits its *entire* schedule up
-front as jobs on two strictly in-order streams, where each job's only
+processes, dynamic events, priority engines.  But every scheduler
+policy except ByteScheduler submits its *entire* schedule up front as
+jobs on two strictly in-order streams, where each job's only
 dependencies are (a) its stream predecessor and (b) an optional static
-gate over the ``done`` events of previously submitted jobs.  For that
-shape the timeline is a closed-form recurrence, not a simulation:
+gate over earlier jobs.  For that shape the timeline is a closed-form
+recurrence, not a simulation:
 
     start[i] = max(end[prev on stream], gate[i])
     end[i]   = start[i] + duration[i]
 
 This module records such schedules symbolically (no events, no
-generators, no heap) and replays them with numpy.  Within one *segment*
-— a maximal run of consecutively submitted same-stream jobs — gateless
-runs telescope to a prefix sum, evaluated with ``np.cumsum`` seeded
-with the run's base time (a strict left fold, so the float association
-matches the kernel's sequential ``end += d``); gated jobs take a
-scalar path computing exactly ``max(prev_end, gate_end) + duration``.
-Gates always point at earlier-submitted jobs, so processing segments
-in submission order resolves every dependency; a same-stream gate is
-subsumed by stream ordering and is dropped.  Consequence: any schedule
-expressible in this API is deadlock-free by construction (the
+generators, no heap) into a :class:`Timeline` and replays them with
+:func:`replay`.  One recording unit is a *slot*: a single scheduler
+submission fanned out to the timeline's ``world`` ranks.  A per-rank
+slot carries one duration per rank and rank ``r`` follows the
+recurrence above on its own; a *collective* slot carries one duration
+and rendezvouses: every rank arrives at ``max(prev_end[r], gate[r])``,
+the collective starts at the *last* arrival (a ``max`` across ranks, no
+arithmetic — exactly when the event kernel's rendezvous fires) and
+every rank ends at ``start + duration``.  A single-rank run is
+``world=1``: it records plain floats and a collective is an ordinary
+job.
+
+:func:`replay` takes a group of structurally identical recordings —
+same stream layout, same gate graph, different durations (a policy
+sweep over models, clusters, fusion plans or fault scenarios) — and
+replays them together along a third axis, *configs*.  Within one
+*segment* (a maximal run of consecutively submitted same-stream
+slots), gateless per-rank runs telescope to a prefix sum evaluated with
+``np.cumsum`` seeded with the run's base time: a strict left fold per
+(config, rank) lane, so the float association matches the kernel's
+sequential ``end += d``.  Gated, collective and deferred slots take
+``max(prev_end, gate_end) + duration`` one slot at a time.  Gates
+always point at earlier-submitted slots, so processing slots in
+submission order resolves every dependency; a gate on an earlier slot
+of the *same* segment is subsumed by stream order and is skipped.  Any
+recordable schedule is therefore deadlock-free by construction (the
 dependency graph only has back-edges), matching the event kernel,
 which completes the same schedules.
 
-The replay is verified against the event-driven kernel by the
-differential suite in ``tests/sim/test_fastpath.py``; because the
-replay performs the *same float operations in the same order* as the
-kernel, agreement is bit-exact — timestamps are identical, and the
-exported Chrome traces are byte-for-byte equal (also pinned by the
-differential suite).
+Two loops implement the recurrence, chosen by the number of lanes
+(``configs x world``), never by an option: one lane runs a Python-float
+loop, several lanes one numpy loop over ``(slots, configs, world)``
+tensors.  Both perform the same IEEE operations in the same order, so
+they agree bit for bit (pinned in ``tests/sim/test_fastpath.py``); the
+float loop exists because at one lane it is several times faster than
+numpy's per-call overhead allows.
 
-Durations need not all be known at record time: a job may carry a
-:class:`DeferredDuration`, resolved during replay once its start time
-is known — the recorded counterpart of the event kernel's callable job
+Because every replay performs *the same float operations in the same
+order* as the event kernel, timestamps are bit-identical and exported
+Chrome traces byte-for-byte equal — pinned by the differential suites
+(``tests/sim/test_fastpath.py``, ``tests/sim/test_multirank_fastpath.py``,
+``tests/sim/test_batched.py``) and by ``tests/sim/replay_golden.json``.
+
+Durations need not be known at record time: a slot may carry a
+:class:`DeferredDuration` (one duration, priced from a start time) or,
+per rank, a :class:`DeferredRankDurations` (priced from the ranks'
+start vector).  They are resolved during replay once the start is
+known — the recorded counterpart of the event kernel's callable job
 bodies, and how timing faults (:mod:`repro.faults.timing`) ride the
-fast path instead of forcing a fall-back.  A deferred slot breaks the
-cumsum batching at that job but everything around it stays vectorized.
-Anything genuinely dynamic — process bodies, ``sim.event()``, raw
-callbacks — still raises :class:`FastPathUnsupported`, and the caller
-falls back to the event kernel.  Selection lives in
-:meth:`repro.schedulers.base.Scheduler.run` and can be disabled
-globally with ``DEAR_FASTPATH=0``.
+fast path.  A deferred slot breaks the cumsum batching at that slot;
+everything around it stays vectorized.  Anything genuinely dynamic —
+process bodies, ``sim.event()``, raw callbacks — raises
+:class:`FastPathUnsupported`, and the caller falls back to the event
+kernel (:meth:`repro.schedulers.base.Scheduler.run`,
+:func:`repro.schedulers.multirank.simulate_heterogeneous`); disable
+the fast path globally with ``DEAR_FASTPATH=0``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.trace import Span
 
 __all__ = [
-    "FastPathUnsupported",
-    "fast_path_enabled",
+    "BatchMismatch",
     "DeferredDuration",
-    "FastGate",
-    "FastJob",
-    "FastStream",
-    "FastSimShim",
-    "FastTimeline",
+    "DeferredRankDurations",
+    "FastPathUnsupported",
+    "Gate",
+    "JobSet",
+    "SimShim",
+    "Stream",
+    "Timeline",
+    "fast_path_enabled",
+    "replay",
 ]
 
 _NEG_INF = float("-inf")
@@ -81,13 +109,18 @@ class FastPathUnsupported(RuntimeError):
         self.reason = reason
 
 
+class BatchMismatch(ValueError):
+    """The timelines in one replay are not structurally identical."""
+
+
 class DeferredDuration:
-    """A job duration resolved at replay time from the job's start.
+    """A slot duration resolved at replay time from its start.
 
     Subclasses implement :meth:`resolve`, performing the same float
     operations the event kernel's callable job body would perform at
     job start — so replays with deferred durations stay bit-identical
-    to the kernel.  The timing-fault injector's priced bodies
+    to the kernel.  On a collective slot the start is the rendezvous
+    instant.  The timing-fault injector's priced bodies
     (:class:`repro.faults.timing.PricedCompute` /
     :class:`~repro.faults.timing.PricedCollective`) are the canonical
     implementations.
@@ -96,6 +129,21 @@ class DeferredDuration:
     __slots__ = ()
 
     def resolve(self, start: float) -> float:
+        raise NotImplementedError
+
+
+class DeferredRankDurations:
+    """Per-rank durations resolved at replay from the per-rank starts.
+
+    Implementations (e.g. the timing-fault injector's straggler pricer)
+    receive the slot's ``(world,)`` start-time vector and return the
+    ``(world,)`` duration vector, performing the same float operations
+    the event kernel's start-time callables would.
+    """
+
+    __slots__ = ()
+
+    def resolve(self, starts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -114,66 +162,89 @@ def fast_path_enabled() -> bool:
     return env_flag("DEAR_FASTPATH", True)
 
 
-class FastGate:
-    """A static gate: the set of job indices that must all have ended.
+class Gate:
+    """A static gate: the slots whose per-rank ends must all have passed.
 
     Plays the role of an :class:`~repro.sim.engine.Event` (a job's
     ``done``, or an ``all_of`` combination) in recorded schedules.
     """
 
-    __slots__ = ("job_ids",)
+    __slots__ = ("slot_ids",)
 
-    def __init__(self, job_ids: tuple[int, ...]):
-        self.job_ids = job_ids
+    def __init__(self, slot_ids: tuple[int, ...]):
+        self.slot_ids = slot_ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FastGate jobs={self.job_ids}>"
+        return f"<Gate slots={self.slot_ids}>"
 
 
-class FastJob:
-    """Recorded counterpart of :class:`repro.sim.resources.Job`.
+class JobSet:
+    """One recorded slot: the same submission on every rank's stream.
 
-    ``start`` / ``end`` read the replay's result arrays and are ``None``
-    until :meth:`FastTimeline.replay` has run, mirroring the unset
-    timestamps of a job the event kernel has not executed yet.
+    Timestamps read the replay's ``(slots, world)`` result arrays and
+    are ``None`` before the slot's timeline has been replayed, mirroring
+    the unset timestamps of a job the event kernel has not executed.
+    ``metadata`` is one dict *shared by all ranks* — scheduler-side
+    mutations (flow ids, fusion attribution) apply to every rank's span
+    at once.
     """
 
     __slots__ = ("_timeline", "index", "name", "category", "metadata", "done")
 
-    def __init__(self, timeline: "FastTimeline", index: int, name: str,
+    def __init__(self, timeline: "Timeline", index: int, name: str,
                  category: str, metadata: dict):
         self._timeline = timeline
         self.index = index
         self.name = name
         self.category = category
         self.metadata = metadata
-        self.done = FastGate((index,))
+        self.done = Gate((index,))
 
     @property
     def start(self) -> Optional[float]:
+        """Rank 0's start (the job's start on a one-rank timeline)."""
         starts = self._timeline._starts
-        return None if starts is None else float(starts[self.index])
+        return None if starts is None else float(starts[self.index, 0])
 
     @property
     def end(self) -> Optional[float]:
+        """Rank 0's end (the job's end on a one-rank timeline)."""
         ends = self._timeline._ends
-        return None if ends is None else float(ends[self.index])
+        return None if ends is None else float(ends[self.index, 0])
+
+    @property
+    def starts(self) -> Optional[np.ndarray]:
+        starts = self._timeline._starts
+        return None if starts is None else starts[self.index]
+
+    @property
+    def ends(self) -> Optional[np.ndarray]:
+        ends = self._timeline._ends
+        return None if ends is None else ends[self.index]
+
+    def rank_start(self, rank: int) -> float:
+        starts = self.starts
+        if starts is None:
+            raise RuntimeError(f"slot {self.name!r} has not been replayed yet")
+        return float(starts[rank])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FastJob {self.name!r} cat={self.category!r}>"
+        return f"<JobSet {self.name!r} cat={self.category!r}>"
 
 
-class FastStream:
-    """In-order stream recording into a shared :class:`FastTimeline`."""
+class Stream:
+    """One in-order stream *group*: its instance on every rank."""
 
-    __slots__ = ("_timeline", "stream_id", "name", "actor", "jobs_submitted")
+    __slots__ = ("_timeline", "stream_id", "name", "actors", "jobs_submitted")
 
-    def __init__(self, timeline: "FastTimeline", stream_id: int, name: str,
-                 actor: str):
+    def __init__(self, timeline: "Timeline", stream_id: int, name: str,
+                 actors: list[str]):
         self._timeline = timeline
         self.stream_id = stream_id
         self.name = name
-        self.actor = actor or name
+        #: trace track of each rank's instance of this stream.
+        self.actors = actors
+        #: slots recorded on this stream (each fans out to ``world`` jobs).
         self.jobs_submitted = 0
 
     def submit(
@@ -181,45 +252,85 @@ class FastStream:
         body: Any,
         name: str = "task",
         category: str = "compute",
-        gate: Optional[FastGate] = None,
+        gate: Optional[Gate] = None,
         metadata: Optional[dict] = None,
-    ) -> FastJob:
-        """Record one job; mirrors ``Stream.submit``.
+    ) -> JobSet:
+        """Record one per-rank slot; mirrors ``Stream.submit``.
 
-        ``body`` is a fixed duration or a :class:`DeferredDuration`
-        (priced at replay from the job's start time).
+        On a one-rank timeline ``body`` is a fixed duration or a
+        :class:`DeferredDuration`; otherwise a ``(world,)`` duration
+        vector or a :class:`DeferredRankDurations`.
         """
-        if isinstance(body, DeferredDuration):
-            duration: Any = body
+        timeline = self._timeline
+        world = timeline.world
+        if world == 1:
+            # A plain non-negative float (nearly every slot) needs no
+            # further checks.
+            durations = (
+                body if type(body) is float and body >= 0
+                else _scalar_duration(body, name)
+            )
+        elif isinstance(body, DeferredRankDurations):
+            durations = body
         else:
-            if isinstance(body, bool) or not isinstance(body, (int, float)):
+            if not isinstance(body, np.ndarray):
                 raise FastPathUnsupported(
-                    f"fast path requires fixed job durations, got {type(body).__name__}",
+                    f"multi-rank fast path requires per-rank duration "
+                    f"vectors, got {type(body).__name__}",
                     reason="dynamic_duration",
                 )
-            if body < 0:
-                raise ValueError(f"job {name!r} has negative duration {body}")
-            duration = float(body)
-        if gate is not None and not isinstance(gate, FastGate):
-            raise FastPathUnsupported(
-                f"fast path requires static job gates, got {type(gate).__name__}",
-                reason="dynamic_gate",
-            )
-        self.jobs_submitted += 1
-        return self._timeline._record(
-            self, duration, name, category, gate, metadata or {}
+            if body.shape != (world,):
+                raise ValueError(
+                    f"slot {name!r}: expected {world} durations, got shape "
+                    f"{body.shape}"
+                )
+            if np.any(body < 0):
+                raise ValueError(f"slot {name!r} has negative durations")
+            durations = body.astype(float, copy=False)
+        return timeline._record(
+            self, durations, False, name, category, gate, metadata
         )
 
-    def barrier(self, name: str = "barrier") -> FastJob:
+    def submit_collective(
+        self,
+        body: Any,
+        name: str = "collective",
+        category: str = "comm.ar",
+        gate: Optional[Gate] = None,
+        metadata: Optional[dict] = None,
+    ) -> JobSet:
+        """Record one rendezvous collective slot: a fixed duration shared
+        by all ranks, or a :class:`DeferredDuration` priced at the
+        rendezvous start.  On one rank a collective is an ordinary job."""
+        timeline = self._timeline
+        return timeline._record(
+            self, _scalar_duration(body, name), timeline.world > 1, name,
+            category, gate, metadata,
+        )
+
+    def barrier(self, name: str = "barrier") -> JobSet:
         """A zero-duration job marking that all prior work drained."""
         return self.submit(0.0, name=name, category="barrier")
 
-    def wait_event(self, event: FastGate, name: str = "wait_event") -> FastJob:
+    def wait_event(self, event: Gate, name: str = "wait_event") -> JobSet:
         """Stall the stream until ``event`` (cudaStreamWaitEvent)."""
         return self.submit(0.0, name=name, category="wait", gate=event)
 
 
-class FastSimShim:
+def _scalar_duration(body: Any, name: str):
+    if isinstance(body, DeferredDuration):
+        return body
+    if isinstance(body, bool) or not isinstance(body, (int, float)):
+        raise FastPathUnsupported(
+            f"fast path requires fixed job durations, got {type(body).__name__}",
+            reason="dynamic_duration",
+        )
+    if body < 0:
+        raise ValueError(f"job {name!r} has negative duration {body}")
+    return float(body)
+
+
+class SimShim:
     """The slice of the :class:`Simulator` API a static schedule may use.
 
     ``all_of`` composes gates; everything dynamic raises
@@ -229,20 +340,20 @@ class FastSimShim:
 
     __slots__ = ("_timeline",)
 
-    def __init__(self, timeline: "FastTimeline"):
+    def __init__(self, timeline: "Timeline"):
         self._timeline = timeline
 
-    def all_of(self, events: Iterable[Any], name: str = "all_of") -> FastGate:
-        """Combine gates: all referenced jobs must have ended."""
-        job_ids: list[int] = []
+    def all_of(self, events: Iterable[Any], name: str = "all_of") -> Gate:
+        """Combine gates: all referenced slots must have ended, per rank."""
+        slot_ids: list[int] = []
         for event in events:
-            if not isinstance(event, FastGate):
+            if not isinstance(event, Gate):
                 raise FastPathUnsupported(
                     f"fast path cannot wait on {type(event).__name__}",
                     reason="dynamic_gate",
                 )
-            job_ids.extend(event.job_ids)
-        return FastGate(tuple(job_ids))
+            slot_ids.extend(event.slot_ids)
+        return Gate(tuple(slot_ids))
 
     def _unsupported(self, feature: str):
         raise FastPathUnsupported(
@@ -269,176 +380,415 @@ class FastSimShim:
         return self._timeline.final_time
 
 
-class FastTimeline:
-    """Job recorder plus the vectorized replay."""
+class Timeline:
+    """Slot recorder for ``world`` ranks; :func:`replay` executes it."""
 
-    __slots__ = ("sim", "_streams", "_stream_ids", "_durations", "_gates",
-                 "_handles", "_starts", "_ends", "_has_priced", "final_time")
+    __slots__ = ("world", "sim", "_streams", "_slot_streams", "_durations",
+                 "_collective", "_gates", "_handles", "_deferred", "_starts",
+                 "_ends", "final_time")
 
-    def __init__(self):
-        self.sim = FastSimShim(self)
-        self._streams: list[FastStream] = []
-        self._stream_ids: list[int] = []
-        #: float durations, with :class:`DeferredDuration` placeholders
-        #: replaced by their resolved values during replay.
-        self._durations: list = []
+    def __init__(self, world: int = 1):
+        if world < 1:
+            raise ValueError(f"world size must be >= 1, got {world}")
+        self.world = world
+        self.sim = SimShim(self)
+        self._streams: list[Stream] = []
+        self._slot_streams: list[int] = []
+        #: per slot: float | DeferredDuration for one-rank and collective
+        #: slots, (world,) ndarray | DeferredRankDurations otherwise;
+        #: deferred entries are replaced by their resolved values during
+        #: replay.
+        self._durations: list[Any] = []
+        #: rendezvous flag per slot (always False on one rank, where a
+        #: collective is an ordinary job).
+        self._collective: list[bool] = []
         self._gates: list[Optional[tuple[int, ...]]] = []
-        self._handles: list[FastJob] = []
+        self._handles: list[JobSet] = []
+        self._deferred = False
+        #: (slots, world) results, set by :func:`replay`.
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
-        self._has_priced = False
         self.final_time = 0.0
 
-    def stream(self, name: str, actor: str = "") -> FastStream:
-        """Create a new in-order stream on this timeline."""
-        stream = FastStream(self, len(self._streams), name, actor)
+    def stream(self, name: str, actor: str = "") -> Stream:
+        """Create a new in-order stream on every rank.
+
+        Rank ``r`` records on the trace track ``rank<r>.<name>``; a
+        one-rank timeline may name its track ``actor`` instead.
+        """
+        if actor and self.world > 1:
+            raise ValueError("only one-rank streams take an explicit actor")
+        actors = (
+            [actor] if actor
+            else [f"rank{rank}.{name}" for rank in range(self.world)]
+        )
+        stream = Stream(self, len(self._streams), name, actors)
         self._streams.append(stream)
         return stream
 
-    def stream_busy_times(self) -> list[float]:
-        """Total recorded duration per stream id (telemetry).
+    @property
+    def slots_recorded(self) -> int:
+        return len(self._handles)
 
-        Recorded durations equal replayed busy time: in-order streams
-        never overlap their own jobs, so busy time is the plain sum —
-        no replay required (unless deferred durations were recorded,
-        which only :meth:`replay` resolves), and O(n) in one
-        vectorized pass.
+    @property
+    def jobs_recorded(self) -> int:
+        """Total per-rank jobs the event kernel would have executed."""
+        return len(self._handles) * self.world
+
+    def signature(self) -> tuple:
+        """Structural identity of the recording.
+
+        Timelines with equal signatures recorded the same rank count,
+        stream sequence, rendezvous flags and static gate graph, so they
+        replay under the same control flow and may share one
+        :func:`replay`.  Durations (including whether a slot is
+        deferred) deliberately do not participate.
+        """
+        return (
+            self.world,
+            tuple(self._slot_streams),
+            tuple(self._collective),
+            tuple(self._gates),
+        )
+
+    def stream_busy_times(self) -> list[float]:
+        """Total recorded duration per stream id of a one-rank timeline.
+
+        In-order streams never overlap their own jobs, so busy time is
+        the plain sum of the recorded (or, after replay, resolved)
+        durations — no replay required unless deferred durations were
+        recorded.
         """
         busy = np.zeros(len(self._streams))
         if self._durations:
             np.add.at(
                 busy,
-                np.asarray(self._stream_ids),
+                np.asarray(self._slot_streams),
                 np.asarray(self._durations),
             )
         return busy.tolist()
 
-    def _record(self, stream: FastStream, duration, name: str,
-                category: str, gate: Optional[FastGate],
-                metadata: dict) -> FastJob:
+    def _record(self, stream: Stream, durations: Any, collective: bool,
+                name: str, category: str, gate: Optional[Gate],
+                metadata: Optional[dict]) -> JobSet:
+        if gate is not None and not isinstance(gate, Gate):
+            raise FastPathUnsupported(
+                f"fast path requires static job gates, got {type(gate).__name__}",
+                reason="dynamic_gate",
+            )
+        stream.jobs_submitted += 1
         index = len(self._handles)
-        job = FastJob(self, index, name, category, metadata)
-        self._stream_ids.append(stream.stream_id)
-        self._durations.append(duration)
-        if type(duration) is not float:
-            self._has_priced = True
-        self._gates.append(gate.job_ids if gate is not None else None)
-        self._handles.append(job)
-        return job
+        handle = JobSet(self, index, name, category, metadata or {})
+        self._slot_streams.append(stream.stream_id)
+        self._durations.append(durations)
+        self._collective.append(collective)
+        self._gates.append(gate.slot_ids if gate is not None else None)
+        self._handles.append(handle)
+        if type(durations) is not float and type(durations) is not np.ndarray:
+            self._deferred = True
+        return handle
 
     def replay(self, tracer=None) -> float:
-        """Compute every job's start/end; returns the final virtual time.
-
-        Optionally records spans with positive duration into ``tracer``
-        (the same ones the event kernel's streams would have recorded).
-        """
-        n = len(self._handles)
-        starts = np.zeros(n)
-        ends = np.zeros(n)
-        # Python-float mirror of `ends`, grown as the replay advances:
-        # gate lookups and span emission read it instead of extracting
-        # numpy scalars one element at a time.
-        ends_list: list[float] = []
-        if n:
-            stream_ids = self._stream_ids
-            gates = self._gates
-            durations_py = self._durations
-            has_priced = self._has_priced
-            # With deferred durations in the list, vector slices come
-            # straight from the (mixed) Python list run by run instead
-            # of one prebuilt array.
-            durations = None if has_priced else np.asarray(durations_py)
-            prev_end = [0.0] * len(self._streams)
-            i = 0
-            while i < n:
-                sid = stream_ids[i]
-                j = i + 1
-                while j < n and stream_ids[j] == sid:
-                    j += 1
-                # Replay the segment as the event kernel would, float op
-                # for float op, so the two engines produce *bit-identical*
-                # timestamps (the byte-for-byte trace differential relies
-                # on this).  Gateless runs telescope to end[k] = end[k-1]
-                # + d[k]: seeding ``np.cumsum`` — a strict left fold —
-                # with the base reproduces that association exactly.
-                # Gated jobs take the scalar path: max(prev, gate) + d.
-                base = prev_end[sid]
-                k = i
-                while k < j:
-                    g = k
-                    while (g < j and gates[g] is None
-                           and (not has_priced
-                                or type(durations_py[g]) is float)):
-                        g += 1
-                    if g > k:
-                        chain = np.empty(g - k + 1)
-                        chain[0] = base
-                        chain[1:] = (
-                            durations_py[k:g] if has_priced else durations[k:g]
-                        )
-                        seg_ends = np.cumsum(chain)
-                        starts[k:g] = seg_ends[:-1]
-                        ends[k:g] = seg_ends[1:]
-                        ends_list.extend(seg_ends[1:].tolist())
-                        base = ends_list[-1]
-                        k = g
-                    if k < j:
-                        # A gate id inside the segment (>= i) is an
-                        # earlier same-stream job: subsumed by order.
-                        gate_time = _NEG_INF
-                        gate_ids = gates[k]
-                        if gate_ids is not None:
-                            for gid in gate_ids:
-                                if gid < i:
-                                    e = ends_list[gid]
-                                    if e > gate_time:
-                                        gate_time = e
-                        start = base if base >= gate_time else gate_time
-                        duration = durations_py[k]
-                        if type(duration) is not float:
-                            # Deferred: price at the now-known start and
-                            # keep the resolved value (busy-time sums and
-                            # re-replays read it).
-                            duration = float(duration.resolve(start))
-                            durations_py[k] = duration
-                        end = start + duration
-                        starts[k] = start
-                        ends[k] = end
-                        ends_list.append(end)
-                        base = end
-                        k += 1
-                prev_end[sid] = base
-                i = j
-        self._starts = starts
-        self._ends = ends
-        self.final_time = float(ends.max()) if n else 0.0
-        if tracer is not None:
-            self.emit_spans(tracer)
-        return self.final_time
+        """Replay this timeline alone; returns the final virtual time."""
+        return replay([self], [tracer])[0]
 
     def emit_spans(self, tracer) -> None:
-        """Record every positive-duration replayed job into ``tracer``.
+        """Record every positive-duration per-rank job into ``tracer``.
 
-        Requires a prior :meth:`replay` (or a batched replay that wrote
-        the result arrays back — see :mod:`repro.sim.batched`); emits
-        the same spans the event kernel's streams would have recorded.
+        The same spans the event kernel's streams would have recorded,
+        slot by slot; a collective's rank-r span runs from that rank's
+        *arrival* to the shared end.
         """
         if self._starts is None or self._ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
-        spans = tracer.spans
-        streams = self._streams
-        stream_ids = self._stream_ids
-        starts_list = self._starts.tolist()
-        ends_list = self._ends.tolist()
-        for index, job in enumerate(self._handles):
-            start = starts_list[index]
-            end = ends_list[index]
-            if end > start:
-                spans.append(Span(
-                    job.name,
-                    job.category,
-                    streams[stream_ids[index]].actor,
-                    start,
-                    end,
-                    job.metadata,
-                ))
+        append = tracer.spans.append
+        actors = [stream.actors for stream in self._streams]
+        # Flat slot-major lists: one Python float per (slot, rank) and no
+        # per-slot row lists to allocate.
+        starts = self._starts.ravel().tolist()
+        ends = self._ends.ravel().tolist()
+        if self.world == 1:
+            # One rank: skip the per-slot rank loop, a tenth of the
+            # emission time on a solo replay.
+            for handle, sid, start, end in zip(
+                self._handles, self._slot_streams, starts, ends
+            ):
+                if end > start:
+                    append(Span(
+                        handle.name, handle.category, actors[sid][0], start,
+                        end, handle.metadata,
+                    ))
+            return
+        lane = 0
+        for handle, sid in zip(self._handles, self._slot_streams):
+            for actor in actors[sid]:
+                start = starts[lane]
+                end = ends[lane]
+                lane += 1
+                if end > start:
+                    append(Span(
+                        handle.name, handle.category, actor, start, end,
+                        handle.metadata,
+                    ))
+
+
+def replay(
+    timelines: Sequence[Timeline],
+    tracers: Optional[Sequence] = None,
+) -> list[float]:
+    """Replay structurally identical recordings; returns final times.
+
+    Sets each timeline's per-rank start/end arrays and ``final_time``
+    (so :class:`JobSet` handles and downstream measurement code read
+    them), and emits spans into the matching ``tracers`` entry when it
+    is not ``None``.  Raises :class:`BatchMismatch` when the
+    :meth:`Timeline.signature` values differ.
+    """
+    timelines = list(timelines)
+    if not timelines:
+        return []
+    first = timelines[0]
+    if len(timelines) > 1:
+        signature = first.signature()
+        for timeline in timelines[1:]:
+            if timeline.signature() != signature:
+                raise BatchMismatch(
+                    "one replay requires structurally identical recordings; "
+                    "group by Timeline.signature() first"
+                )
+    n = len(first._handles)
+    if len(timelines) * first.world == 1:
+        starts, ends = _replay_floats(first)
+        results = [(starts.reshape(n, 1), ends.reshape(n, 1))]
+    else:
+        starts, ends = _replay_lanes(timelines)
+        results = [
+            (np.ascontiguousarray(starts[:, c]), np.ascontiguousarray(ends[:, c]))
+            for c in range(len(timelines))
+        ]
+    finals: list[float] = []
+    for c, (timeline, (starts, ends)) in enumerate(zip(timelines, results)):
+        timeline._starts = starts
+        timeline._ends = ends
+        timeline.final_time = float(ends.max()) if n else 0.0
+        finals.append(timeline.final_time)
+        if tracers is not None and tracers[c] is not None:
+            timeline.emit_spans(tracers[c])
+    return finals
+
+
+def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
+    """One lane (one config, one rank): the Python-float loop.
+
+    Returns ``(slots,)`` start and end arrays.
+    """
+    n = len(timeline._handles)
+    starts = np.zeros(n)
+    ends = np.zeros(n)
+    # Python-float mirror of `ends`, grown as the replay advances: gate
+    # lookups read it instead of extracting numpy scalars one by one.
+    ends_list: list[float] = []
+    if not n:
+        return starts, ends
+    stream_ids = timeline._slot_streams
+    gates = timeline._gates
+    durations_py = timeline._durations
+    deferred = timeline._deferred
+    # With deferred durations in the list, vector slices come straight
+    # from the (mixed) Python list run by run instead of one prebuilt
+    # array.
+    durations = None if deferred else np.asarray(durations_py)
+    prev_end = [0.0] * len(timeline._streams)
+    i = 0
+    while i < n:
+        sid = stream_ids[i]
+        j = i + 1
+        while j < n and stream_ids[j] == sid:
+            j += 1
+        base = prev_end[sid]
+        k = i
+        while k < j:
+            g = k
+            while (g < j and gates[g] is None
+                   and (not deferred or type(durations_py[g]) is float)):
+                g += 1
+            if g > k:
+                # Gateless run: end[k] = end[k-1] + d[k]; seeding
+                # ``np.cumsum`` — a strict left fold — with the base
+                # reproduces that association exactly.
+                chain = np.empty(g - k + 1)
+                chain[0] = base
+                chain[1:] = durations_py[k:g] if deferred else durations[k:g]
+                seg_ends = np.cumsum(chain)
+                starts[k:g] = seg_ends[:-1]
+                ends[k:g] = seg_ends[1:]
+                ends_list.extend(seg_ends[1:].tolist())
+                base = ends_list[-1]
+                k = g
+            if k < j:
+                # Gated or deferred: max(prev, gate) + d.  A gate id
+                # inside the segment (>= i) is an earlier same-stream
+                # job: subsumed by order.
+                gate_time = _NEG_INF
+                gate_ids = gates[k]
+                if gate_ids is not None:
+                    for gid in gate_ids:
+                        if gid < i:
+                            e = ends_list[gid]
+                            if e > gate_time:
+                                gate_time = e
+                start = base if base >= gate_time else gate_time
+                duration = durations_py[k]
+                if type(duration) is not float:
+                    # Deferred: price at the now-known start and keep
+                    # the resolved value (busy-time sums and re-replays
+                    # read it).
+                    duration = float(duration.resolve(start))
+                    durations_py[k] = duration
+                end = start + duration
+                starts[k] = start
+                ends[k] = end
+                ends_list.append(end)
+                base = end
+                k += 1
+        prev_end[sid] = base
+        i = j
+    return starts, ends
+
+
+def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
+    """Several lanes: one numpy loop over ``(slots, configs, world)``.
+
+    Every operation is the float loop's, applied lane-wise: a gateless
+    run's seeded cumsum along the slot axis is the same left fold per
+    lane, ``np.maximum`` over gate rows is the same pairwise max, a
+    rendezvous is a ``max`` over the rank axis, and breaking a run at
+    *any* config's deferred slot re-seeds the next chain with exact
+    partial sums, which a left fold is insensitive to.  Slot-major
+    layout keeps every per-slot row contiguous.
+    """
+    first = timelines[0]
+    n = len(first._handles)
+    world = first.world
+    configs = len(timelines)
+    starts = np.zeros((n, configs, world))
+    ends = np.zeros((n, configs, world))
+    if not n:
+        return starts, ends
+    slot_streams = first._slot_streams
+    collective = first._collective
+    gates = first._gates
+    duration_lists = [timeline._durations for timeline in timelines]
+    # A slot is plain when every config recorded its duration(s) at
+    # record time: a float where one duration serves all ranks, a
+    # (world,) vector otherwise.
+    deferred = any(timeline._deferred for timeline in timelines)
+    col_plain = [True] * n
+    if deferred:
+        plain_types = [
+            float if world == 1 or flag else np.ndarray for flag in collective
+        ]
+        for durations in duration_lists:
+            col_plain = [
+                plain and type(body) is kind
+                for plain, body, kind in zip(col_plain, durations, plain_types)
+            ]
+    # The common healthy one-rank sweep: one (slots, configs, 1) tensor
+    # serves every run slice.
+    matrix = (
+        np.asarray(duration_lists).T.reshape(n, configs, 1)
+        if world == 1 and not deferred else None
+    )
+    prev = [np.zeros((configs, world)) for _ in first._streams]
+    i = 0
+    while i < n:
+        sid = slot_streams[i]
+        j = i + 1
+        while j < n and slot_streams[j] == sid:
+            j += 1
+        base = prev[sid]
+        k = i
+        while k < j:
+            g = k
+            while (g < j and gates[g] is None and not collective[g]
+                   and col_plain[g]):
+                g += 1
+            if g > k:
+                chain = np.empty((g - k + 1, configs, world))
+                chain[0] = base
+                if matrix is not None:
+                    chain[1:] = matrix[k:g]
+                else:
+                    chain[1:] = np.asarray(
+                        [d[k:g] for d in duration_lists]
+                    ).reshape(configs, g - k, world).swapaxes(0, 1)
+                seg = np.cumsum(chain, axis=0)
+                starts[k:g] = seg[:-1]
+                ends[k:g] = seg[1:]
+                base = seg[-1]
+                k = g
+            if k < j:
+                arrive = base
+                gate_ids = gates[k]
+                if gate_ids is not None:
+                    for gid in gate_ids:
+                        if gid < i:
+                            arrive = np.maximum(arrive, ends[gid])
+                starts[k] = arrive
+                # Plain durations broadcast as recorded: the one-rank
+                # sweep's matrix row, or a solo replay's float or
+                # (world,) vector.
+                dur = (
+                    matrix[k] if matrix is not None
+                    else duration_lists[0][k] if configs == 1 and col_plain[k]
+                    else None
+                )
+                if collective[k]:
+                    # Rendezvous per config: start at that config's
+                    # last arrival, end broadcast back after one float
+                    # add per config.
+                    begin = arrive.max(axis=1, keepdims=True)
+                    if dur is None:
+                        dur = _column(
+                            duration_lists, k, col_plain[k], begin[:, 0]
+                        )[:, None]
+                    np.add(begin, dur, out=ends[k])
+                else:
+                    if dur is None:
+                        # One rank prices a deferred duration from its
+                        # arrival time, several from the arrival row.
+                        dur = _column(
+                            duration_lists, k, col_plain[k],
+                            arrive[:, 0] if world == 1 else arrive,
+                        ).reshape(configs, world)
+                    np.add(arrive, dur, out=ends[k])
+                base = ends[k]
+                k += 1
+        prev[sid] = base
+        i = j
+    return starts, ends
+
+
+def _column(duration_lists, k: int, plain: bool, begins):
+    """Slot ``k``'s durations across configs, resolving deferred ones.
+
+    ``begins[c]`` is what config ``c``'s deferred body is priced from:
+    its rendezvous start, or its ``(world,)`` arrival row.  Resolved
+    values replace the deferred bodies in the recordings.
+    """
+    if plain:
+        return np.asarray([d[k] for d in duration_lists])
+    if begins.ndim == 1:
+        # One start per config: price from a Python float, exactly as
+        # the float loop does.
+        begins = begins.tolist()
+    column = []
+    for c, durations in enumerate(duration_lists):
+        body = durations[k]
+        if isinstance(body, (DeferredDuration, DeferredRankDurations)):
+            body = body.resolve(begins[c])
+            if isinstance(body, (int, float)):
+                body = float(body)
+            durations[k] = body
+        column.append(body)
+    return np.asarray(column)

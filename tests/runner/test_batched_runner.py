@@ -1,11 +1,12 @@
-"""Batched runner parity: run_many with DEAR_BATCHED on vs off.
+"""Batched runner parity: run_many's config-axis replay vs per-spec runs.
 
 The batched path is an engine swap under ``run_many``, so the whole
 observable result — every ScheduleResult field, extras dict, and
-iteration-time list — must be equal whether a sweep rode the config-axis
-replay or the classic per-spec pool.  These tests pin that, plus the
-fallback taxonomy: which specs batch, which drop to the classic path,
-and how the two populations interleave in one call.
+iteration-time list — must equal what each spec's own ``spec.run()``
+returns (minus the tracer, which the batched runner drops).  These
+tests pin that, plus the fallback taxonomy: which specs batch, which
+drop to the classic path, and how the two populations interleave in
+one call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.faults.plan import FaultPlan, StragglerFault
-from repro.runner.batched import batched_enabled, run_batched
+from repro.runner.batched import run_batched
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_many
 from repro.runner.spec import RunSpec
@@ -45,18 +46,15 @@ def _mixed_specs(tiny_model, ethernet_cluster) -> list[RunSpec]:
 
 class TestRunManyParity:
     def test_batched_equals_classic(self, tiny_model, ethernet_cluster,
-                                    tmp_path, monkeypatch):
+                                    tmp_path):
         specs = _mixed_specs(tiny_model, ethernet_cluster)
-        monkeypatch.setenv("DEAR_BATCHED", "0")
-        classic = run_many(specs, jobs=1, cache=ResultCache(root=tmp_path / "a"))
-        monkeypatch.setenv("DEAR_BATCHED", "1")
-        batched = run_many(specs, jobs=1, cache=ResultCache(root=tmp_path / "b"))
+        classic = [dataclasses.replace(spec.run(), tracer=None) for spec in specs]
+        batched = run_many(specs, jobs=1, cache=ResultCache(root=tmp_path))
         for spec, left, right in zip(specs, classic, batched):
             assert dataclasses.asdict(left) == dataclasses.asdict(right), spec.label
 
     def test_batched_results_are_cached(self, tiny_model, ethernet_cluster,
-                                        tmp_path, monkeypatch):
-        monkeypatch.setenv("DEAR_BATCHED", "1")
+                                        tmp_path):
         cache = ResultCache(root=tmp_path)
         specs = _mixed_specs(tiny_model, ethernet_cluster)[:3]
         run_many(specs, jobs=1, cache=cache)
@@ -88,12 +86,6 @@ class TestRunBatchedFallback:
     def test_forced_classic_engine_falls_back(self, tiny_model, ethernet_cluster):
         spec = RunSpec.create("wfbp", tiny_model, ethernet_cluster,
                               iterations=4, fastpath=False)
-        assert run_batched([spec]) == [None]
-
-    def test_disabled_via_env(self, tiny_model, ethernet_cluster, monkeypatch):
-        monkeypatch.setenv("DEAR_BATCHED", "0")
-        assert not batched_enabled()
-        spec = RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4)
         assert run_batched([spec]) == [None]
 
     def test_mixed_batchable_and_not(self, tiny_model, ethernet_cluster):

@@ -144,6 +144,32 @@ class TestValidation:
                 "dear", tiny, CLUSTER, [1.0] * 3, iteration_compute=0.03
             )
 
+    @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "event"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_invalid_scale_values(self, tiny, bad, fastpath):
+        """Both engines reject a scale that is not finite or is negative,
+        instead of each answering differently."""
+        with pytest.raises(ValueError, match="compute scale"):
+            simulate_heterogeneous(
+                "dear", tiny, CLUSTER, [1.0, bad, 1.0, 1.0],
+                iteration_compute=0.03, fastpath=fastpath,
+            )
+
+    def test_invalid_scale_rejected_when_recording(self, tiny):
+        from repro.schedulers.multirank import record_heterogeneous_fast
+
+        with pytest.raises(ValueError, match="compute scale"):
+            record_heterogeneous_fast(
+                "wfbp", tiny, CLUSTER, [1.0, 1.0, float("nan"), 1.0],
+                iteration_compute=0.03,
+            )
+
+    def test_zero_scale_accepted(self, tiny):
+        result = simulate_heterogeneous(
+            "wfbp", tiny, CLUSTER, [1.0, 0.0, 1.0, 1.0], iteration_compute=0.03
+        )
+        assert result.iteration_time > 0
+
     def test_unknown_policy(self, tiny):
         with pytest.raises(ValueError):
             simulate_heterogeneous(

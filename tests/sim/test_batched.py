@@ -1,4 +1,4 @@
-"""Differential suite for config-axis batched replay (repro.sim.batched).
+"""Differential suite for config-axis batched replay (repro.sim.fastpath).
 
 The contract is *bit-identity*, not tolerance: stacking N recorded
 timelines and replaying them with one set of numpy ops must yield, for
@@ -18,13 +18,7 @@ from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.network.cost_model import CollectiveTimeModel
 from repro.schedulers.base import get_scheduler
 from repro.schedulers.multirank import record_heterogeneous_fast
-from repro.sim.batched import (
-    BatchMismatch,
-    fast_signature,
-    multirank_signature,
-    replay_fast_batch,
-    replay_multirank_batch,
-)
+from repro.sim.fastpath import BatchMismatch, replay
 from repro.sim.trace import Tracer
 
 #: scheduler policy x fusion-plan grid for the differential sweep.
@@ -76,10 +70,10 @@ class TestFastBatchDifferential:
                  for f in FAULT_GRID]
         solo = [_record(name, tiny_timing, ethernet_cost, faults=f, **options)
                 for f in FAULT_GRID]
-        signatures = {fast_signature(ctx._timeline) for ctx in batch}
+        signatures = {ctx._timeline.signature() for ctx in batch}
         assert len(signatures) == 1, "fault plans must not change structure"
         tracers = [Tracer() for _ in batch]
-        finals = replay_fast_batch([ctx._timeline for ctx in batch], tracers)
+        finals = replay([ctx._timeline for ctx in batch], tracers)
         for ctx, tracer, final, solo_ctx in zip(batch, tracers, finals, solo):
             assert ctx._timeline.final_time == final
             _assert_identical(ctx, tracer, solo_ctx)
@@ -95,7 +89,7 @@ class TestFastBatchDifferential:
         solo = [_record("wfbp", tiny_timing, cost)
                 for cost in (ethernet_cost, ib_cost, ethernet_cost)]
         tracers = [Tracer() for _ in batch]
-        replay_fast_batch([ctx._timeline for ctx in batch], tracers)
+        replay([ctx._timeline for ctx in batch], tracers)
         for ctx, tracer, solo_ctx in zip(batch, tracers, solo):
             _assert_identical(ctx, tracer, solo_ctx)
 
@@ -108,7 +102,7 @@ class TestFastBatchDifferential:
         solo = [_record("dear", tiny_timing, ethernet_cost, faults=f,
                         fusion="none") for f in plans]
         tracers = [Tracer() for _ in batch]
-        replay_fast_batch([ctx._timeline for ctx in batch], tracers)
+        replay([ctx._timeline for ctx in batch], tracers)
         for ctx, tracer, solo_ctx in zip(batch, tracers, solo):
             _assert_identical(ctx, tracer, solo_ctx)
 
@@ -116,14 +110,14 @@ class TestFastBatchDifferential:
         wfbp = _record("wfbp", tiny_timing, ethernet_cost)
         dear = _record("dear", tiny_timing, ethernet_cost, fusion="none")
         with pytest.raises(BatchMismatch):
-            replay_fast_batch([wfbp._timeline, dear._timeline])
+            replay([wfbp._timeline, dear._timeline])
 
     def test_empty_and_singleton(self, tiny_timing, ethernet_cost):
-        assert replay_fast_batch([]) == []
+        assert replay([]) == []
         batched = _record("wfbp", tiny_timing, ethernet_cost)
         solo = _record("wfbp", tiny_timing, ethernet_cost)
         tracer = Tracer()
-        (final,) = replay_fast_batch([batched._timeline], [tracer])
+        (final,) = replay([batched._timeline], [tracer])
         assert batched._timeline.final_time == final
         _assert_identical(batched, tracer, solo)
 
@@ -143,10 +137,10 @@ class TestMultiRankBatchDifferential:
         ]
         batch = [self._record(tiny_model, ethernet_cluster, s) for s in scale_sets]
         solo = [self._record(tiny_model, ethernet_cluster, s) for s in scale_sets]
-        signatures = {multirank_signature(ctx._timeline) for ctx in batch}
+        signatures = {ctx._timeline.signature() for ctx in batch}
         assert len(signatures) == 1
         tracers = [Tracer() for _ in batch]
-        finals = replay_multirank_batch([ctx._timeline for ctx in batch], tracers)
+        finals = replay([ctx._timeline for ctx in batch], tracers)
         for ctx, tracer, final, solo_ctx in zip(batch, tracers, finals, solo):
             assert ctx._timeline.final_time == final
             _assert_identical(ctx, tracer, solo_ctx)
@@ -159,7 +153,7 @@ class TestMultiRankBatchDifferential:
         solo = [self._record(tiny_model, ethernet_cluster, scales, faults=f)
                 for f in FAULT_GRID]
         tracers = [Tracer() for _ in batch]
-        replay_multirank_batch([ctx._timeline for ctx in batch], tracers)
+        replay([ctx._timeline for ctx in batch], tracers)
         for ctx, tracer, solo_ctx in zip(batch, tracers, solo):
             _assert_identical(ctx, tracer, solo_ctx)
 
@@ -170,16 +164,16 @@ class TestMultiRankBatchDifferential:
         large = cluster_10gbe(nodes=4, gpus_per_node=2)
         a = self._record(tiny_model, small, [1.0] * small.world_size)
         b = self._record(tiny_model, large, [1.0] * large.world_size)
-        assert multirank_signature(a._timeline) != multirank_signature(b._timeline)
+        assert a._timeline.signature() != b._timeline.signature()
         with pytest.raises(BatchMismatch):
-            replay_multirank_batch([a._timeline, b._timeline])
+            replay([a._timeline, b._timeline])
 
     def test_empty_and_singleton(self, tiny_model, ethernet_cluster):
-        assert replay_multirank_batch([]) == []
+        assert replay([]) == []
         scales = [1.0] * ethernet_cluster.world_size
         batched = self._record(tiny_model, ethernet_cluster, scales)
         solo = self._record(tiny_model, ethernet_cluster, scales)
         tracer = Tracer()
-        (final,) = replay_multirank_batch([batched._timeline], [tracer])
+        (final,) = replay([batched._timeline], [tracer])
         assert batched._timeline.final_time == final
         _assert_identical(batched, tracer, solo)

@@ -14,13 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.models.profiles import TimingModel
+from repro.models.zoo import MODEL_NAMES, get_model
 from repro.network.cost_model import CollectiveTimeModel
 from repro.schedulers.base import Scheduler, get_scheduler
 from repro.sim.engine import Simulator
 from repro.sim.fastpath import (
     FastPathUnsupported,
-    FastTimeline,
+    Timeline,
+    _replay_floats,
+    _replay_lanes,
     fast_path_enabled,
 )
 from repro.sim.resources import Stream
@@ -36,17 +40,17 @@ def _rel_equal(a: float, b: float) -> bool:
     return abs(a - b) <= REL * max(abs(a), abs(b), 1.0)
 
 
-# -- FastTimeline unit tests ---------------------------------------------------
+# -- one-rank Timeline unit tests ---------------------------------------------
 
 
 class TestFastTimeline:
     def test_empty_replay(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         timeline.stream("compute")
         assert timeline.replay() == 0.0
 
     def test_single_stream_is_sequential(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         stream = timeline.stream("compute")
         jobs = [stream.submit(d) for d in (1.0, 2.0, 3.0)]
         assert timeline.replay() == 6.0
@@ -54,12 +58,12 @@ class TestFastTimeline:
         assert [j.end for j in jobs] == [1.0, 3.0, 6.0]
 
     def test_timestamps_none_before_replay(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         job = timeline.stream("compute").submit(1.0)
         assert job.start is None and job.end is None
 
     def test_cross_stream_gate_stalls(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = compute.submit(2.0)
@@ -69,7 +73,7 @@ class TestFastTimeline:
         assert b.start == 2.0 and b.end == 3.0 and c.end == 4.0
 
     def test_all_of_combines_gates(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = compute.submit(1.0)
@@ -79,7 +83,7 @@ class TestFastTimeline:
         assert c.start == 4.0 and c.end == 4.5
 
     def test_gate_already_passed_is_free(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = comm.submit(0.5)
@@ -89,7 +93,7 @@ class TestFastTimeline:
         assert c.start == 2.0 and b.end == 2.0
 
     def test_zero_duration_jobs_and_spans(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         stream = timeline.stream("compute", actor="gpu")
         stream.submit(1.0, name="work")
         stream.barrier()
@@ -98,7 +102,7 @@ class TestFastTimeline:
         assert [span.name for span in tracer.spans] == ["work"]
 
     def test_wait_event_matches_stream_semantics(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = comm.submit(3.0)
@@ -109,7 +113,7 @@ class TestFastTimeline:
         assert tail.start == 3.0
 
     def test_dynamic_features_raise(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         stream = timeline.stream("compute")
         with pytest.raises(FastPathUnsupported):
             timeline.sim.event()
@@ -129,7 +133,7 @@ class TestFastTimeline:
             stream.submit(1.0, gate=object())
 
     def test_negative_duration_rejected(self):
-        timeline = FastTimeline()
+        timeline = Timeline()
         with pytest.raises(ValueError):
             timeline.stream("compute").submit(-1.0)
 
@@ -151,7 +155,7 @@ class TestFastTimeline:
                 else:
                     gate_sets.append([])
 
-            timeline = FastTimeline()
+            timeline = Timeline()
             fast_streams = [timeline.stream("s0"), timeline.stream("s1")]
             fast_jobs = []
             for index in range(n_jobs):
@@ -313,3 +317,43 @@ def test_differential_chrome_trace_byte_for_byte(
     """
     fast, slow = _run_both(scheduler, tiny_timing, ethernet_cost, monkeypatch)
     assert fast.tracer.to_chrome_trace() == slow.tracer.to_chrome_trace()
+
+
+# -- lane-count selection: both replay loops agree bit for bit -----------------
+
+#: Every fast-path scheduler, DeAR under each fusion that records one
+#: schedule (BO mode runs many).
+RECORDABLE = [(name, {}) for name in FAST_SCHEDULERS if name != "dear"] + [
+    ("dear", {"fusion": fusion}) for fusion in ("none", "layers", "buffer")
+]
+LANE_FAULTS = FaultPlan(
+    stragglers=(StragglerFault(0.02, 0.4, compute_factor=1.7),),
+    link_faults=(LinkFault(0.04, 0.5, alpha_factor=2.0, beta_factor=3.0,
+                           link="both"),),
+)
+
+
+@pytest.mark.parametrize("faults", [None, LANE_FAULTS], ids=["healthy", "faulted"])
+@pytest.mark.parametrize(
+    "scheduler,options", RECORDABLE,
+    ids=[f"{name}-{options.get('fusion', '')}" for name, options in RECORDABLE],
+)
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_numpy_loop_matches_float_loop_on_one_lane(
+    model, scheduler, options, faults, ethernet_cost
+):
+    """replay() runs one lane on the float loop and more on the numpy
+    loop; forced onto one lane, the numpy loop must produce the float
+    loop's timestamps exactly (deferred durations resolve in place, so
+    each loop gets its own recording)."""
+    timing = TimingModel.for_model(get_model(model))
+
+    def record():
+        return get_scheduler(scheduler, **options).record_fast(
+            timing, ethernet_cost, iterations=3, faults=faults
+        )._timeline
+
+    float_starts, float_ends = _replay_floats(record())
+    lane_starts, lane_ends = _replay_lanes([record()])
+    assert float_starts.tobytes() == lane_starts[:, 0, 0].tobytes()
+    assert float_ends.tobytes() == lane_ends[:, 0, 0].tobytes()

@@ -18,8 +18,7 @@ import pytest
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.network.presets import cluster_10gbe
 from repro.schedulers.multirank import POLICIES, simulate_heterogeneous
-from repro.sim.fastpath import FastPathUnsupported
-from repro.sim.multirank_fastpath import MultiRankTimeline
+from repro.sim.fastpath import FastPathUnsupported, Timeline
 from repro.telemetry.registry import (
     MetricsRegistry,
     reset_default_registry,
@@ -55,17 +54,17 @@ def registry():
     reset_default_registry()
 
 
-# -- MultiRankTimeline unit tests ----------------------------------------------
+# -- multi-rank Timeline unit tests -------------------------------------------
 
 
 class TestMultiRankTimeline:
     def test_empty_replay(self):
-        timeline = MultiRankTimeline(world=3)
+        timeline = Timeline(world=3)
         timeline.stream("compute")
         assert timeline.replay() == 0.0
 
     def test_per_rank_slots_are_sequential_per_rank(self):
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         stream = timeline.stream("compute")
         a = stream.submit(np.array([1.0, 2.0]))
         b = stream.submit(np.array([3.0, 1.0]))
@@ -77,7 +76,7 @@ class TestMultiRankTimeline:
         assert b.rank_start(1) == 2.0
 
     def test_collective_rendezvous_at_last_arrival(self):
-        timeline = MultiRankTimeline(world=3)
+        timeline = Timeline(world=3)
         stream = timeline.stream("comm")
         stream.submit(np.array([1.0, 4.0, 2.0]))
         coll = stream.submit_collective(0.5)
@@ -88,7 +87,7 @@ class TestMultiRankTimeline:
         assert coll.ends.tolist() == [4.5, 4.5, 4.5]
 
     def test_cross_stream_gate_is_per_rank(self):
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = compute.submit(np.array([2.0, 5.0]))
@@ -98,7 +97,7 @@ class TestMultiRankTimeline:
         assert b.ends.tolist() == [3.0, 6.0]
 
     def test_all_of_combines_slot_gates(self):
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = compute.submit(np.array([1.0, 2.0]))
@@ -109,7 +108,7 @@ class TestMultiRankTimeline:
         assert c.starts.tolist() == [3.0, 2.0]
 
     def test_job_accounting(self):
-        timeline = MultiRankTimeline(world=4)
+        timeline = Timeline(world=4)
         stream = timeline.stream("compute")
         stream.submit(np.ones(4))
         stream.submit_collective(1.0)
@@ -117,7 +116,7 @@ class TestMultiRankTimeline:
         assert timeline.jobs_recorded == 8
 
     def test_timestamps_none_before_replay(self):
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         job = timeline.stream("compute").submit(np.ones(2))
         assert job.starts is None and job.ends is None
         with pytest.raises(RuntimeError, match="not been replayed"):
@@ -126,7 +125,7 @@ class TestMultiRankTimeline:
     def test_replay_emits_per_rank_spans(self):
         from repro.sim.trace import Tracer
 
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         stream = timeline.stream("compute")
         stream.submit(np.array([1.0, 2.0]), name="work")
         tracer = Tracer()
@@ -136,7 +135,7 @@ class TestMultiRankTimeline:
         ]
 
     def test_dynamic_features_raise(self):
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         stream = timeline.stream("compute")
         with pytest.raises(FastPathUnsupported):
             timeline.sim.event()
@@ -156,7 +155,7 @@ class TestMultiRankTimeline:
             stream.submit_collective(lambda: 1.0)
 
     def test_validation_errors(self):
-        timeline = MultiRankTimeline(world=2)
+        timeline = Timeline(world=2)
         stream = timeline.stream("compute")
         with pytest.raises(ValueError, match="expected 2 durations"):
             stream.submit(np.ones(3))
@@ -165,7 +164,7 @@ class TestMultiRankTimeline:
         with pytest.raises(ValueError, match="negative"):
             stream.submit_collective(-1.0)
         with pytest.raises(ValueError):
-            MultiRankTimeline(world=0)
+            Timeline(world=0)
 
     def test_randomized_against_slot_recurrence(self):
         """Random slot mixes: replay matches a naive per-slot reference."""
@@ -173,7 +172,7 @@ class TestMultiRankTimeline:
         for _ in range(10):
             world = int(rng.integers(2, 6))
             n_slots = int(rng.integers(1, 60))
-            timeline = MultiRankTimeline(world)
+            timeline = Timeline(world)
             streams = [timeline.stream("s0"), timeline.stream("s1")]
             handles = []
             ref_prev = [np.zeros(world), np.zeros(world)]
@@ -250,6 +249,25 @@ def test_differential_no_fusion(policy, tiny):
         policy, tiny, SCALE_PATTERNS["ramp"], fusion_buffer_bytes=None
     )
     _assert_identical(fast, slow)
+
+
+@pytest.mark.parametrize("faults", (None, FAULTY), ids=("healthy", "faulty"))
+@pytest.mark.parametrize("policy", ("wfbp", "dear"))
+def test_differential_one_rank(policy, faults, tiny):
+    """A one-rank cluster records plain floats and still matches the
+    per-rank event kernel, rank-prefixed trace tracks included."""
+    one = cluster_10gbe(nodes=1, gpus_per_node=1)
+    results = [
+        simulate_heterogeneous(
+            policy, tiny, one, [1.2], collapse=False, trace=True,
+            fastpath=fastpath, faults=faults, iteration_compute=0.03,
+        )
+        for fastpath in (True, False)
+    ]
+    _assert_identical(*results)
+    trace = json.loads(results[0].tracer.to_chrome_trace())
+    assert any(event.get("args", {}).get("name") == "rank0.compute"
+               for event in trace["traceEvents"])
 
 
 @pytest.mark.parametrize("policy", ("wfbp", "horovod", "dear"))
