@@ -13,8 +13,9 @@ Fig. 6 convention).  Every cell is a :class:`~repro.runner.spec.RunSpec`
 through the cached batched runner, so the whole grid records once and
 replays as a handful of vectorized groups.
 
-Expected shape: on ``layerwise`` the DAG generator reproduces the
-classic schedule and DeAR's RS/AG pipelining wins as in Fig. 6; on
+Expected shape: on ``layerwise`` — the classic layer-wise shape, synced
+per layer rather than per tensor, so its times differ from the classic
+schedule's — DeAR's RS/AG pipelining wins as in Fig. 6; on
 ``moe`` / ``dlrm`` / ``llm3d`` the all-to-all dispatch, embedding
 exchange, and pipeline send/recv chains sit *inside* the iteration's
 critical path where no gradient-sync scheduler can hide them, so the

@@ -11,8 +11,9 @@ run, across both execution paths:
   value-exact vs a clean run over the survivors.
 - **timing level** (simulated timeline): :class:`TimingFaultInjector`
   prices link-degradation windows and compute stragglers into the
-  scheduler engine via callable job bodies (which also forces the
-  vectorized fast path to fall back to the event kernel).
+  scheduler engines via priced duration placeholders resolved at job
+  start, the same objects on the event kernel and on the vectorized
+  replay (faulty runs stay on the replay).
 
 An *empty* plan is normalised away (:func:`normalize_plan`), so the
 healthy paths run verbatim and stay bit-identical to pre-fault

@@ -7,19 +7,17 @@ engine.  It never touches the simulation kernels themselves: a job
 starting inside a fault window is charged the degraded time for its
 whole duration (factors are sampled at start, matching the plan's
 documented semantics), with the sampling instant supplied by whichever
-engine runs the schedule.  On the event kernel the engine submits
-*callable* job bodies evaluated at job start
-(:meth:`TimingFaultInjector.compute_body` /
-:meth:`~TimingFaultInjector.collective_body`); on the vectorized
-replays it submits *priced* duration placeholders resolved once the
-replay knows each job's start time — :class:`PricedCompute` /
-:class:`PricedCollective` (one duration per slot) and
-:class:`RankPricedCompute` (one per rank of a multi-rank
-:class:`~repro.sim.fastpath.Timeline`).  Both
-shapes call the same pricing functions with the same (base, start)
-arguments, so faulty runs no longer force a fall-back to the event
-kernel and the engines stay bit-for-bit comparable — pinned by the
-fault test suite and the multirank differential suite.
+engine runs the schedule.  Every engine records the same *priced*
+duration placeholders: :class:`PricedCompute` / :class:`PricedCollective`
+(one duration per job or collective, a
+:class:`~repro.sim.resources.DeferredDuration` the event kernel's
+streams and the rendezvous resolve at start, and the vectorized replay
+at the replayed start) and :class:`RankPricedCompute` (one per rank of a
+multi-rank :class:`~repro.sim.fastpath.Timeline`).  All of them call
+the same pricing functions with the same (base, start) arguments, so
+faulty runs stay on the vectorized replay and the engines stay
+bit-for-bit comparable — pinned by the fault test suite and the
+multirank differential suite.
 
 Link degradation is priced by real degraded cost models, not by naive
 scaling: each distinct ``plan.link_factors(now)`` combination gets one
@@ -39,13 +37,12 @@ per-event instant markers into the tracer (rendered as globally-scoped
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.network.cost_model import CollectiveTimeModel
-from repro.sim.fastpath import DeferredDuration, DeferredRankDurations
+from repro.sim.fastpath import DeferredRankDurations
+from repro.sim.resources import DeferredDuration
 from repro.telemetry.registry import default_registry
 
 __all__ = [
@@ -129,32 +126,20 @@ class TimingFaultInjector:
             )
         return degraded
 
-    # -- job-body factories ----------------------------------------------------
-
-    def compute_body(self, base: float, sim) -> Callable[[], float]:
-        """Callable job body evaluating the straggler factor at start time."""
-        return lambda: self.compute_duration(base, sim.now)
-
-    def collective_body(
-        self, kind: str, nbytes: float, extra: float, sim
-    ) -> Callable[[], float]:
-        """Callable job body evaluating link degradation at start time."""
-        return lambda: self.collective_duration(kind, nbytes, extra, sim.now)
-
-    # -- priced placeholders (vectorized replays) ------------------------------
+    # -- priced placeholders (every engine) -----------------------------------
 
     def compute_priced(self, base: float) -> "PricedCompute":
-        """Recorded compute duration priced at replay (single rank)."""
+        """One compute duration priced at the job's start."""
         return PricedCompute(self, base)
 
     def collective_priced(
         self, kind: str, nbytes: float, extra: float
     ) -> "PricedCollective":
-        """Recorded collective duration priced at the rendezvous start."""
+        """One collective duration priced at the (rendezvous) start."""
         return PricedCollective(self, kind, nbytes, extra)
 
     def compute_priced_ranks(self, bases: np.ndarray) -> "RankPricedCompute":
-        """Recorded per-rank compute durations priced at replay."""
+        """Per-rank compute durations the rank-axis replay prices."""
         return RankPricedCompute(self, bases)
 
     # -- reporting -------------------------------------------------------------
@@ -186,12 +171,11 @@ class TimingFaultInjector:
 
 
 class PricedCompute(DeferredDuration):
-    """Compute duration the fast-path replay resolves at job start.
+    """Compute duration resolved at job start, on any engine.
 
-    Calls the exact pricing function the event kernel's callable body
-    would (:meth:`TimingFaultInjector.compute_duration`), so the two
-    engines charge bit-identical durations and record identical fault
-    events.
+    Both the event kernel and the replay call
+    :meth:`TimingFaultInjector.compute_duration` through it, so they
+    charge bit-identical durations and record identical fault events.
     """
 
     __slots__ = ("injector", "base")
@@ -226,7 +210,8 @@ class RankPricedCompute(DeferredRankDurations):
     """Per-rank compute durations the multi-rank replay prices at start.
 
     Resolution loops ranks in order, calling the same scalar pricing
-    function as the event kernel per rank — the per-rank durations are
+    function as the event kernel's per-rank :class:`PricedCompute`
+    jobs — the per-rank durations are
     bit-identical; only the order fault *events* are appended in
     differs (slot-major here, chronological on the kernel), which the
     sorted trace export normalises away.

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.bayesopt.optimizer import BayesianOptimizer
-from repro.faults.plan import FaultPlan, normalize_plan
+from repro.faults.plan import FaultPlan
 from repro.models.layers import ModelSpec
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
@@ -135,36 +135,28 @@ class Scheduler(ABC):
             ctx.workload_name = workload.name
             self.schedule_workload(ctx, workload, iterations)
 
-    def _build_and_run(
-        self,
-        timing: TimingModel,
-        cost: CollectiveTimeModel,
-        iterations: int,
-        faults: Optional[FaultPlan] = None,
-        fastpath: Optional[bool] = None,
-        workload=None,
-    ) -> IterationContext:
+    def _execute(self, fast: type, event: type, iterations: int, workload,
+                 fastpath: Optional[bool], *args, **kwargs) -> IterationContext:
         """Schedule + execute on the fastest applicable context.
 
-        ``fastpath`` overrides the DEAR_FASTPATH toggle (None = env).
-        Timing-fault plans ride the fast path too (priced durations
-        resolved at replay); only genuinely dynamic schedules raise
-        :class:`FastPathUnsupported` and fall back to the event kernel.
-        ``workload`` selects a comm-compute DAG — a registry name or a
-        built :class:`~repro.workloads.ir.Workload` — instead of the
-        classic layer-wise schedule.
+        Builds ``fast(*args, **kwargs)`` (a vectorized replay) unless
+        ``fastpath`` — or, when None, ``DEAR_FASTPATH`` — turns it off or
+        this policy opts out; a schedule the recorder cannot express
+        raises :class:`FastPathUnsupported`, which is counted by
+        :func:`record_fallback` and re-run on the event kernel
+        ``event(*args, **kwargs)``.  Timing-fault plans ride the fast
+        path too (priced durations resolved at replay).
         """
-        workload = self._resolve_workload(workload, timing, cost)
         use_fast = fast_path_enabled() if fastpath is None else fastpath
-        if self.supports_fast_path and use_fast:
-            ctx = FastIterationContext(timing, cost, faults=faults)
+        if use_fast and self.supports_fast_path:
+            ctx = fast(*args, **kwargs)
             try:
                 self._schedule_onto(ctx, iterations, workload)
                 ctx.run()
                 return ctx
             except FastPathUnsupported as exc:
-                record_fallback("fastpath", "event", exc)
-        ctx = IterationContext(timing, cost, faults=faults)
+                record_fallback(fast.engine, event.engine, exc)
+        ctx = event(*args, **kwargs)
         self._schedule_onto(ctx, iterations, workload)
         ctx.run()
         return ctx
@@ -178,13 +170,19 @@ class Scheduler(ABC):
         fastpath: Optional[bool] = None,
         workload=None,
     ) -> ScheduleResult:
-        """Simulate and measure the steady-state iteration time."""
+        """Simulate and measure the steady-state iteration time.
+
+        ``fastpath`` overrides the DEAR_FASTPATH toggle (None = env).
+        ``workload`` selects a comm-compute DAG — a registry name or a
+        built :class:`~repro.workloads.ir.Workload` — instead of the
+        classic layer-wise schedule.
+        """
         if iterations < 3:
             raise ValueError(f"need >= 3 iterations to reach steady state, got {iterations}")
-        faults = normalize_plan(faults)
-        ctx = self._build_and_run(
-            timing, cost, iterations, faults=faults, fastpath=fastpath,
-            workload=workload,
+        ctx = self._execute(
+            FastIterationContext, IterationContext, iterations,
+            self._resolve_workload(workload, timing, cost), fastpath,
+            timing, cost, faults=faults,
         )
         return self.measure(ctx, iterations)
 
@@ -249,11 +247,7 @@ class Scheduler(ABC):
         """
         if iterations < 3:
             raise ValueError(f"need >= 3 iterations to reach steady state, got {iterations}")
-        if not self.supports_fast_path:
-            raise FastPathUnsupported(
-                f"scheduler {self.name!r} opts out of the fast path",
-                reason="opt_out",
-            )
+        self.require_fast_path()
         if not self.supports_batched_run():
             raise FastPathUnsupported(
                 f"scheduler {self.name!r} customises run(); recording one "
@@ -261,7 +255,7 @@ class Scheduler(ABC):
                 reason="custom_run",
             )
         workload = self._resolve_workload(workload, timing, cost)
-        ctx = FastIterationContext(timing, cost, faults=normalize_plan(faults))
+        ctx = FastIterationContext(timing, cost, faults=faults)
         self._schedule_onto(ctx, iterations, workload)
         return ctx
 
@@ -275,13 +269,7 @@ class Scheduler(ABC):
         """
         timing = ctx.timing
         cost = ctx.cost
-        starts = ctx.ff_start_times()
-        if len(starts) != iterations:
-            raise RuntimeError(
-                f"{self.name}: expected {iterations} iterations, observed {len(starts)}"
-            )
-        gaps = tuple(b - a for a, b in zip(starts, starts[1:]))
-        iteration_time = gaps[-1]
+        starts, gaps = ctx.steady_state(iterations, self.name)
         window = (starts[-2], starts[-1])
         result = ScheduleResult(
             scheduler=self.name,
@@ -289,7 +277,7 @@ class Scheduler(ABC):
             cluster_name=cost.cluster.name,
             world_size=cost.world_size,
             batch_size=timing.batch_size,
-            iteration_time=iteration_time,
+            iteration_time=gaps[-1],
             t_ff=timing.t_ff,
             t_bp=timing.t_bp,
             exposed_comm=_exposed(
@@ -303,14 +291,17 @@ class Scheduler(ABC):
             iteration_times=gaps,
             extras=self.describe_options(),
         )
-        workload_name = getattr(ctx, "workload_name", None)
-        if workload_name is not None:
-            result.extras["workload"] = workload_name
-        if ctx.faults is not None:
-            result.extras["fault_plan"] = ctx.faults.plan.label()
-            result.extras["timing_faults"] = ctx.faults.summary()
+        result.extras.update(ctx.result_extras())
         _publish_run_metrics(result)
         return result
+
+    def require_fast_path(self) -> None:
+        """Raise :class:`FastPathUnsupported` if this policy opts out."""
+        if not self.supports_fast_path:
+            raise FastPathUnsupported(
+                f"scheduler {self.name!r} opts out of the fast path",
+                reason="opt_out",
+            )
 
     def supports_batched_run(self) -> bool:
         """Whether ``record_fast`` + ``measure`` reproduces :meth:`run`.

@@ -189,8 +189,8 @@ class ByteSchedulerScheduler(Scheduler):
             # Price through the fault injector when a plan is active, so
             # the credit engine's collectives feel link degradation too.
             if ctx.faults is not None:
-                duration = ctx.faults.collective_body(
-                    "all_reduce", item.nbytes, item.extra, ctx.sim
+                duration = ctx.faults.collective_priced(
+                    "all_reduce", item.nbytes, item.extra
                 )
             else:
                 duration = ctx.cost.all_reduce(item.nbytes) + item.extra

@@ -1,13 +1,16 @@
-"""Shared discrete-event wiring for one simulated training run.
+"""The submit API every scheduler drives, and its single-rank engines.
 
-The :class:`IterationContext` owns the simulator, a GPU compute stream,
-a communication stream, and the tracer.  Because the paper's cluster is
+:class:`IterationContext` defines what a scheduler calls — per-layer
+FF/BP jobs, generic kernels, collectives, ``ctx.sim.all_of`` — once for
+every engine.  It owns the simulator, a GPU compute stream, a
+communication stream, and the tracer.  Because the paper's cluster is
 homogeneous and the collectives are synchronous, all ranks execute
 identical timelines; the context therefore simulates one representative
 rank and charges each collective its full cluster-wide cost from the
 alpha-beta model — the same reduction the paper's own analysis
-(Eq. 6-9) makes.  Heterogeneity studies can scale the compute profile
-instead (``compute_scale`` in :func:`repro.models.build_profile`).
+(Eq. 6-9) makes.  :class:`FastIterationContext` realises the same API
+on the vectorized replay; :mod:`repro.schedulers.multirank` realises it
+on explicit ranks (heterogeneity studies).
 
 Dependency conventions (mirroring CUDA semantics):
 
@@ -44,22 +47,69 @@ COLLECTIVE_CATEGORIES = {
 }
 
 
+class _RepresentativeRank:
+    """Slot durations on the one simulated rank: plain floats."""
+
+    __slots__ = ("ff", "bp")
+
+    def __init__(self, timing: TimingModel):
+        self.ff = timing.ff_time
+        self.bp = timing.bp_time
+
+    @staticmethod
+    def kernel(duration: float) -> float:
+        return duration
+
+
 class IterationContext:
-    """One simulated training run: streams, tracer, and submit helpers."""
+    """One simulated training run: the submit API every engine shares.
+
+    Schedulers call only what this class defines: the FF/BP/kernel and
+    collective submit helpers, ``ctx.sim.all_of``, ``ff_start_times``.
+    An engine supplies how one slot is realised — ``durations`` (floats
+    on the representative rank, cached ``(vector, list)`` pairs on
+    explicit ranks), :meth:`_compute_slot`, :meth:`_collective_slot` and
+    :meth:`run` — so span names, categories and metadata are built once
+    and stay byte-identical across engines.  Timing faults are priced by
+    the same placeholder objects on every engine
+    (:class:`~repro.faults.timing.PricedCompute`,
+    :class:`~repro.faults.timing.PricedCollective`,
+    :class:`~repro.faults.timing.RankPricedCompute`), resolved at job
+    start.  This class itself runs the representative rank on the event
+    kernel.
+    """
+
+    #: engine label of the ``sim.runs`` and ``sim.fallbacks`` metrics.
+    engine = "event"
 
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
+        self._bind(timing, cost, tracer if tracer is not None else Tracer(),
+                   faults, _RepresentativeRank(timing))
+        self.sim = Simulator()
+        self.compute = Stream(self.sim, "compute", tracer=self.tracer, actor="gpu.compute")
+        self.comm = Stream(self.sim, "comm", tracer=self.tracer, actor="gpu.comm")
+
+    def _bind(self, timing: TimingModel, cost: CollectiveTimeModel,
+              tracer: Optional[Tracer], faults: Optional[FaultPlan],
+              durations) -> None:
+        """The state every engine shares.
+
+        ``timing`` is the *planning* profile fusion-plan builders read
+        (rank 0's on explicit ranks); ``durations`` answers
+        ``ff(layer)``, ``bp(layer)`` and ``kernel(seconds)`` with what
+        :meth:`_compute_slot` takes.
+        """
         self.timing = timing
         self.cost = cost
         self.model = timing.model
-        self.sim = Simulator()
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.compute = Stream(self.sim, "compute", tracer=self.tracer, actor="gpu.compute")
-        self.comm = Stream(self.sim, "comm", tracer=self.tracer, actor="gpu.comm")
-        #: start time of the first feed-forward job of each iteration,
-        #: filled in after :meth:`run` from the recorded jobs.
-        self.ff_first_jobs: list[Job] = []
+        self.tracer = tracer
+        self.durations = durations
+        #: first feed-forward job of each iteration, in submission order.
+        self.ff_first_jobs: list = []
+        #: set by the scheduler when a workload DAG is scheduled.
+        self.workload_name: Optional[str] = None
         #: kind -> bound cost-model method (dict dispatch beats the
         #: per-call ``getattr`` lookup on this hot path).
         self._collective_time = {
@@ -70,9 +120,8 @@ class IterationContext:
             "all_to_allv": cost.all_to_allv,
             "send_recv": cost.send_recv,
         }
-        # Timing faults swap fixed job durations for callables evaluated
-        # at job start; an empty plan normalises to None and leaves the
-        # healthy code path (and its timings) byte-identical.
+        # An empty plan normalises to None and leaves the healthy code
+        # path (and its timings) byte-identical.
         faults = normalize_plan(faults)
         self.faults = (
             TimingFaultInjector(faults, cost)
@@ -82,24 +131,11 @@ class IterationContext:
 
     # -- compute submission --------------------------------------------------
 
-    def _compute_body(self, duration: float):
-        """Fixed duration, or a start-time callable under timing faults."""
-        if self.faults is None:
-            return duration
-        return self.faults.compute_body(duration, self.sim)
-
-    def _collective_body(self, kind: str, nbytes: float, extra_time: float,
-                         duration: float):
-        """Healthy duration, or a start-priced body under timing faults."""
-        if self.faults is None:
-            return duration
-        return self.faults.collective_body(kind, nbytes, extra_time, self.sim)
-
     def submit_ff_layer(self, iteration: int, layer_index: int,
                         gate: Optional[Event] = None) -> Job:
         """Feed-forward compute job for one layer of one iteration."""
-        job = self.compute.submit(
-            self._compute_body(self.timing.ff_time(layer_index)),
+        job = self._compute_slot(
+            self.durations.ff(layer_index),
             name=f"ff.{iteration}.{layer_index}",
             category="ff",
             gate=gate,
@@ -112,8 +148,8 @@ class IterationContext:
     def submit_bp_layer(self, iteration: int, layer_index: int,
                         gate: Optional[Event] = None) -> Job:
         """Backpropagation compute job for one layer of one iteration."""
-        return self.compute.submit(
-            self._compute_body(self.timing.bp_time(layer_index)),
+        return self._compute_slot(
+            self.durations.bp(layer_index),
             name=f"bp.{iteration}.{layer_index}",
             category="bp",
             gate=gate,
@@ -129,13 +165,14 @@ class IterationContext:
         The workload-DAG executor submits arbitrary kernels (expert
         FFNs, embedding lookups, pipeline-stage slices) through this
         instead of the layer-indexed helpers; ``duration`` is the
-        kernel's virtual seconds on the representative rank.
+        kernel's virtual seconds on the planning rank, scaled per rank
+        by compute speed on explicit ranks.
         """
         span_metadata = {"iteration": iteration}
         if metadata:
             span_metadata.update(metadata)
-        return self.compute.submit(
-            self._compute_body(duration),
+        return self._compute_slot(
+            self.durations.kernel(duration),
             name=f"{name}.{iteration}",
             category=category,
             gate=gate,
@@ -210,12 +247,11 @@ class IterationContext:
                 f"expected one of {sorted(COLLECTIVE_CATEGORIES)}"
             )
         if peers is not None:
-            duration = self.cost.subgroup_time(kind, nbytes, peers) + extra_time
-            body = duration
+            body = self.cost.subgroup_time(kind, nbytes, peers) + extra_time
         else:
-            duration = self._collective_time[kind](nbytes) + extra_time
-            body = self._collective_body(kind, nbytes, extra_time, duration)
-        category = COLLECTIVE_CATEGORIES[kind]
+            body = self._collective_time[kind](nbytes) + extra_time
+            if self.faults is not None:
+                body = self.faults.collective_priced(kind, nbytes, extra_time)
         span_metadata = {
             "iteration": iteration,
             "bytes": nbytes,
@@ -230,12 +266,30 @@ class IterationContext:
             span_metadata["peers"] = peers
         if metadata:
             span_metadata.update(metadata)
-        return self.comm.submit(
+        return self._collective_slot(
             body,
             name=f"{kind}.{iteration}.{label}",
-            category=category,
+            category=COLLECTIVE_CATEGORIES[kind],
             gate=gate,
             metadata=span_metadata,
+        )
+
+    # -- engine hooks: how one slot is realised ---------------------------------
+
+    def _compute_slot(self, duration, name: str, category: str,
+                      gate, metadata: dict):
+        """Submit one compute slot; ``duration`` comes from ``durations``."""
+        if self.faults is not None:
+            duration = self.faults.compute_priced(duration)
+        return self.compute.submit(
+            duration, name=name, category=category, gate=gate, metadata=metadata
+        )
+
+    def _collective_slot(self, body, name: str, category: str, gate,
+                         metadata: dict):
+        """Submit one collective: a duration or a priced placeholder."""
+        return self.comm.submit(
+            body, name=name, category=category, gate=gate, metadata=metadata
         )
 
     # -- execution -------------------------------------------------------------
@@ -249,50 +303,83 @@ class IterationContext:
         """
         final = self.sim.run()
         if check_quiescent:
-            stuck = [
-                stream.stall_report()
-                for stream in (self.compute, self.comm)
-                if stream.outstanding
-            ]
-            if stuck:
-                raise RuntimeError(
-                    "schedule deadlocked: " + "; ".join(stuck)
-                )
-        if self.faults is not None:
-            self.faults.publish(self.tracer)
-        self._publish_stream_metrics(
-            "event",
-            [(s.name, s.jobs_completed, s.busy_time)
-             for s in (self.compute, self.comm)],
-        )
+            raise_if_stalled((self.compute, self.comm))
+        self.finish()
         return final
 
-    def _publish_stream_metrics(
-        self, engine: str, streams: list[tuple[str, int, float]]
-    ) -> None:
-        """Stream-level counters into the process registry (once per run)."""
+    def finish(self) -> None:
+        """Post-run bookkeeping: fault markers, then run metrics.
+
+        Separate from :meth:`run` so a config-axis batched replay
+        (:mod:`repro.runner.batched`), which replays many recorded
+        contexts in one numpy pass, performs the same per-context
+        publication afterwards.
+        """
+        if self.faults is not None:
+            self.faults.publish(self.tracer)
         registry = default_registry()
-        jobs = registry.counter(
-            "sim.stream.jobs", "jobs completed per simulated stream"
-        )
-        busy = registry.counter(
-            "sim.stream.busy_seconds", "virtual busy time per simulated stream"
-        )
-        for name, completed, busy_time in streams:
-            jobs.inc(completed, stream=name)
-            busy.inc(busy_time, stream=name)
+        streams = self._stream_totals()
+        if streams:
+            jobs = registry.counter(
+                "sim.stream.jobs", "jobs completed per simulated stream"
+            )
+            busy = registry.counter(
+                "sim.stream.busy_seconds", "virtual busy time per simulated stream"
+            )
+            for name, completed, busy_time in streams:
+                jobs.inc(completed, stream=name)
+                busy.inc(busy_time, stream=name)
         registry.counter(
             "sim.runs", "simulations executed, by engine kind"
-        ).inc(engine=engine)
+        ).inc(engine=self.engine)
+
+    def _stream_totals(self) -> list[tuple[str, int, float]]:
+        """``(name, jobs, busy seconds)`` of each ``sim.stream.*`` stream."""
+        return [(s.name, s.jobs_completed, s.busy_time)
+                for s in (self.compute, self.comm)]
+
+    # -- measurement -----------------------------------------------------------
 
     def ff_start_times(self) -> list[float]:
         """Start time of each iteration's first FF job (after :meth:`run`)."""
         starts = []
         for job in self.ff_first_jobs:
-            if job.start is None:
+            start = job.start
+            if start is None:
                 raise RuntimeError(f"job {job.name} never ran; dependency deadlock?")
-            starts.append(job.start)
+            starts.append(start)
         return starts
+
+    def steady_state(self, iterations: int,
+                     label: str) -> tuple[list[float], tuple[float, ...]]:
+        """First-FF start times and the iteration gaps between them.
+
+        Raises when the run did not execute ``iterations`` iterations;
+        ``label`` names the policy in the message.
+        """
+        starts = self.ff_start_times()
+        if len(starts) != iterations:
+            raise RuntimeError(
+                f"{label}: expected {iterations} iterations, observed {len(starts)}"
+            )
+        return starts, tuple(b - a for a, b in zip(starts, starts[1:]))
+
+    def result_extras(self) -> dict:
+        """The ``workload``, ``fault_plan`` and ``timing_faults`` extras."""
+        extras = {}
+        if self.workload_name is not None:
+            extras["workload"] = self.workload_name
+        if self.faults is not None:
+            extras["fault_plan"] = self.faults.plan.label()
+            extras["timing_faults"] = self.faults.summary()
+        return extras
+
+
+def raise_if_stalled(streams) -> None:
+    """Raise a deadlock diagnostic if any event stream kept jobs."""
+    stuck = [stream.stall_report() for stream in streams if stream.outstanding]
+    if stuck:
+        raise RuntimeError("schedule deadlocked: " + "; ".join(stuck))
 
 
 def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
@@ -310,58 +397,29 @@ def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
 class FastIterationContext(IterationContext):
     """IterationContext backed by the vectorized replay.
 
-    Presents the same submit API, but records jobs into a one-rank
-    :class:`~repro.sim.fastpath.Timeline` instead of driving the
-    event kernel; :meth:`run` replays the recorded schedule in closed
-    form (see :mod:`repro.sim.fastpath` for the recurrence and its
-    equivalence argument).  Timing faults record *priced* duration
-    placeholders the replay resolves at each job's start time — the
-    same pricing the event kernel's callable bodies perform, so faulty
+    Records jobs into a one-rank :class:`~repro.sim.fastpath.Timeline`
+    instead of driving the event kernel; :meth:`run` replays the
+    recorded schedule in closed form (see :mod:`repro.sim.fastpath` for
+    the recurrence and its equivalence argument).  Timing-fault
+    placeholders are resolved at each job's replayed start, so faulty
     runs stay on this engine.  Schedulers that need dynamic events or
     process bodies make the recorder raise
-    :class:`~repro.sim.fastpath.FastPathUnsupported`, which
-    :meth:`repro.schedulers.base.Scheduler.run` catches to fall back to
-    the event-driven context.
+    :class:`~repro.sim.fastpath.FastPathUnsupported`, and
+    :meth:`repro.schedulers.base.Scheduler.run` falls back to the
+    event-driven context.
     """
+
+    engine = "fastpath"
 
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        self.timing = timing
-        self.cost = cost
-        self.model = timing.model
-        self.tracer = tracer if tracer is not None else Tracer()
+        self._bind(timing, cost, tracer if tracer is not None else Tracer(),
+                   faults, _RepresentativeRank(timing))
         self._timeline = Timeline()
         self.sim = self._timeline.sim
         self.compute = self._timeline.stream("compute", actor="gpu.compute")
         self.comm = self._timeline.stream("comm", actor="gpu.comm")
-        self.ff_first_jobs = []
-        self._collective_time = {
-            "all_reduce": cost.all_reduce,
-            "reduce_scatter": cost.reduce_scatter,
-            "all_gather": cost.all_gather,
-            "all_to_all": cost.all_to_all,
-            "all_to_allv": cost.all_to_allv,
-            "send_recv": cost.send_recv,
-        }
-        faults = normalize_plan(faults)
-        self.faults = (
-            TimingFaultInjector(faults, cost)
-            if faults is not None and faults.has_timing_faults
-            else None
-        )
-
-    def _compute_body(self, duration: float):
-        """Fixed duration, or a replay-priced placeholder under faults."""
-        if self.faults is None:
-            return duration
-        return self.faults.compute_priced(duration)
-
-    def _collective_body(self, kind: str, nbytes: float, extra_time: float,
-                         duration: float):
-        if self.faults is None:
-            return duration
-        return self.faults.collective_priced(kind, nbytes, extra_time)
 
     def run(self, check_quiescent: bool = True) -> float:
         """Replay the recorded schedule; returns the final virtual time.
@@ -374,22 +432,9 @@ class FastIterationContext(IterationContext):
         self.finish()
         return final
 
-    def finish(self, engine: str = "fastpath") -> None:
-        """Post-replay bookkeeping: fault markers plus stream metrics.
-
-        Factored out of :meth:`run` so a config-axis batched replay
-        (:mod:`repro.runner.batched`), which replays many recorded
-        contexts in one numpy pass, performs the same per-context
-        publication afterwards.
-        """
-        if self.faults is not None:
-            self.faults.publish(self.tracer)
+    def _stream_totals(self) -> list[tuple[str, int, float]]:
         busy_times = self._timeline.stream_busy_times()
-        self._publish_stream_metrics(
-            engine,
-            [
-                (stream.name, stream.jobs_submitted,
-                 busy_times[stream.stream_id])
-                for stream in (self.compute, self.comm)
-            ],
-        )
+        return [
+            (stream.name, stream.jobs_submitted, busy_times[stream.stream_id])
+            for stream in (self.compute, self.comm)
+        ]

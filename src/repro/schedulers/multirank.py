@@ -18,9 +18,10 @@ of the bench built on this module.
 
 Scheduling policies are the real scheduler classes
 (:mod:`repro.schedulers.wfbp` and friends): the per-rank contexts here
-implement the same submit API as :class:`IterationContext`, so one
-``schedule()`` body drives either one representative rank or all of
-them.  Two execution engines back that API:
+inherit the submit API of :class:`IterationContext` and supply only
+per-rank durations and how one slot is realised, so one ``schedule()``
+body drives either one representative rank or all of them.  Two
+execution engines back that API:
 
 - :class:`MultiRankIterationContext` runs per-rank streams and
   rendezvous collectives on the event kernel — fully general, but
@@ -30,7 +31,7 @@ them.  Two execution engines back that API:
   closed form along the rank axis — the engine that makes 1024-GPU
   sweeps interactive.
 
-Engine selection mirrors :meth:`repro.schedulers.base.Scheduler.run`:
+Engine selection is :meth:`repro.schedulers.base.Scheduler.run`'s:
 vectorized replay first (honouring ``DEAR_FASTPATH`` and the
 ``fastpath`` override), event kernel on
 :class:`~repro.sim.fastpath.FastPathUnsupported`.  Uniform
@@ -57,24 +58,17 @@ from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.faults.plan import FaultPlan, normalize_plan
-from repro.faults.timing import (
-    PricedCollective,
-    PricedCompute,
-    RankPricedCompute,
-    TimingFaultInjector,
-)
 from repro.schedulers.base import Scheduler
 from repro.schedulers.ddp import DDP_DEFAULT_BUCKET_BYTES, DDPScheduler
 from repro.schedulers.dear import DeARScheduler
-from repro.schedulers.engine import COLLECTIVE_CATEGORIES, IterationContext, record_fallback
+from repro.schedulers.engine import IterationContext, raise_if_stalled
 from repro.schedulers.horovod import HOROVOD_DEFAULT_BUFFER_BYTES, HorovodScheduler
 from repro.schedulers.mg_wfbp import MGWFBPScheduler
 from repro.schedulers.wfbp import WFBPScheduler
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import FastPathUnsupported, Timeline, fast_path_enabled
-from repro.sim.resources import Stream
+from repro.sim.fastpath import Timeline
+from repro.sim.resources import DeferredDuration, Stream
 from repro.sim.trace import Tracer
-from repro.telemetry.registry import default_registry
 
 __all__ = ["HeterogeneousResult", "simulate_heterogeneous", "POLICIES"]
 
@@ -134,19 +128,16 @@ def _policy_scheduler(
 class _Collective:
     """Rendezvous: starts at the last arrival, ends ``duration`` later.
 
-    ``pricer`` (timing faults) re-prices the duration at the rendezvous
-    instant — the same "factors sampled at start" semantics as the
-    single-rank engine's callable bodies, evaluated exactly once per
-    collective in both multi-rank engines.
+    A :class:`~repro.sim.resources.DeferredDuration` (a timing-fault
+    :class:`~repro.faults.timing.PricedCollective`) is resolved at the
+    rendezvous instant — the start the rank-axis replay prices the same
+    placeholder at — exactly once per collective.
     """
 
-    def __init__(self, sim: Simulator, world_size: int, duration: float,
-                 name: str,
-                 pricer: Optional[Callable[[float], float]] = None):
+    def __init__(self, sim: Simulator, world_size: int, duration, name: str):
         self._sim = sim
         self._expected = world_size
         self._arrived = 0
-        self._pricer = pricer
         self.duration = duration
         self.done: Event = sim.event(name=f"{name}.done")
         self.start_time: Optional[float] = None
@@ -157,8 +148,8 @@ class _Collective:
             raise RuntimeError(f"collective {self.done.name} over-subscribed")
         if self._arrived == self._expected:
             self.start_time = self._sim.now
-            if self._pricer is not None:
-                self.duration = self._pricer(self.start_time)
+            if isinstance(self.duration, DeferredDuration):
+                self.duration = self.duration.resolve(self.start_time)
             self._sim.schedule(self.duration, lambda: self.done.succeed())
 
     def body(self):
@@ -195,13 +186,14 @@ class _EventJobSet:
             [job.done for job in jobs]
         )
 
-    def rank_start(self, rank: int) -> float:
-        start = self.jobs[rank].start
-        if start is None:
-            raise RuntimeError(
-                f"job {self.jobs[rank].name} never ran; dependency deadlock?"
-            )
-        return start
+    @property
+    def name(self) -> str:
+        return self.jobs[0].name
+
+    @property
+    def start(self) -> Optional[float]:
+        """Rank 0's start (``None`` until the job ran)."""
+        return self.jobs[0].start
 
 
 class _EventShim:
@@ -227,201 +219,79 @@ class _EventShim:
         ])
 
 
-class _MultiRankContextBase(IterationContext):
-    """Shared submit API over per-rank execution engines.
+class _RankDurations:
+    """Slot durations on explicit ranks, as cached ``(vector, list)`` pairs.
 
-    Subclasses provide :meth:`_submit_compute` /
-    :meth:`_submit_collective_slot` / :meth:`run`; everything the
-    scheduler classes call (``submit_forward_pass``,
-    ``submit_backward_pass``, ``submit_collective``, ``ctx.sim.all_of``,
-    ``ff_start_times``) is inherited or implemented here, with span
-    names, categories, and metadata dicts identical to the single-rank
-    engine's — the trace byte-identity between engines depends on it.
+    The vector feeds the rank-axis replay, the list the event kernel's
+    per-rank streams; each pair is built once and reused across
+    iterations.  ``timings[0]`` is the planning rank.
+    """
+
+    __slots__ = ("timings", "_ff", "_bp", "_kernels", "_ratios")
+
+    def __init__(self, timings: list[TimingModel]):
+        self.timings = timings
+        self._ff: dict[int, tuple[np.ndarray, list[float]]] = {}
+        self._bp: dict[int, tuple[np.ndarray, list[float]]] = {}
+        self._kernels: dict[float, tuple[np.ndarray, list[float]]] = {}
+        self._ratios: Optional[np.ndarray] = None
+
+    def _layer(self, cache: dict, times: Callable[[TimingModel], float],
+               layer_index: int) -> tuple[np.ndarray, list[float]]:
+        entry = cache.get(layer_index)
+        if entry is None:
+            vec = np.array([times(timing) for timing in self.timings])
+            entry = cache[layer_index] = (vec, vec.tolist())
+        return entry
+
+    def ff(self, layer_index: int) -> tuple[np.ndarray, list[float]]:
+        return self._layer(self._ff, lambda t: t.ff_time(layer_index), layer_index)
+
+    def bp(self, layer_index: int) -> tuple[np.ndarray, list[float]]:
+        return self._layer(self._bp, lambda t: t.bp_time(layer_index), layer_index)
+
+    def kernel(self, duration: float) -> tuple[np.ndarray, list[float]]:
+        """A workload kernel of ``duration`` seconds on the planning rank.
+
+        Each rank runs it at its own :func:`build_profile
+        <repro.models.profiles.build_profile>` ``compute_scale``: every
+        profile time scales linearly with it, so the t_ff ratio to the
+        planning rank IS the scale ratio.
+        """
+        entry = self._kernels.get(duration)
+        if entry is None:
+            if self._ratios is None:
+                planning = self.timings[0].t_ff
+                if planning == 0:
+                    raise ValueError(
+                        "rank 0 is the planning rank of workload kernels, "
+                        "so its compute scale must be > 0, got 0"
+                    )
+                self._ratios = np.array(
+                    [timing.t_ff / planning for timing in self.timings]
+                )
+            vec = duration * self._ratios
+            entry = self._kernels[duration] = (vec, vec.tolist())
+        return entry
+
+
+class MultiRankIterationContext(IterationContext):
+    """Every rank on the event kernel: the general (slow) engine.
 
     ``self.timing`` is rank 0's profile: the *planning* view that
     fusion-plan builders (mg_wfbp's ready times, horovod's negotiation
     sizing) consume, deterministic and identical across engines.
     """
 
-    engine = ""
+    engine = "multirank-event"
 
     def __init__(self, timings: Sequence[TimingModel],
                  cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        self.timings = list(timings)
-        self.world = len(self.timings)
-        self.timing = self.timings[0]
-        self.model = self.timing.model
-        self.cost = cost
-        self.tracer = tracer
-        self.ff_first_jobs = []
-        self._collective_time = {
-            "all_reduce": cost.all_reduce,
-            "reduce_scatter": cost.reduce_scatter,
-            "all_gather": cost.all_gather,
-            "all_to_all": cost.all_to_all,
-            "all_to_allv": cost.all_to_allv,
-            "send_recv": cost.send_recv,
-        }
-        faults = normalize_plan(faults)
-        self.faults = (
-            TimingFaultInjector(faults, cost)
-            if faults is not None and faults.has_timing_faults
-            else None
-        )
-        #: layer -> (vector, list) per-rank duration caches, filled
-        #: lazily and reused across iterations.
-        self._ff_cache: dict[int, tuple[np.ndarray, list[float]]] = {}
-        self._bp_cache: dict[int, tuple[np.ndarray, list[float]]] = {}
-        #: duration -> (vector, list) cache for generic workload kernels.
-        self._compute_cache: dict[float, tuple[np.ndarray, list[float]]] = {}
-        #: per-rank compute-speed ratios vs. the planning rank; every
-        #: profile time scales linearly with ``compute_scale``, so the
-        #: t_ff ratio IS the scale ratio.
-        self._scale_ratios = np.array(
-            [timing.t_ff / self.timing.t_ff for timing in self.timings]
-        )
-
-    # -- per-rank durations ---------------------------------------------------
-
-    def _layer_durations(self, cache: dict, times: Callable[[TimingModel], float],
-                         layer_index: int) -> tuple[np.ndarray, list[float]]:
-        entry = cache.get(layer_index)
-        if entry is None:
-            vec = np.array([times(timing) for timing in self.timings])
-            entry = (vec, vec.tolist())
-            cache[layer_index] = entry
-        return entry
-
-    def _ff_durations(self, layer_index: int) -> tuple[np.ndarray, list[float]]:
-        return self._layer_durations(
-            self._ff_cache, lambda t: t.ff_time(layer_index), layer_index
-        )
-
-    def _bp_durations(self, layer_index: int) -> tuple[np.ndarray, list[float]]:
-        return self._layer_durations(
-            self._bp_cache, lambda t: t.bp_time(layer_index), layer_index
-        )
-
-    # -- submit API (same shape as IterationContext) --------------------------
-
-    def submit_ff_layer(self, iteration: int, layer_index: int, gate=None):
-        job = self._submit_compute(
-            self._ff_durations(layer_index),
-            name=f"ff.{iteration}.{layer_index}",
-            category="ff",
-            gate=gate,
-            metadata={"iteration": iteration, "layer": layer_index},
-        )
-        if layer_index == 0:
-            self.ff_first_jobs.append(job)
-        return job
-
-    def submit_bp_layer(self, iteration: int, layer_index: int, gate=None):
-        return self._submit_compute(
-            self._bp_durations(layer_index),
-            name=f"bp.{iteration}.{layer_index}",
-            category="bp",
-            gate=gate,
-            metadata={"iteration": iteration, "layer": layer_index},
-        )
-
-    def submit_compute(self, duration: float, iteration: int, name: str,
-                       category: str = "compute", gate=None,
-                       metadata: Optional[dict] = None):
-        """Generic workload kernel, scaled per rank by compute speed.
-
-        ``duration`` is the kernel's time on the planning rank (rank 0);
-        each rank runs it at its own :func:`build_profile
-        <repro.models.profiles.build_profile>` ``compute_scale``.
-        """
-        entry = self._compute_cache.get(duration)
-        if entry is None:
-            vec = duration * self._scale_ratios
-            entry = self._compute_cache[duration] = (vec, vec.tolist())
-        span_metadata = {"iteration": iteration}
-        if metadata:
-            span_metadata.update(metadata)
-        return self._submit_compute(
-            entry,
-            name=f"{name}.{iteration}",
-            category=category,
-            gate=gate,
-            metadata=span_metadata,
-        )
-
-    def submit_collective(self, kind: str, nbytes: float, iteration: int,
-                          label: str, gate=None, extra_time: float = 0.0,
-                          metadata: Optional[dict] = None,
-                          peers: Optional[int] = None):
-        if kind not in COLLECTIVE_CATEGORIES:
-            raise ValueError(
-                f"unknown collective kind {kind!r}; "
-                f"expected one of {sorted(COLLECTIVE_CATEGORIES)}"
-            )
-        if peers is not None:
-            # Subgroup collectives (tensor/pipeline-parallel) carry a
-            # fixed flat-ring price and skip timing-fault repricing —
-            # the injector models full-world launches.
-            duration = self.cost.subgroup_time(kind, nbytes, peers) + extra_time
-        else:
-            duration = self._collective_time[kind](nbytes) + extra_time
-        # Same keys in the same order as the single-rank engine: the
-        # serialised span args must match byte-for-byte.
-        span_metadata = {
-            "iteration": iteration,
-            "bytes": nbytes,
-            "extra": extra_time,
-            "algorithm": getattr(
-                self.cost, "trace_algorithm",
-                getattr(self.cost, "algorithm", "unknown"),
-            ),
-            "flow": f"{iteration}.{label}",
-        }
-        if peers is not None:
-            span_metadata["peers"] = peers
-        if metadata:
-            span_metadata.update(metadata)
-        return self._submit_collective_slot(
-            kind, nbytes, extra_time, duration,
-            name=f"{kind}.{iteration}.{label}",
-            category=COLLECTIVE_CATEGORIES[kind],
-            gate=gate,
-            metadata=span_metadata,
-            priced=peers is None,
-        )
-
-    def ff_start_times(self) -> list[float]:
-        """Rank 0's start time of each iteration's first FF job."""
-        return [job.rank_start(0) for job in self.ff_first_jobs]
-
-    # -- engine hooks ---------------------------------------------------------
-
-    def _submit_compute(self, durations, name, category, gate, metadata):
-        raise NotImplementedError
-
-    def _submit_collective_slot(self, kind, nbytes, extra_time, duration,
-                                name, category, gate, metadata,
-                                priced=True):
-        raise NotImplementedError
-
-    def _publish_engine_metrics(self) -> None:
-        default_registry().counter(
-            "sim.runs", "simulations executed, by engine kind"
-        ).inc(engine=f"multirank-{self.engine}")
-
-
-class MultiRankIterationContext(_MultiRankContextBase):
-    """Every rank on the event kernel: the general (slow) engine."""
-
-    engine = "event"
-
-    def __init__(self, timings: Sequence[TimingModel],
-                 cost: CollectiveTimeModel,
-                 tracer: Optional[Tracer] = None,
-                 faults: Optional[FaultPlan] = None):
-        super().__init__(timings, cost, tracer=tracer, faults=faults)
+        timings = list(timings)
+        self._bind(timings[0], cost, tracer, faults, _RankDurations(timings))
+        self.world = len(timings)
         self._sim = Simulator()
         self.sim = _EventShim(self._sim, self.world)
         self.compute_streams = [
@@ -435,68 +305,49 @@ class MultiRankIterationContext(_MultiRankContextBase):
             for rank in range(self.world)
         ]
 
-    def _submit_compute(self, durations, name, category, gate, metadata):
+    def _compute_slot(self, durations, name, category, gate, metadata):
         _, per_rank = durations
-        faults = self.faults
-        jobs = []
-        for rank in range(self.world):
-            body = (
-                per_rank[rank]
-                if faults is None
-                else faults.compute_body(per_rank[rank], self._sim)
-            )
-            jobs.append(self.compute_streams[rank].submit(
-                body, name=name, category=category,
+        if self.faults is not None:
+            per_rank = [self.faults.compute_priced(base) for base in per_rank]
+        jobs = [
+            stream.submit(
+                duration, name=name, category=category,
                 gate=None if gate is None else gate.events[rank],
                 metadata=metadata,
-            ))
+            )
+            for rank, (stream, duration)
+            in enumerate(zip(self.compute_streams, per_rank))
+        ]
         return _EventJobSet(jobs, metadata)
 
-    def _submit_collective_slot(self, kind, nbytes, extra_time, duration,
-                                name, category, gate, metadata,
-                                priced=True):
-        faults = self.faults
-        pricer = (
-            None
-            if faults is None or not priced
-            else lambda now: faults.collective_duration(
-                kind, nbytes, extra_time, now
-            )
-        )
-        collective = _Collective(
-            self._sim, world_size=self.world, duration=duration, name=name,
-            pricer=pricer,
-        )
-        jobs = []
-        for rank in range(self.world):
-            jobs.append(self.comm_streams[rank].submit(
+    def _collective_slot(self, body, name, category, gate, metadata):
+        collective = _Collective(self._sim, self.world, body, name)
+        jobs = [
+            stream.submit(
                 collective.body(), name=name, category=category,
                 gate=None if gate is None else gate.events[rank],
                 metadata=metadata,
-            ))
+            )
+            for rank, stream in enumerate(self.comm_streams)
+        ]
         # Every rank ends with the shared rendezvous, so the logical
         # done gate is the collective's (identical instants, one event).
         return _EventJobSet(
             jobs, metadata, done=_RankGate([collective.done] * self.world)
         )
 
+    def _stream_totals(self) -> list:
+        return []  # per-rank streams publish no sim.stream.* counters
+
     def run(self, check_quiescent: bool = True) -> float:
         final = self._sim.run()
         if check_quiescent:
-            stuck = [
-                stream.stall_report()
-                for stream in (*self.compute_streams, *self.comm_streams)
-                if stream.outstanding
-            ]
-            if stuck:
-                raise RuntimeError("schedule deadlocked: " + "; ".join(stuck))
-        if self.faults is not None:
-            self.faults.publish(self.tracer)
-        self._publish_engine_metrics()
+            raise_if_stalled((*self.compute_streams, *self.comm_streams))
+        self.finish()
         return final
 
 
-class FastMultiRankContext(_MultiRankContextBase):
+class FastMultiRankContext(IterationContext):
     """Every rank on the rank-axis vectorized replay.
 
     Records the schedule into a ``world``-rank
@@ -510,58 +361,45 @@ class FastMultiRankContext(_MultiRankContextBase):
     price at.
     """
 
-    engine = "fastpath"
+    engine = "multirank-fastpath"
 
     def __init__(self, timings: Sequence[TimingModel],
                  cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        super().__init__(timings, cost, tracer=tracer, faults=faults)
+        timings = list(timings)
+        self._bind(timings[0], cost, tracer, faults, _RankDurations(timings))
+        self.world = len(timings)
         self._timeline = Timeline(self.world)
         self.sim = self._timeline.sim
         self.compute = self._timeline.stream("compute")
         self.comm = self._timeline.stream("comm")
 
-    def _submit_compute(self, durations, name, category, gate, metadata):
+    def _compute_slot(self, durations, name, category, gate, metadata):
         vec, per_rank = durations
+        faults = self.faults
         if self.world == 1:
             # A one-rank timeline records plain floats.
-            body = (
-                per_rank[0] if self.faults is None
-                else PricedCompute(self.faults, per_rank[0])
-            )
+            body = per_rank[0] if faults is None else faults.compute_priced(per_rank[0])
         else:
-            body = (
-                vec if self.faults is None
-                else RankPricedCompute(self.faults, vec)
-            )
+            body = vec if faults is None else faults.compute_priced_ranks(vec)
         return self.compute.submit(
             body, name=name, category=category, gate=gate, metadata=metadata
         )
 
-    def _submit_collective_slot(self, kind, nbytes, extra_time, duration,
-                                name, category, gate, metadata,
-                                priced=True):
-        body = (
-            duration
-            if self.faults is None or not priced
-            else PricedCollective(self.faults, kind, nbytes, extra_time)
-        )
+    def _collective_slot(self, body, name, category, gate, metadata):
         return self.comm.submit_collective(
             body, name=name, category=category, gate=gate, metadata=metadata
         )
+
+    def _stream_totals(self) -> list:
+        return []  # per-rank streams publish no sim.stream.* counters
 
     def run(self, check_quiescent: bool = True) -> float:
         """Replay the recorded schedule (recordable = deadlock-free)."""
         final = self._timeline.replay(self.tracer)
         self.finish()
         return final
-
-    def finish(self) -> None:
-        """Post-replay bookkeeping, shared with the batched replay path."""
-        if self.faults is not None:
-            self.faults.publish(self.tracer)
-        self._publish_engine_metrics()
 
 
 def _make_timings(
@@ -679,17 +517,12 @@ def record_heterogeneous_fast(
         policy, cluster, compute_scales, iterations
     )
     scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
-    if not scheduler.supports_fast_path:
-        raise FastPathUnsupported(
-            f"scheduler {scheduler.name!r} opts out of the fast path",
-            reason="opt_out",
-        )
+    scheduler.require_fast_path()
     cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
     timings = _make_timings(model, compute_scales, batch_size, iteration_compute)
     workload = scheduler._resolve_workload(workload, timings[0], cost)
     ctx = FastMultiRankContext(
-        timings, cost, tracer=Tracer() if trace else None,
-        faults=normalize_plan(faults),
+        timings, cost, tracer=Tracer() if trace else None, faults=faults
     )
     scheduler._schedule_onto(ctx, iterations, workload)
     return ctx
@@ -709,19 +542,8 @@ def finalize_heterogeneous(
     the measurement (steady-state gaps from rank 0's first-FF starts)
     and the ``extras`` layout are identical on either path.
     """
-    starts = ctx.ff_start_times()
-    if len(starts) != iterations:
-        raise RuntimeError(
-            f"{policy}: expected {iterations} iterations, observed {len(starts)}"
-        )
-    gaps = tuple(b - a for a, b in zip(starts, starts[1:]))
-    extras = {"engine": f"multirank-{ctx.engine}"}
-    workload_name = getattr(ctx, "workload_name", None)
-    if workload_name is not None:
-        extras["workload"] = workload_name
-    if ctx.faults is not None:
-        extras["fault_plan"] = ctx.faults.plan.label()
-        extras["timing_faults"] = ctx.faults.summary()
+    _, gaps = ctx.steady_state(iterations, policy)
+    extras = {"engine": ctx.engine, **ctx.result_extras()}
     return HeterogeneousResult(
         policy=policy,
         model_name=model.name,
@@ -781,7 +603,6 @@ def simulate_heterogeneous(
     compute_scales = _validate_heterogeneous(
         policy, cluster, compute_scales, iterations
     )
-    faults = normalize_plan(faults)
     scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
     cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
 
@@ -804,29 +625,11 @@ def simulate_heterogeneous(
         )
 
     timings = _make_timings(model, compute_scales, batch_size, iteration_compute)
-    workload = scheduler._resolve_workload(workload, timings[0], cost)
-    use_fast = fast_path_enabled() if fastpath is None else fastpath
-    ctx = None
-    if use_fast and scheduler.supports_fast_path:
-        try:
-            fast_ctx = FastMultiRankContext(
-                timings, cost, tracer=Tracer() if trace else None,
-                faults=faults,
-            )
-            scheduler._schedule_onto(fast_ctx, iterations, workload)
-            fast_ctx.run()
-            ctx = fast_ctx
-        except FastPathUnsupported as exc:
-            record_fallback("multirank-fastpath", "multirank-event", exc)
-            ctx = None
-    if ctx is None:
-        event_ctx = MultiRankIterationContext(
-            timings, cost, tracer=Tracer() if trace else None, faults=faults
-        )
-        scheduler._schedule_onto(event_ctx, iterations, workload)
-        event_ctx.run()
-        ctx = event_ctx
-
+    ctx = scheduler._execute(
+        FastMultiRankContext, MultiRankIterationContext, iterations,
+        scheduler._resolve_workload(workload, timings[0], cost), fastpath,
+        timings, cost, tracer=Tracer() if trace else None, faults=faults,
+    )
     return finalize_heterogeneous(
         ctx, policy, model, cluster, compute_scales, iterations
     )

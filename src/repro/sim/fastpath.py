@@ -56,12 +56,12 @@ Chrome traces byte-for-byte equal — pinned by the differential suites
 ``tests/sim/test_batched.py``) and by ``tests/sim/replay_golden.json``.
 
 Durations need not be known at record time: a slot may carry a
-:class:`DeferredDuration` (one duration, priced from a start time) or,
-per rank, a :class:`DeferredRankDurations` (priced from the ranks'
-start vector).  They are resolved during replay once the start is
-known — the recorded counterpart of the event kernel's callable job
-bodies, and how timing faults (:mod:`repro.faults.timing`) ride the
-fast path.  A deferred slot breaks the cumsum batching at that slot;
+:class:`~repro.sim.resources.DeferredDuration` (one duration, priced
+from a start time — the same object the event kernel's streams resolve
+at job start) or, per rank, a :class:`DeferredRankDurations` (priced
+from the ranks' start vector).  They are resolved during replay once
+the start is known; that is how timing faults
+(:mod:`repro.faults.timing`) ride the fast path.  A deferred slot breaks the cumsum batching at that slot;
 everything around it stays vectorized.  Anything genuinely dynamic —
 process bodies, ``sim.event()``, raw callbacks — raises
 :class:`FastPathUnsupported`, and the caller falls back to the event
@@ -76,6 +76,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.sim.resources import DeferredDuration
 from repro.sim.trace import Span
 
 __all__ = [
@@ -113,32 +114,14 @@ class BatchMismatch(ValueError):
     """The timelines in one replay are not structurally identical."""
 
 
-class DeferredDuration:
-    """A slot duration resolved at replay time from its start.
-
-    Subclasses implement :meth:`resolve`, performing the same float
-    operations the event kernel's callable job body would perform at
-    job start — so replays with deferred durations stay bit-identical
-    to the kernel.  On a collective slot the start is the rendezvous
-    instant.  The timing-fault injector's priced bodies
-    (:class:`repro.faults.timing.PricedCompute` /
-    :class:`~repro.faults.timing.PricedCollective`) are the canonical
-    implementations.
-    """
-
-    __slots__ = ()
-
-    def resolve(self, start: float) -> float:
-        raise NotImplementedError
-
-
 class DeferredRankDurations:
     """Per-rank durations resolved at replay from the per-rank starts.
 
     Implementations (e.g. the timing-fault injector's straggler pricer)
     receive the slot's ``(world,)`` start-time vector and return the
     ``(world,)`` duration vector, performing the same float operations
-    the event kernel's start-time callables would.
+    as one :class:`~repro.sim.resources.DeferredDuration` per rank on
+    the event kernel.
     """
 
     __slots__ = ()

@@ -14,12 +14,12 @@ stream driver and by higher-level protocol models.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Generator, Optional, Union
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import Tracer
 
-__all__ = ["FifoQueue", "Stream", "Job"]
+__all__ = ["DeferredDuration", "FifoQueue", "Stream", "Job"]
 
 
 class FifoQueue:
@@ -58,10 +58,30 @@ class FifoQueue:
         return evt
 
 
-#: A job body is either a fixed duration in seconds, a zero-argument
-#: callable returning the duration at start time, or a generator to run
+class DeferredDuration:
+    """A job duration priced from the job's start time.
+
+    Subclasses implement :meth:`resolve`.  The event kernel's
+    :class:`Stream` resolves it when the job starts; the vectorized
+    replay (:mod:`repro.sim.fastpath`) resolves the same object at the
+    replayed start — on a collective, the rendezvous instant — so both
+    engines perform the same float operations.  The timing-fault
+    injector's priced bodies
+    (:class:`repro.faults.timing.PricedCompute` /
+    :class:`~repro.faults.timing.PricedCollective`) are the canonical
+    implementations.
+    """
+
+    __slots__ = ()
+
+    def resolve(self, start: float) -> float:
+        raise NotImplementedError
+
+
+#: A job body is either a fixed duration in seconds, a
+#: :class:`DeferredDuration` priced at start time, or a generator to run
 #: as a sub-process while the stream stays blocked.
-JobBody = Union[float, Callable[[], float], Generator]
+JobBody = Union[float, DeferredDuration, Generator]
 
 
 class Job:
@@ -189,8 +209,8 @@ class Stream:
                 yield job.gate
             job.start = self._sim.now
             body = job.body
-            if callable(body) and not isinstance(body, Generator):
-                body = body()
+            if isinstance(body, DeferredDuration):
+                body = body.resolve(job.start)
             if isinstance(body, Generator):
                 result = yield self._sim.process(body, name=job.name)
             else:

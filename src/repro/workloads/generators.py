@@ -2,10 +2,10 @@
 
 Each generator maps a calibrated :class:`~repro.models.TimingModel` and
 a :class:`~repro.network.fabric.ClusterSpec` to one iteration's
-:class:`~repro.workloads.ir.Workload`.  The classic layer-wise backward
-pass — the only workload the schedulers understood before the DAG
-contract — is ``layerwise``; the others exercise the collectives the
-paper's benchmark suite never reaches:
+:class:`~repro.workloads.ir.Workload`.  ``layerwise`` is the layer-wise
+FF/BP shape as a DAG; it does *not* reproduce the classic ``schedule()``
+timings (see :func:`layerwise`).  The others exercise the collectives
+the paper's benchmark suite never reaches:
 
 - ``moe``: Mixture-of-Experts expert parallelism.  Each transformer
   block routes tokens through an ``all_to_all`` dispatch/combine pair
@@ -40,13 +40,18 @@ __all__ = ["WORKLOAD_NAMES", "build_workload", "layerwise", "moe", "dlrm", "llm3
 
 
 def layerwise(timing: TimingModel, cluster: ClusterSpec) -> Workload:
-    """The classic DAG: FF chain, BP chain, one gradient sync per layer.
+    """The layer-wise DAG: FF chain, BP chain, one gradient sync per layer.
 
-    Equivalent in structure to what the schedulers' legacy
-    ``schedule()`` paths build internally: forward layers in order,
-    backward layers in reverse, layer ``l``'s gradients ready after its
-    BP step, and next iteration's FF layer ``l`` consuming the synced
-    result (DeAR's FeedPipe gate).
+    Forward layers in order, backward layers in reverse, layer ``l``'s
+    gradients ready after its BP step, and next iteration's FF layer
+    ``l`` consuming the synced result (DeAR's FeedPipe gate).  The
+    shape matches the schedulers' classic ``schedule()`` paths, but the
+    timings do not: the DAG syncs once per layer where the classic
+    schedules sync once per tensor, ``execute_zero`` gathers once per
+    iteration (classic ZeRO twice), the DAG ByteScheduler launches FIFO
+    with no priority queue, DeAR-NL degenerates to DeAR without tensor
+    fusion, and Horovod sizes its negotiation per layer rather than per
+    tensor.
     """
     model = timing.model
     nodes: list[WorkloadNode] = []

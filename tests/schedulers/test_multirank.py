@@ -165,10 +165,25 @@ class TestValidation:
             )
 
     def test_zero_scale_accepted(self, tiny):
-        result = simulate_heterogeneous(
-            "wfbp", tiny, CLUSTER, [1.0, 0.0, 1.0, 1.0], iteration_compute=0.03
-        )
-        assert result.iteration_time > 0
+        """A zero scale runs on both engines, on rank 0 too: layer-wise
+        schedules never read the planning rank's kernel ratios."""
+        for scales in ([1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]):
+            for fastpath in (True, False):
+                result = simulate_heterogeneous(
+                    "wfbp", tiny, CLUSTER, scales, iteration_compute=0.03,
+                    fastpath=fastpath,
+                )
+                assert result.iteration_time > 0
+
+    @pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "event"])
+    def test_zero_planning_scale_rejected_for_workloads(self, tiny, fastpath):
+        """A workload DAG plans its kernels on rank 0, which therefore
+        needs a positive scale; the error says so on both engines."""
+        with pytest.raises(ValueError, match="rank 0 is the planning rank"):
+            simulate_heterogeneous(
+                "wfbp", tiny, CLUSTER, [0.0, 1.0, 1.0, 1.0],
+                iteration_compute=0.03, fastpath=fastpath, workload="moe",
+            )
 
     def test_unknown_policy(self, tiny):
         with pytest.raises(ValueError):

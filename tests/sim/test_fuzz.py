@@ -204,9 +204,11 @@ def _event_kernel(world, slots, config):
         durations = values[config]
         slowed = deferred[config]
         if collective:
-            pricer = (lambda now, base=durations[0]: _slowed(base, now)) if slowed else None
-            rendezvous = _Collective(sim, world, durations[0], f"slot{index}",
-                                     pricer=pricer)
+            rendezvous = _Collective(
+                sim, world,
+                _SlowedDuration(durations[0]) if slowed else durations[0],
+                f"slot{index}",
+            )
         row = []
         for rank in range(world):
             gate = None
@@ -215,7 +217,7 @@ def _event_kernel(world, slots, config):
             if collective:
                 body = rendezvous.body()
             elif slowed:
-                body = lambda base=durations[rank]: _slowed(base, sim.now)
+                body = _SlowedDuration(durations[rank])
             else:
                 body = durations[rank]
             row.append(streams[sid][rank].submit(body, gate=gate))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import FifoQueue, Stream
+from repro.sim.resources import DeferredDuration, FifoQueue, Stream
 from repro.sim.trace import Tracer
 
 
@@ -81,13 +81,17 @@ class TestStream:
         sim.run()
         assert job.start == 0.0
 
-    def test_callable_body_evaluated_at_start(self):
+    def test_deferred_body_resolved_at_start(self):
+        class StartPriced(DeferredDuration):
+            def resolve(self, start):
+                return start
+
         sim = Simulator()
         stream = Stream(sim, "s")
         stream.submit(3.0)
-        timed = stream.submit(lambda: sim.now, name="dynamic")
+        timed = stream.submit(StartPriced(), name="dynamic")
         sim.run()
-        # body callable returned sim.now (=3.0) as the duration
+        # the deferred body resolved to its start time (=3.0)
         assert timed.start == 3.0 and timed.end == 6.0
 
     def test_generator_body_runs_as_subprocess(self):

@@ -27,7 +27,7 @@ ITERATIONS = 4
 #: Every registered scheduler that supports the vectorized replay.
 FAST_SCHEDULERS = ("serial", "wfbp", "ddp", "horovod", "mg_wfbp", "dear", "zero")
 
-#: The non-layer-wise DAGs (layerwise is covered by the classic suite).
+#: The non-layer-wise DAGs.
 DAG_WORKLOADS = ("moe", "dlrm", "llm3d")
 
 SMALL_CLUSTER = cluster_10gbe(nodes=2, gpus_per_node=2)  # 4 ranks, fast tests
@@ -82,7 +82,7 @@ def test_bytescheduler_event_only(workload, timing, cost, monkeypatch):
     assert result.extras["workload"] == workload
 
 
-@pytest.mark.parametrize("workload", DAG_WORKLOADS)
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_multirank_differential(policy, workload, monkeypatch):
     model = build_tiny_model()
@@ -103,7 +103,7 @@ def test_multirank_differential(policy, workload, monkeypatch):
     assert fast.tracer.to_chrome_trace() == slow.tracer.to_chrome_trace()
 
 
-@pytest.mark.parametrize("workload", DAG_WORKLOADS)
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 def test_batched_matches_direct(workload, tiny_model):
     specs = [
         RunSpec.create(scheduler, tiny_model, SMALL_CLUSTER,
