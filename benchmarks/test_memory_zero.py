@@ -45,8 +45,9 @@ def run_zero_comparison():
     cluster = cluster_10gbe()
     for name in ("resnet50", "bert_base", "bert_large"):
         model = get_model(name)
-        dear = simulate("dear", model, cluster, fusion="buffer", buffer_bytes=25e6)
-        zero = simulate("zero", model, cluster, buffer_bytes=25e6)
+        dear = simulate("dear", model, cluster, fusion="buffer", buffer_bytes=25e6,
+                        trace=True)
+        zero = simulate("zero", model, cluster, buffer_bytes=25e6, trace=True)
 
         def volume(result):
             return sum(

@@ -117,7 +117,7 @@ def main() -> None:
 
     # Export the winning timeline for chrome://tracing.
     final = get_scheduler("dear", fusion="buffer", buffer_bytes=best_buffer).run(
-        timing, cost
+        timing, cost, trace=True
     )
     out = pathlib.Path("results")
     out.mkdir(exist_ok=True)

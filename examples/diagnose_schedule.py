@@ -20,6 +20,7 @@ from repro.experiments.plotting import ascii_timeline
 from repro.models import get_model
 from repro.network import CollectiveTimeModel, cluster_100gbib, cluster_10gbe
 from repro.schedulers import simulate
+from repro.telemetry.breakdown import steady_state_window
 
 CASES = (
     ("ResNet-50, DeAR, 100GbIB", "resnet50", cluster_100gbib(), "dear",
@@ -35,19 +36,12 @@ def main() -> None:
     for label, model_name, cluster, scheduler, options in CASES:
         model = get_model(model_name)
         cost = CollectiveTimeModel(cluster)
-        result = simulate(scheduler, model, cluster, **options)
+        result = simulate(scheduler, model, cluster, trace=True, **options)
         diagnosis = diagnose(result, alpha=cost.alpha, world_size=cost.world_size)
 
         print(f"### {label}")
-        ff_starts = sorted(
-            span.start for span in result.tracer.filter(category="ff")
-            if span.name.endswith(".0")
-        )
-        print(
-            ascii_timeline(
-                result.tracer.spans, ff_starts[-2], ff_starts[-1], width=72
-            )
-        )
+        start, end = steady_state_window(result.tracer)
+        print(ascii_timeline(result.tracer.spans, start, end, width=72))
         print(diagnosis.describe())
         print()
 

@@ -47,7 +47,7 @@ def main() -> None:
             ("dear", {"fusion": "buffer", "buffer_bytes": 25e6}),
             ("zero", {"buffer_bytes": 25e6}),
         ):
-            result = simulate(name, model, cluster, **options)
+            result = simulate(name, model, cluster, trace=True, **options)
             volume = communication_volume(result)
             print(
                 f"{cluster.inter_link.name:<10} {name:<8} "

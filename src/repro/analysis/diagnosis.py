@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.schedulers.base import ScheduleResult
 from repro.sim.trace import total_length
+from repro.telemetry.breakdown import steady_state_window
 
 __all__ = ["Diagnosis", "diagnose"]
 
@@ -87,21 +88,21 @@ def _suggest(bottleneck: str, startup_fraction: float,
 
 def diagnose(result: ScheduleResult, alpha: float = 0.0,
              world_size: int = 0) -> Diagnosis:
-    """Analyse a schedule result's steady-state window.
+    """Analyse a traced schedule result's steady-state window.
+
+    ``result`` must come from a run with ``trace=True``.
 
     ``alpha``/``world_size`` (optional) enable the startup-fraction
     estimate: each traced collective is charged ``rounds * alpha`` of
     latency per the ring round count.
     """
     if result.tracer is None:
-        raise ValueError("result carries no tracer; re-run the scheduler")
+        raise ValueError(
+            "result carries no tracer; re-run the scheduler with trace=True"
+        )
     comm_categories = ("comm.ar", "comm.rs", "comm.ag")
-    # Identify one steady-state window exactly as the scheduler did.
-    ff_starts = sorted(
-        span.start for span in result.tracer.filter(category="ff")
-        if span.name.endswith(".0")
-    )
-    window = (ff_starts[-2], ff_starts[-1])
+    # The steady-state window the scheduler measured.
+    window = steady_state_window(result.tracer)
 
     def in_window(span):
         return span.start < window[1] and span.end > window[0]

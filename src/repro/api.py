@@ -283,13 +283,19 @@ def config_from_payload(payload: dict) -> SimulationConfig:
     )
 
 
-def run_simulation(config: SimulationConfig, cached: bool = False) -> ScheduleResult:
+def run_simulation(config: SimulationConfig, cached: bool = False,
+                   trace: bool = False) -> ScheduleResult:
     """Execute one config; the single timing-level entry point.
 
     With ``cached=True`` the run goes through the content-addressed
     result cache (and comes back tracer-less, like any cached result);
-    note the cache ignores ``fastpath`` by design.
+    note the cache ignores ``fastpath`` by design.  ``trace=True``
+    records the run's Perfetto spans into ``result.tracer`` (otherwise
+    ``None``); a cached result holds no spans, so it cannot be combined
+    with ``cached=True``.
     """
+    if cached and trace:
+        raise ValueError("cached results carry no trace; pass cached=False")
     if cached:
         from repro.runner.cache import run_cached
 
@@ -317,6 +323,7 @@ def run_simulation(config: SimulationConfig, cached: bool = False) -> ScheduleRe
         fastpath=config.fastpath,
         tuned_table=table,
         workload=config.workload,
+        trace=trace,
         **dict(config.options),
     )
 

@@ -21,6 +21,7 @@ from repro.experiments.common import format_table, resolve_cluster
 from repro.experiments.plotting import ascii_timeline
 from repro.models.layers import ModelBuilder
 from repro.schedulers.base import ScheduleResult, simulate
+from repro.telemetry.breakdown import steady_state_window
 
 __all__ = ["run", "format_rows", "format_chart", "PANELS"]
 
@@ -58,7 +59,7 @@ def run(cluster="10gbe", iterations: int = 5) -> list[dict]:
     for label, scheduler, options in PANELS:
         result: ScheduleResult = simulate(
             scheduler, model, cluster, iterations=iterations,
-            iteration_compute=0.03, **options,
+            iteration_compute=0.03, trace=True, **options,
         )
         rows.append(
             {
@@ -85,14 +86,8 @@ def format_chart(rows: list[dict]) -> str:
     blocks = []
     for row in rows:
         result: ScheduleResult = row["_result"]
-        # One steady-state iteration window, from the trace itself: the
-        # second-to-last iteration's first FF span.
-        ff_starts = sorted(
-            span.start
-            for span in result.tracer.filter(category="ff")
-            if span.name.endswith(".0")
-        )
-        start, end = ff_starts[-2], ff_starts[-1]
+        # The steady-state iteration window the run was measured over.
+        start, end = steady_state_window(result.tracer)
         blocks.append(
             ascii_timeline(
                 result.tracer.spans, start, end,

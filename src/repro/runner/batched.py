@@ -124,7 +124,6 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
         raise FastPathUnsupported("spec disables the fast path", reason="disabled")
     fusion_buffer_bytes = options.get("fusion_buffer_bytes", 25e6)
     collapse = options.get("collapse", True)
-    trace = options.get("trace", False)
 
     if collapse and collapses_to_single_rank(spec.compute_scales, spec.faults):
         # Same delegation simulate_heterogeneous performs: record the
@@ -150,8 +149,7 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
             ctx,
             lambda: wrap_collapsed(
                 scheduler.measure(ctx, spec.iterations),
-                spec.scheduler, spec.model, spec.cluster,
-                compute_scales, trace,
+                spec.scheduler, spec.model, spec.cluster, compute_scales,
             ),
         )
 
@@ -166,7 +164,7 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
         algorithm=spec.algorithm,
         iterations=spec.iterations,
         faults=spec.faults,
-        trace=trace,
+        trace=options.get("trace", False),
         tuned_table=_spec_table(spec),
         workload=spec.workload,
     )

@@ -106,7 +106,7 @@ def _bench_replay(repeats: int) -> dict[str, float]:
 
     contexts = []
     for _ in range(repeats):
-        ctx = IterationContext(timing, cost)
+        ctx = IterationContext(timing, cost, tracer=Tracer())
         scheduler.schedule(ctx, iterations)
         contexts.append(ctx)
     jobs = contexts[0].compute.jobs_submitted + contexts[0].comm.jobs_submitted

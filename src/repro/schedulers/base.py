@@ -14,7 +14,7 @@ from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.schedulers.engine import FastIterationContext, IterationContext, record_fallback
 from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled
-from repro.sim.trace import Tracer, subtract_intervals, total_length
+from repro.sim.trace import COMM_CATEGORIES, Tracer, clip_to_window, exposed_times
 from repro.telemetry.registry import default_registry
 
 __all__ = [
@@ -30,6 +30,10 @@ __all__ = [
 #: final inter-iteration gap is the steady-state measurement.
 DEFAULT_ITERATIONS = 5
 
+#: The category groups behind ``exposed_comm``, ``exposed_rs`` and
+#: ``exposed_ag``, in that order.
+_EXPOSED_GROUPS = (COMM_CATEGORIES, ("comm.rs",), ("comm.ag",))
+
 
 @dataclass
 class ScheduleResult:
@@ -39,7 +43,8 @@ class ScheduleResult:
     iterations; ``throughput`` is the aggregate cluster throughput in
     samples/s.  The exposed_* fields follow Fig. 8's definition: time
     of that communication category *not* hidden by compute, within one
-    steady-state iteration window.
+    steady-state iteration window.  ``tracer`` holds the run's Perfetto
+    spans when the run was asked for a trace, and is ``None`` otherwise.
     """
 
     scheduler: str
@@ -169,20 +174,22 @@ class Scheduler(ABC):
         faults: Optional[FaultPlan] = None,
         fastpath: Optional[bool] = None,
         workload=None,
+        trace: bool = False,
     ) -> ScheduleResult:
         """Simulate and measure the steady-state iteration time.
 
         ``fastpath`` overrides the DEAR_FASTPATH toggle (None = env).
         ``workload`` selects a comm-compute DAG — a registry name or a
         built :class:`~repro.workloads.ir.Workload` — instead of the
-        classic layer-wise schedule.
+        classic layer-wise schedule.  ``trace`` records the run's
+        Perfetto spans into ``result.tracer`` (``None`` otherwise).
         """
         if iterations < 3:
             raise ValueError(f"need >= 3 iterations to reach steady state, got {iterations}")
         ctx = self._execute(
             FastIterationContext, IterationContext, iterations,
             self._resolve_workload(workload, timing, cost), fastpath,
-            timing, cost, faults=faults,
+            timing, cost, tracer=Tracer() if trace else None, faults=faults,
         )
         return self.measure(ctx, iterations)
 
@@ -195,6 +202,7 @@ class Scheduler(ABC):
         faults: Optional[FaultPlan] = None,
         fastpath: Optional[bool] = None,
         workload=None,
+        trace: bool = False,
     ) -> ScheduleResult:
         """The paper's run-time loop: measure, fit the GP, re-fuse.
 
@@ -202,15 +210,16 @@ class Scheduler(ABC):
         ``bo_low``/``bo_high``/``bo_seed``/``bo_trials`` settings):
         each trial is ``make_trial(buffer_bytes).run(...)``, scored by
         throughput, and the best size is run once more for the result.
+        Trials are never traced; ``trace`` applies to that final run.
         """
         optimizer = BayesianOptimizer(self.bo_low, self.bo_high, seed=self.bo_seed)
         # Resolve once so every trial shares one built DAG.
         workload = self._resolve_workload(workload, timing, cost)
 
-        def measure(buffer_bytes: float) -> ScheduleResult:
+        def measure(buffer_bytes: float, trace: bool = False) -> ScheduleResult:
             return make_trial(buffer_bytes).run(
                 timing, cost, iterations=iterations, faults=faults,
-                fastpath=fastpath, workload=workload,
+                fastpath=fastpath, workload=workload, trace=trace,
             )
 
         history = []
@@ -220,7 +229,7 @@ class Scheduler(ABC):
             optimizer.observe(x, result.throughput)
             history.append((x, result.throughput))
         best_x, _ = optimizer.best
-        final = measure(best_x)
+        final = measure(best_x, trace)
         final.scheduler = self.name
         final.extras.update(
             {"fusion": "bo", "buffer_bytes": best_x, "bo_history": history}
@@ -265,12 +274,21 @@ class Scheduler(ABC):
         Shared by :meth:`run` and the batched runner so both paths
         assemble results with the same measurement code: steady-state
         iteration gaps from the first-FF start times, exposed
-        communication from the final inter-iteration window.
+        communication from the final inter-iteration window.  Exposed
+        time is computed from the context's job timestamps
+        (``ctx.timed_jobs``), never from spans, so an untraced run
+        builds none; a traced run's tracer records the window in
+        ``tracer.window``.
         """
         timing = ctx.timing
         cost = ctx.cost
         starts, gaps = ctx.steady_state(iterations, self.name)
         window = (starts[-2], starts[-1])
+        exposed_comm, exposed_rs, exposed_ag = exposed_times(
+            clip_to_window(ctx.timed_jobs(window), window), _EXPOSED_GROUPS
+        )
+        if ctx.tracer is not None:
+            ctx.tracer.window = window
         result = ScheduleResult(
             scheduler=self.name,
             model_name=timing.model.name,
@@ -280,13 +298,9 @@ class Scheduler(ABC):
             iteration_time=gaps[-1],
             t_ff=timing.t_ff,
             t_bp=timing.t_bp,
-            exposed_comm=_exposed(
-                ctx.tracer,
-                ("comm.ar", "comm.rs", "comm.ag", "comm.a2a", "comm.p2p"),
-                window,
-            ),
-            exposed_rs=_exposed(ctx.tracer, ("comm.rs",), window),
-            exposed_ag=_exposed(ctx.tracer, ("comm.ag",), window),
+            exposed_comm=exposed_comm,
+            exposed_rs=exposed_rs,
+            exposed_ag=exposed_ag,
             tracer=ctx.tracer,
             iteration_times=gaps,
             extras=self.describe_options(),
@@ -320,13 +334,6 @@ class Scheduler(ABC):
         return {}
 
 
-def _clip(
-    intervals: list[tuple[float, float]], window: tuple[float, float]
-) -> list[tuple[float, float]]:
-    lo, hi = window
-    return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
-
-
 def _publish_run_metrics(result: "ScheduleResult") -> None:
     """Per-run headline metrics into the process registry."""
     registry = default_registry()
@@ -346,21 +353,6 @@ def _publish_run_metrics(result: "ScheduleResult") -> None:
     registry.gauge(
         "run.throughput_samples_per_s", "aggregate cluster throughput"
     ).set(result.throughput, **labels)
-
-
-def _exposed(tracer: Tracer, categories: tuple[str, ...], window: tuple[float, float]) -> float:
-    """Non-overlapped communication time within the steady-state window."""
-    comm: list[tuple[float, float]] = []
-    for category in categories:
-        comm.extend(
-            (span.start, span.end) for span in tracer.filter(category=category)
-        )
-    compute = [
-        (span.start, span.end)
-        for span in tracer.spans
-        if span.category in ("ff", "bp", "compute")
-    ]
-    return total_length(subtract_intervals(_clip(comm, window), _clip(compute, window)))
 
 
 # -- registry -----------------------------------------------------------------
@@ -434,6 +426,7 @@ def simulate(
     fastpath: Optional[bool] = None,
     tuned_table=None,
     workload: Optional[str] = None,
+    trace: bool = False,
     **options,
 ) -> ScheduleResult:
     """One-call facade: build timing + cost models and run a scheduler.
@@ -453,6 +446,9 @@ def simulate(
     (:data:`repro.workloads.WORKLOAD_NAMES`) to run instead of the
     classic layer-wise schedule.
 
+    ``trace`` records the run's Perfetto spans into ``result.tracer``;
+    without it the result carries no tracer and no span is built.
+
     Example::
 
         result = simulate("dear", get_model("resnet50"), cluster_10gbe(),
@@ -465,7 +461,7 @@ def simulate(
     cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
     return get_scheduler(scheduler, **options).run(
         timing, cost, iterations=iterations, faults=faults, fastpath=fastpath,
-        workload=workload,
+        workload=workload, trace=trace,
     )
 
 

@@ -123,11 +123,8 @@ class ByteSchedulerScheduler(Scheduler):
                 for layer, events in done_by_layer.items()
             }
 
-        from repro.sim.resources import Stream
-
         channels = [ctx.comm] + [
-            Stream(ctx.sim, f"comm.ch{index}", tracer=ctx.tracer,
-                   actor=f"gpu.comm{index}")
+            ctx.stream(f"comm.ch{index}", actor=f"gpu.comm{index}")
             for index in range(1, self.credit)
         ]
         state = {"ready": [], "waiters": [], "claimed": 0, "total": len(items)}

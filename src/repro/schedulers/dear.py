@@ -184,17 +184,17 @@ class DeARScheduler(Scheduler):
 
     def run(self, timing: TimingModel, cost: CollectiveTimeModel,
             iterations: int = 5, faults=None, fastpath=None,
-            workload=None) -> ScheduleResult:
+            workload=None, trace: bool = False) -> ScheduleResult:
         if self.fusion != "bo":
             return super().run(timing, cost, iterations=iterations,
                                faults=faults, fastpath=fastpath,
-                               workload=workload)
+                               workload=workload, trace=trace)
         return self._run_bo(
             lambda buffer_bytes: DeARScheduler(
                 fusion="buffer", buffer_bytes=buffer_bytes
             ),
             timing, cost, iterations, faults=faults, fastpath=fastpath,
-            workload=workload,
+            workload=workload, trace=trace,
         )
 
     def supports_batched_run(self) -> bool:

@@ -3,14 +3,15 @@
 :class:`IterationContext` defines what a scheduler calls — per-layer
 FF/BP jobs, generic kernels, collectives, ``ctx.sim.all_of`` — once for
 every engine.  It owns the simulator, a GPU compute stream, a
-communication stream, and the tracer.  Because the paper's cluster is
-homogeneous and the collectives are synchronous, all ranks execute
-identical timelines; the context therefore simulates one representative
-rank and charges each collective its full cluster-wide cost from the
-alpha-beta model — the same reduction the paper's own analysis
-(Eq. 6-9) makes.  :class:`FastIterationContext` realises the same API
-on the vectorized replay; :mod:`repro.schedulers.multirank` realises it
-on explicit ranks (heterogeneity studies).
+communication stream, and — only when a trace was requested — the
+tracer.  Because the paper's cluster is homogeneous and the collectives
+are synchronous, all ranks execute identical timelines; the context
+therefore simulates one representative rank and charges each collective
+its full cluster-wide cost from the alpha-beta model — the same
+reduction the paper's own analysis (Eq. 6-9) makes.
+:class:`FastIterationContext` realises the same API on the vectorized
+replay; :mod:`repro.schedulers.multirank` realises it on explicit ranks
+(heterogeneity studies).
 
 Dependency conventions (mirroring CUDA semantics):
 
@@ -85,11 +86,22 @@ class IterationContext:
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        self._bind(timing, cost, tracer if tracer is not None else Tracer(),
-                   faults, _RepresentativeRank(timing))
+        self._bind(timing, cost, tracer, faults, _RepresentativeRank(timing))
         self.sim = Simulator()
-        self.compute = Stream(self.sim, "compute", tracer=self.tracer, actor="gpu.compute")
-        self.comm = Stream(self.sim, "comm", tracer=self.tracer, actor="gpu.comm")
+        #: ``(actor, job)`` of every stream's positive-duration jobs, in
+        #: completion order: what the run is measured and traced from.
+        self._completed: list[tuple[str, Job]] = []
+        self.compute = self.stream("compute", actor="gpu.compute")
+        self.comm = self.stream("comm", actor="gpu.comm")
+
+    def stream(self, name: str, actor: str = "") -> Stream:
+        """A new in-order stream whose jobs are traced and measured.
+
+        Schedulers that add streams of their own (ByteScheduler's
+        credit channels) create them here, so the run's measurement
+        sees their jobs too.
+        """
+        return Stream(self.sim, name, actor=actor, log=self._completed)
 
     def _bind(self, timing: TimingModel, cost: CollectiveTimeModel,
               tracer: Optional[Tracer], faults: Optional[FaultPlan],
@@ -97,7 +109,8 @@ class IterationContext:
         """The state every engine shares.
 
         ``timing`` is the *planning* profile fusion-plan builders read
-        (rank 0's on explicit ranks); ``durations`` answers
+        (rank 0's on explicit ranks); ``tracer`` is ``None`` unless a
+        trace was requested; ``durations`` answers
         ``ff(layer)``, ``bp(layer)`` and ``kernel(seconds)`` with what
         :meth:`_compute_slot` takes.
         """
@@ -302,6 +315,11 @@ class IterationContext:
         drains — the signature of a dependency deadlock in a schedule.
         """
         final = self.sim.run()
+        if self.tracer is not None:
+            record = self.tracer.record
+            for actor, job in self._completed:
+                record(job.name, job.category, actor, job.start, job.end,
+                       job.metadata)
         if check_quiescent:
             raise_if_stalled((self.compute, self.comm))
         self.finish()
@@ -349,6 +367,20 @@ class IterationContext:
                 raise RuntimeError(f"job {job.name} never ran; dependency deadlock?")
             starts.append(start)
         return starts
+
+    def timed_jobs(
+        self, window: tuple[float, float]
+    ) -> list[tuple[float, float, str]]:
+        """``(start, end, category)`` of the positive-duration jobs, in
+        the engine's order, after :meth:`run`.
+
+        The single-rank measurement input.  An engine may leave out jobs
+        that cannot overlap ``window``;
+        :func:`~repro.sim.trace.clip_to_window` does the exact
+        filtering, so the event kernel returns every completed job.
+        """
+        return [(job.start, job.end, job.category)
+                for _, job in self._completed]
 
     def steady_state(self, iterations: int,
                      label: str) -> tuple[list[float], tuple[float, ...]]:
@@ -400,9 +432,10 @@ class FastIterationContext(IterationContext):
     Records jobs into a one-rank :class:`~repro.sim.fastpath.Timeline`
     instead of driving the event kernel; :meth:`run` replays the
     recorded schedule in closed form (see :mod:`repro.sim.fastpath` for
-    the recurrence and its equivalence argument).  Timing-fault
-    placeholders are resolved at each job's replayed start, so faulty
-    runs stay on this engine.  Schedulers that need dynamic events or
+    the recurrence and its equivalence argument).  The run is measured
+    from the replay arrays; spans go only into a requested tracer.
+    Timing-fault placeholders are resolved at each job's replayed start,
+    so faulty runs stay on this engine.  Schedulers that need dynamic events or
     process bodies make the recorder raise
     :class:`~repro.sim.fastpath.FastPathUnsupported`, and
     :meth:`repro.schedulers.base.Scheduler.run` falls back to the
@@ -414,12 +447,19 @@ class FastIterationContext(IterationContext):
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        self._bind(timing, cost, tracer if tracer is not None else Tracer(),
-                   faults, _RepresentativeRank(timing))
+        self._bind(timing, cost, tracer, faults, _RepresentativeRank(timing))
         self._timeline = Timeline()
         self.sim = self._timeline.sim
-        self.compute = self._timeline.stream("compute", actor="gpu.compute")
-        self.comm = self._timeline.stream("comm", actor="gpu.comm")
+        self.compute = self.stream("compute", actor="gpu.compute")
+        self.comm = self.stream("comm", actor="gpu.comm")
+
+    def stream(self, name: str, actor: str = ""):
+        return self._timeline.stream(name, actor=actor)
+
+    def timed_jobs(
+        self, window: tuple[float, float]
+    ) -> list[tuple[float, float, str]]:
+        return self._timeline.timed_jobs(window)
 
     def run(self, check_quiescent: bool = True) -> float:
         """Replay the recorded schedule; returns the final virtual time.

@@ -81,18 +81,18 @@ class HorovodScheduler(WFBPScheduler):
 
     def run(self, timing: TimingModel, cost: CollectiveTimeModel,
             iterations: int = 5, faults=None, fastpath=None,
-            workload=None) -> ScheduleResult:
+            workload=None, trace: bool = False) -> ScheduleResult:
         if self.fusion != "bo":
             return super().run(timing, cost, iterations=iterations,
                                faults=faults, fastpath=fastpath,
-                               workload=workload)
+                               workload=workload, trace=trace)
         return self._run_bo(
             lambda buffer_bytes: HorovodScheduler(
                 buffer_bytes=buffer_bytes, cycle_time=self.cycle_time,
                 fusion="buffer",
             ),
             timing, cost, iterations, faults=faults, fastpath=fastpath,
-            workload=workload,
+            workload=workload, trace=trace,
         )
 
     def supports_batched_run(self) -> bool:

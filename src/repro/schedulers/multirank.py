@@ -466,13 +466,12 @@ def wrap_collapsed(
     model: ModelSpec,
     cluster: ClusterSpec,
     compute_scales: tuple[float, ...],
-    trace: bool,
 ) -> HeterogeneousResult:
     """Lift a single-rank :class:`ScheduleResult` of a collapsed run.
 
     Shared by :func:`simulate_heterogeneous` and the batched runner so
     both produce byte-identical collapsed results (same ``extras``,
-    same tracer handling).
+    same tracer handling: the run's tracer, present only when traced).
     """
     return HeterogeneousResult(
         policy=policy,
@@ -481,7 +480,7 @@ def wrap_collapsed(
         compute_scales=compute_scales,
         iteration_time=result.iteration_time,
         iteration_times=result.iteration_times,
-        tracer=result.tracer if trace else None,
+        tracer=result.tracer,
         extras={"engine": "collapsed"},
     )
 
@@ -618,11 +617,9 @@ def simulate_heterogeneous(
         )
         result = scheduler.run(
             timing, cost, iterations=iterations, fastpath=fastpath,
-            workload=workload,
+            workload=workload, trace=trace,
         )
-        return wrap_collapsed(
-            result, policy, model, cluster, compute_scales, trace
-        )
+        return wrap_collapsed(result, policy, model, cluster, compute_scales)
 
     timings = _make_timings(model, compute_scales, batch_size, iteration_compute)
     ctx = scheduler._execute(

@@ -29,6 +29,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -57,7 +58,9 @@ class RequestBatcher:
     dedupes by fingerprint (every duplicate is a ``serve.dedup_hits``),
     and resolves the unique specs with one :func:`run_many` call so the
     cache and the batched replay see the whole batch at once.  A failing
-    spec fails only the requests that asked for it.
+    spec fails only the requests that asked for it; a future cancelled
+    while queued (its request timed out) is dropped before dedup, so a
+    spec nobody waits for any more is never computed.
     """
 
     def __init__(
@@ -135,6 +138,10 @@ class RequestBatcher:
         unique: list[RunSpec] = []
         waiters: dict[str, list[Future]] = {}
         for spec, future in batch:
+            # A request that timed out cancelled its future: nobody
+            # reads the answer, so it is never computed.
+            if not future.set_running_or_notify_cancel():
+                continue
             fingerprint = spec.fingerprint
             if fingerprint not in waiters:
                 waiters[fingerprint] = []
@@ -257,7 +264,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             result = future.result(timeout=server.owner.request_timeout)
-        except TimeoutError:
+        except FutureTimeout:
+            # Still queued: withdraw it so the batcher skips it.
+            future.cancel()
             registry.counter("serve.errors", "failed requests, by stage").inc(
                 stage="timeout"
             )

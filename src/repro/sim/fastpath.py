@@ -475,12 +475,36 @@ class Timeline:
         """Replay this timeline alone; returns the final virtual time."""
         return replay([self], [tracer])[0]
 
+    def timed_jobs(
+        self, window: tuple[float, float]
+    ) -> list[tuple[float, float, str]]:
+        """``(start, end, category)`` of rank 0's positive-duration jobs
+        that overlap ``window``, in submission order.
+
+        Read straight from the replay arrays: this is what a run is
+        measured from, and no :class:`~repro.sim.trace.Span` is built.
+        """
+        if self._starts is None or self._ends is None:
+            raise RuntimeError("timed_jobs requires a completed replay")
+        starts = self._starts[:, 0]
+        ends = self._ends[:, 0]
+        lo, hi = window
+        slots = np.flatnonzero((ends > starts) & (ends > lo) & (starts < hi))
+        handles = self._handles
+        return [
+            (start, end, handles[slot].category)
+            for slot, start, end in zip(
+                slots.tolist(), starts[slots].tolist(), ends[slots].tolist()
+            )
+        ]
+
     def emit_spans(self, tracer) -> None:
         """Record every positive-duration per-rank job into ``tracer``.
 
         The same spans the event kernel's streams would have recorded,
         slot by slot; a collective's rank-r span runs from that rank's
-        *arrival* to the shared end.
+        *arrival* to the shared end.  Only runs that asked for a trace
+        pay for this: measurement reads :meth:`timed_jobs` instead.
         """
         if self._starts is None or self._ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
@@ -522,9 +546,9 @@ def replay(
     """Replay structurally identical recordings; returns final times.
 
     Sets each timeline's per-rank start/end arrays and ``final_time``
-    (so :class:`JobSet` handles and downstream measurement code read
-    them), and emits spans into the matching ``tracers`` entry when it
-    is not ``None``.  Raises :class:`BatchMismatch` when the
+    (so :class:`JobSet` handles and :meth:`Timeline.timed_jobs` read
+    them), and emits spans into the matching ``tracers`` entry only when
+    it is not ``None``.  Raises :class:`BatchMismatch` when the
     :meth:`Timeline.signature` values differ.
     """
     timelines = list(timelines)

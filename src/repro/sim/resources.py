@@ -127,11 +127,15 @@ class Stream:
     triggers — exactly the semantics of ``cudaStreamWaitEvent``.
 
     All executed spans are recorded into the optional :class:`Tracer`
-    under this stream's ``actor`` label.
+    under this stream's ``actor`` label.  Alternatively, each
+    positive-duration job is appended as ``(actor, job)``, when it
+    completes, to the optional ``log`` list, which several streams may
+    share.
     """
 
-    __slots__ = ("_sim", "name", "actor", "_tracer", "_queue", "_idle_since",
-                 "busy_time", "jobs_completed", "jobs_submitted", "_current")
+    __slots__ = ("_sim", "name", "actor", "_tracer", "_log", "_queue",
+                 "_idle_since", "busy_time", "jobs_completed",
+                 "jobs_submitted", "_current")
 
     def __init__(
         self,
@@ -139,11 +143,13 @@ class Stream:
         name: str,
         tracer: Optional[Tracer] = None,
         actor: str = "",
+        log: Optional[list] = None,
     ):
         self._sim = sim
         self.name = name
         self.actor = actor or name
         self._tracer = tracer
+        self._log = log
         self._queue = FifoQueue(sim, name=f"{name}.jobs")
         self._idle_since = 0.0
         self.busy_time = 0.0
@@ -221,14 +227,17 @@ class Stream:
             job.end = self._sim.now
             self.busy_time += job.end - job.start
             self.jobs_completed += 1
-            if self._tracer is not None and job.end > job.start:
-                self._tracer.record(
-                    name=job.name,
-                    category=job.category,
-                    actor=self.actor,
-                    start=job.start,
-                    end=job.end,
-                    metadata=job.metadata,
-                )
+            if job.end > job.start:
+                if self._log is not None:
+                    self._log.append((self.actor, job))
+                if self._tracer is not None:
+                    self._tracer.record(
+                        name=job.name,
+                        category=job.category,
+                        actor=self.actor,
+                        start=job.start,
+                        end=job.end,
+                        metadata=job.metadata,
+                    )
             self._current = None
             job.done.succeed(job if result is None else result)

@@ -14,6 +14,11 @@ The tracer supports:
   how the paper's Fig. 8 defines the exposed communication time ("the
   communication time excludes the part hidden by computations").
 
+The exposed-time arithmetic itself (:func:`clip_to_window`,
+:func:`exposed_times`) reads plain ``(start, end, category)`` triples,
+so a run is measured from its engine's job timestamps whether or not
+anyone asked for spans; :class:`Tracer` is only built for a trace.
+
 The export is deterministic: events are emitted in sorted order and
 timestamps are rounded to picosecond resolution, so two tracers holding
 the same spans — e.g. the event kernel's and the vectorized replay's,
@@ -29,13 +34,23 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
+    "COMM_CATEGORIES",
+    "COMPUTE_CATEGORIES",
     "Span",
     "Tracer",
     "actor_sort_index",
+    "clip_to_window",
+    "exposed_times",
     "merge_intervals",
     "subtract_intervals",
     "total_length",
 ]
+
+#: Job categories of communication, in the order the engines emit them.
+COMM_CATEGORIES = ("comm.ar", "comm.rs", "comm.ag", "comm.a2a", "comm.p2p")
+
+#: Job categories that *hide* communication (Fig. 8's definition).
+COMPUTE_CATEGORIES = ("ff", "bp", "compute")
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,50 @@ def total_length(intervals: Iterable[tuple[float, float]]) -> float:
     return sum(end - start for start, end in merge_intervals(intervals))
 
 
+def clip_to_window(
+    jobs: Iterable[tuple[float, float, str]], window: tuple[float, float]
+) -> dict[str, list[tuple[float, float]]]:
+    """Each category's job intervals clipped to ``window``.
+
+    ``jobs`` yields ``(start, end, category)``; jobs that do not overlap
+    the open window are dropped.
+    """
+    lo, hi = window
+    clipped: dict[str, list[tuple[float, float]]] = {}
+    for start, end, category in jobs:
+        if end > lo and start < hi:
+            intervals = clipped.get(category)
+            if intervals is None:
+                intervals = clipped[category] = []
+            intervals.append((max(start, lo), min(end, hi)))
+    return clipped
+
+
+def exposed_times(
+    clipped: dict[str, list[tuple[float, float]]],
+    groups: Sequence[Sequence[str]],
+) -> list[float]:
+    """Per group of categories, its time not covered by compute.
+
+    ``clipped`` comes from :func:`clip_to_window`; compute is every
+    category in :data:`COMPUTE_CATEGORIES`.  This is Fig. 8's exposed
+    communication time.  A group with nothing exposed sums to the
+    integer ``0``, as :func:`total_length` does.
+    """
+    holes = merge_intervals(
+        interval
+        for category in COMPUTE_CATEGORIES
+        for interval in clipped.get(category, ())
+    )
+    return [
+        total_length(subtract_intervals(
+            [interval for category in group for interval in clipped.get(category, ())],
+            holes,
+        ))
+        for group in groups
+    ]
+
+
 #: Ordering of actor *kinds* within one rank's row group: compute above
 #: its comm stream, anything else (coordinator lanes, network actors)
 #: below.  Keyed by the suffix after the last ``.`` of the actor name.
@@ -145,6 +204,9 @@ class Tracer:
 
     def __init__(self):
         self.spans: list[Span] = []
+        #: the steady-state window the run was measured over, when a
+        #: scheduler measured it; never serialised.
+        self.window: Optional[tuple[float, float]] = None
         #: explicit counter samples: (track name, time, value).
         self.counter_samples: list[tuple[str, float, float]] = []
         #: instant events: (name, category, time, args) — zero-duration

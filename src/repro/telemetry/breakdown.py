@@ -2,18 +2,29 @@
 
 Splits the steady-state iteration window of a :class:`Tracer` into
 per-category **total**, **hidden** (overlapped by compute), and
-**exposed** (non-overlapped) time.  The arithmetic mirrors
-``repro.schedulers.base._exposed`` operation for operation — same
-clipping, same interval subtraction, same summation — so the
-``comm (all)`` row of the table equals ``ScheduleResult.exposed_comm``
-exactly, not just approximately (the trace CLI asserts 1e-9 relative).
+**exposed** (non-overlapped) time.  Runs are measured from their job
+timestamps, not from spans (``Scheduler.measure``); this module feeds
+the spans of a traced run — the same timestamps — through the same
+helpers (:func:`~repro.sim.trace.clip_to_window`,
+:func:`~repro.sim.trace.exposed_times`) with the same category sets
+(:data:`~repro.sim.trace.COMM_CATEGORIES`,
+:data:`~repro.sim.trace.COMPUTE_CATEGORIES`), so the ``comm (all)`` row
+of a single-rank trace equals ``ScheduleResult.exposed_comm`` exactly
+(the trace CLI checks equality).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.trace import Tracer, subtract_intervals, total_length
+from repro.sim.trace import (
+    COMM_CATEGORIES,
+    COMPUTE_CATEGORIES,
+    Tracer,
+    clip_to_window,
+    exposed_times,
+    total_length,
+)
 
 __all__ = [
     "CategoryBreakdown",
@@ -23,12 +34,6 @@ __all__ = [
     "trace_breakdown",
     "format_breakdown_table",
 ]
-
-#: Communication categories, in the order the scheduler engine emits.
-COMM_CATEGORIES = ("comm.ar", "comm.rs", "comm.ag")
-
-#: Compute categories that *hide* communication (Fig. 8's definition).
-COMPUTE_CATEGORIES = ("ff", "bp")
 
 
 @dataclass(frozen=True)
@@ -45,13 +50,16 @@ class CategoryBreakdown:
 
 
 def steady_state_window(tracer: Tracer) -> tuple[float, float]:
-    """The last full iteration: between the two final first-FF spans.
+    """The last full iteration: between the two final first-FF starts.
 
-    Every scheduler submits its feed-forward pass through
-    ``IterationContext.submit_ff_layer``, so each iteration ``i`` opens
-    with a span named ``ff.<i>.0``; the window between the last two of
-    those starts is exactly the one ``Scheduler.run`` measures.
+    A tracer returned by a scheduler run carries the window its run was
+    measured over (``tracer.window``), whatever the schedule's span
+    names.  Otherwise the window is found from the layer-wise spans:
+    each iteration ``i`` opens with a span named ``ff.<i>.0``, and the
+    window lies between the last two of those starts.
     """
+    if tracer.window is not None:
+        return tracer.window
     starts: list[tuple[int, float]] = []
     for span in tracer.spans:
         if span.category != "ff" or not span.name.startswith("ff."):
@@ -71,44 +79,25 @@ def steady_state_window(tracer: Tracer) -> tuple[float, float]:
     return starts[-2][1], starts[-1][1]
 
 
-def _clip(
-    intervals: list[tuple[float, float]], window: tuple[float, float]
-) -> list[tuple[float, float]]:
-    lo, hi = window
-    return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
+def _timed_spans(tracer: Tracer):
+    return ((span.start, span.end, span.category) for span in tracer.spans)
 
 
 def exposed_in_window(
     tracer: Tracer, categories: tuple[str, ...], window: tuple[float, float]
 ) -> float:
-    """Non-overlapped time of ``categories`` within ``window``.
-
-    Bit-compatible with ``repro.schedulers.base._exposed``: identical
-    interval construction order and identical arithmetic.
-    """
-    comm: list[tuple[float, float]] = []
-    for category in categories:
-        comm.extend(
-            (span.start, span.end) for span in tracer.filter(category=category)
-        )
-    compute = [
-        (span.start, span.end)
-        for span in tracer.spans
-        if span.category in COMPUTE_CATEGORIES
-    ]
-    return total_length(subtract_intervals(_clip(comm, window), _clip(compute, window)))
+    """Time of ``categories`` within ``window`` not hidden by compute."""
+    return exposed_times(clip_to_window(_timed_spans(tracer), window), [categories])[0]
 
 
 def total_in_window(
     tracer: Tracer, categories: tuple[str, ...], window: tuple[float, float]
 ) -> float:
     """Busy time of ``categories`` within ``window`` (overlaps once)."""
-    intervals: list[tuple[float, float]] = []
-    for category in categories:
-        intervals.extend(
-            (span.start, span.end) for span in tracer.filter(category=category)
-        )
-    return total_length(_clip(intervals, window))
+    clipped = clip_to_window(_timed_spans(tracer), window)
+    return total_length(
+        interval for category in categories for interval in clipped.get(category, ())
+    )
 
 
 def trace_breakdown(
@@ -118,8 +107,8 @@ def trace_breakdown(
 
     Compute categories are never "hidden" (they define the hiding), so
     their exposed time equals their total.  A synthetic ``comm (all)``
-    row aggregates the three collective categories the way Fig. 8 does
-    — its exposed value is the ``ScheduleResult.exposed_comm`` number.
+    row aggregates every collective category the way Fig. 8 does — its
+    exposed value is the ``ScheduleResult.exposed_comm`` number.
     """
     if window is None:
         window = steady_state_window(tracer)
@@ -134,10 +123,7 @@ def trace_breakdown(
         else:
             exposed = total
         rows.append(CategoryBreakdown(category, total, exposed))
-    comm_present = tuple(
-        c for c in COMM_CATEGORIES if any(r.category == c for r in rows)
-    )
-    if comm_present:
+    if any(row.category in COMM_CATEGORIES for row in rows):
         rows.append(
             CategoryBreakdown(
                 "comm (all)",

@@ -14,8 +14,9 @@ attached and writes three artifacts:
   into per-category total / hidden / exposed time (the Fig. 8 view).
 
 The exposed-communication figure printed in the table is recomputed
-from the trace and cross-checked against ``ScheduleResult.exposed_comm``
-to 1e-9 relative; a mismatch exits non-zero, making the command a
+from the trace and cross-checked against ``ScheduleResult.exposed_comm``,
+which the run measured from its job timestamps without spans; the two
+must be equal, and a mismatch exits non-zero, making the command a
 self-validating smoke test of the whole telemetry path.
 
 The command is a thin shell over the stable facade (:mod:`repro.api`):
@@ -28,7 +29,6 @@ attaches a whole-run link-degradation fault, which shows up as
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -225,7 +225,7 @@ def trace_main(argv: list[str]) -> int:
     model, cluster = config.model, config.cluster
 
     try:
-        result = run_simulation(config)
+        result = run_simulation(config, trace=True)
     except (KeyError, ValueError, TypeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -265,9 +265,7 @@ def trace_main(argv: list[str]) -> int:
     print(f"trace written to {trace_path} (load in ui.perfetto.dev)")
     print(f"metrics written to {metrics_path}")
 
-    matches = math.isclose(
-        trace_exposed, result.exposed_comm, rel_tol=1e-9, abs_tol=1e-12
-    )
+    matches = trace_exposed == result.exposed_comm
     status = "OK" if matches else "MISMATCH"
     print(
         f"exposed-comm cross-check [{status}]: trace {trace_exposed:.9e} s "
@@ -276,7 +274,7 @@ def trace_main(argv: list[str]) -> int:
     if not matches:
         print(
             "error: trace-derived exposed communication disagrees with the "
-            "simulator's (tolerance 1e-9 relative)",
+            "simulator's",
             file=sys.stderr,
         )
         return 1

@@ -13,14 +13,14 @@ class TestDiagnose:
     def test_compute_bound_on_fast_network(self):
         result = simulate(
             "dear", get_model("resnet50"), cluster_100gbib(),
-            fusion="buffer", buffer_bytes=25e6,
+            fusion="buffer", buffer_bytes=25e6, trace=True,
         )
         diagnosis = diagnose(result)
         assert diagnosis.bottleneck == "compute"
         assert "hidden" in diagnosis.suggestion
 
     def test_communication_bound_on_slow_network(self):
-        result = simulate("wfbp", get_model("bert_large"), cluster_10gbe())
+        result = simulate("wfbp", get_model("bert_large"), cluster_10gbe(), trace=True)
         diagnosis = diagnose(result)
         assert diagnosis.bottleneck == "communication"
 
@@ -28,29 +28,30 @@ class TestDiagnose:
         for scheduler in ("serial", "wfbp", "dear"):
             options = {"fusion": "none"} if scheduler == "dear" else {}
             result = simulate(
-                scheduler, get_model("resnet50"), cluster_10gbe(), **options
+                scheduler, get_model("resnet50"), cluster_10gbe(), trace=True,
+                **options,
             )
             diagnosis = diagnose(result)
             assert 0.0 <= diagnosis.overlap_efficiency <= 1.0
             assert 0.0 <= diagnosis.comm_stream_utilisation <= 1.0 + 1e-9
 
     def test_serial_has_zero_overlap(self):
-        result = simulate("serial", get_model("resnet50"), cluster_10gbe())
+        result = simulate("serial", get_model("resnet50"), cluster_10gbe(), trace=True)
         diagnosis = diagnose(result)
         assert diagnosis.overlap_efficiency == pytest.approx(0.0, abs=1e-9)
 
     def test_dear_overlaps_more_than_wfbp(self):
         model = get_model("resnet50")
-        wfbp = diagnose(simulate("wfbp", model, cluster_10gbe()))
+        wfbp = diagnose(simulate("wfbp", model, cluster_10gbe(), trace=True))
         dear = diagnose(
-            simulate("dear", model, cluster_10gbe(), fusion="none")
+            simulate("dear", model, cluster_10gbe(), fusion="none", trace=True)
         )
         assert dear.overlap_efficiency > wfbp.overlap_efficiency
 
     def test_collective_count_matches_fusion(self):
         model = get_model("resnet50")
         result = simulate(
-            "dear", model, cluster_10gbe(), fusion="buffer", buffer_bytes=25e6
+            "dear", model, cluster_10gbe(), fusion="buffer", buffer_bytes=25e6, trace=True
         )
         diagnosis = diagnose(result)
         from repro.core.fusion import buffer_size_groups
@@ -61,7 +62,7 @@ class TestDiagnose:
     def test_startup_fraction_with_fabric_info(self):
         model = get_model("densenet201")
         cost = CollectiveTimeModel(cluster_10gbe())
-        unfused = simulate("wfbp", model, cluster_10gbe())
+        unfused = simulate("wfbp", model, cluster_10gbe(), trace=True)
         diagnosis = diagnose(
             unfused, alpha=cost.alpha, world_size=cost.world_size
         )
@@ -70,12 +71,12 @@ class TestDiagnose:
         assert "fuse" in diagnosis.suggestion
 
     def test_startup_fraction_zero_without_fabric_info(self):
-        result = simulate("wfbp", get_model("resnet50"), cluster_10gbe())
+        result = simulate("wfbp", get_model("resnet50"), cluster_10gbe(), trace=True)
         assert diagnose(result).startup_fraction == 0.0
 
     def test_describe_is_readable(self):
         result = simulate("horovod", get_model("bert_base"), cluster_10gbe(),
-                          buffer_bytes=25e6)
+                          buffer_bytes=25e6, trace=True)
         text = diagnose(result).describe()
         assert "horovod" in text
         assert "suggestion:" in text

@@ -55,9 +55,9 @@ class TestEmptyPlanBitIdentity:
     def test_chrome_trace_byte_identical(self, scheduler, tiny_model,
                                          ethernet_cluster):
         healthy = simulate(scheduler, tiny_model, ethernet_cluster,
-                           iterations=ITERATIONS)
+                           iterations=ITERATIONS, trace=True)
         empty = simulate(scheduler, tiny_model, ethernet_cluster,
-                         iterations=ITERATIONS, faults=FaultPlan())
+                         iterations=ITERATIONS, faults=FaultPlan(), trace=True)
         assert empty.tracer.to_chrome_trace() == healthy.tracer.to_chrome_trace()
 
 
@@ -105,9 +105,9 @@ class TestTimingInflation:
     def test_timing_faults_are_deterministic(self, tiny_model,
                                              ethernet_cluster):
         a = simulate("dear", tiny_model, ethernet_cluster,
-                     iterations=ITERATIONS, faults=SLOW_LINK)
+                     iterations=ITERATIONS, faults=SLOW_LINK, trace=True)
         b = simulate("dear", tiny_model, ethernet_cluster,
-                     iterations=ITERATIONS, faults=SLOW_LINK)
+                     iterations=ITERATIONS, faults=SLOW_LINK, trace=True)
         assert a.iteration_times == b.iteration_times
         assert a.tracer.to_chrome_trace() == b.tracer.to_chrome_trace()
 
@@ -135,10 +135,10 @@ class TestFastPathEngines:
     def test_faulty_fastpath_matches_event_kernel(self, plan, tiny_model,
                                                   ethernet_cluster):
         fast = simulate("dear", tiny_model, ethernet_cluster,
-                        iterations=ITERATIONS, faults=plan, fastpath=True)
+                        iterations=ITERATIONS, faults=plan, fastpath=True, trace=True)
         event_only = simulate("dear", tiny_model, ethernet_cluster,
                               iterations=ITERATIONS, faults=plan,
-                              fastpath=False)
+                              fastpath=False, trace=True)
         assert fast.iteration_times == event_only.iteration_times
         assert fast.extras["timing_faults"] == event_only.extras["timing_faults"]
         assert fast.tracer.to_chrome_trace() == event_only.tracer.to_chrome_trace()
@@ -148,7 +148,7 @@ class TestTraceInstants:
     def test_faulty_trace_carries_instant_events(self, tiny_model,
                                                  ethernet_cluster):
         result = simulate("dear", tiny_model, ethernet_cluster,
-                          iterations=ITERATIONS, faults=SLOW_LINK)
+                          iterations=ITERATIONS, faults=SLOW_LINK, trace=True)
         trace = json.loads(result.tracer.to_chrome_trace())
         instants = [e for e in trace["traceEvents"] if e.get("ph") == "i"]
         assert instants
@@ -161,7 +161,7 @@ class TestTraceInstants:
     def test_healthy_trace_has_no_instants(self, tiny_model,
                                            ethernet_cluster):
         result = simulate("dear", tiny_model, ethernet_cluster,
-                          iterations=ITERATIONS)
+                          iterations=ITERATIONS, trace=True)
         trace = json.loads(result.tracer.to_chrome_trace())
         assert not [e for e in trace["traceEvents"] if e.get("ph") == "i"]
 

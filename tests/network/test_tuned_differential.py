@@ -35,8 +35,8 @@ def _spans(result):
 def test_auto_without_table_is_bit_identical(scheduler):
     model = get_model("resnet50")
     cluster = cluster_10gbe()
-    ring = simulate(scheduler, model, cluster, iterations=3)
-    auto = simulate(scheduler, model, cluster, iterations=3, algorithm="auto")
+    ring = simulate(scheduler, model, cluster, iterations=3, trace=True)
+    auto = simulate(scheduler, model, cluster, iterations=3, algorithm="auto", trace=True)
     assert auto.iteration_time == ring.iteration_time
     assert auto.iteration_times == ring.iteration_times
     assert _spans(auto) == _spans(ring)

@@ -95,7 +95,7 @@ class TestDeARProperties:
         cost = CollectiveTimeModel(cluster_10gbe())
         result = get_scheduler(
             "dear", fusion="buffer", buffer_bytes=buffer_mb * 1e6
-        ).run(timing, cost, iterations=3)
+        ).run(timing, cost, iterations=3, trace=True)
         spans = [
             s for s in result.tracer.spans
             if s.category in ("comm.rs", "comm.ag") and s.metadata["iteration"] == 1
@@ -112,7 +112,7 @@ class TestDeARProperties:
         any AG of iteration k starts."""
         timing = TimingModel.for_model(model, iteration_compute=0.02)
         cost = CollectiveTimeModel(cluster_10gbe())
-        result = get_scheduler("dear", fusion="none").run(timing, cost, iterations=3)
+        result = get_scheduler("dear", fusion="none").run(timing, cost, iterations=3, trace=True)
         for iteration in range(3):
             rs_ends = [
                 s.end for s in result.tracer.filter(category="comm.rs")

@@ -128,7 +128,7 @@ class TestMGWFBP:
         merge, so the plan has one group per layer and MG-WFBP is at
         least as fast as per-tensor WFBP."""
         wfbp = get_scheduler("wfbp").run(timing, cost)
-        mg = get_scheduler("mg_wfbp", startup_scale=0.0).run(timing, cost)
+        mg = get_scheduler("mg_wfbp", startup_scale=0.0).run(timing, cost, trace=True)
         assert mg.iteration_time <= wfbp.iteration_time + 1e-12
         spans = [
             s for s in mg.tracer.filter(category="comm.ar")
@@ -156,9 +156,9 @@ class TestByteScheduler:
 
     def test_partitioning_increases_collective_count(self, timing, cost):
         coarse = get_scheduler("bytescheduler", negotiate=False,
-                               partition_bytes=1e9).run(timing, cost)
+                               partition_bytes=1e9).run(timing, cost, trace=True)
         fine = get_scheduler("bytescheduler", negotiate=False,
-                             partition_bytes=50e3).run(timing, cost)
+                             partition_bytes=50e3).run(timing, cost, trace=True)
         count = lambda r: len(r.tracer.filter(category="comm.ar"))
         assert count(fine) > count(coarse)
 
@@ -189,7 +189,7 @@ class TestByteScheduler:
     def test_credit_completes_all_partitions(self, tiny, timing, cost):
         result = get_scheduler(
             "bytescheduler", credit=2, partition_bytes=100e3
-        ).run(timing, cost, iterations=3)
+        ).run(timing, cost, iterations=3, trace=True)
         import math
 
         expected = 3 * sum(
@@ -203,7 +203,7 @@ class TestByteScheduler:
         import math
 
         result = get_scheduler("bytescheduler", partition_bytes=100e3).run(
-            timing, cost, iterations=3
+            timing, cost, iterations=3, trace=True
         )
         expected_per_iter = sum(
             max(1, math.ceil(t.nbytes / 100e3))
@@ -220,7 +220,7 @@ class TestDeAR:
         assert dear.iteration_time < wfbp.iteration_time
 
     def test_rs_and_ag_collective_counts(self, tiny, timing, cost):
-        result = get_scheduler("dear", fusion="none").run(timing, cost, iterations=3)
+        result = get_scheduler("dear", fusion="none").run(timing, cost, iterations=3, trace=True)
         rs = result.tracer.filter(category="comm.rs")
         ag = result.tracer.filter(category="comm.ag")
         assert len(rs) == len(ag) == 3 * tiny.num_tensors
@@ -259,7 +259,7 @@ class TestDeAR:
 
     def test_ag_issued_in_forward_order(self, timing, cost):
         result = get_scheduler("dear", fusion="buffer", buffer_bytes=200e3).run(
-            timing, cost
+            timing, cost, trace=True
         )
         ag_spans = [
             span for span in result.tracer.filter(category="comm.ag")

@@ -32,7 +32,7 @@ class TestZeROSchedule:
     def test_three_collective_phases_per_group(self, tiny, timing, cost):
         """Per iteration: forward AG + backward AG + gradient RS."""
         result = get_scheduler("zero", buffer_bytes=None).run(timing, cost,
-                                                              iterations=3)
+                                                              iterations=3, trace=True)
         ag = [
             s for s in result.tracer.filter(category="comm.ag")
             if s.metadata["iteration"] == 1
@@ -46,9 +46,9 @@ class TestZeROSchedule:
 
     def test_volume_is_1_5x_dear(self, tiny, timing, cost):
         """The §VII-B claim: 3m vs DeAR's 2m per iteration."""
-        zero = get_scheduler("zero", buffer_bytes=25e6).run(timing, cost)
+        zero = get_scheduler("zero", buffer_bytes=25e6).run(timing, cost, trace=True)
         dear = get_scheduler("dear", fusion="buffer", buffer_bytes=25e6).run(
-            timing, cost
+            timing, cost, trace=True
         )
 
         def volume(result):
@@ -69,7 +69,7 @@ class TestZeROSchedule:
 
     def test_forward_gather_precedes_layer_compute(self, timing, cost):
         result = get_scheduler("zero", buffer_bytes=None).run(timing, cost,
-                                                              iterations=3)
+                                                              iterations=3, trace=True)
         # For each forward gather of iteration 2, the matching FF span
         # must start no earlier than the gather ends.
         gathers = {

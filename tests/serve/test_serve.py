@@ -9,6 +9,7 @@ the CI serve-smoke job asserts on.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -191,6 +192,67 @@ class TestFailureIsolation:
         # The good spec's result was computed and cached despite its
         # neighbour: a repeat is a plain hit.
         assert self._status(slow_window, PAYLOAD) == 200
+
+
+class TestCancelledRequests:
+    """A request that timed out is withdrawn, not computed for nobody."""
+
+    def test_timed_out_spec_is_never_computed(self, tmp_path, monkeypatch):
+        from repro.api import config_from_payload
+        from repro.serve import daemon
+
+        first_batch_started = threading.Event()
+        release_first_batch = threading.Event()
+        computed: list[list[str]] = []
+        real_run_many = daemon.run_many
+
+        def spy(specs, **kwargs):
+            computed.append([spec.fingerprint for spec in specs])
+            if len(computed) == 1:
+                first_batch_started.set()
+                release_first_batch.wait(timeout=60.0)
+            return real_run_many(specs, **kwargs)
+
+        monkeypatch.setattr(daemon, "run_many", spy)
+        server = SimulationServer(
+            port=0, cache=ResultCache(root=tmp_path / "serve-cache"),
+            batch_window=0.0, jobs=1, request_timeout=0.2,
+        ).start()
+        client = ServeClient(server.url, timeout=60.0)
+        slow = {**PAYLOAD, "iterations": 3}
+        orphan = {**PAYLOAD, "iterations": 5}
+        shared = {**PAYLOAD, "iterations": 6}
+
+        def status(payload):
+            try:
+                client.simulate(payload)
+            except ServeError as exc:
+                return exc.status
+            return 200
+
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                # The first batch blocks the batcher; everything sent
+                # meanwhile queues behind it and times out.
+                first = pool.submit(status, slow)
+                assert first_batch_started.wait(timeout=60.0)
+                timed_out = list(pool.map(status, [orphan, shared]))
+                assert timed_out == [504, 504]
+                # A live waiter for one of the withdrawn specs.
+                live = server.batcher.submit(config_from_payload(shared).to_spec())
+                release_first_batch.set()
+                result = live.result(timeout=60.0)
+                first.result(timeout=60.0)
+        finally:
+            release_first_batch.set()
+            server.shutdown()
+
+        def fingerprint(payload):
+            return config_from_payload(payload).to_spec().fingerprint
+
+        assert result.iteration_time > 0
+        assert computed == [[fingerprint(slow)], [fingerprint(shared)]]
+        assert fingerprint(orphan) not in {fp for batch in computed for fp in batch}
 
 
 class TestShutdown:

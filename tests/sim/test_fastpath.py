@@ -233,9 +233,9 @@ class TestFastPathToggle:
 
 def _run_both(scheduler_name, timing, cost, monkeypatch, **options):
     monkeypatch.setenv("DEAR_FASTPATH", "1")
-    fast = get_scheduler(scheduler_name, **options).run(timing, cost)
+    fast = get_scheduler(scheduler_name, **options).run(timing, cost, trace=True)
     monkeypatch.setenv("DEAR_FASTPATH", "0")
-    slow = get_scheduler(scheduler_name, **options).run(timing, cost)
+    slow = get_scheduler(scheduler_name, **options).run(timing, cost, trace=True)
     return fast, slow
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.models.zoo import get_model
+from repro.network.presets import cluster_10gbe
 from repro.schedulers.base import simulate
 from repro.sim.trace import Tracer
 from repro.telemetry.breakdown import (
@@ -12,6 +14,7 @@ from repro.telemetry.breakdown import (
     total_in_window,
     trace_breakdown,
 )
+from repro.workloads import WORKLOAD_NAMES
 
 
 def _two_iteration_tracer() -> Tracer:
@@ -48,6 +51,23 @@ class TestSteadyStateWindow:
         tracer.record("ff.1.0", "ff", "gpu", 6.0, 7.0)
         tracer.record("ff.0.0", "ff", "gpu", 0.0, 1.0)
         assert steady_state_window(tracer) == (0.0, 6.0)
+
+    def test_measured_window_wins(self):
+        tracer = _two_iteration_tracer()
+        tracer.window = (1.0, 2.0)
+        assert steady_state_window(tracer) == (1.0, 2.0)
+
+    def test_window_is_not_serialised(self):
+        tracer = _two_iteration_tracer()
+        before = tracer.to_chrome_trace()
+        tracer.window = (0.0, 6.0)
+        assert tracer.to_chrome_trace() == before
+
+    def test_traced_run_records_its_window(self, tiny_model, ethernet_cluster):
+        result = simulate("wfbp", tiny_model, ethernet_cluster,
+                          iteration_compute=0.03, trace=True)
+        window = result.tracer.window
+        assert window[1] - window[0] == result.iteration_time
 
 
 class TestWindowArithmetic:
@@ -114,7 +134,7 @@ class TestTraceBreakdown:
         """
         result = simulate(
             scheduler, tiny_model, ethernet_cluster,
-            iteration_compute=0.03, **options,
+            iteration_compute=0.03, trace=True, **options,
         )
         window = steady_state_window(result.tracer)
         rows = trace_breakdown(result.tracer, window)
@@ -143,3 +163,25 @@ class TestFormatTable:
         rows = [CategoryBreakdown("ff", 0.0, 0.0)]
         text = format_breakdown_table(rows, (1.0, 1.0))
         assert "0.0%" in text
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+@pytest.mark.parametrize("scheduler,options", [
+    ("wfbp", {}),
+    ("dear", {"fusion": "buffer", "buffer_bytes": 25e6}),
+])
+def test_comm_all_matches_exposed_comm_on_workload_dags(scheduler, options, workload):
+    """Every collective category, and every compute category, counts.
+
+    DAG workloads add all-to-all and point-to-point traffic and generic
+    ``compute`` kernels, and their first forward kernels are not named
+    ``ff.<i>.0``: the table must still find the measured window and
+    agree with the run exactly.
+    """
+    result = simulate(
+        scheduler, get_model("resnet50"), cluster_10gbe(), workload=workload,
+        trace=True, **options,
+    )
+    rows = trace_breakdown(result.tracer)
+    comm_all = next(row for row in rows if row.category == "comm (all)")
+    assert comm_all.exposed == result.exposed_comm

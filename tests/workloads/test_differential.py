@@ -46,11 +46,11 @@ def cost():
 def _run_both(scheduler_name, timing, cost, workload, monkeypatch, **options):
     monkeypatch.setenv("DEAR_FASTPATH", "1")
     fast = get_scheduler(scheduler_name, **options).run(
-        timing, cost, iterations=ITERATIONS, workload=workload
+        timing, cost, iterations=ITERATIONS, workload=workload, trace=True
     )
     monkeypatch.setenv("DEAR_FASTPATH", "0")
     slow = get_scheduler(scheduler_name, **options).run(
-        timing, cost, iterations=ITERATIONS, workload=workload
+        timing, cost, iterations=ITERATIONS, workload=workload, trace=True
     )
     return fast, slow
 
