@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.schedulers.base import ScheduleResult
-from repro.sim.trace import total_length
+from repro.sim.trace import COMM_CATEGORIES, total_length
 from repro.telemetry.breakdown import steady_state_window
 
 __all__ = ["Diagnosis", "diagnose"]
@@ -94,13 +94,13 @@ def diagnose(result: ScheduleResult, alpha: float = 0.0,
 
     ``alpha``/``world_size`` (optional) enable the startup-fraction
     estimate: each traced collective is charged ``rounds * alpha`` of
-    latency per the ring round count.
+    latency per the ring round count (all-to-all: ``world_size - 1``
+    pairwise rounds; point-to-point: one).
     """
     if result.tracer is None:
         raise ValueError(
             "result carries no tracer; re-run the scheduler with trace=True"
         )
-    comm_categories = ("comm.ar", "comm.rs", "comm.ag")
     # The steady-state window the scheduler measured.
     window = steady_state_window(result.tracer)
 
@@ -109,7 +109,7 @@ def diagnose(result: ScheduleResult, alpha: float = 0.0,
 
     comm_spans = [
         span for span in result.tracer.spans
-        if span.category in comm_categories and in_window(span)
+        if span.category in COMM_CATEGORIES and in_window(span)
     ]
     total_comm = total_length(
         (max(span.start, window[0]), min(span.end, window[1]))
@@ -124,6 +124,8 @@ def diagnose(result: ScheduleResult, alpha: float = 0.0,
             "comm.ar": 2 * (world_size - 1),
             "comm.rs": world_size - 1,
             "comm.ag": world_size - 1,
+            "comm.a2a": world_size - 1,
+            "comm.p2p": 1,
         }
         startup = sum(
             rounds_per_collective[span.category] * alpha for span in comm_spans

@@ -24,6 +24,8 @@ this is the surface that stays stable.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -32,6 +34,7 @@ import numpy as np
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.models.layers import ModelSpec
 from repro.models.zoo import get_model
+from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.network.presets import paper_testbed
 from repro.schedulers.base import (
@@ -265,22 +268,69 @@ def config_from_payload(payload: dict) -> SimulationConfig:
         raise ValueError(f"config payload missing required fields: {missing}")
     if not isinstance(payload["model"], str) or not isinstance(payload["cluster"], str):
         raise ValueError("model and cluster must be registry names on the wire")
-    options = payload.get("options") or {}
+    options = payload.get("options")
+    if options is None:
+        options = {}
     if not isinstance(options, dict):
         raise ValueError(f"options must be an object, got {type(options).__name__}")
+    shadowed = sorted(set(options) & _SIMULATE_PARAMETERS)
+    if shadowed:
+        raise ValueError(f"options may not set simulate() parameters: {shadowed}")
+    algorithm = payload.get("algorithm", "ring")
+    if not isinstance(algorithm, str) or algorithm not in CollectiveTimeModel.ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; "
+            f"known: {list(CollectiveTimeModel.ALGORITHMS)}"
+        )
+    workload = payload.get("workload")
+    if workload is not None and not isinstance(workload, str):
+        raise ValueError(f"workload must be a registry name, got {workload!r}")
     faults = payload.get("faults")
     return SimulationConfig.create(
         payload["scheduler"],
         payload["model"],
         payload["cluster"],
-        batch_size=payload.get("batch_size"),
-        algorithm=payload.get("algorithm", "ring"),
-        iterations=payload.get("iterations", DEFAULT_ITERATIONS),
-        iteration_compute=payload.get("iteration_compute"),
+        batch_size=_wire_number(payload, "batch_size", None, integer=True, above=0),
+        algorithm=algorithm,
+        iterations=_wire_number(
+            payload, "iterations", DEFAULT_ITERATIONS, integer=True, above=2
+        ),
+        iteration_compute=_wire_number(
+            payload, "iteration_compute", None, integer=False, above=0
+        ),
         faults=None if faults is None else FaultPlan.from_payload(faults),
-        workload=payload.get("workload"),
+        workload=workload,
         **options,
     )
+
+
+#: Named ``simulate()`` parameters: a wire option with one of these
+#: names would collide with (or silently override) a config field.
+_SIMULATE_PARAMETERS = frozenset(
+    name for name, parameter in inspect.signature(simulate).parameters.items()
+    if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+)
+
+
+def _wire_number(payload: dict, key: str, default, integer: bool, above: float):
+    """``payload[key]`` checked to be a finite number ``> above``.
+
+    An absent key yields ``default``; ``None`` is accepted only where
+    ``default`` is ``None``.  JSON booleans are not numbers here.
+    """
+    value = payload.get(key, default)
+    if value is None and default is None:
+        return None
+    kinds = int if integer else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or (isinstance(value, float) and not math.isfinite(value))
+        or value <= above
+    ):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{key} must be {kind} > {above:g}, got {value!r}")
+    return value
 
 
 def run_simulation(config: SimulationConfig, cached: bool = False,

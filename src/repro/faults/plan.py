@@ -24,7 +24,7 @@ description — two runs of the same plan inject byte-identical faults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 __all__ = [
@@ -259,21 +259,24 @@ class FaultPlan:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultPlan":
-        """Inverse of :meth:`canonical_payload` (round-trip safe)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown fault-plan fields: {sorted(unknown)}")
-        data = dict(payload)
-        data["rank_failures"] = tuple(
-            RankFailure(**entry) for entry in data.get("rank_failures", ())
-        )
-        data["link_faults"] = tuple(
-            LinkFault(**entry) for entry in data.get("link_faults", ())
-        )
-        data["stragglers"] = tuple(
-            StragglerFault(**entry) for entry in data.get("stragglers", ())
-        )
+        """Inverse of :meth:`canonical_payload` (round-trip safe).
+
+        Any malformed payload — wrong shape, unknown or missing fields,
+        a value of the wrong JSON type — raises :class:`ValueError`.
+        """
+        data = _checked_fields(cls, payload, "fault-plan")
+        for name, entry_cls in (
+            ("rank_failures", RankFailure),
+            ("link_faults", LinkFault),
+            ("stragglers", StragglerFault),
+        ):
+            entries = data.get(name, ())
+            if not isinstance(entries, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {type(entries).__name__}")
+            data[name] = tuple(
+                entry_cls(**_checked_fields(entry_cls, entry, name))
+                for entry in entries
+            )
         return cls(**data)
 
     def label(self) -> str:
@@ -292,6 +295,36 @@ class FaultPlan:
         if self.stragglers:
             parts.append(f"stragglers={len(self.stragglers)}")
         return "faults(" + ", ".join(parts) + ")"
+
+
+#: JSON types accepted for a plan field, by its annotation.  Bools are
+#: JSON's own type, never a number.
+_WIRE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _checked_fields(cls, payload, where: str) -> dict:
+    """``payload`` as ``cls`` keyword arguments, or :class:`ValueError`."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be an object, got {type(payload).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(payload) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
+    missing = [
+        name for name, f in known.items()
+        if name not in payload
+        and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{where} missing required fields: {missing}")
+    for name, value in payload.items():
+        expected = _WIRE_TYPES.get(known[name].type)
+        if expected is not None and (
+            isinstance(value, bool) or not isinstance(value, expected)
+        ):
+            raise ValueError(f"{where} field {name!r} must be {known[name].type}, "
+                             f"got {value!r}")
+    return dict(payload)
 
 
 def normalize_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:

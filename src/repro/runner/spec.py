@@ -153,10 +153,15 @@ class RunSpec:
         entry is shared with every spec over the same model object:
         treat the payload as read-only.
         """
+        payload = self._own_payload()
+        payload["model"] = _model_payload(self.model)
+        payload["cluster"] = _cluster_payload(self.cluster)
+        return payload
+
+    def _own_payload(self) -> dict:
+        """:meth:`canonical_payload` without the model and the cluster."""
         payload = {
             "scheduler": self.scheduler,
-            "model": _model_payload(self.model),
-            "cluster": _public_fields(dataclasses.asdict(self.cluster)),
             "batch_size": self.batch_size,
             "algorithm": self.algorithm,
             "iterations": self.iterations,
@@ -180,13 +185,21 @@ class RunSpec:
         return payload
 
     def canonical_json(self) -> str:
-        """Deterministic serialisation: sorted keys, no whitespace."""
-        return json.dumps(
-            self.canonical_payload(),
-            sort_keys=True,
-            separators=(",", ":"),
-            default=_jsonify,
-        )
+        """Deterministic serialisation: sorted keys, no whitespace.
+
+        Byte-identical to ``json.dumps(self.canonical_payload(),
+        sort_keys=True, separators=(",", ":"), default=_jsonify)``, but
+        the object is assembled key by key from memoised texts of the
+        model and the cluster — most of the bytes and most of the
+        encoding work — so only the spec's own fields are serialised
+        per spec.
+        """
+        texts = {key: _dumps(value) for key, value in self._own_payload().items()}
+        texts["model"] = _model_json(self.model)
+        texts["cluster"] = _cluster_json(self.cluster)
+        return "{" + ",".join(
+            _dumps(key) + ":" + texts[key] for key in sorted(texts)
+        ) + "}"
 
     @property
     def fingerprint(self) -> str:
@@ -282,6 +295,42 @@ def _model_payload(model: ModelSpec) -> dict:
     return payload
 
 
+def _model_json(model: ModelSpec) -> str:
+    """Canonical JSON text of :func:`_model_payload`, cached beside it."""
+    text = model._tensor_cache.get("json")
+    if text is None:
+        text = _dumps(_model_payload(model))
+        model._tensor_cache["json"] = text
+    return text
+
+
+def _cluster_payload(cluster: ClusterSpec) -> dict:
+    return _public_fields(dataclasses.asdict(cluster))
+
+
+#: Canonical JSON text per cluster, keyed by ``repr``.  Clusters are
+#: rebuilt per request (``paper_testbed``), so an identity cache would
+#: never hit; ``==`` is no key either, since ``1 == 1.0`` and
+#: ``0.0 == -0.0`` while their JSON differs.  A ``ClusterSpec`` is a
+#: frozen dataclass of str/int/float/tuple fields, all in its repr, so
+#: equal reprs mean equal JSON.
+_CLUSTER_JSON: dict[str, str] = {}
+
+#: Distinct clusters remembered before the memo starts over.
+_CLUSTER_JSON_LIMIT = 256
+
+
+def _cluster_json(cluster: ClusterSpec) -> str:
+    """Canonical JSON text of :func:`_cluster_payload`, memoised."""
+    key = repr(cluster)
+    text = _CLUSTER_JSON.get(key)
+    if text is None:
+        if len(_CLUSTER_JSON) >= _CLUSTER_JSON_LIMIT:
+            _CLUSTER_JSON.clear()
+        text = _CLUSTER_JSON[key] = _dumps(_cluster_payload(cluster))
+    return text
+
+
 def _public_fields(value):
     """Recursively drop dict keys starting with an underscore."""
     if isinstance(value, dict):
@@ -300,3 +349,8 @@ def _jsonify(value):
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     raise TypeError(f"{value!r} is not canonically serialisable")
+
+
+def _dumps(value) -> str:
+    """The canonical encoding of one value: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_jsonify)

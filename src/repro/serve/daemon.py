@@ -5,17 +5,19 @@ One :class:`SimulationServer` owns two moving parts:
 - a stdlib ``ThreadingHTTPServer`` whose handler threads parse
   :func:`repro.api.config_from_payload` requests and block on a future;
 - one :class:`RequestBatcher` thread that drains the request queue in
-  micro-batches (window ``DEAR_SERVE_BATCH_WINDOW`` seconds), dedupes
-  identical specs by fingerprint, and computes each batch through
-  :func:`repro.runner.run_many` — which composes the content-addressed
-  cache, request dedup, and the config-axis batched replay.
+  micro-batches, dedupes identical specs by fingerprint, and computes
+  each batch through :func:`repro.runner.run_many` — which composes the
+  content-addressed cache, request dedup, and the config-axis batched
+  replay.  A batch closes as soon as no other request is still being
+  read; ``DEAR_SERVE_BATCH_WINDOW`` seconds is the longest it waits.
 
 Telemetry goes to the process metrics registry and is served at
 ``GET /v1/metrics``: ``serve.requests`` (by endpoint and status),
-``serve.batches`` / ``serve.batch_size``, ``serve.dedup_hits``,
-``serve.queue_depth``, ``serve.errors``; the runner layers underneath
-contribute ``runner.specs`` (cached/computed/deduped) and
-``runner.batched.*``.
+``serve.batches`` / ``serve.batch_size``, ``serve.window_closes`` (by
+reason), ``serve.request_seconds``, ``serve.queue_wait_seconds``,
+``serve.dedup_hits``, ``serve.queue_depth``, ``serve.errors``; the
+runner layers underneath contribute ``runner.specs``
+(cached/computed/deduped) and ``runner.batched.*``.
 
 Shutdown is always a drain: ``POST /v1/shutdown`` (or Ctrl-C) stops
 accepting work, finishes every queued request, then stops the listener.
@@ -28,10 +30,11 @@ import json
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.api import config_from_payload
 from repro.core.env import env_float
@@ -42,25 +45,38 @@ from repro.telemetry.registry import default_registry
 
 __all__ = ["RequestBatcher", "SimulationServer", "main"]
 
-#: Seconds the batcher waits after the first request of a batch so that
-#: concurrent clients coalesce into one config-axis replay.
+#: Longest the batcher waits, after the first request of a batch, for
+#: requests still being read so that concurrent clients coalesce into
+#: one config-axis replay.
 DEFAULT_BATCH_WINDOW = 0.01
 
 #: Seconds a handler thread waits for its result before answering 504.
 DEFAULT_REQUEST_TIMEOUT = 600.0
 
+#: Bucket bounds (seconds) of the request-latency histograms: a warm
+#: request takes milliseconds, a cold batch up to minutes.
+LATENCY_BUCKETS = (
+    0.0005, 0.001, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03,
+    0.05, 0.075, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 600.0,
+)
+
 
 class RequestBatcher:
     """Queue + worker thread turning concurrent requests into batches.
 
-    ``submit`` enqueues a spec and returns a future; the worker thread
-    sleeps for the batch window after waking, drains everything queued,
-    dedupes by fingerprint (every duplicate is a ``serve.dedup_hits``),
-    and resolves the unique specs with one :func:`run_many` call so the
-    cache and the batched replay see the whole batch at once.  A failing
-    spec fails only the requests that asked for it; a future cancelled
-    while queued (its request timed out) is dropped before dedup, so a
-    spec nobody waits for any more is never computed.
+    ``submit`` enqueues a spec and returns a future.  Once a batch has
+    its first request, the worker thread waits only while some other
+    request is still *arriving* (inside :meth:`arriving`: its body is
+    being read and validated), and never longer than ``batch_window``
+    seconds; a lone request is computed at once.  It then drains
+    everything queued, dedupes by fingerprint (every duplicate is a
+    ``serve.dedup_hits``), and resolves the unique specs with one
+    :func:`run_many` call so the cache and the batched replay see the
+    whole batch at once.  Under load, requests queue while the previous
+    batch computes and are drained together.  A failing spec fails only
+    the requests that asked for it; a future cancelled while queued (its
+    request timed out) is dropped before dedup, so a spec nobody waits
+    for any more is never computed.
     """
 
     def __init__(
@@ -76,8 +92,9 @@ class RequestBatcher:
         self.batch_window = batch_window
         self._jobs = jobs
         self._cache = cache
-        self._queue: deque[tuple[RunSpec, Future]] = deque()
+        self._queue: deque[tuple[RunSpec, Future, float]] = deque()
         self._cond = threading.Condition()
+        self._arriving = 0
         self._closed = False
         self._thread = threading.Thread(
             target=self._run, name="dear-serve-batcher", daemon=True
@@ -89,13 +106,36 @@ class RequestBatcher:
         with self._cond:
             return len(self._queue)
 
+    @property
+    def arriving_count(self) -> int:
+        """Requests being read that may still join the open batch."""
+        with self._cond:
+            return self._arriving
+
+    @contextmanager
+    def arriving(self) -> Iterator[None]:
+        """Mark one request as arriving until it is submitted or fails.
+
+        The open batch holds its window while any request is inside this
+        block; leaving it, by submitting or by any error, releases it.
+        """
+        with self._cond:
+            self._arriving += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._arriving -= 1
+                if not self._arriving:
+                    self._cond.notify()
+
     def submit(self, spec: RunSpec) -> Future:
         """Enqueue one spec; the future resolves to its ScheduleResult."""
         future: Future = Future()
         with self._cond:
             if self._closed:
                 raise RuntimeError("server is draining; not accepting new requests")
-            self._queue.append((spec, future))
+            self._queue.append((spec, future, time.perf_counter()))
             default_registry().gauge(
                 "serve.queue_depth", "requests waiting for the batcher"
             ).set(len(self._queue))
@@ -113,21 +153,42 @@ class RequestBatcher:
 
     def _run(self) -> None:
         while True:
+            registry = default_registry()
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
                 if not self._queue:
                     return  # closed and drained
-            # Window sleep outside the lock so submitters can pile on.
-            if self.batch_window > 0.0:
-                time.sleep(self.batch_window)
-            with self._cond:
+                registry.counter(
+                    "serve.window_closes", "batch windows closed, by reason"
+                ).inc(reason=self._hold_window())
                 batch = list(self._queue)
                 self._queue.clear()
-                default_registry().gauge(
+                registry.gauge(
                     "serve.queue_depth", "requests waiting for the batcher"
                 ).set(0)
-            self._process(batch)
+            drained = time.perf_counter()
+            queue_wait = registry.histogram(
+                "serve.queue_wait_seconds",
+                "seconds from submit to batch drain",
+                buckets=LATENCY_BUCKETS,
+            )
+            for _, _, submitted in batch:
+                queue_wait.observe(drained - submitted)
+            self._process([(spec, future) for spec, future, _ in batch])
+
+    def _hold_window(self) -> str:
+        """Wait (lock held) while requests arrive; why the window closed."""
+        deadline = time.monotonic() + self.batch_window
+        while True:
+            if self._closed:
+                return "drain"
+            if not self._arriving:
+                return "idle"
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                return "deadline"
+            self._cond.wait(remaining)
 
     def _process(self, batch: list[tuple[RunSpec, Future]]) -> None:
         registry = default_registry()
@@ -183,6 +244,10 @@ class _ServeHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer wired back to its owning SimulationServer."""
 
     daemon_threads = True
+    #: Listen backlog.  The stdlib default of 5 overflows when a burst
+    #: of clients connects while a batch holds the interpreter, and the
+    #: kernel then resets the connections it could not queue.
+    request_queue_size = 128
     owner: "SimulationServer"
 
 
@@ -239,28 +304,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _simulate(self, server: _ServeHTTPServer) -> None:
         registry = default_registry()
+        started = time.perf_counter()
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length))
-        except (ValueError, json.JSONDecodeError):
-            registry.counter("serve.errors", "failed requests, by stage").inc(
-                stage="parse"
-            )
-            self._reply("simulate", 400, {"error": "body must be a JSON object"})
-            return
+            self._answer_simulate(server, registry)
+        finally:
+            registry.histogram(
+                "serve.request_seconds",
+                "seconds from handler entry to reply written",
+                buckets=LATENCY_BUCKETS,
+            ).observe(time.perf_counter() - started)
+
+    def _answer_simulate(self, server: _ServeHTTPServer, registry) -> None:
         try:
-            config = config_from_payload(payload)
-        except (ValueError, KeyError) as exc:
-            registry.counter("serve.errors", "failed requests, by stage").inc(
-                stage="config"
-            )
-            self._reply("simulate", 400, {"error": str(exc)})
-            return
-        spec = config.to_spec()
-        try:
-            future = server.owner.batcher.submit(spec)
-        except RuntimeError as exc:
-            self._reply("simulate", 503, {"error": str(exc)})
+            with server.owner.batcher.arriving():
+                config, spec, future = self._enqueue(server)
+        except _Rejected as rejected:
+            if rejected.stage is not None:
+                registry.counter("serve.errors", "failed requests, by stage").inc(
+                    stage=rejected.stage
+                )
+            self._reply("simulate", rejected.status, {"error": rejected.message})
             return
         try:
             result = future.result(timeout=server.owner.request_timeout)
@@ -284,6 +347,33 @@ class _Handler(BaseHTTPRequestHandler):
                 "result": result_to_dict(result),
             },
         )
+
+    def _enqueue(self, server: _ServeHTTPServer) -> tuple:
+        """Read, validate and submit one request: ``(config, spec, future)``."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            payload = json.loads(self.rfile.read(length))
+        except (ValueError, json.JSONDecodeError):
+            raise _Rejected(400, "body must be a JSON object", "parse") from None
+        try:
+            config = config_from_payload(payload)
+        except (ValueError, KeyError) as exc:
+            raise _Rejected(400, str(exc), "config") from None
+        spec = config.to_spec()
+        try:
+            return config, spec, server.owner.batcher.submit(spec)
+        except RuntimeError as exc:
+            raise _Rejected(503, str(exc)) from None
+
+
+class _Rejected(Exception):
+    """A simulate request answered with an error before it was queued."""
+
+    def __init__(self, status: int, message: str, stage: Optional[str] = None):
+        super().__init__(message)
+        self.status = status
+        self.message = message
+        self.stage = stage
 
 
 class SimulationServer:
@@ -362,7 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--batch-window",
         type=float,
         default=None,
-        help="seconds to wait for co-batching requests "
+        help="longest wait for requests still arriving to join a batch "
         "(default: DEAR_SERVE_BATCH_WINDOW or 0.01)",
     )
     parser.add_argument(

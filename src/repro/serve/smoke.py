@@ -12,6 +12,8 @@ It then proves the service path end to end from the metrics snapshot:
   (``serve.dedup_hits``), runner dedup, or the content-addressed cache;
 - requests were micro-batched (strictly fewer batches than requests);
 - repeat waves after the burst are pure cache hits;
+- a lone sequential request closes its batch window early, as idle
+  (``serve.window_closes{reason="idle"}``);
 - responses for identical payloads are byte-identical.
 
 The full metrics snapshot and the assertion results are written to a
@@ -23,6 +25,7 @@ for the listener to die, proving a clean drain.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
 import time
@@ -77,7 +80,9 @@ def wait_until_down(client: ServeClient, timeout: float = 30.0) -> bool:
     while time.monotonic() < deadline:
         try:
             client.health()
-        except (urllib.error.URLError, ConnectionError, OSError):
+        # A probe racing the exiting listener can also see a truncated
+        # reply (``IncompleteRead``), which is not an ``OSError``.
+        except (urllib.error.URLError, OSError, http.client.HTTPException):
             return True
         time.sleep(0.1)
     return False
@@ -96,6 +101,7 @@ def run_smoke(
         responses = list(pool.map(client.simulate, payloads))
 
     # Repeat wave: same configs again, sequentially — all cache hits.
+    before_repeat = client.metrics()
     repeat_wave = [client.simulate(payload) for payload in payloads[:unique]]
     after = client.metrics()
 
@@ -114,6 +120,9 @@ def run_smoke(
         before, after, "serve.requests", endpoint="simulate", status="200"
     )
     errors = counter_delta(before, after, "serve.errors")
+    idle_closes = counter_delta(
+        before_repeat, after, "serve.window_closes", reason="idle"
+    )
     total = len(payloads) + len(repeat_wave)
 
     checks = {
@@ -133,6 +142,7 @@ def run_smoke(
         "requests_micro_batched": 1 <= batches < total,
         "all_http_200": ok_requests == total,
         "no_server_errors": errors == 0,
+        "sequential_windows_close_idle": idle_closes >= 1,
     }
 
     report = {
@@ -147,6 +157,7 @@ def run_smoke(
             "batches": batches,
             "http_200": ok_requests,
             "errors": errors,
+            "idle_window_closes": idle_closes,
         },
         "checks": checks,
         "metrics": after,

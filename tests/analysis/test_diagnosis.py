@@ -7,6 +7,7 @@ from repro.models.zoo import get_model
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_100gbib, cluster_10gbe
 from repro.schedulers.base import simulate
+from repro.workloads import WORKLOAD_NAMES
 
 
 class TestDiagnose:
@@ -88,3 +89,20 @@ class TestDiagnose:
         result = single_gpu_result(get_model("resnet50"))
         with pytest.raises(ValueError):
             diagnose(result)
+
+
+class TestWorkloadDiagnosis:
+    """All-to-all and point-to-point spans count as communication too."""
+
+    @pytest.mark.parametrize("scheduler", ["wfbp", "dear"])
+    @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+    def test_overlap_efficiency_is_a_fraction(self, workload, scheduler):
+        cost = CollectiveTimeModel(cluster_10gbe())
+        result = simulate(
+            scheduler, get_model("resnet50"), cluster_10gbe(),
+            workload=workload, trace=True,
+        )
+        diagnosis = diagnose(result, alpha=cost.alpha, world_size=cost.world_size)
+        assert 0.0 <= diagnosis.overlap_efficiency <= 1.0
+        assert diagnosis.total_comm >= diagnosis.exposed_comm
+        assert 0.0 <= diagnosis.startup_fraction <= 1.0

@@ -11,18 +11,24 @@ stay out of pickles.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import json
 import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models.layers import ModelSpec
 from repro.models.zoo import _BUILDERS, get_model
+from repro.network.presets import paper_testbed
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_many
-from repro.runner.spec import RunSpec
+from repro.runner import spec as spec_module
+from repro.runner.spec import RunSpec, _jsonify
 from repro.serve import ServeClient, SimulationServer
 from tests.conftest import build_tiny_model
+from tests.runner.test_fingerprint_golden import golden_specs
 
 
 @pytest.fixture()
@@ -111,6 +117,81 @@ class TestComputeOnce:
         # The zoo model is memoised: its payload is built at most once
         # across every request.
         assert model_asdict_calls[id(get_model("resnet50"))] <= 1
+
+    def test_model_text_serialised_once_per_model_object(self, monkeypatch):
+        model = build_tiny_model()
+        encoded: Counter = Counter()
+        original = json.dumps
+
+        def counting(value, *args, **kwargs):
+            if value is not None and value is model._tensor_cache.get("payload"):
+                encoded[id(model)] += 1
+            return original(value, *args, **kwargs)
+
+        monkeypatch.setattr(spec_module.json, "dumps", counting)
+        specs = [
+            RunSpec.create(scheduler, model, fabric, iterations=4)
+            for scheduler in ("wfbp", "ddp")
+            for fabric in ("10gbe", "100gbib")
+        ]
+        assert len({spec.fingerprint for spec in specs}) == len(specs)
+        assert encoded == Counter({id(model): 1})
+
+
+def _reference_json(spec: RunSpec) -> str:
+    """The canonical encoding as one whole-object ``json.dumps``."""
+    return json.dumps(
+        spec.canonical_payload(), sort_keys=True, separators=(",", ":"),
+        default=_jsonify,
+    )
+
+
+#: Option values as users pass them: awkward strings (NULs, quotes,
+#: backslashes, non-ASCII), numbers, nested lists and objects, and sets.
+_OPTION_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.sampled_from('\x00"\\:,{}[]ab\u00e9\u2603'))
+    | st.frozensets(st.integers(), max_size=4)
+    | st.frozensets(st.text(max_size=3), max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+_CREATE_PARAMETERS = frozenset(inspect.signature(RunSpec.create).parameters)
+
+_OPTIONS = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key not in _CREATE_PARAMETERS),
+    _OPTION_VALUES,
+    max_size=4,
+)
+
+
+class TestCanonicalJson:
+    """The key-by-key encoding is byte-identical to one whole dump."""
+
+    def test_golden_specs(self):
+        for label, spec in golden_specs():
+            assert spec.canonical_json() == _reference_json(spec), label
+
+    def test_equal_clusters_keep_their_own_text(self):
+        """``1.25e9 == 1250000000`` but the two encode differently."""
+        base = paper_testbed("10gbe")
+        as_int = dataclasses.replace(base, inter_link=dataclasses.replace(
+            base.inter_link, bandwidth=int(base.inter_link.bandwidth),
+        ))
+        assert as_int == base
+        specs = [RunSpec.create("wfbp", "resnet50", cluster)
+                 for cluster in (base, as_int, base, as_int)]
+        for spec in specs:
+            assert spec.canonical_json() == _reference_json(spec)
+        assert specs[0].fingerprint != specs[1].fingerprint
+
+    @settings(max_examples=200, deadline=None)
+    @given(options=_OPTIONS)
+    def test_any_option_values(self, options):
+        spec = RunSpec.create("wfbp", "resnet50", "10gbe", **options)
+        assert spec.canonical_json() == _reference_json(spec)
 
 
 class TestPickling:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import (
@@ -15,7 +18,12 @@ from repro.api import (
     run_collective,
     run_simulation,
 )
-from repro.faults.plan import FaultPlan, LinkFault, RankFailure
+from repro.faults.plan import (
+    FaultPlan,
+    LinkFault,
+    RankFailure,
+    StragglerFault,
+)
 from repro.network.presets import paper_testbed
 from repro.schedulers.base import SCHEDULER_NAMES, simulate
 
@@ -214,6 +222,97 @@ class TestWorkloadSurface:
                 "scheduler": "dear", "model": "resnet50", "cluster": "10gbe",
                 "workloads": "moe",  # typo must not silently be dropped
             })
+
+
+#: Any value a JSON body can carry (Python's decoder also accepts
+#: NaN and the infinities).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+_VALID = {"scheduler": "wfbp", "model": "resnet50", "cluster": "10gbe"}
+
+_WIRE_FIELDS = (
+    "scheduler", "model", "cluster", "batch_size", "algorithm", "iterations",
+    "iteration_compute", "faults", "options", "workload",
+)
+
+
+def _record(cls):
+    """A JSON object over ``cls``'s field names with any JSON values."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names), _JSON, max_size=len(names))
+
+
+#: Fault plans that look right at the top level, with junk inside.
+_FAULT_PAYLOADS = st.fixed_dictionaries({}, optional={
+    "seed": _JSON,
+    "drop_prob": _JSON,
+    "fault_budget": _JSON,
+    "rank_failures": st.lists(_record(RankFailure) | _JSON, max_size=2),
+    "link_faults": st.lists(_record(LinkFault) | _JSON, max_size=2),
+    "stragglers": st.lists(_record(StragglerFault) | _JSON, max_size=2),
+})
+
+
+def _accepted_or_rejected(payload: dict) -> None:
+    """The wire contract: a fingerprintable config, or ValueError/KeyError."""
+    try:
+        config = config_from_payload(payload)
+    except (ValueError, KeyError):
+        return
+    assert len(config.to_spec().fingerprint) == 64
+
+
+class TestWirePayloads:
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(_WIRE_FIELDS), value=_JSON)
+    def test_any_value_in_any_field(self, field, value):
+        _accepted_or_rejected({**_VALID, field: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(faults=_FAULT_PAYLOADS)
+    def test_any_fault_plan(self, faults):
+        _accepted_or_rejected({**_VALID, "faults": faults})
+
+    @settings(max_examples=100, deadline=None)
+    @given(options=st.dictionaries(
+        st.sampled_from(["fusion", "buffer_bytes", "trace", "fastpath",
+                         "tuned_table", "scheduler", "iterations"])
+        | st.text(max_size=8),
+        _JSON, max_size=3,
+    ))
+    def test_any_options(self, options):
+        _accepted_or_rejected({**_VALID, "options": options})
+
+    @pytest.mark.parametrize("field,value", [
+        ("faults", 3),
+        ("batch_size", "x"),
+        ("iterations", "5"),
+        ("iterations", -1),
+        ("iterations", True),
+        ("algorithm", 5),
+        ("iteration_compute", "a"),
+        ("iteration_compute", float("nan")),
+        ("options", []),
+        ("options", {"tuned_table": 5}),
+        ("workload", ["moe"]),
+    ])
+    def test_mistyped_fields_are_value_errors(self, field, value):
+        with pytest.raises(ValueError):
+            config_from_payload({**_VALID, field: value})
+
+    def test_well_typed_fields_still_accepted(self):
+        config = config_from_payload({
+            **_VALID, "batch_size": 32, "algorithm": "tree", "iterations": 5,
+            "iteration_compute": 0.2, "options": {}, "faults": {
+                "stragglers": [{"start": 0, "end": 1.5}],
+            },
+        })
+        assert config.iterations == 5 and config.faults.stragglers[0].end == 1.5
 
 
 class TestPackageSurface:
