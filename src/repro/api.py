@@ -4,9 +4,11 @@ Everything a caller needs lives behind four entry points:
 
 - :class:`SimulationConfig` — one frozen value describing a timing-level
   run (scheduler, model, cluster, batch size, algorithm, iterations,
-  fault plan, fast-path override, scheduler options).  Build it with
-  :meth:`SimulationConfig.create`, which accepts registry names
-  (``"resnet50"``, ``"10gbe"``) as well as resolved spec objects.
+  fault plan, per-rank compute scales, scheduler options); it is
+  :class:`~repro.runner.spec.RunSpec`, the fingerprinted, cacheable
+  run description.  Build it with :meth:`SimulationConfig.create`,
+  which accepts registry names (``"resnet50"``, ``"10gbe"``) as well
+  as resolved spec objects.
 - :func:`run_simulation` — execute a config (optionally through the
   content-addressed result cache) and return a
   :class:`~repro.schedulers.base.ScheduleResult`.
@@ -23,25 +25,25 @@ this is the surface that stays stable.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.models.layers import ModelSpec
 from repro.models.zoo import get_model
-from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.network.presets import paper_testbed
+from repro.runner.spec import RunSpec
 from repro.schedulers.base import (
     DEFAULT_ITERATIONS,
     SCHEDULER_NAMES,
     ScheduleResult,
-    simulate,
+    get_scheduler,
 )
 
 __all__ = [
@@ -99,162 +101,38 @@ def list_workloads() -> tuple[str, ...]:
     return WORKLOAD_NAMES
 
 
-def _freeze_options(options: dict) -> tuple[tuple[str, Any], ...]:
-    frozen = []
-    for key in sorted(options):
-        value = options[key]
-        if isinstance(value, (list, tuple)):
-            value = tuple(value)
-        frozen.append((key, value))
-    return tuple(frozen)
+#: The public name of the run description: one frozen value holding
+#: the scheduler and its options, the model, the cluster, batch size,
+#: algorithm, iterations, fault plan, per-rank compute scales, tuning
+#: table and workload.
+SimulationConfig = RunSpec
 
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Everything that determines one timing-level run, in one place.
-
-    Consolidates what used to be spread across per-scheduler constructor
-    kwargs and ``simulate`` call sites: the world (``cluster``), the
-    workload (``model`` / ``batch_size``), the collective
-    ``algorithm``, the scheduler and its ``options``, the fault
-    ``plan``, and the engine selection (``fastpath``: None = defer to
-    ``DEAR_FASTPATH``, True/False = force).
-
-    The config is frozen and hashable; :meth:`replace` derives
-    variants, :meth:`to_spec` converts to the cacheable
-    :class:`~repro.runner.spec.RunSpec` (``fastpath`` is deliberately
-    dropped there — both engines produce bit-identical results, so the
-    cache must not key on it).
-    """
-
-    scheduler: str
-    model: ModelSpec = field(repr=False)
-    cluster: ClusterSpec = field(repr=False)
-    batch_size: Optional[int] = None
-    algorithm: str = "ring"
-    iterations: int = DEFAULT_ITERATIONS
-    iteration_compute: Optional[float] = None
-    faults: Optional[FaultPlan] = None
-    fastpath: Optional[bool] = None
-    options: tuple[tuple[str, Any], ...] = ()
-    #: Autotuner selection table consulted when ``algorithm == "auto"``,
-    #: as the canonical payload tuple (see
-    #: :meth:`repro.network.autotuner.SelectionTable.payload_tuple`).
-    #: None + ``"auto"`` = plain ring, bit-identically.
-    tuned_table: Optional[tuple] = None
-    #: Registered comm-compute DAG name run instead of the layer-wise
-    #: schedule (see :func:`list_workloads`); None = classic layer-wise.
-    workload: Optional[str] = None
-
-    @classmethod
-    def create(
-        cls,
-        scheduler: str,
-        model,
-        cluster,
-        batch_size: Optional[int] = None,
-        algorithm: str = "ring",
-        iterations: int = DEFAULT_ITERATIONS,
-        iteration_compute: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
-        fastpath: Optional[bool] = None,
-        tuned_table=None,
-        workload: Optional[str] = None,
-        **options,
-    ) -> "SimulationConfig":
-        """Build a config, resolving registry names and freezing options.
-
-        ``tuned_table`` accepts a
-        :class:`~repro.network.autotuner.SelectionTable`, its payload
-        tuple, or None; with ``algorithm="auto"`` and no explicit table
-        the process-registered table (if any) is snapshotted in.
-        ``workload`` names a registered comm-compute DAG
-        (:func:`list_workloads`) derived from the model's timing profile
-        — e.g. ``"moe"``, ``"dlrm"``, ``"llm3d"``.
-        """
-        if scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {list(SCHEDULER_NAMES)}"
-            )
-        if workload is not None and workload not in list_workloads():
-            raise ValueError(
-                f"unknown workload {workload!r}; known: {list(list_workloads())}"
-            )
-        cluster = resolve_cluster(cluster)
-        if tuned_table is not None and not isinstance(tuned_table, tuple):
-            tuned_table = tuned_table.payload_tuple()
-        if tuned_table is None and algorithm == "auto":
-            from repro.network.autotuner import table_for
-
-            registered = table_for(cluster)
-            if registered is not None:
-                tuned_table = registered.payload_tuple()
-        return cls(
-            scheduler=scheduler,
-            model=resolve_model(model),
-            cluster=cluster,
-            batch_size=batch_size,
-            algorithm=algorithm,
-            iterations=iterations,
-            iteration_compute=iteration_compute,
-            faults=normalize_plan(faults),
-            fastpath=fastpath,
-            options=_freeze_options(options),
-            tuned_table=tuned_table,
-            workload=workload,
-        )
-
-    def replace(self, **changes) -> "SimulationConfig":
-        """A copy with the given fields changed (options re-frozen)."""
-        if "options" in changes and isinstance(changes["options"], dict):
-            changes["options"] = _freeze_options(changes["options"])
-        if "faults" in changes:
-            changes["faults"] = normalize_plan(changes["faults"])
-        return dataclasses.replace(self, **changes)
-
-    def to_spec(self):
-        """The cacheable :class:`~repro.runner.spec.RunSpec` equivalent."""
-        from repro.runner.spec import RunSpec
-
-        return RunSpec(
-            scheduler=self.scheduler,
-            model=self.model,
-            cluster=self.cluster,
-            batch_size=self.batch_size,
-            algorithm=self.algorithm,
-            iterations=self.iterations,
-            iteration_compute=self.iteration_compute,
-            options=self.options,
-            faults=self.faults,
-            tuned_table=self.tuned_table,
-            workload=self.workload,
-        )
-
-    @property
-    def label(self) -> str:
-        """Human-readable key, e.g. for report rows."""
-        return f"{self.scheduler}/{self.model.name}/{self.cluster.name}"
-
-
-#: Fields :func:`config_from_payload` accepts.  ``fastpath`` is
-#: deliberately not part of the wire protocol: both engines produce
-#: bit-identical results and the cache ignores the flag, so a remote
-#: caller has nothing to gain from forcing it.
+#: Fields :func:`config_from_payload` accepts.
 _PAYLOAD_KEYS = frozenset((
     "scheduler", "model", "cluster", "batch_size", "algorithm",
     "iterations", "iteration_compute", "faults", "options", "workload",
+    "compute_scales",
 ))
 
+#: Named :meth:`RunSpec.create` parameters: a wire option with one of
+#: these names would collide with (or silently override) a field.
+_SPEC_PARAMETERS = frozenset(
+    name for name, parameter in inspect.signature(RunSpec.create).parameters.items()
+    if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+)
 
-def config_from_payload(payload: dict) -> SimulationConfig:
-    """Build a :class:`SimulationConfig` from a JSON-shaped dict.
+
+def config_from_payload(payload: dict) -> RunSpec:
+    """Build a :class:`RunSpec` from a JSON-shaped dict.
 
     The wire protocol of ``dear-repro serve``: ``model`` and
     ``cluster`` are registry names (``"resnet50"``, ``"10gbe"``),
     ``faults`` is a :meth:`FaultPlan.canonical_payload` dict or absent,
-    ``options`` a plain dict of scheduler options, ``workload`` a
-    registered DAG name (:func:`list_workloads`) or absent.  Unknown
-    fields are rejected (a typo must not silently change which experiment runs),
+    ``compute_scales`` a list of per-rank compute multipliers or
+    absent, ``options`` a plain dict of scheduler options, ``workload``
+    a registered DAG name (:func:`list_workloads`) or absent.  Unknown
+    fields are rejected (a typo must not silently change which
+    experiment runs), and so are option names the run would not take,
     as are non-registry model/cluster objects — everything must
     round-trip through JSON.
     """
@@ -273,25 +151,16 @@ def config_from_payload(payload: dict) -> SimulationConfig:
         options = {}
     if not isinstance(options, dict):
         raise ValueError(f"options must be an object, got {type(options).__name__}")
-    shadowed = sorted(set(options) & _SIMULATE_PARAMETERS)
+    shadowed = sorted(set(options) & _SPEC_PARAMETERS)
     if shadowed:
-        raise ValueError(f"options may not set simulate() parameters: {shadowed}")
-    algorithm = payload.get("algorithm", "ring")
-    if not isinstance(algorithm, str) or algorithm not in CollectiveTimeModel.ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; "
-            f"known: {list(CollectiveTimeModel.ALGORITHMS)}"
-        )
-    workload = payload.get("workload")
-    if workload is not None and not isinstance(workload, str):
-        raise ValueError(f"workload must be a registry name, got {workload!r}")
+        raise ValueError(f"options may not set RunSpec.create() parameters: {shadowed}")
     faults = payload.get("faults")
-    return SimulationConfig.create(
+    spec = RunSpec.create(
         payload["scheduler"],
         payload["model"],
         payload["cluster"],
         batch_size=_wire_number(payload, "batch_size", None, integer=True, above=0),
-        algorithm=algorithm,
+        algorithm=payload.get("algorithm", "ring"),
         iterations=_wire_number(
             payload, "iterations", DEFAULT_ITERATIONS, integer=True, above=2
         ),
@@ -299,17 +168,60 @@ def config_from_payload(payload: dict) -> SimulationConfig:
             payload, "iteration_compute", None, integer=False, above=0
         ),
         faults=None if faults is None else FaultPlan.from_payload(faults),
-        workload=workload,
+        compute_scales=_wire_scales(payload.get("compute_scales")),
+        workload=payload.get("workload"),
         **options,
     )
+    known = _option_names(spec.scheduler, spec.compute_scales is not None)
+    typos = sorted(set(options) - known)
+    if typos:
+        raise ValueError(
+            f"unknown options for {spec.scheduler!r}: {typos}; known: {sorted(known)}"
+        )
+    return spec
 
 
-#: Named ``simulate()`` parameters: a wire option with one of these
-#: names would collide with (or silently override) a config field.
-_SIMULATE_PARAMETERS = frozenset(
-    name for name, parameter in inspect.signature(simulate).parameters.items()
-    if parameter.kind is not inspect.Parameter.VAR_KEYWORD
-)
+#: Options that change how a run executes, not what it computes; like
+#: the engine choice, they stay off the wire.
+_RUN_SWITCHES = frozenset(("fastpath", "trace"))
+
+
+@functools.lru_cache(maxsize=None)
+def _option_names(scheduler: str, heterogeneous: bool) -> frozenset:
+    """Option names a run of ``scheduler`` takes.
+
+    The scheduler constructor's parameters; with per-rank compute
+    scales, the optional parameters of
+    :func:`~repro.schedulers.multirank.simulate_heterogeneous` instead.
+    """
+    if heterogeneous:
+        from repro.schedulers.multirank import simulate_heterogeneous
+
+        parameters = inspect.signature(simulate_heterogeneous).parameters
+    else:
+        parameters = inspect.signature(type(get_scheduler(scheduler))).parameters
+    return frozenset(
+        name for name, parameter in parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    ) - _SPEC_PARAMETERS - _RUN_SWITCHES
+
+
+def _wire_scales(value) -> Optional[list[float]]:
+    """``compute_scales`` checked to be absent or a list of JSON numbers.
+
+    Length, finiteness and sign are :meth:`RunSpec.create`'s checks.
+    """
+    if value is None:
+        return None
+    if not isinstance(value, list) or any(
+        isinstance(scale, bool) or not isinstance(scale, (int, float))
+        for scale in value
+    ):
+        raise ValueError(f"compute_scales must be a list of numbers, got {value!r}")
+    try:
+        return [float(scale) for scale in value]
+    except OverflowError:
+        raise ValueError(f"compute_scales out of float range: {value!r}") from None
 
 
 def _wire_number(payload: dict, key: str, default, integer: bool, above: float):
@@ -333,14 +245,14 @@ def _wire_number(payload: dict, key: str, default, integer: bool, above: float):
     return value
 
 
-def run_simulation(config: SimulationConfig, cached: bool = False,
+def run_simulation(config: RunSpec, cached: bool = False,
                    trace: bool = False) -> ScheduleResult:
-    """Execute one config; the single timing-level entry point.
+    """Execute one run description; the single timing-level entry point.
 
     With ``cached=True`` the run goes through the content-addressed
-    result cache (and comes back tracer-less, like any cached result);
-    note the cache ignores ``fastpath`` by design.  ``trace=True``
-    records the run's Perfetto spans into ``result.tracer`` (otherwise
+    result cache (:func:`~repro.runner.cache.run_cached`) and comes
+    back tracer-less, like any cached result.  ``trace=True`` records
+    the run's Perfetto spans into ``result.tracer`` (otherwise
     ``None``); a cached result holds no spans, so it cannot be combined
     with ``cached=True``.
     """
@@ -349,33 +261,8 @@ def run_simulation(config: SimulationConfig, cached: bool = False,
     if cached:
         from repro.runner.cache import run_cached
 
-        return run_cached(config.to_spec())
-    table = None
-    if config.tuned_table is not None:
-        from repro.network.autotuner import SelectionTable
-
-        table = SelectionTable.from_payload_tuple(config.tuned_table)
-    elif config.algorithm == "auto":
-        # create() snapshots any registered table; a config without one
-        # means "untuned" and must stay plain ring here too.
-        from repro.network.autotuner import NO_TABLE
-
-        table = NO_TABLE
-    return simulate(
-        config.scheduler,
-        config.model,
-        config.cluster,
-        batch_size=config.batch_size,
-        algorithm=config.algorithm,
-        iterations=config.iterations,
-        iteration_compute=config.iteration_compute,
-        faults=config.faults,
-        fastpath=config.fastpath,
-        tuned_table=table,
-        workload=config.workload,
-        trace=trace,
-        **dict(config.options),
-    )
+        return run_cached(config)
+    return config.run(trace=trace)
 
 
 @dataclass

@@ -2,11 +2,11 @@
 
 Historically every subsystem parsed its own kill switch with an ad-hoc
 "not in the falsy set" test, which silently treated any typo
-(``DEAR_FASTPATH=ture``) as *enabled*.  This module is the single place
+(``DEAR_CACHE=ture``) as *enabled*.  This module is the single place
 that knows how to read the repo's environment knobs:
 
-- :func:`env_flag` — boolean switches (``DEAR_FASTPATH``,
-  ``DEAR_TELEMETRY``, ``DEAR_CACHE``).  Recognised spellings are
+- :func:`env_flag` — boolean switches (``DEAR_TELEMETRY``,
+  ``DEAR_CACHE``).  Recognised spellings are
   ``1/true/on/yes/y`` and ``0/false/off/no/n`` (case-insensitive,
   whitespace-tolerant); anything else warns once and falls back to the
   default, so a typo degrades loudly instead of flipping behaviour.
@@ -42,7 +42,7 @@ def env_flag(name: str, default: bool = True) -> bool:
     """Read a boolean ``DEAR_*`` switch, warning on unrecognised values.
 
     Unset or empty returns ``default``.  A value outside the recognised
-    true/false spellings (e.g. ``DEAR_FASTPATH=ture``) emits a
+    true/false spellings (e.g. ``DEAR_CACHE=ture``) emits a
     ``RuntimeWarning`` naming the variable and returns ``default`` —
     previously such typos were silently truthy.
     """

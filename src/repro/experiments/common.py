@@ -9,7 +9,7 @@ import numpy as np
 # Name resolution is owned by the facade; re-exported here because the
 # experiment harnesses historically imported it from this module.
 from repro.api import resolve_cluster, resolve_model
-from repro.runner import RunSpec, run_many, simulate_cached
+from repro.runner import RunSpec, run_cached, run_many
 from repro.schedulers.base import ScheduleResult
 
 __all__ = [
@@ -99,14 +99,7 @@ class throughput_objective:
         """Noise-free throughput at the snapped buffer size (samples/s)."""
         snapped = self.snap(buffer_bytes)
         if snapped not in self._cache:
-            result: ScheduleResult = simulate_cached(
-                "dear",
-                self.model,
-                self.cluster,
-                fusion="buffer",
-                buffer_bytes=snapped,
-                iterations=self.iterations,
-            )
+            result: ScheduleResult = run_cached(self._spec(snapped))
             self._cache[snapped] = result.throughput
             self.evaluations += 1
         return self._cache[snapped]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.analysis.speedup import max_speedup_for
 from repro.experiments.common import format_table, resolve_cluster, resolve_model
 from repro.experiments.paper_data import MODELS, NETWORKS, TABLE2
-from repro.runner import simulate_cached
+from repro.runner import RunSpec, run_cached
 from repro.schedulers.base import single_gpu_result
 
 __all__ = ["run", "format_rows"]
@@ -32,9 +32,9 @@ def run(models=MODELS, networks=NETWORKS, iterations: int = 5,
                 if dear_fusion == "bo"
                 else {"fusion": "buffer", "buffer_bytes": 25e6}
             )
-            dear = simulate_cached(
+            dear = run_cached(RunSpec.create(
                 "dear", model, cluster, iterations=iterations, **options
-            )
+            ))
             s_real = dear.scaling_speedup(single.iteration_time)
             paper_smax, paper_s = TABLE2[network][name]
             rows.append(

@@ -14,7 +14,7 @@ through this subsystem, which layers three things on the simulator:
   rest runs on a process pool (``DEAR_JOBS`` workers) with graceful
   serial fallback.
 
-:func:`simulate_cached` is the drop-in facade for single calls;
+:func:`run_cached` answers a single spec through the cache;
 :mod:`repro.runner.bench` and :mod:`repro.runner.report` turn batches
 of runs into the ``BENCH_<date>.json`` artifact CI consumes.
 """
@@ -28,7 +28,7 @@ from repro.runner.cache import (
     reset_default_cache,
     run_cached,
 )
-from repro.runner.executor import resolve_jobs, run_many, simulate_cached
+from repro.runner.executor import resolve_jobs, run_many
 from repro.runner.report import (
     BENCH_SCHEMA,
     BenchReporter,
@@ -57,5 +57,4 @@ __all__ = [
     "run_bench",
     "run_cached",
     "run_many",
-    "simulate_cached",
 ]

@@ -14,11 +14,10 @@ results are bit-identical to per-spec runs — pinned by
 ``tests/runner/test_batched_runner.py``.
 
 Specs the recorder cannot express — dynamic schedules (bytescheduler),
-fast path disabled per spec, exotic multirank options — return ``None``
-from :func:`run_batched` and fall through to the executor's pool/serial
-path, which computes them the classic way.  ``DEAR_FASTPATH=0``
-disables batching altogether (batching *is* the fast path, applied
-across configs).
+the fast path disabled per spec (``fastpath=False`` in its options;
+batching *is* the fast path, applied across configs), exotic multirank
+options — return ``None`` from :func:`run_batched` and fall through to
+the executor's pool/serial path, which computes them the classic way.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.schedulers.multirank import (
     record_heterogeneous_fast,
     wrap_collapsed,
 )
-from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled, replay
+from repro.sim.fastpath import FastPathUnsupported, replay
 from repro.telemetry.registry import default_registry
 
 __all__ = ["run_batched"]
@@ -75,25 +74,6 @@ class _Recorded:
         self.seconds = 0.0
 
 
-def _spec_table(spec: RunSpec):
-    """The selection table a spec's cost model must consult.
-
-    Reconstructed from the spec's embedded payload — never the ambient
-    process registry, whose contents are not part of the fingerprint.
-    An ``"auto"`` spec without a snapshot pins the always-miss table
-    (plain ring) for the same reason.
-    """
-    if spec.tuned_table is not None:
-        from repro.network.autotuner import SelectionTable
-
-        return SelectionTable.from_payload_tuple(spec.tuned_table)
-    if spec.algorithm == "auto":
-        from repro.network.autotuner import NO_TABLE
-
-        return NO_TABLE
-    return None
-
-
 def _record_single(spec: RunSpec) -> _Recorded:
     options = dict(spec.options)
     if options.pop("fastpath", None) is False:
@@ -105,7 +85,7 @@ def _record_single(spec: RunSpec) -> _Recorded:
         iteration_compute=spec.iteration_compute,
     )
     cost = CollectiveTimeModel(
-        spec.cluster, algorithm=spec.algorithm, table=_spec_table(spec)
+        spec.cluster, algorithm=spec.algorithm, table=spec.selection_table()
     )
     ctx = scheduler.record_fast(
         timing, cost, iterations=spec.iterations, faults=spec.faults,
@@ -140,7 +120,7 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
             compute_scale=compute_scales[0],
         )
         cost = CollectiveTimeModel(
-            spec.cluster, algorithm=spec.algorithm, table=_spec_table(spec)
+            spec.cluster, algorithm=spec.algorithm, table=spec.selection_table()
         )
         ctx = scheduler.record_fast(
             timing, cost, iterations=spec.iterations, workload=spec.workload
@@ -165,7 +145,7 @@ def _record_multirank(spec: RunSpec) -> _Recorded:
         iterations=spec.iterations,
         faults=spec.faults,
         trace=options.get("trace", False),
-        tuned_table=_spec_table(spec),
+        tuned_table=spec.selection_table(),
         workload=spec.workload,
     )
     compute_scales = tuple(float(scale) for scale in spec.compute_scales)
@@ -206,8 +186,6 @@ def run_batched(
     if not specs:
         return []
     out: list[Optional[tuple[object, float]]] = [None] * len(specs)
-    if not fast_path_enabled():
-        return out
 
     recorded: list[_Recorded] = []
     for index, spec in enumerate(specs):

@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 from repro.core.env import env_int
 from repro.runner.cache import ResultCache, default_cache
 from repro.runner.spec import RunSpec
-from repro.schedulers.base import DEFAULT_ITERATIONS, ScheduleResult
+from repro.schedulers.base import ScheduleResult
 from repro.telemetry.registry import default_registry
 
-__all__ = ["resolve_jobs", "run_many", "simulate_cached"]
+__all__ = ["resolve_jobs", "run_many"]
 
 #: Upper bound on the implicit default; explicit jobs / DEAR_JOBS win.
 _DEFAULT_JOBS_CAP = 4
@@ -186,35 +186,3 @@ def _compute_pool(
         # serial execution produces the exact same results.
         return [_execute(specs[index]) for index in pending]
 
-
-def simulate_cached(
-    scheduler: str,
-    model,
-    cluster,
-    batch_size: Optional[int] = None,
-    algorithm: str = "ring",
-    iterations: int = DEFAULT_ITERATIONS,
-    iteration_compute: Optional[float] = None,
-    cache: Optional[ResultCache] = None,
-    faults=None,
-    **options,
-) -> ScheduleResult:
-    """Drop-in, cache-backed mirror of :func:`repro.schedulers.base.simulate`.
-
-    Returns a tracer-less result (see :func:`repro.runner.cache.run_cached`);
-    call sites that need the event trace should keep using ``simulate``.
-    """
-    from repro.runner.cache import run_cached
-
-    spec = RunSpec.create(
-        scheduler,
-        model,
-        cluster,
-        batch_size=batch_size,
-        algorithm=algorithm,
-        iterations=iterations,
-        iteration_compute=iteration_compute,
-        faults=faults,
-        **options,
-    )
-    return run_cached(spec, cache=cache)

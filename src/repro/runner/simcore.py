@@ -17,9 +17,7 @@ see ``docs/PERF.md`` for how to read them.
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 
 from repro.models import get_model
 from repro.models.profiles import TimingModel
@@ -38,19 +36,6 @@ _SWEEP_SCHEDULERS = (
     ("mg_wfbp", {}),
     ("dear", {"fusion": "buffer", "buffer_bytes": 25e6}),
 )
-
-
-@contextmanager
-def _fastpath(enabled: bool):
-    previous = os.environ.get("DEAR_FASTPATH")
-    os.environ["DEAR_FASTPATH"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("DEAR_FASTPATH", None)
-        else:
-            os.environ["DEAR_FASTPATH"] = previous
 
 
 def _bench_timer_chain(events: int) -> float:
@@ -298,17 +283,15 @@ def _bench_sweep(models: tuple[str, ...], repeats: int) -> dict[str, float]:
         for scheduler, options in _SWEEP_SCHEDULERS
     ]
 
-    def sweep() -> float:
+    def sweep(fastpath: bool) -> float:
         started = time.perf_counter()
         for _ in range(repeats):
             for model, scheduler, options in specs:
-                simulate(scheduler, model, cluster, **options)
+                simulate(scheduler, model, cluster, fastpath=fastpath, **options)
         return (time.perf_counter() - started) / repeats
 
-    with _fastpath(False):
-        event_elapsed = sweep()
-    with _fastpath(True):
-        fast_elapsed = sweep()
+    event_elapsed = sweep(fastpath=False)
+    fast_elapsed = sweep(fastpath=True)
     return {
         "runs": float(len(specs)),
         "wall_s_event_kernel": event_elapsed,

@@ -21,9 +21,16 @@ from typing import Any, Optional
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.models.layers import ModelSpec
 from repro.models.zoo import get_model
+from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.network.presets import paper_testbed
-from repro.schedulers.base import DEFAULT_ITERATIONS, ScheduleResult, simulate
+from repro.schedulers.base import (
+    DEFAULT_ITERATIONS,
+    SCHEDULER_NAMES,
+    ScheduleResult,
+    simulate,
+)
+from repro.schedulers.multirank import _validate_heterogeneous, simulate_heterogeneous
 
 __all__ = ["RunSpec"]
 
@@ -43,8 +50,11 @@ def _freeze_options(options: dict) -> tuple[tuple[str, Any], ...]:
 class RunSpec:
     """One fully-determined simulation, ready to execute or cache.
 
-    Build via :meth:`RunSpec.create`, which accepts registry names
-    ("resnet50", "10gbe") as well as resolved spec objects.
+    The one run description of the package, public as
+    :class:`repro.api.SimulationConfig`.  Build it via
+    :meth:`RunSpec.create`, which accepts registry names ("resnet50",
+    "10gbe") as well as resolved spec objects; :meth:`replace` derives
+    variants.
     """
 
     scheduler: str
@@ -95,27 +105,36 @@ class RunSpec:
         workload: Optional[str] = None,
         **options,
     ) -> "RunSpec":
-        """Mirror of the ``simulate(...)`` signature.
+        """Build a spec, resolving registry names and freezing options.
+
+        Mirrors the ``simulate(...)`` signature and validates every
+        field a run would otherwise reject only once started: the
+        scheduler name (a :data:`~repro.schedulers.multirank.POLICIES`
+        name when ``compute_scales`` is set), the collective algorithm,
+        ``iterations >= 3``, the workload name, and one finite,
+        non-negative compute scale per rank.
 
         ``tuned_table`` accepts a
         :class:`~repro.network.autotuner.SelectionTable`, its payload
         tuple, or None.  ``algorithm="auto"`` with no explicit table
         snapshots the process-registered table (if any) into the spec,
         so the fingerprint — and the cached result — reflect the tuning
-        actually used.
+        actually used.  ``options`` are the scheduler's constructor
+        arguments, plus ``fastpath=False`` to run on the event kernel.
         """
-        if not isinstance(model, ModelSpec):
-            model = get_model(model)
-        if not isinstance(cluster, ClusterSpec):
-            cluster = paper_testbed(cluster)
-        if tuned_table is not None and not isinstance(tuned_table, tuple):
-            tuned_table = tuned_table.payload_tuple()
-        if tuned_table is None and algorithm == "auto":
-            from repro.network.autotuner import table_for
-
-            registered = table_for(cluster)
-            if registered is not None:
-                tuned_table = registered.payload_tuple()
+        if scheduler not in SCHEDULER_NAMES:
+            raise ValueError(
+                f"unknown scheduler {scheduler!r}; known: {list(SCHEDULER_NAMES)}"
+            )
+        if algorithm not in CollectiveTimeModel.ALGORITHMS:
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; "
+                f"known: {list(CollectiveTimeModel.ALGORITHMS)}"
+            )
+        if iterations < 3:
+            raise ValueError(
+                f"need >= 3 iterations to reach steady state, got {iterations}"
+            )
         if workload is not None:
             from repro.workloads import WORKLOAD_NAMES
 
@@ -124,6 +143,22 @@ class RunSpec:
                     f"unknown workload {workload!r}; "
                     f"expected one of {WORKLOAD_NAMES}"
                 )
+        if not isinstance(model, ModelSpec):
+            model = get_model(model)
+        if not isinstance(cluster, ClusterSpec):
+            cluster = paper_testbed(cluster)
+        if compute_scales is not None:
+            compute_scales = _validate_heterogeneous(
+                scheduler, cluster, compute_scales, iterations
+            )
+        if tuned_table is not None and not isinstance(tuned_table, tuple):
+            tuned_table = tuned_table.payload_tuple()
+        if tuned_table is None and algorithm == "auto":
+            from repro.network.autotuner import table_for
+
+            registered = table_for(cluster)
+            if registered is not None:
+                tuned_table = registered.payload_tuple()
         return cls(
             scheduler=scheduler,
             model=model,
@@ -134,13 +169,26 @@ class RunSpec:
             iteration_compute=iteration_compute,
             options=_freeze_options(options),
             faults=normalize_plan(faults),
-            compute_scales=(
-                None if compute_scales is None
-                else tuple(float(scale) for scale in compute_scales)
-            ),
+            compute_scales=compute_scales,
             tuned_table=tuned_table,
             workload=workload,
         )
+
+    def replace(self, **changes) -> "RunSpec":
+        """A copy with the given fields changed.
+
+        An ``options`` dict is frozen like :meth:`create` freezes it,
+        and ``faults`` is normalised (an empty plan becomes None).
+        """
+        if isinstance(changes.get("options"), dict):
+            changes["options"] = _freeze_options(changes["options"])
+        if "faults" in changes:
+            changes["faults"] = normalize_plan(changes["faults"])
+        return dataclasses.replace(self, **changes)
+
+    def to_spec(self) -> "RunSpec":
+        """The spec itself: the public run description *is* the spec."""
+        return self
 
     # -- identity ------------------------------------------------------------
 
@@ -166,7 +214,11 @@ class RunSpec:
             "algorithm": self.algorithm,
             "iterations": self.iterations,
             "iteration_compute": self.iteration_compute,
-            "options": [[key, value] for key, value in self.options],
+            # Both engines give bit-identical results, so the engine
+            # choice is not part of the identity.
+            "options": [
+                [key, value] for key, value in self.options if key != "fastpath"
+            ],
         }
         # Only present when faulty, so healthy fingerprints (and the
         # cache entries keyed on them) survive the field's introduction.
@@ -224,59 +276,53 @@ class RunSpec:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self) -> ScheduleResult:
+    def selection_table(self):
+        """The selection table this run's cost model consults.
+
+        Rebuilt from the embedded payload — never the ambient process
+        registry, whose contents are not part of the fingerprint.  An
+        ``"auto"`` spec without a snapshot pins the always-miss table
+        (plain ring, bit-identically) for the same reason; any other
+        algorithm consults no table.
+        """
+        if self.tuned_table is not None:
+            from repro.network.autotuner import SelectionTable
+
+            return SelectionTable.from_payload_tuple(self.tuned_table)
+        if self.algorithm == "auto":
+            from repro.network.autotuner import NO_TABLE
+
+            return NO_TABLE
+        return None
+
+    def run(self, trace: bool = False) -> ScheduleResult:
         """Execute the simulation this spec describes.
 
         Specs with ``compute_scales`` return a
         :class:`~repro.schedulers.multirank.HeterogeneousResult`, which
         exposes the same ``iteration_time`` / ``iteration_times`` /
         ``extras`` surface the runner and reporters consume.
+        ``trace=True`` records the run's Perfetto spans into
+        ``result.tracer`` (``None`` otherwise).
         """
-        table = None
-        if self.tuned_table is not None:
-            from repro.network.autotuner import SelectionTable
-
-            table = SelectionTable.from_payload_tuple(self.tuned_table)
-        elif self.algorithm == "auto":
-            # The spec was snapshotted without a table: pin plain-ring
-            # behaviour even if the executing process registered one
-            # since (the fingerprint says "untuned").
-            from repro.network.autotuner import NO_TABLE
-
-            table = NO_TABLE
-        return self._execute(table)
-
-    def _execute(self, table) -> ScheduleResult:
-        if self.compute_scales is not None:
-            from repro.schedulers.multirank import simulate_heterogeneous
-
-            return simulate_heterogeneous(
-                self.scheduler,
-                self.model,
-                self.cluster,
-                self.compute_scales,
-                batch_size=self.batch_size,
-                algorithm=self.algorithm,
-                iterations=self.iterations,
-                iteration_compute=self.iteration_compute,
-                faults=self.faults,
-                tuned_table=table,
-                workload=self.workload,
-                **dict(self.options),
-            )
-        return simulate(
-            self.scheduler,
-            self.model,
-            self.cluster,
+        kwargs = dict(
             batch_size=self.batch_size,
             algorithm=self.algorithm,
             iterations=self.iterations,
             iteration_compute=self.iteration_compute,
             faults=self.faults,
-            tuned_table=table,
+            tuned_table=self.selection_table(),
             workload=self.workload,
             **dict(self.options),
         )
+        if trace:
+            kwargs["trace"] = True
+        if self.compute_scales is not None:
+            return simulate_heterogeneous(
+                self.scheduler, self.model, self.cluster, self.compute_scales,
+                **kwargs,
+            )
+        return simulate(self.scheduler, self.model, self.cluster, **kwargs)
 
 
 def _model_payload(model: ModelSpec) -> dict:

@@ -13,7 +13,7 @@ from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.schedulers.engine import FastIterationContext, IterationContext, record_fallback
-from repro.sim.fastpath import FastPathUnsupported, fast_path_enabled
+from repro.sim.fastpath import FastPathUnsupported
 from repro.sim.trace import COMM_CATEGORIES, Tracer, clip_to_window, exposed_times
 from repro.telemetry.registry import default_registry
 
@@ -141,19 +141,17 @@ class Scheduler(ABC):
             self.schedule_workload(ctx, workload, iterations)
 
     def _execute(self, fast: type, event: type, iterations: int, workload,
-                 fastpath: Optional[bool], *args, **kwargs) -> IterationContext:
+                 fastpath: bool, *args, **kwargs) -> IterationContext:
         """Schedule + execute on the fastest applicable context.
 
         Builds ``fast(*args, **kwargs)`` (a vectorized replay) unless
-        ``fastpath`` — or, when None, ``DEAR_FASTPATH`` — turns it off or
-        this policy opts out; a schedule the recorder cannot express
-        raises :class:`FastPathUnsupported`, which is counted by
-        :func:`record_fallback` and re-run on the event kernel
-        ``event(*args, **kwargs)``.  Timing-fault plans ride the fast
+        ``fastpath`` is False or this policy opts out; a schedule the
+        recorder cannot express raises :class:`FastPathUnsupported`,
+        which is counted by :func:`record_fallback` and re-run on the
+        event kernel ``event(*args, **kwargs)``.  Timing-fault plans ride the fast
         path too (priced durations resolved at replay).
         """
-        use_fast = fast_path_enabled() if fastpath is None else fastpath
-        if use_fast and self.supports_fast_path:
+        if fastpath and self.supports_fast_path:
             ctx = fast(*args, **kwargs)
             try:
                 self._schedule_onto(ctx, iterations, workload)
@@ -172,13 +170,14 @@ class Scheduler(ABC):
         cost: CollectiveTimeModel,
         iterations: int = DEFAULT_ITERATIONS,
         faults: Optional[FaultPlan] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
         workload=None,
         trace: bool = False,
     ) -> ScheduleResult:
         """Simulate and measure the steady-state iteration time.
 
-        ``fastpath`` overrides the DEAR_FASTPATH toggle (None = env).
+        ``fastpath=False`` runs the event kernel instead of the
+        vectorized replay (bit-identical results).
         ``workload`` selects a comm-compute DAG — a registry name or a
         built :class:`~repro.workloads.ir.Workload` — instead of the
         classic layer-wise schedule.  ``trace`` records the run's
@@ -200,7 +199,7 @@ class Scheduler(ABC):
         cost: CollectiveTimeModel,
         iterations: int,
         faults: Optional[FaultPlan] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
         workload=None,
         trace: bool = False,
     ) -> ScheduleResult:
@@ -423,7 +422,7 @@ def simulate(
     iterations: int = DEFAULT_ITERATIONS,
     iteration_compute: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
-    fastpath: Optional[bool] = None,
+    fastpath: bool = True,
     tuned_table=None,
     workload: Optional[str] = None,
     trace: bool = False,
@@ -434,8 +433,8 @@ def simulate(
     ``iteration_compute`` overrides the calibrated single-GPU compute
     time (required for models outside the Table I zoo).  ``faults``
     injects a timing-level :class:`~repro.faults.plan.FaultPlan`;
-    ``fastpath`` force-enables/disables the vectorized replay (None
-    defers to ``DEAR_FASTPATH``).
+    ``fastpath=False`` runs the event kernel instead of the vectorized
+    replay (bit-identical results).
 
     ``algorithm="auto"`` consults ``tuned_table`` (a
     :class:`~repro.network.autotuner.SelectionTable`) — or, when None,

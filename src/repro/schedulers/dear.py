@@ -183,7 +183,7 @@ class DeARScheduler(Scheduler):
         execute_dear(ctx, workload, iterations, bucket_bytes)
 
     def run(self, timing: TimingModel, cost: CollectiveTimeModel,
-            iterations: int = 5, faults=None, fastpath=None,
+            iterations: int = 5, faults=None, fastpath: bool = True,
             workload=None, trace: bool = False) -> ScheduleResult:
         if self.fusion != "bo":
             return super().run(timing, cost, iterations=iterations,

@@ -80,7 +80,7 @@ class HorovodScheduler(WFBPScheduler):
         return negotiation + 0.5 * self.cycle_time
 
     def run(self, timing: TimingModel, cost: CollectiveTimeModel,
-            iterations: int = 5, faults=None, fastpath=None,
+            iterations: int = 5, faults=None, fastpath: bool = True,
             workload=None, trace: bool = False) -> ScheduleResult:
         if self.fusion != "bo":
             return super().run(timing, cost, iterations=iterations,

@@ -32,9 +32,8 @@ execution engines back that API:
   sweeps interactive.
 
 Engine selection is :meth:`repro.schedulers.base.Scheduler.run`'s:
-vectorized replay first (honouring ``DEAR_FASTPATH`` and the
-``fastpath`` override), event kernel on
-:class:`~repro.sim.fastpath.FastPathUnsupported`.  Uniform
+vectorized replay first (unless the run passes ``fastpath=False``),
+event kernel on :class:`~repro.sim.fastpath.FastPathUnsupported`.  Uniform
 ``compute_scales`` with no faults collapse to the single-rank engine
 outright (synchronous collectives make identical ranks redundant; the
 engine module's docstring makes the exactness argument).  The
@@ -566,7 +565,7 @@ def simulate_heterogeneous(
     algorithm: str = "ring",
     iterations: int = 5,
     faults: Optional[FaultPlan] = None,
-    fastpath: Optional[bool] = None,
+    fastpath: bool = True,
     collapse: bool = True,
     trace: bool = False,
     tuned_table=None,
@@ -584,8 +583,8 @@ def simulate_heterogeneous(
             their own default buckets).
         faults: timing-level fault plan (straggler / link-degradation
             windows), priced identically on either engine.
-        fastpath: force the vectorized replay on/off (None defers to
-            ``DEAR_FASTPATH``).
+        fastpath: False runs the multi-rank event kernel instead of the
+            vectorized replay (bit-identical results).
         collapse: allow delegating uniform-scale fault-free runs to the
             single-rank engine (exact; disable to force a true
             multi-rank execution, e.g. for differential testing).

@@ -317,7 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _answer_simulate(self, server: _ServeHTTPServer, registry) -> None:
         try:
             with server.owner.batcher.arriving():
-                config, spec, future = self._enqueue(server)
+                spec, future = self._enqueue(server)
         except _Rejected as rejected:
             if rejected.stage is not None:
                 registry.counter("serve.errors", "failed requests, by stage").inc(
@@ -343,25 +343,24 @@ class _Handler(BaseHTTPRequestHandler):
             200,
             {
                 "fingerprint": spec.fingerprint,
-                "label": config.label,
+                "label": spec.label,
                 "result": result_to_dict(result),
             },
         )
 
     def _enqueue(self, server: _ServeHTTPServer) -> tuple:
-        """Read, validate and submit one request: ``(config, spec, future)``."""
+        """Read, validate and submit one request: ``(spec, future)``."""
         try:
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length))
         except (ValueError, json.JSONDecodeError):
             raise _Rejected(400, "body must be a JSON object", "parse") from None
         try:
-            config = config_from_payload(payload)
+            spec = config_from_payload(payload)
         except (ValueError, KeyError) as exc:
             raise _Rejected(400, str(exc), "config") from None
-        spec = config.to_spec()
         try:
-            return config, spec, server.owner.batcher.submit(spec)
+            return spec, server.owner.batcher.submit(spec)
         except RuntimeError as exc:
             raise _Rejected(503, str(exc)) from None
 

@@ -14,7 +14,10 @@ It then proves the service path end to end from the metrics snapshot:
 - repeat waves after the burst are pure cache hits;
 - a lone sequential request closes its batch window early, as idle
   (``serve.window_closes{reason="idle"}``);
-- responses for identical payloads are byte-identical.
+- responses for identical payloads are byte-identical;
+- a heterogeneous request (``compute_scales``, one straggling rank) is
+  answered with the fingerprint and result of the same
+  ``RunSpec.create(...).run()`` in this process.
 
 The full metrics snapshot and the assertion results are written to a
 JSON report (``--out``) that CI uploads as an artifact.  With
@@ -39,6 +42,15 @@ __all__ = ["main"]
 
 #: Schedulers exercised by the smoke mix; all batch on the fast path.
 SMOKE_SCHEDULERS = ("wfbp", "dear", "ddp", "mg_wfbp")
+
+#: The heterogeneous request: DeAR on the 64-GPU 10GbE testbed with
+#: rank 0 computing 1.5x slower.
+HETEROGENEOUS_PAYLOAD = {
+    "scheduler": "dear",
+    "model": "resnet50",
+    "cluster": "10gbe",
+    "compute_scales": [1.5] + [1.0] * 63,
+}
 
 
 def build_payloads(requests: int) -> tuple[list[dict], int]:
@@ -72,6 +84,17 @@ def counter_delta(before: dict, after: dict, name: str, **labels) -> float:
         )
 
     return total(after) - total(before)
+
+
+def heterogeneous_matches_in_process(client: ServeClient) -> bool:
+    """Whether the served heterogeneous reply equals a local run."""
+    from repro.runner.cache import result_to_dict
+    from repro.runner.spec import RunSpec
+
+    served = client.simulate(HETEROGENEOUS_PAYLOAD)
+    spec = RunSpec.create(**HETEROGENEOUS_PAYLOAD)
+    local = json.loads(json.dumps(result_to_dict(spec.run())))
+    return served["fingerprint"] == spec.fingerprint and served["result"] == local
 
 
 def wait_until_down(client: ServeClient, timeout: float = 30.0) -> bool:
@@ -143,6 +166,9 @@ def run_smoke(
         "all_http_200": ok_requests == total,
         "no_server_errors": errors == 0,
         "sequential_windows_close_idle": idle_closes >= 1,
+        "heterogeneous_matches_in_process": heterogeneous_matches_in_process(
+            client
+        ),
     }
 
     report = {

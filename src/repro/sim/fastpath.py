@@ -66,8 +66,8 @@ everything around it stays vectorized.  Anything genuinely dynamic —
 process bodies, ``sim.event()``, raw callbacks — raises
 :class:`FastPathUnsupported`, and the caller falls back to the event
 kernel (:meth:`repro.schedulers.base.Scheduler.run`,
-:func:`repro.schedulers.multirank.simulate_heterogeneous`); disable
-the fast path globally with ``DEAR_FASTPATH=0``.
+:func:`repro.schedulers.multirank.simulate_heterogeneous`); a run
+passes ``fastpath=False`` to take the event kernel outright.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ __all__ = [
     "SimShim",
     "Stream",
     "Timeline",
-    "fast_path_enabled",
     "replay",
 ]
 
@@ -128,21 +127,6 @@ class DeferredRankDurations:
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-def fast_path_enabled() -> bool:
-    """Whether automatic fast-path selection is on (``DEAR_FASTPATH``).
-
-    Parsed by :func:`repro.core.env.env_flag`: recognised false
-    spellings disable it, recognised true spellings (and unset) enable
-    it, and anything else warns and keeps the default (enabled).
-    """
-    # Imported at call time: repro.core's package __init__ transitively
-    # imports the collectives (and through them the telemetry registry),
-    # so a module-level import here could form a cycle.
-    from repro.core.env import env_flag
-
-    return env_flag("DEAR_FASTPATH", True)
 
 
 class Gate:

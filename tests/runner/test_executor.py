@@ -4,8 +4,8 @@ import pickle
 
 import repro.runner.executor as executor_module
 from repro.experiments.sweeps import latency_sweep
-from repro.runner.cache import ResultCache, reset_default_cache
-from repro.runner.executor import resolve_jobs, run_many, simulate_cached
+from repro.runner.cache import ResultCache, reset_default_cache, run_cached
+from repro.runner.executor import resolve_jobs, run_many
 from repro.runner.spec import RunSpec
 
 
@@ -84,13 +84,13 @@ class TestRunMany:
         assert [r.scheduler for r in results] == ["wfbp", "horovod", "dear"]
 
 
-class TestSimulateCached:
+class TestRunCached:
     def test_counts_as_hit_second_time(self, tmp_path):
         cache = ResultCache(root=tmp_path)
-        first = simulate_cached("wfbp", "resnet50", "10gbe", iterations=3,
-                                cache=cache)
-        second = simulate_cached("wfbp", "resnet50", "10gbe", iterations=3,
-                                 cache=cache)
+        first = run_cached(RunSpec.create("wfbp", "resnet50", "10gbe", iterations=3),
+                           cache=cache)
+        second = run_cached(RunSpec.create("wfbp", "resnet50", "10gbe", iterations=3),
+                            cache=cache)
         assert cache.hits == 1
         assert first.iteration_time == second.iteration_time
 

@@ -1,6 +1,7 @@
 """RunSpec identity: canonical JSON, fingerprints, execution."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,3 +89,29 @@ class TestRun:
     def test_rejects_unknown_model(self):
         with pytest.raises(KeyError):
             RunSpec.create("horovod", "not_a_model", "10gbe")
+
+
+#: 10GbE is the paper's 64-GPU testbed.
+_HEALTHY_SCALES = (1.0,) * 64
+
+
+class TestCreateValidation:
+    """Inputs a run would reject are rejected when the spec is built."""
+
+    @pytest.mark.parametrize("changes,fragment", [
+        ({"scheduler": "nccl"}, "unknown scheduler"),
+        ({"scheduler": "bytescheduler", "compute_scales": _HEALTHY_SCALES},
+         "unknown policy"),
+        ({"compute_scales": (1.0,) * 3}, "need 64 compute scales"),
+        ({"compute_scales": (math.nan,) + _HEALTHY_SCALES[1:]}, "finite and >= 0"),
+        ({"compute_scales": (math.inf,) + _HEALTHY_SCALES[1:]}, "finite and >= 0"),
+        ({"compute_scales": (-0.5,) + _HEALTHY_SCALES[1:]}, "finite and >= 0"),
+        ({"iterations": 2}, ">= 3 iterations"),
+        ({"algorithm": "bogus"}, "unknown algorithm"),
+        ({"workload": "transformer"}, "unknown workload"),
+    ])
+    def test_rejected_at_construction(self, changes, fragment):
+        kwargs = {"scheduler": "wfbp", "model": "resnet50", "cluster": "10gbe"}
+        kwargs.update(changes)
+        with pytest.raises(ValueError, match=fragment):
+            RunSpec.create(**kwargs)

@@ -170,6 +170,50 @@ class TestWireValidation:
         assert fragment in excinfo.value.message
 
     @pytest.mark.parametrize(
+        "payload",
+        [
+            {**PAYLOAD, "options": {"bogus": 1}},
+            {**PAYLOAD, "options": {"fusion": "buffer"}},  # a dear option
+            {**PAYLOAD, "options": {"fastpath": False}},
+            {**PAYLOAD, "options": {"compute_scales": [1.0] * 64}},
+            {**PAYLOAD, "options": {"fusion_buffer_bytes": 1e6}},
+            {**PAYLOAD, "compute_scales": [1.0] * 64,
+             "options": {"buffer_bytes": 1e6}},
+        ],
+        ids=["typo", "other-scheduler", "engine", "field", "multirank-only",
+             "single-rank-only"],
+    )
+    def test_options_the_run_would_not_take_answer_400(self, client, payload):
+        config_before = _counter("serve.errors", stage="config")
+        compute_before = _counter("serve.errors", stage="compute")
+        assert _status(client, payload) == 400
+        assert _counter("serve.errors", stage="config") - config_before == 1
+        assert _counter("serve.errors", stage="compute") == compute_before
+
+    def test_multirank_options_accepted_with_scales(self, client):
+        payload = {**PAYLOAD, "compute_scales": [1.0] * 64,
+                   "options": {"fusion_buffer_bytes": 1e6, "collapse": False}}
+        assert _status(client, payload) == 200
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            [1.0] * 3,
+            [-1.0] + [1.0] * 63,
+            [float("nan")] + [1.0] * 63,
+            [10 ** 400] + [1.0] * 63,
+            [True] * 64,
+            ["1.5"] + [1.0] * 63,
+            1.5,
+        ],
+        ids=["length", "negative", "nan", "overflow", "bool", "string", "scalar"],
+    )
+    def test_bad_compute_scales_answer_400(self, client, scales):
+        config_before = _counter("serve.errors", stage="config")
+        assert _status(client, {**PAYLOAD, "compute_scales": scales}) == 400
+        assert _counter("serve.errors", stage="config") - config_before == 1
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("faults", 3),
@@ -354,8 +398,8 @@ class TestBatchWindow:
 class TestFailureIsolation:
     """A spec that fails to compute fails only its own requests."""
 
-    #: Passes wire validation, then raises TypeError in the scheduler.
-    BAD = {**PAYLOAD, "options": {"bogus": 1}}
+    #: Passes wire validation, then raises ValueError in the scheduler.
+    BAD = {**PAYLOAD, "scheduler": "ddp", "options": {"buffer_bytes": -1}}
 
     def test_bad_spec_does_not_fail_its_batch(self, tmp_path, monkeypatch):
         # Hold the batcher on a first batch so the three requests below

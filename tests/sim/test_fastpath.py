@@ -25,7 +25,6 @@ from repro.sim.fastpath import (
     Timeline,
     _replay_floats,
     _replay_lanes,
-    fast_path_enabled,
 )
 from repro.sim.resources import Stream
 from repro.sim.trace import Tracer
@@ -192,16 +191,6 @@ class TestFastTimeline:
 
 
 class TestFastPathToggle:
-    def test_env_values(self, monkeypatch):
-        for value, expected in [
-            ("1", True), ("on", True), ("", True), ("yes", True),
-            ("0", False), ("off", False), ("FALSE", False), ("no", False),
-        ]:
-            monkeypatch.setenv("DEAR_FASTPATH", value)
-            assert fast_path_enabled() is expected
-        monkeypatch.delenv("DEAR_FASTPATH")
-        assert fast_path_enabled() is True
-
     def test_bytescheduler_opts_out(self):
         assert get_scheduler("bytescheduler").supports_fast_path is False
         for name in FAST_SCHEDULERS:
@@ -231,11 +220,13 @@ class TestFastPathToggle:
 # -- differential suite: schedulers x workloads --------------------------------
 
 
-def _run_both(scheduler_name, timing, cost, monkeypatch, **options):
-    monkeypatch.setenv("DEAR_FASTPATH", "1")
-    fast = get_scheduler(scheduler_name, **options).run(timing, cost, trace=True)
-    monkeypatch.setenv("DEAR_FASTPATH", "0")
-    slow = get_scheduler(scheduler_name, **options).run(timing, cost, trace=True)
+def _run_both(scheduler_name, timing, cost, **options):
+    fast = get_scheduler(scheduler_name, **options).run(
+        timing, cost, fastpath=True, trace=True
+    )
+    slow = get_scheduler(scheduler_name, **options).run(
+        timing, cost, fastpath=False, trace=True
+    )
     return fast, slow
 
 
@@ -265,24 +256,24 @@ def _assert_equivalent(fast, slow):
 
 @pytest.mark.parametrize("scheduler", FAST_SCHEDULERS + ("bytescheduler",))
 class TestDifferentialTiny:
-    def test_ethernet(self, scheduler, tiny_timing, ethernet_cost, monkeypatch):
-        fast, slow = _run_both(scheduler, tiny_timing, ethernet_cost, monkeypatch)
+    def test_ethernet(self, scheduler, tiny_timing, ethernet_cost):
+        fast, slow = _run_both(scheduler, tiny_timing, ethernet_cost)
         _assert_equivalent(fast, slow)
 
-    def test_infiniband(self, scheduler, tiny_timing, infiniband_cluster, monkeypatch):
+    def test_infiniband(self, scheduler, tiny_timing, infiniband_cluster):
         cost = CollectiveTimeModel(infiniband_cluster)
-        fast, slow = _run_both(scheduler, tiny_timing, cost, monkeypatch)
+        fast, slow = _run_both(scheduler, tiny_timing, cost)
         _assert_equivalent(fast, slow)
 
 
 @pytest.mark.parametrize("scheduler", FAST_SCHEDULERS)
 @pytest.mark.parametrize("model_fixture", ["resnet50", "bert_base"])
 def test_differential_zoo_models(
-    scheduler, model_fixture, ethernet_cost, monkeypatch, request
+    scheduler, model_fixture, ethernet_cost, request
 ):
     model = request.getfixturevalue(model_fixture)
     timing = TimingModel.for_model(model)
-    fast, slow = _run_both(scheduler, timing, ethernet_cost, monkeypatch)
+    fast, slow = _run_both(scheduler, timing, ethernet_cost)
     _assert_equivalent(fast, slow)
 
 
@@ -297,15 +288,15 @@ def test_differential_zoo_models(
     ids=lambda options: options["fusion"],
 )
 def test_differential_dear_fusion_plans(
-    options, tiny_timing, ethernet_cost, monkeypatch
+    options, tiny_timing, ethernet_cost
 ):
-    fast, slow = _run_both("dear", tiny_timing, ethernet_cost, monkeypatch, **options)
+    fast, slow = _run_both("dear", tiny_timing, ethernet_cost, **options)
     _assert_equivalent(fast, slow)
 
 
 @pytest.mark.parametrize("scheduler", FAST_SCHEDULERS)
 def test_differential_chrome_trace_byte_for_byte(
-    scheduler, tiny_timing, ethernet_cost, monkeypatch
+    scheduler, tiny_timing, ethernet_cost
 ):
     """The exported trace files are *identical*, not merely equivalent.
 
@@ -315,7 +306,7 @@ def test_differential_chrome_trace_byte_for_byte(
     bit-identical — and the serialised trace must therefore be
     byte-for-byte equal, not just within tolerance.
     """
-    fast, slow = _run_both(scheduler, tiny_timing, ethernet_cost, monkeypatch)
+    fast, slow = _run_both(scheduler, tiny_timing, ethernet_cost)
     assert fast.tracer.to_chrome_trace() == slow.tracer.to_chrome_trace()
 
 

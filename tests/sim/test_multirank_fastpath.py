@@ -298,17 +298,15 @@ def test_faults_route_through_fastpath_engine(registry, tiny):
 
 
 class TestEngineSelection:
-    def test_env_kill_switch(self, tiny, monkeypatch, registry):
-        monkeypatch.setenv("DEAR_FASTPATH", "0")
+    def test_fastpath_switch(self, tiny, registry):
         result = simulate_heterogeneous(
             "dear", tiny, CLUSTER, SCALE_PATTERNS["ramp"],
-            iteration_compute=0.03, collapse=False,
+            iteration_compute=0.03, collapse=False, fastpath=False,
         )
         assert result.extras["engine"] == "multirank-event"
-        monkeypatch.setenv("DEAR_FASTPATH", "1")
         result = simulate_heterogeneous(
             "dear", tiny, CLUSTER, SCALE_PATTERNS["ramp"],
-            iteration_compute=0.03, collapse=False,
+            iteration_compute=0.03, collapse=False, fastpath=True,
         )
         assert result.extras["engine"] == "multirank-fastpath"
         runs = registry.counter("sim.runs")

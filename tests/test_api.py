@@ -75,7 +75,7 @@ class TestSimulationConfig:
     def test_to_spec_drops_fastpath(self, tiny_model, ethernet_cluster):
         fast = SimulationConfig.create("dear", tiny_model, ethernet_cluster,
                                        fastpath=True)
-        slow = fast.replace(fastpath=False)
+        slow = fast.replace(options={"fastpath": False})
         # Both engines are bit-identical, so the cache key must not
         # distinguish them.
         assert fast.to_spec().fingerprint == slow.to_spec().fingerprint
@@ -237,7 +237,7 @@ _VALID = {"scheduler": "wfbp", "model": "resnet50", "cluster": "10gbe"}
 
 _WIRE_FIELDS = (
     "scheduler", "model", "cluster", "batch_size", "algorithm", "iterations",
-    "iteration_compute", "faults", "options", "workload",
+    "iteration_compute", "faults", "options", "workload", "compute_scales",
 )
 
 
@@ -300,6 +300,9 @@ class TestWirePayloads:
         ("options", []),
         ("options", {"tuned_table": 5}),
         ("workload", ["moe"]),
+        ("compute_scales", [1.0] * 3),
+        ("compute_scales", {"0": 1.0}),
+        ("options", {"bogus": 1}),
     ])
     def test_mistyped_fields_are_value_errors(self, field, value):
         with pytest.raises(ValueError):

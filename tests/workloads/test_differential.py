@@ -43,14 +43,14 @@ def cost():
     return CollectiveTimeModel(cluster_10gbe())
 
 
-def _run_both(scheduler_name, timing, cost, workload, monkeypatch, **options):
-    monkeypatch.setenv("DEAR_FASTPATH", "1")
+def _run_both(scheduler_name, timing, cost, workload, **options):
     fast = get_scheduler(scheduler_name, **options).run(
-        timing, cost, iterations=ITERATIONS, workload=workload, trace=True
+        timing, cost, iterations=ITERATIONS, workload=workload, fastpath=True,
+        trace=True,
     )
-    monkeypatch.setenv("DEAR_FASTPATH", "0")
     slow = get_scheduler(scheduler_name, **options).run(
-        timing, cost, iterations=ITERATIONS, workload=workload, trace=True
+        timing, cost, iterations=ITERATIONS, workload=workload, fastpath=False,
+        trace=True,
     )
     return fast, slow
 
@@ -58,25 +58,24 @@ def _run_both(scheduler_name, timing, cost, workload, monkeypatch, **options):
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 @pytest.mark.parametrize("scheduler", FAST_SCHEDULERS)
 class TestSingleRankDifferential:
-    def test_bit_identical_timestamps(self, scheduler, workload, timing, cost,
-                                      monkeypatch):
-        fast, slow = _run_both(scheduler, timing, cost, workload, monkeypatch)
+    def test_bit_identical_timestamps(self, scheduler, workload, timing, cost):
+        fast, slow = _run_both(scheduler, timing, cost, workload)
         assert fast.iteration_times == slow.iteration_times
         assert fast.exposed_comm == slow.exposed_comm
 
     def test_byte_identical_perfetto_trace(self, scheduler, workload, timing,
-                                           cost, monkeypatch):
-        fast, slow = _run_both(scheduler, timing, cost, workload, monkeypatch)
+                                           cost):
+        fast, slow = _run_both(scheduler, timing, cost, workload)
         assert fast.tracer.to_chrome_trace() == slow.tracer.to_chrome_trace()
 
 
 @pytest.mark.parametrize("workload", DAG_WORKLOADS)
-def test_bytescheduler_event_only(workload, timing, cost, monkeypatch):
+def test_bytescheduler_event_only(workload, timing, cost):
     # No fast path to compare against: the run must simply be stable
     # and carry the workload tag.
-    monkeypatch.setenv("DEAR_FASTPATH", "1")  # ignored: supports_fast_path=False
     result = get_scheduler("bytescheduler").run(
-        timing, cost, iterations=ITERATIONS, workload=workload
+        timing, cost, iterations=ITERATIONS, workload=workload,
+        fastpath=True,  # ignored: supports_fast_path=False
     )
     assert result.iteration_time > 0
     assert result.extras["workload"] == workload
