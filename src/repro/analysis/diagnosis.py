@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.schedulers.base import ScheduleResult
-from repro.sim.trace import COMM_CATEGORIES, total_length
-from repro.telemetry.breakdown import steady_state_window
+from repro.sim.trace import COMM_CATEGORIES
+from repro.telemetry.breakdown import steady_state_window, total_in_window
 
 __all__ = ["Diagnosis", "diagnose"]
 
@@ -103,18 +103,12 @@ def diagnose(result: ScheduleResult, alpha: float = 0.0,
         )
     # The steady-state window the scheduler measured.
     window = steady_state_window(result.tracer)
-
-    def in_window(span):
-        return span.start < window[1] and span.end > window[0]
-
     comm_spans = [
         span for span in result.tracer.spans
-        if span.category in COMM_CATEGORIES and in_window(span)
+        if span.category in COMM_CATEGORIES
+        and span.start < window[1] and span.end > window[0]
     ]
-    total_comm = total_length(
-        (max(span.start, window[0]), min(span.end, window[1]))
-        for span in comm_spans
-    )
+    total_comm = total_in_window(result.tracer, COMM_CATEGORIES, window)
     hidden = total_comm - result.exposed_comm
     overlap_efficiency = hidden / total_comm if total_comm > 0 else 1.0
     utilisation = total_comm / result.iteration_time if result.iteration_time else 0.0

@@ -45,6 +45,7 @@ from repro.schedulers.base import (
     ScheduleResult,
     get_scheduler,
 )
+from repro.schedulers.multirank import _policy_scheduler
 
 __all__ = [
     "CollectiveResult",
@@ -178,6 +179,15 @@ def config_from_payload(payload: dict) -> RunSpec:
         raise ValueError(
             f"unknown options for {spec.scheduler!r}: {typos}; known: {sorted(known)}"
         )
+    # Build the scheduler the run would build, so a value its
+    # constructor rejects fails this request alone, before it is batched.
+    try:
+        if spec.compute_scales is None:
+            get_scheduler(spec.scheduler, **options)
+        elif "fusion_buffer_bytes" in options:
+            _policy_scheduler(spec.scheduler, options["fusion_buffer_bytes"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad options for {spec.scheduler!r}: {exc}") from None
     return spec
 
 

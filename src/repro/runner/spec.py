@@ -175,16 +175,21 @@ class RunSpec:
         )
 
     def replace(self, **changes) -> "RunSpec":
-        """A copy with the given fields changed.
+        """A copy with the given fields changed, built by :meth:`create`.
 
-        An ``options`` dict is frozen like :meth:`create` freezes it,
-        and ``faults`` is normalised (an empty plan becomes None).
+        The result is validated and normalised exactly as if it had been
+        created with those fields: ``options`` (a dict or the frozen
+        tuple) replaces all options, ``compute_scales`` are checked
+        against the cluster and stored as floats, an empty fault plan
+        becomes None.
         """
-        if isinstance(changes.get("options"), dict):
-            changes["options"] = _freeze_options(changes["options"])
-        if "faults" in changes:
-            changes["faults"] = normalize_plan(changes["faults"])
-        return dataclasses.replace(self, **changes)
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        unknown = set(changes) - set(fields)
+        if unknown:
+            raise TypeError(f"unknown RunSpec fields: {sorted(unknown)}")
+        fields.update(changes)
+        options = dict(fields.pop("options"))
+        return self.create(**fields, **options)
 
     def to_spec(self) -> "RunSpec":
         """The spec itself: the public run description *is* the spec."""

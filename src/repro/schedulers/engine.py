@@ -87,12 +87,19 @@ class IterationContext:
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
         self._bind(timing, cost, tracer, faults, _RepresentativeRank(timing))
-        self.sim = Simulator()
+        self._start_kernel()
+        self.sim = self._sim
+        self.compute = self.stream("compute", actor="gpu.compute")
+        self.comm = self.stream("comm", actor="gpu.comm")
+
+    def _start_kernel(self) -> None:
+        """The event kernel and the streams' shared completion log."""
+        self._sim = Simulator()
         #: ``(actor, job)`` of every stream's positive-duration jobs, in
         #: completion order: what the run is measured and traced from.
         self._completed: list[tuple[str, Job]] = []
-        self.compute = self.stream("compute", actor="gpu.compute")
-        self.comm = self.stream("comm", actor="gpu.comm")
+        #: every stream made through :meth:`stream`, checked for stalls.
+        self._streams: list[Stream] = []
 
     def stream(self, name: str, actor: str = "") -> Stream:
         """A new in-order stream whose jobs are traced and measured.
@@ -101,7 +108,9 @@ class IterationContext:
         credit channels) create them here, so the run's measurement
         sees their jobs too.
         """
-        return Stream(self.sim, name, actor=actor, log=self._completed)
+        stream = Stream(self._sim, name, actor=actor, log=self._completed)
+        self._streams.append(stream)
+        return stream
 
     def _bind(self, timing: TimingModel, cost: CollectiveTimeModel,
               tracer: Optional[Tracer], faults: Optional[FaultPlan],
@@ -307,21 +316,23 @@ class IterationContext:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, check_quiescent: bool = True) -> float:
+    def run(self) -> float:
         """Run the simulation to completion; returns the final time.
 
-        With ``check_quiescent`` (default), raises a diagnostic error if
-        any stream still has outstanding jobs after the event heap
-        drains — the signature of a dependency deadlock in a schedule.
+        Raises a diagnostic error if any stream still has outstanding
+        jobs after the event heap drains — the signature of a dependency
+        deadlock in a schedule.
         """
-        final = self.sim.run()
+        final = self._sim.run()
+        stuck = [stream.stall_report() for stream in self._streams
+                 if stream.outstanding]
+        if stuck:
+            raise RuntimeError("schedule deadlocked: " + "; ".join(stuck))
         if self.tracer is not None:
             record = self.tracer.record
             for actor, job in self._completed:
                 record(job.name, job.category, actor, job.start, job.end,
                        job.metadata)
-        if check_quiescent:
-            raise_if_stalled((self.compute, self.comm))
         self.finish()
         return final
 
@@ -407,13 +418,6 @@ class IterationContext:
         return extras
 
 
-def raise_if_stalled(streams) -> None:
-    """Raise a deadlock diagnostic if any event stream kept jobs."""
-    stuck = [stream.stall_report() for stream in streams if stream.outstanding]
-    if stuck:
-        raise RuntimeError("schedule deadlocked: " + "; ".join(stuck))
-
-
 def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
     """Count one fall back from a fast engine to a slower one.
 
@@ -461,12 +465,11 @@ class FastIterationContext(IterationContext):
     ) -> list[tuple[float, float, str]]:
         return self._timeline.timed_jobs(window)
 
-    def run(self, check_quiescent: bool = True) -> float:
+    def run(self) -> float:
         """Replay the recorded schedule; returns the final virtual time.
 
-        ``check_quiescent`` is accepted for interface parity but has
-        nothing to check: recordable schedules only carry back-edges, so
-        they cannot deadlock.
+        Nothing to check for stalls: recordable schedules only carry
+        back-edges, so they cannot deadlock.
         """
         final = self._timeline.replay(self.tracer)
         self.finish()

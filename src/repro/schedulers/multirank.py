@@ -60,13 +60,13 @@ from repro.faults.plan import FaultPlan, normalize_plan
 from repro.schedulers.base import Scheduler
 from repro.schedulers.ddp import DDP_DEFAULT_BUCKET_BYTES, DDPScheduler
 from repro.schedulers.dear import DeARScheduler
-from repro.schedulers.engine import IterationContext, raise_if_stalled
+from repro.schedulers.engine import IterationContext
 from repro.schedulers.horovod import HOROVOD_DEFAULT_BUFFER_BYTES, HorovodScheduler
 from repro.schedulers.mg_wfbp import MGWFBPScheduler
 from repro.schedulers.wfbp import WFBPScheduler
 from repro.sim.engine import Event, Simulator
 from repro.sim.fastpath import Timeline
-from repro.sim.resources import DeferredDuration, Stream
+from repro.sim.resources import DeferredDuration
 from repro.sim.trace import Tracer
 
 __all__ = ["HeterogeneousResult", "simulate_heterogeneous", "POLICIES"]
@@ -291,17 +291,13 @@ class MultiRankIterationContext(IterationContext):
         timings = list(timings)
         self._bind(timings[0], cost, tracer, faults, _RankDurations(timings))
         self.world = len(timings)
-        self._sim = Simulator()
+        self._start_kernel()
         self.sim = _EventShim(self._sim, self.world)
         self.compute_streams = [
-            Stream(self._sim, f"rank{rank}.compute", tracer=self.tracer,
-                   actor=f"rank{rank}.compute")
-            for rank in range(self.world)
+            self.stream(f"rank{rank}.compute") for rank in range(self.world)
         ]
         self.comm_streams = [
-            Stream(self._sim, f"rank{rank}.comm", tracer=self.tracer,
-                   actor=f"rank{rank}.comm")
-            for rank in range(self.world)
+            self.stream(f"rank{rank}.comm") for rank in range(self.world)
         ]
 
     def _compute_slot(self, durations, name, category, gate, metadata):
@@ -337,13 +333,6 @@ class MultiRankIterationContext(IterationContext):
 
     def _stream_totals(self) -> list:
         return []  # per-rank streams publish no sim.stream.* counters
-
-    def run(self, check_quiescent: bool = True) -> float:
-        final = self._sim.run()
-        if check_quiescent:
-            raise_if_stalled((*self.compute_streams, *self.comm_streams))
-        self.finish()
-        return final
 
 
 class FastMultiRankContext(IterationContext):
@@ -394,7 +383,7 @@ class FastMultiRankContext(IterationContext):
     def _stream_totals(self) -> list:
         return []  # per-rank streams publish no sim.stream.* counters
 
-    def run(self, check_quiescent: bool = True) -> float:
+    def run(self) -> float:
         """Replay the recorded schedule (recordable = deadlock-free)."""
         final = self._timeline.replay(self.tracer)
         self.finish()

@@ -12,28 +12,16 @@ discrete-event kernel in the style of SimPy:
 - :class:`~repro.sim.resources.Stream` models a FIFO execution resource
   (a CUDA compute or communication stream).
 - :class:`~repro.sim.trace.Tracer` records task spans and can export them
-  as Chrome ``about://tracing`` JSON or aggregate them into time
-  breakdowns.
+  as Chrome ``about://tracing`` JSON.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-)
-from repro.sim.resources import FifoQueue, Stream
+from repro.sim.engine import AllOf, Event, Process, SimulationError, Simulator
+from repro.sim.resources import Stream
 from repro.sim.trace import Span, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "FifoQueue",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",

@@ -21,6 +21,9 @@ Processes are plain Python generators.  A process may yield:
 - another :class:`Process` — suspend until that process finishes (a
   process *is* an event that triggers on completion).
 
+An exception raised inside a process propagates out of
+:meth:`Simulator.run`.
+
 Example::
 
     sim = Simulator()
@@ -44,15 +47,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
-__all__ = [
-    "SimulationError",
-    "Interrupt",
-    "Event",
-    "Process",
-    "AllOf",
-    "AnyOf",
-    "Simulator",
-]
+__all__ = ["SimulationError", "Event", "Process", "AllOf", "Simulator"]
 
 #: Sentinel marking a tail entry whose callback takes no argument.
 _NO_ARG = object()
@@ -62,70 +57,34 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. double-trigger)."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence in virtual time.
 
-    Events start *pending*; :meth:`succeed` or :meth:`fail` triggers them
-    exactly once.  Processes that yielded the event are resumed in the
-    order they subscribed, at the same virtual instant.
+    Events start *pending*; :meth:`succeed` triggers them exactly once.
+    Callbacks (and processes that yielded the event) run in the order
+    they subscribed, at the same virtual instant.
     """
 
-    __slots__ = ("_sim", "name", "_triggered", "_ok", "value", "trigger_time",
-                 "_callbacks")
+    __slots__ = ("_sim", "name", "triggered", "value", "_callbacks")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self._sim = sim
         self.name = name
-        self._triggered = False
-        self._ok = True
+        #: whether the event has already fired.
+        self.triggered = False
         self.value: Any = None
-        self.trigger_time: Optional[float] = None
         self._callbacks: list[Callable[["Event"], None]] = []
 
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has already fired."""
-        return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """Whether the event fired successfully (vs. :meth:`fail`)."""
-        return self._ok
-
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully, delivering ``value``."""
-        if self._triggered:
+        """Trigger the event, delivering ``value``."""
+        if self.triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
-        self._triggered = True
-        self._ok = True
+        self.triggered = True
         self.value = value
-        self.trigger_time = self._sim._now
-        self._dispatch()
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event as failed; waiters see the exception raised."""
-        if self._triggered:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        if not isinstance(exception, BaseException):
-            raise SimulationError("Event.fail expects an exception instance")
-        self._triggered = True
-        self._ok = False
-        self.value = exception
-        self.trigger_time = self._sim._now
-        self._dispatch()
+        callbacks, self._callbacks = self._callbacks, []
+        tail = self._sim._tail
+        for callback in callbacks:
+            tail.append((callback, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -135,133 +94,50 @@ class Event:
         immediately (at the current virtual instant) rather than invoked
         synchronously, preserving run-loop ordering.
         """
-        if self._triggered:
+        if self.triggered:
             self._sim._tail.append((callback, self))
         else:
             self._callbacks.append(callback)
 
-    def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        tail = self._sim._tail
-        for callback in callbacks:
-            tail.append((callback, self))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
+        state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {self.name!r} {state}>"
 
 
 class Process(Event):
     """A running generator; also an event that fires when it finishes.
 
-    The generator's ``return`` value becomes the event value.  An
-    uncaught exception inside the generator fails the event; if nothing
-    ever waits on the process, the exception propagates out of
-    :meth:`Simulator.run` so that bugs are never silently swallowed.
+    The generator's ``return`` value becomes the event value.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_observed")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        self._observed = False
         sim._tail.append((Process._resume, self))
 
-    @property
-    def is_alive(self) -> bool:
-        """Whether the underlying generator is still running."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event (the
-        event may still trigger later, but this process no longer
-        cares).  Interrupting a process sleeping on a plain delay
-        leaves a no-op wakeup in the heap, so the virtual clock may
-        still advance to the original deadline before the run ends.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        self._sim.schedule(0.0, lambda: self._throw(Interrupt(cause)))
-
-    def _resume(self) -> None:
-        self._step(None, None)
-
-    def _step(self, value: Any, exception: Optional[BaseException]) -> None:
-        if self._triggered:
-            return
-        self._waiting_on = None
+    def _resume(self, event: Optional[Event] = None) -> None:
         try:
-            if exception is not None:
-                target = self._generator.throw(exception)
-            else:
-                target = self._generator.send(value)
+            target = self._generator.send(None if event is None else event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly with
-            # a None result: the interruptor chose to stop it.
-            self.succeed(None)
-            return
-        except BaseException as exc:  # noqa: BLE001 - deliberate funnel
-            self._observe_or_raise(exc)
-            return
-        self._wait_for(target)
-
-    def _throw(self, exception: BaseException) -> None:
-        self._step(None, exception)
-
-    def _wait_for(self, target: Any) -> None:
         if isinstance(target, Event):
-            self._waiting_on = target
-            target.add_callback(self._resume_from_event)
+            target.add_callback(self._resume)
         elif isinstance(target, (int, float)):
-            if target < 0:
-                self._observe_or_raise(
-                    SimulationError(f"process {self.name!r} yielded negative delay {target}")
-                )
-                return
             self._sim.schedule(float(target), self._resume)
         else:
-            self._observe_or_raise(
-                SimulationError(
-                    f"process {self.name!r} yielded unsupported value {target!r}"
-                )
+            raise SimulationError(
+                f"process {self.name!r} yielded unsupported value {target!r}"
             )
-
-    def _resume_from_event(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wake-up after an interrupt
-        if event._ok:
-            self._step(event.value, None)
-        else:
-            self._step(None, event.value)
-
-    def _observe_or_raise(self, exc: BaseException) -> None:
-        try:
-            self.fail(exc)
-        except SimulationError:
-            raise exc from None
-        if not self._callbacks and not self._observed:
-            # Nobody is waiting: surface the error from Simulator.run().
-            self._sim._crash(exc)
-
-    def add_callback(self, callback: Callable[[Event], None]) -> None:
-        self._observed = True
-        super().add_callback(callback)
 
 
 class AllOf(Event):
     """Event that triggers once every event in ``events`` has triggered.
 
     The value is the list of the constituent events' values, in the
-    order given.  If any constituent fails, this event fails with the
-    first failure.
+    order given.
     """
 
     __slots__ = ("_events", "_pending")
@@ -270,50 +146,15 @@ class AllOf(Event):
         super().__init__(sim, name=name)
         self._events = list(events)
         self._pending = len(self._events)
-        if self._pending == 0:
-            sim._tail.append((AllOf._succeed_empty, self))
-            return
+        if not self._events:
+            sim.schedule(0.0, lambda: self.succeed([]))
         for event in self._events:
             event.add_callback(self._on_child)
 
-    def _succeed_empty(self) -> None:
-        self.succeed([])
-
     def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event.value)
-            return
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e.value for e in self._events])
-
-
-class AnyOf(Event):
-    """Event that triggers as soon as any event in ``events`` triggers.
-
-    The value is a ``(index, value)`` tuple identifying which
-    constituent fired first.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str = "any_of"):
-        super().__init__(sim, name=name)
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        for index, event in enumerate(self._events):
-            event.add_callback(lambda e, i=index: self._on_child(i, e))
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._ok:
-            self.succeed((index, event.value))
-        else:
-            self.fail(event.value)
 
 
 class Simulator:
@@ -324,7 +165,7 @@ class Simulator:
     sweep inside a benchmark).
     """
 
-    __slots__ = ("_now", "_heap", "_sequence", "_crashed", "_tail")
+    __slots__ = ("_now", "_heap", "_sequence", "_tail")
 
     def __init__(self):
         self._now = 0.0
@@ -334,7 +175,6 @@ class Simulator:
         #: ``_NO_ARG`` for zero-argument callbacks.
         self._tail: deque[tuple] = deque()
         self._sequence = 0
-        self._crashed: Optional[BaseException] = None
 
     @property
     def now(self) -> float:
@@ -355,12 +195,6 @@ class Simulator:
         """Create a fresh pending :class:`Event`."""
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None, name: str = "timeout") -> Event:
-        """Create an event that succeeds automatically after ``delay``."""
-        evt = Event(self, name=name)
-        self.schedule(delay, lambda: evt.succeed(value))
-        return evt
-
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a process starting now."""
         return Process(self, generator, name=name)
@@ -369,47 +203,21 @@ class Simulator:
         """Event combinator: all of ``events``."""
         return AllOf(self, events, name=name)
 
-    def any_of(self, events: Iterable[Event], name: str = "any_of") -> AnyOf:
-        """Event combinator: any of ``events``."""
-        return AnyOf(self, events, name=name)
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Execute callbacks until both queues drain or ``until`` passes.
-
-        Returns the final virtual time.  Any exception that escaped an
-        unobserved process is re-raised here.
-        """
+    def run(self) -> float:
+        """Execute callbacks until both queues drain; returns the final time."""
         heap = self._heap
         tail = self._tail
         while True:
             # Heap entries at the current instant precede tail entries:
             # they were scheduled earlier, i.e. with a smaller sequence.
             if heap and (not tail or heap[0][0] <= self._now):
-                time, _, callback = heap[0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                heapq.heappop(heap)
-                self._now = time
+                self._now, _, callback = heapq.heappop(heap)
                 callback()
             elif tail:
-                if until is not None and self._now > until:
-                    self._now = until
-                    break
                 fn, arg = tail.popleft()
                 if arg is _NO_ARG:
                     fn()
                 else:
                     fn(arg)
             else:
-                if until is not None and until > self._now:
-                    self._now = until
-                break
-            if self._crashed is not None:
-                exc, self._crashed = self._crashed, None
-                raise exc
-        return self._now
-
-    def _crash(self, exc: BaseException) -> None:
-        if self._crashed is None:
-            self._crashed = exc
+                return self._now

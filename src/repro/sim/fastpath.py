@@ -275,14 +275,6 @@ class Stream:
             category, gate, metadata,
         )
 
-    def barrier(self, name: str = "barrier") -> JobSet:
-        """A zero-duration job marking that all prior work drained."""
-        return self.submit(0.0, name=name, category="barrier")
-
-    def wait_event(self, event: Gate, name: str = "wait_event") -> JobSet:
-        """Stall the stream until ``event`` (cudaStreamWaitEvent)."""
-        return self.submit(0.0, name=name, category="wait", gate=event)
-
 
 def _scalar_duration(body: Any, name: str):
     if isinstance(body, DeferredDuration):
@@ -330,14 +322,8 @@ class SimShim:
     def event(self, name: str = ""):
         self._unsupported("dynamic events (sim.event)")
 
-    def timeout(self, delay: float, value: Any = None, name: str = "timeout"):
-        self._unsupported("timeouts (sim.timeout)")
-
     def process(self, generator, name: str = ""):
         self._unsupported("processes (sim.process)")
-
-    def any_of(self, events, name: str = "any_of"):
-        self._unsupported("any_of combinators")
 
     def schedule(self, delay: float, callback):
         self._unsupported("raw callbacks (sim.schedule)")

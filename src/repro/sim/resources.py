@@ -6,56 +6,16 @@ A work item may declare a *gate* event that must trigger before it can
 start (e.g. "this all-gather cannot start before the matching
 reduce-scatter completed on every rank"), which lets schedulers express
 cross-stream dependencies exactly like CUDA events.
-
-:class:`FifoQueue` is the usual producer/consumer channel used by the
-stream driver and by higher-level protocol models.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional, Union
+from typing import Generator, Optional, Union
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import Tracer
 
-__all__ = ["DeferredDuration", "FifoQueue", "Stream", "Job"]
-
-
-class FifoQueue:
-    """Unbounded FIFO channel with event-based ``get``.
-
-    ``put`` never blocks.  ``get`` returns an :class:`Event` that
-    triggers with the next item, preserving arrival order among waiting
-    consumers.
-    """
-
-    __slots__ = ("_sim", "name", "_items", "_getters")
-
-    def __init__(self, sim: Simulator, name: str = "queue"):
-        self._sim = sim
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that triggers with the next item (immediately if queued)."""
-        evt = self._sim.event(name=f"{self.name}.get")
-        if self._items:
-            evt.succeed(self._items.popleft())
-        else:
-            self._getters.append(evt)
-        return evt
+__all__ = ["DeferredDuration", "Stream", "Job"]
 
 
 class DeferredDuration:
@@ -126,32 +86,28 @@ class Stream:
     ``gate`` event; the stream *stalls* at that item until the gate
     triggers — exactly the semantics of ``cudaStreamWaitEvent``.
 
-    All executed spans are recorded into the optional :class:`Tracer`
-    under this stream's ``actor`` label.  Alternatively, each
-    positive-duration job is appended as ``(actor, job)``, when it
+    Each positive-duration job is appended as ``(actor, job)``, when it
     completes, to the optional ``log`` list, which several streams may
-    share.
+    share: the run is measured and traced from it.
     """
 
-    __slots__ = ("_sim", "name", "actor", "_tracer", "_log", "_queue",
-                 "_idle_since", "busy_time", "jobs_completed",
-                 "jobs_submitted", "_current")
+    __slots__ = ("_sim", "name", "actor", "_log", "_jobs", "_wakeup",
+                 "busy_time", "jobs_completed", "jobs_submitted", "_current")
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
-        tracer: Optional[Tracer] = None,
         actor: str = "",
         log: Optional[list] = None,
     ):
         self._sim = sim
         self.name = name
         self.actor = actor or name
-        self._tracer = tracer
         self._log = log
-        self._queue = FifoQueue(sim, name=f"{name}.jobs")
-        self._idle_since = 0.0
+        self._jobs: deque[Job] = deque()
+        #: event the driver waits on while ``_jobs`` is empty.
+        self._wakeup: Optional[Event] = None
         self.busy_time = 0.0
         self.jobs_completed = 0
         self.jobs_submitted = 0
@@ -168,8 +124,11 @@ class Stream:
     ) -> Job:
         """Enqueue work; returns the :class:`Job` whose ``done`` event fires on completion."""
         job = Job(self._sim, body, name=name, category=category, gate=gate, metadata=metadata)
-        self._queue.put(job)
+        self._jobs.append(job)
         self.jobs_submitted += 1
+        if self._wakeup is not None:
+            wakeup, self._wakeup = self._wakeup, None
+            wakeup.succeed()
         return job
 
     @property
@@ -196,48 +155,31 @@ class Stream:
             head = f"stalled on {current.name!r} ({gate_state})"
         return (
             f"{self.name}: {self.outstanding} outstanding jobs, {head}, "
-            f"{len(self._queue)} queued behind it"
+            f"{len(self._jobs)} queued behind it"
         )
 
-    def barrier(self, name: str = "barrier") -> Job:
-        """A zero-duration job; its ``done`` marks that all prior work drained."""
-        return self.submit(0.0, name=name, category="barrier")
-
-    def wait_event(self, event: Event, name: str = "wait_event") -> Job:
-        """Stall the stream until ``event`` triggers (cudaStreamWaitEvent)."""
-        return self.submit(0.0, name=name, category="wait", gate=event)
-
     def _drive(self) -> Generator:
+        sim = self._sim
+        jobs = self._jobs
         while True:
-            job: Job = yield self._queue.get()
-            self._current = job
+            if not jobs:
+                self._wakeup = sim.event()
+                yield self._wakeup
+            job = self._current = jobs.popleft()
             if job.gate is not None and not job.gate.triggered:
                 yield job.gate
-            job.start = self._sim.now
+            job.start = sim.now
             body = job.body
             if isinstance(body, DeferredDuration):
                 body = body.resolve(job.start)
             if isinstance(body, Generator):
-                result = yield self._sim.process(body, name=job.name)
-            else:
-                duration = float(body)
-                if duration > 0.0:
-                    yield duration
-                result = None
-            job.end = self._sim.now
+                yield sim.process(body, name=job.name)
+            elif body > 0.0:
+                yield float(body)
+            job.end = sim.now
             self.busy_time += job.end - job.start
             self.jobs_completed += 1
-            if job.end > job.start:
-                if self._log is not None:
-                    self._log.append((self.actor, job))
-                if self._tracer is not None:
-                    self._tracer.record(
-                        name=job.name,
-                        category=job.category,
-                        actor=self.actor,
-                        start=job.start,
-                        end=job.end,
-                        metadata=job.metadata,
-                    )
+            if job.end > job.start and self._log is not None:
+                self._log.append((self.actor, job))
             self._current = None
-            job.done.succeed(job if result is None else result)
+            job.done.succeed(job)

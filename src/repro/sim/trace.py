@@ -1,23 +1,21 @@
 """Span tracing and timeline analysis.
 
-Every stream records the spans it executes into a :class:`Tracer`.
-The tracer supports:
+A traced run records the spans its engine executed into a
+:class:`Tracer`, which exports them as Chrome / Perfetto trace-event
+JSON (:meth:`Tracer.to_chrome_trace`): complete spans, per-actor thread
+metadata (names *and* ``thread_sort_index`` so each rank's compute and
+comm rows render adjacently), derived **counter tracks** (bytes in
+flight on the comm streams, comm-queue depth), and **flow events**
+linking one gradient's lifecycle (grad-ready -> reduce-scatter ->
+all-gather -> parameter use) across streams.
 
-- Chrome / Perfetto trace-event JSON export
-  (:meth:`Tracer.to_chrome_trace`): complete spans, per-actor thread
-  metadata (names *and* ``thread_sort_index`` so each rank's compute
-  and comm rows render adjacently), derived **counter tracks** (bytes
-  in flight on the comm streams, comm-queue depth), and **flow events**
-  linking one gradient's lifecycle (grad-ready -> reduce-scatter ->
-  all-gather -> parameter use) across streams;
-- per-category totals and *non-overlapped* time computation, which is
-  how the paper's Fig. 8 defines the exposed communication time ("the
-  communication time excludes the part hidden by computations").
-
-The exposed-time arithmetic itself (:func:`clip_to_window`,
-:func:`exposed_times`) reads plain ``(start, end, category)`` triples,
-so a run is measured from its engine's job timestamps whether or not
-anyone asked for spans; :class:`Tracer` is only built for a trace.
+The exposed-time arithmetic (:func:`clip_to_window`,
+:func:`exposed_times`) computes *non-overlapped* time, which is how the
+paper's Fig. 8 defines the exposed communication time ("the
+communication time excludes the part hidden by computations").  It
+reads plain ``(start, end, category)`` triples, so a run is measured
+from its engine's job timestamps whether or not anyone asked for spans;
+:class:`Tracer` is only built for a trace.
 
 The export is deterministic: events are emitted in sorted order and
 timestamps are rounded to picosecond resolution, so two tracers holding
@@ -266,42 +264,6 @@ class Tracer:
                 continue
             out.append(span)
         return out
-
-    def intervals(
-        self, category: Optional[str] = None, actor: Optional[str] = None
-    ) -> list[tuple[float, float]]:
-        """Merged busy intervals for the matching spans."""
-        return merge_intervals(
-            (span.start, span.end) for span in self.filter(category=category, actor=actor)
-        )
-
-    def category_total(self, category: str, actor: Optional[str] = None) -> float:
-        """Total busy time of a category (overlaps within the category count once)."""
-        return total_length(
-            (span.start, span.end) for span in self.filter(category=category, actor=actor)
-        )
-
-    def exposed_time(
-        self,
-        category: str,
-        hidden_by: Sequence[str],
-        actor: Optional[str] = None,
-    ) -> float:
-        """Time in ``category`` not overlapped by any of the ``hidden_by`` categories.
-
-        This is the paper's "non-overlapped communication time" when
-        called as ``exposed_time("comm", hidden_by=("compute",))``.
-        """
-        base = [
-            (span.start, span.end) for span in self.filter(category=category, actor=actor)
-        ]
-        holes: list[tuple[float, float]] = []
-        for hidden_category in hidden_by:
-            holes.extend(
-                (span.start, span.end)
-                for span in self.filter(category=hidden_category, actor=actor)
-            )
-        return total_length(subtract_intervals(base, holes))
 
     def to_chrome_trace(self, counters: bool = True, flows: bool = True) -> str:
         """Serialise as Chrome/Perfetto trace-event JSON.

@@ -190,6 +190,26 @@ class TestWireValidation:
         assert _counter("serve.errors", stage="config") - config_before == 1
         assert _counter("serve.errors", stage="compute") == compute_before
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**PAYLOAD, "scheduler": "ddp", "options": {"buffer_bytes": -1}},
+            {**PAYLOAD, "scheduler": "bytescheduler", "options": {"credit": 0}},
+            {**PAYLOAD, "compute_scales": [1.0] * 64,
+             "options": {"fusion_buffer_bytes": -1}, "scheduler": "ddp"},
+        ],
+        ids=["ddp-bucket", "bytescheduler-credit", "multirank-bucket"],
+    )
+    def test_option_values_the_scheduler_rejects_answer_400(self, client, payload):
+        config_before = _counter("serve.errors", stage="config")
+        compute_before = _counter("serve.errors", stage="compute")
+        with pytest.raises(ServeError) as excinfo:
+            client.simulate(payload)
+        assert excinfo.value.status == 400
+        assert "bad options" in excinfo.value.message
+        assert _counter("serve.errors", stage="config") - config_before == 1
+        assert _counter("serve.errors", stage="compute") == compute_before
+
     def test_multirank_options_accepted_with_scales(self, client):
         payload = {**PAYLOAD, "compute_scales": [1.0] * 64,
                    "options": {"fusion_buffer_bytes": 1e6, "collapse": False}}
@@ -398,8 +418,9 @@ class TestBatchWindow:
 class TestFailureIsolation:
     """A spec that fails to compute fails only its own requests."""
 
-    #: Passes wire validation, then raises ValueError in the scheduler.
-    BAD = {**PAYLOAD, "scheduler": "ddp", "options": {"buffer_bytes": -1}}
+    #: Passes wire validation, then raises ValueError in the run: rank 0
+    #: plans the workload's kernels, so its compute scale must be > 0.
+    BAD = {**PAYLOAD, "compute_scales": [0.0] + [1.0] * 63, "workload": "moe"}
 
     def test_bad_spec_does_not_fail_its_batch(self, tmp_path, monkeypatch):
         # Hold the batcher on a first batch so the three requests below

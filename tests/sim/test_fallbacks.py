@@ -45,16 +45,16 @@ def _fallbacks(registry: MetricsRegistry) -> dict[tuple[str, str, str], float]:
     }
 
 
-class _TimeoutWFBP(WFBPScheduler):
-    """WFBP plus one dynamic ``sim.timeout`` the fast paths cannot record.
+class _EventWFBP(WFBPScheduler):
+    """WFBP plus one dynamic ``sim.event()`` the fast paths cannot record.
 
-    The event engines run it as a no-op (the multi-rank event facade has
-    no ``timeout`` at all), so results match plain WFBP.
+    The event engines create it and never wait on it (the multi-rank
+    event facade has no ``event`` at all), so results match plain WFBP.
     """
 
     def schedule(self, ctx, iterations):
-        if hasattr(ctx.sim, "timeout"):
-            ctx.sim.timeout(0.0)
+        if hasattr(ctx.sim, "event"):
+            ctx.sim.event()
         super().schedule(ctx, iterations)
 
 
@@ -66,7 +66,7 @@ def _seeded_scales(world: int) -> tuple[float, ...]:
 def test_single_rank_fastpath_to_event(registry, tiny_model, ethernet_cluster):
     timing = TimingModel.for_model(tiny_model, iteration_compute=0.03)
     cost = CollectiveTimeModel(ethernet_cluster)
-    slow = _TimeoutWFBP().run(timing, cost, iterations=4)
+    slow = _EventWFBP().run(timing, cost, iterations=4)
     assert _fallbacks(registry) == {("fastpath", "event", "dynamic_event"): 1.0}
     fast = WFBPScheduler().run(timing, cost, iterations=4)
     assert slow.iteration_time == pytest.approx(fast.iteration_time, rel=1e-9)
@@ -83,7 +83,7 @@ def test_multirank_fastpath_to_event(registry, tiny_model, ethernet_cluster,
     assert _fallbacks(registry) == {}
     monkeypatch.setattr(
         multirank, "_policy_scheduler",
-        lambda policy, buffer_bytes: _TimeoutWFBP(buffer_bytes=buffer_bytes),
+        lambda policy, buffer_bytes: _EventWFBP(buffer_bytes=buffer_bytes),
     )
     slow = simulate_heterogeneous(
         "wfbp", tiny_model, ethernet_cluster, scales, iteration_compute=0.03

@@ -95,18 +95,19 @@ class TestFastTimeline:
         timeline = Timeline()
         stream = timeline.stream("compute", actor="gpu")
         stream.submit(1.0, name="work")
-        stream.barrier()
+        stream.submit(0.0, name="marker")
         tracer = Tracer()
         assert timeline.replay(tracer) == 1.0
         assert [span.name for span in tracer.spans] == ["work"]
 
     def test_wait_event_matches_stream_semantics(self):
+        """A zero-duration gated job is ``cudaStreamWaitEvent``."""
         timeline = Timeline()
         compute = timeline.stream("compute")
         comm = timeline.stream("comm")
         a = comm.submit(3.0)
         compute.submit(1.0)
-        compute.wait_event(a.done)
+        compute.submit(0.0, name="wait", gate=a.done)
         tail = compute.submit(1.0)
         timeline.replay()
         assert tail.start == 3.0
@@ -117,11 +118,7 @@ class TestFastTimeline:
         with pytest.raises(FastPathUnsupported):
             timeline.sim.event()
         with pytest.raises(FastPathUnsupported):
-            timeline.sim.timeout(1.0)
-        with pytest.raises(FastPathUnsupported):
             timeline.sim.process(iter(()))
-        with pytest.raises(FastPathUnsupported):
-            timeline.sim.any_of([])
         with pytest.raises(FastPathUnsupported):
             timeline.sim.schedule(1.0, lambda: None)
         with pytest.raises(FastPathUnsupported):

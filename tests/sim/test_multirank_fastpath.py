@@ -140,11 +140,7 @@ class TestMultiRankTimeline:
         with pytest.raises(FastPathUnsupported):
             timeline.sim.event()
         with pytest.raises(FastPathUnsupported):
-            timeline.sim.timeout(1.0)
-        with pytest.raises(FastPathUnsupported):
             timeline.sim.process(iter(()))
-        with pytest.raises(FastPathUnsupported):
-            timeline.sim.any_of([])
         with pytest.raises(FastPathUnsupported):
             timeline.sim.schedule(1.0, lambda: None)
         with pytest.raises(FastPathUnsupported):

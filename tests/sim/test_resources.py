@@ -1,55 +1,13 @@
-"""Unit tests for FIFO queues and execution streams."""
+"""Unit tests for execution streams."""
 
 import pytest
 
+from repro.models.profiles import TimingModel
+from repro.network.cost_model import CollectiveTimeModel
+from repro.schedulers.engine import IterationContext
 from repro.sim.engine import Simulator
-from repro.sim.resources import DeferredDuration, FifoQueue, Stream
+from repro.sim.resources import DeferredDuration, Stream
 from repro.sim.trace import Tracer
-
-
-class TestFifoQueue:
-    def test_put_then_get(self):
-        sim = Simulator()
-        queue = FifoQueue(sim)
-        queue.put("x")
-        evt = queue.get()
-        sim.run()
-        assert evt.value == "x"
-
-    def test_get_then_put_wakes_waiter(self):
-        sim = Simulator()
-        queue = FifoQueue(sim)
-        evt = queue.get()
-        assert not evt.triggered
-        queue.put("y")
-        sim.run()
-        assert evt.value == "y"
-
-    def test_fifo_ordering_of_items(self):
-        sim = Simulator()
-        queue = FifoQueue(sim)
-        for item in (1, 2, 3):
-            queue.put(item)
-        values = [queue.get(), queue.get(), queue.get()]
-        sim.run()
-        assert [v.value for v in values] == [1, 2, 3]
-
-    def test_fifo_ordering_of_waiters(self):
-        sim = Simulator()
-        queue = FifoQueue(sim)
-        first, second = queue.get(), queue.get()
-        queue.put("a")
-        queue.put("b")
-        sim.run()
-        assert first.value == "a" and second.value == "b"
-
-    def test_len_counts_queued_items(self):
-        sim = Simulator()
-        queue = FifoQueue(sim)
-        assert len(queue) == 0
-        queue.put(1)
-        queue.put(2)
-        assert len(queue) == 2
 
 
 class TestStream:
@@ -65,7 +23,8 @@ class TestStream:
     def test_gate_stalls_stream(self):
         sim = Simulator()
         stream = Stream(sim, "s")
-        gate = sim.timeout(5.0)
+        gate = sim.event()
+        sim.schedule(5.0, gate.succeed)
         gated = stream.submit(1.0, name="gated", gate=gate)
         follower = stream.submit(1.0, name="follower")
         sim.run()
@@ -113,15 +72,17 @@ class TestStream:
         stream = Stream(sim, "s")
         stream.submit(1.5)
         stream.submit(2.5)
-        barrier = stream.barrier()
+        barrier = stream.submit(0.0, name="barrier")
         sim.run()
         assert barrier.end == 4.0
 
     def test_wait_event_stalls_until_event(self):
+        """A zero-duration gated job is ``cudaStreamWaitEvent``."""
         sim = Simulator()
         stream = Stream(sim, "s")
-        evt = sim.timeout(4.0)
-        stream.wait_event(evt)
+        evt = sim.event()
+        sim.schedule(4.0, evt.succeed)
+        stream.submit(0.0, name="wait", gate=evt)
         job = stream.submit(1.0)
         sim.run()
         assert job.start == 4.0
@@ -135,12 +96,15 @@ class TestStream:
         assert stream.busy_time == pytest.approx(3.0)
         assert stream.jobs_completed == 2
 
-    def test_spans_recorded_in_tracer(self):
-        sim = Simulator()
+    def test_spans_recorded_in_tracer(self, tiny_model, ethernet_cluster):
         tracer = Tracer()
-        stream = Stream(sim, "s", tracer=tracer, actor="gpu0")
+        ctx = IterationContext(
+            TimingModel.for_model(tiny_model, iteration_compute=0.03),
+            CollectiveTimeModel(ethernet_cluster), tracer=tracer,
+        )
+        stream = ctx.stream("s", actor="gpu0")
         stream.submit(1.0, name="work", category="compute")
-        sim.run()
+        ctx.run()
         assert len(tracer.spans) == 1
         span = tracer.spans[0]
         assert span.name == "work"
@@ -149,11 +113,12 @@ class TestStream:
 
     def test_zero_duration_jobs_not_traced(self):
         sim = Simulator()
-        tracer = Tracer()
-        stream = Stream(sim, "s", tracer=tracer)
-        stream.barrier()
+        log = []
+        stream = Stream(sim, "s", log=log)
+        stream.submit(0.0, name="marker")
+        work = stream.submit(1.0, name="work")
         sim.run()
-        assert tracer.spans == []
+        assert log == [("s", work)]
 
     def test_done_event_carries_job(self):
         sim = Simulator()
@@ -173,3 +138,23 @@ class TestStream:
         sim.run()
         assert job_a.start == 0.0 and job_b.start == 0.0
         assert sim.now == 2.0
+
+    def test_job_submitted_to_idle_stream_starts_at_submission(self):
+        """A driver process submitting mid-run, as ByteScheduler's
+        credit channels do, starts the job at once on an idle stream."""
+        sim = Simulator()
+        stream = Stream(sim, "s")
+        jobs = []
+
+        def driver():
+            yield 2.5
+            job = stream.submit(1.0, name="late")
+            jobs.append(job)
+            yield job.done
+            yield 0.5
+            jobs.append(stream.submit(2.0, name="later"))
+
+        sim.process(driver())
+        sim.run()
+        assert [(job.start, job.end) for job in jobs] == [(2.5, 3.5), (4.0, 6.0)]
+        assert stream.outstanding == 0

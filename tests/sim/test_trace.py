@@ -8,10 +8,15 @@ from hypothesis import given, strategies as st
 from repro.sim.trace import (
     Tracer,
     actor_sort_index,
+    clip_to_window,
     merge_intervals,
     subtract_intervals,
     total_length,
 )
+from repro.telemetry.breakdown import exposed_in_window, total_in_window
+
+#: A window that clips nothing.
+WHOLE_RUN = (float("-inf"), float("inf"))
 
 
 class TestMergeIntervals:
@@ -112,19 +117,20 @@ class TestTracer:
         assert [s.name for s in tracer.filter(name_prefix="ar")] == ["ar.0"]
 
     def test_category_total(self):
-        assert self._tracer().category_total("comm.ar") == pytest.approx(3.0)
+        total = total_in_window(self._tracer(), ("comm.ar",), WHOLE_RUN)
+        assert total == pytest.approx(3.0)
 
     def test_exposed_time_subtracts_compute(self):
         tracer = self._tracer()
         # comm spans 2..5, bp covers 2..3 -> exposed 3..5 = 2.0
-        exposed = tracer.exposed_time("comm.ar", hidden_by=("ff", "bp"))
+        exposed = exposed_in_window(tracer, ("comm.ar",), WHOLE_RUN)
         assert exposed == pytest.approx(2.0)
 
     def test_exposed_time_fully_hidden(self):
         tracer = Tracer()
         tracer.record("c", "comm.ar", "net", 0.0, 1.0)
         tracer.record("k", "bp", "gpu", 0.0, 2.0)
-        assert tracer.exposed_time("comm.ar", hidden_by=("bp",)) == 0.0
+        assert exposed_in_window(tracer, ("comm.ar",), WHOLE_RUN) == 0.0
 
     def test_chrome_trace_is_valid_json(self):
         payload = json.loads(self._tracer().to_chrome_trace())
@@ -147,7 +153,8 @@ class TestTracer:
         tracer = Tracer()
         tracer.record("a", "x", "m", 0.0, 2.0)
         tracer.record("b", "x", "m", 1.0, 3.0)
-        assert tracer.intervals(category="x") == [(0.0, 3.0)]
+        jobs = [(span.start, span.end, span.category) for span in tracer.spans]
+        assert merge_intervals(clip_to_window(jobs, WHOLE_RUN)["x"]) == [(0.0, 3.0)]
 
 
 class TestTracerEdgeCases:
@@ -162,14 +169,15 @@ class TestTracerEdgeCases:
     def test_zero_length_span_contributes_no_time(self):
         tracer = Tracer()
         tracer.record("barrier", "comm.ar", "net", 1.0, 1.0)
-        assert tracer.category_total("comm.ar") == 0.0
-        assert tracer.exposed_time("comm.ar", hidden_by=("bp",)) == 0.0
+        assert total_in_window(tracer, ("comm.ar",), WHOLE_RUN) == 0.0
+        assert exposed_in_window(tracer, ("comm.ar",), WHOLE_RUN) == 0.0
 
     def test_exactly_touching_spans_do_not_hide_each_other(self):
         tracer = Tracer()
         tracer.record("k", "bp", "gpu", 0.0, 1.0)
         tracer.record("c", "comm.ar", "net", 1.0, 2.0)  # touches bp at t=1
-        assert tracer.exposed_time("comm.ar", hidden_by=("bp",)) == pytest.approx(1.0)
+        exposed = exposed_in_window(tracer, ("comm.ar",), WHOLE_RUN)
+        assert exposed == pytest.approx(1.0)
 
     def test_chrome_json_round_trip(self):
         """Parse the export, rebuild a tracer, re-export: identical bytes."""

@@ -68,6 +68,25 @@ class TestSimulationConfig:
         assert other.options == (("buffer_bytes", 1e6),)
         assert config.scheduler == "dear"  # original untouched
 
+    def test_replace_validates_like_create(self):
+        config = SimulationConfig.create("wfbp", "resnet50", "10gbe",
+                                         compute_scales=(1.0,) * 64)
+        with pytest.raises(ValueError, match="compute scales"):
+            config.replace(compute_scales=(1.0, 2.0))
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            config.replace(scheduler="nccl")
+        with pytest.raises(TypeError, match="unknown RunSpec fields"):
+            config.replace(compute_scale=(1.0,) * 64)
+
+    def test_replace_normalizes_scales_like_create(self):
+        plain = SimulationConfig.create("wfbp", "resnet50", "10gbe")
+        replaced = plain.replace(compute_scales=(1,) * 63 + (2,))
+        created = SimulationConfig.create(
+            "wfbp", "resnet50", "10gbe", compute_scales=(1.0,) * 63 + (2.0,)
+        )
+        assert all(type(scale) is float for scale in replaced.compute_scales)
+        assert replaced.fingerprint == created.fingerprint
+
     def test_replace_normalizes_faults(self, tiny_model, ethernet_cluster):
         config = SimulationConfig.create("dear", tiny_model, ethernet_cluster)
         assert config.replace(faults=FaultPlan()).faults is None

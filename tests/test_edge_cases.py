@@ -88,15 +88,6 @@ class TestStreamFailures:
         with pytest.raises(RuntimeError, match="kernel fault"):
             sim.run()
 
-    def test_failed_gate_propagates(self):
-        sim = Simulator()
-        stream = Stream(sim, "s")
-        gate = sim.event()
-        stream.submit(1.0, gate=gate)
-        sim.schedule(0.5, lambda: gate.fail(ValueError("dependency died")))
-        with pytest.raises(ValueError, match="dependency died"):
-            sim.run()
-
 
 class TestMemoryEdges:
     def test_fusion_scheduler_without_buffer_uses_default(self):
