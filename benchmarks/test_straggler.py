@@ -21,7 +21,7 @@ from repro.models.zoo import get_model
 from repro.network.presets import cluster_10gbe
 from repro.runner import RunSpec, run_many
 from repro.schedulers.base import simulate
-from repro.schedulers.multirank import simulate_heterogeneous
+from repro.schedulers.multirank import _Run
 
 POLICIES = ("wfbp", "horovod", "dear")
 STRAGGLER_FACTORS = (1.0, 1.1, 1.25, 1.5)
@@ -90,15 +90,15 @@ def test_straggler_sensitivity(benchmark):
 def test_homogeneous_multirank_matches_representative_engine(benchmark):
     """With equal ranks, the full multi-rank simulation must agree with
     the single-representative-rank engine to float precision.
-    ``collapse=False`` forces the genuine rank-axis engine (the collapse
+    Explicit ranks force the genuine rank-axis engine (the collapse
     shortcut would make this trivially true)."""
     model = get_model("resnet50")
     cluster = _cluster(WORLDS[0])
     multi = benchmark.pedantic(
-        lambda: simulate_heterogeneous(
+        lambda: _Run(
             "dear", model, cluster, [1.0] * WORLDS[0],
             fusion_buffer_bytes=25e6, collapse=False,
-        ),
+        ).simulate(),
         rounds=1, iterations=1,
     )
     representative = simulate(

@@ -25,7 +25,6 @@ this is the surface that stays stable.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -34,18 +33,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.faults.plan import FaultPlan, normalize_plan
-from repro.models.layers import ModelSpec
-from repro.models.zoo import get_model
-from repro.network.fabric import ClusterSpec
-from repro.network.presets import paper_testbed
-from repro.runner.spec import RunSpec
+from repro.runner.spec import RunSpec, resolve_cluster, resolve_model
 from repro.schedulers.base import (
     DEFAULT_ITERATIONS,
     SCHEDULER_NAMES,
     ScheduleResult,
-    get_scheduler,
 )
-from repro.schedulers.multirank import _policy_scheduler
 
 __all__ = [
     "CollectiveResult",
@@ -67,20 +60,6 @@ COLLECTIVE_OPS = (
     "all_reduce", "reduce_scatter", "all_gather", "rs_ag",
     "all_to_all", "all_to_allv",
 )
-
-
-def resolve_model(model) -> ModelSpec:
-    """A :class:`ModelSpec` from a spec object or a zoo name."""
-    if isinstance(model, ModelSpec):
-        return model
-    return get_model(model)
-
-
-def resolve_cluster(cluster) -> ClusterSpec:
-    """A :class:`ClusterSpec` from a spec object or a testbed name."""
-    if isinstance(cluster, ClusterSpec):
-        return cluster
-    return paper_testbed(cluster)
 
 
 def list_schedulers() -> tuple[str, ...]:
@@ -115,12 +94,14 @@ _PAYLOAD_KEYS = frozenset((
     "compute_scales",
 ))
 
-#: Named :meth:`RunSpec.create` parameters: a wire option with one of
-#: these names would collide with (or silently override) a field.
-_SPEC_PARAMETERS = frozenset(
+#: Option names the wire refuses: the named :meth:`RunSpec.create`
+#: parameters, which an option would collide with (or silently
+#: override), and the ``fastpath`` run switch, which stays off the wire
+#: like the engine choice it selects.
+_RESERVED_OPTIONS = frozenset(
     name for name, parameter in inspect.signature(RunSpec.create).parameters.items()
     if parameter.kind is not inspect.Parameter.VAR_KEYWORD
-)
+) | {"fastpath"}
 
 
 def config_from_payload(payload: dict) -> RunSpec:
@@ -133,9 +114,10 @@ def config_from_payload(payload: dict) -> RunSpec:
     absent, ``options`` a plain dict of scheduler options, ``workload``
     a registered DAG name (:func:`list_workloads`) or absent.  Unknown
     fields are rejected (a typo must not silently change which
-    experiment runs), and so are option names the run would not take,
-    as are non-registry model/cluster objects — everything must
-    round-trip through JSON.
+    experiment runs), as are non-registry model/cluster objects —
+    everything must round-trip through JSON.  Options are
+    :meth:`RunSpec.create`'s to check; the wire only keeps them off
+    ``create``'s own parameters and off the ``fastpath`` run switch.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"config payload must be an object, got {type(payload).__name__}")
@@ -152,11 +134,11 @@ def config_from_payload(payload: dict) -> RunSpec:
         options = {}
     if not isinstance(options, dict):
         raise ValueError(f"options must be an object, got {type(options).__name__}")
-    shadowed = sorted(set(options) & _SPEC_PARAMETERS)
-    if shadowed:
-        raise ValueError(f"options may not set RunSpec.create() parameters: {shadowed}")
+    reserved = sorted(set(options) & _RESERVED_OPTIONS)
+    if reserved:
+        raise ValueError(f"options may not set fields or run switches: {reserved}")
     faults = payload.get("faults")
-    spec = RunSpec.create(
+    return RunSpec.create(
         payload["scheduler"],
         payload["model"],
         payload["cluster"],
@@ -173,47 +155,6 @@ def config_from_payload(payload: dict) -> RunSpec:
         workload=payload.get("workload"),
         **options,
     )
-    known = _option_names(spec.scheduler, spec.compute_scales is not None)
-    typos = sorted(set(options) - known)
-    if typos:
-        raise ValueError(
-            f"unknown options for {spec.scheduler!r}: {typos}; known: {sorted(known)}"
-        )
-    # Build the scheduler the run would build, so a value its
-    # constructor rejects fails this request alone, before it is batched.
-    try:
-        if spec.compute_scales is None:
-            get_scheduler(spec.scheduler, **options)
-        elif "fusion_buffer_bytes" in options:
-            _policy_scheduler(spec.scheduler, options["fusion_buffer_bytes"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad options for {spec.scheduler!r}: {exc}") from None
-    return spec
-
-
-#: Options that change how a run executes, not what it computes; like
-#: the engine choice, they stay off the wire.
-_RUN_SWITCHES = frozenset(("fastpath", "trace"))
-
-
-@functools.lru_cache(maxsize=None)
-def _option_names(scheduler: str, heterogeneous: bool) -> frozenset:
-    """Option names a run of ``scheduler`` takes.
-
-    The scheduler constructor's parameters; with per-rank compute
-    scales, the optional parameters of
-    :func:`~repro.schedulers.multirank.simulate_heterogeneous` instead.
-    """
-    if heterogeneous:
-        from repro.schedulers.multirank import simulate_heterogeneous
-
-        parameters = inspect.signature(simulate_heterogeneous).parameters
-    else:
-        parameters = inspect.signature(type(get_scheduler(scheduler))).parameters
-    return frozenset(
-        name for name, parameter in parameters.items()
-        if parameter.default is not inspect.Parameter.empty
-    ) - _SPEC_PARAMETERS - _RUN_SWITCHES
 
 
 def _wire_scales(value) -> Optional[list[float]]:

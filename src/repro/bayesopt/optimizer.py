@@ -62,7 +62,8 @@ class BayesianOptimizer:
             grid = np.logspace(np.log10(low), np.log10(high), candidates)
         else:
             grid = np.linspace(low, high, candidates)
-        self._candidates = grid
+        # logspace's end points can round just outside [low, high].
+        self._candidates = np.clip(grid, low, high)
 
     # -- observation bookkeeping -------------------------------------------
 

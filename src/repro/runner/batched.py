@@ -14,10 +14,13 @@ results are bit-identical to per-spec runs — pinned by
 ``tests/runner/test_batched_runner.py``.
 
 Specs the recorder cannot express — dynamic schedules (bytescheduler),
-the fast path disabled per spec (``fastpath=False`` in its options;
-batching *is* the fast path, applied across configs), exotic multirank
-options — return ``None`` from :func:`run_batched` and fall through to
-the executor's pool/serial path, which computes them the classic way.
+BO fusion tuning, the fast path disabled per spec (``fastpath=False`` in
+its options; batching *is* the fast path, applied across configs) —
+return ``None`` from :func:`run_batched` and fall through to the
+executor's pool/serial path, which computes them the classic way.
+Multi-rank specs are set up, and collapsed when their ranks are
+identical, exactly as :func:`~repro.schedulers.multirank.simulate_heterogeneous`
+does.
 """
 
 from __future__ import annotations
@@ -32,23 +35,13 @@ from repro.runner.spec import RunSpec
 from repro.schedulers.base import get_scheduler
 from repro.schedulers.engine import record_fallback
 from repro.schedulers.multirank import (
-    _policy_scheduler,
-    _validate_heterogeneous,
-    collapses_to_single_rank,
     finalize_heterogeneous,
     record_heterogeneous_fast,
-    wrap_collapsed,
 )
 from repro.sim.fastpath import FastPathUnsupported, replay
 from repro.telemetry.registry import default_registry
 
 __all__ = ["run_batched"]
-
-#: The multirank options the recorder understands; anything else falls
-#: back to :func:`simulate_heterogeneous` via the classic path.
-_MULTIRANK_OPTION_KEYS = frozenset(
-    ("fusion_buffer_bytes", "collapse", "trace", "fastpath")
-)
 
 #: Soft cap on configs x slots x world per replay group: one group's
 #: start/end tensors stay under ~64 MiB each.  Chunking a group does
@@ -74,10 +67,24 @@ class _Recorded:
         self.seconds = 0.0
 
 
-def _record_single(spec: RunSpec) -> _Recorded:
+def _record(spec: RunSpec) -> _Recorded:
     options = dict(spec.options)
     if options.pop("fastpath", None) is False:
         raise FastPathUnsupported("spec disables the fast path", reason="disabled")
+    if spec.compute_scales is not None:
+        ctx = record_heterogeneous_fast(
+            spec.scheduler, spec.model, spec.cluster, spec.compute_scales,
+            batch_size=spec.batch_size, iteration_compute=spec.iteration_compute,
+            algorithm=spec.algorithm, iterations=spec.iterations, faults=spec.faults,
+            tuned_table=spec.selection_table(), workload=spec.workload, **options,
+        )
+        return _Recorded(
+            ctx,
+            lambda: finalize_heterogeneous(
+                ctx, spec.scheduler, spec.model, spec.cluster,
+                spec.compute_scales, spec.iterations,
+            ),
+        )
     scheduler = get_scheduler(spec.scheduler, **options)
     timing = TimingModel.for_model(
         spec.model,
@@ -92,76 +99,6 @@ def _record_single(spec: RunSpec) -> _Recorded:
         workload=spec.workload,
     )
     return _Recorded(ctx, lambda: scheduler.measure(ctx, spec.iterations))
-
-
-def _record_multirank(spec: RunSpec) -> _Recorded:
-    options = dict(spec.options)
-    if not set(options) <= _MULTIRANK_OPTION_KEYS:
-        raise FastPathUnsupported(
-            "unrecognised multirank options take the classic path", reason="options"
-        )
-    if options.get("fastpath") is False:
-        raise FastPathUnsupported("spec disables the fast path", reason="disabled")
-    fusion_buffer_bytes = options.get("fusion_buffer_bytes", 25e6)
-    collapse = options.get("collapse", True)
-
-    if collapse and collapses_to_single_rank(spec.compute_scales, spec.faults):
-        # Same delegation simulate_heterogeneous performs: record the
-        # representative single rank (these recordings batch together
-        # with plain single-rank specs) and lift the result afterwards.
-        compute_scales = _validate_heterogeneous(
-            spec.scheduler, spec.cluster, spec.compute_scales, spec.iterations
-        )
-        scheduler = _policy_scheduler(spec.scheduler, fusion_buffer_bytes)
-        timing = TimingModel.for_model(
-            spec.model,
-            batch_size=spec.batch_size,
-            iteration_compute=spec.iteration_compute,
-            compute_scale=compute_scales[0],
-        )
-        cost = CollectiveTimeModel(
-            spec.cluster, algorithm=spec.algorithm, table=spec.selection_table()
-        )
-        ctx = scheduler.record_fast(
-            timing, cost, iterations=spec.iterations, workload=spec.workload
-        )
-        return _Recorded(
-            ctx,
-            lambda: wrap_collapsed(
-                scheduler.measure(ctx, spec.iterations),
-                spec.scheduler, spec.model, spec.cluster, compute_scales,
-            ),
-        )
-
-    ctx = record_heterogeneous_fast(
-        spec.scheduler,
-        spec.model,
-        spec.cluster,
-        spec.compute_scales,
-        fusion_buffer_bytes=fusion_buffer_bytes,
-        batch_size=spec.batch_size,
-        iteration_compute=spec.iteration_compute,
-        algorithm=spec.algorithm,
-        iterations=spec.iterations,
-        faults=spec.faults,
-        trace=options.get("trace", False),
-        tuned_table=spec.selection_table(),
-        workload=spec.workload,
-    )
-    compute_scales = tuple(float(scale) for scale in spec.compute_scales)
-    return _Recorded(
-        ctx,
-        lambda: finalize_heterogeneous(
-            ctx, spec.scheduler, spec.model, spec.cluster,
-            compute_scales, spec.iterations,
-        ),
-    )
-
-
-def _record(spec: RunSpec) -> _Recorded:
-    if spec.compute_scales is not None:
-        return _record_multirank(spec)
-    return _record_single(spec)
 
 
 def _chunks(group: list):

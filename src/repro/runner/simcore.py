@@ -134,18 +134,17 @@ def _bench_multirank(world: int, event_repeats: int,
     from repro.schedulers.multirank import (
         FastMultiRankContext,
         MultiRankIterationContext,
-        _make_timings,
-        _policy_scheduler,
+        _Run,
     )
 
     model = get_model("resnet50")
     nodes = max(1, world // 8)
     cluster = cluster_10gbe(nodes=nodes, gpus_per_node=world // nodes)
-    cost = CollectiveTimeModel(cluster)
-    # A compute ramp keeps the run genuinely heterogeneous (no collapse).
+    # A compute ramp keeps the run genuinely heterogeneous.
     scales = [1.0 + 0.25 * rank / (world - 1) for rank in range(world)]
-    timings = _make_timings(model, scales, None, None)
-    scheduler = _policy_scheduler("dear", 25e6)
+    setup = _Run("dear", model, cluster, scales, collapse=False)
+    timings, cost = setup.args
+    scheduler = setup.scheduler
     iterations = 5
 
     contexts = []

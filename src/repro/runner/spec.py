@@ -28,11 +28,30 @@ from repro.schedulers.base import (
     DEFAULT_ITERATIONS,
     SCHEDULER_NAMES,
     ScheduleResult,
+    get_scheduler,
     simulate,
 )
-from repro.schedulers.multirank import _validate_heterogeneous, simulate_heterogeneous
+from repro.schedulers.multirank import (
+    _check_heterogeneous,
+    _policy_scheduler,
+    simulate_heterogeneous,
+)
 
 __all__ = ["RunSpec"]
+
+
+def resolve_model(model) -> ModelSpec:
+    """A :class:`ModelSpec` from a spec object or a zoo name."""
+    if isinstance(model, ModelSpec):
+        return model
+    return get_model(model)
+
+
+def resolve_cluster(cluster) -> ClusterSpec:
+    """A :class:`ClusterSpec` from a spec object or a testbed name."""
+    if isinstance(cluster, ClusterSpec):
+        return cluster
+    return paper_testbed(cluster)
 
 
 def _freeze_options(options: dict) -> tuple[tuple[str, Any], ...]:
@@ -111,8 +130,9 @@ class RunSpec:
         field a run would otherwise reject only once started: the
         scheduler name (a :data:`~repro.schedulers.multirank.POLICIES`
         name when ``compute_scales`` is set), the collective algorithm,
-        ``iterations >= 3``, the workload name, and one finite,
-        non-negative compute scale per rank.
+        ``iterations >= 3``, the workload name, one finite, non-negative
+        compute scale per rank (positive on rank 0 of a workload DAG
+        run that does not collapse), and the options.
 
         ``tuned_table`` accepts a
         :class:`~repro.network.autotuner.SelectionTable`, its payload
@@ -120,7 +140,10 @@ class RunSpec:
         snapshots the process-registered table (if any) into the spec,
         so the fingerprint — and the cached result — reflect the tuning
         actually used.  ``options`` are the scheduler's constructor
-        arguments, plus ``fastpath=False`` to run on the event kernel.
+        arguments (with ``compute_scales``, the policy's
+        ``fusion_buffer_bytes``), plus ``fastpath=False`` to run on the
+        event kernel; the scheduler the run would build is built here,
+        so an unknown option or a rejected value raises ``ValueError``.
         """
         if scheduler not in SCHEDULER_NAMES:
             raise ValueError(
@@ -143,14 +166,19 @@ class RunSpec:
                     f"unknown workload {workload!r}; "
                     f"expected one of {WORKLOAD_NAMES}"
                 )
-        if not isinstance(model, ModelSpec):
-            model = get_model(model)
-        if not isinstance(cluster, ClusterSpec):
-            cluster = paper_testbed(cluster)
+        model = resolve_model(model)
+        cluster = resolve_cluster(cluster)
+        faults = normalize_plan(faults)
         if compute_scales is not None:
-            compute_scales = _validate_heterogeneous(
-                scheduler, cluster, compute_scales, iterations
+            compute_scales, _ = _check_heterogeneous(
+                scheduler, cluster, compute_scales, iterations, faults, workload
             )
+        # ``fastpath`` is the one run switch; the rest build the scheduler.
+        build = get_scheduler if compute_scales is None else _policy_scheduler
+        try:
+            build(scheduler, **{k: v for k, v in options.items() if k != "fastpath"})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad options for {scheduler!r}: {exc}") from None
         if tuned_table is not None and not isinstance(tuned_table, tuple):
             tuned_table = tuned_table.payload_tuple()
         if tuned_table is None and algorithm == "auto":
@@ -168,7 +196,7 @@ class RunSpec:
             iterations=iterations,
             iteration_compute=iteration_compute,
             options=_freeze_options(options),
-            faults=normalize_plan(faults),
+            faults=faults,
             compute_scales=compute_scales,
             tuned_table=tuned_table,
             workload=workload,
@@ -318,10 +346,9 @@ class RunSpec:
             faults=self.faults,
             tuned_table=self.selection_table(),
             workload=self.workload,
+            trace=trace,
             **dict(self.options),
         )
-        if trace:
-            kwargs["trace"] = True
         if self.compute_scales is not None:
             return simulate_heterogeneous(
                 self.scheduler, self.model, self.cluster, self.compute_scales,

@@ -83,6 +83,8 @@ class DeARScheduler(Scheduler):
     ):
         if fusion not in ("none", "layers", "buffer", "bo"):
             raise ValueError(f"unknown DeAR fusion mode {fusion!r}")
+        if fusion == "buffer" and (buffer_bytes is None or buffer_bytes <= 0):
+            raise ValueError("DeAR buffer fusion requires a positive buffer size")
         self.fusion = fusion
         self.buffer_bytes = buffer_bytes
         self.layers_per_group = layers_per_group

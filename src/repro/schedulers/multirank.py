@@ -36,10 +36,12 @@ vectorized replay first (unless the run passes ``fastpath=False``),
 event kernel on :class:`~repro.sim.fastpath.FastPathUnsupported`.  Uniform
 ``compute_scales`` with no faults collapse to the single-rank engine
 outright (synchronous collectives make identical ranks redundant; the
-engine module's docstring makes the exactness argument).  The
-differential suite in ``tests/sim/test_multirank_fastpath.py`` pins the
-engines against each other — iteration times to 1e-9 and per-rank
-Perfetto traces byte-for-byte.
+engine module's docstring makes the exactness argument).  One set-up,
+:class:`_Run`, decides the collapse for :func:`simulate_heterogeneous`
+and for the batched runner alike.  The differential suite in
+``tests/sim/test_multirank_fastpath.py`` pins the engines against each
+other — iteration times to 1e-9 and per-rank Perfetto traces
+byte-for-byte.
 
 Entry point: :func:`simulate_heterogeneous`.
 """
@@ -60,7 +62,7 @@ from repro.faults.plan import FaultPlan, normalize_plan
 from repro.schedulers.base import Scheduler
 from repro.schedulers.ddp import DDP_DEFAULT_BUCKET_BYTES, DDPScheduler
 from repro.schedulers.dear import DeARScheduler
-from repro.schedulers.engine import IterationContext
+from repro.schedulers.engine import FastIterationContext, IterationContext
 from repro.schedulers.horovod import HOROVOD_DEFAULT_BUFFER_BYTES, HorovodScheduler
 from repro.schedulers.mg_wfbp import MGWFBPScheduler
 from repro.schedulers.wfbp import WFBPScheduler
@@ -72,6 +74,9 @@ from repro.sim.trace import Tracer
 __all__ = ["HeterogeneousResult", "simulate_heterogeneous", "POLICIES"]
 
 POLICIES = ("wfbp", "ddp", "horovod", "mg_wfbp", "dear")
+
+#: Fusion threshold of a multi-rank run that sets none.
+_FUSION_BUFFER_BYTES = 25e6
 
 
 @dataclass
@@ -95,7 +100,7 @@ class HeterogeneousResult:
 
 
 def _policy_scheduler(
-    policy: str, fusion_buffer_bytes: Optional[float]
+    policy: str, fusion_buffer_bytes: Optional[float] = _FUSION_BUFFER_BYTES
 ) -> Scheduler:
     """Instantiate the scheduler class implementing a policy name.
 
@@ -255,17 +260,13 @@ class _RankDurations:
         Each rank runs it at its own :func:`build_profile
         <repro.models.profiles.build_profile>` ``compute_scale``: every
         profile time scales linearly with it, so the t_ff ratio to the
-        planning rank IS the scale ratio.
+        planning rank IS the scale ratio (:func:`_check_heterogeneous`
+        rejects a zero planning scale).
         """
         entry = self._kernels.get(duration)
         if entry is None:
             if self._ratios is None:
                 planning = self.timings[0].t_ff
-                if planning == 0:
-                    raise ValueError(
-                        "rank 0 is the planning rank of workload kernels, "
-                        "so its compute scale must be > 0, got 0"
-                    )
                 self._ratios = np.array(
                     [timing.t_ff / planning for timing in self.timings]
                 )
@@ -390,29 +391,22 @@ class FastMultiRankContext(IterationContext):
         return final
 
 
-def _make_timings(
-    model: ModelSpec,
-    compute_scales: Sequence[float],
-    batch_size: Optional[int],
-    iteration_compute: Optional[float],
-) -> list[TimingModel]:
-    return [
-        TimingModel.for_model(
-            model,
-            batch_size=batch_size,
-            iteration_compute=iteration_compute,
-            compute_scale=scale,
-        )
-        for scale in compute_scales
-    ]
-
-
-def _validate_heterogeneous(
+def _check_heterogeneous(
     policy: str,
     cluster: ClusterSpec,
     compute_scales: Sequence[float],
     iterations: int,
-) -> tuple[float, ...]:
+    faults: Optional[FaultPlan] = None,
+    workload=None,
+    collapse: bool = True,
+) -> tuple[tuple[float, ...], bool]:
+    """Validate a heterogeneous run: its float scales, and whether it collapses.
+
+    The one collapse decision: with ``collapse`` set, a run whose ranks
+    all have one scale and that injects no faults is exactly one
+    representative rank (see the module docstring).  A workload DAG
+    plans its kernels on rank 0, which then needs a positive scale.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if len(compute_scales) != cluster.world_size:
@@ -428,49 +422,92 @@ def _validate_heterogeneous(
                 f"compute scale of rank {rank} must be finite and >= 0, "
                 f"got {scale}"
             )
-    return scales
-
-
-def collapses_to_single_rank(
-    compute_scales: Sequence[float], faults: Optional[FaultPlan]
-) -> bool:
-    """Whether a multi-rank run is exactly one representative rank.
-
-    True when every rank has the same compute scale and no faults are
-    injected: identical ranks run identical timelines and the
-    collectives are synchronous, so one rank's timeline is the whole
-    answer (the engine module's docstring makes the exactness
-    argument).
-    """
-    return (
-        all(scale == compute_scales[0] for scale in compute_scales)
+    collapsed = (
+        collapse
+        and all(scale == scales[0] for scale in scales)
         and normalize_plan(faults) is None
     )
+    if workload is not None and not collapsed and scales[0] == 0:
+        raise ValueError(
+            "rank 0 is the planning rank of workload kernels, "
+            "so its compute scale must be > 0, got 0"
+        )
+    return scales, collapsed
 
 
-def wrap_collapsed(
-    result,
-    policy: str,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    compute_scales: tuple[float, ...],
-) -> HeterogeneousResult:
-    """Lift a single-rank :class:`ScheduleResult` of a collapsed run.
+class _Run:
+    """One heterogeneous run, set up once for every runner.
 
-    Shared by :func:`simulate_heterogeneous` and the batched runner so
-    both produce byte-identical collapsed results (same ``extras``,
-    same tracer handling: the run's tracer, present only when traced).
+    A collapsed run (:func:`_check_heterogeneous`) gets the single-rank
+    contexts and rank 0's timing model, so its recordings batch with
+    plain single-rank specs; any other run gets the multi-rank contexts
+    and one timing model per rank.  The public entry points pass
+    ``collapse=True``; ``collapse=False``, every rank explicitly, is the
+    reference the collapse is tested against.
     """
-    return HeterogeneousResult(
-        policy=policy,
-        model_name=model.name,
-        cluster_name=cluster.name,
-        compute_scales=compute_scales,
-        iteration_time=result.iteration_time,
-        iteration_times=result.iteration_times,
-        tracer=result.tracer,
-        extras={"engine": "collapsed"},
-    )
+
+    def __init__(
+        self,
+        policy: str,
+        model: ModelSpec,
+        cluster: ClusterSpec,
+        compute_scales: Sequence[float],
+        fusion_buffer_bytes: Optional[float] = _FUSION_BUFFER_BYTES,
+        batch_size: Optional[int] = None,
+        iteration_compute: Optional[float] = None,
+        algorithm: str = "ring",
+        iterations: int = 5,
+        faults: Optional[FaultPlan] = None,
+        tuned_table=None,
+        workload=None,
+        *,
+        collapse: bool,
+    ):
+        self.compute_scales, collapsed = _check_heterogeneous(
+            policy, cluster, compute_scales, iterations, faults, workload, collapse
+        )
+        self.policy, self.model, self.cluster = policy, model, cluster
+        self.iterations, self.faults = iterations, faults
+        self.scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
+        cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
+        timings = [
+            TimingModel.for_model(
+                model,
+                batch_size=batch_size,
+                iteration_compute=iteration_compute,
+                compute_scale=scale,
+            )
+            for scale in self.compute_scales[:1 if collapsed else None]
+        ]
+        self.workload = self.scheduler._resolve_workload(workload, timings[0], cost)
+        # (vectorized replay, event kernel), and what both are built from.
+        if collapsed:
+            self.contexts = (FastIterationContext, IterationContext)
+            self.args = (timings[0], cost)
+        else:
+            self.contexts = (FastMultiRankContext, MultiRankIterationContext)
+            self.args = (timings, cost)
+
+    def record(self, trace: bool = False) -> IterationContext:
+        """Schedule onto the vectorized replay without replaying."""
+        self.scheduler.require_fast_path()
+        ctx = self.contexts[0](
+            *self.args, tracer=Tracer() if trace else None, faults=self.faults
+        )
+        self.scheduler._schedule_onto(ctx, self.iterations, self.workload)
+        return ctx
+
+    def simulate(self, fastpath: bool = True,
+                 trace: bool = False) -> HeterogeneousResult:
+        """Schedule, execute and measure (see :func:`simulate_heterogeneous`)."""
+        ctx = self.scheduler._execute(
+            *self.contexts, self.iterations, self.workload, fastpath,
+            *self.args, tracer=Tracer() if trace else None, faults=self.faults,
+        )
+        return finalize_heterogeneous(
+            ctx, self.policy, self.model, self.cluster, self.compute_scales,
+            self.iterations,
+        )
 
 
 def record_heterogeneous_fast(
@@ -478,41 +515,22 @@ def record_heterogeneous_fast(
     model: ModelSpec,
     cluster: ClusterSpec,
     compute_scales: Sequence[float],
-    fusion_buffer_bytes: Optional[float] = 25e6,
-    batch_size: Optional[int] = None,
-    iteration_compute: Optional[float] = None,
-    algorithm: str = "ring",
-    iterations: int = 5,
-    faults: Optional[FaultPlan] = None,
     trace: bool = False,
-    tuned_table=None,
-    workload=None,
-) -> FastMultiRankContext:
+    **options,
+) -> IterationContext:
     """Record a heterogeneous run without replaying it.
 
     The multi-rank analogue of
     :meth:`repro.schedulers.base.Scheduler.record_fast`, used by the
-    config-axis batched runner.  Raises
+    config-axis batched runner; ``options`` are
+    :func:`simulate_heterogeneous`'s.  A run that collapses records the
+    single-rank schedule.  Raises
     :class:`~repro.sim.fastpath.FastPathUnsupported` for policies only
-    the event kernel can execute.  The caller is responsible for the
-    collapse decision (see :func:`collapses_to_single_rank`).
-    ``workload`` selects a comm-compute DAG (name or built
-    :class:`~repro.workloads.ir.Workload`); kernel durations are the
-    planning rank's and scale per rank with its compute speed.
+    the event kernel can execute.
     """
-    compute_scales = _validate_heterogeneous(
-        policy, cluster, compute_scales, iterations
-    )
-    scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
-    scheduler.require_fast_path()
-    cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
-    timings = _make_timings(model, compute_scales, batch_size, iteration_compute)
-    workload = scheduler._resolve_workload(workload, timings[0], cost)
-    ctx = FastMultiRankContext(
-        timings, cost, tracer=Tracer() if trace else None, faults=faults
-    )
-    scheduler._schedule_onto(ctx, iterations, workload)
-    return ctx
+    return _Run(
+        policy, model, cluster, compute_scales, collapse=True, **options
+    ).record(trace)
 
 
 def finalize_heterogeneous(
@@ -523,14 +541,20 @@ def finalize_heterogeneous(
     compute_scales: tuple[float, ...],
     iterations: int,
 ) -> HeterogeneousResult:
-    """Measure an executed multi-rank context into a result.
+    """Measure an executed context into a result; the one result builder.
 
-    Shared by :func:`simulate_heterogeneous` and the batched runner —
-    the measurement (steady-state gaps from rank 0's first-FF starts)
-    and the ``extras`` layout are identical on either path.
+    Shared by :func:`simulate_heterogeneous` and the batched runner:
+    steady-state gaps from rank 0's first-FF starts, on explicit ranks
+    or on the one representative rank of a collapsed run (whose
+    ``extras`` name only the ``"collapsed"`` engine).
     """
-    _, gaps = ctx.steady_state(iterations, policy)
-    extras = {"engine": ctx.engine, **ctx.result_extras()}
+    starts, gaps = ctx.steady_state(iterations, policy)
+    if ctx.tracer is not None:
+        ctx.tracer.window = (starts[-2], starts[-1])
+    if isinstance(ctx, (FastMultiRankContext, MultiRankIterationContext)):
+        extras = {"engine": ctx.engine, **ctx.result_extras()}
+    else:
+        extras = {"engine": "collapsed"}
     return HeterogeneousResult(
         policy=policy,
         model_name=model.name,
@@ -548,73 +572,38 @@ def simulate_heterogeneous(
     model: ModelSpec,
     cluster: ClusterSpec,
     compute_scales: Sequence[float],
-    fusion_buffer_bytes: Optional[float] = 25e6,
-    batch_size: Optional[int] = None,
-    iteration_compute: Optional[float] = None,
-    algorithm: str = "ring",
-    iterations: int = 5,
-    faults: Optional[FaultPlan] = None,
     fastpath: bool = True,
-    collapse: bool = True,
     trace: bool = False,
-    tuned_table=None,
-    workload=None,
+    **options,
 ) -> HeterogeneousResult:
     """Simulate every rank explicitly with per-rank compute speeds.
+
+    Uniform scales with no faults collapse to the single-rank engine
+    (exact; ``extras["engine"]`` is ``"collapsed"``).
 
     Args:
         policy: one of :data:`POLICIES`.
         compute_scales: per-rank compute-time multipliers (1.0 = the
             calibrated profile; 1.2 = 20% slower).  Must have exactly
             ``cluster.world_size`` entries.
-        fusion_buffer_bytes: fusion threshold (``None`` = per tensor
-            where the policy supports it; ddp/horovod fall back to
-            their own default buckets).
-        faults: timing-level fault plan (straggler / link-degradation
-            windows), priced identically on either engine.
         fastpath: False runs the multi-rank event kernel instead of the
             vectorized replay (bit-identical results).
-        collapse: allow delegating uniform-scale fault-free runs to the
-            single-rank engine (exact; disable to force a true
-            multi-rank execution, e.g. for differential testing).
         trace: record per-rank Perfetto spans into ``result.tracer``
             (off by default — a 1024-rank trace is large).
-        tuned_table: autotuner selection table consulted when
+        options: ``batch_size``, ``iteration_compute``, ``algorithm``
+            and ``iterations`` (default 5) as for
+            :func:`~repro.schedulers.base.simulate`, and
+            ``fusion_buffer_bytes`` (default 25e6; ``None`` = per
+            tensor where the policy supports it, ddp/horovod fall back
+            to their own default buckets); ``faults``, a timing-level
+            fault plan priced identically on either engine;
+            ``tuned_table``, the selection table consulted when
             ``algorithm="auto"`` (None = process-registered table, or
-            plain ring with neither).
-        workload: comm-compute DAG to run instead of the layer-wise
-            schedule — a registry name
+            plain ring with neither); ``workload``, a comm-compute DAG
+            to run instead of the layer-wise schedule — a registry name
             (:data:`repro.workloads.WORKLOAD_NAMES`) or a built
             :class:`~repro.workloads.ir.Workload`.
     """
-    compute_scales = _validate_heterogeneous(
-        policy, cluster, compute_scales, iterations
-    )
-    scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
-    cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
-
-    if collapse and collapses_to_single_rank(compute_scales, faults):
-        # Homogeneous ranks run identical timelines and the collectives
-        # are synchronous, so one representative rank is exact — reuse
-        # the single-rank engine (and its own fast path) outright.
-        timing = TimingModel.for_model(
-            model,
-            batch_size=batch_size,
-            iteration_compute=iteration_compute,
-            compute_scale=compute_scales[0],
-        )
-        result = scheduler.run(
-            timing, cost, iterations=iterations, fastpath=fastpath,
-            workload=workload, trace=trace,
-        )
-        return wrap_collapsed(result, policy, model, cluster, compute_scales)
-
-    timings = _make_timings(model, compute_scales, batch_size, iteration_compute)
-    ctx = scheduler._execute(
-        FastMultiRankContext, MultiRankIterationContext, iterations,
-        scheduler._resolve_workload(workload, timings[0], cost), fastpath,
-        timings, cost, tracer=Tracer() if trace else None, faults=faults,
-    )
-    return finalize_heterogeneous(
-        ctx, policy, model, cluster, compute_scales, iterations
-    )
+    return _Run(
+        policy, model, cluster, compute_scales, collapse=True, **options
+    ).simulate(fastpath, trace)

@@ -55,7 +55,7 @@ SHAPES = {
     "bytescheduler_credit": ("bytescheduler", {"credit": 4}),
     "faults": ("horovod", {"faults": _FAULTS, "buffer_bytes": 25e6}),
     "compute_scales": ("dear", {
-        "fusion": "buffer",
+        "fusion_buffer_bytes": 25e6,
         "compute_scales": (1.0,) * 63 + (1.5,),
     }),
     "auto_tuned": ("wfbp", {"algorithm": "auto", "tuned_table": _TUNED_TABLE}),
@@ -91,6 +91,17 @@ def test_fingerprints_match_golden():
         if row["fingerprint"] != pinned["fingerprint"]
     ]
     assert not drifted, f"fingerprints drifted for {drifted}"
+
+
+def test_each_shape_runs():
+    """A pinned fingerprint keys a cache entry only if its spec can run.
+
+    On the 100 Gb/s InfiniBand testbed: the hand-written table selects
+    the LL protocol, which the 10GbE link does not offer.
+    """
+    for shape, (scheduler, kwargs) in SHAPES.items():
+        result = RunSpec.create(scheduler, "resnet50", "100gbib", **kwargs).run()
+        assert result.iteration_time > 0, shape
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.presets import cluster_10gbe
 from repro.schedulers.base import simulate
-from repro.schedulers.multirank import simulate_heterogeneous
+from repro.schedulers.multirank import _Run, simulate_heterogeneous
 from tests.conftest import build_tiny_model
 
 
@@ -22,13 +22,13 @@ class TestHomogeneousAgreement:
         ("dear", {"fusion": "buffer", "buffer_bytes": 25e6}),
     ])
     def test_matches_representative_engine(self, tiny, policy, rep_options):
-        # collapse=False forces the genuine multi-rank engine; the
+        # Explicit ranks force the genuine multi-rank engine; the
         # collapse shortcut is covered by the differential suite.
-        multi = simulate_heterogeneous(
+        multi = _Run(
             policy, tiny, CLUSTER, [1.0] * 4,
             fusion_buffer_bytes=rep_options.get("buffer_bytes"),
             iteration_compute=0.03, collapse=False,
-        )
+        ).simulate()
         representative = simulate(
             policy, tiny, CLUSTER, iteration_compute=0.03, **rep_options
         )
@@ -37,10 +37,10 @@ class TestHomogeneousAgreement:
         )
 
     def test_wfbp_no_fusion_matches(self, tiny):
-        multi = simulate_heterogeneous(
+        multi = _Run(
             "wfbp", tiny, CLUSTER, [1.0] * 4, fusion_buffer_bytes=None,
             iteration_compute=0.03, collapse=False,
-        )
+        ).simulate()
         representative = simulate("wfbp", tiny, CLUSTER, iteration_compute=0.03)
         assert multi.iteration_time == pytest.approx(
             representative.iteration_time, rel=1e-9
@@ -50,11 +50,10 @@ class TestHomogeneousAgreement:
         """Multi-rank Horovod charges the full representative overhead —
         per-group negotiation plus the expected half coordinator cycle —
         so the homogeneous runs must agree exactly."""
-        multi = simulate_heterogeneous(
+        multi = _Run(
             "horovod", tiny, CLUSTER, [1.0] * 4,
-            fusion_buffer_bytes=25e6, iteration_compute=0.03,
-            collapse=False,
-        )
+            fusion_buffer_bytes=25e6, iteration_compute=0.03, collapse=False,
+        ).simulate()
         representative = simulate(
             "horovod", tiny, CLUSTER, buffer_bytes=25e6,
             iteration_compute=0.03,

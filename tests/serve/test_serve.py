@@ -179,9 +179,12 @@ class TestWireValidation:
             {**PAYLOAD, "options": {"fusion_buffer_bytes": 1e6}},
             {**PAYLOAD, "compute_scales": [1.0] * 64,
              "options": {"buffer_bytes": 1e6}},
+            {**PAYLOAD, "compute_scales": [1.0] * 64,
+             "options": {"collapse": False}},
+            {**PAYLOAD, "options": {"trace": True}},
         ],
         ids=["typo", "other-scheduler", "engine", "field", "multirank-only",
-             "single-rank-only"],
+             "single-rank-only", "collapse", "trace"],
     )
     def test_options_the_run_would_not_take_answer_400(self, client, payload):
         config_before = _counter("serve.errors", stage="config")
@@ -212,8 +215,24 @@ class TestWireValidation:
 
     def test_multirank_options_accepted_with_scales(self, client):
         payload = {**PAYLOAD, "compute_scales": [1.0] * 64,
-                   "options": {"fusion_buffer_bytes": 1e6, "collapse": False}}
+                   "options": {"fusion_buffer_bytes": 1e6}}
         assert _status(client, payload) == 200
+
+    def test_zero_planning_scale_of_a_workload_run_answers_400(self, client):
+        """Rank 0 plans a workload DAG's kernels, so a run that does not
+        collapse needs a positive scale there; uniform zero scales
+        collapse to one rank and run."""
+        config_before = _counter("serve.errors", stage="config")
+        compute_before = _counter("serve.errors", stage="compute")
+        payload = {**PAYLOAD, "workload": "moe"}
+        skewed = {**payload, "compute_scales": [0.0] + [1.0] * 63}
+        with pytest.raises(ServeError) as excinfo:
+            client.simulate(skewed)
+        assert excinfo.value.status == 400
+        assert "planning rank" in excinfo.value.message
+        assert _counter("serve.errors", stage="config") - config_before == 1
+        assert _status(client, {**payload, "compute_scales": [0.0] * 64}) == 200
+        assert _counter("serve.errors", stage="compute") == compute_before
 
     @pytest.mark.parametrize(
         "scales",
@@ -418,11 +437,19 @@ class TestBatchWindow:
 class TestFailureIsolation:
     """A spec that fails to compute fails only its own requests."""
 
-    #: Passes wire validation, then raises ValueError in the run: rank 0
-    #: plans the workload's kernels, so its compute scale must be > 0.
-    BAD = {**PAYLOAD, "compute_scales": [0.0] + [1.0] * 63, "workload": "moe"}
+    #: Passes wire validation; its run is made to raise below.
+    BAD = {**PAYLOAD, "iterations": 5}
 
     def test_bad_spec_does_not_fail_its_batch(self, tmp_path, monkeypatch):
+        bad = _fingerprint(self.BAD)
+        run_many = daemon.run_many
+
+        def failing(specs, **kwargs):
+            if any(spec.fingerprint == bad for spec in specs):
+                raise ValueError("the run of this spec fails")
+            return run_many(specs, **kwargs)
+
+        monkeypatch.setattr(daemon, "run_many", failing)
         # Hold the batcher on a first batch so the three requests below
         # queue up behind it and are drained as one shared batch.
         spy = RunManySpy(monkeypatch, hold=True)

@@ -17,7 +17,7 @@ import pytest
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.network.cost_model import CollectiveTimeModel
 from repro.schedulers.base import get_scheduler
-from repro.schedulers.multirank import record_heterogeneous_fast
+from repro.schedulers.multirank import _Run
 from repro.sim.fastpath import BatchMismatch, replay
 from repro.sim.trace import Tracer
 
@@ -124,9 +124,10 @@ class TestFastBatchDifferential:
 
 class TestMultiRankBatchDifferential:
     def _record(self, tiny_model, cluster, scales, faults=None):
-        return record_heterogeneous_fast(
-            "wfbp", tiny_model, cluster, scales, faults=faults
-        )
+        # Explicit ranks: uniform scales must record every rank too.
+        return _Run(
+            "wfbp", tiny_model, cluster, scales, faults=faults, collapse=False
+        ).record()
 
     def test_scale_vectors_batch_bit_identical(self, tiny_model, ethernet_cluster):
         world = ethernet_cluster.world_size

@@ -104,16 +104,17 @@ def test_batched_to_classic(registry, tiny_model, ethernet_cluster):
                        fusion="bo", bo_trials=2),
         RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4,
                        fastpath=False),
-        RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4,
-                       compute_scales=scales, bogus=1),
     ]
     outcomes = run_batched(specs)
     assert outcomes[0] is not None
-    assert outcomes[1:] == [None] * 4
+    assert outcomes[1:] == [None] * 3
     assert _fallbacks(registry) == {
         ("batched", "classic", "opt_out"): 1.0,
         ("batched", "classic", "custom_run"): 1.0,
         ("batched", "classic", "disabled"): 1.0,
-        ("batched", "classic", "options"): 1.0,
     }
+    # An option the run would not take never reaches the runner.
+    with pytest.raises(ValueError, match="bad options"):
+        RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4,
+                       compute_scales=scales, bogus=1)
 

@@ -17,7 +17,11 @@ import pytest
 
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.network.presets import cluster_10gbe
-from repro.schedulers.multirank import POLICIES, simulate_heterogeneous
+from repro.schedulers.multirank import (
+    POLICIES,
+    _Run,
+    simulate_heterogeneous,
+)
 from repro.sim.fastpath import FastPathUnsupported, Timeline
 from repro.telemetry.registry import (
     MetricsRegistry,
@@ -209,13 +213,11 @@ class TestMultiRankTimeline:
 
 def _run_both(policy, model, scales, **kwargs):
     kwargs.setdefault("iteration_compute", 0.03)
-    fast = simulate_heterogeneous(
-        policy, model, CLUSTER, scales, collapse=False, trace=True,
-        fastpath=True, **kwargs,
-    )
-    slow = simulate_heterogeneous(
-        policy, model, CLUSTER, scales, collapse=False, trace=True,
-        fastpath=False, **kwargs,
+    fast, slow = (
+        _Run(policy, model, CLUSTER, scales, collapse=False, **kwargs).simulate(
+            fastpath=fastpath, trace=True
+        )
+        for fastpath in (True, False)
     )
     return fast, slow
 
@@ -254,10 +256,9 @@ def test_differential_one_rank(policy, faults, tiny):
     per-rank event kernel, rank-prefixed trace tracks included."""
     one = cluster_10gbe(nodes=1, gpus_per_node=1)
     results = [
-        simulate_heterogeneous(
-            policy, tiny, one, [1.2], collapse=False, trace=True,
-            fastpath=fastpath, faults=faults, iteration_compute=0.03,
-        )
+        _Run(
+            policy, tiny, one, [1.2], faults=faults, iteration_compute=0.03, collapse=False,
+        ).simulate(fastpath=fastpath, trace=True)
         for fastpath in (True, False)
     ]
     _assert_identical(*results)
@@ -295,15 +296,13 @@ def test_faults_route_through_fastpath_engine(registry, tiny):
 
 class TestEngineSelection:
     def test_fastpath_switch(self, tiny, registry):
-        result = simulate_heterogeneous(
-            "dear", tiny, CLUSTER, SCALE_PATTERNS["ramp"],
-            iteration_compute=0.03, collapse=False, fastpath=False,
-        )
+        result = _Run(
+            "dear", tiny, CLUSTER, SCALE_PATTERNS["ramp"], iteration_compute=0.03, collapse=False,
+        ).simulate(fastpath=False)
         assert result.extras["engine"] == "multirank-event"
-        result = simulate_heterogeneous(
-            "dear", tiny, CLUSTER, SCALE_PATTERNS["ramp"],
-            iteration_compute=0.03, collapse=False, fastpath=True,
-        )
+        result = _Run(
+            "dear", tiny, CLUSTER, SCALE_PATTERNS["ramp"], iteration_compute=0.03, collapse=False,
+        ).simulate(fastpath=True)
         assert result.extras["engine"] == "multirank-fastpath"
         runs = registry.counter("sim.runs")
         assert runs.value(engine="multirank-event") > 0
@@ -316,10 +315,10 @@ class TestEngineSelection:
             iteration_compute=0.03,
         )
         assert collapsed.extras["engine"] == "collapsed"
-        full = simulate_heterogeneous(
+        full = _Run(
             policy, tiny, CLUSTER, SCALE_PATTERNS["uniform"],
             iteration_compute=0.03, collapse=False,
-        )
+        ).simulate()
         assert collapsed.iteration_time == pytest.approx(
             full.iteration_time, rel=1e-9
         )

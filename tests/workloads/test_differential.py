@@ -18,7 +18,7 @@ from repro.network.presets import cluster_10gbe
 from repro.runner.batched import run_batched
 from repro.runner.spec import RunSpec
 from repro.schedulers.base import get_scheduler
-from repro.schedulers.multirank import POLICIES, simulate_heterogeneous
+from repro.schedulers.multirank import POLICIES, _Run
 from repro.workloads import WORKLOAD_NAMES
 from tests.conftest import build_tiny_model
 
@@ -86,15 +86,12 @@ def test_bytescheduler_event_only(workload, timing, cost):
 def test_multirank_differential(policy, workload, monkeypatch):
     model = build_tiny_model()
     scales = [1.0, 1.15, 1.0, 1.4]
-    fast = simulate_heterogeneous(
-        policy, model, SMALL_CLUSTER, scales, iterations=ITERATIONS,
-        iteration_compute=0.03, fastpath=True, collapse=False, trace=True,
-        workload=workload,
-    )
-    slow = simulate_heterogeneous(
-        policy, model, SMALL_CLUSTER, scales, iterations=ITERATIONS,
-        iteration_compute=0.03, fastpath=False, collapse=False, trace=True,
-        workload=workload,
+    fast, slow = (
+        _Run(
+            policy, model, SMALL_CLUSTER, scales, iterations=ITERATIONS,
+            iteration_compute=0.03, workload=workload, collapse=False,
+        ).simulate(fastpath=fastpath, trace=True)
+        for fastpath in (True, False)
     )
     assert fast.extras["engine"] == "multirank-fastpath"
     assert slow.extras["engine"] == "multirank-event"
