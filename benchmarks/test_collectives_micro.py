@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.collectives.communicator import Communicator
-from repro.collectives.ring import ring_all_reduce
+from repro.collectives.synthesis import algorithm_schedule, run_schedule
 from repro.collectives.transport import Transport
 
 WORLD = 8
@@ -25,7 +25,7 @@ def test_ring_all_reduce_wall_time(benchmark):
     def run():
         transport = Transport(WORLD)
         buffers = _buffers()
-        ring_all_reduce(transport, buffers)
+        run_schedule(transport, buffers, algorithm_schedule("ring", "all_reduce", WORLD))
         return transport, buffers
 
     transport, buffers = benchmark(run)

@@ -14,20 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.collectives.alltoall import pairwise_all_to_all, pairwise_all_to_allv
-from repro.collectives.halving_doubling import (
-    halving_doubling_all_reduce,
-    recursive_doubling_all_gather,
-    recursive_halving_reduce_scatter,
-)
-from repro.collectives.hierarchical import (
-    hierarchical_all_gather,
-    hierarchical_all_reduce,
-    hierarchical_reduce_scatter,
-)
-from repro.collectives.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
-from repro.collectives.synthesis import Topology, run_schedule, schedule_for
+from repro.collectives.synthesis import algorithm_schedule, run_schedule
 from repro.collectives.transport import Transport, TransportStats
-from repro.collectives.tree import binomial_broadcast, binomial_reduce, tree_all_reduce
 from repro.telemetry.registry import default_registry
 
 __all__ = ["Communicator"]
@@ -47,6 +35,10 @@ class Communicator:
             topology, given means a uniform two-level one).
         zero_copy: deliver read-only views instead of per-hop copies
             (see :class:`~repro.collectives.transport.Transport`).
+
+    Every collective runs the step schedule
+    :func:`~repro.collectives.synthesis.algorithm_schedule` maps the
+    algorithm to; the constructor rejects a combination it cannot map.
     """
 
     ALGORITHMS = ("ring", "halving_doubling", "tree", "hierarchical",
@@ -59,31 +51,7 @@ class Communicator:
         gpus_per_node: Optional[int] = None,
         zero_copy: bool = False,
     ):
-        if algorithm not in self.ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected one of {self.ALGORITHMS}"
-            )
-        if algorithm == "hierarchical":
-            if gpus_per_node is None:
-                raise ValueError("hierarchical algorithm requires gpus_per_node")
-            if world_size % gpus_per_node:
-                raise ValueError(
-                    f"world size {world_size} not divisible by gpus_per_node {gpus_per_node}"
-                )
-        self._topology = None
-        self._objective = None
-        if algorithm in ("synth_lat", "synth_bw"):
-            if gpus_per_node is not None and world_size % gpus_per_node:
-                raise ValueError(
-                    f"world size {world_size} not divisible by gpus_per_node {gpus_per_node}"
-                )
-            if gpus_per_node is None:
-                self._topology = Topology.flat(world_size)
-            else:
-                self._topology = Topology.from_shape(
-                    world_size // gpus_per_node, gpus_per_node
-                )
-            self._objective = "latency" if algorithm == "synth_lat" else "bandwidth"
+        algorithm_schedule(algorithm, "all_reduce", world_size, gpus_per_node)
         self.world_size = world_size
         self.algorithm = algorithm
         self.gpus_per_node = gpus_per_node
@@ -124,21 +92,15 @@ class Communicator:
             for buf in buffers:
                 buf[...] /= self.world_size
 
+    def _run(self, op: str, buffers: Sequence[np.ndarray]) -> None:
+        wire_before = self.transport.stats.bytes
+        run_schedule(self.transport, buffers, algorithm_schedule(
+            self.algorithm, op, self.world_size, self.gpus_per_node))
+        self._publish(op, buffers, wire_before)
+
     def all_reduce(self, buffers: Sequence[np.ndarray], average: bool = False) -> None:
         """Fused all-reduce (sum, optionally averaged) in place."""
-        wire_before = self.transport.stats.bytes
-        if self.algorithm == "ring":
-            ring_all_reduce(self.transport, buffers)
-        elif self.algorithm == "halving_doubling":
-            halving_doubling_all_reduce(self.transport, buffers)
-        elif self.algorithm == "tree":
-            tree_all_reduce(self.transport, buffers)
-        elif self._topology is not None:
-            run_schedule(self.transport, buffers,
-                         schedule_for(self._topology, "all_reduce", self._objective))
-        else:
-            hierarchical_all_reduce(self.transport, buffers, self.gpus_per_node)
-        self._publish("all_reduce", buffers, wire_before)
+        self._run("all_reduce", buffers)
         self._finish(buffers, average)
 
     def reduce_scatter(self, buffers: Sequence[np.ndarray]) -> None:
@@ -148,36 +110,12 @@ class Communicator:
         :meth:`all_gather` call restores the complete reduced vector,
         and the pair is value-identical to :meth:`all_reduce`.
         """
-        wire_before = self.transport.stats.bytes
-        if self.algorithm == "ring":
-            ring_reduce_scatter(self.transport, buffers)
-        elif self.algorithm == "halving_doubling":
-            recursive_halving_reduce_scatter(self.transport, buffers)
-        elif self.algorithm == "tree":
-            binomial_reduce(self.transport, buffers)
-        elif self._topology is not None:
-            run_schedule(self.transport, buffers,
-                         schedule_for(self._topology, "reduce_scatter", self._objective))
-        else:
-            hierarchical_reduce_scatter(self.transport, buffers, self.gpus_per_node)
-        self._publish("reduce_scatter", buffers, wire_before)
+        self._run("reduce_scatter", buffers)
         self.collectives_issued += 1
 
     def all_gather(self, buffers: Sequence[np.ndarray], average: bool = False) -> None:
         """Decoupled OP2: completes the aggregation started by OP1."""
-        wire_before = self.transport.stats.bytes
-        if self.algorithm == "ring":
-            ring_all_gather(self.transport, buffers)
-        elif self.algorithm == "halving_doubling":
-            recursive_doubling_all_gather(self.transport, buffers)
-        elif self.algorithm == "tree":
-            binomial_broadcast(self.transport, buffers)
-        elif self._topology is not None:
-            run_schedule(self.transport, buffers,
-                         schedule_for(self._topology, "all_gather", self._objective))
-        else:
-            hierarchical_all_gather(self.transport, buffers, self.gpus_per_node)
-        self._publish("all_gather", buffers, wire_before)
+        self._run("all_gather", buffers)
         self._finish(buffers, average)
 
     def all_to_all(self, buffers: Sequence[np.ndarray]) -> list[np.ndarray]:

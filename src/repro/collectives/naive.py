@@ -35,8 +35,8 @@ def naive_reduce_scatter(
     """All-reduce on rank 0 then scatter; returns per-rank owned chunks.
 
     Uses the ring ownership convention (rank ``i`` owns chunk
-    ``(i+1) % P``) so results compare directly against
-    :func:`repro.collectives.ring.ring_reduce_scatter`.
+    ``(i+1) % P``) so results compare directly against the ring
+    reduce-scatter schedule.
     """
     p = transport.world_size
     total = np.array(buffers[0], copy=True).reshape(-1)

@@ -5,8 +5,10 @@ Declare a :class:`Topology`, synthesize a latency- or bandwidth-optimal
 (:func:`verify_schedule`), execute it value-exact over the data-level
 transport (:func:`run_schedule`), or price it on declared links
 (:func:`schedule_times`).  The cost model and autotuner expose the two
-objectives as the ``synth_lat`` / ``synth_bw`` algorithms; see
-``docs/SYNTHESIS.md`` for the end-to-end tour.
+objectives as the ``synth_lat`` / ``synth_bw`` algorithms, and
+:func:`algorithm_schedule` maps every data-level algorithm name to the
+schedule the communicators run; see ``docs/SYNTHESIS.md`` for the
+end-to-end tour.
 """
 
 from repro.collectives.synthesis.executor import run_schedule
@@ -22,6 +24,7 @@ from repro.collectives.synthesis.ir import (
 from repro.collectives.synthesis.synthesize import (
     OBJECTIVES,
     SYNTH_ALGORITHMS,
+    algorithm_schedule,
     clear_schedule_cache,
     declared_step_bound,
     schedule_for,
@@ -39,6 +42,7 @@ __all__ = [
     "ScheduleError",
     "Step",
     "Topology",
+    "algorithm_schedule",
     "clear_schedule_cache",
     "declared_step_bound",
     "run_schedule",

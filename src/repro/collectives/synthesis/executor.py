@@ -1,11 +1,9 @@
-"""Execute a synthesized schedule against real buffers.
+"""Execute a schedule against real buffers.
 
-The executor drives the same in-process :class:`Transport` the
-hand-written collectives use, with the identical lockstep round idiom
-(all sends of a step read pre-step state, then all receives land), so a
-verified schedule is value-exact against the library — differential
-tests pin ``run_schedule`` vs :func:`repro.collectives.ring.ring_all_reduce`
-the same way RS+AG ≡ AR is pinned.
+Every data-level collective runs here: the executor drives the
+in-process :class:`Transport` in lockstep rounds (all sends of a step
+read pre-step state, then all receives land), so a verified schedule is
+value-exact, and RS+AG is bit-identical to the fused all-reduce.
 """
 
 from __future__ import annotations
@@ -20,22 +18,42 @@ from repro.collectives.transport import Transport
 __all__ = ["run_schedule"]
 
 
-def run_schedule(transport: Transport, buffers: Sequence[np.ndarray],
-                 schedule: Schedule) -> None:
-    """Run ``schedule`` in place over per-rank ``buffers``.
-
-    After an ``all_reduce`` schedule every buffer holds the global sum;
-    after ``reduce_scatter`` each rank's owned chunks do; after
-    ``all_gather`` the owned chunks must already be final on entry
-    (matching the library's phase contracts).
-    """
-    world = schedule.topology.world_size
+def _validate_buffers(buffers: Sequence[np.ndarray], world: int,
+                      transport: Transport) -> None:
     if len(buffers) != world or transport.world_size != world:
         raise ValueError(
             f"schedule targets {world} ranks, got {len(buffers)} buffers on a "
             f"{transport.world_size}-rank transport"
         )
-    flats = [np.asarray(buffer).reshape(-1) for buffer in buffers]
+    first = buffers[0]
+    for rank, buf in enumerate(buffers):
+        if buf.shape != first.shape:
+            raise ValueError(
+                f"rank {rank} buffer shape {buf.shape} != rank 0 shape {first.shape}"
+            )
+        if buf.dtype != first.dtype:
+            raise ValueError(
+                f"rank {rank} buffer dtype {buf.dtype} != rank 0 dtype {first.dtype}"
+            )
+        if not buf.flags.c_contiguous:
+            # reshape(-1) would copy, and the collective would write
+            # into the copy instead of the caller's buffer.
+            raise ValueError(f"rank {rank} buffer is not C-contiguous")
+
+
+def run_schedule(transport: Transport, buffers: Sequence[np.ndarray],
+                 schedule: Schedule) -> None:
+    """Run ``schedule`` in place over per-rank ``buffers``.
+
+    The buffers must agree in count (one per rank), shape and dtype,
+    and be C-contiguous (the collective works on flat views of them).
+    After an ``all_reduce`` schedule every buffer holds the global sum;
+    after ``reduce_scatter`` each rank's owned chunks do
+    (``schedule.owner`` over ``schedule.chunks.offsets``) and the rest
+    is scratch; ``all_gather`` expects the owned chunks final on entry.
+    """
+    _validate_buffers(buffers, schedule.topology.world_size, transport)
+    flats = [buffer.reshape(-1) for buffer in buffers]
     bounds = schedule.chunks.offsets(flats[0].size)
     for step in schedule.steps:
         src = step.src.tolist()

@@ -2,11 +2,10 @@
 
 A :class:`Schedule` is a sequence of lockstep :class:`Step`\\ s over a
 :class:`ChunkSpec` chunk layout.  Within one step every send reads the
-*pre-step* buffer state and every receive lands afterwards — exactly
-the send-all-then-recv-all round structure the data-level library uses
-(see :mod:`repro.collectives.ring`), so an IR step prices as one
-alpha-beta round and executes faithfully through the in-process
-:class:`~repro.collectives.transport.Transport`.
+*pre-step* buffer state and every receive lands afterwards — the
+send-all-then-recv-all round structure of a classic ring, so an IR step
+prices as one alpha-beta round and executes faithfully through the
+in-process :class:`~repro.collectives.transport.Transport`.
 
 Three consumers share the IR:
 

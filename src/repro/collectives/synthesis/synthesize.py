@@ -22,11 +22,19 @@ objective:
 Synthesized schedules are cached per (topology structure, op,
 objective): schedules are immutable and link-independent (links only
 matter when pricing).
+
+:func:`algorithm_schedule` maps every data-level algorithm name (the
+cost model's presets plus the two objectives) to its cached schedule;
+it is the one definition :class:`~repro.collectives.Communicator` and
+the fault-tolerant communicator execute.  The binomial ``tree`` family
+lives only there: it is not an objective the cost model or autotuner
+synthesizes.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from repro.network.fabric import ClusterSpec
 __all__ = [
     "SYNTH_ALGORITHMS",
     "OBJECTIVES",
+    "algorithm_schedule",
     "synthesize",
     "schedule_for",
     "schedule_for_cluster",
@@ -127,7 +136,7 @@ def _hd_rs_steps(members: np.ndarray, base: np.ndarray) -> list[Step]:
         )
     # Recursive halving among the core: pair lower/upper halves of each
     # contiguous local group; the lower half keeps the lower block range
-    # (mirrors repro.collectives.halving_doubling).
+    # (Rabenseifner's reduce-scatter).
     groups = [(0, core)]
     while groups[0][1] - groups[0][0] > 1:
         src, dst, lo, hi = [], [], [], []
@@ -184,9 +193,53 @@ def _hd_owner_local(block: int, m: int) -> int:
     return block
 
 
+def _tree_pairs(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Local ``(parent, child)`` ids of each binomial round, leaves first.
+
+    The round at distance ``d`` pairs every multiple ``i`` of ``2d``
+    with ``i + d``; member 0 is the root.
+    """
+    pairs = []
+    distance = 1
+    while distance < m:
+        parent = np.arange(0, m - distance, 2 * distance)
+        pairs.append((parent, parent + distance))
+        distance *= 2
+    return pairs
+
+
+def _tree_reduce_steps(members: np.ndarray, base: np.ndarray) -> list[Step]:
+    """Binomial reduce of the whole buffer into ``members[0]``."""
+    return [
+        Step(members[child], members[parent], np.full(child.size, base[0]),
+             np.full(child.size, base[1]), np.ones(child.size, dtype=bool))
+        for parent, child in _tree_pairs(members.size)
+    ]
+
+
+def _tree_broadcast_steps(members: np.ndarray, base: np.ndarray) -> list[Step]:
+    """Binomial broadcast from ``members[0]``: the reduce rounds reversed."""
+    return [
+        Step(members[parent], members[child], np.full(child.size, base[0]),
+             np.full(child.size, base[1]), np.zeros(child.size, dtype=bool))
+        for parent, child in reversed(_tree_pairs(members.size))
+    ]
+
+
+def _tree_block_count(m: int) -> int:
+    return 1
+
+
+def _tree_owner_local(block: int, m: int) -> int:
+    """The root, member 0, holds the one reduced block."""
+    return 0
+
+
 _FAMILIES = {
     "bandwidth": (_ring_block_count, _ring_rs_steps, _ring_ag_steps, _ring_owner_local),
     "latency": (_hd_block_count, _hd_rs_steps, _hd_ag_steps, _hd_owner_local),
+    "tree": (_tree_block_count, _tree_reduce_steps, _tree_broadcast_steps,
+             _tree_owner_local),
 }
 
 
@@ -286,7 +339,10 @@ def synthesize(topology: Topology, op: str, objective: str) -> Schedule:
 
 
 def _phase_steps(m: int, objective: str) -> int:
-    """Rounds of one flat phase (RS or AG) over ``m`` members."""
+    """Rounds of one flat phase (RS or AG) over ``m`` members.
+
+    Latency and tree phases both take ``ceil(log2 m)`` rounds.
+    """
     if m == 1:
         return 0
     if objective == "bandwidth":
@@ -316,14 +372,74 @@ def declared_step_bound(topology: Topology, op: str, objective: str) -> int:
 _CACHE: dict[tuple, Schedule] = {}
 
 
+def _cached(topology: Topology, op: str, family: str, build) -> Schedule:
+    key = (topology.signature(), op, family)
+    schedule = _CACHE.get(key)
+    if schedule is None:
+        schedule = _CACHE[key] = build(topology, op, family)
+    return schedule
+
+
 def schedule_for(topology: Topology, op: str, objective: str) -> Schedule:
     """Cached :func:`synthesize` (schedules are immutable and
     link-independent, so one per topology *structure* suffices)."""
-    key = (topology.signature(), op, objective)
-    schedule = _CACHE.get(key)
-    if schedule is None:
-        schedule = _CACHE[key] = synthesize(topology, op, objective)
-    return schedule
+    return _cached(topology, op, objective, synthesize)
+
+
+#: Data-level algorithm name -> the schedule family it runs.
+_ALGORITHM_FAMILY = {
+    "ring": "bandwidth",
+    "halving_doubling": "latency",
+    "tree": "tree",
+    "hierarchical": "bandwidth",
+    **ALGORITHM_OBJECTIVE,
+}
+
+
+def algorithm_schedule(algorithm: str, op: str, world_size: int,
+                       gpus_per_node: Optional[int] = None) -> Schedule:
+    """The cached schedule data-level ``algorithm`` runs for ``op``.
+
+    - ``"ring"``: the flat bandwidth schedule (rank ``i`` owns chunk
+      ``(i + 1) % P`` after the reduce-scatter);
+    - ``"halving_doubling"``: the flat latency schedule (rank ``i`` owns
+      block ``i``).  The world must be a power of two: the latency
+      family folds any other world, which is a different algorithm;
+    - ``"tree"``: binomial reduce to rank 0, then binomial broadcast,
+      over one chunk (the timing model prices NCCL's pipelined double
+      binary tree instead);
+    - ``"hierarchical"``: the bandwidth schedule on the
+      ``world / gpus_per_node`` x ``gpus_per_node`` topology — intra-node
+      rings, then per-shard inter-node rings; the flat ring with one
+      node or one GPU per node;
+    - ``"synth_lat"`` / ``"synth_bw"``: that objective on the flat
+      topology, or on the two-level one when ``gpus_per_node`` is given.
+
+    ``gpus_per_node`` is ignored by the flat algorithms.
+    """
+    family = _ALGORITHM_FAMILY.get(algorithm)
+    if family is None:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of "
+            f"{tuple(_ALGORITHM_FAMILY)}"
+        )
+    if algorithm == "halving_doubling" and world_size & (world_size - 1):
+        raise ValueError(
+            f"halving-doubling requires a power-of-two world size, got {world_size}"
+        )
+    if algorithm == "hierarchical" and gpus_per_node is None:
+        raise ValueError("hierarchical algorithm requires gpus_per_node")
+    if gpus_per_node is None or algorithm in ("ring", "halving_doubling", "tree"):
+        topology = Topology.flat(world_size)
+    elif gpus_per_node < 1 or world_size % gpus_per_node:
+        raise ValueError(
+            f"world size {world_size} not divisible by gpus_per_node {gpus_per_node}"
+        )
+    else:
+        topology = Topology.from_shape(world_size // gpus_per_node, gpus_per_node)
+    if family == "tree":
+        return _cached(topology, op, family, _flat_schedule)
+    return schedule_for(topology, op, family)
 
 
 def schedule_for_cluster(cluster: ClusterSpec, op: str, objective: str) -> Schedule:

@@ -19,8 +19,8 @@ training iteration, exactly following §III-B:
 
 Value-exactness: the decoupled path produces parameter trajectories
 bit-identical to fused all-reduce S-SGD (tested in
-``tests/core/test_equivalence.py``), which is the paper's correctness
-claim for the decoupling.
+``tests/core/test_runtime.py::TestDistOptimEquivalence::test_bit_identical_to_fused_allreduce``),
+which is the paper's correctness claim for the decoupling.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Three sections of rows:
   to a synthesized schedule once they join the candidate pool, i.e.
   what ``algorithm="auto"`` will actually pick.
 - ``exec`` — data-level proof: the synthesized schedule executed over
-  the real transport is bit-exact against the ring library, with its
+  the real transport is bit-exact against the ring schedule, with its
   measured wire traffic.
 """
 
@@ -127,8 +127,12 @@ def _auto_rows() -> list[dict]:
 
 
 def _exec_rows() -> list[dict]:
-    from repro.collectives.ring import ring_all_reduce
-    from repro.collectives.synthesis import Topology, run_schedule, schedule_for
+    from repro.collectives.synthesis import (
+        Topology,
+        algorithm_schedule,
+        run_schedule,
+        schedule_for,
+    )
     from repro.collectives.transport import Transport
 
     rows = []
@@ -139,7 +143,8 @@ def _exec_rows() -> list[dict]:
         data = rng.integers(-8, 8, size=(world, 1000)).astype(np.float64)
         ring_buffers = [row.copy() for row in data]
         ring_transport = Transport(world)
-        ring_all_reduce(ring_transport, ring_buffers)
+        run_schedule(ring_transport, ring_buffers,
+                     algorithm_schedule("ring", "all_reduce", world))
         for objective in ("latency", "bandwidth"):
             schedule = schedule_for(topology, "all_reduce", objective)
             buffers = [row.copy() for row in data]

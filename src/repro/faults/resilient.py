@@ -39,26 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.collectives.halving_doubling import (
-    halving_doubling_all_reduce,
-    recursive_doubling_all_gather,
-    recursive_halving_reduce_scatter,
-)
-from repro.collectives.hierarchical import (
-    hierarchical_all_gather,
-    hierarchical_all_reduce,
-    hierarchical_reduce_scatter,
-)
-from repro.collectives.ring import (
-    ring_all_gather,
-    ring_all_reduce,
-    ring_reduce_scatter,
-)
-from repro.collectives.tree import (
-    binomial_broadcast,
-    binomial_reduce,
-    tree_all_reduce,
-)
+from repro.collectives.synthesis import algorithm_schedule, run_schedule
 from repro.faults.plan import FaultPlan, RankFailure
 from repro.faults.transport import (
     FaultyTransport,
@@ -295,7 +276,8 @@ class ResilientCommunicator:
             active = [buffers[g] for g in self.survivors]
             try:
                 for op in ops:
-                    self._dispatch(op, active)
+                    run_schedule(self.transport, active, algorithm_schedule(
+                        self.algorithm, op, len(active), self.gpus_per_node))
             except RankDeadError:
                 if ops == ("all_gather",):
                     raise UnrecoverableFault(
@@ -342,38 +324,6 @@ class ResilientCommunicator:
                 for g in self.survivors:
                     buffers[g][...] /= len(self.survivors)
             return
-
-    def _dispatch(self, op: str, active: list[np.ndarray]) -> None:
-        transport = self.transport
-        if op == "all_reduce":
-            if self.algorithm == "ring":
-                ring_all_reduce(transport, active)
-            elif self.algorithm == "halving_doubling":
-                halving_doubling_all_reduce(transport, active)
-            elif self.algorithm == "tree":
-                tree_all_reduce(transport, active)
-            else:
-                hierarchical_all_reduce(transport, active, self.gpus_per_node)
-        elif op == "reduce_scatter":
-            if self.algorithm == "ring":
-                ring_reduce_scatter(transport, active)
-            elif self.algorithm == "halving_doubling":
-                recursive_halving_reduce_scatter(transport, active)
-            elif self.algorithm == "tree":
-                binomial_reduce(transport, active)
-            else:
-                hierarchical_reduce_scatter(transport, active, self.gpus_per_node)
-        elif op == "all_gather":
-            if self.algorithm == "ring":
-                ring_all_gather(transport, active)
-            elif self.algorithm == "halving_doubling":
-                recursive_doubling_all_gather(transport, active)
-            elif self.algorithm == "tree":
-                binomial_broadcast(transport, active)
-            else:
-                hierarchical_all_gather(transport, active, self.gpus_per_node)
-        else:  # pragma: no cover - guarded by the public entry points
-            raise ValueError(f"unknown collective op {op!r}")
 
     # -- public collectives ----------------------------------------------------
 

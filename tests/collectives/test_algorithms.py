@@ -1,31 +1,30 @@
 """Tests for tree, halving-doubling, hierarchical, and naive collectives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.halving_doubling import (
-    halving_doubling_all_reduce,
-    recursive_doubling_all_gather,
-    recursive_halving_reduce_scatter,
-)
-from repro.collectives.hierarchical import (
-    hierarchical_all_gather,
-    hierarchical_all_reduce,
-    hierarchical_reduce_scatter,
-)
 from repro.collectives.naive import (
     naive_all_gather,
     naive_all_reduce,
     naive_reduce_scatter,
 )
+from repro.collectives.synthesis import algorithm_schedule, run_schedule, verify_schedule
 from repro.collectives.transport import Transport, chunk_offsets
-from repro.collectives.tree import binomial_broadcast, binomial_reduce, tree_all_reduce
 
 
 def _buffers(p, size, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=size) for _ in range(p)]
+
+
+def _run(algorithm, op, transport, buffers, gpus_per_node=None):
+    """Run ``algorithm``'s schedule for ``op``; return the schedule."""
+    schedule = algorithm_schedule(algorithm, op, transport.world_size, gpus_per_node)
+    run_schedule(transport, buffers, schedule)
+    return schedule
 
 
 class TestNaive:
@@ -67,35 +66,32 @@ class TestTree:
         transport = Transport(p)
         buffers = _buffers(p, 9)
         expected = np.sum(buffers, axis=0)
-        binomial_reduce(transport, buffers, root=0)
+        schedule = _run("tree", "reduce_scatter", transport, buffers)
+        assert schedule.owner.tolist() == [0]
         np.testing.assert_allclose(buffers[0], expected)
-
-    def test_reduce_nonzero_root(self):
-        p = 5
-        transport = Transport(p)
-        buffers = _buffers(p, 9)
-        expected = np.sum(buffers, axis=0)
-        binomial_reduce(transport, buffers, root=3)
-        np.testing.assert_allclose(buffers[3], expected)
 
     def test_broadcast_from_root(self):
         p = 6
         transport = Transport(p)
         buffers = [np.zeros(4) for _ in range(p)]
-        buffers[2][:] = 42.0
-        binomial_broadcast(transport, buffers, root=2)
+        buffers[0][:] = 42.0
+        _run("tree", "all_gather", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, 42.0)
 
     def test_reduce_message_count_is_p_minus_1(self):
         p = 8
         transport = Transport(p)
-        binomial_reduce(transport, _buffers(p, 4))
+        _run("tree", "reduce_scatter", transport, _buffers(p, 4))
         assert transport.stats.messages == p - 1
 
-    def test_invalid_root_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_reduce(Transport(4), _buffers(4, 4), root=4)
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_schedule_verifies_in_log2_rounds(self, p):
+        for op in ("reduce_scatter", "all_gather", "all_reduce"):
+            schedule = algorithm_schedule("tree", op, p)
+            verify_schedule(schedule)
+            phases = 2 if op == "all_reduce" else 1
+            assert schedule.num_steps == phases * math.ceil(math.log2(p))
 
     @settings(deadline=None, max_examples=20)
     @given(p=st.integers(2, 12), size=st.integers(1, 40), seed=st.integers(0, 99))
@@ -103,7 +99,7 @@ class TestTree:
         transport = Transport(p)
         buffers = _buffers(p, size, seed)
         expected = np.sum(buffers, axis=0)
-        tree_all_reduce(transport, buffers)
+        _run("tree", "all_reduce", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, expected, rtol=1e-10)
         assert transport.pending() == 0
@@ -113,10 +109,10 @@ class TestTree:
         p = 8
         fused = _buffers(p, 21, seed=3)
         split = [np.array(b, copy=True) for b in fused]
-        tree_all_reduce(Transport(p), fused)
+        _run("tree", "all_reduce", Transport(p), fused)
         transport = Transport(p)
-        binomial_reduce(transport, split)
-        binomial_broadcast(transport, split)
+        _run("tree", "reduce_scatter", transport, split)
+        _run("tree", "all_gather", transport, split)
         for a, b in zip(fused, split):
             np.testing.assert_array_equal(a, b)
 
@@ -124,25 +120,28 @@ class TestTree:
 class TestHalvingDoubling:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
-            recursive_halving_reduce_scatter(Transport(6), _buffers(6, 8))
+            _run("halving_doubling", "reduce_scatter", Transport(6), _buffers(6, 8))
 
     def test_rs_ownership_block_i_at_rank_i(self):
         p = 8
         transport = Transport(p)
         buffers = _buffers(p, 32)
         expected = np.sum(buffers, axis=0)
-        owned = recursive_halving_reduce_scatter(transport, buffers)
-        offsets = chunk_offsets(32, p)
+        schedule = _run("halving_doubling", "reduce_scatter", transport, buffers)
+        assert schedule.owner.tolist() == list(range(p))
+        offsets = schedule.chunks.offsets(32)
         for rank in range(p):
             np.testing.assert_allclose(
-                owned[rank], expected[offsets[rank] : offsets[rank + 1]]
+                buffers[rank][offsets[rank] : offsets[rank + 1]],
+                expected[offsets[rank] : offsets[rank + 1]],
             )
 
     def test_rs_round_count_is_log2(self):
         p = 16
         transport = Transport(p)
-        recursive_halving_reduce_scatter(transport, _buffers(p, 64))
+        schedule = _run("halving_doubling", "reduce_scatter", transport, _buffers(p, 64))
         # log2(16) = 4 rounds, each rank sends one message per round
+        assert schedule.num_steps == 4
         for rank in range(p):
             assert transport.stats.per_rank_messages[rank] == 4
 
@@ -155,7 +154,7 @@ class TestHalvingDoubling:
         transport = Transport(p)
         buffers = _buffers(p, size, seed)
         expected = np.sum(buffers, axis=0)
-        halving_doubling_all_reduce(transport, buffers)
+        _run("halving_doubling", "all_reduce", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, expected, rtol=1e-10)
         assert transport.pending() == 0
@@ -164,10 +163,10 @@ class TestHalvingDoubling:
         p = 8
         fused = _buffers(p, 40, seed=5)
         split = [np.array(b, copy=True) for b in fused]
-        halving_doubling_all_reduce(Transport(p), fused)
+        _run("halving_doubling", "all_reduce", Transport(p), fused)
         transport = Transport(p)
-        recursive_halving_reduce_scatter(transport, split)
-        recursive_doubling_all_gather(transport, split)
+        _run("halving_doubling", "reduce_scatter", transport, split)
+        _run("halving_doubling", "all_gather", transport, split)
         for a, b in zip(fused, split):
             np.testing.assert_array_equal(a, b)
 
@@ -187,7 +186,7 @@ class TestHierarchical:
         transport = Transport(p)
         buffers = _buffers(p, size, seed)
         expected = np.sum(buffers, axis=0)
-        hierarchical_all_reduce(transport, buffers, gpus_per_node=gpus)
+        _run("hierarchical", "all_reduce", transport, buffers, gpus_per_node=gpus)
         for buf in buffers:
             np.testing.assert_allclose(buf, expected, rtol=1e-10)
         assert transport.pending() == 0
@@ -197,28 +196,26 @@ class TestHierarchical:
         p = nodes * gpus
         fused = _buffers(p, 64, seed=7)
         split = [np.array(b, copy=True) for b in fused]
-        hierarchical_all_reduce(Transport(p), fused, gpus_per_node=gpus)
+        _run("hierarchical", "all_reduce", Transport(p), fused, gpus_per_node=gpus)
         transport = Transport(p)
-        hierarchical_reduce_scatter(transport, split, gpus_per_node=gpus)
-        hierarchical_all_gather(transport, split, gpus_per_node=gpus)
+        _run("hierarchical", "reduce_scatter", transport, split, gpus_per_node=gpus)
+        _run("hierarchical", "all_gather", transport, split, gpus_per_node=gpus)
         for a, b in zip(fused, split):
             np.testing.assert_array_equal(a, b)
 
     def test_indivisible_world_rejected(self):
         with pytest.raises(ValueError):
-            hierarchical_all_reduce(Transport(6), _buffers(6, 8), gpus_per_node=4)
+            _run("hierarchical", "all_reduce", Transport(6), _buffers(6, 8), gpus_per_node=4)
 
     def test_fewer_rounds_than_flat_ring_same_volume(self):
         """Both schemes are bandwidth-optimal (identical total bytes),
         but the hierarchical rings need far fewer messages — the
         latency advantage of Mikami et al. on multi-node clusters."""
-        from repro.collectives.ring import ring_all_reduce
-
         nodes, gpus = 4, 4
         p = nodes * gpus
         flat = Transport(p)
-        ring_all_reduce(flat, _buffers(p, 160))
+        _run("ring", "all_reduce", flat, _buffers(p, 160))
         hier = Transport(p)
-        hierarchical_all_reduce(hier, _buffers(p, 160), gpus_per_node=gpus)
+        _run("hierarchical", "all_reduce", hier, _buffers(p, 160), gpus_per_node=gpus)
         assert hier.stats.bytes == flat.stats.bytes
         assert hier.stats.messages < flat.stats.messages

@@ -102,6 +102,20 @@ class TestCommunicator:
         with pytest.raises(ValueError):
             Communicator(6, algorithm="hierarchical", gpus_per_node=4)
 
+    @pytest.mark.parametrize("algorithm", ["synth_bw", "synth_lat"])
+    @pytest.mark.parametrize(
+        "bad_rank_0",
+        [np.zeros(7), np.zeros(8, dtype=np.float32), np.zeros(16)[::2]],
+        ids=["short", "float32", "strided"],
+    )
+    def test_mismatched_buffers_rejected(self, algorithm, bad_rank_0):
+        """A short, wrong-dtype or strided buffer must not leave ranks
+        unreduced (a strided one would be reduced into a copy)."""
+        comm = Communicator(4, algorithm=algorithm)
+        buffers = [bad_rank_0] + _buffers(3, 8)
+        with pytest.raises(ValueError, match=r"rank \d buffer"):
+            comm.all_reduce(buffers)
+
     @settings(deadline=None, max_examples=15)
     @given(size=st.integers(1, 64), seed=st.integers(0, 50))
     def test_decoupled_average_matches_mean(self, size, seed):

@@ -1,21 +1,36 @@
-"""Unit and property tests for the ring collectives."""
+"""Unit and property tests for the ring collectives (the ring schedule)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.ring import (
-    owned_chunk,
-    ring_all_gather,
-    ring_all_reduce,
-    ring_reduce_scatter,
-)
-from repro.collectives.transport import Transport, chunk_offsets
+from repro.collectives.synthesis import algorithm_schedule, run_schedule
+from repro.collectives.transport import Transport
 
 
 def _random_buffers(p: int, size: int, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     return [rng.normal(size=size) for _ in range(p)]
+
+
+def _ring(op, transport, buffers):
+    """Run the ring schedule for ``op``; return the schedule."""
+    schedule = algorithm_schedule("ring", op, transport.world_size)
+    run_schedule(transport, buffers, schedule)
+    return schedule
+
+
+def _assert_owned_chunks_reduced(schedule, buffers, expected):
+    """Rank ``i`` owns chunk ``(i + 1) % P`` and holds its full sum."""
+    p = len(buffers)
+    owner = schedule.owner.tolist()
+    assert owner == [(chunk - 1) % p for chunk in range(p)]
+    offsets = schedule.chunks.offsets(expected.size)
+    for chunk, rank in enumerate(owner):
+        np.testing.assert_allclose(
+            buffers[rank][offsets[chunk] : offsets[chunk + 1]],
+            expected[offsets[chunk] : offsets[chunk + 1]],
+        )
 
 
 class TestRingReduceScatter:
@@ -24,18 +39,13 @@ class TestRingReduceScatter:
         transport = Transport(p)
         buffers = _random_buffers(p, size)
         expected = np.sum(buffers, axis=0)
-        owned = ring_reduce_scatter(transport, buffers)
-        offsets = chunk_offsets(size, p)
-        for rank in range(p):
-            chunk = owned_chunk(rank, p)
-            np.testing.assert_allclose(
-                owned[rank], expected[offsets[chunk] : offsets[chunk + 1]]
-            )
+        schedule = _ring("reduce_scatter", transport, buffers)
+        _assert_owned_chunks_reduced(schedule, buffers, expected)
 
     def test_message_count_is_p_minus_1_rounds(self):
         p = 8
         transport = Transport(p)
-        ring_reduce_scatter(transport, _random_buffers(p, 64))
+        _ring("reduce_scatter", transport, _random_buffers(p, 64))
         assert transport.stats.messages == p * (p - 1)
         for rank in range(p):
             assert transport.stats.per_rank_messages[rank] == p - 1
@@ -46,13 +56,13 @@ class TestRingReduceScatter:
         transport = Transport(p)
         buffers = _random_buffers(p, size)
         nbytes = buffers[0].nbytes
-        ring_reduce_scatter(transport, buffers)
+        _ring("reduce_scatter", transport, buffers)
         for rank in range(p):
             assert transport.stats.per_rank_bytes[rank] == nbytes * (p - 1) // p
 
     def test_no_stranded_messages(self):
         transport = Transport(5)
-        ring_reduce_scatter(transport, _random_buffers(5, 23))
+        _ring("reduce_scatter", transport, _random_buffers(5, 23))
         assert transport.pending() == 0
 
     def test_uneven_sizes_supported(self):
@@ -61,23 +71,18 @@ class TestRingReduceScatter:
             transport = Transport(p)
             buffers = _random_buffers(p, size, seed=size)
             expected = np.sum(buffers, axis=0)
-            owned = ring_reduce_scatter(transport, buffers)
-            offsets = chunk_offsets(size, p)
-            for rank in range(p):
-                chunk = owned_chunk(rank, p)
-                np.testing.assert_allclose(
-                    owned[rank], expected[offsets[chunk] : offsets[chunk + 1]]
-                )
+            schedule = _ring("reduce_scatter", transport, buffers)
+            _assert_owned_chunks_reduced(schedule, buffers, expected)
 
     def test_mismatched_shapes_rejected(self):
         transport = Transport(2)
         with pytest.raises(ValueError):
-            ring_reduce_scatter(transport, [np.zeros(4), np.zeros(5)])
+            _ring("reduce_scatter", transport, [np.zeros(4), np.zeros(5)])
 
     def test_wrong_buffer_count_rejected(self):
         transport = Transport(3)
         with pytest.raises(ValueError):
-            ring_reduce_scatter(transport, [np.zeros(4)] * 2)
+            _ring("reduce_scatter", transport, [np.zeros(4)] * 2)
 
 
 class TestRingAllReduce:
@@ -86,14 +91,14 @@ class TestRingAllReduce:
         transport = Transport(p)
         buffers = _random_buffers(p, size)
         expected = np.sum(buffers, axis=0)
-        ring_all_reduce(transport, buffers)
+        _ring("all_reduce", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, expected)
 
     def test_two_ranks(self):
         transport = Transport(2)
         buffers = [np.array([1.0, 2.0]), np.array([10.0, 20.0])]
-        ring_all_reduce(transport, buffers)
+        _ring("all_reduce", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, [11.0, 22.0])
 
@@ -103,7 +108,7 @@ class TestRingAllReduce:
         rng = np.random.default_rng(1)
         buffers = [rng.normal(size=(4, 5)) for _ in range(p)]
         expected = np.sum(buffers, axis=0)
-        ring_all_reduce(transport, buffers)
+        _ring("all_reduce", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, expected)
 
@@ -113,7 +118,7 @@ class TestRingAllReduce:
         transport = Transport(p)
         buffers = _random_buffers(p, size)
         nbytes = buffers[0].nbytes
-        ring_all_reduce(transport, buffers)
+        _ring("all_reduce", transport, buffers)
         for rank in range(p):
             assert transport.stats.per_rank_bytes[rank] == 2 * nbytes * (p - 1) // p
 
@@ -127,7 +132,7 @@ class TestRingAllReduce:
         transport = Transport(p)
         buffers = _random_buffers(p, size, seed=seed)
         expected = np.sum(buffers, axis=0)
-        ring_all_reduce(transport, buffers)
+        _ring("all_reduce", transport, buffers)
         for buf in buffers:
             np.testing.assert_allclose(buf, expected, rtol=1e-10)
         assert transport.pending() == 0
@@ -146,11 +151,11 @@ class TestDecouplingEquivalence:
         buffers_fused = _random_buffers(p, size, seed=seed)
         buffers_split = [np.array(b, copy=True) for b in buffers_fused]
 
-        ring_all_reduce(Transport(p), buffers_fused)
+        _ring("all_reduce", Transport(p), buffers_fused)
 
         transport = Transport(p)
-        ring_reduce_scatter(transport, buffers_split)
-        ring_all_gather(transport, buffers_split)
+        _ring("reduce_scatter", transport, buffers_split)
+        _ring("all_gather", transport, buffers_split)
 
         for fused, split in zip(buffers_fused, buffers_split):
             np.testing.assert_array_equal(fused, split)  # bit-identical
@@ -159,12 +164,12 @@ class TestDecouplingEquivalence:
         """Decoupling costs zero extra messages and zero extra bytes."""
         p, size = 6, 48
         fused_transport = Transport(p)
-        ring_all_reduce(fused_transport, _random_buffers(p, size))
+        _ring("all_reduce", fused_transport, _random_buffers(p, size))
 
         split_transport = Transport(p)
         buffers = _random_buffers(p, size)
-        ring_reduce_scatter(split_transport, buffers)
-        ring_all_gather(split_transport, buffers)
+        _ring("reduce_scatter", split_transport, buffers)
+        _ring("all_gather", split_transport, buffers)
 
         assert split_transport.stats.messages == fused_transport.stats.messages
         assert split_transport.stats.bytes == fused_transport.stats.bytes

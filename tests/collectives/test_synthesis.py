@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.collectives.ring import ring_all_reduce
 from repro.collectives.synthesis import (
+    OBJECTIVES,
+    SYNTH_ALGORITHMS,
     ChunkSpec,
     Schedule,
     ScheduleError,
     Step,
     Topology,
+    algorithm_schedule,
     clear_schedule_cache,
     declared_step_bound,
     run_schedule,
@@ -174,7 +176,8 @@ class TestExecutor:
     def test_all_reduce_matches_ring_library(self, topo, objective):
         data, buffers = self._run(topo, objective, "all_reduce", 37)
         ring_buffers = [row.copy() for row in data]
-        ring_all_reduce(Transport(topo.world_size), ring_buffers)
+        run_schedule(Transport(topo.world_size), ring_buffers,
+                     algorithm_schedule("ring", "all_reduce", topo.world_size))
         for got, want in zip(buffers, ring_buffers):
             np.testing.assert_array_equal(got, want)
 
@@ -207,6 +210,52 @@ class TestExecutor:
         schedule = synthesize(Topology.flat(4), "all_reduce", "bandwidth")
         with pytest.raises(ValueError, match="targets 4 ranks"):
             run_schedule(Transport(3), [np.zeros(4)] * 3, schedule)
+
+
+class TestAlgorithmSchedule:
+    def test_flat_algorithms_map_to_cached_families(self):
+        flat = Topology.flat(8)
+        assert algorithm_schedule("ring", "all_reduce", 8) is schedule_for(
+            flat, "all_reduce", "bandwidth")
+        assert algorithm_schedule("halving_doubling", "all_gather", 8) is schedule_for(
+            flat, "all_gather", "latency")
+        assert algorithm_schedule("synth_lat", "reduce_scatter", 8) is schedule_for(
+            flat, "reduce_scatter", "latency")
+        # Flat algorithms ignore gpus_per_node.
+        assert algorithm_schedule("ring", "all_reduce", 8, 4) is schedule_for(
+            flat, "all_reduce", "bandwidth")
+
+    def test_hierarchical_is_two_level_bandwidth(self):
+        schedule = algorithm_schedule("hierarchical", "all_reduce", 8, 4)
+        assert schedule is schedule_for(Topology.from_shape(2, 4), "all_reduce", "bandwidth")
+        assert schedule.meta["structure"] == "two_level"
+        assert algorithm_schedule("synth_bw", "all_reduce", 8, 4) is schedule
+        # One node, or one GPU per node, is the flat ring.
+        for g in (1, 8):
+            degenerate = algorithm_schedule("hierarchical", "all_reduce", 8, g)
+            assert degenerate.meta["structure"] == "flat"
+            assert degenerate.objective == "bandwidth"
+
+    def test_tree_is_not_a_synthesis_objective(self):
+        schedule = algorithm_schedule("tree", "all_reduce", 6)
+        verify_schedule(schedule)
+        assert schedule.chunks.count == 1
+        assert schedule.owner.tolist() == [0]
+        assert algorithm_schedule("tree", "all_reduce", 6) is schedule
+        assert "tree" not in OBJECTIVES and "tree" not in SYNTH_ALGORITHMS
+        with pytest.raises(ValueError, match="objective"):
+            synthesize(Topology.flat(6), "all_reduce", "tree")
+
+    @pytest.mark.parametrize("algorithm,world,g", [
+        ("avian", 4, None),
+        ("halving_doubling", 6, None),
+        ("hierarchical", 8, None),
+        ("hierarchical", 6, 4),
+        ("synth_bw", 6, 4),
+    ])
+    def test_rejected(self, algorithm, world, g):
+        with pytest.raises(ValueError):
+            algorithm_schedule(algorithm, "all_reduce", world, g)
 
 
 class TestSynthesisCache:
