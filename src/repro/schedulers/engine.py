@@ -22,7 +22,8 @@ Dependency conventions (mirroring CUDA semantics):
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.faults.timing import TimingFaultInjector
@@ -132,6 +133,8 @@ class IterationContext:
         self.ff_first_jobs: list = []
         #: set by the scheduler when a workload DAG is scheduled.
         self.workload_name: Optional[str] = None
+        #: iteration of the latest submission (:meth:`_enter_iteration`).
+        self._iteration = 0
         #: kind -> bound cost-model method (dict dispatch beats the
         #: per-call ``getattr`` lookup on this hot path).
         self._collective_time = {
@@ -156,6 +159,8 @@ class IterationContext:
     def submit_ff_layer(self, iteration: int, layer_index: int,
                         gate: Optional[Event] = None) -> Job:
         """Feed-forward compute job for one layer of one iteration."""
+        if iteration != self._iteration:
+            self._enter_iteration(iteration)
         job = self._compute_slot(
             self.durations.ff(layer_index),
             name=f"ff.{iteration}.{layer_index}",
@@ -170,6 +175,8 @@ class IterationContext:
     def submit_bp_layer(self, iteration: int, layer_index: int,
                         gate: Optional[Event] = None) -> Job:
         """Backpropagation compute job for one layer of one iteration."""
+        if iteration != self._iteration:
+            self._enter_iteration(iteration)
         return self._compute_slot(
             self.durations.bp(layer_index),
             name=f"bp.{iteration}.{layer_index}",
@@ -190,6 +197,8 @@ class IterationContext:
         kernel's virtual seconds on the planning rank, scaled per rank
         by compute speed on explicit ranks.
         """
+        if iteration != self._iteration:
+            self._enter_iteration(iteration)
         span_metadata = {"iteration": iteration}
         if metadata:
             span_metadata.update(metadata)
@@ -268,6 +277,8 @@ class IterationContext:
                 f"unknown collective kind {kind!r}; "
                 f"expected one of {sorted(COLLECTIVE_CATEGORIES)}"
             )
+        if iteration != self._iteration:
+            self._enter_iteration(iteration)
         if peers is not None:
             body = self.cost.subgroup_time(kind, nbytes, peers) + extra_time
         else:
@@ -297,6 +308,21 @@ class IterationContext:
         )
 
     # -- engine hooks: how one slot is realised ---------------------------------
+
+    def record(self, schedule: "Schedule", iterations: int,
+               periodic: bool) -> None:
+        """Submit the slots of ``schedule(self, iterations)``.
+
+        The event kernel executes every iteration it is given, so it
+        takes them all; ``periodic`` (the policy's
+        :attr:`~repro.schedulers.base.Scheduler.periodic`) only lets the
+        vectorized replay record fewer.
+        """
+        schedule(self, iterations)
+
+    def _enter_iteration(self, iteration: int) -> None:
+        """The scheduler's next submission belongs to ``iteration``."""
+        self._iteration = iteration
 
     def _compute_slot(self, duration, name: str, category: str,
                       gate, metadata: dict):
@@ -430,13 +456,35 @@ def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
     ).inc(**{"from": source, "to": target, "reason": exc.reason})
 
 
+#: A policy's schedule body: submits ``iterations`` iterations onto a context.
+Schedule = Callable[[IterationContext, int], None]
+
+
+class _TwoIterations(Exception):
+    """Stops a periodic recording at the first slot of iteration 2."""
+
+
+def _record_in_full(context: Callable[[], IterationContext],
+                    schedule: Schedule, iterations: int) -> list:
+    """Every slot's handle: ``schedule`` recorded in full on ``context()``.
+
+    What a tiled timeline emits spans from, since span names and flow
+    ids carry the iteration index.
+    """
+    ctx = context()
+    schedule(ctx, iterations)
+    return ctx._timeline._handles
+
+
 class FastIterationContext(IterationContext):
     """IterationContext backed by the vectorized replay.
 
     Records jobs into a one-rank :class:`~repro.sim.fastpath.Timeline`
     instead of driving the event kernel; :meth:`run` replays the
     recorded schedule in closed form (see :mod:`repro.sim.fastpath` for
-    the recurrence and its equivalence argument).  The run is measured
+    the recurrence and its equivalence argument).  A healthy, untraced
+    run of a periodic policy records two iterations and tiles the rest
+    (:meth:`record`).  The run is measured
     from the replay arrays; spans go only into a requested tracer.
     Timing-fault placeholders are resolved at each job's replayed start,
     so faulty runs stay on this engine.  Schedulers that need dynamic events or
@@ -447,6 +495,13 @@ class FastIterationContext(IterationContext):
     """
 
     engine = "fastpath"
+
+    #: while :meth:`record` takes two iterations: whether it does, and
+    #: the slot where iteration 1 began.
+    _tiling = False
+    _block_start: Optional[int] = None
+    #: first-FF slot of each tiled iteration.
+    _tiled_first_ff: Sequence[int] = ()
 
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
@@ -459,6 +514,84 @@ class FastIterationContext(IterationContext):
 
     def stream(self, name: str, actor: str = ""):
         return self._timeline.stream(name, actor=actor)
+
+    def record(self, schedule: Schedule, iterations: int,
+               periodic: bool) -> None:
+        """Record iterations 0 and 1 through the scheduler, tile the rest.
+
+        A periodic policy's pipeline is in steady state from iteration
+        1: each later iteration submits iteration 1's slots shifted by
+        one block.  So the first submission of iteration 2 stops the
+        scheduler, and :meth:`~repro.sim.fastpath.Timeline.tile` repeats
+        iteration 1's block ``iterations - 2`` times; the replay still
+        runs every iteration.  Three kinds of run record in full: traced
+        runs (span names and flow ids carry the iteration), runs with
+        timing faults (deferred durations are priced per slot) and
+        aperiodic policies.  A tracer attached to a tiled recording
+        afterwards gets its spans from the schedule recorded again in
+        full (:func:`_record_in_full`).  Publishes
+        ``sim.record.slots{how}`` and, for a full recording,
+        ``sim.record.full{reason}``.
+        """
+        full = (
+            "trace" if self.tracer is not None
+            else "faults" if self.faults is not None
+            else None if periodic else "aperiodic"
+        )
+        tiled = 0
+        if full is None:
+            self._tiling = True
+            try:
+                schedule(self, iterations)
+            except _TwoIterations:
+                copies = iterations - 2
+                timeline = self._timeline
+                period = timeline.tile(self._block_start, copies)
+                tiled = period * copies
+                first_ff = self.ff_first_jobs[-1].index
+                self._tiled_first_ff = [
+                    first_ff + period * copy for copy in range(1, copies + 1)
+                ]
+                timeline.full_handles = partial(
+                    _record_in_full, self._untraced_context(), schedule,
+                    iterations,
+                )
+            finally:
+                self._tiling = False
+        else:
+            schedule(self, iterations)
+        registry = default_registry()
+        slots = registry.counter(
+            "sim.record.slots",
+            "fast-path slots, recorded through the scheduler or tiled",
+        )
+        slots.inc(self._timeline.slots_recorded - tiled, how="recorded")
+        slots.inc(tiled, how="tiled")
+        if full is not None:
+            registry.counter(
+                "sim.record.full", "fast-path runs recorded in full, by reason"
+            ).inc(reason=full)
+
+    def _untraced_context(self) -> Callable[[], "FastIterationContext"]:
+        """Builds a fresh, healthy, untraced context like this one."""
+        return partial(FastIterationContext, self.timing, self.cost)
+
+    def _enter_iteration(self, iteration: int) -> None:
+        self._iteration = iteration
+        if self._tiling:
+            if iteration >= 2:
+                raise _TwoIterations
+            if self._block_start is None:
+                self._block_start = self._timeline.slots_recorded
+
+    def ff_start_times(self) -> list[float]:
+        """Rank 0's first-FF start of each iteration, tiled ones too."""
+        starts = self._timeline._starts
+        if starts is None:
+            raise RuntimeError("first-FF start times require a completed replay")
+        slots = [job.index for job in self.ff_first_jobs]
+        slots.extend(self._tiled_first_ff)
+        return starts[slots, 0].tolist()
 
     def timed_jobs(
         self, window: tuple[float, float]

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -336,11 +337,12 @@ class MultiRankIterationContext(IterationContext):
         return []  # per-rank streams publish no sim.stream.* counters
 
 
-class FastMultiRankContext(IterationContext):
+class FastMultiRankContext(FastIterationContext):
     """Every rank on the rank-axis vectorized replay.
 
     Records the schedule into a ``world``-rank
-    :class:`~repro.sim.fastpath.Timeline`; dynamic
+    :class:`~repro.sim.fastpath.Timeline` — two iterations of a healthy,
+    untraced run, tiled to the rest as on one rank; dynamic
     features raise :class:`~repro.sim.fastpath.FastPathUnsupported` and
     the caller falls back to :class:`MultiRankIterationContext`.
     Timing faults stay on this engine: compute slots carry
@@ -361,8 +363,8 @@ class FastMultiRankContext(IterationContext):
         self.world = len(timings)
         self._timeline = Timeline(self.world)
         self.sim = self._timeline.sim
-        self.compute = self._timeline.stream("compute")
-        self.comm = self._timeline.stream("comm")
+        self.compute = self.stream("compute")
+        self.comm = self.stream("comm")
 
     def _compute_slot(self, durations, name, category, gate, metadata):
         vec, per_rank = durations
@@ -381,14 +383,11 @@ class FastMultiRankContext(IterationContext):
             body, name=name, category=category, gate=gate, metadata=metadata
         )
 
+    def _untraced_context(self):
+        return partial(FastMultiRankContext, self.durations.timings, self.cost)
+
     def _stream_totals(self) -> list:
         return []  # per-rank streams publish no sim.stream.* counters
-
-    def run(self) -> float:
-        """Replay the recorded schedule (recordable = deadlock-free)."""
-        final = self._timeline.replay(self.tracer)
-        self.finish()
-        return final
 
 
 def _check_heterogeneous(

@@ -55,6 +55,13 @@ Chrome traces byte-for-byte equal — pinned by the differential suites
 (``tests/sim/test_fastpath.py``, ``tests/sim/test_multirank_fastpath.py``,
 ``tests/sim/test_batched.py``) and by ``tests/sim/replay_golden.json``.
 
+A periodic recording need not be made slot by slot: :meth:`Timeline.tile`
+appends copies of its last block — one iteration — with gate ids shifted
+one block per copy, so a scheduler records two iterations and the
+timeline extends itself to the rest
+(:meth:`repro.schedulers.engine.FastIterationContext.record`).  The
+replay runs every slot either way.
+
 Durations need not be known at record time: a slot may carry a
 :class:`~repro.sim.resources.DeferredDuration` (one duration, priced
 from a start time — the same object the event kernel's streams resolve
@@ -72,7 +79,7 @@ passes ``fastpath=False`` to take the event kernel outright.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -337,8 +344,8 @@ class Timeline:
     """Slot recorder for ``world`` ranks; :func:`replay` executes it."""
 
     __slots__ = ("world", "sim", "_streams", "_slot_streams", "_durations",
-                 "_collective", "_gates", "_handles", "_deferred", "_starts",
-                 "_ends", "final_time")
+                 "_collective", "_gates", "_categories", "_handles",
+                 "_deferred", "_starts", "_ends", "final_time", "full_handles")
 
     def __init__(self, world: int = 1):
         if world < 1:
@@ -356,12 +363,18 @@ class Timeline:
         #: collective is an ordinary job).
         self._collective: list[bool] = []
         self._gates: list[Optional[tuple[int, ...]]] = []
+        self._categories: list[str] = []
+        #: one handle per slot submitted through a :class:`Stream`; the
+        #: copies :meth:`tile` appends have none.
         self._handles: list[JobSet] = []
         self._deferred = False
         #: (slots, world) results, set by :func:`replay`.
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
         self.final_time = 0.0
+        #: set by whoever tiles this timeline: returns a handle for every
+        #: slot, tiled copies included, for :meth:`emit_spans`.
+        self.full_handles: Optional[Callable[[], list[JobSet]]] = None
 
     def stream(self, name: str, actor: str = "") -> Stream:
         """Create a new in-order stream on every rank.
@@ -381,12 +394,13 @@ class Timeline:
 
     @property
     def slots_recorded(self) -> int:
-        return len(self._handles)
+        """Slots in the timeline, tiled copies included."""
+        return len(self._slot_streams)
 
     @property
     def jobs_recorded(self) -> int:
         """Total per-rank jobs the event kernel would have executed."""
-        return len(self._handles) * self.world
+        return len(self._slot_streams) * self.world
 
     def signature(self) -> tuple:
         """Structural identity of the recording.
@@ -430,16 +444,49 @@ class Timeline:
                 reason="dynamic_gate",
             )
         stream.jobs_submitted += 1
-        index = len(self._handles)
+        index = len(self._slot_streams)
         handle = JobSet(self, index, name, category, metadata or {})
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
         self._collective.append(collective)
         self._gates.append(gate.slot_ids if gate is not None else None)
+        self._categories.append(category)
         self._handles.append(handle)
         if type(durations) is not float and type(durations) is not np.ndarray:
             self._deferred = True
         return handle
+
+    def tile(self, block_start: int, copies: int) -> int:
+        """Append ``copies`` copies of the slots from ``block_start`` on.
+
+        The block — one iteration of a periodic schedule — repeats with
+        its streams, rendezvous flags, categories and durations (plain
+        floats and vectors are shared, not copied); each copy's gate
+        ids are shifted one block length further than the last's, so a
+        gate into the previous block points into the previous copy.
+        Copies get no :class:`JobSet`: measurement reads the per-slot
+        lists and the replay arrays.  Deferred durations are resolved in
+        place per slot and cannot be shared, so a timeline that holds
+        any is not tiled.  Returns the block length.
+        """
+        if self._deferred:
+            raise ValueError("deferred durations cannot be tiled")
+        period = len(self._slot_streams) - block_start
+        streams = self._slot_streams[block_start:]
+        gates = self._gates[block_start:]
+        for copy in range(1, copies + 1):
+            shift = copy * period
+            self._gates.extend([
+                None if gate is None else tuple([slot + shift for slot in gate])
+                for gate in gates
+            ])
+        self._slot_streams.extend(streams * copies)
+        self._collective.extend(self._collective[block_start:] * copies)
+        self._categories.extend(self._categories[block_start:] * copies)
+        self._durations.extend(self._durations[block_start:] * copies)
+        for stream in self._streams:
+            stream.jobs_submitted += streams.count(stream.stream_id) * copies
+        return period
 
     def replay(self, tracer=None) -> float:
         """Replay this timeline alone; returns the final virtual time."""
@@ -460,9 +507,9 @@ class Timeline:
         ends = self._ends[:, 0]
         lo, hi = window
         slots = np.flatnonzero((ends > starts) & (ends > lo) & (starts < hi))
-        handles = self._handles
+        categories = self._categories
         return [
-            (start, end, handles[slot].category)
+            (start, end, categories[slot])
             for slot, start, end in zip(
                 slots.tolist(), starts[slots].tolist(), ends[slots].tolist()
             )
@@ -478,6 +525,11 @@ class Timeline:
         """
         if self._starts is None or self._ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
+        handles = self._handles
+        if len(handles) != len(self._slot_streams):
+            if self.full_handles is None:
+                raise RuntimeError("a tiled timeline has no spans to emit")
+            handles = self.full_handles()
         append = tracer.spans.append
         actors = [stream.actors for stream in self._streams]
         # Flat slot-major lists: one Python float per (slot, rank) and no
@@ -488,7 +540,7 @@ class Timeline:
             # One rank: skip the per-slot rank loop, a tenth of the
             # emission time on a solo replay.
             for handle, sid, start, end in zip(
-                self._handles, self._slot_streams, starts, ends
+                handles, self._slot_streams, starts, ends
             ):
                 if end > start:
                     append(Span(
@@ -497,7 +549,7 @@ class Timeline:
                     ))
             return
         lane = 0
-        for handle, sid in zip(self._handles, self._slot_streams):
+        for handle, sid in zip(handles, self._slot_streams):
             for actor in actors[sid]:
                 start = starts[lane]
                 end = ends[lane]
@@ -533,7 +585,7 @@ def replay(
                     "one replay requires structurally identical recordings; "
                     "group by Timeline.signature() first"
                 )
-    n = len(first._handles)
+    n = len(first._slot_streams)
     if len(timelines) * first.world == 1:
         starts, ends = _replay_floats(first)
         results = [(starts.reshape(n, 1), ends.reshape(n, 1))]
@@ -559,7 +611,7 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(slots,)`` start and end arrays.
     """
-    n = len(timeline._handles)
+    n = len(timeline._slot_streams)
     starts = np.zeros(n)
     ends = np.zeros(n)
     # Python-float mirror of `ends`, grown as the replay advances: gate
@@ -645,7 +697,7 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     layout keeps every per-slot row contiguous.
     """
     first = timelines[0]
-    n = len(first._handles)
+    n = len(first._slot_streams)
     world = first.world
     configs = len(timelines)
     starts = np.zeros((n, configs, world))

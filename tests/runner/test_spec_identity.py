@@ -33,11 +33,17 @@ from tests.runner.test_fingerprint_golden import golden_specs
 
 @pytest.fixture()
 def canonical_calls(monkeypatch) -> Counter:
-    """Counts ``RunSpec.canonical_json`` calls per spec object."""
+    """Counts ``RunSpec.canonical_json`` calls per spec object.
+
+    Keeps every counted spec alive, so a freed spec's ``id()`` cannot
+    be reused by a later one and merge their counts.
+    """
     calls: Counter = Counter()
+    counted: dict[int, RunSpec] = {}
     original = RunSpec.canonical_json
 
     def counting(self):
+        counted[id(self)] = self
         calls[id(self)] += 1
         return original(self)
 
@@ -47,12 +53,18 @@ def canonical_calls(monkeypatch) -> Counter:
 
 @pytest.fixture()
 def model_asdict_calls(monkeypatch) -> Counter:
-    """Counts ``dataclasses.asdict`` calls per ModelSpec object."""
+    """Counts ``dataclasses.asdict`` calls per ModelSpec object.
+
+    Keeps every counted model alive, so a freed model's ``id()`` cannot
+    be reused by a later one and merge their counts.
+    """
     calls: Counter = Counter()
+    counted: dict[int, ModelSpec] = {}
     original = dataclasses.asdict
 
     def counting(obj, *args, **kwargs):
         if isinstance(obj, ModelSpec):
+            counted[id(obj)] = obj
             calls[id(obj)] += 1
         return original(obj, *args, **kwargs)
 

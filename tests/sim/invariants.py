@@ -1,0 +1,79 @@
+"""Replay invariants every :class:`~repro.sim.fastpath.Timeline` keeps.
+
+:func:`verify_timeline` checks a replayed timeline against four rules:
+
+1. each slot starts at or after the ends of its gate's slots and of its
+   stream predecessor, rank by rank;
+2. no two slots on one stream overlap, on any rank;
+3. every rank of a collective shares one rendezvous start — the last
+   arrival — and one end, ``duration`` later;
+4. time is monotone along each stream: no slot ends before it starts,
+   and starts and ends never go backwards in submission order.
+
+A collective's per-rank start is that rank's *arrival*, which is what
+rules 1, 2 and 4 read; rule 3 checks the shared instants.  The checks
+read only the per-slot lists and the replay arrays, so they hold for
+tiled slots, which have no :class:`~repro.sim.fastpath.JobSet`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def verify_timeline(timeline) -> None:
+    """Assert the four replay invariants of a replayed ``timeline``."""
+    starts, ends = timeline._starts, timeline._ends
+    assert starts is not None and ends is not None, "timeline not replayed"
+    slots = len(timeline._slot_streams)
+    assert starts.shape == ends.shape == (slots, timeline.world)
+    if not slots:
+        return
+    stream_ids = np.asarray(timeline._slot_streams)
+
+    # 1. Gates: every (slot, gate slot) pair, rank by rank.
+    gated = [(slot, gid) for slot, gate in enumerate(timeline._gates)
+             if gate is not None for gid in gate]
+    if gated:
+        slot_ids, gate_ids = np.asarray(gated).T
+        assert np.all(gate_ids < slot_ids), "a gate points forward"
+        late = starts[slot_ids] < ends[gate_ids]
+        assert not late.any(), (
+            f"slot {slot_ids[late.any(axis=1)][0]} starts before its gate ends"
+        )
+
+    for sid in np.unique(stream_ids):
+        on_stream = np.flatnonzero(stream_ids == sid)
+        first, second = on_stream[:-1], on_stream[1:]
+        # 1. Stream order: start at or after the predecessor's end.
+        assert np.all(starts[second] >= ends[first]), (
+            f"stream {sid}: a slot starts before its predecessor ends"
+        )
+        # 2. No overlap, checked in start order rather than submission
+        # order, over the slots that take time.
+        for rank in range(timeline.world):
+            lo = starts[on_stream, rank]
+            hi = ends[on_stream, rank]
+            busy = hi > lo
+            order = np.argsort(lo[busy], kind="stable")
+            lo, hi = lo[busy][order], hi[busy][order]
+            assert np.all(lo[1:] >= hi[:-1]), (
+                f"stream {sid}, rank {rank}: two slots overlap"
+            )
+        # 4. Monotone time along the stream.
+        assert np.all(starts[second] >= starts[first])
+        assert np.all(ends[second] >= ends[first])
+    # 4. No slot ends before it starts.
+    assert np.all(ends >= starts), "a slot ends before it starts"
+
+    # 3. Collectives: one rendezvous start, one end on every rank.
+    collective = np.flatnonzero(np.asarray(timeline._collective, dtype=bool))
+    for slot in collective.tolist():
+        begin = starts[slot].max()
+        assert np.all(ends[slot] == ends[slot, 0]), (
+            f"collective slot {slot}: ranks end at different times"
+        )
+        assert ends[slot, 0] == begin + timeline._durations[slot], (
+            f"collective slot {slot} does not end one duration after "
+            f"its last arrival"
+        )
