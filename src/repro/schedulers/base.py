@@ -98,17 +98,6 @@ class Scheduler(ABC):
     #: falls back; the differential suite pins the timings either way.
     supports_fast_path: bool = True
 
-    #: Whether every iteration from 1 on submits iteration 1's slots
-    #: again, shifted by one block (same streams, rendezvous flags,
-    #: durations, and gates into the previous iteration), on the
-    #: classic and the workload-DAG path alike.  The vectorized replay
-    #: then records two iterations and tiles the rest
-    #: (:meth:`~repro.schedulers.engine.FastIterationContext.record`).
-    #: ``tests/sim/test_tiling.py`` checks this declaration against a
-    #: full recording for every registered policy; a policy it finds
-    #: aperiodic sets it False and is recorded in full.
-    periodic: bool = True
-
     @abstractmethod
     def schedule(self, ctx: IterationContext, iterations: int) -> None:
         """Submit compute and communication jobs for ``iterations`` runs.
@@ -153,7 +142,7 @@ class Scheduler(ABC):
             def schedule(ctx: IterationContext, iterations: int) -> None:
                 self.schedule_workload(ctx, workload, iterations)
 
-        ctx.record(schedule, iterations, self.periodic)
+        ctx.record(schedule, iterations)
 
     def _execute(self, fast: type, event: type, iterations: int, workload,
                  fastpath: bool, *args, **kwargs) -> IterationContext:

@@ -22,7 +22,6 @@ Dependency conventions (mirroring CUDA semantics):
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.faults.plan import FaultPlan, normalize_plan
@@ -309,14 +308,11 @@ class IterationContext:
 
     # -- engine hooks: how one slot is realised ---------------------------------
 
-    def record(self, schedule: "Schedule", iterations: int,
-               periodic: bool) -> None:
+    def record(self, schedule: "Schedule", iterations: int) -> None:
         """Submit the slots of ``schedule(self, iterations)``.
 
         The event kernel executes every iteration it is given, so it
-        takes them all; ``periodic`` (the policy's
-        :attr:`~repro.schedulers.base.Scheduler.periodic`) only lets the
-        vectorized replay record fewer.
+        takes them all; the vectorized replay records fewer.
         """
         schedule(self, iterations)
 
@@ -464,18 +460,6 @@ class _TwoIterations(Exception):
     """Stops a periodic recording at the first slot of iteration 2."""
 
 
-def _record_in_full(context: Callable[[], IterationContext],
-                    schedule: Schedule, iterations: int) -> list:
-    """Every slot's handle: ``schedule`` recorded in full on ``context()``.
-
-    What a tiled timeline emits spans from, since span names and flow
-    ids carry the iteration index.
-    """
-    ctx = context()
-    schedule(ctx, iterations)
-    return ctx._timeline._handles
-
-
 class FastIterationContext(IterationContext):
     """IterationContext backed by the vectorized replay.
 
@@ -483,9 +467,9 @@ class FastIterationContext(IterationContext):
     instead of driving the event kernel; :meth:`run` replays the
     recorded schedule in closed form (see :mod:`repro.sim.fastpath` for
     the recurrence and its equivalence argument).  A healthy, untraced
-    run of a periodic policy records two iterations and tiles the rest
-    (:meth:`record`).  The run is measured
-    from the replay arrays; spans go only into a requested tracer.
+    run records two iterations and tiles the rest (:meth:`record`).
+    The run is measured from the replay arrays; spans go only into a
+    requested tracer.
     Timing-fault placeholders are resolved at each job's replayed start,
     so faulty runs stay on this engine.  Schedulers that need dynamic events or
     process bodies make the recorder raise
@@ -515,28 +499,26 @@ class FastIterationContext(IterationContext):
     def stream(self, name: str, actor: str = ""):
         return self._timeline.stream(name, actor=actor)
 
-    def record(self, schedule: Schedule, iterations: int,
-               periodic: bool) -> None:
+    def record(self, schedule: Schedule, iterations: int) -> None:
         """Record iterations 0 and 1 through the scheduler, tile the rest.
 
-        A periodic policy's pipeline is in steady state from iteration
-        1: each later iteration submits iteration 1's slots shifted by
-        one block.  So the first submission of iteration 2 stops the
-        scheduler, and :meth:`~repro.sim.fastpath.Timeline.tile` repeats
+        Every fast-path policy's pipeline is in steady state from
+        iteration 1: each later iteration submits iteration 1's slots
+        shifted by one block (``tests/sim/test_tiling.py`` checks each
+        one against a full recording).  So the first submission of
+        iteration 2 stops the scheduler, and :meth:`~repro.sim.fastpath.Timeline.tile` repeats
         iteration 1's block ``iterations - 2`` times; the replay still
-        runs every iteration.  Three kinds of run record in full: traced
-        runs (span names and flow ids carry the iteration), runs with
-        timing faults (deferred durations are priced per slot) and
-        aperiodic policies.  A tracer attached to a tiled recording
-        afterwards gets its spans from the schedule recorded again in
-        full (:func:`_record_in_full`).  Publishes
+        runs every iteration.  Two kinds of run record in full: traced
+        runs (span names and flow ids carry the iteration, and tiled
+        slots have no span handles) and runs with timing faults
+        (deferred durations are priced per slot).  Publishes
         ``sim.record.slots{how}`` and, for a full recording,
         ``sim.record.full{reason}``.
         """
         full = (
             "trace" if self.tracer is not None
             else "faults" if self.faults is not None
-            else None if periodic else "aperiodic"
+            else None
         )
         tiled = 0
         if full is None:
@@ -552,10 +534,6 @@ class FastIterationContext(IterationContext):
                 self._tiled_first_ff = [
                     first_ff + period * copy for copy in range(1, copies + 1)
                 ]
-                timeline.full_handles = partial(
-                    _record_in_full, self._untraced_context(), schedule,
-                    iterations,
-                )
             finally:
                 self._tiling = False
         else:
@@ -571,10 +549,6 @@ class FastIterationContext(IterationContext):
             registry.counter(
                 "sim.record.full", "fast-path runs recorded in full, by reason"
             ).inc(reason=full)
-
-    def _untraced_context(self) -> Callable[[], "FastIterationContext"]:
-        """Builds a fresh, healthy, untraced context like this one."""
-        return partial(FastIterationContext, self.timing, self.cost)
 
     def _enter_iteration(self, iteration: int) -> None:
         self._iteration = iteration

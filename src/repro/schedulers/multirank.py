@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -382,9 +381,6 @@ class FastMultiRankContext(FastIterationContext):
         return self.comm.submit_collective(
             body, name=name, category=category, gate=gate, metadata=metadata
         )
-
-    def _untraced_context(self):
-        return partial(FastMultiRankContext, self.durations.timings, self.cost)
 
     def _stream_totals(self) -> list:
         return []  # per-rank streams publish no sim.stream.* counters

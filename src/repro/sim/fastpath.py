@@ -79,7 +79,7 @@ passes ``fastpath=False`` to take the event kernel outright.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -345,7 +345,7 @@ class Timeline:
 
     __slots__ = ("world", "sim", "_streams", "_slot_streams", "_durations",
                  "_collective", "_gates", "_categories", "_handles",
-                 "_deferred", "_starts", "_ends", "final_time", "full_handles")
+                 "_deferred", "_starts", "_ends", "final_time")
 
     def __init__(self, world: int = 1):
         if world < 1:
@@ -372,9 +372,6 @@ class Timeline:
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
         self.final_time = 0.0
-        #: set by whoever tiles this timeline: returns a handle for every
-        #: slot, tiled copies included, for :meth:`emit_spans`.
-        self.full_handles: Optional[Callable[[], list[JobSet]]] = None
 
     def stream(self, name: str, actor: str = "") -> Stream:
         """Create a new in-order stream on every rank.
@@ -525,11 +522,8 @@ class Timeline:
         """
         if self._starts is None or self._ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
-        handles = self._handles
-        if len(handles) != len(self._slot_streams):
-            if self.full_handles is None:
-                raise RuntimeError("a tiled timeline has no spans to emit")
-            handles = self.full_handles()
+        if len(self._handles) != len(self._slot_streams):
+            raise RuntimeError("a tiled timeline has no spans to emit")
         append = tracer.spans.append
         actors = [stream.actors for stream in self._streams]
         # Flat slot-major lists: one Python float per (slot, rank) and no
@@ -540,7 +534,7 @@ class Timeline:
             # One rank: skip the per-slot rank loop, a tenth of the
             # emission time on a solo replay.
             for handle, sid, start, end in zip(
-                handles, self._slot_streams, starts, ends
+                self._handles, self._slot_streams, starts, ends
             ):
                 if end > start:
                     append(Span(
@@ -549,7 +543,7 @@ class Timeline:
                     ))
             return
         lane = 0
-        for handle, sid in zip(handles, self._slot_streams):
+        for handle, sid in zip(self._handles, self._slot_streams):
             for actor in actors[sid]:
                 start = starts[lane]
                 end = ends[lane]

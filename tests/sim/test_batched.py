@@ -16,7 +16,8 @@ import pytest
 
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.network.cost_model import CollectiveTimeModel
-from repro.schedulers.base import get_scheduler
+from repro.schedulers.base import DEFAULT_ITERATIONS, get_scheduler
+from repro.schedulers.engine import FastIterationContext
 from repro.schedulers.multirank import _Run
 from repro.sim.fastpath import BatchMismatch, replay
 from repro.sim.trace import Tracer
@@ -41,7 +42,13 @@ FAULT_GRID = [
 
 
 def _record(name, timing, cost, faults=None, **options):
-    return get_scheduler(name, **options).record_fast(timing, cost, faults=faults)
+    # Traced from the start, so every iteration is recorded and the
+    # replays below can emit spans (a tiled recording has none).
+    ctx = FastIterationContext(timing, cost, tracer=Tracer(), faults=faults)
+    get_scheduler(name, **options)._schedule_onto(
+        ctx, DEFAULT_ITERATIONS, None
+    )
+    return ctx
 
 
 def _solo_replay(ctx):
@@ -127,7 +134,7 @@ class TestMultiRankBatchDifferential:
         # Explicit ranks: uniform scales must record every rank too.
         return _Run(
             "wfbp", tiny_model, cluster, scales, faults=faults, collapse=False
-        ).record()
+        ).record(trace=True)
 
     def test_scale_vectors_batch_bit_identical(self, tiny_model, ethernet_cluster):
         world = ethernet_cluster.world_size

@@ -36,6 +36,7 @@ from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_10gbe, paper_testbed
 from repro.runner.batched import replay_fast_batch, replay_multirank_batch
 from repro.schedulers.base import get_scheduler
+from repro.schedulers.engine import FastIterationContext
 from repro.schedulers.multirank import POLICIES, record_heterogeneous_fast
 from repro.sim.trace import Tracer
 from tests.conftest import build_tiny_model
@@ -104,12 +105,11 @@ def _digest(timeline, tracer) -> dict:
 def _record_single(scheduler, options, model, fabric, plan):
     timing = TimingModel.for_model(get_model(model))
     cost = CollectiveTimeModel(paper_testbed(fabric))
-    ctx = get_scheduler(scheduler, **options).record_fast(
-        timing, cost, iterations=ITERATIONS, faults=PLANS[plan]
-    )
-    # A recording carries no tracer; attach one so the replay emits the
-    # spans whose Chrome trace the golden pins.
-    ctx.tracer = Tracer()
+    # Traced from the start, so the replay emits the spans whose Chrome
+    # trace the golden pins.
+    ctx = FastIterationContext(timing, cost, tracer=Tracer(),
+                               faults=PLANS[plan])
+    get_scheduler(scheduler, **options)._schedule_onto(ctx, ITERATIONS, None)
     return ctx
 
 

@@ -4,21 +4,20 @@ A healthy, untraced fast-path run records iterations 0 and 1 through
 the scheduler and tiles iteration 1's block for the rest
 (:meth:`repro.schedulers.engine.FastIterationContext.record`).  This
 suite records every fast-path scheduler both ways — tiled, and in full
-(the instance's ``periodic`` set False) — over every zoo model, fusion
-plan, workload, fabric and algorithm, and over the healthy multi-rank
-policies on an 8-rank skewed cluster.  Both ways must give the same
+(through the base :meth:`~repro.schedulers.engine.IterationContext.record`)
+— over every zoo model, fusion plan, workload, fabric and algorithm, and
+over the healthy multi-rank policies on an 8-rank skewed cluster.  Both ways must give the same
 :meth:`~repro.sim.fastpath.Timeline.signature`, durations, start and
 end arrays, result (``repr``-equal) and ``sim.stream.*`` counters, and
 :func:`~repro.runner.executor.run_many` must return the same results.
 Every replay here also passes :func:`tests.sim.invariants.verify_timeline`.
-
-The suite also decides the ``periodic`` declarations: a policy declared
-periodic must tile exactly everywhere, and a policy declared aperiodic
-must have at least one recording that tiling gets wrong.
+Tiling is only correct for a policy that is periodic from iteration 1,
+so every registered fast-path scheduler must appear in :data:`CONFIGS`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -34,7 +33,8 @@ from repro.network.presets import cluster_10gbe, paper_testbed
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_many
 from repro.runner.spec import RunSpec
-from repro.schedulers.base import Scheduler, get_scheduler
+from repro.schedulers.base import SCHEDULER_NAMES, get_scheduler
+from repro.schedulers.engine import FastIterationContext, IterationContext
 from repro.schedulers.multirank import POLICIES, _Run, finalize_heterogeneous
 from repro.sim.fastpath import Timeline
 from repro.telemetry.registry import (
@@ -48,7 +48,8 @@ from tests.sim.invariants import verify_timeline
 ITERATIONS = 5
 
 #: Every fast-path scheduler under each fusion plan that records one
-#: schedule (the BO modes run many).
+#: schedule (the BO modes run many);
+#: :func:`test_every_fast_path_scheduler_is_covered` keeps it complete.
 CONFIGS = [
     ("serial", {}),
     ("wfbp", {}),
@@ -147,22 +148,19 @@ def _differences(tiled, full, measure) -> list[str]:
     return found
 
 
-def _record(name: str, options: dict, timing, cost, workload,
-            periodic: bool):
-    scheduler = get_scheduler(name, **options)
-    scheduler.periodic = periodic
-    return scheduler, scheduler.record_fast(
-        timing, cost, iterations=ITERATIONS, workload=workload
-    )
+@contextlib.contextmanager
+def recording_in_full():
+    """Within it, fast-path contexts record every iteration, untiled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FastIterationContext, "record", IterationContext.record)
+        yield
 
 
-def _decide(declared: bool, mismatches: list[str]) -> None:
-    if declared:
-        assert mismatches == [], "declared periodic, but tiling differs"
-    else:
-        assert mismatches, (
-            "declared aperiodic, yet tiling reproduces every recording"
-        )
+def test_every_fast_path_scheduler_is_covered():
+    """A fast-path policy missing from CONFIGS would be tiled unchecked."""
+    fast = {name for name in SCHEDULER_NAMES
+            if get_scheduler(name).supports_fast_path}
+    assert {name for name, _ in CONFIGS} == fast
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=str)
@@ -175,15 +173,20 @@ def test_tiled_recording_equals_full_recording(name, options, workload,
     ):
         timing = TimingModel.for_model(get_model(model))
         cost = _cost(fabric, algorithm, tables)
-        scheduler, tiled = _record(name, options, timing, cost, workload, True)
-        _, full = _record(name, options, timing, cost, workload, False)
+        scheduler = get_scheduler(name, **options)
+        tiled = scheduler.record_fast(timing, cost, iterations=ITERATIONS,
+                                      workload=workload)
+        with recording_in_full():
+            full = scheduler.record_fast(timing, cost, iterations=ITERATIONS,
+                                         workload=workload)
         assert full._timeline.slots_recorded == len(full._timeline._handles)
+        assert tiled._timeline.slots_recorded > len(tiled._timeline._handles)
         found = _differences(
             tiled, full, lambda ctx: scheduler.measure(ctx, ITERATIONS)
         )
         mismatches.extend(f"{model}/{fabric}/{algorithm}: {what}"
                           for what in found)
-    _decide(get_scheduler(name, **options).periodic, mismatches)
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=str)
@@ -201,8 +204,9 @@ def test_multirank_tiled_recording_equals_full_recording(
                  iterations=ITERATIONS, workload=workload, collapse=True)
             for _ in range(2)
         ]
-        runs[1].scheduler.periodic = False
-        tiled, full = (run.record() for run in runs)
+        tiled = runs[0].record()
+        with recording_in_full():
+            full = runs[1].record()
         assert tiled._timeline.world == 8
         found = _differences(
             tiled, full,
@@ -212,10 +216,10 @@ def test_multirank_tiled_recording_equals_full_recording(
             ),
         )
         mismatches.extend(f"{model}: {what}" for what in found)
-    _decide(runs[0].scheduler.periodic, mismatches)
+    assert mismatches == []
 
 
-def test_run_many_results_do_not_change(monkeypatch, tables):
+def test_run_many_results_do_not_change(tables):
     """The batched runner over single- and multi-rank specs."""
     specs = [
         RunSpec.create(name, "resnet50", paper_testbed(fabric),
@@ -237,8 +241,8 @@ def test_run_many_results_do_not_change(monkeypatch, tables):
         )]
 
     tiled = results()
-    monkeypatch.setattr(Scheduler, "periodic", False)
-    assert results() == tiled
+    with recording_in_full():
+        assert results() == tiled
 
 
 # -- why a run is recorded in full ---------------------------------------------
@@ -267,17 +271,15 @@ class TestRecordMetrics:
                          "tiled": (ITERATIONS - 2) * block}
         assert full == {}
 
-    def test_each_full_recording_names_its_reason(self, registry, monkeypatch,
-                                                  tiny_timing, ethernet_cost):
+    def test_each_full_recording_names_its_reason(self, registry, tiny_timing,
+                                                  ethernet_cost):
         dear = get_scheduler("dear", fusion="none")
         dear.run(tiny_timing, ethernet_cost, trace=True)
         dear.run(tiny_timing, ethernet_cost, faults=FaultPlan(
             stragglers=(StragglerFault(0.0, 1.0, compute_factor=1.5),)
         ))
-        monkeypatch.setattr(type(dear), "periodic", False)
-        dear.run(tiny_timing, ethernet_cost)
         slots, full = _counts(registry)
-        assert full == {"trace": 1, "faults": 1, "aperiodic": 1}
+        assert full == {"trace": 1, "faults": 1}
         assert slots["tiled"] == 0
 
     def test_multirank_recordings_are_counted(self, registry, tiny_model):
@@ -288,19 +290,17 @@ class TestRecordMetrics:
         assert full == {}
 
 
-def test_tracer_attached_after_a_tiled_recording(tiny_timing, ethernet_cost):
-    """A tiled timeline re-records the schedule in full for span names."""
+def test_tracer_attached_after_a_tiled_recording_raises(tiny_timing,
+                                                        ethernet_cost):
+    """Spans need every slot's handle; a traced run records in full."""
     from repro.sim.trace import Tracer
 
-    wfbp = get_scheduler("wfbp")
-    tiled = wfbp.record_fast(tiny_timing, ethernet_cost, iterations=ITERATIONS)
-    assert len(tiled._timeline._handles) < tiled._timeline.slots_recorded
-    traced = wfbp.run(tiny_timing, ethernet_cost, iterations=ITERATIONS,
-                      trace=True)
+    tiled = get_scheduler("wfbp").record_fast(
+        tiny_timing, ethernet_cost, iterations=ITERATIONS
+    )
     tiled.tracer = Tracer()
-    tiled.run()
-    wfbp.measure(tiled, ITERATIONS)
-    assert tiled.tracer.to_chrome_trace() == traced.tracer.to_chrome_trace()
+    with pytest.raises(RuntimeError, match="tiled"):
+        tiled.run()
 
 
 # -- the Timeline primitive and the invariants, on random schedules ------------
