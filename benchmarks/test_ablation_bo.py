@@ -10,7 +10,7 @@ import numpy as np
 
 from benchmarks.conftest import run_and_report
 from repro.bayesopt.optimizer import BayesianOptimizer
-from repro.bayesopt.search import trials_to_reach
+from repro.bayesopt.search import tune
 from repro.experiments.common import format_table, throughput_objective
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -22,9 +22,9 @@ def _trials(make_tuner, objective, target):
     for seed in SEEDS:
         objective._rng = np.random.default_rng(seed)
         counts.append(
-            trials_to_reach(
-                make_tuner(seed), objective, target,
-                max_trials=MAX_TRIALS, true_value=objective.true_value,
+            tune(
+                make_tuner(seed), objective, MAX_TRIALS, target=target,
+                true_value=objective.true_value,
             )
         )
     return float(np.mean(counts)), float(np.std(counts))

@@ -18,7 +18,6 @@ Run:
 
 import pathlib
 
-from repro.bayesopt import BayesianOptimizer
 from repro.models.layers import ModelBuilder
 from repro.models.profiles import TimingModel
 from repro.network import ETHERNET_25G, NVLINK, ClusterSpec, CollectiveTimeModel
@@ -103,22 +102,15 @@ def main() -> None:
         print(f"{label:<24} {result.iteration_time * 1e3:>10.1f} "
               f"{result.throughput:>11.0f}")
 
-    # Tune DeAR's fusion buffer with the paper's BO loop.
-    optimizer = BayesianOptimizer(1e6, 100e6, xi=0.1, seed=0)
-    for trial in range(10):
-        buffer = optimizer.suggest()
-        result = get_scheduler("dear", fusion="buffer", buffer_bytes=buffer).run(
-            timing, cost
-        )
-        optimizer.observe(buffer, result.throughput)
-    best_buffer, best_throughput = optimizer.best
-    print(f"\nBO-tuned buffer: {best_buffer / 1e6:.1f} MB "
-          f"-> {best_throughput:.0f} samples/s (10 trials)")
-
-    # Export the winning timeline for chrome://tracing.
-    final = get_scheduler("dear", fusion="buffer", buffer_bytes=best_buffer).run(
+    # Tune DeAR's fusion buffer with the paper's BO loop; tracing the
+    # run records the winning schedule's timeline.
+    final = get_scheduler("dear", fusion="bo", bo_trials=10).run(
         timing, cost, trace=True
     )
+    print(f"\nBO-tuned buffer: {final.extras['buffer_bytes'] / 1e6:.1f} MB "
+          f"-> {final.throughput:.0f} samples/s (10 trials)")
+
+    # Export the winning timeline for chrome://tracing.
     out = pathlib.Path("results")
     out.mkdir(exist_ok=True)
     trace_path = out / "custom_model_timeline.json"

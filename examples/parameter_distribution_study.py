@@ -14,7 +14,6 @@ Run:
 
 import numpy as np
 
-from repro.bayesopt import BayesianOptimizer
 from repro.models import get_model
 from repro.models.profiles import TimingModel
 from repro.network import CollectiveTimeModel, cluster_10gbe
@@ -41,15 +40,9 @@ def tensor_stats(model) -> dict:
 
 def tune_buffer(model, cost, iteration_compute=None, trials=8):
     timing = TimingModel.for_model(model, iteration_compute=iteration_compute)
-    optimizer = BayesianOptimizer(1e6, 100e6, xi=0.1, seed=0)
-    for _ in range(trials):
-        buffer_bytes = optimizer.suggest()
-        result = get_scheduler("dear", fusion="buffer",
-                               buffer_bytes=buffer_bytes).run(timing, cost)
-        optimizer.observe(buffer_bytes, result.throughput)
+    tuned = get_scheduler("dear", fusion="bo", bo_trials=trials).run(timing, cost)
     unfused = get_scheduler("dear", fusion="none").run(timing, cost)
-    best_buffer, best_throughput = optimizer.best
-    return best_buffer, best_throughput / unfused.throughput
+    return tuned.extras["buffer_bytes"], tuned.throughput / unfused.throughput
 
 
 def main() -> None:

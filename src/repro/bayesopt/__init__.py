@@ -10,15 +10,16 @@ setting, chosen to "prefer buffer size exploration").
   Cholesky solves, marginal-likelihood hyperparameter selection);
 - :mod:`repro.bayesopt.acquisition` — expected improvement and upper
   confidence bound;
-- :mod:`repro.bayesopt.optimizer` — the suggest/observe loop;
-- :mod:`repro.bayesopt.search` — random and grid search baselines plus
-  the trials-to-converge metric of Fig. 10.
+- :mod:`repro.bayesopt.optimizer` — the Bayesian suggest/observe tuner;
+- :mod:`repro.bayesopt.search` — :func:`tune`, the one
+  suggest/measure/observe loop every tuner runs through, plus random
+  and grid search baselines.
 """
 
 from repro.bayesopt.acquisition import expected_improvement, upper_confidence_bound
 from repro.bayesopt.gp import GaussianProcess, RBFKernel
 from repro.bayesopt.optimizer import BayesianOptimizer
-from repro.bayesopt.search import GridSearch, RandomSearch, trials_to_reach
+from repro.bayesopt.search import GridSearch, RandomSearch, tune
 
 __all__ = [
     "BayesianOptimizer",
@@ -27,6 +28,6 @@ __all__ = [
     "RBFKernel",
     "RandomSearch",
     "expected_improvement",
-    "trials_to_reach",
+    "tune",
     "upper_confidence_bound",
 ]

@@ -14,20 +14,19 @@ import numpy as np
 
 from repro.bayesopt.acquisition import expected_improvement, upper_confidence_bound
 from repro.bayesopt.gp import GaussianProcess
-from repro.bayesopt.search import publish_observation
+from repro.bayesopt.search import _SearchBase
 
 __all__ = ["BayesianOptimizer"]
 
 
-class BayesianOptimizer:
+class BayesianOptimizer(_SearchBase):
     """Maximise a black-box scalar function of one positive parameter.
 
     Usage::
 
         bo = BayesianOptimizer(1e6, 100e6, seed=0)
-        x = bo.suggest()            # first: the 25 MB default (paper §IV-B)
-        bo.observe(x, measure(x))
-        x = bo.suggest()            # EI-guided from here on
+        tune(bo, measure, 15)       # first trial: the 25 MB default
+        best_x, best_y = bo.best    # (paper §IV-B), EI-guided after it
     """
 
     def __init__(
@@ -43,12 +42,9 @@ class BayesianOptimizer:
         noise: float = 1e-2,
         seed: Optional[int] = None,
     ):
-        if not 0 < low < high:
-            raise ValueError(f"need 0 < low < high, got [{low}, {high}]")
+        super().__init__(low, high)
         if acquisition not in ("ei", "ucb"):
             raise ValueError(f"unknown acquisition {acquisition!r}")
-        self.low = low
-        self.high = high
         self.xi = xi
         self.kappa = kappa
         self.acquisition = acquisition
@@ -56,39 +52,13 @@ class BayesianOptimizer:
         self.noise = noise
         self._rng = np.random.default_rng(seed)
         self._initial = initial if initial is not None and low <= initial <= high else None
-        self._xs: list[float] = []
-        self._ys: list[float] = []
-        if log_scale:
-            grid = np.logspace(np.log10(low), np.log10(high), candidates)
-        else:
-            grid = np.linspace(low, high, candidates)
-        # logspace's end points can round just outside [low, high].
-        self._candidates = np.clip(grid, low, high)
-
-    # -- observation bookkeeping -------------------------------------------
-
-    @property
-    def observations(self) -> list[tuple[float, float]]:
-        """All (x, y) pairs observed so far."""
-        return list(zip(self._xs, self._ys))
-
-    @property
-    def best(self) -> tuple[float, float]:
-        """Best (x, y) observed so far."""
-        if not self._ys:
-            raise RuntimeError("no observations yet")
-        index = int(np.argmax(self._ys))
-        return self._xs[index], self._ys[index]
+        self._candidates = self._grid(candidates, log_scale)
 
     def observe(self, x: float, y: float) -> None:
         """Record one measurement of the objective."""
-        if not self.low <= x <= self.high:
-            raise ValueError(f"x={x} outside the domain [{self.low}, {self.high}]")
-        if not np.isfinite(y):
-            raise ValueError(f"objective must be finite, got {y}")
-        self._xs.append(float(x))
-        self._ys.append(float(y))
-        publish_observation(type(self).__name__, len(self._ys), max(self._ys))
+        # Defined here, not only inherited, so a profiler can wrap the
+        # optimiser's own suggest/observe pair.
+        super().observe(x, y)
 
     # -- suggestion ----------------------------------------------------------
 

@@ -1,21 +1,17 @@
-"""Random-search and grid-search baselines (Fig. 10).
+"""The tuning loop and the random- and grid-search baselines of Fig. 10.
 
-Both expose the same ``suggest``/``observe``/``best`` interface as
-:class:`~repro.bayesopt.optimizer.BayesianOptimizer`, so the Fig. 10
-harness can sweep the three tuners uniformly.  ``trials_to_reach``
-computes the paper's "tuning cost": how many trials a tuner needs
-before its best-so-far enters a tolerance band around the optimum.
-
-Candidate evaluations are independent simulator runs — the expensive
-black box the paper's §IV amortises — so :func:`warm_candidate_cache`
-pushes a whole candidate set through the parallel cached runner before
-any sequential tuning loop starts; the loop then replays results from
-the shared cache instead of re-simulating.
+Every tuner — these two baselines and
+:class:`~repro.bayesopt.optimizer.BayesianOptimizer` — shares the
+``suggest``/``observe``/``best`` interface of :class:`_SearchBase`, and
+:func:`tune` is the one loop that drives any of them: DeAR's run-time
+fusion tuning, Fig. 3's BO example and Fig. 10's "tuning cost" (how
+many trials a tuner needs before its best-so-far enters a tolerance
+band around the optimum) all call it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,8 +20,7 @@ from repro.telemetry.registry import default_registry
 __all__ = [
     "RandomSearch",
     "GridSearch",
-    "trials_to_reach",
-    "warm_candidate_cache",
+    "tune",
     "publish_observation",
     "tuned_fusion_search",
     "compare_fusion_strategies",
@@ -46,46 +41,6 @@ def publish_observation(tuner: str, trial: int, best_y: float) -> None:
     registry.series(
         "bayesopt.best_so_far", "best objective value after each trial"
     ).append(trial, best_y, tuner=tuner)
-
-
-def warm_candidate_cache(
-    model,
-    cluster,
-    buffer_sizes: Sequence[float],
-    iterations: int = 5,
-    jobs: Optional[int] = None,
-    algorithm: str = "ring",
-    tuned_table=None,
-) -> list:
-    """Pre-simulate DeAR at each candidate buffer size, concurrently.
-
-    Returns the results in ``buffer_sizes`` order; as a side effect the
-    on-disk result cache now holds every candidate, so any tuner whose
-    objective routes through :mod:`repro.runner` evaluates for free.
-
-    Repeated candidates (grid tuners cycle, random tuners collide) are
-    simulated once: the batch is deduplicated before the specs are
-    built, and each duplicate position in the return value aliases the
-    unique run's result.
-
-    ``algorithm="auto"`` (with ``tuned_table`` or a process-registered
-    table) warms the cache under autotuned collectives instead of plain
-    ring — the tuning participates in every spec's fingerprint.
-    """
-    from repro.runner import RunSpec, run_many
-
-    sizes = [float(size) for size in buffer_sizes]
-    unique_sizes = list(dict.fromkeys(sizes))
-    specs = [
-        RunSpec.create(
-            "dear", model, cluster, fusion="buffer",
-            buffer_bytes=size, iterations=iterations,
-            algorithm=algorithm, tuned_table=tuned_table,
-        )
-        for size in unique_sizes
-    ]
-    results = dict(zip(unique_sizes, run_many(specs, jobs=jobs)))
-    return [results[size] for size in sizes]
 
 
 def tuned_fusion_search(
@@ -160,6 +115,8 @@ def compare_fusion_strategies(
 
 
 class _SearchBase:
+    """Observation bookkeeping shared by every tuner over ``[low, high]``."""
+
     def __init__(self, low: float, high: float):
         if not 0 < low < high:
             raise ValueError(f"need 0 < low < high, got [{low}, {high}]")
@@ -170,21 +127,35 @@ class _SearchBase:
 
     @property
     def observations(self) -> list[tuple[float, float]]:
+        """All (x, y) pairs observed so far."""
         return list(zip(self._xs, self._ys))
 
     @property
     def best(self) -> tuple[float, float]:
+        """Best (x, y) observed so far."""
         if not self._ys:
             raise RuntimeError("no observations yet")
         index = int(np.argmax(self._ys))
         return self._xs[index], self._ys[index]
 
     def observe(self, x: float, y: float) -> None:
+        """Record one measurement of the objective."""
+        if not self.low <= x <= self.high:
+            raise ValueError(f"x={x} outside the domain [{self.low}, {self.high}]")
         if not np.isfinite(y):
             raise ValueError(f"objective must be finite, got {y}")
         self._xs.append(float(x))
         self._ys.append(float(y))
         publish_observation(type(self).__name__, len(self._ys), max(self._ys))
+
+    def _grid(self, points: int, log_scale: bool) -> np.ndarray:
+        """``points`` values spanning the domain, log- or evenly spaced."""
+        if log_scale:
+            grid = np.logspace(np.log10(self.low), np.log10(self.high), points)
+        else:
+            grid = np.linspace(self.low, self.high, points)
+        # logspace's end points can round just outside [low, high].
+        return np.clip(grid, self.low, self.high)
 
 
 class RandomSearch(_SearchBase):
@@ -198,10 +169,11 @@ class RandomSearch(_SearchBase):
 
     def suggest(self) -> float:
         if self.log_scale:
-            return float(
-                np.exp(self._rng.uniform(np.log(self.low), np.log(self.high)))
-            )
-        return float(self._rng.uniform(self.low, self.high))
+            value = np.exp(self._rng.uniform(np.log(self.low), np.log(self.high)))
+        else:
+            value = self._rng.uniform(self.low, self.high)
+        # exp(log(bound)) can round just outside [low, high].
+        return float(np.clip(value, self.low, self.high))
 
 
 class GridSearch(_SearchBase):
@@ -216,40 +188,41 @@ class GridSearch(_SearchBase):
         super().__init__(low, high)
         if points < 2:
             raise ValueError(f"grid needs at least 2 points, got {points}")
-        if log_scale:
-            self._grid = np.logspace(np.log10(low), np.log10(high), points)
-        else:
-            self._grid = np.linspace(low, high, points)
+        self._points = self._grid(points, log_scale)
         self._cursor = 0
 
     def suggest(self) -> float:
-        value = float(self._grid[self._cursor % len(self._grid)])
+        value = float(self._points[self._cursor % len(self._points)])
         self._cursor += 1
         return value
 
 
-def trials_to_reach(
+def tune(
     tuner,
     objective: Callable[[float], float],
-    target: float,
-    max_trials: int = 50,
+    trials: int,
+    target: Optional[float] = None,
     true_value: Optional[Callable[[float], float]] = None,
 ) -> int:
-    """Trials until the tuner's best-so-far reaches ``target``.
+    """Run ``tuner``'s suggest/measure/observe loop; returns trials run.
 
-    Runs the suggest/observe loop; returns the (1-based) trial count at
-    which the tuner's best first meets ``target``, or ``max_trials`` if
-    it never does within the budget.  With a noisy ``objective``, pass
-    ``true_value`` to judge convergence on the noise-free value of the
-    tuner's best point instead of its (noisy) observation.
+    Each trial observes ``objective(tuner.suggest())``.  Without
+    ``target`` all ``trials`` run.  With one, the loop stops at the
+    (1-based) trial whose best-so-far first meets ``target`` and
+    returns it, or ``trials`` if the budget runs out first.  With a
+    noisy ``objective``, pass ``true_value`` to judge convergence on
+    the noise-free value of the tuner's best point instead of its
+    (noisy) observation.
     """
-    if max_trials < 1:
-        raise ValueError(f"max_trials must be >= 1, got {max_trials}")
-    for trial in range(1, max_trials + 1):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for trial in range(1, trials + 1):
         x = tuner.suggest()
         tuner.observe(x, objective(x))
+        if target is None:
+            continue
         best_x, best_y = tuner.best
         achieved = true_value(best_x) if true_value is not None else best_y
         if achieved >= target:
             return trial
-    return max_trials
+    return trials

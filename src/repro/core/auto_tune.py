@@ -4,9 +4,9 @@
 the decoupling configuration can be automatically tuned using BO."
 This module implements that: for each decomposable collective family
 (ring RS+AG, double-binary-tree reduce+broadcast, recursive
-halving+doubling, hierarchical two-level ring), a Bayesian-optimisation
-loop tunes the fusion buffer, and the best (algorithm, buffer) pair
-overall wins.
+halving+doubling, hierarchical two-level ring), DeAR's own
+Bayesian-optimisation fusion tuning (``fusion="bo"``) picks the buffer,
+and the best (algorithm, buffer) pair overall wins.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.bayesopt.optimizer import BayesianOptimizer
 from repro.models.layers import ModelSpec
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
-from repro.schedulers.base import ScheduleResult, get_scheduler
+from repro.schedulers.base import get_scheduler
 
 __all__ = ["DecouplingChoice", "tune_decoupling"]
 
@@ -84,25 +83,22 @@ def tune_decoupling(
             cost = CollectiveTimeModel(cluster, algorithm=algorithm)
         except ValueError:
             continue  # e.g. halving_doubling on non-power-of-two worlds
-        optimizer = BayesianOptimizer(bo_low, bo_high, xi=0.1, seed=seed)
-        best_result: Optional[ScheduleResult] = None
-        for _ in range(bo_trials):
-            buffer_bytes = optimizer.suggest()
-            result = get_scheduler(
-                "dear", fusion="buffer", buffer_bytes=buffer_bytes
-            ).run(timing, cost, iterations=iterations)
-            optimizer.observe(buffer_bytes, result.throughput)
-            history.append((algorithm, buffer_bytes, result.throughput))
-            if best_result is None or result.throughput > best_result.throughput:
-                best_result = result
-        best_buffer, best_throughput = optimizer.best
-        per_algorithm[algorithm] = (best_buffer, best_throughput)
-        if choice is None or best_throughput > choice.throughput:
+        result = get_scheduler(
+            "dear", fusion="bo", bo_trials=bo_trials, bo_low=bo_low,
+            bo_high=bo_high, bo_seed=seed,
+        ).run(timing, cost, iterations)
+        best_buffer = result.extras["buffer_bytes"]
+        per_algorithm[algorithm] = (best_buffer, result.throughput)
+        history.extend(
+            (algorithm, buffer_bytes, throughput)
+            for buffer_bytes, throughput in result.extras["bo_history"]
+        )
+        if choice is None or result.throughput > choice.throughput:
             choice = DecouplingChoice(
                 algorithm=algorithm,
                 buffer_bytes=best_buffer,
-                throughput=best_throughput,
-                iteration_time=best_result.iteration_time,
+                throughput=result.throughput,
+                iteration_time=result.iteration_time,
             )
 
     if choice is None:

@@ -57,7 +57,6 @@ class BufferSizeTuner:
         self._elapsed = 0.0
         self._steps = 0
         self.trials_completed = 0
-        self.history: list[tuple[float, float]] = []
         self.converged = False
 
     def record_step(self, samples: float, elapsed: float) -> Optional[float]:
@@ -74,7 +73,6 @@ class BufferSizeTuner:
             return None
         throughput = self._samples / self._elapsed
         self._bo.observe(self.buffer_bytes, throughput)
-        self.history.append((self.buffer_bytes, throughput))
         self.trials_completed += 1
         self._samples = self._elapsed = 0.0
         self._steps = 0
@@ -84,6 +82,11 @@ class BufferSizeTuner:
         else:
             self.buffer_bytes = self._bo.suggest()
         return self.buffer_bytes
+
+    @property
+    def history(self) -> list[tuple[float, float]]:
+        """Every completed trial's (buffer size, throughput), in order."""
+        return self._bo.observations
 
     @property
     def best(self) -> tuple[float, float]:

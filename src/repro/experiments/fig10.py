@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bayesopt.optimizer import BayesianOptimizer
-from repro.bayesopt.search import GridSearch, RandomSearch, trials_to_reach
+from repro.bayesopt.search import GridSearch, RandomSearch, tune
 from repro.experiments.common import format_table, throughput_objective
 
 __all__ = ["run", "format_rows", "FIG10_MODELS"]
@@ -43,9 +43,7 @@ def bo_suggest_cost(trials: int = 20, seed: int = 0) -> float:
 
     optimizer = BayesianOptimizer(1e6, 100e6, xi=0.1, seed=seed)
     started = time.perf_counter()
-    for trial in range(trials):
-        x = optimizer.suggest()
-        optimizer.observe(x, float(np.sin(trial) + 2.0))
+    tune(optimizer, lambda x: float(np.sin(np.log(x)) + 2.0), trials)
     return (time.perf_counter() - started) / trials
 
 
@@ -69,8 +67,8 @@ def run(
                 objective._rng = np.random.default_rng(seed)  # fresh noise
                 tuner = _make_tuner(kind, seed)
                 trials.append(
-                    trials_to_reach(
-                        tuner, objective, target, max_trials=max_trials,
+                    tune(
+                        tuner, objective, max_trials, target=target,
                         true_value=objective.true_value,
                     )
                 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bayesopt.optimizer import BayesianOptimizer
+from repro.bayesopt.search import tune
 from repro.experiments.common import format_table, throughput_objective
 
 __all__ = ["run", "format_rows"]
@@ -28,14 +29,11 @@ def run(
     """One BO run; rows tagged ``kind`` = sample | posterior | summary."""
     objective = throughput_objective(model, cluster)
     optimizer = BayesianOptimizer(1e6, 100e6, xi=0.1, seed=seed)
-    rows: list[dict] = []
-    for trial in range(1, samples + 1):
-        x = optimizer.suggest()
-        y = objective(x)
-        optimizer.observe(x, y)
-        rows.append(
-            {"kind": "sample", "trial": trial, "buffer_mb": x / 1e6, "throughput": y}
-        )
+    tune(optimizer, objective, samples)
+    rows: list[dict] = [
+        {"kind": "sample", "trial": trial, "buffer_mb": x / 1e6, "throughput": y}
+        for trial, (x, y) in enumerate(optimizer.observations, start=1)
+    ]
 
     xs = np.logspace(np.log10(1e6), np.log10(100e6), posterior_points)
     mean, std = optimizer.posterior(xs)

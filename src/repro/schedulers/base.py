@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.bayesopt.optimizer import BayesianOptimizer
+from repro.bayesopt.search import tune
 from repro.faults.plan import FaultPlan
 from repro.models.layers import ModelSpec
 from repro.models.profiles import TimingModel
@@ -212,12 +213,14 @@ class Scheduler(ABC):
         Tunes the fusion buffer size of a BO-mode scheduler (its
         ``bo_low``/``bo_high``/``bo_seed``/``bo_trials`` settings):
         each trial is ``make_trial(buffer_bytes).run(...)``, scored by
-        throughput, and the best size is run once more for the result.
-        Trials are never traced; ``trace`` applies to that final run.
+        throughput, and the best trial's result is returned.  Trials
+        are never traced; with ``trace`` the best size is run once more
+        to record its spans.
         """
         optimizer = BayesianOptimizer(self.bo_low, self.bo_high, seed=self.bo_seed)
         # Resolve once so every trial shares one built DAG.
         workload = self._resolve_workload(workload, timing, cost)
+        trials: dict[float, ScheduleResult] = {}
 
         def measure(buffer_bytes: float, trace: bool = False) -> ScheduleResult:
             return make_trial(buffer_bytes).run(
@@ -225,18 +228,18 @@ class Scheduler(ABC):
                 fastpath=fastpath, workload=workload, trace=trace,
             )
 
-        history = []
-        for _ in range(self.bo_trials):
-            x = optimizer.suggest()
-            result = measure(x)
-            optimizer.observe(x, result.throughput)
-            history.append((x, result.throughput))
+        def throughput(buffer_bytes: float) -> float:
+            trials[buffer_bytes] = measure(buffer_bytes)
+            return trials[buffer_bytes].throughput
+
+        tune(optimizer, throughput, self.bo_trials)
         best_x, _ = optimizer.best
-        final = measure(best_x, trace)
+        final = measure(best_x, trace=True) if trace else trials[best_x]
         final.scheduler = self.name
-        final.extras.update(
-            {"fusion": "bo", "buffer_bytes": best_x, "bo_history": history}
-        )
+        final.extras.update({
+            "fusion": "bo", "buffer_bytes": best_x,
+            "bo_history": optimizer.observations,
+        })
         return final
 
     def record_fast(

@@ -1,11 +1,13 @@
 """Tests for acquisition functions, the BO loop, and search baselines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.bayesopt.acquisition import expected_improvement, upper_confidence_bound
 from repro.bayesopt.optimizer import BayesianOptimizer
-from repro.bayesopt.search import GridSearch, RandomSearch, trials_to_reach
+from repro.bayesopt.search import GridSearch, RandomSearch, tune
 
 
 class TestExpectedImprovement:
@@ -154,49 +156,57 @@ class TestSearchBaselines:
         with pytest.raises(ValueError):
             GridSearch(1.0, 2.0, points=1)
 
-    def test_trials_to_reach_immediate(self):
-        gs = GridSearch(1.0, 100.0, points=4)
-        assert trials_to_reach(gs, lambda x: 1.0, target=0.5) == 1
+    def test_random_search_stays_inside_its_domain(self):
+        # exp(log(1e6)) rounds to just below 1e6.
+        rs = RandomSearch(1e6, 100e6, seed=0)
+        rs._rng = SimpleNamespace(uniform=lambda low, high: low)
+        assert rs.suggest() == 1e6
 
-    def test_trials_to_reach_budget_exhausted(self):
-        gs = GridSearch(1.0, 100.0, points=4)
-        assert trials_to_reach(gs, lambda x: 0.0, target=1.0, max_trials=7) == 7
+    def test_grid_search_stays_inside_its_domain(self):
+        # logspace rounds the last of these 20 points past 7e7.
+        gs = GridSearch(3e5, 7e7, points=20)
+        xs = [gs.suggest() for _ in range(20)]
+        assert all(3e5 <= x <= 7e7 for x in xs)
+        assert xs[-1] == 7e7
 
-    def test_trials_to_reach_true_value_criterion(self):
+    @pytest.mark.parametrize("tuner", [
+        GridSearch(1.0, 100.0, points=4),
+        RandomSearch(1.0, 100.0, seed=0),
+        BayesianOptimizer(1.0, 100.0, seed=0),
+    ], ids=lambda tuner: type(tuner).__name__)
+    def test_observe_rejects_points_outside_the_domain(self, tuner):
+        for x in (0.5, 100.5):
+            with pytest.raises(ValueError, match="outside the domain"):
+                tuner.observe(x, 1.0)
+        assert tuner.observations == []
+
+    def test_tune_immediate(self):
+        gs = GridSearch(1.0, 100.0, points=4)
+        assert tune(gs, lambda x: 1.0, 50, target=0.5) == 1
+
+    def test_tune_budget_exhausted(self):
+        gs = GridSearch(1.0, 100.0, points=4)
+        assert tune(gs, lambda x: 0.0, 7, target=1.0) == 7
+
+    def test_tune_true_value_criterion(self):
         rs = RandomSearch(1.0, 100.0, seed=0)
         # Noisy observations, but the true value never reaches the target:
         rng = np.random.default_rng(0)
-        result = trials_to_reach(
+        result = tune(
             rs,
             lambda x: 0.5 + rng.normal(0, 0.5),
+            10,
             target=0.9,
-            max_trials=10,
             true_value=lambda x: 0.5,
         )
         assert result == 10
 
+    def test_tune_without_target_runs_every_trial(self):
+        gs = GridSearch(1.0, 100.0, points=4)
+        assert tune(gs, lambda x: x, 6) == 6
+        xs = [x for x, _ in gs.observations]
+        assert len(xs) == 6 and xs[4:] == xs[:2]
 
-class TestWarmCandidateCache:
-    def test_duplicates_simulated_once_in_caller_order(self, monkeypatch,
-                                                       tiny_model,
-                                                       ethernet_cluster):
-        from repro.bayesopt.search import warm_candidate_cache
-
-        import repro.runner as runner
-
-        seen_batches = []
-
-        def fake_run_many(specs, jobs=None):
-            seen_batches.append(specs)
-            return [dict(spec.options)["buffer_bytes"] for spec in specs]
-
-        monkeypatch.setattr(runner, "run_many", fake_run_many)
-        sizes = [4e6, 8e6, 4e6, 16e6, 8e6, 4e6]
-        results = warm_candidate_cache(tiny_model, ethernet_cluster, sizes)
-        # One batch, one spec per *unique* size, first-seen order.
-        assert len(seen_batches) == 1
-        assert [dict(s.options)["buffer_bytes"] for s in seen_batches[0]] == [
-            4e6, 8e6, 16e6,
-        ]
-        # Results come back in the caller's original (duplicated) order.
-        assert results == sizes
+    def test_tune_needs_a_trial(self):
+        with pytest.raises(ValueError):
+            tune(GridSearch(1.0, 100.0), lambda x: x, 0)
