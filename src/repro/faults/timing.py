@@ -32,10 +32,17 @@ intra phase stays at full speed.
 Every perturbation is recorded: ``faults.degraded_link_seconds`` /
 ``faults.straggler_seconds`` counters into the telemetry registry, and
 per-event instant markers into the tracer (rendered as globally-scoped
-"i" events in Perfetto) via :meth:`TimingFaultInjector.publish`.
+"i" events in Perfetto) via :meth:`TimingFaultInjector.publish`.  The
+event log is columnar where the rank axis makes it large: one resolved
+multi-rank compute slot appends a single :class:`StragglerRows` block —
+the slowed ranks' starts, factors and extra seconds as arrays — rather
+than one tuple and one dict per rank; :meth:`TimingFaultInjector.event_rows`
+expands the log into markers, in order, only when a tracer asks.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,10 +57,25 @@ __all__ = [
     "PricedCompute",
     "PricedCollective",
     "RankPricedCompute",
+    "StragglerRows",
 ]
 
 #: The healthy factor combination (shares the caller's cost model).
 _HEALTHY = (1.0, 1.0, 1.0, 1.0)
+
+
+class StragglerRows(NamedTuple):
+    """The ``fault.straggler`` markers of one multi-rank compute slot.
+
+    Row ``i`` is the marker one scalar
+    :meth:`TimingFaultInjector.compute_duration` call would have logged
+    for the ``i``-th slowed rank (in rank order): its start, its combined
+    factor and its extra seconds.
+    """
+
+    starts: np.ndarray
+    factors: np.ndarray
+    extras: np.ndarray
 
 
 class TimingFaultInjector:
@@ -77,8 +99,10 @@ class TimingFaultInjector:
         self.degraded_link_seconds = 0.0
         #: extra compute seconds attributable to stragglers.
         self.straggler_seconds = 0.0
-        #: (time, name, args) markers for the tracer, in injection order.
-        self.events: list[tuple[float, str, dict]] = []
+        #: markers for the tracer, in injection order: ``(time, name,
+        #: args)`` tuples and :class:`StragglerRows` blocks
+        #: (:meth:`event_rows` expands both).
+        self.events: list = []
 
     # -- pricing ---------------------------------------------------------------
 
@@ -102,6 +126,40 @@ class TimingFaultInjector:
             (now, "fault.straggler", {"factor": factor, "extra": slowed - base})
         )
         return slowed
+
+    def compute_durations(self, bases: np.ndarray,
+                          starts: np.ndarray) -> np.ndarray:
+        """:meth:`compute_duration` for every rank of a slot at once.
+
+        The same float operations, rank by rank: the combined factor is
+        the plan's stragglers folded in order (``factor *
+        compute_factor`` where the window covers the start), a slowed
+        rank takes ``base * factor``, and the slowed ranks' extras join
+        ``straggler_seconds`` through a seeded ``np.cumsum`` — the strict
+        left fold, in rank order, of the scalar ``+=``.  The slowed
+        ranks' markers append as one :class:`StragglerRows` block.
+        """
+        factors = np.ones(len(starts))
+        for straggler in self.plan.stragglers:
+            factors = np.where(
+                (straggler.start <= starts) & (starts < straggler.end),
+                factors * straggler.compute_factor,
+                factors,
+            )
+        hit = np.flatnonzero(factors != 1.0)
+        if not len(hit):
+            return bases
+        durations = bases.copy()
+        factors = factors[hit]
+        slowed = bases[hit] * factors
+        durations[hit] = slowed
+        extras = slowed - bases[hit]
+        chain = np.empty(len(hit) + 1)
+        chain[0] = self.straggler_seconds
+        chain[1:] = extras
+        self.straggler_seconds = float(np.cumsum(chain)[-1])
+        self.events.append(StragglerRows(starts[hit], factors, extras))
+        return durations
 
     def collective_duration(
         self, kind: str, nbytes: float, extra: float, now: float
@@ -144,10 +202,25 @@ class TimingFaultInjector:
 
     # -- reporting -------------------------------------------------------------
 
+    def event_rows(self) -> Iterator[tuple[float, str, dict]]:
+        """Every marker as ``(time, name, args)``, in injection order."""
+        for event in self.events:
+            if type(event) is StragglerRows:
+                for time, factor, extra in zip(
+                    event.starts.tolist(), event.factors.tolist(),
+                    event.extras.tolist(),
+                ):
+                    yield (
+                        time, "fault.straggler",
+                        {"factor": factor, "extra": extra},
+                    )
+            else:
+                yield event
+
     def publish(self, tracer=None) -> None:
         """Flush markers into ``tracer`` and totals into the registry."""
         if tracer is not None:
-            for time, name, args in self.events:
+            for time, name, args in self.event_rows():
                 tracer.record_instant(name, time, args=args)
         registry = default_registry()
         if self.degraded_link_seconds:
@@ -166,7 +239,10 @@ class TimingFaultInjector:
         return {
             "degraded_link_seconds": self.degraded_link_seconds,
             "straggler_seconds": self.straggler_seconds,
-            "events": len(self.events),
+            "events": sum(
+                len(event.starts) if type(event) is StragglerRows else 1
+                for event in self.events
+            ),
         }
 
 
@@ -209,12 +285,14 @@ class PricedCollective(DeferredDuration):
 class RankPricedCompute(DeferredRankDurations):
     """Per-rank compute durations the multi-rank replay prices at start.
 
-    Resolution loops ranks in order, calling the same scalar pricing
-    function as the event kernel's per-rank :class:`PricedCompute`
-    jobs — the per-rank durations are
-    bit-identical; only the order fault *events* are appended in
-    differs (slot-major here, chronological on the kernel), which the
-    sorted trace export normalises away.
+    Resolution is :meth:`TimingFaultInjector.compute_durations`: one
+    vectorised pass over the slot's ranks that performs the scalar
+    :meth:`~TimingFaultInjector.compute_duration`'s float operations per
+    rank, so the durations and the straggler total are bit-identical to
+    the event kernel's per-rank :class:`PricedCompute` jobs.  Only the
+    order fault *markers* are logged in differs (slot-major here,
+    chronological on the kernel), which the sorted trace export
+    normalises away.
     """
 
     __slots__ = ("injector", "bases")
@@ -224,8 +302,4 @@ class RankPricedCompute(DeferredRankDurations):
         self.bases = bases
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
-        compute_duration = self.injector.compute_duration
-        return np.array([
-            compute_duration(base, start)
-            for base, start in zip(self.bases.tolist(), starts.tolist())
-        ])
+        return self.injector.compute_durations(self.bases, starts)

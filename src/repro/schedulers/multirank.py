@@ -70,6 +70,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.fastpath import Timeline
 from repro.sim.resources import DeferredDuration
 from repro.sim.trace import Tracer
+from repro.telemetry.registry import default_registry
 
 __all__ = ["HeterogeneousResult", "simulate_heterogeneous", "POLICIES"]
 
@@ -224,37 +225,48 @@ class _EventShim:
 
 
 class _RankDurations:
-    """Slot durations on explicit ranks, as cached ``(vector, list)`` pairs.
+    """Slot durations on explicit ranks, as cached ``(world,)`` vectors.
 
-    The vector feeds the rank-axis replay, the list the event kernel's
-    per-rank streams; each pair is built once and reused across
-    iterations.  ``timings[0]`` is the planning rank.
+    Ranks that share one :class:`TimingModel` object form a *class*
+    (:class:`_Run` builds one model per distinct compute scale): each
+    FF/BP layer time and kernel ratio is priced once per class and
+    expanded to the rank axis with the ``inverse`` index array, which
+    copies values exactly.  The vector feeds the rank-axis replay; the
+    event kernel's per-rank streams take its list.  Each vector is
+    built once and reused across iterations.  ``classes[0]`` is the
+    planning rank's.
     """
 
-    __slots__ = ("timings", "_ff", "_bp", "_kernels", "_ratios")
+    __slots__ = ("classes", "inverse", "_ff", "_bp", "_kernels", "_ratios")
 
     def __init__(self, timings: list[TimingModel]):
-        self.timings = timings
-        self._ff: dict[int, tuple[np.ndarray, list[float]]] = {}
-        self._bp: dict[int, tuple[np.ndarray, list[float]]] = {}
-        self._kernels: dict[float, tuple[np.ndarray, list[float]]] = {}
+        #: one timing model per class, in order of first appearance.
+        self.classes = list({id(timing): timing for timing in timings}.values())
+        index = {id(timing): number for number, timing in enumerate(self.classes)}
+        #: class of each rank.
+        self.inverse = np.array(
+            [index[id(timing)] for timing in timings], dtype=np.intp
+        )
+        self._ff: dict[int, np.ndarray] = {}
+        self._bp: dict[int, np.ndarray] = {}
+        self._kernels: dict[float, np.ndarray] = {}
         self._ratios: Optional[np.ndarray] = None
 
     def _layer(self, cache: dict, times: Callable[[TimingModel], float],
-               layer_index: int) -> tuple[np.ndarray, list[float]]:
-        entry = cache.get(layer_index)
-        if entry is None:
-            vec = np.array([times(timing) for timing in self.timings])
-            entry = cache[layer_index] = (vec, vec.tolist())
-        return entry
+               layer_index: int) -> np.ndarray:
+        vec = cache.get(layer_index)
+        if vec is None:
+            per_class = np.array([times(timing) for timing in self.classes])
+            vec = cache[layer_index] = per_class[self.inverse]
+        return vec
 
-    def ff(self, layer_index: int) -> tuple[np.ndarray, list[float]]:
+    def ff(self, layer_index: int) -> np.ndarray:
         return self._layer(self._ff, lambda t: t.ff_time(layer_index), layer_index)
 
-    def bp(self, layer_index: int) -> tuple[np.ndarray, list[float]]:
+    def bp(self, layer_index: int) -> np.ndarray:
         return self._layer(self._bp, lambda t: t.bp_time(layer_index), layer_index)
 
-    def kernel(self, duration: float) -> tuple[np.ndarray, list[float]]:
+    def kernel(self, duration: float) -> np.ndarray:
         """A workload kernel of ``duration`` seconds on the planning rank.
 
         Each rank runs it at its own :func:`build_profile
@@ -263,16 +275,15 @@ class _RankDurations:
         planning rank IS the scale ratio (:func:`_check_heterogeneous`
         rejects a zero planning scale).
         """
-        entry = self._kernels.get(duration)
-        if entry is None:
+        vec = self._kernels.get(duration)
+        if vec is None:
             if self._ratios is None:
-                planning = self.timings[0].t_ff
+                planning = self.classes[0].t_ff
                 self._ratios = np.array(
-                    [timing.t_ff / planning for timing in self.timings]
-                )
-            vec = duration * self._ratios
-            entry = self._kernels[duration] = (vec, vec.tolist())
-        return entry
+                    [timing.t_ff / planning for timing in self.classes]
+                )[self.inverse]
+            vec = self._kernels[duration] = duration * self._ratios
+        return vec
 
 
 class MultiRankIterationContext(IterationContext):
@@ -302,7 +313,7 @@ class MultiRankIterationContext(IterationContext):
         ]
 
     def _compute_slot(self, durations, name, category, gate, metadata):
-        _, per_rank = durations
+        per_rank = durations.tolist()
         if self.faults is not None:
             per_rank = [self.faults.compute_priced(base) for base in per_rank]
         jobs = [
@@ -348,7 +359,9 @@ class FastMultiRankContext(FastIterationContext):
     :class:`~repro.faults.timing.RankPricedCompute` vectors and
     collectives :class:`~repro.faults.timing.PricedCollective` scalars,
     priced at replay from the same start times the event kernel would
-    price at.
+    price at.  Set-up work is per rank class, not per rank
+    (:class:`_RankDurations`); each recording observes its class count
+    in the ``sim.multirank.rank_classes`` histogram.
     """
 
     engine = "multirank-fastpath"
@@ -358,7 +371,12 @@ class FastMultiRankContext(FastIterationContext):
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
         timings = list(timings)
-        self._bind(timings[0], cost, tracer, faults, _RankDurations(timings))
+        durations = _RankDurations(timings)
+        self._bind(timings[0], cost, tracer, faults, durations)
+        default_registry().histogram(
+            "sim.multirank.rank_classes",
+            "distinct compute profiles per multi-rank recording",
+        ).observe(len(durations.classes))
         self.world = len(timings)
         self._timeline = Timeline(self.world)
         self.sim = self._timeline.sim
@@ -366,13 +384,13 @@ class FastMultiRankContext(FastIterationContext):
         self.comm = self.stream("comm")
 
     def _compute_slot(self, durations, name, category, gate, metadata):
-        vec, per_rank = durations
         faults = self.faults
         if self.world == 1:
             # A one-rank timeline records plain floats.
-            body = per_rank[0] if faults is None else faults.compute_priced(per_rank[0])
+            base = durations.item(0)
+            body = base if faults is None else faults.compute_priced(base)
         else:
-            body = vec if faults is None else faults.compute_priced_ranks(vec)
+            body = durations if faults is None else faults.compute_priced_ranks(durations)
         return self.compute.submit(
             body, name=name, category=category, gate=gate, metadata=metadata
         )
@@ -436,7 +454,8 @@ class _Run:
     A collapsed run (:func:`_check_heterogeneous`) gets the single-rank
     contexts and rank 0's timing model, so its recordings batch with
     plain single-rank specs; any other run gets the multi-rank contexts
-    and one timing model per rank.  The public entry points pass
+    and one timing model per distinct compute scale, shared by every
+    rank with that scale (a rank class).  The public entry points pass
     ``collapse=True``; ``collapse=False``, every rank explicitly, is the
     reference the collapse is tested against.
     """
@@ -465,15 +484,20 @@ class _Run:
         self.iterations, self.faults = iterations, faults
         self.scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
         cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
-        timings = [
-            TimingModel.for_model(
-                model,
-                batch_size=batch_size,
-                iteration_compute=iteration_compute,
-                compute_scale=scale,
-            )
-            for scale in self.compute_scales[:1 if collapsed else None]
-        ]
+        # One timing model per distinct scale, shared by its ranks: the
+        # rank classes _RankDurations prices once each.
+        profiles: dict[float, TimingModel] = {}
+        timings = []
+        for scale in self.compute_scales[:1 if collapsed else None]:
+            timing = profiles.get(scale)
+            if timing is None:
+                timing = profiles[scale] = TimingModel.for_model(
+                    model,
+                    batch_size=batch_size,
+                    iteration_compute=iteration_compute,
+                    compute_scale=scale,
+                )
+            timings.append(timing)
         self.workload = self.scheduler._resolve_workload(workload, timings[0], cost)
         # (vectorized replay, event kernel), and what both are built from.
         if collapsed:

@@ -55,6 +55,12 @@ Chrome traces byte-for-byte equal — pinned by the differential suites
 (``tests/sim/test_fastpath.py``, ``tests/sim/test_multirank_fastpath.py``,
 ``tests/sim/test_batched.py``) and by ``tests/sim/replay_golden.json``.
 
+A timeline owns its streams, slot handles and simulator shim, and they
+refer back to it only weakly, so a recording has no reference cycle:
+dropping the context that holds it frees it at once, without waiting
+for the cycle collector.  A handle read after its timeline is gone
+raises ``RuntimeError``.
+
 A periodic recording need not be made slot by slot: :meth:`Timeline.tile`
 appends copies of its last block — one iteration — with gate ids shifted
 one block per copy, so a scheduler records two iterations and the
@@ -79,6 +85,7 @@ passes ``fastpath=False`` to take the event kernel outright.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -158,6 +165,8 @@ class JobSet:
     Timestamps read the replay's ``(slots, world)`` result arrays and
     are ``None`` before the slot's timeline has been replayed, mirroring
     the unset timestamps of a job the event kernel has not executed.
+    The handle refers to its timeline weakly; reading a timestamp after
+    the timeline has been freed raises ``RuntimeError``.
     ``metadata`` is one dict *shared by all ranks* — scheduler-side
     mutations (flow ids, fusion attribution) apply to every rank's span
     at once.
@@ -165,8 +174,8 @@ class JobSet:
 
     __slots__ = ("_timeline", "index", "name", "category", "metadata", "done")
 
-    def __init__(self, timeline: "Timeline", index: int, name: str,
-                 category: str, metadata: dict):
+    def __init__(self, timeline: "weakref.ref[Timeline]", index: int,
+                 name: str, category: str, metadata: dict):
         self._timeline = timeline
         self.index = index
         self.name = name
@@ -177,23 +186,23 @@ class JobSet:
     @property
     def start(self) -> Optional[float]:
         """Rank 0's start (the job's start on a one-rank timeline)."""
-        starts = self._timeline._starts
+        starts = _alive(self._timeline, "slot", self.name)._starts
         return None if starts is None else float(starts[self.index, 0])
 
     @property
     def end(self) -> Optional[float]:
         """Rank 0's end (the job's end on a one-rank timeline)."""
-        ends = self._timeline._ends
+        ends = _alive(self._timeline, "slot", self.name)._ends
         return None if ends is None else float(ends[self.index, 0])
 
     @property
     def starts(self) -> Optional[np.ndarray]:
-        starts = self._timeline._starts
+        starts = _alive(self._timeline, "slot", self.name)._starts
         return None if starts is None else starts[self.index]
 
     @property
     def ends(self) -> Optional[np.ndarray]:
-        ends = self._timeline._ends
+        ends = _alive(self._timeline, "slot", self.name)._ends
         return None if ends is None else ends[self.index]
 
     def rank_start(self, rank: int) -> float:
@@ -207,12 +216,15 @@ class JobSet:
 
 
 class Stream:
-    """One in-order stream *group*: its instance on every rank."""
+    """One in-order stream *group*: its instance on every rank.
+
+    Refers to its timeline weakly, like :class:`JobSet`.
+    """
 
     __slots__ = ("_timeline", "stream_id", "name", "actors", "jobs_submitted")
 
-    def __init__(self, timeline: "Timeline", stream_id: int, name: str,
-                 actors: list[str]):
+    def __init__(self, timeline: "weakref.ref[Timeline]", stream_id: int,
+                 name: str, actors: list[str]):
         self._timeline = timeline
         self.stream_id = stream_id
         self.name = name
@@ -235,7 +247,7 @@ class Stream:
         :class:`DeferredDuration`; otherwise a ``(world,)`` duration
         vector or a :class:`DeferredRankDurations`.
         """
-        timeline = self._timeline
+        timeline = _alive(self._timeline, "stream", self.name)
         world = timeline.world
         if world == 1:
             # A plain non-negative float (nearly every slot) needs no
@@ -276,11 +288,19 @@ class Stream:
         """Record one rendezvous collective slot: a fixed duration shared
         by all ranks, or a :class:`DeferredDuration` priced at the
         rendezvous start.  On one rank a collective is an ordinary job."""
-        timeline = self._timeline
+        timeline = _alive(self._timeline, "stream", self.name)
         return timeline._record(
             self, _scalar_duration(body, name), timeline.world > 1, name,
             category, gate, metadata,
         )
+
+
+def _alive(ref: "weakref.ref[Timeline]", kind: str, name: str) -> "Timeline":
+    """The timeline behind ``ref``; raises naming the reader if it is gone."""
+    timeline = ref()
+    if timeline is None:
+        raise RuntimeError(f"{kind} {name!r}: its timeline has been freed")
+    return timeline
 
 
 def _scalar_duration(body: Any, name: str):
@@ -301,12 +321,13 @@ class SimShim:
 
     ``all_of`` composes gates; everything dynamic raises
     :class:`FastPathUnsupported` so the caller can fall back to the
-    event-driven kernel.
+    event-driven kernel.  Refers to its timeline weakly, like
+    :class:`JobSet`.
     """
 
     __slots__ = ("_timeline",)
 
-    def __init__(self, timeline: "Timeline"):
+    def __init__(self, timeline: "weakref.ref[Timeline]"):
         self._timeline = timeline
 
     def all_of(self, events: Iterable[Any], name: str = "all_of") -> Gate:
@@ -337,21 +358,27 @@ class SimShim:
 
     @property
     def now(self) -> float:
-        return self._timeline.final_time
+        return _alive(self._timeline, "simulator", "now").final_time
 
 
 class Timeline:
-    """Slot recorder for ``world`` ranks; :func:`replay` executes it."""
+    """Slot recorder for ``world`` ranks; :func:`replay` executes it.
 
-    __slots__ = ("world", "sim", "_streams", "_slot_streams", "_durations",
-                 "_collective", "_gates", "_categories", "_handles",
-                 "_deferred", "_starts", "_ends", "final_time")
+    Its streams, handles and shim share one weak reference back to it
+    (``_ref``), so the recording holds no reference cycle.
+    """
+
+    __slots__ = ("world", "sim", "_ref", "_streams", "_slot_streams",
+                 "_durations", "_collective", "_gates", "_categories",
+                 "_handles", "_deferred", "_starts", "_ends", "final_time",
+                 "__weakref__")
 
     def __init__(self, world: int = 1):
         if world < 1:
             raise ValueError(f"world size must be >= 1, got {world}")
         self.world = world
-        self.sim = SimShim(self)
+        self._ref = weakref.ref(self)
+        self.sim = SimShim(self._ref)
         self._streams: list[Stream] = []
         self._slot_streams: list[int] = []
         #: per slot: float | DeferredDuration for one-rank and collective
@@ -385,7 +412,7 @@ class Timeline:
             [actor] if actor
             else [f"rank{rank}.{name}" for rank in range(self.world)]
         )
-        stream = Stream(self, len(self._streams), name, actors)
+        stream = Stream(self._ref, len(self._streams), name, actors)
         self._streams.append(stream)
         return stream
 
@@ -442,7 +469,7 @@ class Timeline:
             )
         stream.jobs_submitted += 1
         index = len(self._slot_streams)
-        handle = JobSet(self, index, name, category, metadata or {})
+        handle = JobSet(self._ref, index, name, category, metadata or {})
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
         self._collective.append(collective)

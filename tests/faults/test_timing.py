@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.network.cost_model import CollectiveTimeModel
@@ -252,3 +254,106 @@ class TestDegradedModelKeepsTuning:
             "tree", 1e-10, 1e-3
         )
         assert (fixed.protocol, fixed.channels, fixed.ring_chunks) == (None, 1, 4)
+
+
+# -- vectorised rank pricing ----------------------------------------------------
+
+#: Window edges and starts share one grid, so starts land on edges.
+_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
+#: 2.0 x 0.5 and 4.0 x 0.25 multiply to exactly 1.0 where windows
+#: overlap; 1.1, 1.3 and 0.7 round, so the fold order shows.
+_FACTORS = (0.25, 0.5, 0.7, 1.0, 1.1, 1.3, 1.5, 2.0, 4.0)
+
+
+@st.composite
+def _windows(draw):
+    start = draw(st.sampled_from(_EDGES[:-1]))
+    end = draw(st.sampled_from([edge for edge in _EDGES if edge > start]))
+    return StragglerFault(start, end, compute_factor=draw(st.sampled_from(_FACTORS)))
+
+
+@st.composite
+def _pricing_cases(draw):
+    world = draw(st.integers(1, 12))
+    instant = st.one_of(
+        st.sampled_from(_EDGES),
+        st.floats(0.0, 1.25, allow_nan=False, allow_infinity=False),
+    )
+    base = st.one_of(
+        st.just(0.0), st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    )
+    slots = draw(st.lists(
+        st.tuples(
+            st.lists(base, min_size=world, max_size=world),
+            st.lists(instant, min_size=world, max_size=world),
+            # A collective priced after the slot, or none.
+            st.one_of(st.none(), instant),
+        ),
+        min_size=1, max_size=4,
+    ))
+    plan = FaultPlan(
+        stragglers=tuple(draw(st.lists(_windows(), min_size=1, max_size=3))),
+        link_faults=(LinkFault(0.25, 0.75, beta_factor=2.0),),
+    )
+    return plan, slots
+
+
+def _bits(value):
+    """``value`` with every float replaced by its exact ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(item) for item in value]
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    return value
+
+
+#: Three overlapping windows whose product depends on the fold order,
+#: a start on a window edge, a zero base and a rank outside every window.
+_ORDERED_CASE = (
+    FaultPlan(
+        stragglers=(
+            StragglerFault(0.0, 1.0, compute_factor=0.7),
+            StragglerFault(0.0, 0.75, compute_factor=1.3),
+            StragglerFault(0.25, 1.0, compute_factor=1.1),
+        ),
+        link_faults=(LinkFault(0.25, 0.75, beta_factor=2.0),),
+    ),
+    [([0.3, 0.0, 0.1, 0.2], [0.5, 0.25, 1.0, 0.25], 0.5)],
+)
+
+
+class TestRankPricing:
+    @settings(deadline=None, max_examples=150)
+    @given(case=_pricing_cases())
+    @example(case=_ORDERED_CASE)
+    def test_vectorised_resolve_matches_scalar_loop(self, case,
+                                                    ethernet_cluster):
+        """``RankPricedCompute.resolve`` is the scalar
+        ``compute_duration`` loop bit for bit: durations, the straggler
+        total and the expanded marker log, collective markers
+        interleaved in the same order."""
+        from repro.faults.timing import RankPricedCompute, TimingFaultInjector
+
+        plan, slots = case
+        cost = CollectiveTimeModel(ethernet_cluster)
+        vectorised = TimingFaultInjector(plan, cost)
+        scalar = TimingFaultInjector(plan, cost)
+        for bases, starts, collective in slots:
+            durations = RankPricedCompute(vectorised, np.array(bases)).resolve(
+                np.array(starts)
+            )
+            expected = [
+                scalar.compute_duration(base, start)
+                for base, start in zip(bases, starts)
+            ]
+            assert _bits(durations.tolist()) == _bits(expected)
+            if collective is not None:
+                for injector in (vectorised, scalar):
+                    injector.collective_duration("all_reduce", 4e6, 0.0, collective)
+        assert _bits(vectorised.straggler_seconds) == _bits(scalar.straggler_seconds)
+        rows = list(vectorised.event_rows())
+        assert _bits(rows) == _bits(scalar.events)
+        assert vectorised.summary() == scalar.summary()
+        assert vectorised.summary()["events"] == len(rows)

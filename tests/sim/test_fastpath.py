@@ -11,6 +11,9 @@ different associations, which is a ~1e-15 effect.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,13 +21,16 @@ from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
 from repro.models.profiles import TimingModel
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.network.cost_model import CollectiveTimeModel
+from repro.network.presets import cluster_10gbe
 from repro.schedulers.base import Scheduler, get_scheduler
+from repro.schedulers.multirank import record_heterogeneous_fast
 from repro.sim.engine import Simulator
 from repro.sim.fastpath import (
     FastPathUnsupported,
     Timeline,
     _replay_floats,
     _replay_lanes,
+    replay,
 )
 from repro.sim.resources import Stream
 from repro.sim.trace import Tracer
@@ -185,6 +191,46 @@ class TestFastTimeline:
             for fast_job, job in zip(fast_jobs, jobs):
                 assert _rel_equal(fast_job.start, job.start)
                 assert _rel_equal(fast_job.end, job.end)
+
+    @pytest.mark.parametrize("kind", ("solo", "tiled", "multirank", "batched"))
+    def test_recording_is_freed_without_the_cycle_collector(
+        self, kind, tiny_model, tiny_timing, ethernet_cost
+    ):
+        """Streams, handles and the shim refer to their timeline weakly,
+        so dropping the context frees the recording by reference
+        counting alone; a handle outliving it raises on read."""
+        scheduler = get_scheduler("dear", fusion="buffer")
+        gc.collect()
+        gc.disable()
+        try:
+            if kind == "multirank":
+                contexts = [record_heterogeneous_fast(
+                    "dear", tiny_model, cluster_10gbe(nodes=2, gpus_per_node=2),
+                    [1.0, 1.3, 1.0, 1.6], iteration_compute=0.03,
+                )]
+            else:
+                # A faulted run records in full; a healthy one tiles.
+                faults = FaultPlan(stragglers=(StragglerFault(0.0, 0.1),))
+                contexts = [
+                    scheduler.record_fast(
+                        tiny_timing, ethernet_cost, iterations=5,
+                        faults=faults if kind == "solo" else None,
+                    )
+                    for _ in range(2 if kind == "batched" else 1)
+                ]
+            refs = [weakref.ref(ctx._timeline) for ctx in contexts]
+            replay([ctx._timeline for ctx in contexts],
+                   [ctx.tracer for ctx in contexts])
+            for ctx in contexts:
+                ctx.finish()
+            handle = contexts[0].ff_first_jobs[0]
+            assert handle.start is not None
+            del ctx, contexts
+            assert [ref() for ref in refs] == [None] * len(refs)
+            with pytest.raises(RuntimeError, match=handle.name):
+                handle.start
+        finally:
+            gc.enable()
 
 
 class TestFastPathToggle:

@@ -291,6 +291,64 @@ def test_faults_route_through_fastpath_engine(registry, tiny):
     assert runs.value(engine="multirank-event") == 0
 
 
+# -- rank classes ---------------------------------------------------------------
+
+
+def test_one_profile_per_distinct_scale(monkeypatch, registry, tiny):
+    """A 1024-rank run builds one timing profile per distinct compute
+    scale, not one per rank, and reports its class count."""
+    from repro.models import profiles
+
+    calls = []
+    build_profile = profiles.build_profile
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("compute_scale"))
+        return build_profile(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "build_profile", counting)
+    cluster = cluster_10gbe(nodes=256, gpus_per_node=4)
+    rng = np.random.default_rng(3)
+    scales = [1.0] * cluster.world_size
+    for rank in rng.choice(cluster.world_size, size=40, replace=False):
+        scales[rank] = float(rng.choice([1.1, 1.25, 1.5, 2.0]))
+    result = simulate_heterogeneous(
+        "dear", tiny, cluster, scales, iteration_compute=0.03
+    )
+    assert result.extras["engine"] == "multirank-fastpath"
+    assert len(calls) == len(set(scales)) == 5
+    classes = registry.histogram("sim.multirank.rank_classes").labels()
+    assert (classes.count, classes.total) == (1, 5)
+
+
+@pytest.mark.parametrize("faults", (None, FAULTY), ids=("healthy", "faulty"))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_classes_in_scrambled_order_match_event_kernel(policy, faults, tiny):
+    """Repeated scales in scrambled rank order, and a zero scale off the
+    planning rank, give the event kernel's timeline, trace and fault
+    markers."""
+    scales = [1.3, 0.0, 1.0, 1.3, 1.6, 1.0, 1.6, 1.3]
+    cluster = cluster_10gbe(nodes=2, gpus_per_node=4)
+    fast, slow = (
+        _Run(policy, tiny, cluster, scales, faults=faults,
+             iteration_compute=0.03, collapse=False).simulate(
+            fastpath=fastpath, trace=True
+        )
+        for fastpath in (True, False)
+    )
+    _assert_identical(fast, slow)
+    if faults is not None:
+        # Same markers; the straggler total matches to rounding only, as
+        # the event kernel adds the extras in completion order and the
+        # replay slot by slot.
+        fast_faults = fast.extras["timing_faults"]
+        slow_faults = slow.extras["timing_faults"]
+        assert fast_faults["events"] == slow_faults["events"]
+        assert fast_faults["straggler_seconds"] == pytest.approx(
+            slow_faults["straggler_seconds"], rel=1e-12
+        )
+
+
 # -- engine selection ----------------------------------------------------------
 
 
