@@ -12,12 +12,15 @@ duration placeholders: :class:`PricedCompute` / :class:`PricedCollective`
 (one duration per job or collective, a
 :class:`~repro.sim.resources.DeferredDuration` the event kernel's
 streams and the rendezvous resolve at start, and the vectorized replay
-at the replayed start) and :class:`RankPricedCompute` (one per rank of a
-multi-rank :class:`~repro.sim.fastpath.Timeline`).  All of them call
-the same pricing functions with the same (base, start) arguments, so
-faulty runs stay on the vectorized replay and the engines stay
-bit-for-bit comparable — pinned by the fault test suite and the
-multirank differential suite.
+at the replayed start) and :class:`RankPricedCompute` (one per lane —
+rank class — of a multi-rank :class:`~repro.sim.fastpath.Timeline`).
+All of them perform the same float operations on the same (base, start)
+arguments, so faulty runs stay on the vectorized replay and the engines
+stay bit-for-bit comparable — pinned by the fault test suite and the
+multirank differential suite.  That includes the straggler total: every
+slowed job's extra seconds join it in the order the placeholders were
+*created* (slot-major, ranks in rank order), whatever order an engine
+resolves them in.
 
 Link degradation is priced by real degraded cost models, not by naive
 scaling: each distinct ``plan.link_factors(now)`` combination gets one
@@ -42,7 +45,7 @@ expands the log into markers, in order, only when a tracer asks.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,6 +65,9 @@ __all__ = [
 
 #: The healthy factor combination (shares the caller's cost model).
 _HEALTHY = (1.0, 1.0, 1.0, 1.0)
+
+#: A straggler-ledger entry whose placeholder has not been priced yet.
+_UNPRICED = object()
 
 
 class StragglerRows(NamedTuple):
@@ -97,8 +103,16 @@ class TimingFaultInjector:
         }
         #: extra comm seconds attributable to degraded links.
         self.degraded_link_seconds = 0.0
-        #: extra compute seconds attributable to stragglers.
+        #: extra compute seconds attributable to stragglers: a strict
+        #: left fold of every slowed job's extra in placeholder creation
+        #: order (:meth:`_fold`).
         self.straggler_seconds = 0.0
+        #: the extras, one entry per priced placeholder in creation
+        #: order: ``_UNPRICED``, ``None`` (not slowed), a float (one job)
+        #: or a rank-order array (one multi-rank slot); the first
+        #: ``_folded`` entries are in ``straggler_seconds``.
+        self._straggler_extras: list = []
+        self._folded = 0
         #: markers for the tracer, in injection order: ``(time, name,
         #: args)`` tuples and :class:`StragglerRows` blocks
         #: (:meth:`event_rows` expands both).
@@ -115,29 +129,67 @@ class TimingFaultInjector:
             self._models[factors] = model
         return model
 
+    def _fold(self) -> None:
+        """Add priced ledger entries to ``straggler_seconds``, in creation
+        order, up to the first unpriced one.
+
+        A scalar ``+=`` per slowed job, a seeded ``np.cumsum`` (the same
+        strict left fold) per multi-rank slot.  The event kernel prices a
+        multi-rank run's jobs in completion order and the replay slot by
+        slot, so folding in creation order is what makes their totals
+        bit-identical; both have priced every job by the end of a run.
+        """
+        extras = self._straggler_extras
+        total = self.straggler_seconds
+        index = self._folded
+        while index < len(extras) and extras[index] is not _UNPRICED:
+            extra = extras[index]
+            if type(extra) is float:
+                total += extra
+            elif extra is not None:
+                chain = np.empty(len(extra) + 1)
+                chain[0] = total
+                chain[1:] = extra
+                total = float(np.cumsum(chain)[-1])
+            index += 1
+        self.straggler_seconds = total
+        self._folded = index
+
     def compute_duration(self, base: float, now: float) -> float:
         """Duration of a compute job of healthy length ``base`` starting at ``now``."""
+        return self.compute_priced(base).resolve(now)
+
+    def _compute_job(self, base: float, now: float, entry: int) -> float:
+        """Price one compute job into its ledger ``entry``."""
         factor = self.plan.compute_factor(now)
+        slowed = base
         if factor == 1.0:
-            return base
-        slowed = base * factor
-        self.straggler_seconds += slowed - base
-        self.events.append(
-            (now, "fault.straggler", {"factor": factor, "extra": slowed - base})
-        )
+            self._straggler_extras[entry] = None
+        else:
+            slowed = base * factor
+            self._straggler_extras[entry] = slowed - base
+            self.events.append(
+                (now, "fault.straggler", {"factor": factor, "extra": slowed - base})
+            )
+        if entry == self._folded:
+            self._fold()
         return slowed
 
-    def compute_durations(self, bases: np.ndarray,
-                          starts: np.ndarray) -> np.ndarray:
+    def compute_durations(self, bases: np.ndarray, starts: np.ndarray,
+                          inverse: Optional[np.ndarray] = None) -> np.ndarray:
         """:meth:`compute_duration` for every rank of a slot at once.
 
-        The same float operations, rank by rank: the combined factor is
-        the plan's stragglers folded in order (``factor *
-        compute_factor`` where the window covers the start), a slowed
-        rank takes ``base * factor``, and the slowed ranks' extras join
-        ``straggler_seconds`` through a seeded ``np.cumsum`` — the strict
-        left fold, in rank order, of the scalar ``+=``.  The slowed
-        ranks' markers append as one :class:`StragglerRows` block.
+        ``bases`` and ``starts`` hold one entry per lane, and
+        ``inverse`` maps each rank to its lane (``None``: one lane per
+        rank).  The same float operations, lane by lane: the combined
+        factor is the plan's stragglers folded in order (``factor *
+        compute_factor`` where the window covers the start), and a
+        slowed lane takes ``base * factor``.  Every rank of a lane
+        starts with it, so that prices each rank.  The accounting is per
+        rank: factors and extras are gathered to the slowed ranks in
+        rank order, whose extras form the slot's entry of
+        :attr:`straggler_seconds` and whose markers append as one
+        :class:`StragglerRows` block.
         """
         factors = np.ones(len(starts))
         for straggler in self.plan.stragglers:
@@ -146,19 +198,19 @@ class TimingFaultInjector:
                 factors * straggler.compute_factor,
                 factors,
             )
-        hit = np.flatnonzero(factors != 1.0)
-        if not len(hit):
+        slowed_lanes = factors != 1.0
+        if not slowed_lanes.any():
             return bases
-        durations = bases.copy()
-        factors = factors[hit]
-        slowed = bases[hit] * factors
-        durations[hit] = slowed
-        extras = slowed - bases[hit]
-        chain = np.empty(len(hit) + 1)
-        chain[0] = self.straggler_seconds
-        chain[1:] = extras
-        self.straggler_seconds = float(np.cumsum(chain)[-1])
-        self.events.append(StragglerRows(starts[hit], factors, extras))
+        durations = np.where(slowed_lanes, bases * factors, bases)
+        # The lane of each slowed rank, in rank order.
+        hit = (
+            np.flatnonzero(slowed_lanes) if inverse is None
+            else inverse[slowed_lanes[inverse]]
+        )
+        extras = durations[hit] - bases[hit]
+        self._straggler_extras.append(extras)
+        self._fold()
+        self.events.append(StragglerRows(starts[hit], factors[hit], extras))
         return durations
 
     def collective_duration(
@@ -188,7 +240,8 @@ class TimingFaultInjector:
 
     def compute_priced(self, base: float) -> "PricedCompute":
         """One compute duration priced at the job's start."""
-        return PricedCompute(self, base)
+        self._straggler_extras.append(_UNPRICED)
+        return PricedCompute(self, base, len(self._straggler_extras) - 1)
 
     def collective_priced(
         self, kind: str, nbytes: float, extra: float
@@ -196,9 +249,12 @@ class TimingFaultInjector:
         """One collective duration priced at the (rendezvous) start."""
         return PricedCollective(self, kind, nbytes, extra)
 
-    def compute_priced_ranks(self, bases: np.ndarray) -> "RankPricedCompute":
-        """Per-rank compute durations the rank-axis replay prices."""
-        return RankPricedCompute(self, bases)
+    def compute_priced_ranks(
+        self, bases: np.ndarray, inverse: np.ndarray
+    ) -> "RankPricedCompute":
+        """Per-lane compute durations the multi-rank replay prices;
+        ``inverse`` maps each rank to its lane."""
+        return RankPricedCompute(self, bases, inverse)
 
     # -- reporting -------------------------------------------------------------
 
@@ -249,19 +305,21 @@ class TimingFaultInjector:
 class PricedCompute(DeferredDuration):
     """Compute duration resolved at job start, on any engine.
 
-    Both the event kernel and the replay call
-    :meth:`TimingFaultInjector.compute_duration` through it, so they
-    charge bit-identical durations and record identical fault events.
+    Both the event kernel and the replay price it through the injector,
+    so they charge bit-identical durations and record identical fault
+    events.  ``entry`` is its place in the straggler total's creation
+    order.
     """
 
-    __slots__ = ("injector", "base")
+    __slots__ = ("injector", "base", "entry")
 
-    def __init__(self, injector: TimingFaultInjector, base: float):
+    def __init__(self, injector: TimingFaultInjector, base: float, entry: int):
         self.injector = injector
         self.base = base
+        self.entry = entry
 
     def resolve(self, start: float) -> float:
-        return self.injector.compute_duration(self.base, start)
+        return self.injector._compute_job(self.base, start, self.entry)
 
 
 class PricedCollective(DeferredDuration):
@@ -283,23 +341,28 @@ class PricedCollective(DeferredDuration):
 
 
 class RankPricedCompute(DeferredRankDurations):
-    """Per-rank compute durations the multi-rank replay prices at start.
+    """Per-lane compute durations the multi-rank replay prices at start.
 
+    ``bases`` holds one healthy duration per lane (rank class) and
+    ``inverse`` each rank's lane (``None``: one lane per rank).
     Resolution is :meth:`TimingFaultInjector.compute_durations`: one
-    vectorised pass over the slot's ranks that performs the scalar
+    vectorised pass over the slot's lanes that performs the scalar
     :meth:`~TimingFaultInjector.compute_duration`'s float operations per
-    rank, so the durations and the straggler total are bit-identical to
-    the event kernel's per-rank :class:`PricedCompute` jobs.  Only the
-    order fault *markers* are logged in differs (slot-major here,
-    chronological on the kernel), which the sorted trace export
-    normalises away.
+    lane, and so per rank, so the durations and the straggler total are
+    bit-identical to the event kernel's per-rank :class:`PricedCompute`
+    jobs.  The replay resolves slots in submission order, which is
+    creation order.  Only the order fault *markers* are logged in
+    differs (slot-major here, chronological on the kernel), which the
+    sorted trace export normalises away.
     """
 
-    __slots__ = ("injector", "bases")
+    __slots__ = ("injector", "bases", "inverse")
 
-    def __init__(self, injector: TimingFaultInjector, bases: np.ndarray):
+    def __init__(self, injector: TimingFaultInjector, bases: np.ndarray,
+                 inverse: Optional[np.ndarray] = None):
         self.injector = injector
         self.bases = bases
+        self.inverse = inverse
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
-        return self.injector.compute_durations(self.bases, starts)
+        return self.injector.compute_durations(self.bases, starts, self.inverse)

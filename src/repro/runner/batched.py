@@ -43,7 +43,7 @@ from repro.telemetry.registry import default_registry
 
 __all__ = ["run_batched"]
 
-#: Soft cap on configs x slots x world per replay group: one group's
+#: Soft cap on configs x slots x lanes per replay group: one group's
 #: start/end tensors stay under ~64 MiB each.  Chunking a group does
 #: not change any config's results (chunks replay independently).
 _MAX_GROUP_ELEMENTS = 8_388_608
@@ -103,7 +103,7 @@ def _record(spec: RunSpec) -> _Recorded:
 
 def _chunks(group: list):
     timeline = group[0].ctx._timeline
-    per_config = max(1, timeline.slots_recorded) * timeline.world
+    per_config = max(1, timeline.slots_recorded) * timeline.lanes
     size = max(1, _MAX_GROUP_ELEMENTS // per_config)
     for lo in range(0, len(group), size):
         yield group[lo:lo + size]

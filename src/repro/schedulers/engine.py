@@ -68,8 +68,8 @@ class IterationContext:
     Schedulers call only what this class defines: the FF/BP/kernel and
     collective submit helpers, ``ctx.sim.all_of``, ``ff_start_times``.
     An engine supplies how one slot is realised — ``durations`` (floats
-    on the representative rank, cached ``(world,)`` vectors on explicit
-    ranks), :meth:`_compute_slot`, :meth:`_collective_slot` and
+    on the representative rank, cached one-per-rank-class vectors on
+    explicit ranks), :meth:`_compute_slot`, :meth:`_collective_slot` and
     :meth:`run` — so span names, categories and metadata are built once
     and stay byte-identical across engines.  Timing faults are priced by
     the same placeholder objects on every engine

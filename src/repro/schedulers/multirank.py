@@ -27,9 +27,9 @@ execution engines back that API:
   rendezvous collectives on the event kernel — fully general, but
   O(world x jobs) events;
 - :class:`FastMultiRankContext` records the same schedule into a
-  ``world``-rank :class:`~repro.sim.fastpath.Timeline` and replays it in
-  closed form along the rank axis — the engine that makes 1024-GPU
-  sweeps interactive.
+  ``world``-rank :class:`~repro.sim.fastpath.Timeline` with one lane per
+  rank class and replays it in closed form along the lane axis — the
+  engine that makes 1024-GPU sweeps interactive.
 
 Engine selection is :meth:`repro.schedulers.base.Scheduler.run`'s:
 vectorized replay first (unless the run passes ``fastpath=False``),
@@ -225,16 +225,16 @@ class _EventShim:
 
 
 class _RankDurations:
-    """Slot durations on explicit ranks, as cached ``(world,)`` vectors.
+    """Slot durations on explicit ranks, as cached ``(classes,)`` vectors.
 
     Ranks that share one :class:`TimingModel` object form a *class*
     (:class:`_Run` builds one model per distinct compute scale): each
-    FF/BP layer time and kernel ratio is priced once per class and
-    expanded to the rank axis with the ``inverse`` index array, which
-    copies values exactly.  The vector feeds the rank-axis replay; the
-    event kernel's per-rank streams take its list.  Each vector is
-    built once and reused across iterations.  ``classes[0]`` is the
-    planning rank's.
+    FF/BP layer time and kernel ratio is priced once per class.  The
+    vector is what the replay records, one lane per class; the event
+    kernel's per-rank streams expand it to ranks with the ``inverse``
+    index array, which copies values exactly.  Each vector is built once
+    and reused across iterations.  ``classes[0]`` is the planning
+    rank's, so rank 0 is always in class 0.
     """
 
     __slots__ = ("classes", "inverse", "_ff", "_bp", "_kernels", "_ratios")
@@ -256,8 +256,9 @@ class _RankDurations:
                layer_index: int) -> np.ndarray:
         vec = cache.get(layer_index)
         if vec is None:
-            per_class = np.array([times(timing) for timing in self.classes])
-            vec = cache[layer_index] = per_class[self.inverse]
+            vec = cache[layer_index] = np.array(
+                [times(timing) for timing in self.classes]
+            )
         return vec
 
     def ff(self, layer_index: int) -> np.ndarray:
@@ -281,7 +282,7 @@ class _RankDurations:
                 planning = self.classes[0].t_ff
                 self._ratios = np.array(
                     [timing.t_ff / planning for timing in self.classes]
-                )[self.inverse]
+                )
             vec = self._kernels[duration] = duration * self._ratios
         return vec
 
@@ -313,7 +314,7 @@ class MultiRankIterationContext(IterationContext):
         ]
 
     def _compute_slot(self, durations, name, category, gate, metadata):
-        per_rank = durations.tolist()
+        per_rank = durations[self.durations.inverse].tolist()
         if self.faults is not None:
             per_rank = [self.faults.compute_priced(base) for base in per_rank]
         jobs = [
@@ -348,10 +349,11 @@ class MultiRankIterationContext(IterationContext):
 
 
 class FastMultiRankContext(FastIterationContext):
-    """Every rank on the rank-axis vectorized replay.
+    """Every rank on the vectorized replay, one lane per rank class.
 
     Records the schedule into a ``world``-rank
-    :class:`~repro.sim.fastpath.Timeline` — two iterations of a healthy,
+    :class:`~repro.sim.fastpath.Timeline` whose lanes are the rank
+    classes of :class:`_RankDurations` — two iterations of a healthy,
     untraced run, tiled to the rest as on one rank; dynamic
     features raise :class:`~repro.sim.fastpath.FastPathUnsupported` and
     the caller falls back to :class:`MultiRankIterationContext`.
@@ -359,8 +361,8 @@ class FastMultiRankContext(FastIterationContext):
     :class:`~repro.faults.timing.RankPricedCompute` vectors and
     collectives :class:`~repro.faults.timing.PricedCollective` scalars,
     priced at replay from the same start times the event kernel would
-    price at.  Set-up work is per rank class, not per rank
-    (:class:`_RankDurations`); each recording observes its class count
+    price at.  Set-up, pricing and replay are per rank class, not per
+    rank; each recording observes its class count — the replay width —
     in the ``sim.multirank.rank_classes`` histogram.
     """
 
@@ -378,7 +380,7 @@ class FastMultiRankContext(FastIterationContext):
             "distinct compute profiles per multi-rank recording",
         ).observe(len(durations.classes))
         self.world = len(timings)
-        self._timeline = Timeline(self.world)
+        self._timeline = Timeline(self.world, rank_lanes=durations.inverse)
         self.sim = self._timeline.sim
         self.compute = self.stream("compute")
         self.comm = self.stream("comm")
@@ -390,7 +392,10 @@ class FastMultiRankContext(FastIterationContext):
             base = durations.item(0)
             body = base if faults is None else faults.compute_priced(base)
         else:
-            body = durations if faults is None else faults.compute_priced_ranks(durations)
+            body = (
+                durations if faults is None
+                else faults.compute_priced_ranks(durations, self.durations.inverse)
+            )
         return self.compute.submit(
             body, name=name, category=category, gate=gate, metadata=metadata
         )

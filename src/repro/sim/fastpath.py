@@ -24,6 +24,19 @@ every rank ends at ``start + duration``.  A single-rank run is
 ``world=1``: it records plain floats and a collective is an ordinary
 job.
 
+Ranks are replayed as *lanes*.  A timeline built with ``rank_lanes``
+maps each rank to a lane, and ranks that share a lane are promised to
+have equal durations in every per-rank slot (a rank class: equal
+compute profiles).  By induction over slots such ranks have equal
+gates and arrivals, hence equal starts and ends, and a rendezvous — a
+``max`` over ranks — is the same ``max`` over lanes.  So a per-rank slot
+records one duration per *lane*, the replay runs at lane width, and the
+``(slots, lanes)`` results are expanded to ranks through the index only
+where a per-rank value is read (:class:`JobSet` timestamps, spans).
+Rank 0 is always lane 0, so rank-0 reads (measurement, first-FF starts)
+take column 0 as they are.  Without ``rank_lanes`` every rank is its own
+lane: the per-rank replay is the case where every rank is its own class.
+
 :func:`replay` takes a group of structurally identical recordings —
 same stream layout, same gate graph, different durations (a policy
 sweep over models, clusters, fusion plans or fault scenarios) — and
@@ -41,13 +54,13 @@ recordable schedule is therefore deadlock-free by construction (the
 dependency graph only has back-edges), matching the event kernel,
 which completes the same schedules.
 
-Two loops implement the recurrence, chosen by the number of lanes
-(``configs x world``), never by an option: one lane runs a Python-float
-loop, several lanes one numpy loop over ``(slots, configs, world)``
-tensors.  Both perform the same IEEE operations in the same order, so
-they agree bit for bit (pinned in ``tests/sim/test_fastpath.py``); the
-float loop exists because at one lane it is several times faster than
-numpy's per-call overhead allows.
+Two loops implement the recurrence, chosen by the size of the replay
+(``configs x world``), never by an option: one config of one rank runs
+a Python-float loop, anything larger one numpy loop over ``(slots,
+configs, lanes)`` tensors.  Both perform the same IEEE operations in
+the same order, so they agree bit for bit (pinned in
+``tests/sim/test_fastpath.py``); the float loop exists because at one
+lane it is several times faster than numpy's per-call overhead allows.
 
 Because every replay performs *the same float operations in the same
 order* as the event kernel, timestamps are bit-identical and exported
@@ -71,11 +84,12 @@ replay runs every slot either way.
 Durations need not be known at record time: a slot may carry a
 :class:`~repro.sim.resources.DeferredDuration` (one duration, priced
 from a start time — the same object the event kernel's streams resolve
-at job start) or, per rank, a :class:`DeferredRankDurations` (priced
-from the ranks' start vector).  They are resolved during replay once
+at job start) or, per lane, a :class:`DeferredRankDurations` (priced
+from the lanes' start vector).  They are resolved during replay once
 the start is known; that is how timing faults
-(:mod:`repro.faults.timing`) ride the fast path.  A deferred slot breaks the cumsum batching at that slot;
-everything around it stays vectorized.  Anything genuinely dynamic —
+(:mod:`repro.faults.timing`) ride the fast path.  A deferred slot
+breaks the cumsum batching at that slot; everything around it stays
+vectorized.  Anything genuinely dynamic —
 process bodies, ``sim.event()``, raw callbacks — raises
 :class:`FastPathUnsupported`, and the caller falls back to the event
 kernel (:meth:`repro.schedulers.base.Scheduler.run`,
@@ -128,13 +142,14 @@ class BatchMismatch(ValueError):
 
 
 class DeferredRankDurations:
-    """Per-rank durations resolved at replay from the per-rank starts.
+    """Per-lane durations resolved at replay from the per-lane starts.
 
     Implementations (e.g. the timing-fault injector's straggler pricer)
-    receive the slot's ``(world,)`` start-time vector and return the
-    ``(world,)`` duration vector, performing the same float operations
+    receive the slot's ``(lanes,)`` start-time vector and return the
+    ``(lanes,)`` duration vector, performing the same float operations
     as one :class:`~repro.sim.resources.DeferredDuration` per rank on
-    the event kernel.
+    the event kernel.  Every rank of a lane starts at its lane's start,
+    so pricing a lane prices each of its ranks.
     """
 
     __slots__ = ()
@@ -162,7 +177,9 @@ class Gate:
 class JobSet:
     """One recorded slot: the same submission on every rank's stream.
 
-    Timestamps read the replay's ``(slots, world)`` result arrays and
+    Timestamps read the replay's ``(slots, lanes)`` result arrays —
+    ``starts``/``ends`` expanded to ``(world,)`` through the timeline's
+    rank-to-lane index — and
     are ``None`` before the slot's timeline has been replayed, mirroring
     the unset timestamps of a job the event kernel has not executed.
     The handle refers to its timeline weakly; reading a timestamp after
@@ -197,13 +214,15 @@ class JobSet:
 
     @property
     def starts(self) -> Optional[np.ndarray]:
-        starts = _alive(self._timeline, "slot", self.name)._starts
-        return None if starts is None else starts[self.index]
+        """Every rank's start, ``(world,)``."""
+        timeline = _alive(self._timeline, "slot", self.name)
+        return timeline._per_rank(timeline._starts, self.index)
 
     @property
     def ends(self) -> Optional[np.ndarray]:
-        ends = _alive(self._timeline, "slot", self.name)._ends
-        return None if ends is None else ends[self.index]
+        """Every rank's end, ``(world,)``."""
+        timeline = _alive(self._timeline, "slot", self.name)
+        return timeline._per_rank(timeline._ends, self.index)
 
     def rank_start(self, rank: int) -> float:
         starts = self.starts
@@ -244,12 +263,12 @@ class Stream:
         """Record one per-rank slot; mirrors ``Stream.submit``.
 
         On a one-rank timeline ``body`` is a fixed duration or a
-        :class:`DeferredDuration`; otherwise a ``(world,)`` duration
-        vector or a :class:`DeferredRankDurations`.
+        :class:`DeferredDuration`; otherwise a ``(lanes,)`` duration
+        vector (one duration per rank without ``rank_lanes``) or a
+        :class:`DeferredRankDurations`.
         """
         timeline = _alive(self._timeline, "stream", self.name)
-        world = timeline.world
-        if world == 1:
+        if timeline.world == 1:
             # A plain non-negative float (nearly every slot) needs no
             # further checks.
             durations = (
@@ -265,9 +284,10 @@ class Stream:
                     f"vectors, got {type(body).__name__}",
                     reason="dynamic_duration",
                 )
-            if body.shape != (world,):
+            lanes = timeline.lanes
+            if body.shape != (lanes,):
                 raise ValueError(
-                    f"slot {name!r}: expected {world} durations, got shape "
+                    f"slot {name!r}: expected {lanes} durations, got shape "
                     f"{body.shape}"
                 )
             if np.any(body < 0):
@@ -364,25 +384,45 @@ class SimShim:
 class Timeline:
     """Slot recorder for ``world`` ranks; :func:`replay` executes it.
 
-    Its streams, handles and shim share one weak reference back to it
+    ``rank_lanes`` is the lane of each rank (see the module docstring):
+    ``(world,)`` integers that use every lane ``0..lanes-1`` and put
+    rank 0 on lane 0.  ``None`` gives every rank its own lane.  Its
+    streams, handles and shim share one weak reference back to it
     (``_ref``), so the recording holds no reference cycle.
     """
 
-    __slots__ = ("world", "sim", "_ref", "_streams", "_slot_streams",
-                 "_durations", "_collective", "_gates", "_categories",
-                 "_handles", "_deferred", "_starts", "_ends", "final_time",
-                 "__weakref__")
+    __slots__ = ("world", "lanes", "sim", "_inverse", "_ref", "_streams",
+                 "_slot_streams", "_durations", "_collective", "_gates",
+                 "_categories", "_handles", "_deferred", "_starts", "_ends",
+                 "final_time", "__weakref__")
 
-    def __init__(self, world: int = 1):
+    def __init__(self, world: int = 1, rank_lanes: Optional[np.ndarray] = None):
         if world < 1:
             raise ValueError(f"world size must be >= 1, got {world}")
         self.world = world
+        #: rank -> lane index; ``None`` when every rank is its own lane.
+        self._inverse: Optional[np.ndarray] = None
+        self.lanes = world
+        if rank_lanes is not None:
+            inverse = np.asarray(rank_lanes, dtype=np.intp)
+            if (inverse.shape != (world,) or inverse[0] != 0
+                    or inverse.min() < 0):
+                raise ValueError(
+                    f"rank_lanes must map {world} ranks to lanes, rank 0 "
+                    f"to lane 0"
+                )
+            counts = np.bincount(inverse)
+            if not counts.all():
+                raise ValueError("rank_lanes must use every lane 0..lanes-1")
+            self.lanes = len(counts)
+            if not np.array_equal(inverse, np.arange(world)):
+                self._inverse = inverse
         self._ref = weakref.ref(self)
         self.sim = SimShim(self._ref)
         self._streams: list[Stream] = []
         self._slot_streams: list[int] = []
         #: per slot: float | DeferredDuration for one-rank and collective
-        #: slots, (world,) ndarray | DeferredRankDurations otherwise;
+        #: slots, (lanes,) ndarray | DeferredRankDurations otherwise;
         #: deferred entries are replaced by their resolved values during
         #: replay.
         self._durations: list[Any] = []
@@ -395,7 +435,7 @@ class Timeline:
         #: copies :meth:`tile` appends have none.
         self._handles: list[JobSet] = []
         self._deferred = False
-        #: (slots, world) results, set by :func:`replay`.
+        #: (slots, lanes) results, set by :func:`replay`.
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
         self.final_time = 0.0
@@ -429,14 +469,16 @@ class Timeline:
     def signature(self) -> tuple:
         """Structural identity of the recording.
 
-        Timelines with equal signatures recorded the same rank count,
-        stream sequence, rendezvous flags and static gate graph, so they
-        replay under the same control flow and may share one
+        Timelines with equal signatures recorded the same rank and lane
+        counts, stream sequence, rendezvous flags and static gate graph,
+        so they replay under the same control flow and may share one
         :func:`replay`.  Durations (including whether a slot is
-        deferred) deliberately do not participate.
+        deferred) and which ranks share a lane deliberately do not
+        participate.
         """
         return (
             self.world,
+            self.lanes,
             tuple(self._slot_streams),
             tuple(self._collective),
             tuple(self._gates),
@@ -516,6 +558,16 @@ class Timeline:
         """Replay this timeline alone; returns the final virtual time."""
         return replay([self], [tracer])[0]
 
+    def _per_rank(self, results: Optional[np.ndarray],
+                  slot: Optional[int] = None) -> Optional[np.ndarray]:
+        """``_starts`` or ``_ends`` expanded from lanes to ranks: one
+        slot's ``(world,)`` row, or every slot's ``(slots, world)``."""
+        if results is None:
+            return None
+        if slot is not None:
+            results = results[slot]
+        return results if self._inverse is None else results[..., self._inverse]
+
     def timed_jobs(
         self, window: tuple[float, float]
     ) -> list[tuple[float, float, str]]:
@@ -555,8 +607,8 @@ class Timeline:
         actors = [stream.actors for stream in self._streams]
         # Flat slot-major lists: one Python float per (slot, rank) and no
         # per-slot row lists to allocate.
-        starts = self._starts.ravel().tolist()
-        ends = self._ends.ravel().tolist()
+        starts = self._per_rank(self._starts).ravel().tolist()
+        ends = self._per_rank(self._ends).ravel().tolist()
         if self.world == 1:
             # One rank: skip the per-slot rank loop, a tenth of the
             # emission time on a solo replay.
@@ -588,7 +640,7 @@ def replay(
 ) -> list[float]:
     """Replay structurally identical recordings; returns final times.
 
-    Sets each timeline's per-rank start/end arrays and ``final_time``
+    Sets each timeline's per-lane start/end arrays and ``final_time``
     (so :class:`JobSet` handles and :meth:`Timeline.timed_jobs` read
     them), and emits spans into the matching ``tracers`` entry only when
     it is not ``None``.  Raises :class:`BatchMismatch` when the
@@ -707,12 +759,12 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
-    """Several lanes: one numpy loop over ``(slots, configs, world)``.
+    """Several lanes: one numpy loop over ``(slots, configs, lanes)``.
 
     Every operation is the float loop's, applied lane-wise: a gateless
     run's seeded cumsum along the slot axis is the same left fold per
     lane, ``np.maximum`` over gate rows is the same pairwise max, a
-    rendezvous is a ``max`` over the rank axis, and breaking a run at
+    rendezvous is a ``max`` over the lane axis, and breaking a run at
     *any* config's deferred slot re-seeds the next chain with exact
     partial sums, which a left fold is insensitive to.  Slot-major
     layout keeps every per-slot row contiguous.
@@ -720,9 +772,10 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     first = timelines[0]
     n = len(first._slot_streams)
     world = first.world
+    lanes = first.lanes
     configs = len(timelines)
-    starts = np.zeros((n, configs, world))
-    ends = np.zeros((n, configs, world))
+    starts = np.zeros((n, configs, lanes))
+    ends = np.zeros((n, configs, lanes))
     if not n:
         return starts, ends
     slot_streams = first._slot_streams
@@ -731,7 +784,7 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     duration_lists = [timeline._durations for timeline in timelines]
     # A slot is plain when every config recorded its duration(s) at
     # record time: a float where one duration serves all ranks, a
-    # (world,) vector otherwise.
+    # (lanes,) vector otherwise.
     deferred = any(timeline._deferred for timeline in timelines)
     col_plain = [True] * n
     if deferred:
@@ -749,7 +802,7 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
         np.asarray(duration_lists).T.reshape(n, configs, 1)
         if world == 1 and not deferred else None
     )
-    prev = [np.zeros((configs, world)) for _ in first._streams]
+    prev = [np.zeros((configs, lanes)) for _ in first._streams]
     i = 0
     while i < n:
         sid = slot_streams[i]
@@ -764,14 +817,14 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                    and col_plain[g]):
                 g += 1
             if g > k:
-                chain = np.empty((g - k + 1, configs, world))
+                chain = np.empty((g - k + 1, configs, lanes))
                 chain[0] = base
                 if matrix is not None:
                     chain[1:] = matrix[k:g]
                 else:
                     chain[1:] = np.asarray(
                         [d[k:g] for d in duration_lists]
-                    ).reshape(configs, g - k, world).swapaxes(0, 1)
+                    ).reshape(configs, g - k, lanes).swapaxes(0, 1)
                 seg = np.cumsum(chain, axis=0)
                 starts[k:g] = seg[:-1]
                 ends[k:g] = seg[1:]
@@ -787,7 +840,7 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                 starts[k] = arrive
                 # Plain durations broadcast as recorded: the one-rank
                 # sweep's matrix row, or a solo replay's float or
-                # (world,) vector.
+                # (lanes,) vector.
                 dur = (
                     matrix[k] if matrix is not None
                     else duration_lists[0][k] if configs == 1 and col_plain[k]
@@ -810,7 +863,7 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                         dur = _column(
                             duration_lists, k, col_plain[k],
                             arrive[:, 0] if world == 1 else arrive,
-                        ).reshape(configs, world)
+                        ).reshape(configs, lanes)
                     np.add(arrive, dur, out=ends[k])
                 base = ends[k]
                 k += 1
@@ -823,7 +876,7 @@ def _column(duration_lists, k: int, plain: bool, begins):
     """Slot ``k``'s durations across configs, resolving deferred ones.
 
     ``begins[c]`` is what config ``c``'s deferred body is priced from:
-    its rendezvous start, or its ``(world,)`` arrival row.  Resolved
+    its rendezvous start, or its ``(lanes,)`` arrival row.  Resolved
     values replace the deferred bodies in the recordings.
     """
     if plain:

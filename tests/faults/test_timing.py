@@ -357,3 +357,42 @@ class TestRankPricing:
         assert _bits(rows) == _bits(scalar.events)
         assert vectorised.summary() == scalar.summary()
         assert vectorised.summary()["events"] == len(rows)
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=_pricing_cases(), data=st.data())
+    def test_lanes_price_every_rank_like_the_scalar_loop(self, case, data,
+                                                         ethernet_cluster):
+        """Pricing per lane — one base and start per rank class — with
+        the rank-to-lane index is the scalar loop over the ranks: lane
+        durations expand to the ranks' durations, and the straggler
+        total and markers keep rank order."""
+        from repro.faults.timing import RankPricedCompute, TimingFaultInjector
+
+        plan, slots = case
+        lanes = len(slots[0][0])
+        world = data.draw(st.integers(lanes, 3 * lanes))
+        inverse = np.array(data.draw(st.permutations(
+            list(range(lanes)) + data.draw(st.lists(
+                st.integers(0, lanes - 1), min_size=world - lanes,
+                max_size=world - lanes,
+            ))
+        )))
+        cost = CollectiveTimeModel(ethernet_cluster)
+        vectorised = TimingFaultInjector(plan, cost)
+        scalar = TimingFaultInjector(plan, cost)
+        for bases, starts, collective in slots:
+            durations = RankPricedCompute(
+                vectorised, np.array(bases), inverse
+            ).resolve(np.array(starts))
+            assert durations.shape == (lanes,)
+            expected = [
+                scalar.compute_duration(bases[lane], starts[lane])
+                for lane in inverse.tolist()
+            ]
+            assert _bits(durations[inverse].tolist()) == _bits(expected)
+            if collective is not None:
+                for injector in (vectorised, scalar):
+                    injector.collective_duration("all_reduce", 4e6, 0.0, collective)
+        assert _bits(vectorised.straggler_seconds) == _bits(scalar.straggler_seconds)
+        assert _bits(list(vectorised.event_rows())) == _bits(scalar.events)
+        assert vectorised.summary() == scalar.summary()

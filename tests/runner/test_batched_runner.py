@@ -16,11 +16,17 @@ import dataclasses
 import pytest
 
 from repro.faults.plan import FaultPlan, StragglerFault
+from repro.network.presets import cluster_10gbe
 from repro.runner.batched import run_batched
 from repro.runner.cache import ResultCache
 from repro.runner.executor import run_many
 from repro.runner.spec import RunSpec
 from repro.schedulers.base import get_scheduler
+from repro.telemetry.registry import (
+    MetricsRegistry,
+    reset_default_registry,
+    set_default_registry,
+)
 
 STRAGGLER = FaultPlan(stragglers=(StragglerFault(0.0, 5.0, compute_factor=1.5),))
 
@@ -63,6 +69,53 @@ class TestRunManyParity:
         again = run_many(specs, jobs=1, cache=cache)
         assert cache.hits == hits_before + len(specs)
         assert [r.scheduler for r in again] == [s.scheduler for s in specs]
+
+
+class TestRankClassGroups:
+    """1024-rank specs group by their lane count, the number of rank
+    classes: equal counts share one replay, whatever rank maps to which
+    lane; different counts replay apart."""
+
+    @pytest.fixture
+    def registry(self):
+        fresh = MetricsRegistry()
+        set_default_registry(fresh)
+        yield fresh
+        reset_default_registry()
+
+    @staticmethod
+    def _specs(tiny_model, *scale_sets):
+        cluster = cluster_10gbe(nodes=256, gpus_per_node=4)
+        return [
+            RunSpec.create("dear", tiny_model, cluster, iterations=4,
+                           compute_scales=scales)
+            for scales in scale_sets
+        ]
+
+    def _assert_groups(self, registry, specs, sizes):
+        results = run_batched(specs)
+        group_size = registry.histogram("runner.batched.group_size").labels()
+        assert (group_size.count, group_size.total) == (len(sizes), sum(sizes))
+        for spec, (result, _) in zip(specs, results):
+            expected = dataclasses.replace(spec.run(), tracer=None)
+            assert result.extras["engine"] == "multirank-fastpath"
+            assert dataclasses.asdict(result) == dataclasses.asdict(expected)
+
+    def test_equal_class_counts_share_one_replay(self, tiny_model, registry):
+        specs = self._specs(
+            tiny_model,
+            (1.0,) * 1023 + (1.3,),
+            (1.5,) + (1.0,) * 1023,
+        )
+        self._assert_groups(registry, specs, [2])
+
+    def test_different_class_counts_replay_apart(self, tiny_model, registry):
+        specs = self._specs(
+            tiny_model,
+            (1.0,) * 1023 + (1.3,),
+            (1.0,) * 1022 + (1.2, 1.4),
+        )
+        self._assert_groups(registry, specs, [1, 1])
 
 
 class TestRunBatchedFallback:

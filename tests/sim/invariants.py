@@ -1,6 +1,6 @@
 """Replay invariants every :class:`~repro.sim.fastpath.Timeline` keeps.
 
-:func:`verify_timeline` checks a replayed timeline against four rules:
+:func:`verify_timeline` checks a replayed timeline against five rules:
 
 1. each slot starts at or after the ends of its gate's slots and of its
    stream predecessor, rank by rank;
@@ -8,12 +8,18 @@
 3. every rank of a collective shares one rendezvous start — the last
    arrival — and one end, ``duration`` later;
 4. time is monotone along each stream: no slot ends before it starts,
-   and starts and ends never go backwards in submission order.
+   and starts and ends never go backwards in submission order;
+5. ranks of one class share every start and end.
 
 A collective's per-rank start is that rank's *arrival*, which is what
 rules 1, 2 and 4 read; rule 3 checks the shared instants.  The checks
-read only the per-slot lists and the replay arrays, so they hold for
-tiled slots, which have no :class:`~repro.sim.fastpath.JobSet`.
+read only the per-slot lists and the replay arrays, expanded from lanes
+to ranks, so they hold for tiled slots, which have no
+:class:`~repro.sim.fastpath.JobSet`, and for timelines that replay one
+lane per rank class.
+
+:func:`verify_replays` runs the checks on every multi-rank replay of a
+test, with rule 5 over the ranks' compute profiles.
 """
 
 from __future__ import annotations
@@ -21,12 +27,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def verify_timeline(timeline) -> None:
-    """Assert the four replay invariants of a replayed ``timeline``."""
-    starts, ends = timeline._starts, timeline._ends
+def verify_timeline(timeline, classes=None) -> None:
+    """Assert the five replay invariants of a replayed ``timeline``.
+
+    ``classes`` gives each rank's class for rule 5; by default it is the
+    timeline's own rank-to-lane index, and without one rule 5 is void.
+    """
+    starts = timeline._per_rank(timeline._starts)
+    ends = timeline._per_rank(timeline._ends)
     assert starts is not None and ends is not None, "timeline not replayed"
     slots = len(timeline._slot_streams)
     assert starts.shape == ends.shape == (slots, timeline.world)
+    assert timeline._starts.shape == (slots, timeline.lanes)
     if not slots:
         return
     stream_ids = np.asarray(timeline._slot_streams)
@@ -77,3 +89,61 @@ def verify_timeline(timeline) -> None:
             f"collective slot {slot} does not end one duration after "
             f"its last arrival"
         )
+
+    # 5. Classes: every rank matches the first rank of its class.
+    if classes is None:
+        classes = timeline._inverse
+    if classes is not None:
+        _, first_rank, of_rank = np.unique(
+            np.asarray(classes), return_index=True, return_inverse=True
+        )
+        representative = first_rank[of_rank]
+        for name, times in (("starts", starts), ("ends", ends)):
+            differ = np.flatnonzero(
+                (times != times[:, representative]).any(axis=0)
+            )
+            assert not len(differ), (
+                f"rank {differ[0]} {name} apart from rank "
+                f"{representative[differ[0]]} of its class"
+            )
+
+
+def profile_classes(ctx) -> np.ndarray:
+    """Each rank's class by its compute profile's *values*.
+
+    A multi-rank context groups ranks by timing-model object; two
+    objects built from one compute scale hold equal profiles, so this
+    is the true class even where every rank has an object of its own.
+    """
+    durations = ctx.durations
+    keys: dict = {}
+    per_model = [
+        keys.setdefault(
+            (tuple(timing.profile.ff_times), tuple(timing.profile.bp_times)),
+            len(keys),
+        )
+        for timing in durations.classes
+    ]
+    return np.asarray(per_model)[durations.inverse]
+
+
+def verify_replays(monkeypatch) -> list:
+    """Check every multi-rank replay of a test with :func:`verify_timeline`.
+
+    Patches ``FastMultiRankContext.run`` to verify its timeline, rule 5
+    over :func:`profile_classes`, after each replay.  Returns the list
+    the verified timelines are appended to.
+    """
+    from repro.schedulers.multirank import FastMultiRankContext
+
+    verified = []
+    run = FastMultiRankContext.run
+
+    def verified_run(self):
+        final = run(self)
+        verify_timeline(self._timeline, profile_classes(self))
+        verified.append(self._timeline)
+        return final
+
+    monkeypatch.setattr(FastMultiRankContext, "run", verified_run)
+    return verified

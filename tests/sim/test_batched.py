@@ -137,21 +137,32 @@ class TestMultiRankBatchDifferential:
         ).record(trace=True)
 
     def test_scale_vectors_batch_bit_identical(self, tiny_model, ethernet_cluster):
+        """Scale vectors with one lane count — rank classes — batch, even
+        when they map ranks to lanes differently; other counts replay
+        apart."""
         world = ethernet_cluster.world_size
         scale_sets = [
             [1.0] * world,
             [1.0] * (world - 1) + [1.4],
+            [1.4] + [1.0] * (world - 1),
             [1.0 + 0.02 * r for r in range(world)],
+            [1.0 + 0.02 * r for r in reversed(range(world))],
         ]
         batch = [self._record(tiny_model, ethernet_cluster, s) for s in scale_sets]
         solo = [self._record(tiny_model, ethernet_cluster, s) for s in scale_sets]
-        signatures = {ctx._timeline.signature() for ctx in batch}
-        assert len(signatures) == 1
-        tracers = [Tracer() for _ in batch]
-        finals = replay([ctx._timeline for ctx in batch], tracers)
-        for ctx, tracer, final, solo_ctx in zip(batch, tracers, finals, solo):
-            assert ctx._timeline.final_time == final
-            _assert_identical(ctx, tracer, solo_ctx)
+        groups: dict[tuple, list[int]] = {}
+        for index, ctx in enumerate(batch):
+            groups.setdefault(ctx._timeline.signature(), []).append(index)
+        assert sorted(
+            (batch[members[0]]._timeline.lanes, members)
+            for members in groups.values()
+        ) == [(1, [0]), (2, [1, 2]), (world, [3, 4])]
+        for members in groups.values():
+            tracers = [Tracer() for _ in members]
+            finals = replay([batch[i]._timeline for i in members], tracers)
+            for i, tracer, final in zip(members, tracers, finals):
+                assert batch[i]._timeline.final_time == final
+                _assert_identical(batch[i], tracer, solo[i])
 
     def test_faulty_ranks_batch_bit_identical(self, tiny_model, ethernet_cluster):
         world = ethernet_cluster.world_size
