@@ -213,6 +213,14 @@ class TimingFaultInjector:
         self.events.append(StragglerRows(starts[hit], factors[hit], extras))
         return durations
 
+    def collective_price(
+        self, kind: str, nbytes: float, extra: float, now: float
+    ) -> float:
+        """What :meth:`collective_duration` charges at ``now``, without
+        recording it (ByteScheduler's dispatch check prices with it)."""
+        factors = self.plan.link_factors(now)
+        return getattr(self._model_for(factors), kind)(nbytes) + extra
+
     def collective_duration(
         self, kind: str, nbytes: float, extra: float, now: float
     ) -> float:

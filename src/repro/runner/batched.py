@@ -13,11 +13,14 @@ sequential path uses (:meth:`repro.schedulers.base.Scheduler.measure` /
 results are bit-identical to per-spec runs — pinned by
 ``tests/runner/test_batched_runner.py``.
 
-Specs the recorder cannot express — dynamic schedules (bytescheduler),
-BO fusion tuning, the fast path disabled per spec (``fastpath=False`` in
-its options; batching *is* the fast path, applied across configs) —
-return ``None`` from :func:`run_batched` and fall through to the
-executor's pool/serial path, which computes them the classic way.
+Specs the recorder cannot express — a policy that opts out of the fast
+path, a dispatch order the replay could not confirm, BO fusion tuning,
+the fast path disabled per spec (``fastpath=False`` in its options;
+batching *is* the fast path, applied across configs) — return ``None``
+from :func:`run_batched` and fall through to the executor's pool/serial
+path, which computes them the classic way.  A bytescheduler recording
+arrives already replayed once, to confirm its order, and replays again
+with its group.
 Multi-rank specs are set up, and collapsed when their ranks are
 identical, exactly as :func:`~repro.schedulers.multirank.simulate_heterogeneous`
 does.

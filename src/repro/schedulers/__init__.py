@@ -3,8 +3,9 @@
 Each scheduler simulates a multi-GPU training iteration on the
 discrete-event engine: per-layer compute jobs on an in-order compute
 stream, collective jobs on an in-order communication stream (or a
-priority engine for ByteScheduler), with gate events expressing the
-exact dependencies each algorithm enforces.
+priority engine for ByteScheduler, recorded on the vectorized replay as
+a checked static order), with gate events expressing the exact
+dependencies each algorithm enforces.
 
 Schedulers (paper §VI baselines):
 

@@ -92,11 +92,13 @@ class Scheduler(ABC):
 
     #: Whether this policy's schedule is static (fixed durations, gates
     #: over previously submitted jobs only) and therefore eligible for
-    #: the vectorized replay.  Schedulers that drive dynamic events or
-    #: processes (e.g. bytescheduler's priority engine) set this False.
-    #: The flag is advisory — a scheduler that claims support but uses a
-    #: dynamic feature raises FastPathUnsupported at record time and
-    #: falls back; the differential suite pins the timings either way.
+    #: the vectorized replay.  Every registered policy is: ByteScheduler
+    #: records its priority engine as a verified static order.  A
+    #: policy that can only drive dynamic events or processes sets this
+    #: False.  The flag is advisory — a scheduler that claims support
+    #: but uses a dynamic feature raises FastPathUnsupported at record
+    #: time and falls back; the differential suite pins the timings
+    #: either way.
     supports_fast_path: bool = True
 
     @abstractmethod

@@ -25,18 +25,43 @@ across channels) while the bandwidth term is still paid per collective
 — an optimistic model for bandwidth-bound tensors (real channels share
 the NIC), documented here because it bounds credit's benefit from
 above.
+
+On the vectorized replay the credit engine becomes a static order.
+Every partition of iteration *i* gates its layer's feed-forward job in
+iteration *i+1*, and the whole feed-forward pass runs before
+backpropagation *i+1*, so every all-reduce of iteration *i* ends before
+any partition of *i+1* is ready.  The dispatch order is therefore
+decided one iteration at a time, from that iteration's BP end times,
+the all-reduce durations and the order the channels went idle in;
+:func:`_dispatch` reproduces the engine's choices from exactly those.
+:class:`_DispatchPlan` guesses the order from iteration-relative BP
+times, records each channel's partitions in it as a plain stream gated
+on their BP jobs — the replay's ``start = max(prev_end, ready)`` is then
+the engine's float arithmetic — and after the replay re-derives the
+order from the replayed BP end times, each all-reduce priced at the
+start the derived order gives it
+(:meth:`~repro.schedulers.engine.FastIterationContext.record_verified`).
+Each rejected round settles at least one more iteration, so
+``iterations + 1`` rounds suffice.  A ready time that exactly ties a
+channel's free time (the kernel's answer then hangs on heap sequence
+numbers), or an order still moving after the last round, raises
+:class:`~repro.sim.fastpath.FastPathUnsupported` (``dispatch_order``)
+and the run falls back to the event kernel, which :meth:`schedule`
+still drives when the run passes ``fastpath=False``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.schedulers.base import Scheduler, register_scheduler
-from repro.schedulers.engine import IterationContext
+from repro.schedulers.engine import FastIterationContext, IterationContext
 from repro.sim.engine import Event
+from repro.sim.fastpath import FastPathUnsupported
 from repro.workloads.executor import execute_bytescheduler
 
 __all__ = ["ByteSchedulerScheduler", "BYTESCHEDULER_DEFAULT_PARTITION_BYTES"]
@@ -74,9 +99,6 @@ class ByteSchedulerScheduler(Scheduler):
     """
 
     name = "bytescheduler"
-    #: the credit engine reacts to events at runtime; the schedule is
-    #: not static, so the vectorized replay cannot express it.
-    supports_fast_path = False
 
     def __init__(
         self,
@@ -147,6 +169,21 @@ class ByteSchedulerScheduler(Scheduler):
                 name=f"bytescheduler.engine{index}",
             )
 
+    def _schedule_onto(self, ctx: IterationContext, iterations: int,
+                       workload) -> None:
+        """On the vectorized replay, the credit engine's verified static
+        order (:class:`_DispatchPlan`); anywhere else, :meth:`schedule`
+        or the FIFO DAG schedule, both static."""
+        if workload is None and isinstance(ctx, FastIterationContext):
+            # Each rejected round settles at least one more iteration
+            # (_DispatchPlan.verify), so the last round can only confirm.
+            ctx.record_verified(
+                _DispatchPlan(self, ctx, iterations), iterations,
+                rounds=iterations + 1,
+            )
+        else:
+            super()._schedule_onto(ctx, iterations, workload)
+
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:
         """ByteScheduler over a DAG: partitioned syncs at readiness.
@@ -210,3 +247,222 @@ class ByteSchedulerScheduler(Scheduler):
             "negotiate": self.negotiate,
             "credit": self.credit,
         }
+
+
+#: Free time of a channel that has not run anything yet.
+_NEVER = float("-inf")
+
+
+def _dispatch(
+    ready: Sequence[float],
+    price: Callable[[int, float], float],
+    priorities: Sequence[tuple],
+    channels: Sequence[tuple[int, float]],
+    strict: bool = True,
+) -> tuple[list[tuple[int, int]], list[tuple[int, float]]]:
+    """The credit engine's claims for one iteration's partitions.
+
+    Partition ``k`` becomes ready at ``ready[k]`` (its layer's BP end),
+    runs for ``price(k, start)`` and ranks by ``(priorities[k], k)``, as
+    in the engine's heap.  ``channels`` holds ``(channel, free)`` pairs:
+    every channel, idle since ``free``, in the order it went idle.  This
+    is :meth:`ByteSchedulerScheduler._channel_driver` instant by
+    instant: a channel that frees claims the best ready partition or
+    goes idle; partitions that become ready wake every idle channel,
+    and the woken claim in wake order; channels that free at one
+    instant claim in the order their jobs started.  A claim starts when
+    it is made and ends ``start + price(k, start)``.
+
+    Returns the ``(partition, channel)`` claims in the order they are
+    made, and ``channels`` once every partition has ended: in the order
+    they went idle, with their free times.  A ready time equal to a
+    channel's free time is ordered by the kernel's heap sequence
+    numbers, which this model does not track: ``strict`` raises
+    :class:`FastPathUnsupported` (``dispatch_order``) there, and so does
+    a channel still busy when the first partition is ready; otherwise
+    the partition counts as ready (``ready <= free``), which is good
+    enough for a guess.
+    """
+    count = len(ready)
+    by_ready = sorted(range(count), key=ready.__getitem__)
+    if strict and count and any(
+        free >= ready[by_ready[0]] for _, free in channels
+    ):
+        raise FastPathUnsupported(
+            "a credit channel is not idle before the iteration's first "
+            "partition is ready", reason="dispatch_order",
+        )
+    queued: list[tuple[tuple, int]] = []
+    busy: list[tuple[float, int, int]] = []
+    idle = deque(channels)
+    claims: list[tuple[int, int]] = []
+
+    def claim(channel: int, now: float) -> None:
+        _, k = heapq.heappop(queued)
+        heapq.heappush(busy, (now + price(k, now), len(claims), channel))
+        claims.append((k, channel))
+
+    position = 0
+    while position < count or busy:
+        next_ready = ready[by_ready[position]] if position < count else math.inf
+        if busy and busy[0][0] <= next_ready:
+            if busy[0][0] == next_ready:
+                if strict:
+                    raise FastPathUnsupported(
+                        f"a partition is ready at {next_ready!r}, the "
+                        f"instant a credit channel frees",
+                        reason="dispatch_order",
+                    )
+            else:
+                free, _, channel = heapq.heappop(busy)
+                if queued:
+                    claim(channel, free)
+                else:
+                    idle.append((channel, free))
+                continue
+        now = next_ready
+        while position < count and ready[by_ready[position]] == now:
+            k = by_ready[position]
+            heapq.heappush(queued, (priorities[k], k))
+            position += 1
+        woken, idle = idle, deque()
+        for channel, free in woken:
+            if queued:
+                claim(channel, now)
+            else:
+                idle.append((channel, free))
+    return claims, list(idle)
+
+
+class _DispatchPlan:
+    """ByteScheduler's layer-wise schedule as a verified static order.
+
+    One iteration's partitions are ``parts``, in the engine's creation
+    order (tensors in backward order, each split into equal
+    partitions); ``orders[i]`` is iteration ``i``'s ``(partition,
+    channel)`` claims.  Called as a schedule it records, per iteration,
+    the FF pass, the BP pass, then each claim on its channel's stream,
+    gated on its layer's BP job, with the engine's span names,
+    categories, metadata and durations — so every iteration is a block
+    of ``period`` slots at fixed offsets.  The first orders come from
+    :func:`_dispatch` over iteration-relative BP ends and healthy
+    durations, every channel idle at each iteration's first ready
+    partition; :meth:`verify` re-derives them from a replay.
+    """
+
+    def __init__(self, scheduler: ByteSchedulerScheduler,
+                 ctx: IterationContext, iterations: int):
+        layers = ctx.model.num_layers
+        self.credit = scheduler.credit
+        self.extra = scheduler._overhead(ctx)
+        #: ``(layer, bytes, label)`` of each partition.
+        self.parts: list[tuple[int, float, str]] = []
+        self.priorities: list[tuple[int, int]] = []
+        for tensor in ctx.model.tensors_backward_order():
+            count = max(1, math.ceil(tensor.nbytes / scheduler.partition_bytes))
+            part_bytes = tensor.nbytes / count
+            for part in range(count):
+                self.parts.append(
+                    (tensor.layer_index, part_bytes, f"{tensor.name}.p{part}")
+                )
+                self.priorities.append((tensor.layer_index, part))
+        self.healthy = [
+            ctx.cost.all_reduce(nbytes) + self.extra for _, nbytes, _ in self.parts
+        ]
+        self.period = 2 * layers + len(self.parts)
+        #: offset of each partition's BP slot in its iteration's block.
+        self._bp_slots = [2 * layers - 1 - layer for layer, _, _ in self.parts]
+        relative = [0.0] * layers
+        elapsed = 0.0
+        for layer in reversed(range(layers)):
+            elapsed += ctx.durations.bp(layer)
+            relative[layer] = elapsed
+        ready = [relative[layer] for layer, _, _ in self.parts]
+        guesses: dict[tuple[int, ...], tuple[list, tuple[int, ...]]] = {}
+        idle = tuple(range(self.credit))
+        self.orders: list[list[tuple[int, int]]] = []
+        for _ in range(iterations):
+            if idle not in guesses:
+                claims, after = _dispatch(
+                    ready, self._healthy_price, self.priorities,
+                    [(channel, _NEVER) for channel in idle], strict=False,
+                )
+                guesses[idle] = (claims, tuple(channel for channel, _ in after))
+            claims, idle = guesses[idle]
+            self.orders.append(claims)
+        self._update_periodic()
+
+    def _healthy_price(self, k: int, start: float) -> float:
+        return self.healthy[k]
+
+    def _update_periodic(self) -> None:
+        #: whether iterations 2 on repeat iteration 1's claims (tiling).
+        self.periodic = all(order == self.orders[1] for order in self.orders[2:])
+
+    def __call__(self, ctx: IterationContext, iterations: int) -> None:
+        channels = [ctx.comm] + [
+            ctx.stream(f"comm.ch{index}", actor=f"gpu.comm{index}")
+            for index in range(1, self.credit)
+        ]
+        faults = ctx.faults
+        extra = self.extra
+        layer_gates: Optional[dict] = None
+        for iteration in range(iterations):
+            ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
+            bp_jobs = ctx.submit_backward_pass(iteration)
+            done_by_layer: dict[int, list] = {}
+            for k, channel in self.orders[iteration]:
+                layer, nbytes, label = self.parts[k]
+                job = channels[channel].submit(
+                    self.healthy[k] if faults is None
+                    else faults.collective_priced("all_reduce", nbytes, extra),
+                    name=f"all_reduce.{iteration}.{label}",
+                    category="comm.ar",
+                    gate=bp_jobs[layer].done,
+                    metadata={"iteration": iteration, "bytes": nbytes,
+                              "extra": extra},
+                )
+                done_by_layer.setdefault(layer, []).append(job.done)
+            layer_gates = {
+                layer: ctx.sim.all_of(events)
+                for layer, events in done_by_layer.items()
+            }
+
+    def verify(self, ctx: FastIterationContext) -> bool:
+        """Whether the replayed ``ctx`` confirms :attr:`orders`.
+
+        Re-derives every iteration's claims with :func:`_dispatch` from
+        the replayed BP ends, pricing each claim at the start
+        :func:`_dispatch` gives it (as the replay resolved it, when the
+        orders agree), channels carried over from the iteration before.
+        Up to the first iteration that differs the replay followed the
+        engine, so that iteration's ready times are exact and so are its
+        derived claims: every rejected round settles at least one more
+        iteration.  The iterations after it were replayed from shifted
+        times; their derived claims are kept as the next round's guess.
+        """
+        faults = ctx.faults
+        if faults is None:
+            price = self._healthy_price
+        else:
+            parts, extra = self.parts, self.extra
+
+            def price(k: int, start: float) -> float:
+                return faults.collective_price(
+                    "all_reduce", parts[k][1], extra, start
+                )
+
+        ends = ctx._timeline._ends[:, 0].tolist()
+        channels = [(channel, _NEVER) for channel in range(self.credit)]
+        confirmed = True
+        for iteration, claims in enumerate(self.orders):
+            base = iteration * self.period
+            derived, channels = _dispatch(
+                [ends[base + slot] for slot in self._bp_slots], price,
+                self.priorities, channels, strict=confirmed,
+            )
+            if derived != claims:
+                self.orders[iteration] = derived
+                confirmed = False
+        self._update_periodic()
+        return confirmed

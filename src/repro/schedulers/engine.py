@@ -22,7 +22,7 @@ Dependency conventions (mirroring CUDA semantics):
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.faults.timing import TimingFaultInjector
@@ -308,11 +308,13 @@ class IterationContext:
 
     # -- engine hooks: how one slot is realised ---------------------------------
 
-    def record(self, schedule: "Schedule", iterations: int) -> None:
+    def record(self, schedule: "Schedule", iterations: int,
+               periodic: bool = True) -> None:
         """Submit the slots of ``schedule(self, iterations)``.
 
         The event kernel executes every iteration it is given, so it
-        takes them all; the vectorized replay records fewer.
+        takes them all; the vectorized replay records fewer when
+        ``periodic`` says iterations 2 on repeat iteration 1.
         """
         schedule(self, iterations)
 
@@ -456,6 +458,20 @@ def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
 Schedule = Callable[[IterationContext, int], None]
 
 
+class VerifiedSchedule(Protocol):
+    """A schedule recorded in a guessed static order
+    (:meth:`FastIterationContext.record_verified`)."""
+
+    #: whether iterations 2 on repeat iteration 1's slots.
+    periodic: bool
+
+    def __call__(self, ctx: IterationContext, iterations: int) -> None: ...
+
+    def verify(self, ctx: IterationContext) -> bool:
+        """Whether the replayed ``ctx`` confirms the recorded order;
+        adopts the order the replay implies when it does not."""
+
+
 class _TwoIterations(Exception):
     """Stops a periodic recording at the first slot of iteration 2."""
 
@@ -471,8 +487,10 @@ class FastIterationContext(IterationContext):
     The run is measured from the replay arrays; spans go only into a
     requested tracer.
     Timing-fault placeholders are resolved at each job's replayed start,
-    so faulty runs stay on this engine.  Schedulers that need dynamic events or
-    process bodies make the recorder raise
+    so faulty runs stay on this engine.  A schedule whose order is
+    decided at run time records a guessed order and has the replay
+    confirm it (:meth:`record_verified`).  Schedulers that need dynamic
+    events or process bodies make the recorder raise
     :class:`~repro.sim.fastpath.FastPathUnsupported`, and
     :meth:`repro.schedulers.base.Scheduler.run` falls back to the
     event-driven context.
@@ -499,7 +517,8 @@ class FastIterationContext(IterationContext):
     def stream(self, name: str, actor: str = ""):
         return self._timeline.stream(name, actor=actor)
 
-    def record(self, schedule: Schedule, iterations: int) -> None:
+    def record(self, schedule: Schedule, iterations: int,
+               periodic: bool = True) -> None:
         """Record iterations 0 and 1 through the scheduler, tile the rest.
 
         Every fast-path policy's pipeline is in steady state from
@@ -508,17 +527,20 @@ class FastIterationContext(IterationContext):
         one against a full recording).  So the first submission of
         iteration 2 stops the scheduler, and :meth:`~repro.sim.fastpath.Timeline.tile` repeats
         iteration 1's block ``iterations - 2`` times; the replay still
-        runs every iteration.  Two kinds of run record in full: traced
+        runs every iteration.  Three kinds of run record in full: traced
         runs (span names and flow ids carry the iteration, and tiled
-        slots have no span handles) and runs with timing faults
-        (deferred durations are priced per slot).  Publishes
-        ``sim.record.slots{how}`` and, for a full recording,
+        slots have no span handles), runs with timing faults (deferred
+        durations are priced per slot), and schedules the caller marks
+        not ``periodic`` (a ByteScheduler dispatch order that moves its
+        credit channels round from one iteration to the next).
+        Publishes ``sim.record.slots{how}`` and, for a full recording,
         ``sim.record.full{reason}``.
         """
         full = (
             "trace" if self.tracer is not None
             else "faults" if self.faults is not None
-            else None
+            else None if periodic
+            else "aperiodic"
         )
         tiled = 0
         if full is None:
@@ -549,6 +571,41 @@ class FastIterationContext(IterationContext):
             registry.counter(
                 "sim.record.full", "fast-path runs recorded in full, by reason"
             ).inc(reason=full)
+
+    def record_verified(self, plan: "VerifiedSchedule", iterations: int,
+                        rounds: int) -> None:
+        """Record a schedule whose static order is a guess, until the
+        replay confirms it.
+
+        ``plan`` records like any schedule, in the order it currently
+        holds; after each replay ``plan.verify(self)`` re-derives that
+        order from the replayed times and either confirms it or adopts
+        the derived one.  A rejected round starts over on a fresh
+        recording and fault injector (the replay priced its deferred
+        durations into the old one), so nothing is counted twice.  The
+        context is left replayed: :meth:`run` replays it again, and the
+        batched runner replays it with its group.  Raises
+        :class:`~repro.sim.fastpath.FastPathUnsupported`
+        (``dispatch_order``) when ``rounds`` recordings leave the order
+        still moving.
+        """
+        for _ in range(rounds):
+            self.record(plan, iterations, periodic=plan.periodic)
+            self._timeline.replay()
+            if plan.verify(self):
+                return
+            self._reset()
+        raise FastPathUnsupported(
+            f"dispatch order still changing after {rounds} rounds",
+            reason="dispatch_order",
+        )
+
+    def _reset(self) -> None:
+        """Drop the recording: a fresh timeline, streams and injector."""
+        plan = self.faults.plan if self.faults is not None else None
+        self.__init__(self.timing, self.cost, self.tracer, plan)
+        self._block_start = None
+        self._tiled_first_ff = ()
 
     def _enter_iteration(self, iteration: int) -> None:
         self._iteration = iteration

@@ -2,11 +2,13 @@
 
 The event-driven kernel (:mod:`repro.sim.engine`) is fully general:
 processes, dynamic events, priority engines.  But every scheduler
-policy except ByteScheduler submits its *entire* schedule up front as
-jobs on two strictly in-order streams, where each job's only
-dependencies are (a) its stream predecessor and (b) an optional static
-gate over earlier jobs.  For that shape the timeline is a closed-form
-recurrence, not a simulation:
+policy submits its *entire* schedule up front as jobs on strictly
+in-order streams, where each job's only dependencies are (a) its stream
+predecessor and (b) an optional static gate over earlier jobs.
+ByteScheduler's priority engine is the one dynamic part, and it records
+as a static dispatch order that the replay then confirms
+(:mod:`repro.schedulers.bytescheduler`).  For that shape the timeline is
+a closed-form recurrence, not a simulation:
 
     start[i] = max(end[prev on stream], gate[i])
     end[i]   = start[i] + duration[i]
@@ -127,9 +129,13 @@ class FastPathUnsupported(RuntimeError):
     """The schedule uses a feature only the event-driven kernel has.
 
     ``reason`` is a short fixed code (``dynamic_duration``,
-    ``dynamic_gate``, ``dynamic_event``, ``opt_out``, ``custom_run``,
-    ``disabled``, ``options``) for the ``sim.fallbacks`` metric; the
-    message is free text for humans.
+    ``dynamic_gate``, ``dynamic_event``, ``dispatch_order``,
+    ``opt_out``, ``custom_run``, ``disabled``, ``options``) for the
+    ``sim.fallbacks`` metric; the message is free text for humans.
+    ``dispatch_order`` is a recorded dispatch order the replay could not
+    confirm: it tied a ready time to a channel's free time, or was still
+    changing after its last round
+    (:meth:`repro.schedulers.engine.FastIterationContext.record_verified`).
     """
 
     def __init__(self, message: str = "", reason: str = "unsupported"):

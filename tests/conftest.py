@@ -10,6 +10,8 @@ from repro.models.zoo import get_model
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_100gbib, cluster_10gbe
 from repro.runner.cache import reset_default_cache
+from repro.schedulers import base
+from repro.schedulers.serial import SerialScheduler
 
 # The unit-test model gets a calibration entry so `simulate()` works on
 # it without an explicit iteration_compute override in every test.
@@ -58,6 +60,23 @@ def build_tiny_model(num_blocks: int = 4, width: int = 1000) -> ModelSpec:
         )
     builder.fc("head", width, 10)
     return builder.build()
+
+
+class OptOutSerial(SerialScheduler):
+    """Serial, declining the fast path: a policy on the ``opt_out`` route.
+
+    Every registered policy rides the fast path, so the tests of the
+    opt-out route bring their own.
+    """
+
+    supports_fast_path = False
+
+
+@pytest.fixture
+def opt_out_policy(monkeypatch) -> str:
+    """A registry name that builds :class:`OptOutSerial` within the test."""
+    monkeypatch.setitem(base._REGISTRY, "serial", OptOutSerial)
+    return "serial"
 
 
 @pytest.fixture(scope="session")

@@ -119,9 +119,10 @@ class TestRankClassGroups:
 
 
 class TestRunBatchedFallback:
-    def test_bytescheduler_falls_back(self, tiny_model, ethernet_cluster):
-        """Credit-based scheduling is dynamic: no fast path, no batch."""
-        spec = RunSpec.create("bytescheduler", tiny_model, ethernet_cluster,
+    def test_opt_out_policy_falls_back(self, opt_out_policy, tiny_model,
+                                       ethernet_cluster):
+        """A policy without a fast path is not batched."""
+        spec = RunSpec.create(opt_out_policy, tiny_model, ethernet_cluster,
                               iterations=4)
         assert run_batched([spec]) == [None]
 
@@ -141,10 +142,11 @@ class TestRunBatchedFallback:
                               iterations=4, fastpath=False)
         assert run_batched([spec]) == [None]
 
-    def test_mixed_batchable_and_not(self, tiny_model, ethernet_cluster):
+    def test_mixed_batchable_and_not(self, opt_out_policy, tiny_model,
+                                     ethernet_cluster):
         specs = [
             RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4),
-            RunSpec.create("bytescheduler", tiny_model, ethernet_cluster,
+            RunSpec.create(opt_out_policy, tiny_model, ethernet_cluster,
                            iterations=4),
             RunSpec.create("ddp", tiny_model, ethernet_cluster, iterations=4),
         ]

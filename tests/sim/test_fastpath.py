@@ -22,7 +22,7 @@ from repro.models.profiles import TimingModel
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_10gbe
-from repro.schedulers.base import Scheduler, get_scheduler
+from repro.schedulers.base import SCHEDULER_NAMES, Scheduler, get_scheduler
 from repro.schedulers.multirank import record_heterogeneous_fast
 from repro.sim.engine import Simulator
 from repro.sim.fastpath import (
@@ -34,11 +34,19 @@ from repro.sim.fastpath import (
 )
 from repro.sim.resources import Stream
 from repro.sim.trace import Tracer
+from repro.telemetry.registry import (
+    MetricsRegistry,
+    reset_default_registry,
+    set_default_registry,
+)
 
 REL = 1e-9
 
-#: Static-gate policies that must take the fast path.
-FAST_SCHEDULERS = ("serial", "wfbp", "ddp", "horovod", "mg_wfbp", "dear", "zero")
+#: Policies that must take the fast path: every registered one.
+FAST_SCHEDULERS = (
+    "serial", "wfbp", "ddp", "horovod", "mg_wfbp", "bytescheduler", "dear",
+    "zero",
+)
 
 
 def _rel_equal(a: float, b: float) -> bool:
@@ -234,10 +242,27 @@ class TestFastTimeline:
 
 
 class TestFastPathToggle:
-    def test_bytescheduler_opts_out(self):
-        assert get_scheduler("bytescheduler").supports_fast_path is False
+    def test_every_registered_policy_takes_the_fast_path(self):
+        assert set(FAST_SCHEDULERS) == set(SCHEDULER_NAMES)
         for name in FAST_SCHEDULERS:
             assert get_scheduler(name).supports_fast_path is True
+
+    def test_opt_out_policy_runs_on_the_event_kernel(
+        self, opt_out_policy, tiny_timing, ethernet_cost
+    ):
+        opt_out = get_scheduler(opt_out_policy)
+        assert opt_out.supports_fast_path is False
+        with pytest.raises(FastPathUnsupported) as info:
+            opt_out.record_fast(tiny_timing, ethernet_cost)
+        assert info.value.reason == "opt_out"
+        registry = MetricsRegistry()
+        set_default_registry(registry)
+        try:
+            opt_out.run(tiny_timing, ethernet_cost)
+        finally:
+            reset_default_registry()
+        runs = registry.snapshot()["sim.runs"]["values"]
+        assert [run["labels"] for run in runs] == [{"engine": "event"}]
 
     def test_dynamic_scheduler_falls_back(self, tiny_timing, ethernet_cost):
         """A mislabelled scheduler degrades to the event kernel, not an error."""
@@ -297,7 +322,7 @@ def _assert_equivalent(fast, slow):
         assert _rel_equal(a.end, b.end)
 
 
-@pytest.mark.parametrize("scheduler", FAST_SCHEDULERS + ("bytescheduler",))
+@pytest.mark.parametrize("scheduler", FAST_SCHEDULERS)
 class TestDifferentialTiny:
     def test_ethernet(self, scheduler, tiny_timing, ethernet_cost):
         fast, slow = _run_both(scheduler, tiny_timing, ethernet_cost)

@@ -57,6 +57,8 @@ CONFIGS = [
     ("ddp", {}),
     ("horovod", {}),
     ("mg_wfbp", {}),
+    ("bytescheduler", {}),
+    ("bytescheduler", {"partition_bytes": 1e6}),
     ("dear", {"fusion": "none"}),
     ("dear", {"fusion": "layers"}),
     ("dear", {"fusion": "buffer"}),
@@ -281,6 +283,22 @@ class TestRecordMetrics:
         slots, full = _counts(registry)
         assert full == {"trace": 1, "faults": 1}
         assert slots["tiled"] == 0
+
+    def test_aperiodic_dispatch_order_records_in_full(self, registry,
+                                                     tables):
+        """Four credit channels that take turns from one iteration to
+        the next cannot tile; the run records in full and equals the
+        event kernel's."""
+        timing = TimingModel.for_model(get_model("resnet50"))
+        cost = _cost("10gbe", "ring", tables)
+        scheduler = get_scheduler("bytescheduler", credit=4)
+        fast = scheduler.run(timing, cost, iterations=ITERATIONS)
+        slots, full = _counts(registry)
+        assert full == {"aperiodic": 1}
+        assert slots["tiled"] == 0
+        slow = scheduler.run(timing, cost, iterations=ITERATIONS,
+                             fastpath=False)
+        assert repr(fast) == repr(slow)
 
     def test_multirank_recordings_are_counted(self, registry, tiny_model):
         _Run("dear", tiny_model, MULTIRANK_CLUSTER, MULTIRANK_SCALES,

@@ -25,7 +25,10 @@ from tests.conftest import build_tiny_model
 ITERATIONS = 4
 
 #: Every registered scheduler that supports the vectorized replay.
-FAST_SCHEDULERS = ("serial", "wfbp", "ddp", "horovod", "mg_wfbp", "dear", "zero")
+FAST_SCHEDULERS = (
+    "serial", "wfbp", "ddp", "horovod", "mg_wfbp", "bytescheduler", "dear",
+    "zero",
+)
 
 #: The non-layer-wise DAGs.
 DAG_WORKLOADS = ("moe", "dlrm", "llm3d")
@@ -70,15 +73,18 @@ class TestSingleRankDifferential:
 
 
 @pytest.mark.parametrize("workload", DAG_WORKLOADS)
-def test_bytescheduler_event_only(workload, timing, cost):
-    # No fast path to compare against: the run must simply be stable
-    # and carry the workload tag.
-    result = get_scheduler("bytescheduler").run(
-        timing, cost, iterations=ITERATIONS, workload=workload,
-        fastpath=True,  # ignored: supports_fast_path=False
+def test_bytescheduler_differential(workload, timing, cost):
+    """ByteScheduler's FIFO DAG schedule, every sync split into many
+    partitions, credit channels unused: bit-identical on both engines."""
+    fast, slow = _run_both(
+        "bytescheduler", timing, cost, workload, partition_bytes=100e3,
+        negotiate=False, credit=2,
     )
-    assert result.iteration_time > 0
-    assert result.extras["workload"] == workload
+    assert fast.iteration_times == slow.iteration_times
+    assert fast.exposed_comm == slow.exposed_comm
+    assert fast.tracer.to_chrome_trace() == slow.tracer.to_chrome_trace()
+    assert fast.extras == slow.extras
+    assert fast.extras["workload"] == workload
 
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
