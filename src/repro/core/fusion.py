@@ -26,7 +26,8 @@ All policies preserve order and produce an exact partition, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Optional, Sequence
 
 from repro.models.layers import ModelSpec, TensorSpec
 
@@ -58,26 +59,28 @@ class FusionGroup:
         if not self.tensors:
             raise ValueError(f"fusion group {self.index} is empty")
 
-    @property
+    # The group is immutable, so each derived fact is computed once.
+
+    @cached_property
     def num_elements(self) -> int:
         return sum(t.num_elements for t in self.tensors)
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
         """Fused gradient payload in bytes."""
         return sum(t.nbytes for t in self.tensors)
 
-    @property
+    @cached_property
     def layer_indices(self) -> tuple[int, ...]:
         """Sorted indices of the layers contributing tensors."""
         return tuple(sorted({t.layer_index for t in self.tensors}))
 
-    @property
+    @cached_property
     def first_layer(self) -> int:
         """Smallest (earliest feed-forward) layer index in the group."""
         return min(t.layer_index for t in self.tensors)
 
-    @property
+    @cached_property
     def last_layer(self) -> int:
         """Largest (latest feed-forward) layer index in the group."""
         return max(t.layer_index for t in self.tensors)
@@ -138,6 +141,31 @@ class FusionPlan:
     def groups_for_layer(self, layer_index: int) -> list[FusionGroup]:
         """Groups containing at least one tensor of the given layer."""
         return list(self._groups_of_layer.get(layer_index, []))
+
+    @cached_property
+    def layer_cover(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(layer, covering group indices)`` of every layer that has
+        tensors, in layer order: the static map the schedulers gate
+        layers by, built once per plan."""
+        return tuple(
+            (layer, tuple(group.index for group in self._groups_of_layer[layer]))
+            for layer in sorted(self._groups_of_layer)
+        )
+
+    def layer_gates(self, done_of_group: dict[int, Any],
+                    all_of: Callable[[list], Any]) -> dict[int, Any]:
+        """Gate each covered layer on the done events of its groups.
+
+        ``done_of_group`` maps a group index to its collective's done
+        event; a layer in several groups waits on ``all_of`` of theirs.
+        """
+        return {
+            layer: (
+                done_of_group[groups[0]] if len(groups) == 1
+                else all_of([done_of_group[index] for index in groups])
+            )
+            for layer, groups in self.layer_cover
+        }
 
     def groups_forward_order(self) -> list[FusionGroup]:
         """Groups ordered by their earliest layer (all-gather issue order).

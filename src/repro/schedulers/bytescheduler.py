@@ -119,7 +119,7 @@ class ByteSchedulerScheduler(Scheduler):
         layer_gates: Optional[dict[int, Event]] = None
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
-            bp_jobs = ctx.submit_backward_pass(iteration)
+            bp = ctx.submit_backward_pass(iteration)
 
             done_by_layer: dict[int, list[Event]] = {}
             for tensor in ctx.model.tensors_backward_order():
@@ -133,7 +133,7 @@ class ByteSchedulerScheduler(Scheduler):
                             nbytes=part_bytes,
                             label=f"{tensor.name}.p{part}",
                             iteration=iteration,
-                            gate=bp_jobs[tensor.layer_index].done,
+                            gate=bp[tensor.layer_index].done,
                             done=done,
                             extra=self._overhead(ctx),
                         )
@@ -374,9 +374,10 @@ class _DispatchPlan:
         self._bp_slots = [2 * layers - 1 - layer for layer, _, _ in self.parts]
         relative = [0.0] * layers
         elapsed = 0.0
-        for layer in reversed(range(layers)):
-            elapsed += ctx.durations.bp(layer)
-            relative[layer] = elapsed
+        # The BP pass runs last layer first.
+        for position, duration in enumerate(ctx.durations.bp_pass):
+            elapsed += duration
+            relative[layers - 1 - position] = elapsed
         ready = [relative[layer] for layer, _, _ in self.parts]
         guesses: dict[tuple[int, ...], tuple[list, tuple[int, ...]]] = {}
         idle = tuple(range(self.credit))
@@ -409,7 +410,7 @@ class _DispatchPlan:
         layer_gates: Optional[dict] = None
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
-            bp_jobs = ctx.submit_backward_pass(iteration)
+            bp = ctx.submit_backward_pass(iteration)
             done_by_layer: dict[int, list] = {}
             for k, channel in self.orders[iteration]:
                 layer, nbytes, label = self.parts[k]
@@ -418,7 +419,7 @@ class _DispatchPlan:
                     else faults.collective_priced("all_reduce", nbytes, extra),
                     name=f"all_reduce.{iteration}.{label}",
                     category="comm.ar",
-                    gate=bp_jobs[layer].done,
+                    gate=bp.done_of((layer,)),
                     metadata={"iteration": iteration, "bytes": nbytes,
                               "extra": extra},
                 )

@@ -105,41 +105,38 @@ class DeARScheduler(Scheduler):
         plan = self.fusion_plan(ctx)
         forward_groups = plan.groups_forward_order()
         layer_gates: Optional[dict[int, Event]] = None
-        #: layer -> flow ids of the previous iteration's covering groups
-        #: (the "update" end of the gradient-lifecycle flow arrows).
-        pending_flows: dict[int, list[str]] = {}
         for iteration in range(iterations):
             # FeedPipe: FF of layer l waits for the all-gather(s) of the
             # previous iteration's group(s) covering layer l.
-            ff_jobs = ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
-            for layer_index, flows in pending_flows.items():
-                ff_jobs[layer_index].metadata["flows"] = flows
-            bp_jobs = ctx.submit_backward_pass(iteration)
+            ff = ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
+            if iteration:
+                # The "update" end of the previous iteration's
+                # gradient-lifecycle flow arrows.
+                for group in plan:
+                    ff.add_flows(
+                        group.layer_indices, f"{iteration - 1}.g{group.index}"
+                    )
+            bp = ctx.submit_backward_pass(iteration)
 
             # BackPipe: reduce-scatter per group, launched on gradient
             # readiness, FIFO on the comm stream (backward order).
-            rs_jobs = []
+            rs_done = []
             for group in plan:
-                flow = f"{iteration}.g{group.index}"
-                for layer in group.layer_indices:
-                    # grad-ready end of the flow: the BP span(s) whose
-                    # gradients fill this fusion group.
-                    bp_jobs[layer].metadata.setdefault("flows", []).append(flow)
-                gate = ctx.sim.all_of(
-                    [bp_jobs[layer].done for layer in group.layer_indices]
-                )
-                rs_jobs.append(
+                # grad-ready end of the flow: the BP span(s) whose
+                # gradients fill this fusion group.
+                bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
+                rs_done.append(
                     ctx.submit_collective(
                         "reduce_scatter",
                         group.nbytes,
                         iteration,
                         label=f"g{group.index}",
-                        gate=gate,
+                        gate=bp.done_of(group.layer_indices),
                         metadata=_group_metadata(group),
-                    )
+                    ).done
                 )
             # OP1/OP2 synchronisation at the end of BackPipe (§III-B).
-            rs_barrier = ctx.sim.all_of([job.done for job in rs_jobs])
+            rs_barrier = ctx.sim.all_of(rs_done)
 
             # FeedPipe: all-gathers in feed-forward order; only the
             # first needs the barrier gate, the rest follow FIFO.
@@ -154,20 +151,7 @@ class DeARScheduler(Scheduler):
                     metadata=_group_metadata(group),
                 )
                 ag_done_of_group[group.index] = job.done
-
-            layer_gates = {}
-            pending_flows = {}
-            for layer_index in range(ctx.model.num_layers):
-                groups = plan.groups_for_layer(layer_index)
-                if not groups:
-                    continue
-                events = [ag_done_of_group[g.index] for g in groups]
-                layer_gates[layer_index] = (
-                    events[0] if len(events) == 1 else ctx.sim.all_of(events)
-                )
-                pending_flows[layer_index] = [
-                    f"{iteration}.g{g.index}" for g in groups
-                ]
+            layer_gates = plan.layer_gates(ag_done_of_group, ctx.sim.all_of)
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

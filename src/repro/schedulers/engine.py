@@ -49,13 +49,17 @@ COLLECTIVE_CATEGORIES = {
 
 
 class _RepresentativeRank:
-    """Slot durations on the one simulated rank: plain floats."""
+    """Slot durations on the one simulated rank: plain floats.
 
-    __slots__ = ("ff", "bp")
+    ``ff_pass`` and ``bp_pass`` are one pass's durations in submission
+    order: FF layers first to last, BP layers last to first.
+    """
+
+    __slots__ = ("ff_pass", "bp_pass")
 
     def __init__(self, timing: TimingModel):
-        self.ff = timing.ff_time
-        self.bp = timing.bp_time
+        self.ff_pass = tuple(timing.profile.ff_times)
+        self.bp_pass = tuple(reversed(timing.profile.bp_times))
 
     @staticmethod
     def kernel(duration: float) -> float:
@@ -65,13 +69,14 @@ class _RepresentativeRank:
 class IterationContext:
     """One simulated training run: the submit API every engine shares.
 
-    Schedulers call only what this class defines: the FF/BP/kernel and
-    collective submit helpers, ``ctx.sim.all_of``, ``ff_start_times``.
-    An engine supplies how one slot is realised — ``durations`` (floats
-    on the representative rank, cached one-per-rank-class vectors on
-    explicit ranks), :meth:`_compute_slot`, :meth:`_collective_slot` and
-    :meth:`run` — so span names, categories and metadata are built once
-    and stay byte-identical across engines.  Timing faults are priced by
+    Schedulers call only what this class defines: the FF/BP pass,
+    kernel and collective submit methods, ``ctx.sim.all_of``,
+    ``ff_start_times``.  An engine supplies how one slot or pass is
+    realised — ``durations`` (floats on the representative rank, cached
+    one-per-rank-class vectors on explicit ranks), :meth:`_compute_pass`,
+    :meth:`_compute_slot`, :meth:`_collective_slot` and :meth:`run` — so
+    span names, categories and metadata are built once and stay
+    byte-identical across engines.  Timing faults are priced by
     the same placeholder objects on every engine
     (:class:`~repro.faults.timing.PricedCompute`,
     :class:`~repro.faults.timing.PricedCollective`,
@@ -119,9 +124,9 @@ class IterationContext:
 
         ``timing`` is the *planning* profile fusion-plan builders read
         (rank 0's on explicit ranks); ``tracer`` is ``None`` unless a
-        trace was requested; ``durations`` answers
-        ``ff(layer)``, ``bp(layer)`` and ``kernel(seconds)`` with what
-        :meth:`_compute_slot` takes.
+        trace was requested; ``durations`` holds ``ff_pass`` and
+        ``bp_pass`` (a pass's durations in submission order) and answers
+        ``kernel(seconds)`` with what :meth:`_compute_slot` takes.
         """
         self.timing = timing
         self.cost = cost
@@ -155,33 +160,53 @@ class IterationContext:
 
     # -- compute submission --------------------------------------------------
 
-    def submit_ff_layer(self, iteration: int, layer_index: int,
-                        gate: Optional[Event] = None) -> Job:
-        """Feed-forward compute job for one layer of one iteration."""
-        if iteration != self._iteration:
-            self._enter_iteration(iteration)
-        job = self._compute_slot(
-            self.durations.ff(layer_index),
-            name=f"ff.{iteration}.{layer_index}",
-            category="ff",
-            gate=gate,
-            metadata={"iteration": iteration, "layer": layer_index},
-        )
-        if layer_index == 0:
-            self.ff_first_jobs.append(job)
-        return job
+    def submit_forward_pass(self, iteration: int,
+                            first_gate: Optional[Event] = None,
+                            layer_gates: Optional[dict[int, Event]] = None):
+        """All FF jobs of an iteration, first layer first; returns the pass.
 
-    def submit_bp_layer(self, iteration: int, layer_index: int,
-                        gate: Optional[Event] = None) -> Job:
-        """Backpropagation compute job for one layer of one iteration."""
+        ``first_gate`` stalls the whole pass (the WFBP-family barrier);
+        ``layer_gates`` adds per-layer gates (DeAR's FeedPipe and
+        ByteScheduler's per-layer readiness).  The pass is indexed by
+        layer; policies gate on it with ``done_of(layers)`` and attach
+        flow ids with ``add_flows(layers, flow)``.
+        """
         if iteration != self._iteration:
             self._enter_iteration(iteration)
-        return self._compute_slot(
-            self.durations.bp(layer_index),
-            name=f"bp.{iteration}.{layer_index}",
-            category="bp",
-            gate=gate,
-            metadata={"iteration": iteration, "layer": layer_index},
+        layers = range(self.model.num_layers)
+        gates = None
+        if layer_gates or first_gate is not None:
+            layer_gates = layer_gates or {}
+            gates = [layer_gates.get(layer) for layer in layers]
+            if first_gate is not None and gates:
+                gates[0] = (
+                    first_gate if gates[0] is None
+                    else self.sim.all_of([first_gate, gates[0]])
+                )
+        forward = self._compute_pass(
+            "ff", iteration, layers, self.durations.ff_pass, gates
+        )
+        if layers:
+            self.ff_first_jobs.append(forward[0])
+        return forward
+
+    def submit_backward_pass(self, iteration: int,
+                             layer_gates: Optional[dict[int, Event]] = None):
+        """All BP jobs of an iteration, last layer first; returns the pass.
+
+        The pass is indexed by *layer index* (``bp[i]`` is layer i's BP
+        job), even though execution order is reversed.  ``layer_gates``
+        gates single layers (ZeRO's parameter re-gathers).
+        """
+        if iteration != self._iteration:
+            self._enter_iteration(iteration)
+        layers = range(self.model.num_layers - 1, -1, -1)
+        gates = (
+            [layer_gates.get(layer) for layer in layers] if layer_gates
+            else None
+        )
+        return self._compute_pass(
+            "bp", iteration, layers, self.durations.bp_pass, gates
         )
 
     def submit_compute(self, duration: float, iteration: int, name: str,
@@ -192,7 +217,7 @@ class IterationContext:
 
         The workload-DAG executor submits arbitrary kernels (expert
         FFNs, embedding lookups, pipeline-stage slices) through this
-        instead of the layer-indexed helpers; ``duration`` is the
+        instead of the FF/BP pass methods; ``duration`` is the
         kernel's virtual seconds on the planning rank, scaled per rank
         by compute speed on explicit ranks.
         """
@@ -208,39 +233,6 @@ class IterationContext:
             gate=gate,
             metadata=span_metadata,
         )
-
-    def submit_forward_pass(self, iteration: int,
-                            first_gate: Optional[Event] = None,
-                            layer_gates: Optional[dict[int, Event]] = None) -> list[Job]:
-        """All FF jobs of an iteration, first layer first.
-
-        ``first_gate`` stalls the whole pass (the WFBP-family barrier);
-        ``layer_gates`` adds per-layer gates (DeAR's FeedPipe and
-        ByteScheduler's per-layer readiness).
-        """
-        jobs = []
-        layer_gates = layer_gates or {}
-        for layer_index in range(self.model.num_layers):
-            gate: Optional[Event] = layer_gates.get(layer_index)
-            if layer_index == 0 and first_gate is not None:
-                if gate is None:
-                    gate = first_gate
-                else:
-                    gate = self.sim.all_of([first_gate, gate])
-            jobs.append(self.submit_ff_layer(iteration, layer_index, gate=gate))
-        return jobs
-
-    def submit_backward_pass(self, iteration: int) -> list[Job]:
-        """All BP jobs of an iteration, last layer first.
-
-        Returns jobs indexed by *layer index* (``jobs[i]`` is layer i's
-        BP job) for convenient gating, even though execution order is
-        reversed.
-        """
-        jobs: list[Optional[Job]] = [None] * self.model.num_layers
-        for layer_index in reversed(range(self.model.num_layers)):
-            jobs[layer_index] = self.submit_bp_layer(iteration, layer_index)
-        return jobs  # type: ignore[return-value]
 
     # -- communication submission ---------------------------------------------
 
@@ -321,6 +313,21 @@ class IterationContext:
     def _enter_iteration(self, iteration: int) -> None:
         """The scheduler's next submission belongs to ``iteration``."""
         self._iteration = iteration
+
+    def _compute_pass(self, kind: str, iteration: int, layers: range,
+                      durations, gates):
+        """Submit one FF or BP pass: layer ``layers[p]`` takes
+        ``durations[p]`` and, when ``gates`` is given, ``gates[p]``."""
+        jobs = [None] * len(layers)
+        for position, layer in enumerate(layers):
+            jobs[layer] = self._compute_slot(
+                durations[position],
+                name=f"{kind}.{iteration}.{layer}",
+                category=kind,
+                gate=None if gates is None else gates[position],
+                metadata={"iteration": iteration, "layer": layer},
+            )
+        return _JobPass(jobs, self.sim, self.tracer is not None)
 
     def _compute_slot(self, duration, name: str, category: str,
                       gate, metadata: dict):
@@ -442,6 +449,41 @@ class IterationContext:
         return extras
 
 
+class _JobPass:
+    """One FF or BP pass on an event kernel: its jobs, indexed by layer.
+
+    The event-kernel form of :class:`~repro.sim.fastpath.Chain`, with
+    the same ``done_of`` and ``add_flows``.
+    """
+
+    __slots__ = ("_jobs", "_sim", "_flows")
+
+    def __init__(self, jobs: list, sim, flows: bool):
+        self._jobs = jobs
+        self._sim = sim
+        self._flows = flows
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def __iter__(self):
+        return iter(self._jobs)
+
+    def __getitem__(self, layer: int):
+        return self._jobs[layer]
+
+    def done_of(self, layers: Sequence[int]):
+        """The gate on these layers' jobs."""
+        return self._sim.all_of([self._jobs[layer].done for layer in layers])
+
+    def add_flows(self, layers: Sequence[int], flow: str) -> None:
+        """Append ``flow`` to these layers' ``flows`` span metadata
+        (only on a traced run: nothing else reads it)."""
+        if self._flows:
+            for layer in layers:
+                self._jobs[layer].metadata.setdefault("flows", []).append(flow)
+
+
 def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
     """Count one fall back from a fast engine to a slower one.
 
@@ -516,6 +558,21 @@ class FastIterationContext(IterationContext):
 
     def stream(self, name: str, actor: str = ""):
         return self._timeline.stream(name, actor=actor)
+
+    def _compute_pass(self, kind: str, iteration: int, layers: range,
+                      durations, gates):
+        """Record the pass as one chain on the compute stream."""
+        return self.compute.submit_chain(
+            self._pass_bodies(durations), gates, kind,
+            (kind, iteration, layers), flows=self.tracer is not None,
+        )
+
+    def _pass_bodies(self, durations):
+        """A pass's slot bodies: the durations, or with timing faults
+        their priced placeholders in slot order (the ledger's order)."""
+        if self.faults is None:
+            return durations
+        return [self.faults.compute_priced(duration) for duration in durations]
 
     def record(self, schedule: Schedule, iterations: int,
                periodic: bool = True) -> None:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -237,7 +237,7 @@ class _RankDurations:
     rank's, so rank 0 is always in class 0.
     """
 
-    __slots__ = ("classes", "inverse", "_ff", "_bp", "_kernels", "_ratios")
+    __slots__ = ("classes", "inverse", "_passes", "_kernels", "_ratios")
 
     def __init__(self, timings: list[TimingModel]):
         #: one timing model per class, in order of first appearance.
@@ -247,25 +247,32 @@ class _RankDurations:
         self.inverse = np.array(
             [index[id(timing)] for timing in timings], dtype=np.intp
         )
-        self._ff: dict[int, np.ndarray] = {}
-        self._bp: dict[int, np.ndarray] = {}
+        self._passes: dict[str, list[np.ndarray]] = {}
         self._kernels: dict[float, np.ndarray] = {}
         self._ratios: Optional[np.ndarray] = None
 
-    def _layer(self, cache: dict, times: Callable[[TimingModel], float],
-               layer_index: int) -> np.ndarray:
-        vec = cache.get(layer_index)
-        if vec is None:
-            vec = cache[layer_index] = np.array(
-                [times(timing) for timing in self.classes]
-            )
-        return vec
+    @property
+    def ff_pass(self) -> list[np.ndarray]:
+        """An FF pass's vectors in submission order, first layer first."""
+        return self._pass("ff")
 
-    def ff(self, layer_index: int) -> np.ndarray:
-        return self._layer(self._ff, lambda t: t.ff_time(layer_index), layer_index)
+    @property
+    def bp_pass(self) -> list[np.ndarray]:
+        """A BP pass's vectors in submission order, last layer first."""
+        return self._pass("bp")
 
-    def bp(self, layer_index: int) -> np.ndarray:
-        return self._layer(self._bp, lambda t: t.bp_time(layer_index), layer_index)
+    def _pass(self, kind: str) -> list[np.ndarray]:
+        vectors = self._passes.get(kind)
+        if vectors is None:
+            # (layers, classes): row l holds layer l's time in each class.
+            times = np.array(
+                [getattr(timing.profile, f"{kind}_times")
+                 for timing in self.classes]
+            ).T
+            if kind == "bp":
+                times = times[::-1]
+            vectors = self._passes[kind] = list(np.ascontiguousarray(times))
+        return vectors
 
     def kernel(self, duration: float) -> np.ndarray:
         """A workload kernel of ``duration`` seconds on the planning rank.
@@ -386,19 +393,24 @@ class FastMultiRankContext(FastIterationContext):
         self.comm = self.stream("comm")
 
     def _compute_slot(self, durations, name, category, gate, metadata):
+        return self.compute.submit(
+            self._pass_bodies([durations])[0], name=name, category=category,
+            gate=gate, metadata=metadata,
+        )
+
+    def _pass_bodies(self, durations):
+        """Slot bodies from lane vectors: a one-rank timeline records
+        plain floats, and timing faults record priced placeholders in
+        slot order (the ledger's order)."""
         faults = self.faults
         if self.world == 1:
-            # A one-rank timeline records plain floats.
-            base = durations.item(0)
-            body = base if faults is None else faults.compute_priced(base)
-        else:
-            body = (
-                durations if faults is None
-                else faults.compute_priced_ranks(durations, self.durations.inverse)
-            )
-        return self.compute.submit(
-            body, name=name, category=category, gate=gate, metadata=metadata
-        )
+            durations = [vector.item(0) for vector in durations]
+            return super()._pass_bodies(durations)
+        if faults is None:
+            return durations
+        inverse = self.durations.inverse
+        return [faults.compute_priced_ranks(vector, inverse)
+                for vector in durations]
 
     def _collective_slot(self, body, name, category, gate, metadata):
         return self.comm.submit_collective(

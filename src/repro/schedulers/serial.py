@@ -42,14 +42,14 @@ class SerialScheduler(Scheduler):
         prev_comm_done = None
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, first_gate=prev_comm_done)
-            bp_jobs = ctx.submit_backward_pass(iteration)
-            backward_done = ctx.sim.all_of([job.done for job in bp_jobs])
-            comm_jobs = []
+            bp = ctx.submit_backward_pass(iteration)
+            backward_done = bp.done_of(range(len(bp)))
+            comm_done = []
             for group in plan:
                 # Only the first collective needs the gate: the comm
                 # stream is in-order, so the rest follow FIFO.
-                gate = backward_done if not comm_jobs else None
-                comm_jobs.append(
+                gate = backward_done if not comm_done else None
+                comm_done.append(
                     ctx.submit_collective(
                         "all_reduce",
                         group.nbytes,
@@ -61,9 +61,9 @@ class SerialScheduler(Scheduler):
                             "layers": group.layer_indices,
                             "num_tensors": len(group.tensors),
                         },
-                    )
+                    ).done
                 )
-            prev_comm_done = ctx.sim.all_of([job.done for job in comm_jobs])
+            prev_comm_done = ctx.sim.all_of(comm_done)
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

@@ -62,31 +62,26 @@ class WFBPScheduler(Scheduler):
         prev_comm_done = None
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, first_gate=prev_comm_done)
-            bp_jobs = ctx.submit_backward_pass(iteration)
-            comm_jobs = []
+            bp = ctx.submit_backward_pass(iteration)
+            comm_done = []
             for group in plan:
-                flow = f"{iteration}.g{group.index}"
-                for layer in group.layer_indices:
-                    bp_jobs[layer].metadata.setdefault("flows", []).append(flow)
-                gate = ctx.sim.all_of(
-                    [bp_jobs[layer].done for layer in group.layer_indices]
-                )
-                comm_jobs.append(
+                bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
+                comm_done.append(
                     ctx.submit_collective(
                         "all_reduce",
                         group.nbytes,
                         iteration,
                         label=f"g{group.index}",
-                        gate=gate,
+                        gate=bp.done_of(group.layer_indices),
                         extra_time=self.collective_overhead(ctx, group),
                         metadata={
                             "group": group.index,
                             "layers": group.layer_indices,
                             "num_tensors": len(group.tensors),
                         },
-                    )
+                    ).done
                 )
-            prev_comm_done = ctx.sim.all_of([job.done for job in comm_jobs])
+            prev_comm_done = ctx.sim.all_of(comm_done)
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

@@ -84,8 +84,10 @@ class ZeROScheduler(Scheduler):
                     metadata=_group_metadata(group),
                 )
                 ag_fwd_done[group.index] = job.done
-            layer_gates = _layer_gates(ctx, plan, ag_fwd_done)
-            ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
+            ctx.submit_forward_pass(
+                iteration,
+                layer_gates=plan.layer_gates(ag_fwd_done, ctx.sim.all_of),
+            )
 
             # -- backward: re-gather parameters per group (submitted
             # eagerly: FSDP prefetches, and the FIFO stream keeps them
@@ -102,21 +104,18 @@ class ZeROScheduler(Scheduler):
                     metadata=_group_metadata(group),
                 )
                 ag_bwd_done[group.index] = job.done
-            bp_gates = _layer_gates(ctx, plan, ag_bwd_done)
-            bp_jobs = _submit_backward(ctx, iteration, bp_gates)
+            bp = ctx.submit_backward_pass(
+                iteration,
+                layer_gates=plan.layer_gates(ag_bwd_done, ctx.sim.all_of),
+            )
             for group in backward_groups:
-                flow = f"{iteration}.g{group.index}"
-                for layer in group.layer_indices:
-                    bp_jobs[layer].metadata.setdefault("flows", []).append(flow)
-                gate = ctx.sim.all_of(
-                    [bp_jobs[layer].done for layer in group.layer_indices]
-                )
+                bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
                 job = ctx.submit_collective(
                     "reduce_scatter",
                     group.nbytes,
                     iteration,
                     label=f"g{group.index}",
-                    gate=gate,
+                    gate=bp.done_of(group.layer_indices),
                     metadata=_group_metadata(group),
                 )
                 rs_done_of_group[group.index] = job.done
@@ -128,31 +127,3 @@ class ZeROScheduler(Scheduler):
 
     def describe_options(self) -> dict:
         return {"buffer_bytes": self.buffer_bytes}
-
-
-def _layer_gates(
-    ctx: IterationContext, plan: FusionPlan, done_of_group: dict[int, Event]
-) -> dict[int, Event]:
-    """Gate each layer on the gather(s) covering its parameters."""
-    gates: dict[int, Event] = {}
-    for layer_index in range(ctx.model.num_layers):
-        groups = plan.groups_for_layer(layer_index)
-        if not groups:
-            continue
-        events = [done_of_group[g.index] for g in groups]
-        gates[layer_index] = (
-            events[0] if len(events) == 1 else ctx.sim.all_of(events)
-        )
-    return gates
-
-
-def _submit_backward(
-    ctx: IterationContext, iteration: int, gates: dict[int, Event]
-) -> list:
-    """Backward pass with per-layer gates (last layer first)."""
-    jobs = [None] * ctx.model.num_layers
-    for layer_index in reversed(range(ctx.model.num_layers)):
-        jobs[layer_index] = ctx.submit_bp_layer(
-            iteration, layer_index, gate=gates.get(layer_index)
-        )
-    return jobs

@@ -76,10 +76,24 @@ dropping the context that holds it frees it at once, without waiting
 for the cycle collector.  A handle read after its timeline is gone
 raises ``RuntimeError``.
 
+A scheduler's FF and BP passes are recorded whole:
+:meth:`Stream.submit_chain` appends a pass's slots with one list
+``extend`` per column and returns a :class:`Chain`, whose
+:class:`JobSet` handles are built only when a policy indexes the pass
+or spans are emitted.  A gate is stored per slot as *backward
+distances* (``slot - gate slot``), and :meth:`SimShim.all_of` keeps
+only the latest slot of each stream, which is exact: along an in-order
+stream every lane's ends never decrease (``start >= prev_end`` and
+``end = start + d`` with ``d >= 0``, and IEEE addition of a
+non-negative number never decreases its operand), and ``max`` adds no
+rounding, so the dropped slots cannot raise any gate.  A replay
+therefore rejects a deferred duration that resolves negative.
+
 A periodic recording need not be made slot by slot: :meth:`Timeline.tile`
-appends copies of its last block — one iteration — with gate ids shifted
-one block per copy, so a scheduler records two iterations and the
-timeline extends itself to the rest
+appends copies of its last block — one iteration — and since gates are
+distances, a copy's gates are the block's, repeated by one list
+multiplication; a scheduler records two iterations and the timeline
+extends itself to the rest
 (:meth:`repro.schedulers.engine.FastIterationContext.record`).  The
 replay runs every slot either way.
 
@@ -111,6 +125,7 @@ from repro.sim.trace import Span
 
 __all__ = [
     "BatchMismatch",
+    "Chain",
     "DeferredDuration",
     "DeferredRankDurations",
     "FastPathUnsupported",
@@ -123,6 +138,9 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+
+#: Body types fixed at record time; any other is deferred.
+_PLAIN = {float, np.ndarray}
 
 
 class FastPathUnsupported(RuntimeError):
@@ -169,6 +187,8 @@ class Gate:
 
     Plays the role of an :class:`~repro.sim.engine.Event` (a job's
     ``done``, or an ``all_of`` combination) in recorded schedules.
+    ``slot_ids`` holds at most one slot per stream, the latest
+    (:meth:`SimShim.all_of`).
     """
 
     __slots__ = ("slot_ids",)
@@ -284,21 +304,7 @@ class Stream:
         elif isinstance(body, DeferredRankDurations):
             durations = body
         else:
-            if not isinstance(body, np.ndarray):
-                raise FastPathUnsupported(
-                    f"multi-rank fast path requires per-rank duration "
-                    f"vectors, got {type(body).__name__}",
-                    reason="dynamic_duration",
-                )
-            lanes = timeline.lanes
-            if body.shape != (lanes,):
-                raise ValueError(
-                    f"slot {name!r}: expected {lanes} durations, got shape "
-                    f"{body.shape}"
-                )
-            if np.any(body < 0):
-                raise ValueError(f"slot {name!r} has negative durations")
-            durations = body.astype(float, copy=False)
+            durations = _lane_durations(body, timeline.lanes, name)
         return timeline._record(
             self, durations, False, name, category, gate, metadata
         )
@@ -320,6 +326,30 @@ class Stream:
             category, gate, metadata,
         )
 
+    def submit_chain(
+        self,
+        durations: Sequence[Any],
+        gates: Optional[Sequence[Optional[Gate]]],
+        category: str,
+        label: tuple[str, int, range],
+        flows: bool = False,
+    ) -> "Chain":
+        """Record one pass as a chain of per-rank slots; returns its
+        :class:`Chain`.
+
+        ``durations`` holds one body per slot, in submission order, of
+        the kinds :meth:`submit` takes; ``gates`` is ``None`` or one
+        optional gate per slot.  ``label`` is ``(kind, iteration,
+        layers)``: slot ``p`` is layer ``layers[p]``'s job, named
+        ``"{kind}.{iteration}.{layer}"`` with the category and the
+        ``{"iteration", "layer"}`` metadata a single :meth:`submit` of it
+        would carry.  ``flows`` says whether :meth:`Chain.add_flows`
+        keeps the flow ids it is given (only spans read them).
+        """
+        return _alive(self._timeline, "stream", self.name)._record_chain(
+            self, durations, gates, category, label, flows
+        )
+
 
 def _alive(ref: "weakref.ref[Timeline]", kind: str, name: str) -> "Timeline":
     """The timeline behind ``ref``; raises naming the reader if it is gone."""
@@ -327,6 +357,94 @@ def _alive(ref: "weakref.ref[Timeline]", kind: str, name: str) -> "Timeline":
     if timeline is None:
         raise RuntimeError(f"{kind} {name!r}: its timeline has been freed")
     return timeline
+
+
+class Chain:
+    """One FF or BP pass recorded by :meth:`Stream.submit_chain`.
+
+    A sequence of layer jobs indexed by layer: ``chain[layer]`` is that
+    layer's :class:`JobSet`, built on first use (as are all of them
+    when spans are emitted).  Policies gate on a pass with
+    :meth:`done_of` and attach flow ids with :meth:`add_flows`, neither
+    of which builds a handle on an untraced run.  Refers to its
+    timeline weakly, like :class:`JobSet`.
+    """
+
+    __slots__ = ("_timeline", "start", "category", "label", "_flows")
+
+    def __init__(self, timeline: "weakref.ref[Timeline]", start: int,
+                 category: str, label: tuple[str, int, range], flows: bool):
+        self._timeline = timeline
+        #: the chain's first slot.
+        self.start = start
+        self.category = category
+        #: ``(kind, iteration, layers)``, ``layers`` in slot order.
+        self.label = label
+        self._flows = flows
+
+    def __len__(self) -> int:
+        return len(self.label[2])
+
+    def __iter__(self):
+        """The jobs in layer order, like a list indexed by layer."""
+        return (self[layer] for layer in range(len(self)))
+
+    def __getitem__(self, layer: int) -> JobSet:
+        slot = self.start + self.label[2].index(layer)
+        handles = _alive(self._timeline, "chain", self.category)._handles
+        handle = handles[slot]
+        if handle is None:
+            kind, iteration, _ = self.label
+            handle = handles[slot] = JobSet(
+                self._timeline, slot, f"{kind}.{iteration}.{layer}",
+                self.category, {"iteration": iteration, "layer": layer},
+            )
+        return handle
+
+    def done_of(self, layers: Iterable[int]) -> Gate:
+        """The gate on these layers' jobs: the latest of their slots."""
+        return Gate((self.start + max(map(self.label[2].index, layers)),))
+
+    def add_flows(self, layers: Iterable[int], flow: str) -> None:
+        """Append ``flow`` to these layers' ``flows`` span metadata
+        (a no-op unless the chain was recorded with ``flows``)."""
+        if self._flows:
+            for layer in layers:
+                self[layer].metadata.setdefault("flows", []).append(flow)
+
+    def _build_handles(self) -> None:
+        for layer in self.label[2]:
+            self[layer]
+
+
+def _distances(slot: int, gate: Optional[Gate]) -> Optional[tuple[int, ...]]:
+    """Slot ``slot``'s gate as stored: backward distances to its slots."""
+    if gate is None:
+        return None
+    if not isinstance(gate, Gate):
+        raise FastPathUnsupported(
+            f"fast path requires static job gates, got {type(gate).__name__}",
+            reason="dynamic_gate",
+        )
+    return tuple([slot - gid for gid in gate.slot_ids])
+
+
+def _lane_durations(body: Any, lanes: int, name: str) -> np.ndarray:
+    """One multi-rank slot's plain ``(lanes,)`` duration vector, checked."""
+    if not isinstance(body, np.ndarray):
+        raise FastPathUnsupported(
+            f"multi-rank fast path requires per-rank duration "
+            f"vectors, got {type(body).__name__}",
+            reason="dynamic_duration",
+        )
+    if body.shape != (lanes,):
+        raise ValueError(
+            f"slot {name!r}: expected {lanes} durations, got shape "
+            f"{body.shape}"
+        )
+    if np.any(body < 0):
+        raise ValueError(f"slot {name!r} has negative durations")
+    return body.astype(float, copy=False)
 
 
 def _scalar_duration(body: Any, name: str):
@@ -357,16 +475,26 @@ class SimShim:
         self._timeline = timeline
 
     def all_of(self, events: Iterable[Any], name: str = "all_of") -> Gate:
-        """Combine gates: all referenced slots must have ended, per rank."""
-        slot_ids: list[int] = []
+        """Combine gates: all referenced slots must have ended, per rank.
+
+        Keeps only the latest slot of each stream.  That is exact: a
+        stream's ends never decrease along it on any lane (see the
+        module docstring), so the latest slot's end is the ``max`` of
+        all of them.
+        """
+        streams = _alive(self._timeline, "simulator", name)._slot_streams
+        latest: dict[int, int] = {}
         for event in events:
             if not isinstance(event, Gate):
                 raise FastPathUnsupported(
                     f"fast path cannot wait on {type(event).__name__}",
                     reason="dynamic_gate",
                 )
-            slot_ids.extend(event.slot_ids)
-        return Gate(tuple(slot_ids))
+            for slot in event.slot_ids:
+                sid = streams[slot]
+                if latest.get(sid, -1) < slot:
+                    latest[sid] = slot
+        return Gate(tuple(latest.values()))
 
     def _unsupported(self, feature: str):
         raise FastPathUnsupported(
@@ -399,8 +527,8 @@ class Timeline:
 
     __slots__ = ("world", "lanes", "sim", "_inverse", "_ref", "_streams",
                  "_slot_streams", "_durations", "_collective", "_gates",
-                 "_categories", "_handles", "_deferred", "_starts", "_ends",
-                 "final_time", "__weakref__")
+                 "_categories", "_handles", "_chains", "_deferred", "_starts",
+                 "_ends", "final_time", "__weakref__")
 
     def __init__(self, world: int = 1, rank_lanes: Optional[np.ndarray] = None):
         if world < 1:
@@ -435,11 +563,16 @@ class Timeline:
         #: rendezvous flag per slot (always False on one rank, where a
         #: collective is an ordinary job).
         self._collective: list[bool] = []
+        #: per slot: ``None`` or the gate as backward distances, each
+        #: ``slot - gate slot`` (so tiled copies share the block's).
         self._gates: list[Optional[tuple[int, ...]]] = []
         self._categories: list[str] = []
-        #: one handle per slot submitted through a :class:`Stream`; the
+        #: one entry per slot submitted through a :class:`Stream`, the
+        #: slot's handle or, in a chain not yet indexed, ``None``; the
         #: copies :meth:`tile` appends have none.
-        self._handles: list[JobSet] = []
+        self._handles: list[Optional[JobSet]] = []
+        #: every chain, to build its handles when spans are emitted.
+        self._chains: list[Chain] = []
         self._deferred = False
         #: (slots, lanes) results, set by :func:`replay`.
         self._starts: Optional[np.ndarray] = None
@@ -476,9 +609,10 @@ class Timeline:
         """Structural identity of the recording.
 
         Timelines with equal signatures recorded the same rank and lane
-        counts, stream sequence, rendezvous flags and static gate graph,
-        so they replay under the same control flow and may share one
-        :func:`replay`.  Durations (including whether a slot is
+        counts, stream sequence, rendezvous flags and static gate graph
+        (as backward distances, which are equal exactly when the gate
+        ids are), so they replay under the same control flow and may
+        share one :func:`replay`.  Durations (including whether a slot is
         deferred) and which ranks share a lane deliberately do not
         participate.
         """
@@ -510,48 +644,94 @@ class Timeline:
     def _record(self, stream: Stream, durations: Any, collective: bool,
                 name: str, category: str, gate: Optional[Gate],
                 metadata: Optional[dict]) -> JobSet:
-        if gate is not None and not isinstance(gate, Gate):
-            raise FastPathUnsupported(
-                f"fast path requires static job gates, got {type(gate).__name__}",
-                reason="dynamic_gate",
-            )
-        stream.jobs_submitted += 1
         index = len(self._slot_streams)
+        distances = _distances(index, gate)
+        stream.jobs_submitted += 1
         handle = JobSet(self._ref, index, name, category, metadata or {})
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
         self._collective.append(collective)
-        self._gates.append(gate.slot_ids if gate is not None else None)
+        self._gates.append(distances)
         self._categories.append(category)
         self._handles.append(handle)
         if type(durations) is not float and type(durations) is not np.ndarray:
             self._deferred = True
         return handle
 
+    def _record_chain(self, stream: Stream, durations: Sequence[Any],
+                      gates: Optional[Sequence[Optional[Gate]]],
+                      category: str, label: tuple[str, int, range],
+                      flows: bool) -> Chain:
+        kind, iteration, layers = label
+        count = len(layers)
+        if len(durations) != count or (gates is not None
+                                       and len(gates) != count):
+            raise ValueError(
+                f"chain {kind}.{iteration}: {count} layers need as many "
+                f"durations and gates"
+            )
+        bodies = self._chain_bodies(durations, label)
+        index = len(self._slot_streams)
+        self._gates.extend(
+            [None] * count if gates is None
+            else [_distances(slot, gate)
+                  for slot, gate in enumerate(gates, index)]
+        )
+        stream.jobs_submitted += count
+        self._slot_streams.extend([stream.stream_id] * count)
+        self._durations.extend(bodies)
+        self._collective.extend([False] * count)
+        self._categories.extend([category] * count)
+        self._handles.extend([None] * count)
+        if not set(map(type, bodies)) <= _PLAIN:
+            self._deferred = True
+        chain = Chain(self._ref, index, category, label, flows)
+        self._chains.append(chain)
+        return chain
+
+    def _chain_bodies(self, durations: Sequence[Any],
+                      label: tuple[str, int, range]) -> list:
+        """A chain's bodies, checked as :meth:`Stream.submit` checks
+        one: plain non-negative floats (or ``(lanes,)`` vectors) pass in
+        one test for the whole chain, anything else slot by slot."""
+        kind, iteration, layers = label
+        types = set(map(type, durations))
+        if self.world == 1:
+            if types == {float} and min(durations) >= 0:
+                return list(durations)
+            return [
+                _scalar_duration(body, f"{kind}.{iteration}.{layer}")
+                for body, layer in zip(durations, layers)
+            ]
+        if types == {np.ndarray}:
+            stacked = np.asarray(durations)
+            if (stacked.shape == (len(durations), self.lanes)
+                    and stacked.dtype == float and not (stacked < 0).any()):
+                return list(durations)
+        return [
+            body if isinstance(body, DeferredRankDurations)
+            else _lane_durations(body, self.lanes, f"{kind}.{iteration}.{layer}")
+            for body, layer in zip(durations, layers)
+        ]
+
     def tile(self, block_start: int, copies: int) -> int:
         """Append ``copies`` copies of the slots from ``block_start`` on.
 
         The block — one iteration of a periodic schedule — repeats with
-        its streams, rendezvous flags, categories and durations (plain
-        floats and vectors are shared, not copied); each copy's gate
-        ids are shifted one block length further than the last's, so a
-        gate into the previous block points into the previous copy.
-        Copies get no :class:`JobSet`: measurement reads the per-slot
-        lists and the replay arrays.  Deferred durations are resolved in
-        place per slot and cannot be shared, so a timeline that holds
-        any is not tiled.  Returns the block length.
+        its streams, rendezvous flags, categories, durations (plain
+        floats and vectors are shared, not copied) and gates: a gate is
+        stored as backward distances, so a gate into the previous block
+        points into the previous copy with no shifting.  Copies get no
+        :class:`JobSet`: measurement reads the per-slot lists and the
+        replay arrays.  Deferred durations are resolved in place per
+        slot and cannot be shared, so a timeline that holds any is not
+        tiled.  Returns the block length.
         """
         if self._deferred:
             raise ValueError("deferred durations cannot be tiled")
         period = len(self._slot_streams) - block_start
         streams = self._slot_streams[block_start:]
-        gates = self._gates[block_start:]
-        for copy in range(1, copies + 1):
-            shift = copy * period
-            self._gates.extend([
-                None if gate is None else tuple([slot + shift for slot in gate])
-                for gate in gates
-            ])
+        self._gates.extend(self._gates[block_start:] * copies)
         self._slot_streams.extend(streams * copies)
         self._collective.extend(self._collective[block_start:] * copies)
         self._categories.extend(self._categories[block_start:] * copies)
@@ -609,6 +789,8 @@ class Timeline:
             raise RuntimeError("emit_spans requires a completed replay")
         if len(self._handles) != len(self._slot_streams):
             raise RuntimeError("a tiled timeline has no spans to emit")
+        for chain in self._chains:
+            chain._build_handles()
         append = tracer.spans.append
         actors = [stream.actors for stream in self._streams]
         # Flat slot-major lists: one Python float per (slot, rank) and no
@@ -738,9 +920,10 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
                 # inside the segment (>= i) is an earlier same-stream
                 # job: subsumed by order.
                 gate_time = _NEG_INF
-                gate_ids = gates[k]
-                if gate_ids is not None:
-                    for gid in gate_ids:
+                backs = gates[k]
+                if backs is not None:
+                    for back in backs:
+                        gid = k - back
                         if gid < i:
                             e = ends_list[gid]
                             if e > gate_time:
@@ -752,6 +935,10 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
                     # the resolved value (busy-time sums and re-replays
                     # read it).
                     duration = float(duration.resolve(start))
+                    if duration < 0:
+                        raise ValueError(
+                            f"slot {k} resolved a negative duration {duration}"
+                        )
                     durations_py[k] = duration
                 end = start + duration
                 starts[k] = start
@@ -838,9 +1025,10 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                 k = g
             if k < j:
                 arrive = base
-                gate_ids = gates[k]
-                if gate_ids is not None:
-                    for gid in gate_ids:
+                backs = gates[k]
+                if backs is not None:
+                    for back in backs:
+                        gid = k - back
                         if gid < i:
                             arrive = np.maximum(arrive, ends[gid])
                 starts[k] = arrive
@@ -898,6 +1086,8 @@ def _column(duration_lists, k: int, plain: bool, begins):
             body = body.resolve(begins[c])
             if isinstance(body, (int, float)):
                 body = float(body)
+            if body < 0 if type(body) is float else (body < 0).any():
+                raise ValueError(f"slot {k} resolved a negative duration")
             durations[k] = body
         column.append(body)
     return np.asarray(column)

@@ -18,13 +18,13 @@ def ctx(ethernet_cluster):
 
 class TestQuiescenceCheck:
     def test_clean_schedule_passes(self, ctx):
-        ctx.submit_ff_layer(0, 0)
+        ctx.submit_forward_pass(0)
         ctx.submit_collective("all_reduce", 1e6, 0, "g0")
         ctx.run()  # no error
 
     def test_never_triggered_gate_detected(self, ctx):
         orphan = ctx.sim.event(name="never")
-        ctx.submit_ff_layer(0, 0, gate=orphan)
+        ctx.submit_forward_pass(0, first_gate=orphan)
         with pytest.raises(RuntimeError, match="deadlock"):
             ctx.run()
 
@@ -34,11 +34,14 @@ class TestQuiescenceCheck:
         with pytest.raises(RuntimeError, match="all_gather.3.g7"):
             ctx.run()
 
-    def test_jobs_behind_stall_counted(self, ctx):
+    def test_jobs_behind_stall_counted(self, ethernet_cluster):
+        # Three layers: the gated first FF job and two behind it.
+        timing = TimingModel.for_model(
+            build_tiny_model(num_blocks=1), iteration_compute=0.03
+        )
+        ctx = IterationContext(timing, CollectiveTimeModel(ethernet_cluster))
         orphan = ctx.sim.event(name="never")
-        ctx.submit_ff_layer(0, 0, gate=orphan)
-        ctx.submit_ff_layer(0, 1)
-        ctx.submit_ff_layer(0, 2)
+        ctx.submit_forward_pass(0, first_gate=orphan)
         with pytest.raises(RuntimeError, match="2 queued behind"):
             ctx.run()
 
@@ -47,9 +50,9 @@ class TestQuiescenceCheck:
         comm_job = None
 
         compute_gate = ctx.sim.event(name="compute_gate")
-        ff = ctx.submit_ff_layer(0, 0, gate=compute_gate)
+        ff = ctx.submit_forward_pass(0, first_gate=compute_gate)
         comm_job = ctx.submit_collective(
-            "all_reduce", 1e6, 0, "g0", gate=ff.done
+            "all_reduce", 1e6, 0, "g0", gate=ff[0].done
         )
         comm_job.done.add_callback(lambda e: compute_gate.succeed())
         with pytest.raises(RuntimeError, match="deadlock"):

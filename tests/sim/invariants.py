@@ -43,12 +43,15 @@ def verify_timeline(timeline, classes=None) -> None:
         return
     stream_ids = np.asarray(timeline._slot_streams)
 
-    # 1. Gates: every (slot, gate slot) pair, rank by rank.
-    gated = [(slot, gid) for slot, gate in enumerate(timeline._gates)
-             if gate is not None for gid in gate]
+    # 1. Gates: every (slot, gate slot) pair, rank by rank; a gate is
+    # stored as backward distances, ``slot - gate slot``.
+    gated = [(slot, back) for slot, gate in enumerate(timeline._gates)
+             if gate is not None for back in gate]
     if gated:
-        slot_ids, gate_ids = np.asarray(gated).T
-        assert np.all(gate_ids < slot_ids), "a gate points forward"
+        slot_ids, backs = np.asarray(gated).T
+        assert np.all(backs > 0), "a gate points forward"
+        gate_ids = slot_ids - backs
+        assert np.all(gate_ids >= 0), "a gate points before the first slot"
         late = starts[slot_ids] < ends[gate_ids]
         assert not late.any(), (
             f"slot {slot_ids[late.any(axis=1)][0]} starts before its gate ends"
