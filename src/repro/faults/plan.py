@@ -24,6 +24,7 @@ description — two runs of the same plan inject byte-identical faults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -64,6 +65,23 @@ class RankFailure:
             )
 
 
+def _check_window(start: float, end: float) -> None:
+    """A timing window ``[start, end)``: a finite ``start >= 0`` and a
+    later ``end``, which may be infinite but not NaN."""
+    if not (math.isfinite(start) and start >= 0):
+        raise ValueError(f"window start must be finite and >= 0, got {start}")
+    if math.isnan(end):
+        raise ValueError("window end must be a number, got nan")
+    if end <= start:
+        raise ValueError(f"window must be non-empty, got [{start}, {end})")
+
+
+def _check_factor(name: str, factor: float) -> None:
+    """A slowdown factor: finite and positive (NaN fails both)."""
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"{name} must be finite and positive, got {factor}")
+
+
 @dataclass(frozen=True)
 class LinkFault:
     """One link-degradation window in the timing domain.
@@ -83,14 +101,9 @@ class LinkFault:
     link: str = "inter"
 
     def __post_init__(self):
-        if self.end <= self.start:
-            raise ValueError(
-                f"window must be non-empty, got [{self.start}, {self.end})"
-            )
-        if self.start < 0:
-            raise ValueError(f"window start must be >= 0, got {self.start}")
-        if self.alpha_factor <= 0 or self.beta_factor <= 0:
-            raise ValueError("degradation factors must be positive")
+        _check_window(self.start, self.end)
+        for name in ("alpha_factor", "beta_factor"):
+            _check_factor(name, getattr(self, name))
         if self.link not in LINK_SCOPES:
             raise ValueError(
                 f"unknown link scope {self.link!r}; expected one of {LINK_SCOPES}"
@@ -115,16 +128,8 @@ class StragglerFault:
     compute_factor: float = 1.5
 
     def __post_init__(self):
-        if self.end <= self.start:
-            raise ValueError(
-                f"window must be non-empty, got [{self.start}, {self.end})"
-            )
-        if self.start < 0:
-            raise ValueError(f"window start must be >= 0, got {self.start}")
-        if self.compute_factor <= 0:
-            raise ValueError(
-                f"compute_factor must be positive, got {self.compute_factor}"
-            )
+        _check_window(self.start, self.end)
+        _check_factor("compute_factor", self.compute_factor)
 
     def active(self, now: float) -> bool:
         """Whether the window covers simulated time ``now``."""

@@ -37,10 +37,11 @@ Every perturbation is recorded: ``faults.degraded_link_seconds`` /
 per-event instant markers into the tracer (rendered as globally-scoped
 "i" events in Perfetto) via :meth:`TimingFaultInjector.publish`.  The
 event log is columnar where the rank axis makes it large: one resolved
-multi-rank compute slot appends a single :class:`StragglerRows` block —
-the slowed ranks' starts, factors and extra seconds as arrays — rather
-than one tuple and one dict per rank; :meth:`TimingFaultInjector.event_rows`
-expands the log into markers, in order, only when a tracer asks.
+chain of multi-rank compute slots appends a single :class:`StragglerRows`
+block — the slowed ranks' starts, factors and extra seconds as arrays,
+slot-major — rather than one tuple and one dict per rank;
+:meth:`TimingFaultInjector.event_rows` expands the log into markers, in
+order, only when a tracer asks.
 """
 
 from __future__ import annotations
@@ -69,19 +70,62 @@ _HEALTHY = (1.0, 1.0, 1.0, 1.0)
 #: A straggler-ledger entry whose placeholder has not been priced yet.
 _UNPRICED = object()
 
+#: Rank-order extras one seeded cumsum of :meth:`StragglerRows.fold` adds.
+_FOLD_ENTRIES = 1 << 16
+
 
 class StragglerRows(NamedTuple):
-    """The ``fault.straggler`` markers of one multi-rank compute slot.
+    """The ``fault.straggler`` markers of one chain of multi-rank
+    compute slots, kept per lane.
 
-    Row ``i`` is the marker one scalar
-    :meth:`TimingFaultInjector.compute_duration` call would have logged
-    for the ``i``-th slowed rank (in rank order): its start, its combined
-    factor and its extra seconds.
+    ``starts``, ``factors`` and ``extras`` hold one row per slowed slot
+    of the chain and one column per lane; ``slowed`` marks the lanes
+    each row slowed, and ``inverse`` maps each rank to its lane
+    (``None``: one lane per rank).  :meth:`ranked` lays a column out in
+    marker order — one entry per slowed (slot, rank) pair, slot-major
+    and in rank order within a slot — where entry ``i`` is what one
+    scalar :meth:`TimingFaultInjector.compute_duration` call would have
+    logged for that job.
     """
 
     starts: np.ndarray
     factors: np.ndarray
     extras: np.ndarray
+    slowed: np.ndarray
+    inverse: Optional[np.ndarray]
+
+    def _hit(self, rows: slice = slice(None)) -> np.ndarray:
+        """The slowed (slot, rank) pairs of ``rows``: rank-wide flags."""
+        hit = self.slowed[rows]
+        return hit if self.inverse is None else hit[:, self.inverse]
+
+    def ranked(self, column: np.ndarray,
+               rows: slice = slice(None)) -> np.ndarray:
+        """A ``(rows, lanes)`` column, one entry per marker of ``rows``."""
+        hit = self._hit(rows)
+        column = column[rows]
+        if self.inverse is not None:
+            column = column[:, self.inverse]
+        return column.ravel() if hit.all() else column[hit]
+
+    def markers(self) -> int:
+        """How many markers the block expands to."""
+        return int(np.count_nonzero(self._hit()))
+
+    def fold(self, total: float) -> float:
+        """``total`` plus every extra in marker order: a strict left fold,
+        as seeded ``np.cumsum`` runs over a few rows at a time, which
+        bounds the rank-order copies."""
+        ranks = (self.slowed.shape[1] if self.inverse is None
+                 else len(self.inverse))
+        step = max(1, _FOLD_ENTRIES // ranks)
+        for first in range(0, len(self.slowed), step):
+            ranked = self.ranked(self.extras, slice(first, first + step))
+            chain = np.empty(len(ranked) + 1)
+            chain[0] = total
+            chain[1:] = ranked
+            total = float(np.cumsum(chain, out=chain)[-1])
+        return total
 
 
 class TimingFaultInjector:
@@ -109,7 +153,8 @@ class TimingFaultInjector:
         self.straggler_seconds = 0.0
         #: the extras, one entry per priced placeholder in creation
         #: order: ``_UNPRICED``, ``None`` (not slowed), a float (one job)
-        #: or a rank-order array (one multi-rank slot); the first
+        #: or a :class:`StragglerRows` block (one chain of multi-rank
+        #: slots that slowed something); the first
         #: ``_folded`` entries are in ``straggler_seconds``.
         self._straggler_extras: list = []
         self._folded = 0
@@ -133,11 +178,12 @@ class TimingFaultInjector:
         """Add priced ledger entries to ``straggler_seconds``, in creation
         order, up to the first unpriced one.
 
-        A scalar ``+=`` per slowed job, a seeded ``np.cumsum`` (the same
-        strict left fold) per multi-rank slot.  The event kernel prices a
-        multi-rank run's jobs in completion order and the replay slot by
-        slot, so folding in creation order is what makes their totals
-        bit-identical; both have priced every job by the end of a run.
+        A scalar ``+=`` per slowed job, seeded ``np.cumsum`` runs (the
+        same strict left fold) per chain of multi-rank slots.  The event
+        kernel prices a multi-rank run's jobs in completion order and the
+        replay chain by chain, so folding in creation order is what makes
+        their totals bit-identical; both have priced every job by the end
+        of a run.
         """
         extras = self._straggler_extras
         total = self.straggler_seconds
@@ -147,10 +193,7 @@ class TimingFaultInjector:
             if type(extra) is float:
                 total += extra
             elif extra is not None:
-                chain = np.empty(len(extra) + 1)
-                chain[0] = total
-                chain[1:] = extra
-                total = float(np.cumsum(chain)[-1])
+                total = extra.fold(total)
             index += 1
         self.straggler_seconds = total
         self._folded = index
@@ -175,43 +218,84 @@ class TimingFaultInjector:
             self._fold()
         return slowed
 
-    def compute_durations(self, bases: np.ndarray, starts: np.ndarray,
-                          inverse: Optional[np.ndarray] = None) -> np.ndarray:
-        """:meth:`compute_duration` for every rank of a slot at once.
+    def compute_chain(self, bases: np.ndarray, start: np.ndarray,
+                      inverse: Optional[np.ndarray] = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`compute_duration` for every rank of a chain of slots.
 
-        ``bases`` and ``starts`` hold one entry per lane, and
-        ``inverse`` maps each rank to its lane (``None``: one lane per
-        rank).  The same float operations, lane by lane: the combined
-        factor is the plan's stragglers folded in order (``factor *
-        compute_factor`` where the window covers the start), and a
-        slowed lane takes ``base * factor``.  Every rank of a lane
-        starts with it, so that prices each rank.  The accounting is per
-        rank: factors and extras are gathered to the slowed ranks in
-        rank order, whose extras form the slot's entry of
-        :attr:`straggler_seconds` and whose markers append as one
-        :class:`StragglerRows` block.
+        The chain is consecutive compute slots of a multi-rank replay,
+        each starting when the one before it ends.  ``bases`` holds one
+        row per slot and one column per lane, ``start`` the first row's
+        ``(lanes,)`` starts, and ``inverse`` maps each rank to its lane
+        (``None``: one lane per rank).  Every rank of a lane starts
+        with it, so pricing a lane prices each of its ranks.
+
+        A row's start depends on the rows before it, so the factors are
+        a fixed point, found exactly.  Each round assumes a factor per
+        (row, lane), takes durations ``base * factor`` (exact where the
+        factor is 1), cumsums them seeded with ``start`` — the replay's
+        own left fold — and recomputes the factors from those starts:
+        the plan's stragglers folded in order (``factor *
+        compute_factor`` where the window covers the start), as the
+        scalar loop does.  With the rows before ``r`` exact, row ``r``'s
+        start and factor are exact, so each round fixes at least one
+        more row, and once the recomputed factors agree with the
+        assumed ones on every row but the last, all of them are exact.
+        That takes at most ``rows`` rounds, in practice one per window
+        edge a lane crosses, plus one.
+
+        The accounting is per rank: factors and extras are gathered to
+        the slowed (row, rank) pairs, slot-major and in rank order
+        within a slot.  Their extras form one entry of
+        :attr:`straggler_seconds` and their markers one
+        :class:`StragglerRows` block, which fold and expand exactly as
+        one entry and one block per slot would.
+
+        Returns ``(slowed, durations)``: the indices of the rows with a
+        slowed lane, and those rows' durations as one compact block.
+        Every other row's durations are its bases.
         """
-        factors = np.ones(len(starts))
-        for straggler in self.plan.stragglers:
-            factors = np.where(
-                (straggler.start <= starts) & (starts < straggler.end),
-                factors * straggler.compute_factor,
-                factors,
-            )
-        slowed_lanes = factors != 1.0
-        if not slowed_lanes.any():
-            return bases
-        durations = np.where(slowed_lanes, bases * factors, bases)
-        # The lane of each slowed rank, in rank order.
-        hit = (
-            np.flatnonzero(slowed_lanes) if inverse is None
-            else inverse[slowed_lanes[inverse]]
+        # The fixed point's (rows, lanes) buffers die with this call,
+        # before the fold makes its rank-order copies.
+        slowed, durations, block = _slowed_rows(
+            bases, *self._chain_factors(bases, start), inverse
         )
-        extras = durations[hit] - bases[hit]
-        self._straggler_extras.append(extras)
-        self._fold()
-        self.events.append(StragglerRows(starts[hit], factors[hit], extras))
-        return durations
+        if block is not None:
+            self._straggler_extras.append(block)
+            self._fold()
+            self.events.append(block)
+        return slowed, durations
+
+    def _chain_factors(self, bases: np.ndarray, start: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The fixed point of :meth:`compute_chain`: every row's starts
+        and combined factors, ``(rows, lanes)`` each."""
+        rows, lanes = bases.shape
+        stragglers = self.plan.stragglers
+        # Row r's start: `start` plus the durations of the rows before it.
+        starts = np.empty((rows, lanes))
+        starts[0] = start
+        factors = np.empty((rows, lanes))
+        inside = np.empty((rows, lanes), dtype=bool)
+        below = np.empty((rows, lanes), dtype=bool)
+        assumed = np.ones((rows, lanes)) if rows > 1 else None
+        for _ in range(rows):
+            if rows > 1:
+                np.multiply(bases[:-1], assumed[:-1], out=starts[1:])
+                np.cumsum(starts, axis=0, out=starts)
+            factors.fill(1.0)
+            for straggler in stragglers:
+                np.greater_equal(starts, straggler.start, out=inside)
+                np.less(starts, straggler.end, out=below)
+                inside &= below
+                np.multiply(factors, straggler.compute_factor, out=factors,
+                            where=inside)
+            if rows == 1 or np.array_equal(factors[:-1], assumed[:-1]):
+                return starts, factors
+            assumed, factors = factors, assumed
+        raise RuntimeError(  # pragma: no cover - each round fixes a row
+            "straggler pricing did not reach its fixed point"
+        )
 
     def collective_price(
         self, kind: str, nbytes: float, extra: float, now: float
@@ -271,8 +355,9 @@ class TimingFaultInjector:
         for event in self.events:
             if type(event) is StragglerRows:
                 for time, factor, extra in zip(
-                    event.starts.tolist(), event.factors.tolist(),
-                    event.extras.tolist(),
+                    event.ranked(event.starts).tolist(),
+                    event.ranked(event.factors).tolist(),
+                    event.ranked(event.extras).tolist(),
                 ):
                     yield (
                         time, "fault.straggler",
@@ -304,10 +389,29 @@ class TimingFaultInjector:
             "degraded_link_seconds": self.degraded_link_seconds,
             "straggler_seconds": self.straggler_seconds,
             "events": sum(
-                len(event.starts) if type(event) is StragglerRows else 1
+                event.markers() if type(event) is StragglerRows else 1
                 for event in self.events
             ),
         }
+
+
+def _slowed_rows(bases: np.ndarray, starts: np.ndarray, factors: np.ndarray,
+                 inverse: Optional[np.ndarray]):
+    """A priced chain's slowed rows: ``(indices, durations, block)``.
+
+    The durations are ``base * factor``, one compact block; the
+    :class:`StragglerRows` block is ``None`` when nothing slowed.
+    """
+    slowed_lanes = factors != 1.0
+    if not slowed_lanes.any():
+        return np.empty(0, dtype=np.intp), bases[:0], None
+    slowed = np.flatnonzero(slowed_lanes.any(axis=1))
+    base = bases[slowed]
+    factors = factors[slowed]
+    durations = base * factors
+    block = StragglerRows(starts[slowed], factors, durations - base,
+                          slowed_lanes[slowed], inverse)
+    return slowed, durations, block
 
 
 class PricedCompute(DeferredDuration):
@@ -352,16 +456,19 @@ class RankPricedCompute(DeferredRankDurations):
     """Per-lane compute durations the multi-rank replay prices at start.
 
     ``bases`` holds one healthy duration per lane (rank class) and
-    ``inverse`` each rank's lane (``None``: one lane per rank).
-    Resolution is :meth:`TimingFaultInjector.compute_durations`: one
-    vectorised pass over the slot's lanes that performs the scalar
-    :meth:`~TimingFaultInjector.compute_duration`'s float operations per
-    lane, and so per rank, so the durations and the straggler total are
-    bit-identical to the event kernel's per-rank :class:`PricedCompute`
-    jobs.  The replay resolves slots in submission order, which is
-    creation order.  Only the order fault *markers* are logged in
-    differs (slot-major here, chronological on the kernel), which the
-    sorted trace export normalises away.
+    ``inverse`` each rank's lane (``None``: one lane per rank).  The
+    replay resolves consecutive gate-free slots as one chain
+    (:meth:`resolve_chain`, one
+    :meth:`TimingFaultInjector.compute_chain` pass) and any other slot
+    as a chain of one row (:meth:`resolve`).  Either way each lane, and
+    so each rank, gets the scalar
+    :meth:`~TimingFaultInjector.compute_duration`'s float operations,
+    so the durations and the straggler total are bit-identical to the
+    event kernel's per-rank :class:`PricedCompute` jobs.  The replay
+    resolves slots in submission order, which is creation order.  Only
+    the order fault *markers* are logged in differs (slot-major here,
+    chronological on the kernel), which the sorted trace export
+    normalises away.
     """
 
     __slots__ = ("injector", "bases", "inverse")
@@ -373,4 +480,28 @@ class RankPricedCompute(DeferredRankDurations):
         self.inverse = inverse
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
-        return self.injector.compute_durations(self.bases, starts, self.inverse)
+        slowed, durations = self.injector.compute_chain(
+            self.bases[None], starts, self.inverse
+        )
+        return durations[0] if len(slowed) else self.bases
+
+    @classmethod
+    def resolve_chain(cls, bodies: list, start: np.ndarray) -> list:
+        """Price ``bodies`` as one chain when they share one injector and
+        one rank-to-lane index (every chain a run records); otherwise
+        row by row.  An unslowed row resolves to its own ``bases``, a
+        slowed one to a row of the chain's compact block of slowed
+        rows, so a resolved recording keeps no chain-sized buffer."""
+        head = bodies[0]
+        injector = head.injector
+        inverse = head.inverse
+        if any(type(body) is not cls or body.injector is not injector
+               or body.inverse is not inverse for body in bodies):
+            return super().resolve_chain(bodies, start)
+        rows = [body.bases for body in bodies]
+        slowed, durations = injector.compute_chain(
+            np.array(rows, dtype=float), start, inverse
+        )
+        for index, row in zip(slowed.tolist(), durations):
+            rows[index] = row
+        return rows

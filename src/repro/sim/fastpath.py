@@ -47,8 +47,13 @@ replays them together along a third axis, *configs*.  Within one
 slots), gateless per-rank runs telescope to a prefix sum evaluated with
 ``np.cumsum`` seeded with the run's base time: a strict left fold per
 (config, rank) lane, so the float association matches the kernel's
-sequential ``end += d``.  Gated, collective and deferred slots take
-``max(prev_end, gate_end) + duration`` one slot at a time.  Gates
+sequential ``end += d``.  Gated and collective slots take
+``max(prev_end, gate_end) + duration`` one slot at a time, and so do
+deferred one-rank and collective slots.  Deferred per-lane slots are
+resolved as *chains*: from a slot, gated or not, through the gate-free
+deferred per-lane slots that follow it in the segment, one
+:meth:`DeferredRankDurations.resolve_chain` call per config, then one
+seeded cumsum (a slot alone is a chain of one row).  Gates
 always point at earlier-submitted slots, so processing slots in
 submission order resolves every dependency; a gate on an earlier slot
 of the *same* segment is subsumed by stream order and is skipped.  Any
@@ -87,7 +92,8 @@ stream every lane's ends never decrease (``start >= prev_end`` and
 ``end = start + d`` with ``d >= 0``, and IEEE addition of a
 non-negative number never decreases its operand), and ``max`` adds no
 rounding, so the dropped slots cannot raise any gate.  A replay
-therefore rejects a deferred duration that resolves negative.
+therefore rejects a deferred duration that resolves negative (or NaN,
+which fails ``d >= 0`` too).
 
 A periodic recording need not be made slot by slot: :meth:`Timeline.tile`
 appends copies of its last block — one iteration — and since gates are
@@ -103,9 +109,12 @@ from a start time — the same object the event kernel's streams resolve
 at job start) or, per lane, a :class:`DeferredRankDurations` (priced
 from the lanes' start vector).  They are resolved during replay once
 the start is known; that is how timing faults
-(:mod:`repro.faults.timing`) ride the fast path.  A deferred slot
-breaks the cumsum batching at that slot; everything around it stays
-vectorized.  Anything genuinely dynamic —
+(:mod:`repro.faults.timing`) ride the fast path.  A one-rank or
+collective deferred slot breaks the cumsum batching at that slot; a
+chain of per-lane ones is priced in one pass, whose pricer may solve
+for every start of the chain at once, and is then replayed like a
+gateless run.  The ``sim.replay.deferred_slots`` counter shows how many
+deferred slots each way resolved.  Anything genuinely dynamic —
 process bodies, ``sim.event()``, raw callbacks — raises
 :class:`FastPathUnsupported`, and the caller falls back to the event
 kernel (:meth:`repro.schedulers.base.Scheduler.run`,
@@ -122,6 +131,7 @@ import numpy as np
 
 from repro.sim.resources import DeferredDuration
 from repro.sim.trace import Span
+from repro.telemetry.registry import default_registry
 
 __all__ = [
     "BatchMismatch",
@@ -174,12 +184,29 @@ class DeferredRankDurations:
     as one :class:`~repro.sim.resources.DeferredDuration` per rank on
     the event kernel.  Every rank of a lane starts at its lane's start,
     so pricing a lane prices each of its ranks.
+
+    The replay resolves them through :meth:`resolve_chain`, a run of
+    consecutive gate-free slots at a time.
     """
 
     __slots__ = ()
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @classmethod
+    def resolve_chain(cls, bodies: list, start: np.ndarray) -> list:
+        """Resolve a chain: slot ``r + 1`` of ``bodies`` starts when slot
+        ``r`` ends, and the first starts at ``start``.  Returns one
+        ``(lanes,)`` duration vector per body.  The replay calls it on
+        the first body's class; this default resolves row by row, with
+        the replay's own addition for each next start."""
+        rows = []
+        for body in bodies:
+            row = body.resolve(start)
+            rows.append(row)
+            start = start + row
+        return rows
 
 
 class Gate:
@@ -889,6 +916,7 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
     # array.
     durations = None if deferred else np.asarray(durations_py)
     prev_end = [0.0] * len(timeline._streams)
+    alone = 0
     i = 0
     while i < n:
         sid = stream_ids[i]
@@ -935,11 +963,13 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
                     # the resolved value (busy-time sums and re-replays
                     # read it).
                     duration = float(duration.resolve(start))
-                    if duration < 0:
+                    if not duration >= 0:
                         raise ValueError(
-                            f"slot {k} resolved a negative duration {duration}"
+                            f"slot {k} resolved a duration that is not "
+                            f">= 0: {duration}"
                         )
                     durations_py[k] = duration
+                    alone += 1
                 end = start + duration
                 starts[k] = start
                 ends[k] = end
@@ -948,6 +978,8 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
                 k += 1
         prev_end[sid] = base
         i = j
+    if alone:
+        _count_deferred(0, alone)
     return starts, ends
 
 
@@ -959,8 +991,10 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     lane, ``np.maximum`` over gate rows is the same pairwise max, a
     rendezvous is a ``max`` over the lane axis, and breaking a run at
     *any* config's deferred slot re-seeds the next chain with exact
-    partial sums, which a left fold is insensitive to.  Slot-major
-    layout keeps every per-slot row contiguous.
+    partial sums, which a left fold is insensitive to.  Deferred
+    per-lane slots resolve as chains (:func:`_resolve_chain`): from a
+    slot, gated or not, through the gate-free deferred slots after it.
+    Slot-major layout keeps every per-slot row contiguous.
     """
     first = timelines[0]
     n = len(first._slot_streams)
@@ -977,17 +1011,24 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     duration_lists = [timeline._durations for timeline in timelines]
     # A slot is plain when every config recorded its duration(s) at
     # record time: a float where one duration serves all ranks, a
-    # (lanes,) vector otherwise.
+    # (lanes,) vector otherwise.  It chains when every config deferred
+    # its per-lane durations.
     deferred = any(timeline._deferred for timeline in timelines)
     col_plain = [True] * n
+    col_chain = [False] * n
     if deferred:
         plain_types = [
             float if world == 1 or flag else np.ndarray for flag in collective
         ]
-        for durations in duration_lists:
-            col_plain = [
-                plain and type(body) is kind
-                for plain, body, kind in zip(col_plain, durations, plain_types)
+        fixed = [
+            [type(body) is kind for body, kind in zip(durations, plain_types)]
+            for durations in duration_lists
+        ]
+        col_plain = [all(flags) for flags in zip(*fixed)]
+        if world > 1:
+            col_chain = [
+                not (flag or any(flags))
+                for flag, flags in zip(collective, zip(*fixed))
             ]
     # The common healthy one-rank sweep: one (slots, configs, 1) tensor
     # serves every run slice.
@@ -995,6 +1036,7 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
         np.asarray(duration_lists).T.reshape(n, configs, 1)
         if world == 1 and not deferred else None
     )
+    chained = alone = 0
     prev = [np.zeros((configs, lanes)) for _ in first._streams]
     i = 0
     while i < n:
@@ -1031,7 +1073,26 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                         gid = k - back
                         if gid < i:
                             arrive = np.maximum(arrive, ends[gid])
+                if world > 1 and not collective[k] and not col_plain[k]:
+                    # Deferred per-lane durations: one chain from here
+                    # through the gate-free deferred slots that follow.
+                    g = k + 1
+                    if col_chain[k]:
+                        while g < j and gates[g] is None and col_chain[g]:
+                            g += 1
+                    if g - k > 1:
+                        chained += g - k
+                    else:
+                        alone += 1
+                    seg = _resolve_chain(duration_lists, k, g, arrive)
+                    starts[k:g] = seg[:-1]
+                    ends[k:g] = seg[1:]
+                    base = seg[-1]
+                    k = g
+                    continue
                 starts[k] = arrive
+                if not col_plain[k]:
+                    alone += 1
                 # Plain durations broadcast as recorded: the one-rank
                 # sweep's matrix row, or a solo replay's float or
                 # (lanes,) vector.
@@ -1053,41 +1114,92 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                 else:
                     if dur is None:
                         # One rank prices a deferred duration from its
-                        # arrival time, several from the arrival row.
+                        # arrival time.
                         dur = _column(
-                            duration_lists, k, col_plain[k],
-                            arrive[:, 0] if world == 1 else arrive,
+                            duration_lists, k, col_plain[k], arrive[:, 0]
                         ).reshape(configs, lanes)
                     np.add(arrive, dur, out=ends[k])
                 base = ends[k]
                 k += 1
         prev[sid] = base
         i = j
+    if chained or alone:
+        _count_deferred(chained, alone)
     return starts, ends
+
+
+def _resolve_chain(duration_lists, k: int, g: int,
+                   arrive: np.ndarray) -> np.ndarray:
+    """Resolve deferred per-lane slots ``k..g-1`` as one chain per config.
+
+    Slot ``k`` starts at ``arrive[c]`` in config ``c`` and each later
+    slot when the one before it ends.  Each config's bodies resolve
+    through the first body's
+    :meth:`DeferredRankDurations.resolve_chain`, with its own pricer; a
+    slot alone may be plain in some configs, which keep their vectors.
+    Resolved values replace the deferred bodies in the recordings.
+    Returns the chain's ends seeded with ``arrive``: ``(g - k + 1,
+    configs, lanes)``, row ``r`` the start of slot ``k + r``.
+    """
+    resolved = []
+    for c, durations in enumerate(duration_lists):
+        bodies = durations[k:g]
+        head = bodies[0]
+        if type(head) is not np.ndarray:
+            bodies = (
+                [head.resolve(arrive[c])] if g - k == 1
+                else type(head).resolve_chain(bodies, arrive[c])
+            )
+            durations[k:g] = bodies
+        resolved.append(bodies)
+    seg = np.empty((g - k + 1,) + arrive.shape)
+    seg[0] = arrive
+    for c, bodies in enumerate(resolved):
+        seg[1:, c] = bodies
+    valid = seg[1:] >= 0
+    if not valid.all():
+        bad = np.flatnonzero(~valid.reshape(g - k, -1).all(axis=1))[0]
+        raise ValueError(
+            f"slot {k + bad} resolved a duration that is not >= 0"
+        )
+    return np.cumsum(seg, axis=0, out=seg)
+
+
+def _count_deferred(chained: int, alone: int) -> None:
+    """Count one replay's deferred slots by how they were resolved."""
+    counter = default_registry().counter(
+        "sim.replay.deferred_slots",
+        "deferred slots the replay resolved, in chains or one at a time",
+    )
+    if chained:
+        counter.inc(chained, how="chain")
+    if alone:
+        counter.inc(alone, how="slot")
 
 
 def _column(duration_lists, k: int, plain: bool, begins):
     """Slot ``k``'s durations across configs, resolving deferred ones.
 
-    ``begins[c]`` is what config ``c``'s deferred body is priced from:
-    its rendezvous start, or its ``(lanes,)`` arrival row.  Resolved
-    values replace the deferred bodies in the recordings.
+    A deferred body here is one :class:`DeferredDuration` (per-lane
+    ones resolve as chains), priced from ``begins[c]``: config ``c``'s
+    rendezvous start, or its one-rank arrival time.  Resolved values
+    replace the deferred bodies in the recordings.
     """
     if plain:
         return np.asarray([d[k] for d in duration_lists])
-    if begins.ndim == 1:
-        # One start per config: price from a Python float, exactly as
-        # the float loop does.
-        begins = begins.tolist()
+    # Price from Python floats, exactly as the float loop does.
+    begins = begins.tolist()
     column = []
     for c, durations in enumerate(duration_lists):
         body = durations[k]
-        if isinstance(body, (DeferredDuration, DeferredRankDurations)):
+        if isinstance(body, DeferredDuration):
             body = body.resolve(begins[c])
             if isinstance(body, (int, float)):
                 body = float(body)
-            if body < 0 if type(body) is float else (body < 0).any():
-                raise ValueError(f"slot {k} resolved a negative duration")
+            if not (body >= 0 if type(body) is float else (body >= 0).all()):
+                raise ValueError(
+                    f"slot {k} resolved a duration that is not >= 0"
+                )
             durations[k] = body
         column.append(body)
     return np.asarray(column)

@@ -50,6 +50,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="compute_factor"):
             StragglerFault(0.0, 1.0, compute_factor=-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StragglerFault(0, 1, compute_factor=float("nan")),
+            lambda: StragglerFault(0, 1, compute_factor=float("inf")),
+            lambda: StragglerFault(float("nan"), 1.0),
+            lambda: StragglerFault(float("inf"), float("inf")),
+            lambda: StragglerFault(0.0, float("nan")),
+            lambda: LinkFault(0.0, 1.0, beta_factor=float("nan")),
+            lambda: LinkFault(0.0, 1.0, alpha_factor=float("inf")),
+            lambda: LinkFault(float("nan"), 1.0),
+            lambda: LinkFault(0.0, float("nan")),
+        ],
+        ids=[
+            "straggler-factor-nan", "straggler-factor-inf",
+            "straggler-start-nan", "straggler-start-inf",
+            "straggler-end-nan", "link-beta-nan", "link-alpha-inf",
+            "link-start-nan", "link-end-nan",
+        ],
+    )
+    def test_non_finite_windows_and_factors_are_rejected(self, make):
+        with pytest.raises(ValueError, match="finite|number"):
+            make()
+
+    def test_open_ended_window_is_accepted(self):
+        assert StragglerFault(0.5, float("inf")).active(1e12)
+        assert LinkFault(0.0, float("inf"), beta_factor=2.0).active(0.0)
+
     def test_lists_become_tuples(self):
         plan = FaultPlan(rank_failures=[RankFailure(0)])
         assert isinstance(plan.rank_failures, tuple)

@@ -253,6 +253,26 @@ class TestWireValidation:
         assert _counter("serve.errors", stage="config") - config_before == 1
 
     @pytest.mark.parametrize(
+        "faults",
+        [
+            {"stragglers": [{"start": 0.0, "end": 1.0,
+                             "compute_factor": float("nan")}]},
+            {"stragglers": [{"start": float("nan"), "end": 1.0}]},
+            {"link_faults": [{"start": 0.0, "end": 1.0,
+                              "beta_factor": float("nan")}]},
+            {"link_faults": [{"start": 0.0, "end": float("nan")}]},
+        ],
+        ids=["compute-factor", "start", "beta-factor", "end"],
+    )
+    def test_nan_fault_plans_answer_400(self, client, faults):
+        """``json.loads`` accepts ``NaN``; the plan must not."""
+        config_before = _counter("serve.errors", stage="config")
+        computed_before = _counter("runner.specs", outcome="computed")
+        assert _status(client, {**PAYLOAD, "faults": faults}) == 400
+        assert _counter("serve.errors", stage="config") - config_before == 1
+        assert _counter("runner.specs", outcome="computed") == computed_before
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("faults", 3),
