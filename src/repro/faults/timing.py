@@ -433,6 +433,10 @@ class PricedCompute(DeferredDuration):
     def resolve(self, start: float) -> float:
         return self.injector._compute_job(self.base, start, self.entry)
 
+    def renew(self) -> "PricedCompute":
+        """A fresh placeholder with its own, next ledger entry."""
+        return self.injector.compute_priced(self.base)
+
 
 class PricedCollective(DeferredDuration):
     """Collective duration resolved at the (rendezvous) start time."""

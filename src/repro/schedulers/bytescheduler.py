@@ -397,8 +397,8 @@ class _DispatchPlan:
         return self.healthy[k]
 
     def _update_periodic(self) -> None:
-        #: whether iterations 2 on repeat iteration 1's claims (tiling).
-        self.periodic = all(order == self.orders[1] for order in self.orders[2:])
+        #: whether every iteration repeats iteration 0's claims (tiling).
+        self.periodic = all(order == self.orders[0] for order in self.orders[1:])
 
     def __call__(self, ctx: IterationContext, iterations: int) -> None:
         channels = [ctx.comm] + [

@@ -524,10 +524,10 @@ class FastIterationContext(IterationContext):
     Records jobs into a one-rank :class:`~repro.sim.fastpath.Timeline`
     instead of driving the event kernel; :meth:`run` replays the
     recorded schedule in closed form (see :mod:`repro.sim.fastpath` for
-    the recurrence and its equivalence argument).  A healthy, untraced
-    run records two iterations and tiles the rest (:meth:`record`).
-    The run is measured from the replay arrays; spans go only into a
-    requested tracer.
+    the recurrence and its equivalence argument).  Every periodic run,
+    traced or faulted, records two iterations and tiles the rest
+    (:meth:`record`).  The run is measured from the replay arrays; spans
+    go only into a tracer attached before recording.
     Timing-fault placeholders are resolved at each job's replayed start,
     so faulty runs stay on this engine.  A schedule whose order is
     decided at run time records a guessed order and has the replay
@@ -544,8 +544,8 @@ class FastIterationContext(IterationContext):
     #: the slot where iteration 1 began.
     _tiling = False
     _block_start: Optional[int] = None
-    #: first-FF slot of each tiled iteration.
-    _tiled_first_ff: Sequence[int] = ()
+    #: whether :meth:`record` ran without a tracer.
+    _untraced = False
 
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
@@ -581,42 +581,27 @@ class FastIterationContext(IterationContext):
         Every fast-path policy's pipeline is in steady state from
         iteration 1: each later iteration submits iteration 1's slots
         shifted by one block (``tests/sim/test_tiling.py`` checks each
-        one against a full recording).  So the first submission of
-        iteration 2 stops the scheduler, and :meth:`~repro.sim.fastpath.Timeline.tile` repeats
-        iteration 1's block ``iterations - 2`` times; the replay still
-        runs every iteration.  Three kinds of run record in full: traced
-        runs (span names and flow ids carry the iteration, and tiled
-        slots have no span handles), runs with timing faults (deferred
-        durations are priced per slot), and schedules the caller marks
-        not ``periodic`` (a ByteScheduler dispatch order that moves its
-        credit channels round from one iteration to the next).
-        Publishes ``sim.record.slots{how}`` and, for a full recording,
-        ``sim.record.full{reason}``.
+        one against a full recording, traced and faulted runs too).  So
+        the first submission of iteration 2 stops the scheduler, and
+        :meth:`~repro.sim.fastpath.Timeline.tile` repeats iteration 1's
+        block ``iterations - 2`` times, renewing timing-fault
+        placeholders and labelling spans per copy; the replay still
+        runs every iteration.  Only a schedule the caller marks not
+        ``periodic`` records in full (a ByteScheduler dispatch order
+        whose claims differ between iterations, iteration 0's
+        included).  Publishes ``sim.record.slots{how}`` and, for a full
+        recording, ``sim.record.full{reason="aperiodic"}``.
         """
-        full = (
-            "trace" if self.tracer is not None
-            else "faults" if self.faults is not None
-            else None if periodic
-            else "aperiodic"
-        )
+        self._untraced = self.tracer is None
         tiled = 0
-        if full is None:
-            self._tiling = True
-            try:
-                schedule(self, iterations)
-            except _TwoIterations:
-                copies = iterations - 2
-                timeline = self._timeline
-                period = timeline.tile(self._block_start, copies)
-                tiled = period * copies
-                first_ff = self.ff_first_jobs[-1].index
-                self._tiled_first_ff = [
-                    first_ff + period * copy for copy in range(1, copies + 1)
-                ]
-            finally:
-                self._tiling = False
-        else:
+        self._tiling = periodic
+        try:
             schedule(self, iterations)
+        except _TwoIterations:
+            copies = iterations - 2
+            tiled = self._timeline.tile(self._block_start, copies) * copies
+        finally:
+            self._tiling = False
         registry = default_registry()
         slots = registry.counter(
             "sim.record.slots",
@@ -624,10 +609,10 @@ class FastIterationContext(IterationContext):
         )
         slots.inc(self._timeline.slots_recorded - tiled, how="recorded")
         slots.inc(tiled, how="tiled")
-        if full is not None:
+        if not periodic:
             registry.counter(
                 "sim.record.full", "fast-path runs recorded in full, by reason"
-            ).inc(reason=full)
+            ).inc(reason="aperiodic")
 
     def record_verified(self, plan: "VerifiedSchedule", iterations: int,
                         rounds: int) -> None:
@@ -662,7 +647,6 @@ class FastIterationContext(IterationContext):
         plan = self.faults.plan if self.faults is not None else None
         self.__init__(self.timing, self.cost, self.tracer, plan)
         self._block_start = None
-        self._tiled_first_ff = ()
 
     def _enter_iteration(self, iteration: int) -> None:
         self._iteration = iteration
@@ -678,7 +662,10 @@ class FastIterationContext(IterationContext):
         if starts is None:
             raise RuntimeError("first-FF start times require a completed replay")
         slots = [job.index for job in self.ff_first_jobs]
-        slots.extend(self._tiled_first_ff)
+        block = self._timeline._block
+        if block is not None:
+            # Each tiled copy's first FF, one period after the last's.
+            slots.extend(range(slots[-1] + block[1], len(starts), block[1]))
         return starts[slots, 0].tolist()
 
     def timed_jobs(
@@ -690,8 +677,11 @@ class FastIterationContext(IterationContext):
         """Replay the recorded schedule; returns the final virtual time.
 
         Nothing to check for stalls: recordable schedules only carry
-        back-edges, so they cannot deadlock.
+        back-edges, so they cannot deadlock.  A tracer attached after
+        an untraced recording raises ``RuntimeError``: it has no flow ids.
         """
+        if self.tracer is not None and self._untraced:
+            raise RuntimeError("a tracer attached after recording lacks its flow ids")
         final = self._timeline.replay(self.tracer)
         self.finish()
         return final

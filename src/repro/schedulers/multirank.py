@@ -360,8 +360,8 @@ class FastMultiRankContext(FastIterationContext):
 
     Records the schedule into a ``world``-rank
     :class:`~repro.sim.fastpath.Timeline` whose lanes are the rank
-    classes of :class:`_RankDurations` — two iterations of a healthy,
-    untraced run, tiled to the rest as on one rank; dynamic
+    classes of :class:`_RankDurations` — two iterations of every run,
+    traced or faulted, tiled to the rest as on one rank; dynamic
     features raise :class:`~repro.sim.fastpath.FastPathUnsupported` and
     the caller falls back to :class:`MultiRankIterationContext`.
     Timing faults stay on this engine: compute slots carry

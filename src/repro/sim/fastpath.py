@@ -194,6 +194,10 @@ class DeferredRankDurations:
     def resolve(self, starts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def renew(self) -> "DeferredRankDurations":
+        """As :meth:`~repro.sim.resources.DeferredDuration.renew`."""
+        return self
+
     @classmethod
     def resolve_chain(cls, bodies: list, start: np.ndarray) -> list:
         """Resolve a chain: slot ``r + 1`` of ``bodies`` starts when slot
@@ -554,8 +558,8 @@ class Timeline:
 
     __slots__ = ("world", "lanes", "sim", "_inverse", "_ref", "_streams",
                  "_slot_streams", "_durations", "_collective", "_gates",
-                 "_categories", "_handles", "_chains", "_deferred", "_starts",
-                 "_ends", "final_time", "__weakref__")
+                 "_categories", "_handles", "_chains", "_deferred", "_block",
+                 "_starts", "_ends", "final_time", "__weakref__")
 
     def __init__(self, world: int = 1, rank_lanes: Optional[np.ndarray] = None):
         if world < 1:
@@ -601,6 +605,8 @@ class Timeline:
         #: every chain, to build its handles when spans are emitted.
         self._chains: list[Chain] = []
         self._deferred = False
+        #: ``(block_start, period)`` once :meth:`tile` has run.
+        self._block: Optional[tuple[int, int]] = None
         #: (slots, lanes) results, set by :func:`replay`.
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
@@ -746,23 +752,26 @@ class Timeline:
 
         The block — one iteration of a periodic schedule — repeats with
         its streams, rendezvous flags, categories, durations (plain
-        floats and vectors are shared, not copied) and gates: a gate is
-        stored as backward distances, so a gate into the previous block
-        points into the previous copy with no shifting.  Copies get no
-        :class:`JobSet`: measurement reads the per-slot lists and the
-        replay arrays.  Deferred durations are resolved in place per
-        slot and cannot be shared, so a timeline that holds any is not
-        tiled.  Returns the block length.
+        floats and vectors are shared, deferred bodies renewed copy by
+        copy in block order: a full recording's creation order) and
+        gates: a gate is stored as backward distances, so a gate into
+        the previous block points into the previous copy with no
+        shifting.  Copies get no :class:`JobSet`: measurement reads the
+        per-slot lists and the replay arrays, and :meth:`emit_spans`
+        labels them from the block.  Returns the block length.
         """
-        if self._deferred:
-            raise ValueError("deferred durations cannot be tiled")
         period = len(self._slot_streams) - block_start
+        self._block = (block_start, period)
         streams = self._slot_streams[block_start:]
         self._gates.extend(self._gates[block_start:] * copies)
         self._slot_streams.extend(streams * copies)
         self._collective.extend(self._collective[block_start:] * copies)
         self._categories.extend(self._categories[block_start:] * copies)
-        self._durations.extend(self._durations[block_start:] * copies)
+        block = self._durations[block_start:]
+        for _ in range(copies):
+            self._durations.extend(block if not self._deferred else [
+                body if type(body) in _PLAIN else body.renew() for body in block
+            ])
         for stream in self._streams:
             stream.jobs_submitted += streams.count(stream.stream_id) * copies
         return period
@@ -809,15 +818,22 @@ class Timeline:
 
         The same spans the event kernel's streams would have recorded,
         slot by slot; a collective's rank-r span runs from that rank's
-        *arrival* to the shared end.  Only runs that asked for a trace
-        pay for this: measurement reads :meth:`timed_jobs` instead.
+        *arrival* to the shared end; tiled copies get handles here
+        (:func:`_advance`).  Only runs that asked for a trace pay for
+        this: measurement reads :meth:`timed_jobs` instead.
         """
         if self._starts is None or self._ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
-        if len(self._handles) != len(self._slot_streams):
-            raise RuntimeError("a tiled timeline has no spans to emit")
         for chain in self._chains:
             chain._build_handles()
+        handles = self._handles
+        if self._block is not None:
+            block_start, period = self._block
+            handles = handles + [
+                _advance(handle, period * copy, copy)
+                for copy in range(1, (len(self._slot_streams) - block_start) // period)
+                for handle in self._handles[block_start:]
+            ]
         append = tracer.spans.append
         actors = [stream.actors for stream in self._streams]
         # Flat slot-major lists: one Python float per (slot, rank) and no
@@ -828,7 +844,7 @@ class Timeline:
             # One rank: skip the per-slot rank loop, a tenth of the
             # emission time on a solo replay.
             for handle, sid, start, end in zip(
-                self._handles, self._slot_streams, starts, ends
+                handles, self._slot_streams, starts, ends
             ):
                 if end > start:
                     append(Span(
@@ -837,7 +853,7 @@ class Timeline:
                     ))
             return
         lane = 0
-        for handle, sid in zip(self._handles, self._slot_streams):
+        for handle, sid in zip(handles, self._slot_streams):
             for actor in actors[sid]:
                 start = starts[lane]
                 end = ends[lane]
@@ -847,6 +863,29 @@ class Timeline:
                         handle.name, handle.category, actor, start, end,
                         handle.metadata,
                     ))
+
+
+def _advance(handle: JobSet, slots: int, by: int) -> JobSet:
+    """``handle``'s copy ``slots`` slots on, its name, ``iteration``
+    and flow ids ``by`` iterations later (the span-label rule of
+    docs/EXTENDING.md; a name that breaks it raises ``ValueError``)."""
+    iteration = handle.metadata.get("iteration")
+    head, _, rest = handle.name.partition(".")
+    number, dot, tail = rest.partition(".")
+    if number != str(iteration):
+        raise ValueError(f"slot {handle.name!r} does not name its iteration {iteration!r}")
+
+    def later(flow: str) -> str:
+        number, dot, label = flow.partition(".")
+        return f"{int(number) + by}{dot}{label}"
+
+    metadata = dict(handle.metadata, iteration=iteration + by)
+    if "flow" in metadata:
+        metadata["flow"] = later(metadata["flow"])
+    if "flows" in metadata:
+        metadata["flows"] = list(map(later, metadata["flows"]))
+    return JobSet(handle._timeline, handle.index + slots,
+                  f"{head}.{iteration + by}{dot}{tail}", handle.category, metadata)
 
 
 def replay(

@@ -37,6 +37,11 @@ class DeferredDuration:
     def resolve(self, start: float) -> float:
         raise NotImplementedError
 
+    def renew(self) -> "DeferredDuration":
+        """This body for a copy of its slot in a tiled recording:
+        ``self``, unless resolving has effects copies must not share."""
+        return self
+
 
 #: A job body is either a fixed duration in seconds, a
 #: :class:`DeferredDuration` priced at start time, or a generator to run

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.chaos_cmd import _timing_scenarios
+from repro.faults.plan import FaultPlan, LinkFault
 from repro.models.layers import ModelBuilder
 from repro.models.profiles import ComputeProfile, TimingModel
 from repro.models.zoo import MODEL_NAMES, get_model
@@ -143,6 +144,24 @@ def test_faulted_runs_equal_the_credit_engine(plan, credit, registry):
                                      trace=trace, faults=FAULTS[plan])
         )
     assert mismatches == []
+    assert _fallbacks(registry) == {}
+
+
+def test_an_order_that_settles_after_iteration_0_is_not_periodic(registry):
+    """A slow link over iteration 0 alone changes only that iteration's
+    claims.  A tiled run repeats iteration 1, whose FF gates point into
+    iteration 0's claims, so the order is periodic only when iteration
+    0's claims match the rest too.  Checking from iteration 1 tiled this
+    run and gave iteration 1 0.671406 s against the credit engine's
+    0.672571 s; the run records in full and equals the engine."""
+    timing = TimingModel.for_model(get_model("densenet201"))
+    cost = CollectiveTimeModel(cluster_10gbe(nodes=2, gpus_per_node=4))
+    faults = FaultPlan(link_faults=(
+        LinkFault(0.05, 0.6, alpha_factor=2.5, beta_factor=2.5, link="both"),
+    ))
+    assert _differences({}, timing, cost, trace=True, faults=faults) == []
+    full = registry.snapshot()["sim.record.full"]["values"]
+    assert [entry["labels"] for entry in full] == [{"reason": "aperiodic"}]
     assert _fallbacks(registry) == {}
 
 

@@ -42,8 +42,7 @@ FAULT_GRID = [
 
 
 def _record(name, timing, cost, faults=None, **options):
-    # Traced from the start, so every iteration is recorded and the
-    # replays below can emit spans (a tiled recording has none).
+    # Traced from the start, so the replays below can emit spans.
     ctx = FastIterationContext(timing, cost, tracer=Tracer(), faults=faults)
     get_scheduler(name, **options)._schedule_onto(
         ctx, DEFAULT_ITERATIONS, None

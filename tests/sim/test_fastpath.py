@@ -217,7 +217,7 @@ class TestFastTimeline:
                     [1.0, 1.3, 1.0, 1.6], iteration_compute=0.03,
                 )]
             else:
-                # A faulted run records in full; a healthy one tiles.
+                # The solo recording carries timing faults.
                 faults = FaultPlan(stragglers=(StragglerFault(0.0, 0.1),))
                 contexts = [
                     scheduler.record_fast(

@@ -148,7 +148,7 @@ def test_class_replay_equals_per_rank_replay(case):
     assert lanes.extras.get("timing_faults") == ranks.extras.get("timing_faults")
     assert lanes.tracer.to_chrome_trace() == ranks.tracer.to_chrome_trace()
 
-    # The untraced run (tiled when healthy) measures the same.
+    # The untraced run measures the same.
     _, untraced = _run(policy, cluster, scales, plan, False, False)
     assert _hex(untraced.iteration_times) == _hex(ranks.iteration_times)
     assert untraced.extras.get("timing_faults") == ranks.extras.get("timing_faults")
