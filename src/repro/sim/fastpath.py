@@ -100,8 +100,9 @@ appends copies of its last block — one iteration — and since gates are
 distances, a copy's gates are the block's, repeated by one list
 multiplication; a scheduler records two iterations and the timeline
 extends itself to the rest
-(:meth:`repro.schedulers.engine.FastIterationContext.record`).  The
-replay runs every slot either way.
+(:meth:`repro.schedulers.engine.FastIterationContext.record`), traced
+and faulted runs too: copies renew their deferred bodies and are
+labelled at emission (:func:`_advance`).  The replay runs every slot.
 
 Durations need not be known at record time: a slot may carry a
 :class:`~repro.sim.resources.DeferredDuration` (one duration, priced
