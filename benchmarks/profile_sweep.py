@@ -27,8 +27,8 @@ from repro.models import get_model
 from repro.network.presets import cluster_10gbe
 from repro.schedulers.base import simulate
 
-#: The profiled workload: every fast-path scheduler family plus the
-#: bytescheduler fallback, on the paper's two main model shapes.
+#: The profiled workload: every scheduler family, bytescheduler's
+#: verified dispatch order included, on the paper's two main model shapes.
 _WORKLOAD = (
     ("wfbp", {}),
     ("mg_wfbp", {}),

@@ -13,14 +13,14 @@ sequential path uses (:meth:`repro.schedulers.base.Scheduler.measure` /
 results are bit-identical to per-spec runs — pinned by
 ``tests/runner/test_batched_runner.py``.
 
-Specs the recorder cannot express — a policy that opts out of the fast
-path, a dispatch order the replay could not confirm, BO fusion tuning,
-the fast path disabled per spec (``fastpath=False`` in its options;
-batching *is* the fast path, applied across configs) — return ``None``
-from :func:`run_batched` and fall through to the executor's pool/serial
-path, which computes them the classic way.  A bytescheduler recording
-arrives already replayed once, to confirm its order, and replays again
-with its group.
+Two kinds of spec are not recorded: BO fusion tuning (a loop of runs,
+not one schedule) and the fast path disabled per spec (``fastpath=False``
+in its options; batching *is* the fast path, applied across configs).
+A plain check routes them — :func:`run_batched` returns ``None`` for
+them — to the executor's pool/serial path, which computes them the
+classic way; ``runner.batched.specs{outcome}`` counts every outcome.  A
+bytescheduler recording arrives already replayed once, to confirm its
+order, and replays again with its group.
 Multi-rank specs are set up, and collapsed when their ranks are
 identical, exactly as :func:`~repro.schedulers.multirank.simulate_heterogeneous`
 does.
@@ -30,18 +30,17 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.runner.spec import RunSpec
 from repro.schedulers.base import get_scheduler
-from repro.schedulers.engine import record_fallback
 from repro.schedulers.multirank import (
     finalize_heterogeneous,
     record_heterogeneous_fast,
 )
-from repro.sim.fastpath import FastPathUnsupported, replay
+from repro.sim.fastpath import replay
 from repro.telemetry.registry import default_registry
 
 __all__ = ["run_batched"]
@@ -70,10 +69,12 @@ class _Recorded:
         self.seconds = 0.0
 
 
-def _record(spec: RunSpec) -> _Recorded:
+def _record(spec: RunSpec) -> Union[_Recorded, str]:
+    """``spec`` recorded, or the ``runner.batched.specs`` outcome that
+    sends it the classic way: ``fastpath_off`` or ``bo_tuning``."""
     options = dict(spec.options)
     if options.pop("fastpath", None) is False:
-        raise FastPathUnsupported("spec disables the fast path", reason="disabled")
+        return "fastpath_off"
     if spec.compute_scales is not None:
         ctx = record_heterogeneous_fast(
             spec.scheduler, spec.model, spec.cluster, spec.compute_scales,
@@ -89,6 +90,8 @@ def _record(spec: RunSpec) -> _Recorded:
             ),
         )
     scheduler = get_scheduler(spec.scheduler, **options)
+    if not scheduler.supports_batched_run():
+        return "bo_tuning"
     timing = TimingModel.for_model(
         spec.model,
         batch_size=spec.batch_size,
@@ -127,13 +130,16 @@ def run_batched(
         return []
     out: list[Optional[tuple[object, float]]] = [None] * len(specs)
 
+    registry = default_registry()
+    outcomes = registry.counter(
+        "runner.batched.specs", "specs offered to the batched runner, by outcome"
+    )
     recorded: list[_Recorded] = []
     for index, spec in enumerate(specs):
         started = time.perf_counter()
-        try:
-            item = _record(spec)
-        except FastPathUnsupported as exc:
-            record_fallback("batched", "classic", exc)
+        item = _record(spec)
+        if isinstance(item, str):
+            outcomes.inc(outcome=item)
             continue
         item.index = index
         item.seconds = time.perf_counter() - started
@@ -143,7 +149,6 @@ def run_batched(
     for item in recorded:
         groups.setdefault(item.key, []).append(item)
 
-    registry = default_registry()
     group_size = registry.histogram(
         "runner.batched.group_size", "specs replayed per batched group"
     )
@@ -168,12 +173,7 @@ def run_batched(
                     + (time.perf_counter() - finalize_started),
                 )
 
-    batched_count = len(recorded)
-    outcomes = registry.counter(
-        "runner.batched.specs", "specs offered to the batched runner, by outcome"
-    )
-    outcomes.inc(batched_count, outcome="batched")
-    outcomes.inc(len(specs) - batched_count, outcome="fallback")
+    outcomes.inc(len(recorded), outcome="batched")
     if groups:
         registry.counter(
             "runner.batched.groups", "config groups replayed by the batched runner"

@@ -153,7 +153,7 @@ def _compute(
     Compatible specs ride the config-axis batched replay
     (:mod:`repro.runner.batched`) — one numpy pass per structural group,
     bit-identical per spec to a classic run — and only the remainder
-    (dynamic schedules, batching disabled) goes to the pool/serial path.
+    (BO fusion tuning, ``fastpath=False``) goes to the pool/serial path.
     """
     from repro.runner.batched import run_batched
 

@@ -81,9 +81,10 @@ def _bench_replay(repeats: int) -> dict[str, float]:
     Job submission is excluded from the timed region on both sides —
     event-kernel contexts are pre-built (their run is single-shot), the
     fast-path timeline is recorded once and replayed per repeat (the
-    replay is a pure function of the recording).  Both timed regions
-    include tracer span recording, so this compares executing the
-    schedule, not building it.
+    replay is a pure function of the recording).  Both sides record with
+    a tracer, so both timed regions emit the same spans, flow ids
+    included; the traces are checked byte for byte outside them.  This
+    compares executing the schedule, not building it.
     """
     from repro.sim.trace import Tracer
 
@@ -100,11 +101,12 @@ def _bench_replay(repeats: int) -> dict[str, float]:
         ctx.run()
     event_elapsed = (time.perf_counter() - started) / repeats
 
-    fast = FastIterationContext(timing, cost)
+    fast = FastIterationContext(timing, cost, tracer=Tracer())
     scheduler.schedule(fast, iterations)
+    tracers = [Tracer() for _ in range(repeats)]
     started = time.perf_counter()
-    for _ in range(repeats):
-        fast._timeline.replay(Tracer())
+    for tracer in tracers:
+        fast._timeline.replay(tracer)
     fast_elapsed = (time.perf_counter() - started) / repeats
 
     reference = contexts[0].sim.now
@@ -113,6 +115,8 @@ def _bench_replay(repeats: int) -> dict[str, float]:
             "fastpath replay diverged from event kernel: "
             f"{fast._timeline.final_time} vs {reference}"
         )
+    if tracers[-1].to_chrome_trace() != contexts[0].tracer.to_chrome_trace():
+        raise RuntimeError("fastpath replay traced other spans than the event kernel")
     return {
         "jobs": float(jobs),
         "jobs_per_sec_event_kernel": jobs / event_elapsed,

@@ -13,8 +13,7 @@ from repro.models.layers import ModelSpec
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
-from repro.schedulers.engine import FastIterationContext, IterationContext, record_fallback
-from repro.sim.fastpath import FastPathUnsupported
+from repro.schedulers.engine import FastIterationContext, IterationContext
 from repro.sim.trace import COMM_CATEGORIES, Tracer, clip_to_window, exposed_times
 from repro.telemetry.registry import default_registry
 
@@ -90,17 +89,6 @@ class Scheduler(ABC):
     #: registry key, e.g. "wfbp"; subclasses must set it.
     name: str = ""
 
-    #: Whether this policy's schedule is static (fixed durations, gates
-    #: over previously submitted jobs only) and therefore eligible for
-    #: the vectorized replay.  Every registered policy is: ByteScheduler
-    #: records its priority engine as a verified static order.  A
-    #: policy that can only drive dynamic events or processes sets this
-    #: False.  The flag is advisory — a scheduler that claims support
-    #: but uses a dynamic feature raises FastPathUnsupported at record
-    #: time and falls back; the differential suite pins the timings
-    #: either way.
-    supports_fast_path: bool = True
-
     @abstractmethod
     def schedule(self, ctx: IterationContext, iterations: int) -> None:
         """Submit compute and communication jobs for ``iterations`` runs.
@@ -149,24 +137,17 @@ class Scheduler(ABC):
 
     def _execute(self, fast: type, event: type, iterations: int, workload,
                  fastpath: bool, *args, **kwargs) -> IterationContext:
-        """Schedule + execute on the fastest applicable context.
+        """Schedule + execute on ``fast(*args, **kwargs)``, the vectorized
+        replay, or with ``fastpath=False`` on ``event(*args, **kwargs)``,
+        the event kernel.
 
-        Builds ``fast(*args, **kwargs)`` (a vectorized replay) unless
-        ``fastpath`` is False or this policy opts out; a schedule the
-        recorder cannot express raises :class:`FastPathUnsupported`,
-        which is counted by :func:`record_fallback` and re-run on the
-        event kernel ``event(*args, **kwargs)``.  Timing-fault plans ride the fast
-        path too (priced durations resolved at replay).
+        The replay is the one production engine.  A schedule it cannot
+        record (``sim.event``, ``sim.process``, a dynamic gate or
+        duration) raises :class:`~repro.sim.fastpath.FastPathUnsupported`
+        and runs only with ``fastpath=False``.  Timing-fault plans ride
+        the replay too (priced durations resolved at replay).
         """
-        if fastpath and self.supports_fast_path:
-            ctx = fast(*args, **kwargs)
-            try:
-                self._schedule_onto(ctx, iterations, workload)
-                ctx.run()
-                return ctx
-            except FastPathUnsupported as exc:
-                record_fallback(fast.engine, event.engine, exc)
-        ctx = event(*args, **kwargs)
+        ctx = (fast if fastpath else event)(*args, **kwargs)
         self._schedule_onto(ctx, iterations, workload)
         ctx.run()
         return ctx
@@ -259,17 +240,14 @@ class Scheduler(ABC):
         identical recordings, replays them in one numpy pass, and
         hands each context back to :meth:`measure` — so a batched run
         produces exactly the result :meth:`run` would have.  Raises
-        :class:`FastPathUnsupported` for policies (or feature
-        combinations) only the event kernel can execute.
+        ``ValueError`` when :meth:`supports_batched_run` is False.
         """
         if iterations < 3:
             raise ValueError(f"need >= 3 iterations to reach steady state, got {iterations}")
-        self.require_fast_path()
         if not self.supports_batched_run():
-            raise FastPathUnsupported(
+            raise ValueError(
                 f"scheduler {self.name!r} customises run(); recording one "
-                f"schedule would skip its outer procedure",
-                reason="custom_run",
+                f"schedule would skip its outer procedure"
             )
         workload = self._resolve_workload(workload, timing, cost)
         ctx = FastIterationContext(timing, cost, faults=faults)
@@ -316,14 +294,6 @@ class Scheduler(ABC):
         result.extras.update(ctx.result_extras())
         _publish_run_metrics(result)
         return result
-
-    def require_fast_path(self) -> None:
-        """Raise :class:`FastPathUnsupported` if this policy opts out."""
-        if not self.supports_fast_path:
-            raise FastPathUnsupported(
-                f"scheduler {self.name!r} opts out of the fast path",
-                reason="opt_out",
-            )
 
     def supports_batched_run(self) -> bool:
         """Whether ``record_fast`` + ``measure`` reproduces :meth:`run`.

@@ -31,37 +31,36 @@ Every partition of iteration *i* gates its layer's feed-forward job in
 iteration *i+1*, and the whole feed-forward pass runs before
 backpropagation *i+1*, so every all-reduce of iteration *i* ends before
 any partition of *i+1* is ready.  The dispatch order is therefore
-decided one iteration at a time, from that iteration's BP end times,
-the all-reduce durations and the order the channels went idle in;
-:func:`_dispatch` reproduces the engine's choices from exactly those.
+decided one iteration at a time, from that iteration's BP end times and
+the starts of the jobs whose timers make them ready, the all-reduce
+durations and the order the channels went idle in; :func:`_dispatch`
+reproduces the engine's choices from exactly those, ties included: the
+kernel keys its heap on ``(time, sequence)``, so at one instant it
+handles readiness and freed channels in the order their jobs started.
 :class:`_DispatchPlan` guesses the order from iteration-relative BP
 times, records each channel's partitions in it as a plain stream gated
 on their BP jobs — the replay's ``start = max(prev_end, ready)`` is then
 the engine's float arithmetic — and after the replay re-derives the
-order from the replayed BP end times, each all-reduce priced at the
-start the derived order gives it
+order from the replayed times, each all-reduce priced at the start the
+derived order gives it
 (:meth:`~repro.schedulers.engine.FastIterationContext.record_verified`).
 Each rejected round settles at least one more iteration, so
-``iterations + 1`` rounds suffice.  A ready time that exactly ties a
-channel's free time (the kernel's answer then hangs on heap sequence
-numbers), or an order still moving after the last round, raises
-:class:`~repro.sim.fastpath.FastPathUnsupported` (``dispatch_order``)
-and the run falls back to the event kernel, which :meth:`schedule`
-still drives when the run passes ``fastpath=False``.
+``iterations + 1`` rounds suffice; an order still moving after them is
+an internal error.  :meth:`schedule` drives the credit engine itself on
+the event kernel when the run passes ``fastpath=False``: the oracle the
+replay is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
 
 from repro.schedulers.base import Scheduler, register_scheduler
 from repro.schedulers.engine import FastIterationContext, IterationContext
 from repro.sim.engine import Event
-from repro.sim.fastpath import FastPathUnsupported
 from repro.workloads.executor import execute_bytescheduler
 
 __all__ = ["ByteSchedulerScheduler", "BYTESCHEDULER_DEFAULT_PARTITION_BYTES"]
@@ -249,89 +248,112 @@ class ByteSchedulerScheduler(Scheduler):
         }
 
 
-#: Free time of a channel that has not run anything yet.
-_NEVER = float("-inf")
+def _owners(starts: Sequence[float], ends: Sequence[float]) -> list[float]:
+    """Each compute job's readiness owner start, in stream order.
+
+    The kernel completes a zero-duration job in the same resume as the
+    positive-duration job before it, so partitions its BP job makes
+    ready are one tail hop from that owner's timer.  ``-inf`` before the
+    first positive-duration job: such readiness is the iteration's
+    first, when no claim of the iteration can be running.
+    """
+    owner = -math.inf
+    owners = []
+    for start, end in zip(starts, ends):
+        if end > start:
+            owner = start
+        owners.append(owner)
+    return owners
 
 
 def _dispatch(
     ready: Sequence[float],
+    owners: Sequence[float],
     price: Callable[[int, float], float],
     priorities: Sequence[tuple],
-    channels: Sequence[tuple[int, float]],
-    strict: bool = True,
-) -> tuple[list[tuple[int, int]], list[tuple[int, float]]]:
+    idle: Sequence[int],
+) -> tuple[list[tuple[int, int]], list[int]]:
     """The credit engine's claims for one iteration's partitions.
 
     Partition ``k`` becomes ready at ``ready[k]`` (its layer's BP end),
-    runs for ``price(k, start)`` and ranks by ``(priorities[k], k)``, as
-    in the engine's heap.  ``channels`` holds ``(channel, free)`` pairs:
-    every channel, idle since ``free``, in the order it went idle.  This
-    is :meth:`ByteSchedulerScheduler._channel_driver` instant by
-    instant: a channel that frees claims the best ready partition or
-    goes idle; partitions that become ready wake every idle channel,
-    and the woken claim in wake order; channels that free at one
-    instant claim in the order their jobs started.  A claim starts when
-    it is made and ends ``start + price(k, start)``.
+    one tail hop after the timer of the compute job that started at
+    ``owners[k]`` (:func:`_owners`); it runs for ``price(k, start)`` and
+    ranks by ``(priorities[k], k)``, as in the engine's heap.  ``idle``
+    holds every channel, in the order it went idle.  This is
+    :meth:`ByteSchedulerScheduler._channel_driver` on
+    :class:`~repro.sim.engine.Simulator`, one instant at a time:
+
+    - every timer due at an instant pops before any tail callback runs,
+      in the order it was scheduled, which is the order its job started;
+      a compute job starting at the instant a claim does was scheduled
+      first, so a readiness goes before a channel that frees at its
+      instant unless that channel's claim started before its owner;
+    - a freed channel's turn and a readiness are each one hop from their
+      timer; a readiness wakes every idle channel, whose turns are one
+      more hop away, so a freed channel claims before the channels a
+      readiness ahead of it wakes;
+    - a turn claims the best ready partition, or idles.  A
+      zero-duration claim (one GPU: every all-reduce is free, so no
+      timer ever frees a channel) ends as it starts, and its channel
+      takes its next turn behind the turns already queued.
+
+    Every partition of the iteration before ended before any of this
+    one's is ready (they gate its FF pass), so a channel carried over
+    went idle at or before the first ready time.
 
     Returns the ``(partition, channel)`` claims in the order they are
-    made, and ``channels`` once every partition has ended: in the order
-    they went idle, with their free times.  A ready time equal to a
-    channel's free time is ordered by the kernel's heap sequence
-    numbers, which this model does not track: ``strict`` raises
-    :class:`FastPathUnsupported` (``dispatch_order``) there, and so does
-    a channel still busy when the first partition is ready; otherwise
-    the partition counts as ready (``ready <= free``), which is good
-    enough for a guess.
+    made, and the channels once every partition has ended, in the order
+    they went idle.
     """
-    count = len(ready)
-    by_ready = sorted(range(count), key=ready.__getitem__)
-    if strict and count and any(
-        free >= ready[by_ready[0]] for _, free in channels
-    ):
-        raise FastPathUnsupported(
-            "a credit channel is not idle before the iteration's first "
-            "partition is ready", reason="dispatch_order",
-        )
+    order = sorted(range(len(ready)), key=ready.__getitem__)
+    times = [ready[k] for k in order] + [math.inf]
     queued: list[tuple[tuple, int]] = []
-    busy: list[tuple[float, int, int]] = []
-    idle = deque(channels)
+    #: ``(end, start, claim, channel)`` of each claim still running.
+    busy: list[tuple[float, float, int, int]] = []
+    idle = list(idle)
     claims: list[tuple[int, int]] = []
-
-    def claim(channel: int, now: float) -> None:
-        _, k = heapq.heappop(queued)
-        heapq.heappush(busy, (now + price(k, now), len(claims), channel))
-        claims.append((k, channel))
-
     position = 0
-    while position < count or busy:
-        next_ready = ready[by_ready[position]] if position < count else math.inf
-        if busy and busy[0][0] <= next_ready:
-            if busy[0][0] == next_ready:
-                if strict:
-                    raise FastPathUnsupported(
-                        f"a partition is ready at {next_ready!r}, the "
-                        f"instant a credit channel frees",
-                        reason="dispatch_order",
-                    )
-            else:
-                free, _, channel = heapq.heappop(busy)
-                if queued:
-                    claim(channel, free)
-                else:
-                    idle.append((channel, free))
-                continue
-        now = next_ready
-        while position < count and ready[by_ready[position]] == now:
-            k = by_ready[position]
-            heapq.heappush(queued, (priorities[k], k))
+    while True:
+        now = times[position]
+        if busy and busy[0][0] < now:
+            now = busy[0][0]
+        elif now == math.inf:
+            return claims, idle
+        first = position
+        while times[position] == now:
             position += 1
-        woken, idle = idle, deque()
-        for channel, free in woken:
-            if queued:
-                claim(channel, now)
+        # Partitions ready at one instant share their owner: no job
+        # between them ends after it starts.
+        owner = owners[order[first]] if position > first else math.inf
+        # The instant's tail callbacks in order: ``-1`` is the
+        # readiness, ``c >= 0`` channel c's turn.
+        tail: list[int] = []
+        late: list[int] = []
+        while busy and busy[0][0] == now:
+            _, start, _, channel = heapq.heappop(busy)
+            (tail if start < owner else late).append(channel)
+        if position > first:
+            tail.append(-1)
+        tail += late
+        hop = 0
+        while hop < len(tail):
+            entry = tail[hop]
+            hop += 1
+            if entry < 0:
+                for k in order[first:position]:
+                    heapq.heappush(queued, (priorities[k], k))
+                tail += idle
+                idle = []
+            elif not queued:
+                idle.append(entry)
             else:
-                idle.append((channel, free))
-    return claims, list(idle)
+                k = heapq.heappop(queued)[1]
+                duration = price(k, now)
+                if duration > 0.0:
+                    heapq.heappush(busy, (now + duration, now, len(claims), entry))
+                else:
+                    tail.append(entry)
+                claims.append((k, entry))
 
 
 class _DispatchPlan:
@@ -370,25 +392,28 @@ class _DispatchPlan:
             ctx.cost.all_reduce(nbytes) + self.extra for _, nbytes, _ in self.parts
         ]
         self.period = 2 * layers + len(self.parts)
-        #: offset of each partition's BP slot in its iteration's block.
+        #: offset of each partition's BP slot in its iteration's block,
+        #: whose first ``2 * layers`` slots are the FF and BP passes.
         self._bp_slots = [2 * layers - 1 - layer for layer, _, _ in self.parts]
-        relative = [0.0] * layers
+        # The BP pass from its start, last layer first.
+        starts, ends = [], []
         elapsed = 0.0
-        # The BP pass runs last layer first.
-        for position, duration in enumerate(ctx.durations.bp_pass):
+        for duration in ctx.durations.bp_pass:
+            starts.append(elapsed)
             elapsed += duration
-            relative[layers - 1 - position] = elapsed
-        ready = [relative[layer] for layer, _, _ in self.parts]
+            ends.append(elapsed)
+        owners = _owners(starts, ends)
+        ready = [ends[slot - layers] for slot in self._bp_slots]
+        owners = [owners[slot - layers] for slot in self._bp_slots]
         guesses: dict[tuple[int, ...], tuple[list, tuple[int, ...]]] = {}
         idle = tuple(range(self.credit))
         self.orders: list[list[tuple[int, int]]] = []
         for _ in range(iterations):
             if idle not in guesses:
                 claims, after = _dispatch(
-                    ready, self._healthy_price, self.priorities,
-                    [(channel, _NEVER) for channel in idle], strict=False,
+                    ready, owners, self._healthy_price, self.priorities, idle
                 )
-                guesses[idle] = (claims, tuple(channel for channel, _ in after))
+                guesses[idle] = (claims, tuple(after))
             claims, idle = guesses[idle]
             self.orders.append(claims)
         self._update_periodic()
@@ -433,14 +458,15 @@ class _DispatchPlan:
         """Whether the replayed ``ctx`` confirms :attr:`orders`.
 
         Re-derives every iteration's claims with :func:`_dispatch` from
-        the replayed BP ends, pricing each claim at the start
-        :func:`_dispatch` gives it (as the replay resolved it, when the
-        orders agree), channels carried over from the iteration before.
-        Up to the first iteration that differs the replay followed the
-        engine, so that iteration's ready times are exact and so are its
-        derived claims: every rejected round settles at least one more
-        iteration.  The iterations after it were replayed from shifted
-        times; their derived claims are kept as the next round's guess.
+        the replayed BP ends and readiness owners, pricing each claim at
+        the start :func:`_dispatch` gives it (as the replay resolved it,
+        when the orders agree), channels carried over from the iteration
+        before.  Up to the first iteration that differs the replay
+        followed the engine, so that iteration's ready times are exact
+        and so are its derived claims: every rejected round settles at
+        least one more iteration.  The iterations after it were replayed
+        from shifted times; their derived claims are kept as the next
+        round's guess.
         """
         faults = ctx.faults
         if faults is None:
@@ -453,14 +479,18 @@ class _DispatchPlan:
                     "all_reduce", parts[k][1], extra, start
                 )
 
+        starts = ctx._timeline._starts[:, 0].tolist()
         ends = ctx._timeline._ends[:, 0].tolist()
-        channels = [(channel, _NEVER) for channel in range(self.credit)]
+        passes = 2 * ctx.model.num_layers
+        idle = range(self.credit)
         confirmed = True
         for iteration, claims in enumerate(self.orders):
             base = iteration * self.period
-            derived, channels = _dispatch(
-                [ends[base + slot] for slot in self._bp_slots], price,
-                self.priorities, channels, strict=confirmed,
+            owners = _owners(starts[base:base + passes], ends[base:base + passes])
+            derived, idle = _dispatch(
+                [ends[base + slot] for slot in self._bp_slots],
+                [owners[slot] for slot in self._bp_slots],
+                price, self.priorities, idle,
             )
             if derived != claims:
                 self.orders[iteration] = derived

@@ -29,7 +29,7 @@ from repro.faults.timing import TimingFaultInjector
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import FastPathUnsupported, Timeline
+from repro.sim.fastpath import Timeline
 from repro.sim.resources import Job, Stream
 from repro.sim.trace import Tracer
 from repro.telemetry.registry import default_registry
@@ -82,10 +82,10 @@ class IterationContext:
     :class:`~repro.faults.timing.PricedCollective`,
     :class:`~repro.faults.timing.RankPricedCompute`), resolved at job
     start.  This class itself runs the representative rank on the event
-    kernel.
+    kernel: the ``fastpath=False`` oracle the replay is tested against.
     """
 
-    #: engine label of the ``sim.runs`` and ``sim.fallbacks`` metrics.
+    #: engine label of the ``sim.runs`` metric.
     engine = "event"
 
     def __init__(self, timing: TimingModel, cost: CollectiveTimeModel,
@@ -484,18 +484,6 @@ class _JobPass:
                 self._jobs[layer].metadata.setdefault("flows", []).append(flow)
 
 
-def record_fallback(source: str, target: str, exc: FastPathUnsupported) -> None:
-    """Count one fall back from a fast engine to a slower one.
-
-    Published as ``sim.fallbacks{from,to,reason}``; ``reason`` is the
-    exception's fixed code, never its message, so the label set stays
-    bounded.
-    """
-    default_registry().counter(
-        "sim.fallbacks", "fast-path fallbacks to a slower engine"
-    ).inc(**{"from": source, "to": target, "reason": exc.reason})
-
-
 #: A policy's schedule body: submits ``iterations`` iterations onto a context.
 Schedule = Callable[[IterationContext, int], None]
 
@@ -531,11 +519,10 @@ class FastIterationContext(IterationContext):
     Timing-fault placeholders are resolved at each job's replayed start,
     so faulty runs stay on this engine.  A schedule whose order is
     decided at run time records a guessed order and has the replay
-    confirm it (:meth:`record_verified`).  Schedulers that need dynamic
-    events or process bodies make the recorder raise
-    :class:`~repro.sim.fastpath.FastPathUnsupported`, and
-    :meth:`repro.schedulers.base.Scheduler.run` falls back to the
-    event-driven context.
+    confirm it (:meth:`record_verified`).  A schedule that needs dynamic
+    events or process bodies makes the recorder raise
+    :class:`~repro.sim.fastpath.FastPathUnsupported`: it runs only on
+    the event-driven context, with ``fastpath=False``.
     """
 
     engine = "fastpath"
@@ -626,10 +613,9 @@ class FastIterationContext(IterationContext):
         recording and fault injector (the replay priced its deferred
         durations into the old one), so nothing is counted twice.  The
         context is left replayed: :meth:`run` replays it again, and the
-        batched runner replays it with its group.  Raises
-        :class:`~repro.sim.fastpath.FastPathUnsupported`
-        (``dispatch_order``) when ``rounds`` recordings leave the order
-        still moving.
+        batched runner replays it with its group.  ``rounds`` is a
+        bound the plan proves; an order still moving after it is an
+        internal error (``RuntimeError``), not a reason to fall back.
         """
         for _ in range(rounds):
             self.record(plan, iterations, periodic=plan.periodic)
@@ -637,10 +623,7 @@ class FastIterationContext(IterationContext):
             if plan.verify(self):
                 return
             self._reset()
-        raise FastPathUnsupported(
-            f"dispatch order still changing after {rounds} rounds",
-            reason="dispatch_order",
-        )
+        raise RuntimeError(f"dispatch order still changing after {rounds} rounds")
 
     def _reset(self) -> None:
         """Drop the recording: a fresh timeline, streams and injector."""

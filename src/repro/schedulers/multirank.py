@@ -31,9 +31,10 @@ execution engines back that API:
   rank class and replays it in closed form along the lane axis — the
   engine that makes 1024-GPU sweeps interactive.
 
-Engine selection is :meth:`repro.schedulers.base.Scheduler.run`'s:
-vectorized replay first (unless the run passes ``fastpath=False``),
-event kernel on :class:`~repro.sim.fastpath.FastPathUnsupported`.  Uniform
+Engine selection is :meth:`repro.schedulers.base.Scheduler.run`'s: the
+vectorized replay, or the event kernel when the run passes
+``fastpath=False`` (a schedule the replay cannot record raises
+:class:`~repro.sim.fastpath.FastPathUnsupported` and runs only there).  Uniform
 ``compute_scales`` with no faults collapse to the single-rank engine
 outright (synchronous collectives make identical ranks redundant; the
 engine module's docstring makes the exactness argument).  One set-up,
@@ -362,8 +363,8 @@ class FastMultiRankContext(FastIterationContext):
     :class:`~repro.sim.fastpath.Timeline` whose lanes are the rank
     classes of :class:`_RankDurations` — two iterations of every run,
     traced or faulted, tiled to the rest as on one rank; dynamic
-    features raise :class:`~repro.sim.fastpath.FastPathUnsupported` and
-    the caller falls back to :class:`MultiRankIterationContext`.
+    features raise :class:`~repro.sim.fastpath.FastPathUnsupported`, and
+    run only on :class:`MultiRankIterationContext`.
     Timing faults stay on this engine: compute slots carry
     :class:`~repro.faults.timing.RankPricedCompute` vectors and
     collectives :class:`~repro.faults.timing.PricedCollective` scalars,
@@ -526,7 +527,6 @@ class _Run:
 
     def record(self, trace: bool = False) -> IterationContext:
         """Schedule onto the vectorized replay without replaying."""
-        self.scheduler.require_fast_path()
         ctx = self.contexts[0](
             *self.args, tracer=Tracer() if trace else None, faults=self.faults
         )
@@ -560,9 +560,7 @@ def record_heterogeneous_fast(
     :meth:`repro.schedulers.base.Scheduler.record_fast`, used by the
     config-axis batched runner; ``options`` are
     :func:`simulate_heterogeneous`'s.  A run that collapses records the
-    single-rank schedule.  Raises
-    :class:`~repro.sim.fastpath.FastPathUnsupported` for policies only
-    the event kernel can execute.
+    single-rank schedule.
     """
     return _Run(
         policy, model, cluster, compute_scales, collapse=True, **options

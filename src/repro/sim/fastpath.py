@@ -117,10 +117,10 @@ for every start of the chain at once, and is then replayed like a
 gateless run.  The ``sim.replay.deferred_slots`` counter shows how many
 deferred slots each way resolved.  Anything genuinely dynamic —
 process bodies, ``sim.event()``, raw callbacks — raises
-:class:`FastPathUnsupported`, and the caller falls back to the event
-kernel (:meth:`repro.schedulers.base.Scheduler.run`,
-:func:`repro.schedulers.multirank.simulate_heterogeneous`); a run
-passes ``fastpath=False`` to take the event kernel outright.
+:class:`FastPathUnsupported`; such a schedule runs only on the event
+kernel, which a run takes with ``fastpath=False``
+(:meth:`repro.schedulers.base.Scheduler.run`,
+:func:`repro.schedulers.multirank.simulate_heterogeneous`).
 """
 
 from __future__ import annotations
@@ -157,19 +157,9 @@ _PLAIN = {float, np.ndarray}
 class FastPathUnsupported(RuntimeError):
     """The schedule uses a feature only the event-driven kernel has.
 
-    ``reason`` is a short fixed code (``dynamic_duration``,
-    ``dynamic_gate``, ``dynamic_event``, ``dispatch_order``,
-    ``opt_out``, ``custom_run``, ``disabled``, ``options``) for the
-    ``sim.fallbacks`` metric; the message is free text for humans.
-    ``dispatch_order`` is a recorded dispatch order the replay could not
-    confirm: it tied a ready time to a channel's free time, or was still
-    changing after its last round
-    (:meth:`repro.schedulers.engine.FastIterationContext.record_verified`).
+    Such a schedule runs only with ``fastpath=False``; nothing falls
+    back to the event kernel on its own.
     """
-
-    def __init__(self, message: str = "", reason: str = "unsupported"):
-        super().__init__(message)
-        self.reason = reason
 
 
 class BatchMismatch(ValueError):
@@ -455,8 +445,7 @@ def _distances(slot: int, gate: Optional[Gate]) -> Optional[tuple[int, ...]]:
         return None
     if not isinstance(gate, Gate):
         raise FastPathUnsupported(
-            f"fast path requires static job gates, got {type(gate).__name__}",
-            reason="dynamic_gate",
+            f"fast path requires static job gates, got {type(gate).__name__}"
         )
     return tuple([slot - gid for gid in gate.slot_ids])
 
@@ -466,8 +455,7 @@ def _lane_durations(body: Any, lanes: int, name: str) -> np.ndarray:
     if not isinstance(body, np.ndarray):
         raise FastPathUnsupported(
             f"multi-rank fast path requires per-rank duration "
-            f"vectors, got {type(body).__name__}",
-            reason="dynamic_duration",
+            f"vectors, got {type(body).__name__}"
         )
     if body.shape != (lanes,):
         raise ValueError(
@@ -484,8 +472,7 @@ def _scalar_duration(body: Any, name: str):
         return body
     if isinstance(body, bool) or not isinstance(body, (int, float)):
         raise FastPathUnsupported(
-            f"fast path requires fixed job durations, got {type(body).__name__}",
-            reason="dynamic_duration",
+            f"fast path requires fixed job durations, got {type(body).__name__}"
         )
     if body < 0:
         raise ValueError(f"job {name!r} has negative duration {body}")
@@ -496,8 +483,7 @@ class SimShim:
     """The slice of the :class:`Simulator` API a static schedule may use.
 
     ``all_of`` composes gates; everything dynamic raises
-    :class:`FastPathUnsupported` so the caller can fall back to the
-    event-driven kernel.  Refers to its timeline weakly, like
+    :class:`FastPathUnsupported`.  Refers to its timeline weakly, like
     :class:`JobSet`.
     """
 
@@ -519,8 +505,7 @@ class SimShim:
         for event in events:
             if not isinstance(event, Gate):
                 raise FastPathUnsupported(
-                    f"fast path cannot wait on {type(event).__name__}",
-                    reason="dynamic_gate",
+                    f"fast path cannot wait on {type(event).__name__}"
                 )
             for slot in event.slot_ids:
                 sid = streams[slot]
@@ -529,9 +514,7 @@ class SimShim:
         return Gate(tuple(latest.values()))
 
     def _unsupported(self, feature: str):
-        raise FastPathUnsupported(
-            f"fast path does not support {feature}", reason="dynamic_event"
-        )
+        raise FastPathUnsupported(f"fast path does not support {feature}")
 
     def event(self, name: str = ""):
         self._unsupported("dynamic events (sim.event)")

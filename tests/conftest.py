@@ -10,8 +10,8 @@ from repro.models.zoo import get_model
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_100gbib, cluster_10gbe
 from repro.runner.cache import reset_default_cache
-from repro.schedulers import base
-from repro.schedulers.serial import SerialScheduler
+from repro.schedulers import base, multirank
+from repro.schedulers.wfbp import WFBPScheduler
 
 # The unit-test model gets a calibration entry so `simulate()` works on
 # it without an explicit iteration_compute override in every test.
@@ -62,21 +62,35 @@ def build_tiny_model(num_blocks: int = 4, width: int = 1000) -> ModelSpec:
     return builder.build()
 
 
-class OptOutSerial(SerialScheduler):
-    """Serial, declining the fast path: a policy on the ``opt_out`` route.
+class DynamicWFBP(WFBPScheduler):
+    """WFBP plus one dynamic ``sim.event()``, which the replay cannot record.
 
-    Every registered policy rides the fast path, so the tests of the
-    opt-out route bring their own.
+    Every registered policy records a static schedule, so the tests of
+    the dynamic-schedule contract bring their own.  The event engines
+    create the event and never wait on it (the multi-rank event facade
+    has no ``event`` at all), so results match plain WFBP.
     """
 
-    supports_fast_path = False
+    def schedule(self, ctx, iterations):
+        if hasattr(ctx.sim, "event"):
+            ctx.sim.event()
+        super().schedule(ctx, iterations)
 
 
 @pytest.fixture
-def opt_out_policy(monkeypatch) -> str:
-    """A registry name that builds :class:`OptOutSerial` within the test."""
-    monkeypatch.setitem(base._REGISTRY, "serial", OptOutSerial)
-    return "serial"
+def dynamic_policy(monkeypatch) -> str:
+    """A policy name that builds :class:`DynamicWFBP` within the test,
+    on one rank and on explicit ranks."""
+    monkeypatch.setitem(base._REGISTRY, "wfbp", DynamicWFBP)
+    policy_scheduler = multirank._policy_scheduler
+    monkeypatch.setattr(
+        multirank, "_policy_scheduler",
+        lambda policy, *args: (
+            DynamicWFBP(*args) if policy == "wfbp"
+            else policy_scheduler(policy, *args)
+        ),
+    )
+    return "wfbp"
 
 
 @pytest.fixture(scope="session")

@@ -119,12 +119,8 @@ class TestRankClassGroups:
 
 
 class TestRunBatchedFallback:
-    def test_opt_out_policy_falls_back(self, opt_out_policy, tiny_model,
-                                       ethernet_cluster):
-        """A policy without a fast path is not batched."""
-        spec = RunSpec.create(opt_out_policy, tiny_model, ethernet_cluster,
-                              iterations=4)
-        assert run_batched([spec]) == [None]
+    """Specs the batched runner leaves to the classic path, by a plain
+    check (``tests/sim/test_fallbacks.py`` pins the outcome counts)."""
 
     def test_bo_fusion_falls_back(self, tiny_model, ethernet_cluster):
         """DeAR/Horovod BO tuning wraps run() in a trials loop; the
@@ -142,12 +138,11 @@ class TestRunBatchedFallback:
                               iterations=4, fastpath=False)
         assert run_batched([spec]) == [None]
 
-    def test_mixed_batchable_and_not(self, opt_out_policy, tiny_model,
-                                     ethernet_cluster):
+    def test_mixed_batchable_and_not(self, tiny_model, ethernet_cluster):
         specs = [
             RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4),
-            RunSpec.create(opt_out_policy, tiny_model, ethernet_cluster,
-                           iterations=4),
+            RunSpec.create("horovod", tiny_model, ethernet_cluster,
+                           iterations=4, fusion="bo", bo_trials=2),
             RunSpec.create("ddp", tiny_model, ethernet_cluster, iterations=4),
         ]
         outcomes = run_batched(specs)
@@ -168,3 +163,9 @@ class TestSupportsBatchedRun:
         assert not get_scheduler(name, fusion="bo").supports_batched_run()
         assert get_scheduler(name, fusion="buffer",
                              buffer_bytes=25e6).supports_batched_run()
+
+    def test_bo_mode_cannot_be_recorded(self, tiny_timing, ethernet_cost):
+        """Recording one schedule would skip the tuning loop."""
+        with pytest.raises(ValueError, match="customises run"):
+            get_scheduler("dear", fusion="bo").record_fast(tiny_timing,
+                                                           ethernet_cost)

@@ -5,19 +5,23 @@ oracle.  The replay records a guessed dispatch order and confirms it
 against the replayed times
 (:meth:`~repro.schedulers.engine.FastIterationContext.record_verified`).
 Every run here must give the oracle's iteration times, exposed times
-and ``extras`` (timing-fault totals included) exactly, with no
-``sim.fallbacks``, and every replay must pass
+and ``extras`` (timing-fault totals included) exactly, on the replay
+(nothing falls back to the kernel), and every replay must pass
 :func:`tests.sim.invariants.verify_timeline`.  The grid is every zoo
 model under credit 1, 2 and 4, three partition sizes, negotiation on
 and off, both fabrics and both algorithm choices, healthy and under
 the chaos sweep's timing faults; a subset compares Chrome traces byte
 for byte.  A hypothesis property drives tiny random models built to
-tie: zero-duration BP layers and equal-size partitions.
+tie — compute durations drawn from the partitions' all-reduce prices,
+zero-duration FF and BP layers, link faults — so ready times meet
+channel free times, which :func:`_dispatch` orders as the kernel does.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +35,8 @@ from repro.network.autotuner import build_selection_table
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_10gbe, paper_testbed
 from repro.schedulers.base import get_scheduler
-from repro.schedulers.bytescheduler import _NEVER, _dispatch
+from repro.schedulers.bytescheduler import _dispatch
 from repro.schedulers.engine import FastIterationContext
-from repro.sim.fastpath import FastPathUnsupported
 from repro.telemetry.registry import (
     MetricsRegistry,
     reset_default_registry,
@@ -63,17 +66,9 @@ def registry():
     reset_default_registry()
 
 
-def _fallbacks(registry: MetricsRegistry) -> dict:
-    family = registry.snapshot().get("sim.fallbacks", {"values": []})
-    return {
-        tuple(entry["labels"][key] for key in ("from", "to", "reason")):
-            entry["value"]
-        for entry in family["values"]
-    }
-
-
 def _run(scheduler, timing, cost, fastpath=True, **kwargs):
-    """``scheduler.run``; a replayed run's timeline must keep the invariants."""
+    """``scheduler.run`` on the engine ``fastpath`` names; a replayed
+    run's timeline must keep the invariants."""
     contexts = []
     measure = scheduler.measure
     scheduler.measure = lambda ctx, iterations: (
@@ -81,7 +76,8 @@ def _run(scheduler, timing, cost, fastpath=True, **kwargs):
     )
     result = scheduler.run(timing, cost, iterations=ITERATIONS,
                            fastpath=fastpath, **kwargs)
-    if isinstance(contexts[0], FastIterationContext):
+    assert isinstance(contexts[0], FastIterationContext) == fastpath
+    if fastpath:
         verify_timeline(contexts[0]._timeline)
     return result
 
@@ -108,7 +104,7 @@ def _differences(options, timing, cost, trace=False, faults=None) -> list[str]:
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 @pytest.mark.parametrize("credit", CREDITS)
-def test_healthy_runs_equal_the_credit_engine(credit, model, tables, registry):
+def test_healthy_runs_equal_the_credit_engine(credit, model, tables):
     timing = TimingModel.for_model(get_model(model))
     mismatches = []
     for partition, negotiate, fabric, algorithm in itertools.product(
@@ -127,12 +123,11 @@ def test_healthy_runs_equal_the_credit_engine(credit, model, tables, registry):
             for what in _differences(options, timing, cost, trace=trace)
         )
     assert mismatches == []
-    assert _fallbacks(registry) == {}
 
 
 @pytest.mark.parametrize("credit", CREDITS)
 @pytest.mark.parametrize("plan", sorted(FAULTS))
-def test_faulted_runs_equal_the_credit_engine(plan, credit, registry):
+def test_faulted_runs_equal_the_credit_engine(plan, credit):
     mismatches = []
     for model, fabric in itertools.product(MODEL_NAMES, FABRICS):
         timing = TimingModel.for_model(get_model(model))
@@ -144,7 +139,6 @@ def test_faulted_runs_equal_the_credit_engine(plan, credit, registry):
                                      trace=trace, faults=FAULTS[plan])
         )
     assert mismatches == []
-    assert _fallbacks(registry) == {}
 
 
 def test_an_order_that_settles_after_iteration_0_is_not_periodic(registry):
@@ -162,32 +156,33 @@ def test_an_order_that_settles_after_iteration_0_is_not_periodic(registry):
     assert _differences({}, timing, cost, trace=True, faults=faults) == []
     full = registry.snapshot()["sim.record.full"]["values"]
     assert [entry["labels"] for entry in full] == [{"reason": "aperiodic"}]
-    assert _fallbacks(registry) == {}
 
 
-def test_unconfirmed_order_is_counted_not_wrong(registry, monkeypatch):
-    """With one round, a run whose first guess the replay rejects (a
-    slow link the healthy guess does not price) falls back, counted."""
+def test_unconfirmed_order_is_an_internal_error(monkeypatch):
+    """Each rejected round settles one more iteration, so the bound of
+    ``iterations + 1`` rounds cannot run out.  Cut to one round, a run
+    whose first guess the replay rejects (a slow link the healthy guess
+    does not price) raises ``RuntimeError``: an internal error, never a
+    fall back to the event kernel."""
     timing = TimingModel.for_model(get_model("resnet50"))
     cost = CollectiveTimeModel(paper_testbed("10gbe"))
-    faults = FAULTS["slow_link"]
     record_verified = FastIterationContext.record_verified
     monkeypatch.setattr(
         FastIterationContext, "record_verified",
         lambda self, plan, iterations, rounds:
             record_verified(self, plan, iterations, 1),
     )
-    fast = get_scheduler("bytescheduler").run(timing, cost, faults=faults)
-    assert _fallbacks(registry) == {("fastpath", "event", "dispatch_order"): 1.0}
-    slow = get_scheduler("bytescheduler").run(timing, cost, faults=faults,
-                                              fastpath=False)
-    assert repr(fast) == repr(slow)
+    with pytest.raises(RuntimeError, match="still changing after 1 rounds"):
+        get_scheduler("bytescheduler").run(timing, cost,
+                                           faults=FAULTS["slow_link"])
 
 
-def test_a_tie_falls_back_counted(registry):
-    """Layer 0's BP ends the instant layer 1's all-reduce does: the
-    kernel orders the two by heap sequence numbers, so the run falls
-    back."""
+def test_a_tie_rides_the_fast_path(registry):
+    """Layer 0's BP job and layer 1's all-reduce start at one instant
+    and last equally long, so layer 0 is ready the instant the channel
+    frees.  The BP job's timer was scheduled first, so the kernel
+    handles the readiness first; the replay orders the tie the same way
+    and its trace is the kernel's."""
     builder = ModelBuilder(name="tie", display_name="Tie",
                            default_batch_size=8, sample_description="sample")
     for index in range(2):
@@ -198,16 +193,30 @@ def test_a_tie_falls_back_counted(registry):
     duration = cost.all_reduce(model.tensors_backward_order()[0].nbytes)
     timing = TimingModel(ComputeProfile(model, 8, (1e-3, 1e-3),
                                         (duration, 2e-3)))
-    fast, slow = (
-        get_scheduler("bytescheduler", negotiate=False).run(
-            timing, cost, fastpath=fastpath, trace=True)
-        for fastpath in (True, False)
-    )
-    assert _fallbacks(registry) == {("fastpath", "event", "dispatch_order"): 1.0}
-    assert fast.tracer.to_chrome_trace() == slow.tracer.to_chrome_trace()
+    assert _differences({"negotiate": False}, timing, cost, trace=True) == []
+    runs = registry.snapshot()["sim.runs"]["values"]
+    assert {entry["labels"]["engine"]: entry["value"] for entry in runs} == {
+        "fastpath": 1.0, "event": 1.0,
+    }
+
+
+@pytest.mark.parametrize("credit", CREDITS)
+def test_zero_duration_claims_equal_the_credit_engine(credit):
+    """On one GPU every all-reduce is free: a claim ends as it starts,
+    and its channel takes its next turn behind those already queued."""
+    timing = TimingModel.for_model(get_model("resnet50"))
+    cost = CollectiveTimeModel(cluster_10gbe(nodes=1, gpus_per_node=1))
+    assert cost.all_reduce(1e6) == 0.0
+    for negotiate in (True, False):
+        options = {"credit": credit, "negotiate": negotiate,
+                   "partition_bytes": 1e6}
+        assert _differences(options, timing, cost, trace=True) == []
 
 
 # -- _dispatch: the credit engine's choices ------------------------------------
+
+#: The owner start of a readiness no claim of its iteration can precede.
+_FIRST = float("-inf")
 
 
 def _fixed(durations):
@@ -216,42 +225,84 @@ def _fixed(durations):
 
 def test_dispatch_takes_the_best_ready_partition():
     claims, channels = _dispatch(
-        [0.0, 0.0, 0.0, 5.0], _fixed([1.0] * 4),
-        [(2, 0), (0, 0), (1, 0), (0, 1)], [(0, _NEVER)],
+        [0.0, 0.0, 0.0, 5.0], [_FIRST] * 3 + [4.0], _fixed([1.0] * 4),
+        [(2, 0), (0, 0), (1, 0), (0, 1)], [0],
     )
     # Partition 3 outranks 0 and 2 but is not ready until 5.0.
     assert claims == [(1, 0), (2, 0), (0, 0), (3, 0)]
-    assert channels == [(0, 6.0)]
+    assert channels == [0]
 
 
 def test_dispatch_wakes_idle_channels_in_order():
     claims, channels = _dispatch(
-        [1.0, 1.0, 1.0], _fixed([2.0, 3.0, 1.0]), [(0, 0), (0, 1), (0, 2)],
-        [(1, _NEVER), (0, _NEVER)],
+        [1.0, 1.0, 1.0], [0.0] * 3, _fixed([2.0, 3.0, 1.0]),
+        [(0, 0), (0, 1), (0, 2)], [1, 0],
     )
     # Channel 1 went idle first, so it wakes and claims first, frees
     # first (at 3.0) and takes the last partition.  Both channels free
     # at 4.0, and go idle in the order their jobs started.
     assert claims == [(0, 1), (1, 0), (2, 1)]
-    assert channels == [(0, 4.0), (1, 4.0)]
+    assert channels == [0, 1]
 
 
-def test_dispatch_raises_on_a_tie_unless_guessing():
-    args = ([0.0, 1.0], _fixed([1.0, 1.0]), [(1, 0), (0, 0)], [(0, _NEVER)])
-    with pytest.raises(FastPathUnsupported) as info:
-        _dispatch(*args)
-    assert info.value.reason == "dispatch_order"
-    assert _dispatch(*args, strict=False)[0] == [(0, 0), (1, 0)]
-    with pytest.raises(FastPathUnsupported):
-        _dispatch([0.0], _fixed([1.0]), [(0, 0)], [(0, 0.0)])
+#: Two channels, 0 idle before 1; partition 0 is ready at 0.0 and runs
+#: on channel 0 until 1.0, the instant partition 1 is ready.
+_TIE = ([0.0, 1.0], _fixed([1.0, 1.0]), [(0, 0), (0, 1)], [0, 1])
+
+
+def test_dispatch_frees_a_channel_that_started_earlier_first():
+    """Partition 1's owner started after channel 0's claim: channel 0's
+    timer pops first, it finds nothing ready and idles behind channel
+    1, and the readiness wakes channel 1 first."""
+    ready, price, priorities, idle = _TIE
+    claims, channels = _dispatch(ready, [_FIRST, 0.5], price, priorities, idle)
+    assert claims == [(0, 0), (1, 1)]
+    assert channels == [0, 1]
+
+
+@pytest.mark.parametrize("owner", [0.0, -0.5])
+def test_dispatch_readiness_goes_first_when_its_owner_started_no_later(owner):
+    """An owner that started with the claim, or before it, was scheduled
+    first: the readiness comes first and the freed channel claims it."""
+    ready, price, priorities, idle = _TIE
+    claims, channels = _dispatch(ready, [_FIRST, owner], price, priorities, idle)
+    assert claims == [(0, 0), (1, 0)]
+    assert channels == [1, 0]
+
+
+def test_dispatch_freed_channel_claims_before_the_channels_it_wakes():
+    """The freed channel's turn is one hop from its timer; the idle
+    channel the readiness wakes takes its turn a hop later, so the
+    freed channel gets the best partition."""
+    claims, _ = _dispatch(
+        [0.0, 1.0, 1.0], [_FIRST, 0.0, 0.0], _fixed([1.0, 1.0, 1.0]),
+        [(0, 0), (2, 0), (1, 0)], [0, 1],
+    )
+    assert claims == [(0, 0), (2, 0), (1, 1)]
+
+
+def test_dispatch_zero_duration_claims_take_turns():
+    """A zero-duration claim ends as it starts: its channel's next turn
+    comes behind the turns already queued."""
+    claims, channels = _dispatch(
+        [0.0, 0.0, 0.0], [_FIRST] * 3, _fixed([0.0, 0.0, 0.0]),
+        [(0, 0), (0, 1), (0, 2)], [0, 1],
+    )
+    assert claims == [(0, 0), (1, 1), (2, 0)]
+    assert channels == [1, 0]
 
 
 # -- random tiny models built to tie ------------------------------------------
 
+#: The fabric of the tie property: 4 GPUs, so all-reduces cost time.
+TIED_COST = CollectiveTimeModel(cluster_10gbe(nodes=2, gpus_per_node=2))
+
 
 @st.composite
 def tied_runs(draw):
-    """A tiny model with zero-duration BP layers and equal-size tensors."""
+    """A tiny model whose FF and BP layers last zero or one of its
+    partitions' all-reduce prices, with credit 1-4 and, 30% of the
+    time, a slow link over part of the run."""
     layers = draw(st.integers(1, 5))
     sizes = st.sampled_from([1000, 4000, 250_000])
     builder = ModelBuilder(name="tied", display_name="Tied",
@@ -264,30 +315,35 @@ def tied_runs(draw):
             flops=1e6,
         )
     model = builder.build()
-    times = st.sampled_from([0.0, 0.0, 1e-4, 3e-4, 1e-3])
-    profile = ComputeProfile(
-        model, 8,
-        tuple(draw(times) + 1e-4 for _ in range(layers)),
-        tuple(draw(times) for _ in range(layers)),
-    )
     options = {
-        "credit": draw(st.sampled_from(CREDITS)),
+        "credit": draw(st.integers(1, 4)),
         "partition_bytes": draw(st.sampled_from([4000.0, 16000.0, 1e6])),
         "negotiate": draw(st.booleans()),
     }
-    return TimingModel(profile), options
+    scheduler = get_scheduler("bytescheduler", **options)
+    extra = scheduler._overhead(SimpleNamespace(cost=TIED_COST))
+    prices = sorted({
+        TIED_COST.all_reduce(tensor.nbytes / parts) + extra
+        for tensor in model.tensors_backward_order()
+        for parts in [max(1, math.ceil(tensor.nbytes / options["partition_bytes"]))]
+    })
+    times = st.sampled_from([0.0, 0.0, 1e-4, *prices, *(2 * p for p in prices)])
+    ff = tuple(draw(times) for _ in range(layers))
+    bp = tuple(draw(times) for _ in range(layers))
+    faults = None
+    if draw(st.integers(0, 9)) < 3:
+        start = draw(st.sampled_from([0.0, 2e-4, 1e-3, 3e-3]))
+        length = draw(st.sampled_from([5e-4, 2e-3, 1.0]))
+        faults = FaultPlan(link_faults=(
+            LinkFault(start, start + length, alpha_factor=2.5,
+                      beta_factor=2.5, link="both"),
+        ))
+    return TimingModel(ComputeProfile(model, 8, ff, bp)), options, faults
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=200)
 @given(case=tied_runs())
-def test_tied_tiny_models_match_or_fall_back_counted(case):
-    timing, options = case
-    cost = CollectiveTimeModel(cluster_10gbe(nodes=2, gpus_per_node=2))
-    fresh = MetricsRegistry()
-    set_default_registry(fresh)
-    try:
-        found = _differences(options, timing, cost, trace=True)
-    finally:
-        reset_default_registry()
-    assert found == []
-    assert set(_fallbacks(fresh)) <= {("fastpath", "event", "dispatch_order")}
+def test_tied_tiny_models_match_without_fallback(case):
+    timing, options, faults = case
+    assert _differences(options, timing, TIED_COST, trace=True,
+                        faults=faults) == []

@@ -1,12 +1,14 @@
-"""Every fast-path fallback is counted as ``sim.fallbacks{from,to,reason}``.
+"""No engine falls back to another.
 
-Three places drop from a fast engine to a slower one: the single-rank
-fast path to the event kernel, the multi-rank fast path to the multi-rank
-event kernel, and the config-axis batched runner to the classic
-per-spec path.  Each test forces one site on a seeded input and checks
-that the fallback shows up with its fixed reason code and that the
-answer still matches the fast engine's.  The last test pins the other
-side: no registered policy falls back on its own.
+The vectorized replay is the one production engine.  A schedule it
+cannot record — here WFBP plus one ``sim.event()`` — raises
+:class:`FastPathUnsupported` on the fast path, single-rank and
+multi-rank, and runs only with ``fastpath=False``, where it must match
+what the static schedule gives on the replay.  The config-axis batched
+runner sends BO tuning and ``fastpath=False`` specs the classic way by a
+plain check and says why in ``runner.batched.specs{outcome}``; a dynamic
+schedule raises there too.  The last test pins the other side: no
+registered policy runs the event kernel unless asked.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import paper_testbed
 from repro.runner.batched import run_batched
 from repro.runner.spec import RunSpec
-from repro.schedulers import multirank
 from repro.schedulers.base import SCHEDULER_NAMES, get_scheduler
 from repro.schedulers.multirank import simulate_heterogeneous
 from repro.schedulers.wfbp import WFBPScheduler
+from repro.sim.fastpath import FastPathUnsupported
 from repro.telemetry.registry import MetricsRegistry, default_registry, set_default_registry
 
 SEED = 1234
@@ -44,28 +46,11 @@ def registry():
     set_default_registry(previous)
 
 
-def _fallbacks(registry: MetricsRegistry) -> dict[tuple[str, str, str], float]:
-    family = registry.snapshot().get("sim.fallbacks")
+def _counts(registry: MetricsRegistry, name: str, label: str) -> dict[str, float]:
+    family = registry.snapshot().get(name)
     if not family:
         return {}
-    return {
-        (entry["labels"]["from"], entry["labels"]["to"], entry["labels"]["reason"]):
-            entry["value"]
-        for entry in family["values"]
-    }
-
-
-class _EventWFBP(WFBPScheduler):
-    """WFBP plus one dynamic ``sim.event()`` the fast paths cannot record.
-
-    The event engines create it and never wait on it (the multi-rank
-    event facade has no ``event`` at all), so results match plain WFBP.
-    """
-
-    def schedule(self, ctx, iterations):
-        if hasattr(ctx.sim, "event"):
-            ctx.sim.event()
-        super().schedule(ctx, iterations)
+    return {entry["labels"][label]: entry["value"] for entry in family["values"]}
 
 
 def _seeded_scales(world: int) -> tuple[float, ...]:
@@ -73,56 +58,54 @@ def _seeded_scales(world: int) -> tuple[float, ...]:
     return tuple(float(scale) for scale in rng.uniform(1.0, 1.5, size=world))
 
 
-def test_single_rank_fastpath_to_event(registry, tiny_model, ethernet_cluster):
+def test_single_rank_fastpath_to_event(registry, dynamic_policy, tiny_model,
+                                       ethernet_cluster):
     timing = TimingModel.for_model(tiny_model, iteration_compute=0.03)
     cost = CollectiveTimeModel(ethernet_cluster)
-    slow = _EventWFBP().run(timing, cost, iterations=4)
-    assert _fallbacks(registry) == {("fastpath", "event", "dynamic_event"): 1.0}
-    fast = WFBPScheduler().run(timing, cost, iterations=4)
-    assert slow.iteration_time == pytest.approx(fast.iteration_time, rel=1e-9)
-    assert len(_fallbacks(registry)) == 1
+    dynamic = get_scheduler(dynamic_policy)
+    with pytest.raises(FastPathUnsupported, match="sim.event"):
+        dynamic.run(timing, cost, iterations=4)
+    slow = dynamic.run(timing, cost, iterations=4, fastpath=False, trace=True)
+    fast = WFBPScheduler().run(timing, cost, iterations=4, trace=True)
+    assert slow.iteration_times == fast.iteration_times
+    assert slow.tracer.to_chrome_trace() == fast.tracer.to_chrome_trace()
+    assert _counts(registry, "sim.runs", "engine") == {"event": 1.0, "fastpath": 1.0}
 
 
-def test_multirank_fastpath_to_event(registry, tiny_model, ethernet_cluster,
-                                     monkeypatch):
+def test_multirank_fastpath_to_event(registry, dynamic_policy, monkeypatch,
+                                     tiny_model, ethernet_cluster):
     scales = _seeded_scales(ethernet_cluster.world_size)
-    fast = simulate_heterogeneous(
-        "wfbp", tiny_model, ethernet_cluster, scales, iteration_compute=0.03
-    )
-    assert fast.extras["engine"] == "multirank-fastpath"
-    assert _fallbacks(registry) == {}
-    monkeypatch.setattr(
-        multirank, "_policy_scheduler",
-        lambda policy, buffer_bytes: _EventWFBP(buffer_bytes=buffer_bytes),
-    )
-    slow = simulate_heterogeneous(
-        "wfbp", tiny_model, ethernet_cluster, scales, iteration_compute=0.03
-    )
+    with pytest.raises(FastPathUnsupported, match="sim.event"):
+        simulate_heterogeneous(dynamic_policy, tiny_model, ethernet_cluster,
+                               scales, iteration_compute=0.03)
+    slow = simulate_heterogeneous(dynamic_policy, tiny_model, ethernet_cluster,
+                                  scales, iteration_compute=0.03,
+                                  fastpath=False, trace=True)
     assert slow.extras["engine"] == "multirank-event"
-    assert _fallbacks(registry) == {
-        ("multirank-fastpath", "multirank-event", "dynamic_event"): 1.0
-    }
-    assert slow.iteration_time == pytest.approx(fast.iteration_time, rel=1e-9)
+    monkeypatch.undo()
+    fast = simulate_heterogeneous("wfbp", tiny_model, ethernet_cluster, scales,
+                                  iteration_compute=0.03, trace=True)
+    assert fast.extras["engine"] == "multirank-fastpath"
+    assert slow.iteration_times == fast.iteration_times
+    assert slow.tracer.to_chrome_trace() == fast.tracer.to_chrome_trace()
 
 
-def test_batched_to_classic(registry, opt_out_policy, tiny_model,
-                            ethernet_cluster):
+def test_batched_to_classic(registry, tiny_model, ethernet_cluster):
     scales = _seeded_scales(ethernet_cluster.world_size)
     specs = [
         RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4),
-        RunSpec.create(opt_out_policy, tiny_model, ethernet_cluster, iterations=4),
         RunSpec.create("dear", tiny_model, ethernet_cluster, iterations=4,
                        fusion="bo", bo_trials=2),
         RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4,
                        fastpath=False),
+        RunSpec.create("wfbp", tiny_model, ethernet_cluster, iterations=4,
+                       compute_scales=scales, fastpath=False),
     ]
     outcomes = run_batched(specs)
     assert outcomes[0] is not None
     assert outcomes[1:] == [None] * 3
-    assert _fallbacks(registry) == {
-        ("batched", "classic", "opt_out"): 1.0,
-        ("batched", "classic", "custom_run"): 1.0,
-        ("batched", "classic", "disabled"): 1.0,
+    assert _counts(registry, "runner.batched.specs", "outcome") == {
+        "batched": 1.0, "bo_tuning": 1.0, "fastpath_off": 2.0,
     }
     # An option the run would not take never reaches the runner.
     with pytest.raises(ValueError, match="bad options"):
@@ -130,15 +113,27 @@ def test_batched_to_classic(registry, opt_out_policy, tiny_model,
                        compute_scales=scales, bogus=1)
 
 
+def test_batched_dynamic_schedule_raises(registry, dynamic_policy, tiny_model,
+                                         ethernet_cluster):
+    """The batched runner records a dynamic schedule like a run does, so
+    it raises rather than quietly computing the spec another way."""
+    scales = _seeded_scales(ethernet_cluster.world_size)
+    for options in ({}, {"compute_scales": scales}):
+        spec = RunSpec.create(dynamic_policy, tiny_model, ethernet_cluster,
+                              iterations=4, **options)
+        with pytest.raises(FastPathUnsupported):
+            run_batched([spec])
+
 
 @pytest.mark.parametrize("faults", [None, SLOW_LINK], ids=["healthy", "slow_link"])
 def test_no_registered_policy_falls_back(registry, faults):
-    """Every registered policy, default options, stays on the fast path.
+    """Every registered policy, default options, runs on the replay.
 
-    Through ``Scheduler.run`` nothing falls back.  Through the batched
-    runner the only entries are ``custom_run``: a policy whose default
-    ``run()`` is a BO tuning loop (DeAR) runs its trials classically,
-    each one a fast-path ``Scheduler.run``.
+    Through ``Scheduler.run`` the event kernel never runs.  Through the
+    batched runner the only spec left to the classic path is
+    ``bo_tuning``: a policy whose default ``run()`` is a BO tuning loop
+    (DeAR) runs its trials classically, each one a replayed
+    ``Scheduler.run``.
     """
     model = get_model("resnet50")
     cluster = paper_testbed("10gbe")
@@ -146,7 +141,7 @@ def test_no_registered_policy_falls_back(registry, faults):
     cost = CollectiveTimeModel(cluster)
     for name in SCHEDULER_NAMES:
         get_scheduler(name).run(timing, cost, faults=faults)
-    assert _fallbacks(registry) == {}
+    assert set(_counts(registry, "sim.runs", "engine")) == {"fastpath"}
     specs = [RunSpec.create(name, model, cluster, faults=faults)
              for name in SCHEDULER_NAMES]
     outcomes = run_batched(specs)
@@ -155,6 +150,8 @@ def test_no_registered_policy_falls_back(registry, faults):
     assert tuning == ["dear"]
     assert [name for name, outcome in zip(SCHEDULER_NAMES, outcomes)
             if outcome is None] == tuning
-    assert _fallbacks(registry) == {
-        ("batched", "classic", "custom_run"): float(len(tuning))
+    assert _counts(registry, "runner.batched.specs", "outcome") == {
+        "batched": float(len(SCHEDULER_NAMES) - len(tuning)),
+        "bo_tuning": float(len(tuning)),
     }
+    assert set(_counts(registry, "sim.runs", "engine")) == {"fastpath"}

@@ -242,34 +242,27 @@ class TestFastTimeline:
 
 
 class TestFastPathToggle:
-    def test_every_registered_policy_takes_the_fast_path(self):
-        assert set(FAST_SCHEDULERS) == set(SCHEDULER_NAMES)
-        for name in FAST_SCHEDULERS:
-            assert get_scheduler(name).supports_fast_path is True
-
-    def test_opt_out_policy_runs_on_the_event_kernel(
-        self, opt_out_policy, tiny_timing, ethernet_cost
+    def test_every_registered_policy_takes_the_fast_path(
+        self, tiny_timing, ethernet_cost
     ):
-        opt_out = get_scheduler(opt_out_policy)
-        assert opt_out.supports_fast_path is False
-        with pytest.raises(FastPathUnsupported) as info:
-            opt_out.record_fast(tiny_timing, ethernet_cost)
-        assert info.value.reason == "opt_out"
+        assert set(FAST_SCHEDULERS) == set(SCHEDULER_NAMES)
         registry = MetricsRegistry()
         set_default_registry(registry)
         try:
-            opt_out.run(tiny_timing, ethernet_cost)
+            for name in FAST_SCHEDULERS:
+                get_scheduler(name).run(tiny_timing, ethernet_cost)
         finally:
             reset_default_registry()
         runs = registry.snapshot()["sim.runs"]["values"]
-        assert [run["labels"] for run in runs] == [{"engine": "event"}]
+        assert [run["labels"] for run in runs] == [{"engine": "fastpath"}]
 
-    def test_dynamic_scheduler_falls_back(self, tiny_timing, ethernet_cost):
-        """A mislabelled scheduler degrades to the event kernel, not an error."""
+    def test_dynamic_scheduler_raises_on_the_fast_path(self, tiny_timing,
+                                                       ethernet_cost):
+        """A dynamic schedule is an error on the fast path, never a
+        silent fall back; it runs on the event kernel when asked."""
 
         class DynamicScheduler(Scheduler):
             name = "dynamic-test"
-            supports_fast_path = True  # wrong on purpose
 
             def schedule(self, ctx, iterations):
                 for iteration in range(iterations):
@@ -278,11 +271,14 @@ class TestFastPathToggle:
                     ctx.submit_forward_pass(iteration, first_gate=gate)
                     ctx.submit_backward_pass(iteration)
 
-            def describe_options(self):
-                return {}
-
-        result = DynamicScheduler().run(tiny_timing, ethernet_cost)
-        assert result.iteration_time > 0
+        with pytest.raises(FastPathUnsupported, match="sim.event"):
+            DynamicScheduler().run(tiny_timing, ethernet_cost)
+        result = DynamicScheduler().run(tiny_timing, ethernet_cost,
+                                        fastpath=False)
+        serial = get_scheduler("serial").run(tiny_timing, ethernet_cost)
+        assert result.iteration_time == pytest.approx(
+            tiny_timing.t_ff + tiny_timing.t_bp, rel=REL)
+        assert result.iteration_time < serial.iteration_time
 
 
 # -- differential suite: schedulers x workloads --------------------------------
