@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.models.layers import ModelSpec
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "ComputeProfile",
     "TimingModel",
     "build_profile",
+    "profile_times",
 ]
 
 #: Single-GPU compute time per iteration (t_ff + t_bp, seconds) at the
@@ -102,23 +105,6 @@ class ComputeProfile:
         return self.batch_size / self.iteration_compute
 
 
-def _distribute(
-    total: float, weights: Sequence[float], floor: float
-) -> tuple[float, ...]:
-    """Split ``total`` into len(weights) parts: a floor each plus a
-    FLOP-proportional share of the remainder."""
-    count = len(weights)
-    floor_total = floor * count
-    if floor_total >= total:
-        # Degenerate (tiny batch): spread evenly.
-        return tuple(total / count for _ in range(count))
-    remaining = total - floor_total
-    weight_sum = sum(weights)
-    if weight_sum <= 0:
-        return tuple(total / count for _ in range(count))
-    return tuple(floor + remaining * w / weight_sum for w in weights)
-
-
 def batch_scale(batch_size: int, reference_batch_size: int) -> float:
     """Affine compute scaling factor for a non-default batch size."""
     if batch_size <= 0:
@@ -127,23 +113,23 @@ def batch_scale(batch_size: int, reference_batch_size: int) -> float:
     return _FIXED_OVERHEAD_FRACTION + (1.0 - _FIXED_OVERHEAD_FRACTION) * ratio
 
 
-def build_profile(
+def profile_times(
     model: ModelSpec,
     batch_size: Optional[int] = None,
     iteration_compute: Optional[float] = None,
     ff_fraction: float = _FF_FRACTION,
-    compute_scale: float = 1.0,
-) -> ComputeProfile:
-    """Build the calibrated timing profile for ``model``.
+    scales: Sequence[float] = (1.0,),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-layer FF and BP times of ``model`` at each compute scale.
 
-    Args:
-        model: the architecture.
-        batch_size: per-GPU mini-batch size; defaults to Table I's.
-        iteration_compute: override the calibrated single-GPU iteration
-            compute time (seconds, at the *default* batch size); by
-            default looked up in :data:`CALIBRATED_ITERATION_COMPUTE`.
-        ff_fraction: share of compute spent in feed-forward.
-        compute_scale: multiply all times (straggler/faster-GPU studies).
+    Returns two ``(len(scales), layers)`` matrices: row ``i`` holds the
+    profile :func:`build_profile` gives at ``compute_scale=scales[i]``.
+    Each layer gets a launch floor plus a FLOP-proportional share of
+    what the floors leave, ``floor + (remaining * flops) / flop_sum``,
+    the same float operations in the same order on every element, so a
+    row does not depend on the other rows.  A row whose floors alone
+    reach its total (a tiny batch) is spread evenly; an overflow gives
+    ``inf``, as Python's float arithmetic does.
     """
     if batch_size is None:
         batch_size = model.default_batch_size
@@ -158,18 +144,65 @@ def build_profile(
     if not 0.0 < ff_fraction < 1.0:
         raise ValueError(f"ff_fraction must be in (0, 1), got {ff_fraction}")
 
-    total = (
-        iteration_compute
-        * batch_scale(batch_size, model.default_batch_size)
-        * compute_scale
+    base = iteration_compute * batch_scale(batch_size, model.default_batch_size)
+    flops = [layer.flops for layer in model.layers]
+    weights = np.array(flops, dtype=float)
+    weight_sum = float(sum(flops))
+    with np.errstate(all="ignore"):
+        totals = base * np.asarray(scales, dtype=float)
+        total_ff = totals * ff_fraction
+        total_bp = totals - total_ff
+        return (
+            _split(total_ff, weights, weight_sum, _FF_FLOOR),
+            _split(total_bp, weights, weight_sum, _BP_FLOOR),
+        )
+
+
+def _split(totals: np.ndarray, weights: np.ndarray, weight_sum: float,
+           floor: float) -> np.ndarray:
+    """Split each of ``totals`` into per-layer times, one row per total."""
+    count = len(weights)
+    floor_total = floor * count
+    if weight_sum > 0:
+        times = floor + ((totals - floor_total)[:, None] * weights) / weight_sum
+        even = floor_total >= totals
+    else:
+        times = np.empty((len(totals), count))
+        even = slice(None)
+    # Degenerate rows (the floors reach the total): spread evenly.
+    times[even] = (totals[even] / count)[:, None]
+    return times
+
+
+def build_profile(
+    model: ModelSpec,
+    batch_size: Optional[int] = None,
+    iteration_compute: Optional[float] = None,
+    ff_fraction: float = _FF_FRACTION,
+    compute_scale: float = 1.0,
+) -> ComputeProfile:
+    """Build the calibrated timing profile for ``model``.
+
+    The one-row case of :func:`profile_times`.
+
+    Args:
+        model: the architecture.
+        batch_size: per-GPU mini-batch size; defaults to Table I's.
+        iteration_compute: override the calibrated single-GPU iteration
+            compute time (seconds, at the *default* batch size); by
+            default looked up in :data:`CALIBRATED_ITERATION_COMPUTE`.
+        ff_fraction: share of compute spent in feed-forward.
+        compute_scale: multiply all times (straggler/faster-GPU studies).
+    """
+    if batch_size is None:
+        batch_size = model.default_batch_size
+    ff_times, bp_times = profile_times(
+        model, batch_size, iteration_compute, ff_fraction, (compute_scale,)
     )
-    total_ff = total * ff_fraction
-    total_bp = total - total_ff
-    weights = [layer.flops for layer in model.layers]
-    ff_times = _distribute(total_ff, weights, _FF_FLOOR)
-    bp_times = _distribute(total_bp, weights, _BP_FLOOR)
     return ComputeProfile(
-        model=model, batch_size=batch_size, ff_times=ff_times, bp_times=bp_times
+        model=model, batch_size=batch_size,
+        ff_times=tuple(ff_times[0].tolist()),
+        bp_times=tuple(bp_times[0].tolist()),
     )
 
 

@@ -172,7 +172,7 @@ class ResultCache:
                 "w", dir=self.root, suffix=".tmp", delete=False
             )
             with handle:
-                json.dump(data, handle)
+                handle.write(json.dumps(data))
             os.replace(handle.name, path)
         except (OSError, TypeError):
             pass
@@ -238,7 +238,9 @@ class ResultCache:
             )
             temp_name = handle.name
             with handle:
-                json.dump(entry, handle)
+                # One write call: json.dump would stream every small
+                # chunk of the encoding through the temp-file wrapper.
+                handle.write(json.dumps(entry))
             os.replace(temp_name, path)
         except (OSError, TypeError):
             # A cache that cannot write is a cache that is off.

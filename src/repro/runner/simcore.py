@@ -147,13 +147,13 @@ def _bench_multirank(world: int, event_repeats: int,
     # A compute ramp keeps the run genuinely heterogeneous.
     scales = [1.0 + 0.25 * rank / (world - 1) for rank in range(world)]
     setup = _Run("dear", model, cluster, scales, collapse=False)
-    timings, cost = setup.args
+    durations, cost = setup.args
     scheduler = setup.scheduler
     iterations = 5
 
     contexts = []
     for _ in range(event_repeats):
-        ctx = MultiRankIterationContext(timings, cost)
+        ctx = MultiRankIterationContext(durations, cost)
         scheduler.schedule(ctx, iterations)
         contexts.append(ctx)
     started = time.perf_counter()
@@ -161,7 +161,7 @@ def _bench_multirank(world: int, event_repeats: int,
         ctx.run()
     event_elapsed = (time.perf_counter() - started) / event_repeats
 
-    fast = FastMultiRankContext(timings, cost)
+    fast = FastMultiRankContext(durations, cost)
     scheduler.schedule(fast, iterations)
     started = time.perf_counter()
     for _ in range(replay_repeats):

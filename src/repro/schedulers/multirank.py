@@ -28,8 +28,9 @@ execution engines back that API:
   O(world x jobs) events;
 - :class:`FastMultiRankContext` records the same schedule into a
   ``world``-rank :class:`~repro.sim.fastpath.Timeline` with one lane per
-  rank class and replays it in closed form along the lane axis — the
-  engine that makes 1024-GPU sweeps interactive.
+  rank class (the ranks with one compute scale) and replays it in
+  closed form along the lane axis — the engine that makes 1024-GPU
+  sweeps interactive.
 
 Engine selection is :meth:`repro.schedulers.base.Scheduler.run`'s: the
 vectorized replay, or the event kernel when the run passes
@@ -49,14 +50,13 @@ Entry point: :func:`simulate_heterogeneous`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.models.layers import ModelSpec
-from repro.models.profiles import TimingModel
+from repro.models.profiles import TimingModel, profile_times
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.faults.plan import FaultPlan, normalize_plan
@@ -225,55 +225,52 @@ class _EventShim:
         ])
 
 
+def _rank_classes(scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(class scales, inverse)``: each distinct scale once, in order of
+    first appearance, and each rank's class — so rank 0 is in class 0,
+    and ``-0.0`` shares ``0.0``'s class (the first one's value)."""
+    _, first, inverse = np.unique(scales, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    return scales[first[order]], renumber[inverse.ravel()]
+
+
 class _RankDurations:
     """Slot durations on explicit ranks, as cached ``(classes,)`` vectors.
 
-    Ranks that share one :class:`TimingModel` object form a *class*
-    (:class:`_Run` builds one model per distinct compute scale): each
-    FF/BP layer time and kernel ratio is priced once per class.  The
-    vector is what the replay records, one lane per class; the event
-    kernel's per-rank streams expand it to ranks with the ``inverse``
-    index array, which copies values exactly.  Each vector is built once
-    and reused across iterations.  ``classes[0]`` is the planning
-    rank's, so rank 0 is always in class 0.
+    Ranks with one compute scale form a *class*: each FF/BP layer time
+    and kernel ratio is priced once per class, every class's profile in
+    one :func:`~repro.models.profiles.profile_times` pass.  The vector
+    is what the replay records, one lane per class; the event kernel's
+    per-rank streams expand it to ranks with the ``inverse`` index
+    array, which copies values exactly.  Each vector is built once and
+    reused across iterations.  ``scales[0]`` is the planning rank's, so
+    rank 0 is always in class 0.  ``iteration_compute`` is the run's
+    override of the calibrated compute time, as for ``planning``.
     """
 
-    __slots__ = ("classes", "inverse", "_passes", "_kernels", "_ratios")
+    __slots__ = ("planning", "scales", "inverse", "ff_times", "bp_times",
+                 "ff_pass", "bp_pass", "_kernels", "_ratios")
 
-    def __init__(self, timings: list[TimingModel]):
-        #: one timing model per class, in order of first appearance.
-        self.classes = list({id(timing): timing for timing in timings}.values())
-        index = {id(timing): number for number, timing in enumerate(self.classes)}
-        #: class of each rank.
-        self.inverse = np.array(
-            [index[id(timing)] for timing in timings], dtype=np.intp
+    def __init__(self, planning: TimingModel, scales: np.ndarray,
+                 inverse: np.ndarray, iteration_compute: Optional[float]):
+        #: rank 0's timing model, the planning view of the contexts.
+        self.planning = planning
+        #: compute scale of each class, and the class of each rank.
+        self.scales = scales
+        self.inverse = inverse
+        #: ``(classes, layers)`` FF and BP times, row ``c`` class ``c``'s.
+        self.ff_times, self.bp_times = profile_times(
+            planning.model, planning.batch_size, iteration_compute,
+            scales=scales,
         )
-        self._passes: dict[str, list[np.ndarray]] = {}
+        #: a pass's ``(classes,)`` vectors in submission order: FF first
+        #: layer first, BP last layer first.
+        self.ff_pass = list(np.ascontiguousarray(self.ff_times.T))
+        self.bp_pass = list(np.ascontiguousarray(self.bp_times.T[::-1]))
         self._kernels: dict[float, np.ndarray] = {}
         self._ratios: Optional[np.ndarray] = None
-
-    @property
-    def ff_pass(self) -> list[np.ndarray]:
-        """An FF pass's vectors in submission order, first layer first."""
-        return self._pass("ff")
-
-    @property
-    def bp_pass(self) -> list[np.ndarray]:
-        """A BP pass's vectors in submission order, last layer first."""
-        return self._pass("bp")
-
-    def _pass(self, kind: str) -> list[np.ndarray]:
-        vectors = self._passes.get(kind)
-        if vectors is None:
-            # (layers, classes): row l holds layer l's time in each class.
-            times = np.array(
-                [getattr(timing.profile, f"{kind}_times")
-                 for timing in self.classes]
-            ).T
-            if kind == "bp":
-                times = times[::-1]
-            vectors = self._passes[kind] = list(np.ascontiguousarray(times))
-        return vectors
 
     def kernel(self, duration: float) -> np.ndarray:
         """A workload kernel of ``duration`` seconds on the planning rank.
@@ -282,15 +279,14 @@ class _RankDurations:
         <repro.models.profiles.build_profile>` ``compute_scale``: every
         profile time scales linearly with it, so the t_ff ratio to the
         planning rank IS the scale ratio (:func:`_check_heterogeneous`
-        rejects a zero planning scale).
+        rejects a zero planning scale).  A class's t_ff is Python's sum
+        over its row, as :attr:`TimingModel.t_ff` computes it.
         """
         vec = self._kernels.get(duration)
         if vec is None:
             if self._ratios is None:
-                planning = self.classes[0].t_ff
-                self._ratios = np.array(
-                    [timing.t_ff / planning for timing in self.classes]
-                )
+                t_ff = [sum(row) for row in self.ff_times.tolist()]
+                self._ratios = np.array([value / t_ff[0] for value in t_ff])
             vec = self._kernels[duration] = duration * self._ratios
         return vec
 
@@ -305,13 +301,12 @@ class MultiRankIterationContext(IterationContext):
 
     engine = "multirank-event"
 
-    def __init__(self, timings: Sequence[TimingModel],
+    def __init__(self, durations: _RankDurations,
                  cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        timings = list(timings)
-        self._bind(timings[0], cost, tracer, faults, _RankDurations(timings))
-        self.world = len(timings)
+        self._bind(durations.planning, cost, tracer, faults, durations)
+        self.world = len(durations.inverse)
         self._start_kernel()
         self.sim = _EventShim(self._sim, self.world)
         self.compute_streams = [
@@ -376,18 +371,16 @@ class FastMultiRankContext(FastIterationContext):
 
     engine = "multirank-fastpath"
 
-    def __init__(self, timings: Sequence[TimingModel],
+    def __init__(self, durations: _RankDurations,
                  cost: CollectiveTimeModel,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None):
-        timings = list(timings)
-        durations = _RankDurations(timings)
-        self._bind(timings[0], cost, tracer, faults, durations)
+        self._bind(durations.planning, cost, tracer, faults, durations)
         default_registry().histogram(
             "sim.multirank.rank_classes",
             "distinct compute profiles per multi-rank recording",
-        ).observe(len(durations.classes))
-        self.world = len(timings)
+        ).observe(len(durations.scales))
+        self.world = len(durations.inverse)
         self._timeline = Timeline(self.world, rank_lanes=durations.inverse)
         self.sim = self._timeline.sim
         self.compute = self.stream("compute")
@@ -446,16 +439,18 @@ def _check_heterogeneous(
         )
     if iterations < 3:
         raise ValueError("need >= 3 iterations for a steady-state measurement")
-    scales = tuple(float(scale) for scale in compute_scales)
-    for rank, scale in enumerate(scales):
-        if not math.isfinite(scale) or scale < 0:
-            raise ValueError(
-                f"compute scale of rank {rank} must be finite and >= 0, "
-                f"got {scale}"
-            )
+    scales = tuple(map(float, compute_scales))
+    values = np.array(scales)
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        rank = int(bad.argmax())
+        raise ValueError(
+            f"compute scale of rank {rank} must be finite and >= 0, "
+            f"got {scales[rank]}"
+        )
     collapsed = (
         collapse
-        and all(scale == scales[0] for scale in scales)
+        and bool((values == values[0]).all())
         and normalize_plan(faults) is None
     )
     if workload is not None and not collapsed and scales[0] == 0:
@@ -472,10 +467,11 @@ class _Run:
     A collapsed run (:func:`_check_heterogeneous`) gets the single-rank
     contexts and rank 0's timing model, so its recordings batch with
     plain single-rank specs; any other run gets the multi-rank contexts
-    and one timing model per distinct compute scale, shared by every
-    rank with that scale (a rank class).  The public entry points pass
-    ``collapse=True``; ``collapse=False``, every rank explicitly, is the
-    reference the collapse is tested against.
+    and a :class:`_RankDurations` with one profile per distinct compute
+    scale, shared by every rank with that scale (a rank class).  The
+    public entry points pass ``collapse=True``; ``collapse=False``,
+    every rank explicitly, is the reference the collapse is tested
+    against.
     """
 
     def __init__(
@@ -502,28 +498,23 @@ class _Run:
         self.iterations, self.faults = iterations, faults
         self.scheduler = _policy_scheduler(policy, fusion_buffer_bytes)
         cost = CollectiveTimeModel(cluster, algorithm=algorithm, table=tuned_table)
-        # One timing model per distinct scale, shared by its ranks: the
-        # rank classes _RankDurations prices once each.
-        profiles: dict[float, TimingModel] = {}
-        timings = []
-        for scale in self.compute_scales[:1 if collapsed else None]:
-            timing = profiles.get(scale)
-            if timing is None:
-                timing = profiles[scale] = TimingModel.for_model(
-                    model,
-                    batch_size=batch_size,
-                    iteration_compute=iteration_compute,
-                    compute_scale=scale,
-                )
-            timings.append(timing)
-        self.workload = self.scheduler._resolve_workload(workload, timings[0], cost)
+        planning = TimingModel.for_model(
+            model,
+            batch_size=batch_size,
+            iteration_compute=iteration_compute,
+            compute_scale=self.compute_scales[0],
+        )
+        self.workload = self.scheduler._resolve_workload(workload, planning, cost)
         # (vectorized replay, event kernel), and what both are built from.
         if collapsed:
             self.contexts = (FastIterationContext, IterationContext)
-            self.args = (timings[0], cost)
+            self.args = (planning, cost)
         else:
             self.contexts = (FastMultiRankContext, MultiRankIterationContext)
-            self.args = (timings, cost)
+            classes = _rank_classes(np.array(self.compute_scales))
+            self.args = (
+                _RankDurations(planning, *classes, iteration_compute), cost
+            )
 
     def record(self, trace: bool = False) -> IterationContext:
         """Schedule onto the vectorized replay without replaying."""

@@ -288,17 +288,33 @@ class Stream:
     Refers to its timeline weakly, like :class:`JobSet`.
     """
 
-    __slots__ = ("_timeline", "stream_id", "name", "actors", "jobs_submitted")
+    __slots__ = ("_timeline", "stream_id", "name", "_actor", "_actors",
+                 "jobs_submitted")
 
     def __init__(self, timeline: "weakref.ref[Timeline]", stream_id: int,
-                 name: str, actors: list[str]):
+                 name: str, actor: str):
         self._timeline = timeline
         self.stream_id = stream_id
         self.name = name
-        #: trace track of each rank's instance of this stream.
-        self.actors = actors
+        self._actor = actor
+        self._actors: Optional[list[str]] = None
         #: slots recorded on this stream (each fans out to ``world`` jobs).
         self.jobs_submitted = 0
+
+    @property
+    def actors(self) -> list[str]:
+        """Trace track of each rank's instance of this stream.
+
+        Built on first read: only span emission reads it, so an
+        untraced recording formats no per-rank track names.
+        """
+        if self._actors is None:
+            world = _alive(self._timeline, "stream", self.name).world
+            self._actors = (
+                [self._actor] if self._actor
+                else [f"rank{rank}.{self.name}" for rank in range(world)]
+            )
+        return self._actors
 
     def submit(
         self,
@@ -604,11 +620,7 @@ class Timeline:
         """
         if actor and self.world > 1:
             raise ValueError("only one-rank streams take an explicit actor")
-        actors = (
-            [actor] if actor
-            else [f"rank{rank}.{name}" for rank in range(self.world)]
-        )
-        stream = Stream(self._ref, len(self._streams), name, actors)
+        stream = Stream(self._ref, len(self._streams), name, actor)
         self._streams.append(stream)
         return stream
 

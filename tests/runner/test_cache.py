@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.runner.cache import (
+    COUNTERS_FILE,
     ResultCache,
     result_from_dict,
     result_to_dict,
@@ -103,3 +104,36 @@ class TestCorruptionRecovery:
         del entry["result"]
         path.write_text(json.dumps(entry))
         assert run_cached(spec, cache=cache).iteration_time > 0
+
+
+class TestFileBytes:
+    """Each cache file is ``json.dumps`` of its content, in one write."""
+
+    def test_entry_and_counters_bytes(self, cache, spec):
+        run_cached(spec, cache=cache)
+        cache.get(spec)
+        entry = cache._path(spec.fingerprint).read_text()
+        counters = (cache.root / COUNTERS_FILE).read_text()
+        assert entry == json.dumps(json.loads(entry))
+        assert counters == json.dumps({"misses": 1, "puts": 1, "hits": 1})
+
+    def test_each_file_is_written_in_one_call(self, cache, spec, monkeypatch):
+        import tempfile
+
+        from repro.runner import cache as cache_module
+
+        writes = []
+        named = tempfile.NamedTemporaryFile
+
+        def counting(*args, **kwargs):
+            handle = named(*args, **kwargs)
+            write = handle.write
+            handle.write = lambda text: writes.append(text) or write(text)
+            return handle
+
+        monkeypatch.setattr(cache_module.tempfile, "NamedTemporaryFile", counting)
+        result = run_cached(spec, cache=cache)
+        # The miss bumps the counters, the put writes the entry and
+        # bumps them again: three files, three writes.
+        assert len(writes) == 3
+        assert json.loads(writes[1])["result"] == result_to_dict(result)

@@ -114,20 +114,19 @@ def verify_timeline(timeline, classes=None) -> None:
 def profile_classes(ctx) -> np.ndarray:
     """Each rank's class by its compute profile's *values*.
 
-    A multi-rank context groups ranks by timing-model object; two
-    objects built from one compute scale hold equal profiles, so this
-    is the true class even where every rank has an object of its own.
+    A multi-rank context groups ranks by compute scale; classes whose
+    FF and BP rows hold equal values (an oracle that gives every rank a
+    class of its own, or two scales with one profile) are one true
+    class.
     """
     durations = ctx.durations
     keys: dict = {}
-    per_model = [
-        keys.setdefault(
-            (tuple(timing.profile.ff_times), tuple(timing.profile.bp_times)),
-            len(keys),
-        )
-        for timing in durations.classes
+    per_class = [
+        keys.setdefault((tuple(ff), tuple(bp)), len(keys))
+        for ff, bp in zip(durations.ff_times.tolist(),
+                          durations.bp_times.tolist())
     ]
-    return np.asarray(per_model)[durations.inverse]
+    return np.asarray(per_class)[durations.inverse]
 
 
 def verify_replays(monkeypatch) -> list:

@@ -119,6 +119,21 @@ class TestMultiRankTimeline:
         timeline.replay()
         assert c.starts.tolist() == [3.0, 2.0]
 
+    def test_track_names_are_built_when_spans_read_them(self):
+        """An untraced recording formats no per-rank track names."""
+        from repro.sim.trace import Tracer
+
+        timeline = Timeline(world=3, rank_lanes=[0, 1, 0])
+        stream = timeline.stream("compute")
+        stream.submit(np.array([1.0, 2.0]))
+        timeline.replay()
+        assert stream._actors is None
+        tracer = Tracer()
+        timeline.emit_spans(tracer)
+        assert stream.actors == ["rank0.compute", "rank1.compute",
+                                 "rank2.compute"]
+        assert [span.actor for span in tracer.spans] == stream.actors
+
     def test_job_accounting(self):
         timeline = Timeline(world=4)
         stream = timeline.stream("compute")
@@ -303,18 +318,19 @@ def test_faults_route_through_fastpath_engine(registry, tiny):
 
 
 def test_one_profile_per_distinct_scale(monkeypatch, registry, tiny):
-    """A 1024-rank run builds one timing profile per distinct compute
-    scale, not one per rank, and reports its class count."""
-    from repro.models import profiles
+    """A 1024-rank run builds its class profiles in one pass, one row per
+    distinct compute scale, not one per rank, and reports its class
+    count."""
+    from repro.schedulers import multirank
 
-    calls = []
-    build_profile = profiles.build_profile
+    rows = []
+    profile_times = multirank.profile_times
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("compute_scale"))
-        return build_profile(*args, **kwargs)
+        rows.append(len(kwargs["scales"]))
+        return profile_times(*args, **kwargs)
 
-    monkeypatch.setattr(profiles, "build_profile", counting)
+    monkeypatch.setattr(multirank, "profile_times", counting)
     cluster = cluster_10gbe(nodes=256, gpus_per_node=4)
     rng = np.random.default_rng(3)
     scales = [1.0] * cluster.world_size
@@ -324,9 +340,59 @@ def test_one_profile_per_distinct_scale(monkeypatch, registry, tiny):
         "dear", tiny, cluster, scales, iteration_compute=0.03
     )
     assert result.extras["engine"] == "multirank-fastpath"
-    assert len(calls) == len(set(scales)) == 5
+    assert rows == [len(set(scales))] == [5]
     classes = registry.histogram("sim.multirank.rank_classes").labels()
     assert (classes.count, classes.total) == (1, 5)
+
+
+class TestRankClasses:
+    """Ranks are classed by compute scale value, not by object."""
+
+    def _durations(self, tiny, scales):
+        durations, _ = _Run(
+            "wfbp", tiny, cluster_10gbe(nodes=len(scales), gpus_per_node=1),
+            scales, iteration_compute=0.03, collapse=False,
+        ).args
+        return durations
+
+    def test_classes_in_first_appearance_order(self, tiny):
+        durations = self._durations(tiny, [1.5, 1.0, 2.0, 1.0, 1.5, 1.25])
+        assert durations.scales.tolist() == [1.5, 1.0, 2.0, 1.25]
+        assert durations.inverse.tolist() == [0, 1, 2, 1, 0, 3]
+
+    def test_rank_zero_is_in_class_zero(self, tiny):
+        durations = self._durations(tiny, [2.0, 1.0, 1.0, 0.5])
+        assert durations.inverse[0] == 0 and durations.scales[0] == 2.0
+        planning = durations.planning.profile
+        assert tuple(durations.ff_times[0].tolist()) == planning.ff_times
+        assert tuple(durations.bp_times[0].tolist()) == planning.bp_times
+
+    def test_signed_zeros_share_a_class(self, tiny):
+        durations = self._durations(tiny, [1.0, -0.0, 1.2, 0.0, -0.0])
+        assert durations.inverse.tolist() == [0, 1, 2, 1, 1]
+        # The class takes its first rank's value, as a dict keyed by
+        # scale would.
+        assert np.signbit(durations.scales[1])
+
+    def test_class_rows_are_the_single_scale_profiles(self, tiny):
+        from repro.models.profiles import build_profile
+
+        durations = self._durations(tiny, [1.0, 1.7, 0.0, 1.7])
+        for row, scale in enumerate(durations.scales.tolist()):
+            profile = build_profile(
+                tiny, iteration_compute=0.03, compute_scale=scale
+            )
+            assert tuple(durations.ff_times[row].tolist()) == profile.ff_times
+            assert tuple(durations.bp_times[row].tolist()) == profile.bp_times
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"),
+                                     float("-inf"), -0.5, -5e-324))
+    def test_bad_scales_are_rejected_naming_the_first_bad_rank(self, tiny, bad):
+        scales = [1.0, 1.2, bad, 1.0, bad, -1.0]
+        with pytest.raises(ValueError, match=(
+            rf"compute scale of rank 2 must be finite and >= 0, got {bad}$"
+        )):
+            self._durations(tiny, scales)
 
 
 @pytest.mark.parametrize("faults", (None, FAULTY), ids=("healthy", "faulty"))

@@ -3,10 +3,10 @@
 A multi-rank fast-path run replays one lane per rank class — ranks with
 one compute profile — and expands to ranks only where a per-rank value
 is read.  The oracle is the per-rank replay: the same
-:class:`~repro.schedulers.multirank.FastMultiRankContext` given one
-:meth:`TimingModel.for_model <repro.models.profiles.TimingModel.for_model>`
-object *per rank*.  Ranks are grouped by timing-model object, so the
-oracle has one lane per rank, through the same code.
+:class:`~repro.schedulers.multirank.FastMultiRankContext` given a
+:class:`~repro.schedulers.multirank._RankDurations` with one class *per
+rank*, duplicate scales and all, so the oracle has one lane per rank,
+through the same code.
 
 Over random worlds, scale patterns (a small pool of values in scrambled
 rank order, zero allowed off rank 0), policies and timing-fault plans,
@@ -25,9 +25,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.faults.plan import LINK_SCOPES, FaultPlan, LinkFault, StragglerFault
-from repro.models.profiles import TimingModel
 from repro.network.presets import cluster_10gbe
-from repro.schedulers.multirank import POLICIES, _Run, finalize_heterogeneous
+from repro.schedulers.multirank import (
+    POLICIES,
+    _RankDurations,
+    _Run,
+    finalize_heterogeneous,
+)
 from repro.sim.fastpath import Timeline
 from repro.sim.trace import Tracer
 from tests.conftest import build_tiny_model
@@ -93,20 +97,18 @@ def _cases(draw):
 
 
 def _run(policy, cluster, scales, plan, per_rank: bool, trace: bool):
-    """One replay; ``per_rank`` gives every rank a timing model of its own."""
+    """One replay; ``per_rank`` gives every rank a class of its own."""
     run = _Run(
         policy, MODEL, cluster, scales, faults=plan,
         iteration_compute=ITERATION_COMPUTE, iterations=ITERATIONS,
         collapse=False,
     )
     if per_rank:
-        _, cost = run.args
-        run.args = ([
-            TimingModel.for_model(
-                MODEL, iteration_compute=ITERATION_COMPUTE, compute_scale=scale
-            )
-            for scale in run.compute_scales
-        ], cost)
+        durations, cost = run.args
+        run.args = (_RankDurations(
+            durations.planning, np.array(run.compute_scales),
+            np.arange(len(scales)), ITERATION_COMPUTE,
+        ), cost)
     ctx = run.record(trace)
     ctx.run()
     result = finalize_heterogeneous(
