@@ -38,12 +38,19 @@ class RBFKernel:
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gram matrix between row-stacked inputs ``a`` (n,d) and ``b`` (m,d)."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-        sq -= 2.0 * (a @ b.T)
-        np.maximum(sq, 0.0, out=sq)
-        return self.signal_variance * np.exp(-0.5 * sq / self.length_scale**2)
+        return self.signal_variance * np.exp(
+            -0.5 * _squared_distances(a, b) / self.length_scale**2
+        )
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a_i - b_j|^2`` of row-stacked inputs, clipped at zero."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    sq -= 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
 
 
 class GaussianProcess:
@@ -90,43 +97,47 @@ class GaussianProcess:
         self._y_std = float(np.std(y)) or 1.0
         y_norm = (y - self._y_mean) / self._y_std
 
-        if self._fixed_kernel is None:
-            self.kernel = self._select_kernel(x, y_norm)
-
-        gram = self.kernel(x, x)
-        gram[np.diag_indices_from(gram)] += self.noise + _JITTER
-        chol = np.linalg.cholesky(gram)
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_norm))
-
+        kernels = ([self._fixed_kernel] if self._fixed_kernel is not None else
+                   [RBFKernel(length_scale=scale) for scale in self._LENGTH_SCALE_GRID])
+        self.kernel, self._chol, self._alpha = self._select_kernel(kernels, x, y_norm)
         self._x = x
-        self._chol = chol
-        self._alpha = alpha
         return self
 
-    def _select_kernel(self, x: np.ndarray, y_norm: np.ndarray) -> RBFKernel:
-        best_kernel, best_lml = None, -np.inf
-        for length_scale in self._LENGTH_SCALE_GRID:
-            kernel = RBFKernel(length_scale=length_scale)
-            lml = self._log_marginal_likelihood(kernel, x, y_norm)
-            if lml > best_lml:
-                best_kernel, best_lml = kernel, lml
-        return best_kernel
+    def _select_kernel(
+        self, kernels: list[RBFKernel], x: np.ndarray, y_norm: np.ndarray
+    ) -> tuple[RBFKernel, np.ndarray, np.ndarray]:
+        """The kernel of highest log marginal likelihood (the first of
+        equal ones), with its Cholesky factor and ``alpha = K^-1 y``.
 
-    def _log_marginal_likelihood(
-        self, kernel: RBFKernel, x: np.ndarray, y_norm: np.ndarray
-    ) -> float:
-        gram = kernel(x, x)
-        gram[np.diag_indices_from(gram)] += self.noise + _JITTER
+        The grams are built in one broadcast and factored in one stacked
+        ``cholesky``.  A grid scale whose gram is not positive definite
+        drops out; a fixed kernel's raises ``LinAlgError``.
+        """
+        n = len(y_norm)
+        variances = np.array([k.signal_variance for k in kernels])[:, None, None]
+        scales = np.array([k.length_scale**2 for k in kernels])[:, None, None]
+        grams = variances * np.exp(-0.5 * _squared_distances(x, x) / scales)
+        grams[:, np.arange(n), np.arange(n)] += self.noise + _JITTER
+        candidates = list(range(len(kernels)))
         try:
-            chol = np.linalg.cholesky(gram)
+            chols = np.linalg.cholesky(grams)
         except np.linalg.LinAlgError:
-            return -np.inf
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_norm))
-        return float(
-            -0.5 * y_norm @ alpha
-            - np.sum(np.log(np.diag(chol)))
-            - 0.5 * len(y_norm) * np.log(2 * np.pi)
+            candidates = [k for k in candidates
+                          if len(kernels) > 1 and _positive_definite(grams[k])]
+            if not candidates:
+                raise
+            chols = np.linalg.cholesky(grams[candidates])
+        targets = np.broadcast_to(y_norm[:, None], (len(candidates), n, 1))
+        alphas = np.linalg.solve(
+            np.swapaxes(chols, 1, 2), np.linalg.solve(chols, targets)
+        )[..., 0]
+        lmls = (
+            np.array([-0.5 * y_norm @ alpha for alpha in alphas])
+            - np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+            - 0.5 * n * np.log(2 * np.pi)
         )
+        best = int(np.argmax(lmls))
+        return kernels[candidates[best]], chols[best], alphas[best]
 
     def predict(self, x_query: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at the query points."""
@@ -142,3 +153,10 @@ class GaussianProcess:
         np.maximum(variance, 0.0, out=variance)
         std = np.sqrt(variance)
         return mean * self._y_std + self._y_mean, std * self._y_std
+
+
+def _positive_definite(gram: np.ndarray) -> bool:
+    try:
+        return np.linalg.cholesky(gram) is not None
+    except np.linalg.LinAlgError:
+        return False

@@ -92,18 +92,19 @@ class BayesianOptimizer(_SearchBase):
             return float(
                 self._candidates[self._rng.integers(len(self._candidates))]
             )
+        observed = self._warp(np.asarray(self._xs))
+        candidates = self._warp(self._candidates)
         gp = GaussianProcess(noise=self.noise)
-        gp.fit(self._warp(np.asarray(self._xs))[:, None], self._ys)
-        mean, std = gp.predict(self._warp(self._candidates)[:, None])
+        gp.fit(observed[:, None], self._ys)
+        mean, std = gp.predict(candidates[:, None])
         best_y = max(self._ys)
         if self.acquisition == "ei":
             scores = expected_improvement(mean, std, best_y, xi=self.xi)
         else:
             scores = upper_confidence_bound(mean, std, kappa=self.kappa)
         # Avoid re-evaluating (numerically) already-observed points.
-        for x in self._xs:
-            distance = np.abs(self._warp(self._candidates) - self._warp(np.array([x]))[0])
-            scores[distance < 1e-3] = -np.inf
+        distance = np.abs(candidates[None, :] - observed[:, None])
+        scores[(distance < 1e-3).any(axis=0)] = -np.inf
         if not np.isfinite(scores).any():
             return float(self._candidates[self._rng.integers(len(self._candidates))])
         return float(self._candidates[int(np.argmax(scores))])

@@ -25,8 +25,11 @@ All policies preserve order and produce an exact partition, which
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Any, Callable, Optional, Sequence
 
 from repro.models.layers import ModelSpec, TensorSpec
@@ -36,6 +39,7 @@ __all__ = [
     "FusionPlan",
     "no_fusion_groups",
     "buffer_size_groups",
+    "buffer_cuts",
     "layer_count_groups",
     "mg_wfbp_groups",
     "plan_for_policy",
@@ -59,7 +63,8 @@ class FusionGroup:
         if not self.tensors:
             raise ValueError(f"fusion group {self.index} is empty")
 
-    # The group is immutable, so each derived fact is computed once.
+    # The group is immutable, so each derived fact is computed once
+    # (buffer_size_groups fills them in from the model's tensor table).
 
     @cached_property
     def num_elements(self) -> int:
@@ -168,10 +173,12 @@ class FusionPlan:
         }
 
     def groups_forward_order(self) -> list[FusionGroup]:
-        """Groups ordered by their earliest layer (all-gather issue order).
+        """Groups ordered by ``(first_layer, last_layer)`` (all-gather
+        issue order).
 
-        Because groups are contiguous in backpropagation order, sorting
-        by first layer simply reverses the group list.
+        This is not always the reversed group list: groups that hold
+        parts of one shared layer and nothing else tie on the key, and
+        the stable sort keeps them in backpropagation order.
         """
         return sorted(self.groups, key=lambda g: (g.first_layer, g.last_layer))
 
@@ -184,10 +191,39 @@ def _build_groups(tensor_runs: Sequence[Sequence[TensorSpec]]) -> list[FusionGro
     ]
 
 
+def _backward_table(model: ModelSpec) -> tuple[list[TensorSpec], list[int], list[int]]:
+    """Backpropagation-order tensors, the bytes before each (and the
+    total) and their layer indices, built once per model."""
+    table = model._tensor_cache.get("bwd_table")
+    if table is None:
+        tensors = model.tensors_backward_order()
+        prefix = [0, *accumulate(tensor.nbytes for tensor in tensors)]
+        layers = [tensor.layer_index for tensor in tensors]
+        table = model._tensor_cache["bwd_table"] = (tensors, prefix, layers)
+    return table
+
+
 def no_fusion_groups(model: ModelSpec) -> FusionPlan:
     """One communication per tensor (paper Fig. 2(b), 'DeAR w/o TF')."""
     runs = [[tensor] for tensor in model.tensors_backward_order()]
     return FusionPlan(model, _build_groups(runs), policy="none")
+
+
+def buffer_cuts(model: ModelSpec, buffer_bytes: float) -> tuple[int, ...]:
+    """Each :func:`buffer_size_groups` group's end (exclusive), in
+    backpropagation-order tensor positions: the longest run of at least
+    one tensor that fits ``buffer_bytes``, or (integer bytes) its floor.
+    """
+    if buffer_bytes <= 0:
+        raise ValueError(f"buffer size must be positive, got {buffer_bytes}")
+    _, prefix, _ = _backward_table(model)
+    fits = math.floor(buffer_bytes) if buffer_bytes < prefix[-1] else prefix[-1]
+    cuts: list[int] = []
+    start = 0
+    while start < len(prefix) - 1:
+        start = max(bisect_right(prefix, prefix[start] + fits, start + 1) - 1, start + 1)
+        cuts.append(start)
+    return tuple(cuts)
 
 
 def buffer_size_groups(model: ModelSpec, buffer_bytes: float) -> FusionPlan:
@@ -197,25 +233,20 @@ def buffer_size_groups(model: ModelSpec, buffer_bytes: float) -> FusionPlan:
     group while the group stays within ``buffer_bytes``; a tensor that
     would overflow closes the group and starts the next (a tensor
     larger than the buffer gets a group of its own — DeAR never
-    partitions tensors).
+    partitions tensors).  The groups are cut at :func:`buffer_cuts`.
     """
-    if buffer_bytes <= 0:
-        raise ValueError(f"buffer size must be positive, got {buffer_bytes}")
-    runs: list[list[TensorSpec]] = []
-    current: list[TensorSpec] = []
-    current_bytes = 0
-    for tensor in model.tensors_backward_order():
-        if current and current_bytes + tensor.nbytes > buffer_bytes:
-            runs.append(current)
-            current = []
-            current_bytes = 0
-        current.append(tensor)
-        current_bytes += tensor.nbytes
-    if current:
-        runs.append(current)
-    return FusionPlan(
-        model, _build_groups(runs), policy=f"buffer:{buffer_bytes:g}"
-    )
+    tensors, prefix, layers = _backward_table(model)
+    groups = []
+    start = 0
+    for index, end in enumerate(buffer_cuts(model, buffer_bytes)):
+        group = FusionGroup(index, tuple(tensors[start:end]))
+        # Backpropagation order visits layers from the last to the first.
+        group.__dict__.update(
+            nbytes=prefix[end] - prefix[start], first_layer=layers[end - 1],
+            last_layer=layers[start], layer_indices=tuple(sorted(set(layers[start:end]))))
+        groups.append(group)
+        start = end
+    return FusionPlan(model, groups, policy=f"buffer:{buffer_bytes:g}")
 
 
 def layer_count_groups(model: ModelSpec, layers_per_group: int = 4) -> FusionPlan:

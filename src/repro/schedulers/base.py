@@ -14,7 +14,7 @@ from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.schedulers.engine import FastIterationContext, IterationContext
-from repro.sim.trace import COMM_CATEGORIES, Tracer, clip_to_window, exposed_times
+from repro.sim.trace import CATEGORY_CODES, COMM_CATEGORIES, Tracer, exposed_times
 from repro.telemetry.registry import default_registry
 
 __all__ = [
@@ -30,9 +30,10 @@ __all__ = [
 #: final inter-iteration gap is the steady-state measurement.
 DEFAULT_ITERATIONS = 5
 
-#: The category groups behind ``exposed_comm``, ``exposed_rs`` and
+#: The category codes behind ``exposed_comm``, ``exposed_rs`` and
 #: ``exposed_ag``, in that order.
-_EXPOSED_GROUPS = (COMM_CATEGORIES, ("comm.rs",), ("comm.ag",))
+_EXPOSED_GROUPS = tuple(tuple(map(CATEGORY_CODES.get, group))
+                        for group in (COMM_CATEGORIES, ("comm.rs",), ("comm.ag",)))
 
 
 @dataclass
@@ -204,6 +205,9 @@ class Scheduler(ABC):
         # Resolve once so every trial shares one built DAG.
         workload = self._resolve_workload(workload, timing, cost)
         trials: dict[float, ScheduleResult] = {}
+        by_partition: dict[tuple, ScheduleResult] = {}
+        counter = default_registry().counter(
+            "bayesopt.trials", "BO fusion trials, simulated or reused")
 
         def measure(buffer_bytes: float, trace: bool = False) -> ScheduleResult:
             return make_trial(buffer_bytes).run(
@@ -212,8 +216,15 @@ class Scheduler(ABC):
             )
 
         def throughput(buffer_bytes: float) -> float:
-            trials[buffer_bytes] = measure(buffer_bytes)
-            return trials[buffer_bytes].throughput
+            # Only the partition reaches the schedule: a trial that
+            # repeats one takes its result (extras are overwritten below).
+            key = make_trial(buffer_bytes).fusion_partition(timing.model, workload)
+            result = by_partition.get(key)
+            counter.inc(outcome="simulated" if result is None else "reused")
+            if result is None:
+                result = by_partition[key] = measure(buffer_bytes)
+            trials[buffer_bytes] = result
+            return result.throughput
 
         tune(optimizer, throughput, self.bo_trials)
         best_x, _ = optimizer.best
@@ -224,6 +235,18 @@ class Scheduler(ABC):
             "bo_history": optimizer.observations,
         })
         return final
+
+    def fusion_partition(self, model: ModelSpec, workload=None) -> tuple:
+        """What a buffer-fused run of this scheduler schedules from its
+        ``buffer_bytes``: :func:`~repro.core.fusion.buffer_cuts` on the
+        layer-wise schedule, the sync buckets' members on a built DAG.
+        :meth:`_run_bo` simulates each partition once."""
+        from repro.core.fusion import buffer_cuts
+        from repro.workloads.executor import plan_sync_buckets
+
+        if workload is None:
+            return buffer_cuts(model, self.buffer_bytes)
+        return tuple(b.members for b in plan_sync_buckets(workload, self.buffer_bytes))
 
     def record_fast(
         self,
@@ -261,8 +284,8 @@ class Scheduler(ABC):
         assemble results with the same measurement code: steady-state
         iteration gaps from the first-FF start times, exposed
         communication from the final inter-iteration window.  Exposed
-        time is computed from the context's job timestamps
-        (``ctx.timed_jobs``), never from spans, so an untraced run
+        time is computed from the context's job columns
+        (``ctx.job_columns``), never from spans, so an untraced run
         builds none; a traced run's tracer records the window in
         ``tracer.window``.
         """
@@ -271,7 +294,7 @@ class Scheduler(ABC):
         starts, gaps = ctx.steady_state(iterations, self.name)
         window = (starts[-2], starts[-1])
         exposed_comm, exposed_rs, exposed_ag = exposed_times(
-            clip_to_window(ctx.timed_jobs(window), window), _EXPOSED_GROUPS
+            *ctx.job_columns(), window, _EXPOSED_GROUPS
         )
         if ctx.tracer is not None:
             ctx.tracer.window = window

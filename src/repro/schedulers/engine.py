@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Protocol, Sequence
 
+import numpy as np
+
 from repro.faults.plan import FaultPlan, normalize_plan
 from repro.faults.timing import TimingFaultInjector
 from repro.models.profiles import TimingModel
@@ -31,7 +33,7 @@ from repro.network.cost_model import CollectiveTimeModel
 from repro.sim.engine import Event, Simulator
 from repro.sim.fastpath import Timeline
 from repro.sim.resources import Job, Stream
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, category_code
 from repro.telemetry.registry import default_registry
 
 __all__ = ["IterationContext", "FastIterationContext"]
@@ -410,19 +412,15 @@ class IterationContext:
             starts.append(start)
         return starts
 
-    def timed_jobs(
-        self, window: tuple[float, float]
-    ) -> list[tuple[float, float, str]]:
-        """``(start, end, category)`` of the positive-duration jobs, in
-        the engine's order, after :meth:`run`.
-
-        The single-rank measurement input.  An engine may leave out jobs
-        that cannot overlap ``window``;
-        :func:`~repro.sim.trace.clip_to_window` does the exact
-        filtering, so the event kernel returns every completed job.
-        """
-        return [(job.start, job.end, job.category)
-                for _, job in self._completed]
+    def job_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start, end and category code of every completed job, in the
+        engine's order, after :meth:`run`: the measurement input."""
+        jobs = [job for _, job in self._completed]
+        return (
+            np.array([job.start for job in jobs], dtype=float),
+            np.array([job.end for job in jobs], dtype=float),
+            np.array([category_code(job.category) for job in jobs], dtype=np.intp),
+        )
 
     def steady_state(self, iterations: int,
                      label: str) -> tuple[list[float], tuple[float, ...]]:
@@ -651,10 +649,8 @@ class FastIterationContext(IterationContext):
             slots.extend(range(slots[-1] + block[1], len(starts), block[1]))
         return starts[slots, 0].tolist()
 
-    def timed_jobs(
-        self, window: tuple[float, float]
-    ) -> list[tuple[float, float, str]]:
-        return self._timeline.timed_jobs(window)
+    def job_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._timeline.job_columns()
 
     def run(self) -> float:
         """Replay the recorded schedule; returns the final virtual time.

@@ -131,7 +131,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.sim.resources import DeferredDuration
-from repro.sim.trace import Span
+from repro.sim.trace import Span, category_code
 from repro.telemetry.registry import default_registry
 
 __all__ = [
@@ -558,7 +558,7 @@ class Timeline:
 
     __slots__ = ("world", "lanes", "sim", "_inverse", "_ref", "_streams",
                  "_slot_streams", "_durations", "_collective", "_gates",
-                 "_categories", "_handles", "_chains", "_deferred", "_block",
+                 "_categories", "_codes", "_handles", "_chains", "_deferred", "_block",
                  "_starts", "_ends", "final_time", "__weakref__")
 
     def __init__(self, world: int = 1, rank_lanes: Optional[np.ndarray] = None):
@@ -598,6 +598,8 @@ class Timeline:
         #: ``slot - gate slot`` (so tiled copies share the block's).
         self._gates: list[Optional[tuple[int, ...]]] = []
         self._categories: list[str] = []
+        #: each slot's category code, the column measurement reads.
+        self._codes: list[int] = []
         #: one entry per slot submitted through a :class:`Stream`, the
         #: slot's handle or, in a chain not yet indexed, ``None``; the
         #: copies :meth:`tile` appends have none.
@@ -682,6 +684,7 @@ class Timeline:
         self._collective.append(collective)
         self._gates.append(distances)
         self._categories.append(category)
+        self._codes.append(category_code(category))
         self._handles.append(handle)
         if type(durations) is not float and type(durations) is not np.ndarray:
             self._deferred = True
@@ -711,6 +714,7 @@ class Timeline:
         self._durations.extend(bodies)
         self._collective.extend([False] * count)
         self._categories.extend([category] * count)
+        self._codes.extend([category_code(category)] * count)
         self._handles.extend([None] * count)
         if not set(map(type, bodies)) <= _PLAIN:
             self._deferred = True
@@ -763,6 +767,7 @@ class Timeline:
         self._slot_streams.extend(streams * copies)
         self._collective.extend(self._collective[block_start:] * copies)
         self._categories.extend(self._categories[block_start:] * copies)
+        self._codes.extend(self._codes[block_start:] * copies)
         block = self._durations[block_start:]
         for _ in range(copies):
             self._durations.extend(block if not self._deferred else [
@@ -786,28 +791,16 @@ class Timeline:
             results = results[slot]
         return results if self._inverse is None else results[..., self._inverse]
 
-    def timed_jobs(
-        self, window: tuple[float, float]
-    ) -> list[tuple[float, float, str]]:
-        """``(start, end, category)`` of rank 0's positive-duration jobs
-        that overlap ``window``, in submission order.
+    def job_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank 0's start and end of every slot, and the slot's category
+        code, after a replay.
 
         Read straight from the replay arrays: this is what a run is
         measured from, and no :class:`~repro.sim.trace.Span` is built.
         """
         if self._starts is None or self._ends is None:
-            raise RuntimeError("timed_jobs requires a completed replay")
-        starts = self._starts[:, 0]
-        ends = self._ends[:, 0]
-        lo, hi = window
-        slots = np.flatnonzero((ends > starts) & (ends > lo) & (starts < hi))
-        categories = self._categories
-        return [
-            (start, end, categories[slot])
-            for slot, start, end in zip(
-                slots.tolist(), starts[slots].tolist(), ends[slots].tolist()
-            )
-        ]
+            raise RuntimeError("job_columns requires a completed replay")
+        return self._starts[:, 0], self._ends[:, 0], np.array(self._codes)
 
     def emit_spans(self, tracer) -> None:
         """Record every positive-duration per-rank job into ``tracer``.
@@ -816,7 +809,7 @@ class Timeline:
         slot by slot; a collective's rank-r span runs from that rank's
         *arrival* to the shared end; tiled copies get handles here
         (:func:`_advance`).  Only runs that asked for a trace pay for
-        this: measurement reads :meth:`timed_jobs` instead.
+        this: measurement reads :meth:`job_columns` instead.
         """
         if self._starts is None or self._ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
@@ -891,7 +884,7 @@ def replay(
     """Replay structurally identical recordings; returns final times.
 
     Sets each timeline's per-lane start/end arrays and ``final_time``
-    (so :class:`JobSet` handles and :meth:`Timeline.timed_jobs` read
+    (so :class:`JobSet` handles and :meth:`Timeline.job_columns` read
     them), and emits spans into the matching ``tracers`` entry only when
     it is not ``None``.  Raises :class:`BatchMismatch` when the
     :meth:`Timeline.signature` values differ.

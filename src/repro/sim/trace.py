@@ -9,13 +9,13 @@ flight on the comm streams, comm-queue depth), and **flow events**
 linking one gradient's lifecycle (grad-ready -> reduce-scatter ->
 all-gather -> parameter use) across streams.
 
-The exposed-time arithmetic (:func:`clip_to_window`,
-:func:`exposed_times`) computes *non-overlapped* time, which is how the
-paper's Fig. 8 defines the exposed communication time ("the
-communication time excludes the part hidden by computations").  It
-reads plain ``(start, end, category)`` triples, so a run is measured
-from its engine's job timestamps whether or not anyone asked for spans;
-:class:`Tracer` is only built for a trace.
+The exposed-time arithmetic (:func:`exposed_times`) computes
+*non-overlapped* time, which is how the paper's Fig. 8 defines the
+exposed communication time ("the communication time excludes the part
+hidden by computations").  It reads start, end and category-code
+columns, so a run is measured from its engine's job timestamps whether
+or not anyone asked for spans; :class:`Tracer` is only built for a
+trace.
 
 The export is deterministic: events are emitted in sorted order and
 timestamps are rounded to picosecond resolution, so two tracers holding
@@ -29,19 +29,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
+
+import numpy as np
 
 __all__ = [
+    "CATEGORY_CODES",
     "COMM_CATEGORIES",
     "COMPUTE_CATEGORIES",
+    "COMPUTE_CODES",
     "Span",
     "Tracer",
     "actor_sort_index",
-    "clip_to_window",
+    "category_code",
     "exposed_times",
-    "merge_intervals",
-    "subtract_intervals",
-    "total_length",
 ]
 
 #: Job categories of communication, in the order the engines emit them.
@@ -49,6 +51,17 @@ COMM_CATEGORIES = ("comm.ar", "comm.rs", "comm.ag", "comm.a2a", "comm.p2p")
 
 #: Job categories that *hide* communication (Fig. 8's definition).
 COMPUTE_CATEGORIES = ("ff", "bp", "compute")
+
+#: The code an engine records beside a job (:func:`category_code`):
+#: compute, then communication; any other category shares one more.
+CATEGORY_CODES = {c: code for code, c in enumerate(COMPUTE_CATEGORIES + COMM_CATEGORIES)}
+COMPUTE_CODES = tuple(range(len(COMPUTE_CATEGORIES)))
+_OTHER_CODE = len(CATEGORY_CODES)
+
+
+def category_code(category: str) -> int:
+    """The code an engine records beside a job of ``category``."""
+    return CATEGORY_CODES.get(category, _OTHER_CODE)
 
 
 @dataclass(frozen=True)
@@ -67,94 +80,58 @@ class Span:
         return self.end - self.start
 
 
-def merge_intervals(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of half-open intervals, returned sorted and disjoint."""
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            last_start, last_end = merged[-1]
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def subtract_intervals(
-    base: Sequence[tuple[float, float]],
-    holes: Sequence[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """Portions of ``base`` not covered by ``holes`` (both get merged first)."""
-    base = merge_intervals(base)
-    holes = merge_intervals(holes)
-    result: list[tuple[float, float]] = []
-    hole_index = 0
-    for start, end in base:
-        cursor = start
-        while hole_index < len(holes) and holes[hole_index][1] <= cursor:
-            hole_index += 1
-        index = hole_index
-        while index < len(holes) and holes[index][0] < end:
-            hole_start, hole_end = holes[index]
-            if hole_start > cursor:
-                result.append((cursor, min(hole_start, end)))
-            cursor = max(cursor, hole_end)
-            if cursor >= end:
-                break
-            index += 1
-        if cursor < end:
-            result.append((cursor, end))
-    return result
-
-
-def total_length(intervals: Iterable[tuple[float, float]]) -> float:
-    """Sum of interval lengths (after merging, so overlaps count once)."""
-    return sum(end - start for start, end in merge_intervals(intervals))
-
-
-def clip_to_window(
-    jobs: Iterable[tuple[float, float, str]], window: tuple[float, float]
-) -> dict[str, list[tuple[float, float]]]:
-    """Each category's job intervals clipped to ``window``.
-
-    ``jobs`` yields ``(start, end, category)``; jobs that do not overlap
-    the open window are dropped.
-    """
-    lo, hi = window
-    clipped: dict[str, list[tuple[float, float]]] = {}
-    for start, end, category in jobs:
-        if end > lo and start < hi:
-            intervals = clipped.get(category)
-            if intervals is None:
-                intervals = clipped[category] = []
-            intervals.append((max(start, lo), min(end, hi)))
-    return clipped
-
-
 def exposed_times(
-    clipped: dict[str, list[tuple[float, float]]],
-    groups: Sequence[Sequence[str]],
-) -> list[float]:
-    """Per group of categories, its time not covered by compute.
+    starts: np.ndarray,
+    ends: np.ndarray,
+    codes: np.ndarray,
+    window: tuple[float, float],
+    groups: Sequence[Sequence[int]],
+    hidden: Sequence[int] = COMPUTE_CODES,
+) -> list:
+    """Per group of category codes, its jobs' time within ``window``
+    that no job of a ``hidden`` code covers: Fig. 8's exposed time, or
+    with ``hidden=()`` the busy time.
 
-    ``clipped`` comes from :func:`clip_to_window`; compute is every
-    category in :data:`COMPUTE_CATEGORIES`.  This is Fig. 8's exposed
-    communication time.  A group with nothing exposed sums to the
-    integer ``0``, as :func:`total_length` does.
+    Jobs (one column entry each) are clipped to the window and merged
+    into disjoint intervals; a group's intervals are cut at the gaps
+    between the hidden ones.  Only ``max``, ``min``, one subtraction
+    per piece and ``sum`` touch the floats, as in a merge-and-subtract
+    over tuples; a group with nothing left sums to the integer ``0``.
     """
-    holes = merge_intervals(
-        interval
-        for category in COMPUTE_CATEGORIES
-        for interval in clipped.get(category, ())
-    )
-    return [
-        total_length(subtract_intervals(
-            [interval for category in group for interval in clipped.get(category, ())],
-            holes,
-        ))
-        for group in groups
-    ]
+    # Clipped, a job outside the window has no length left.
+    starts = np.maximum(starts, window[0])
+    ends = np.minimum(ends, window[1])
+    keep = ends > starts
+    starts, ends, codes = starts[keep], ends[keep], codes[keep]
+    member = np.zeros(max([codes.max(initial=0), *hidden, *chain(*groups)]) + 1, bool)
+
+    def union(wanted: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        member[:] = False
+        member[list(wanted)] = True
+        mask = member[codes]
+        order = np.lexsort((ends[mask], starts[mask]))
+        lo, hi = starts[mask][order], ends[mask][order]
+        # A job opens an interval when it starts after every earlier end.
+        after = np.concatenate(([-np.inf], np.maximum.accumulate(hi)[:-1]))
+        firsts = np.flatnonzero(lo > after)
+        return lo[firsts], np.maximum.reduceat(hi, firsts)
+
+    hole_starts, hole_ends = union(hidden)
+    gap_starts = np.concatenate(([-np.inf], hole_ends))
+    gap_ends = np.concatenate((hole_starts, [np.inf]))
+    totals = []
+    for group in groups:
+        lo, hi = union(group)
+        # Gaps first..last overlap an interval: each ends after it
+        # starts and starts before it ends.
+        first = np.searchsorted(hole_starts, lo, side="right")
+        counts = np.maximum(np.searchsorted(hole_ends, hi) - first + 1, 0)
+        pieces = np.repeat(np.arange(lo.size), counts)
+        gaps = np.arange(pieces.size) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        lengths = (np.minimum(hi[pieces], gap_ends[gaps])
+                   - np.maximum(lo[pieces], gap_starts[gaps]))
+        totals.append(sum(lengths.tolist()))
+    return totals
 
 
 #: Ordering of actor *kinds* within one rank's row group: compute above

@@ -3,10 +3,10 @@
 Splits the steady-state iteration window of a :class:`Tracer` into
 per-category **total**, **hidden** (overlapped by compute), and
 **exposed** (non-overlapped) time.  Runs are measured from their job
-timestamps, not from spans (``Scheduler.measure``); this module feeds
-the spans of a traced run — the same timestamps — through the same
-helpers (:func:`~repro.sim.trace.clip_to_window`,
-:func:`~repro.sim.trace.exposed_times`) with the same category sets
+timestamps, not from spans (``Scheduler.measure``); this module turns
+the spans of a traced run — the same timestamps — into the same
+columns and feeds them to the same function
+(:func:`~repro.sim.trace.exposed_times`) with the same category sets
 (:data:`~repro.sim.trace.COMM_CATEGORIES`,
 :data:`~repro.sim.trace.COMPUTE_CATEGORIES`), so the ``comm (all)`` row
 of a single-rank trace equals ``ScheduleResult.exposed_comm`` exactly
@@ -16,15 +16,11 @@ of a single-rank trace equals ``ScheduleResult.exposed_comm`` exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.sim.trace import (
-    COMM_CATEGORIES,
-    COMPUTE_CATEGORIES,
-    Tracer,
-    clip_to_window,
-    exposed_times,
-    total_length,
-)
+import numpy as np
+
+from repro.sim.trace import COMM_CATEGORIES, COMPUTE_CATEGORIES, Tracer, exposed_times
 
 __all__ = [
     "CategoryBreakdown",
@@ -79,25 +75,37 @@ def steady_state_window(tracer: Tracer) -> tuple[float, float]:
     return starts[-2][1], starts[-1][1]
 
 
-def _timed_spans(tracer: Tracer):
-    return ((span.start, span.end, span.category) for span in tracer.spans)
+def _times(tracer: Tracer, window: tuple[float, float],
+           groups: Sequence[Sequence[str]], hidden: Sequence[str] = ()) -> list:
+    """Per group of categories, its spans' time within ``window`` not
+    covered by a span of a ``hidden`` category."""
+    spans = tracer.spans
+    code = {category: index for index, category
+            in enumerate(sorted({span.category for span in spans}))}
+
+    def codes(categories: Sequence[str]) -> tuple[int, ...]:
+        return tuple(code[category] for category in categories if category in code)
+
+    return exposed_times(
+        np.array([span.start for span in spans], dtype=float),
+        np.array([span.end for span in spans], dtype=float),
+        np.array([code[span.category] for span in spans], dtype=np.intp),
+        window, [codes(group) for group in groups], codes(hidden),
+    )
 
 
 def exposed_in_window(
     tracer: Tracer, categories: tuple[str, ...], window: tuple[float, float]
 ) -> float:
     """Time of ``categories`` within ``window`` not hidden by compute."""
-    return exposed_times(clip_to_window(_timed_spans(tracer), window), [categories])[0]
+    return _times(tracer, window, [categories], COMPUTE_CATEGORIES)[0]
 
 
 def total_in_window(
     tracer: Tracer, categories: tuple[str, ...], window: tuple[float, float]
 ) -> float:
     """Busy time of ``categories`` within ``window`` (overlaps once)."""
-    clipped = clip_to_window(_timed_spans(tracer), window)
-    return total_length(
-        interval for category in categories for interval in clipped.get(category, ())
-    )
+    return _times(tracer, window, [categories])[0]
 
 
 def trace_breakdown(
@@ -113,24 +121,17 @@ def trace_breakdown(
     if window is None:
         window = steady_state_window(tracer)
     categories = sorted({span.category for span in tracer.spans})
-    rows = []
-    for category in categories:
-        total = total_in_window(tracer, (category,), window)
-        if total == 0.0:
-            continue
-        if category.startswith("comm"):
-            exposed = exposed_in_window(tracer, (category,), window)
-        else:
-            exposed = total
-        rows.append(CategoryBreakdown(category, total, exposed))
+    groups = [(category,) for category in categories] + [COMM_CATEGORIES]
+    totals = _times(tracer, window, groups)
+    exposed = _times(tracer, window, groups, COMPUTE_CATEGORIES)
+    rows = [
+        CategoryBreakdown(category, total,
+                          exposed_time if category.startswith("comm") else total)
+        for category, total, exposed_time in zip(categories, totals, exposed)
+        if total != 0.0
+    ]
     if any(row.category in COMM_CATEGORIES for row in rows):
-        rows.append(
-            CategoryBreakdown(
-                "comm (all)",
-                total_in_window(tracer, COMM_CATEGORIES, window),
-                exposed_in_window(tracer, COMM_CATEGORIES, window),
-            )
-        )
+        rows.append(CategoryBreakdown("comm (all)", totals[-1], exposed[-1]))
     return rows
 
 

@@ -11,8 +11,9 @@ loops produce:
 - the rows of ``fig3.run()`` and of ``fig10.run()`` (two seeds).
 
 A second group of tests counts simulations: an untraced BO run
-simulates each trial once and keeps the best trial's result; a traced
-one reruns the best trial to record its spans.
+simulates each distinct fusion partition among its trials once and
+keeps the best trial's result; a traced one reruns the best trial to
+record its spans.
 
 Regenerate (only on a deliberate change to simulated timelines or to
 the tuners) with::
@@ -35,6 +36,11 @@ from repro.models.zoo import MODEL_NAMES, get_model
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import paper_testbed
 from repro.schedulers.base import Scheduler, get_scheduler
+from repro.telemetry.registry import (
+    MetricsRegistry,
+    reset_default_registry,
+    set_default_registry,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("tuning_golden.json")
 
@@ -126,7 +132,8 @@ def test_golden_covers_every_case(golden):
 
 
 class TestSimulationCount:
-    """A BO run simulates each trial once; only a trace reruns the best."""
+    """A BO run simulates each distinct fusion partition once; only a
+    trace reruns the best size."""
 
     @pytest.fixture
     def runs(self, monkeypatch) -> list[bool]:
@@ -140,15 +147,25 @@ class TestSimulationCount:
         monkeypatch.setattr(Scheduler, "run", counting_run)
         return traced
 
+    @staticmethod
+    def _trial(scheduler: str, buffer_bytes: float) -> Scheduler:
+        return get_scheduler(scheduler, fusion="buffer", buffer_bytes=buffer_bytes)
+
+    def _partitions(self, scheduler: str, timing, result) -> set:
+        return {
+            self._trial(scheduler, size).fusion_partition(timing.model)
+            for size, _ in result.extras["bo_history"]
+        }
+
     @pytest.mark.parametrize("scheduler", TUNERS)
-    def test_untraced_run_simulates_each_trial_once(self, runs, scheduler,
-                                                   tiny_timing,
-                                                   ethernet_cluster):
+    def test_one_simulation_per_partition(self, runs, scheduler, tiny_timing,
+                                          ethernet_cluster):
         cost = CollectiveTimeModel(ethernet_cluster)
         result = get_scheduler(scheduler, fusion="bo", bo_trials=4).run(
             tiny_timing, cost
         )
-        assert runs == [False] * 4
+        assert len(result.extras["bo_history"]) == 4
+        assert runs == [False] * len(self._partitions(scheduler, tiny_timing, result))
         assert result.tracer is None
 
     @pytest.mark.parametrize("scheduler", TUNERS)
@@ -158,8 +175,41 @@ class TestSimulationCount:
         result = get_scheduler(scheduler, fusion="bo", bo_trials=4).run(
             tiny_timing, cost, trace=True
         )
-        assert runs == [False] * 4 + [True]
+        distinct = len(self._partitions(scheduler, tiny_timing, result))
+        assert runs == [False] * distinct + [True]
         assert result.tracer is not None
+
+    @pytest.mark.parametrize("scheduler", TUNERS)
+    def test_enough_trials_force_reuse(self, runs, monkeypatch, scheduler,
+                                       tiny_timing, ethernet_cluster):
+        """Fifteen trials on the tiny model repeat partitions; each
+        reused trial reports what simulating it would have."""
+        monkeypatch.delenv("DEAR_TELEMETRY", raising=False)
+        registry = MetricsRegistry()
+        set_default_registry(registry)
+        try:
+            cost = CollectiveTimeModel(ethernet_cluster)
+            result = get_scheduler(scheduler, fusion="bo", bo_trials=15).run(
+                tiny_timing, cost
+            )
+        finally:
+            reset_default_registry()
+        history = result.extras["bo_history"]
+        distinct = len(self._partitions(scheduler, tiny_timing, result))
+        assert len(history) == 15 and distinct < 15
+        assert runs == [False] * distinct
+        trials = registry.snapshot()["bayesopt.trials"]["values"]
+        assert {entry["labels"]["outcome"]: entry["value"] for entry in trials} == {
+            "simulated": distinct, "reused": 15 - distinct,
+        }
+        for size, throughput in history:
+            fresh = self._trial(scheduler, size).run(tiny_timing, cost)
+            assert fresh.throughput == throughput
+        best = self._trial(scheduler, result.extras["buffer_bytes"]).run(
+            tiny_timing, cost
+        )
+        assert best.iteration_times == result.iteration_times
+        assert best.exposed_comm == result.exposed_comm
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ from repro.runner import run_many
 from repro.runner.cache import ResultCache
 from repro.runner.spec import RunSpec
 from repro.schedulers.base import get_scheduler, simulate
-from repro.sim.trace import subtract_intervals, total_length
 from repro.workloads import WORKLOAD_NAMES
+from tests.sim.interval_oracle import subtract_intervals, total_length
 
 #: (label, registry name, options): every fast-path scheduler.  Labels
 #: follow ``tests/sim/replay_golden.json``.

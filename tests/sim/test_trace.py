@@ -1,19 +1,19 @@
-"""Unit tests for tracing and interval arithmetic."""
+"""Unit tests for tracing, and for the tuple interval arithmetic that
+serves as the exposed-time oracle (``tests/sim/interval_oracle.py``)."""
 
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.trace import (
-    Tracer,
-    actor_sort_index,
+from repro.sim.trace import Tracer, actor_sort_index
+from repro.telemetry.breakdown import exposed_in_window, total_in_window
+from tests.sim.interval_oracle import (
     clip_to_window,
     merge_intervals,
     subtract_intervals,
     total_length,
 )
-from repro.telemetry.breakdown import exposed_in_window, total_in_window
 
 #: A window that clips nothing.
 WHOLE_RUN = (float("-inf"), float("inf"))
