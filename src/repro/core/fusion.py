@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.models.layers import ModelSpec, TensorSpec
 
@@ -95,9 +95,9 @@ class FusionPlan:
     """A validated partition of a model's tensors into fusion groups.
 
     Groups are indexed in backpropagation order.  The plan provides the
-    two lookups the schedulers need: which group a layer's tensors fall
-    into (for gating), and the groups in feed-forward order (the order
-    DeAR issues all-gathers).
+    lookups the schedulers need: which groups cover a layer (for
+    gating), and the groups in feed-forward order (the order DeAR
+    issues all-gathers).
     """
 
     def __init__(self, model: ModelSpec, groups: Sequence[FusionGroup], policy: str = ""):
@@ -105,10 +105,6 @@ class FusionPlan:
         self.groups = tuple(groups)
         self.policy = policy
         self._validate()
-        self._groups_of_layer: dict[int, list[FusionGroup]] = {}
-        for group in self.groups:
-            for layer_index in group.layer_indices:
-                self._groups_of_layer.setdefault(layer_index, []).append(group)
 
     def _validate(self) -> None:
         expected = [t.name for t in self.model.tensors_backward_order()]
@@ -131,6 +127,9 @@ class FusionPlan:
     def __iter__(self):
         return iter(self.groups)
 
+    def __getitem__(self, index: int) -> FusionGroup:
+        return self.groups[index]
+
     @property
     def num_groups(self) -> int:
         return len(self.groups)
@@ -145,32 +144,7 @@ class FusionPlan:
 
     def groups_for_layer(self, layer_index: int) -> list[FusionGroup]:
         """Groups containing at least one tensor of the given layer."""
-        return list(self._groups_of_layer.get(layer_index, []))
-
-    @cached_property
-    def layer_cover(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``(layer, covering group indices)`` of every layer that has
-        tensors, in layer order: the static map the schedulers gate
-        layers by, built once per plan."""
-        return tuple(
-            (layer, tuple(group.index for group in self._groups_of_layer[layer]))
-            for layer in sorted(self._groups_of_layer)
-        )
-
-    def layer_gates(self, done_of_group: dict[int, Any],
-                    all_of: Callable[[list], Any]) -> dict[int, Any]:
-        """Gate each covered layer on the done events of its groups.
-
-        ``done_of_group`` maps a group index to its collective's done
-        event; a layer in several groups waits on ``all_of`` of theirs.
-        """
-        return {
-            layer: (
-                done_of_group[groups[0]] if len(groups) == 1
-                else all_of([done_of_group[index] for index in groups])
-            )
-            for layer, groups in self.layer_cover
-        }
+        return [group for group in self.groups if layer_index in group.layer_indices]
 
     def groups_forward_order(self) -> list[FusionGroup]:
         """Groups ordered by ``(first_layer, last_layer)`` (all-gather
@@ -181,6 +155,33 @@ class FusionPlan:
         the stable sort keeps them in backpropagation order.
         """
         return sorted(self.groups, key=lambda g: (g.first_layer, g.last_layer))
+
+    # Static gate positions, computed once per plan.
+
+    @cached_property
+    def ready_positions(self) -> tuple[int, ...]:
+        """Each group's position in a backward pass (last layer first)
+        of its last-ready gradient: what ``bp.done_of(layers)`` gates on."""
+        last = self.model.num_layers - 1
+        return tuple(last - group.first_layer for group in self.groups)
+
+    @cached_property
+    def forward_cover(self) -> tuple[tuple[int, ...], ...]:
+        """Per layer, the ascending positions in
+        :meth:`groups_forward_order` of the groups covering it."""
+        return self._cover(self.groups_forward_order())
+
+    @cached_property
+    def backward_cover(self) -> tuple[tuple[int, ...], ...]:
+        """As :attr:`forward_cover`, by group index."""
+        return self._cover(self.groups)
+
+    def _cover(self, order: Sequence[FusionGroup]) -> tuple[tuple[int, ...], ...]:
+        cover: list[list[int]] = [[] for _ in range(self.model.num_layers)]
+        for position, group in enumerate(order):
+            for layer in group.layer_indices:
+                cover[layer].append(position)
+        return tuple(map(tuple, cover))
 
 
 def _build_groups(tensor_runs: Sequence[Sequence[TensorSpec]]) -> list[FusionGroup]:

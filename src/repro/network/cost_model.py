@@ -26,6 +26,7 @@ algorithm) to formula; :class:`CollectiveTimeModel` and
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -606,6 +607,36 @@ class CollectiveTimeModel:
         else:
             self._hit_counters[op].inc()
         return cached
+
+    def collective_times(self, kind: str, sizes: Sequence[float]) -> list[float]:
+        """``[self.<kind>(nbytes) for nbytes in sizes]``, with the decoupled
+        pair priced in one memo pass each: the same floats and the same
+        ``costmodel.queries`` / ``costmodel.memo_hits`` counts."""
+        if kind == "all_reduce" and min(sizes, default=1) > 0:
+            overhead = self.startup_overhead
+            return [rs + ag - overhead for rs, ag in zip(
+                self._memo_pass("rs", "reduce_scatter", sizes),
+                self._memo_pass("ag", "all_gather", sizes),
+            )]
+        tag = {"reduce_scatter": "rs", "all_gather": "ag"}.get(kind)
+        if tag is None:
+            return [getattr(self, kind)(nbytes) for nbytes in sizes]
+        return self._memo_pass(tag, kind, sizes)
+
+    def _memo_pass(self, tag: str, op: str, sizes: Sequence[float]) -> list[float]:
+        """:meth:`_memoized` ``_collective(op, nbytes)`` of every size."""
+        memo = self._memo
+        times = []
+        misses = 0
+        for nbytes in sizes:
+            cached = memo.get((tag, nbytes))
+            if cached is None:
+                cached = memo[tag, nbytes] = self._collective(op, nbytes)
+                misses += 1
+            times.append(cached)
+        self._query_counters[tag].inc(len(times))
+        self._hit_counters[tag].inc(len(times) - misses)
+        return times
 
     def _finish(self, t: float, nbytes: float) -> float:
         if nbytes <= 0:

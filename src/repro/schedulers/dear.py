@@ -38,23 +38,12 @@ from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.schedulers.base import Scheduler, ScheduleResult, register_scheduler
 from repro.schedulers.engine import IterationContext
-from repro.sim.engine import Event
 from repro.workloads.executor import execute_dear
 
 __all__ = ["DeARScheduler", "DEAR_DEFAULT_BUFFER_BYTES"]
 
 #: The 25 MB default DeAR's BO tuner starts from (paper §IV-B).
 DEAR_DEFAULT_BUFFER_BYTES = 25e6
-
-
-def _group_metadata(group) -> dict:
-    """Fusion attribution recorded on every collective span (trace +
-    breakdown tables can charge time to fusion decisions)."""
-    return {
-        "group": group.index,
-        "layers": group.layer_indices,
-        "num_tensors": len(group.tensors),
-    }
 
 
 @register_scheduler
@@ -104,54 +93,35 @@ class DeARScheduler(Scheduler):
     def schedule(self, ctx: IterationContext, iterations: int) -> None:
         plan = self.fusion_plan(ctx)
         forward_groups = plan.groups_forward_order()
-        layer_gates: Optional[dict[int, Event]] = None
+        ungated = [None] * (len(plan) - 1)
+        layer_gates = None
         for iteration in range(iterations):
             # FeedPipe: FF of layer l waits for the all-gather(s) of the
             # previous iteration's group(s) covering layer l.
             ff = ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
-            if iteration:
-                # The "update" end of the previous iteration's
-                # gradient-lifecycle flow arrows.
-                for group in plan:
-                    ff.add_flows(
-                        group.layer_indices, f"{iteration - 1}.g{group.index}"
-                    )
             bp = ctx.submit_backward_pass(iteration)
+            if ctx.tracer is not None:
+                for group in plan:
+                    # Gradient-lifecycle flow arrows: grad-ready at the BP
+                    # spans that fill the group, "update" at the next FFs.
+                    bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
+                    if iteration:
+                        ff.add_flows(
+                            group.layer_indices, f"{iteration - 1}.g{group.index}"
+                        )
 
             # BackPipe: reduce-scatter per group, launched on gradient
             # readiness, FIFO on the comm stream (backward order).
-            rs_done = []
-            for group in plan:
-                # grad-ready end of the flow: the BP span(s) whose
-                # gradients fill this fusion group.
-                bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
-                rs_done.append(
-                    ctx.submit_collective(
-                        "reduce_scatter",
-                        group.nbytes,
-                        iteration,
-                        label=f"g{group.index}",
-                        gate=bp.done_of(group.layer_indices),
-                        metadata=_group_metadata(group),
-                    ).done
-                )
-            # OP1/OP2 synchronisation at the end of BackPipe (§III-B).
-            rs_barrier = ctx.sim.all_of(rs_done)
-
-            # FeedPipe: all-gathers in feed-forward order; only the
-            # first needs the barrier gate, the rest follow FIFO.
-            ag_done_of_group: dict[int, Event] = {}
-            for position, group in enumerate(forward_groups):
-                job = ctx.submit_collective(
-                    "all_gather",
-                    group.nbytes,
-                    iteration,
-                    label=f"g{group.index}",
-                    gate=rs_barrier if position == 0 else None,
-                    metadata=_group_metadata(group),
-                )
-                ag_done_of_group[group.index] = job.done
-            layer_gates = plan.layer_gates(ag_done_of_group, ctx.sim.all_of)
+            rs = ctx.submit_collectives(
+                "reduce_scatter", plan, iteration, gates=ctx.ready_gates(bp, plan)
+            )
+            # FeedPipe: all-gathers in feed-forward order; only the first
+            # waits for the OP1/OP2 synchronisation at the end of
+            # BackPipe (§III-B), the rest follow FIFO.
+            ag = ctx.submit_collectives(
+                "all_gather", forward_groups, iteration, gates=[rs.done, *ungated]
+            )
+            layer_gates = ctx.cover_gates(ag, plan.forward_cover)
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

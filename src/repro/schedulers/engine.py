@@ -31,15 +31,14 @@ from repro.faults.timing import TimingFaultInjector
 from repro.models.profiles import TimingModel
 from repro.network.cost_model import CollectiveTimeModel
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import Timeline
+from repro.sim.fastpath import GateColumn, Timeline
 from repro.sim.resources import Job, Stream
 from repro.sim.trace import Tracer, category_code
 from repro.telemetry.registry import default_registry
 
 __all__ = ["IterationContext", "FastIterationContext"]
 
-#: Tracer category of each collective kind (hoisted: ``submit_collective``
-#: is called once per fusion group per iteration).
+#: Tracer category of each collective kind.
 COLLECTIVE_CATEGORIES = {
     "all_reduce": "comm.ar",
     "reduce_scatter": "comm.rs",
@@ -76,7 +75,7 @@ class IterationContext:
     ``ff_start_times``.  An engine supplies how one slot or pass is
     realised — ``durations`` (floats on the representative rank, cached
     one-per-rank-class vectors on explicit ranks), :meth:`_compute_pass`,
-    :meth:`_compute_slot`, :meth:`_collective_slot` and :meth:`run` — so
+    :meth:`_compute_slot`, :meth:`_collective_run` and :meth:`run` — so
     span names, categories and metadata are built once and stay
     byte-identical across engines.  Timing faults are priced by
     the same placeholder objects on every engine
@@ -141,16 +140,6 @@ class IterationContext:
         self.workload_name: Optional[str] = None
         #: iteration of the latest submission (:meth:`_enter_iteration`).
         self._iteration = 0
-        #: kind -> bound cost-model method (dict dispatch beats the
-        #: per-call ``getattr`` lookup on this hot path).
-        self._collective_time = {
-            "all_reduce": cost.all_reduce,
-            "reduce_scatter": cost.reduce_scatter,
-            "all_gather": cost.all_gather,
-            "all_to_all": cost.all_to_all,
-            "all_to_allv": cost.all_to_allv,
-            "send_recv": cost.send_recv,
-        }
         # An empty plan normalises to None and leaves the healthy code
         # path (and its timings) byte-identical.
         faults = normalize_plan(faults)
@@ -164,12 +153,13 @@ class IterationContext:
 
     def submit_forward_pass(self, iteration: int,
                             first_gate: Optional[Event] = None,
-                            layer_gates: Optional[dict[int, Event]] = None):
+                            layer_gates=None):
         """All FF jobs of an iteration, first layer first; returns the pass.
 
         ``first_gate`` stalls the whole pass (the WFBP-family barrier);
         ``layer_gates`` adds per-layer gates (DeAR's FeedPipe and
-        ByteScheduler's per-layer readiness).  The pass is indexed by
+        ByteScheduler's per-layer readiness), by layer: a dict, or a
+        sequence as :meth:`cover_gates` returns.  The pass is indexed by
         layer; policies gate on it with ``done_of(layers)`` and attach
         flow ids with ``add_flows(layers, flow)``.
         """
@@ -178,9 +168,9 @@ class IterationContext:
         layers = range(self.model.num_layers)
         gates = None
         if layer_gates or first_gate is not None:
-            layer_gates = layer_gates or {}
-            gates = [layer_gates.get(layer) for layer in layers]
+            gates = _slot_gates(layer_gates or {}, layers)
             if first_gate is not None and gates:
+                gates = list(gates)
                 gates[0] = (
                     first_gate if gates[0] is None
                     else self.sim.all_of([first_gate, gates[0]])
@@ -192,23 +182,20 @@ class IterationContext:
             self.ff_first_jobs.append(forward[0])
         return forward
 
-    def submit_backward_pass(self, iteration: int,
-                             layer_gates: Optional[dict[int, Event]] = None):
+    def submit_backward_pass(self, iteration: int, layer_gates=None):
         """All BP jobs of an iteration, last layer first; returns the pass.
 
         The pass is indexed by *layer index* (``bp[i]`` is layer i's BP
         job), even though execution order is reversed.  ``layer_gates``
-        gates single layers (ZeRO's parameter re-gathers).
+        gates single layers (ZeRO's parameter re-gathers), as in
+        :meth:`submit_forward_pass`.
         """
         if iteration != self._iteration:
             self._enter_iteration(iteration)
         layers = range(self.model.num_layers - 1, -1, -1)
-        gates = (
-            [layer_gates.get(layer) for layer in layers] if layer_gates
-            else None
-        )
         return self._compute_pass(
-            "bp", iteration, layers, self.durations.bp_pass, gates
+            "bp", iteration, layers, self.durations.bp_pass,
+            _slot_gates(layer_gates, layers) if layer_gates else None,
         )
 
     def submit_compute(self, duration: float, iteration: int, name: str,
@@ -249,7 +236,8 @@ class IterationContext:
         metadata: Optional[dict] = None,
         peers: Optional[int] = None,
     ) -> Job:
-        """One collective on the comm stream.
+        """One collective on the comm stream: a run of one
+        (:meth:`submit_collectives`); returns its job.
 
         ``kind`` is one of :data:`COLLECTIVE_CATEGORIES`; ``extra_time``
         charges scheduler-specific overhead (negotiation, coordinator
@@ -259,12 +247,38 @@ class IterationContext:
         :meth:`~repro.network.cost_model.CollectiveTimeModel.subgroup_time`
         and exempt from timing-fault repricing (the fault injector
         models full-world launches).  ``metadata`` merges
-        scheduler-specific context into the traced span (fusion-group
-        id, member layers) on top of the standard fields: payload
-        bytes, the collective algorithm, and a ``flow`` id shared by
-        the RS/AG pair of one fusion group so trace viewers can draw
-        the gradient's lifecycle arrows.
+        scheduler-specific context into the traced span on top of the
+        standard fields: payload bytes, the collective algorithm, and a
+        ``flow`` id shared by the RS/AG pair of one fusion group so
+        trace viewers can draw the gradient's lifecycle arrows.
         """
+        return self._submit_run(
+            kind, iteration, (nbytes,), None if gate is None else (gate,),
+            (extra_time,), lambda position: (label, metadata), peers,
+        )[0]
+
+    def submit_collectives(self, kind: str, groups: Sequence, iteration: int,
+                           gates: Optional[Sequence] = None,
+                           extras: Optional[Sequence[float]] = None,
+                           prefix: str = ""):
+        """One collective per fusion group, in ``groups`` order, on the
+        comm stream; returns the run, indexed by position as a pass is by
+        layer.  ``gates``/``extras`` hold each slot's ``gate`` and
+        ``extra_time``; slot ``p`` is labelled ``"{prefix}g{index}"`` and
+        carries its group's fusion attribution."""
+        def label_of(position: int) -> tuple[str, dict]:
+            group = groups[position]
+            return f"{prefix}g{group.index}", {
+                "group": group.index, "layers": group.layer_indices,
+                "num_tensors": len(group.tensors),
+            }
+
+        sizes = [group.nbytes for group in groups]
+        return self._submit_run(kind, iteration, sizes, gates, extras, label_of)
+
+    def _submit_run(self, kind: str, iteration: int, sizes: Sequence[float],
+                    gates, extras, label_of, peers: Optional[int] = None):
+        """Price and submit a run; ``label_of(p)`` is slot ``p``'s ``(label, metadata)``."""
         if kind not in COLLECTIVE_CATEGORIES:
             raise ValueError(
                 f"unknown collective kind {kind!r}; "
@@ -272,33 +286,47 @@ class IterationContext:
             )
         if iteration != self._iteration:
             self._enter_iteration(iteration)
+        extras = extras or [0.0] * len(sizes)
         if peers is not None:
-            body = self.cost.subgroup_time(kind, nbytes, peers) + extra_time
+            times = [self.cost.subgroup_time(kind, nbytes, peers) for nbytes in sizes]
+        elif hasattr(self.cost, "collective_times"):
+            times = self.cost.collective_times(kind, sizes)
+        else:  # a cost model with the per-size methods only
+            times = list(map(getattr(self.cost, kind), sizes))
+        if self.faults is not None and peers is None:
+            priced = self.faults.collective_priced
+            bodies = [priced(kind, nbytes, extra) for nbytes, extra in zip(sizes, extras)]
         else:
-            body = self._collective_time[kind](nbytes) + extra_time
-            if self.faults is not None:
-                body = self.faults.collective_priced(kind, nbytes, extra_time)
-        span_metadata = {
-            "iteration": iteration,
-            "bytes": nbytes,
-            "extra": extra_time,
-            "algorithm": getattr(
-                self.cost, "trace_algorithm",
-                getattr(self.cost, "algorithm", "unknown"),
-            ),
-            "flow": f"{iteration}.{label}",
-        }
-        if peers is not None:
-            span_metadata["peers"] = peers
-        if metadata:
-            span_metadata.update(metadata)
-        return self._collective_slot(
-            body,
-            name=f"{kind}.{iteration}.{label}",
-            category=COLLECTIVE_CATEGORIES[kind],
-            gate=gate,
-            metadata=span_metadata,
+            bodies = [time + extra for time, extra in zip(times, extras)]
+        algorithm = getattr(
+            self.cost, "trace_algorithm", getattr(self.cost, "algorithm", "unknown")
         )
+
+        def describe(position: int) -> tuple[str, dict]:
+            label, fields = label_of(position)
+            metadata = {"iteration": iteration, "bytes": sizes[position],
+                        "extra": extras[position], "algorithm": algorithm,
+                        "flow": f"{iteration}.{label}"}
+            if peers is not None:
+                metadata["peers"] = peers
+            metadata.update(fields or {})
+            return f"{kind}.{iteration}.{label}", metadata
+
+        return self._collective_run(bodies, gates, COLLECTIVE_CATEGORIES[kind], describe)
+
+    def ready_gates(self, bp, plan) -> list:
+        """Each of ``plan``'s groups' gate on its gradients in ``bp``."""
+        return [bp.done_of(group.layer_indices) for group in plan]
+
+    def cover_gates(self, run, cover: Sequence[tuple[int, ...]]) -> list:
+        """Per entry of ``cover`` (``FusionPlan.forward_cover``, say), a
+        gate on the slots of ``run`` at its positions; ``None`` for ``()``."""
+        return [
+            None if not positions
+            else run[positions[0]].done if len(positions) == 1
+            else run.done_of(positions)
+            for positions in cover
+        ]
 
     # -- engine hooks: how one slot is realised ---------------------------------
 
@@ -340,8 +368,17 @@ class IterationContext:
             duration, name=name, category=category, gate=gate, metadata=metadata
         )
 
-    def _collective_slot(self, body, name: str, category: str, gate,
-                         metadata: dict):
+    def _collective_run(self, bodies: list, gates, category: str, describe):
+        """Submit a run slot by slot; ``describe(position)`` gives a
+        slot's ``(name, metadata)``."""
+        gates = gates or [None] * len(bodies)
+        return _JobPass([
+            self._collective_slot(body, *describe(position), category, gates[position])
+            for position, body in enumerate(bodies)
+        ], self.sim, False)
+
+    def _collective_slot(self, body, name: str, metadata: dict,
+                         category: str, gate):
         """Submit one collective: a duration or a priced placeholder."""
         return self.comm.submit(
             body, name=name, category=category, gate=gate, metadata=metadata
@@ -447,6 +484,14 @@ class IterationContext:
         return extras
 
 
+def _slot_gates(layer_gates, layers: range):
+    """A pass's gate per slot, ``layers`` in slot order, from per-layer
+    gates: a dict by layer, or a sequence indexed by layer."""
+    if isinstance(layer_gates, dict):
+        return [layer_gates.get(layer) for layer in layers]
+    return layer_gates if layers.step > 0 else layer_gates[::-1]
+
+
 class _JobPass:
     """One FF or BP pass on an event kernel: its jobs, indexed by layer.
 
@@ -473,6 +518,11 @@ class _JobPass:
     def done_of(self, layers: Sequence[int]):
         """The gate on these layers' jobs."""
         return self._sim.all_of([self._jobs[layer].done for layer in layers])
+
+    @property
+    def done(self):
+        """The gate on every job."""
+        return self.done_of(range(len(self._jobs)))
 
     def add_flows(self, layers: Sequence[int], flow: str) -> None:
         """Append ``flow`` to these layers' ``flows`` span metadata
@@ -558,6 +608,21 @@ class FastIterationContext(IterationContext):
         if self.faults is None:
             return durations
         return [self.faults.compute_priced(duration) for duration in durations]
+
+    def _collective_run(self, bodies: list, gates, category: str, describe):
+        run = self.comm.submit_collectives(bodies, gates, category, describe)
+        if self.tracer is not None:
+            run._build_handles()  # a traced run labels every slot anyway
+        return run
+
+    def ready_gates(self, bp, plan) -> GateColumn:
+        return GateColumn(bp.start, plan.ready_positions)
+
+    def cover_gates(self, run, cover: Sequence[tuple[int, ...]]) -> GateColumn:
+        # The greatest position: on an in-order stream, what all_of keeps.
+        return GateColumn(run.start, [
+            positions[-1] if positions else None for positions in cover
+        ])
 
     def record(self, schedule: Schedule, iterations: int,
                periodic: bool = True) -> None:

@@ -141,6 +141,8 @@ class _Collective:
     """
 
     def __init__(self, sim: Simulator, world_size: int, duration, name: str):
+        if isinstance(duration, (int, float)) and not duration >= 0:
+            raise ValueError(f"job {name!r} has a negative or NaN duration: {duration}")
         self._sim = sim
         self._expected = world_size
         self._arrived = 0
@@ -331,7 +333,7 @@ class MultiRankIterationContext(IterationContext):
         ]
         return _EventJobSet(jobs, metadata)
 
-    def _collective_slot(self, body, name, category, gate, metadata):
+    def _collective_slot(self, body, name, metadata, category, gate):
         collective = _Collective(self._sim, self.world, body, name)
         jobs = [
             stream.submit(
@@ -405,11 +407,6 @@ class FastMultiRankContext(FastIterationContext):
         inverse = self.durations.inverse
         return [faults.compute_priced_ranks(vector, inverse)
                 for vector in durations]
-
-    def _collective_slot(self, body, name, category, gate, metadata):
-        return self.comm.submit_collective(
-            body, name=name, category=category, gate=gate, metadata=metadata
-        )
 
     def _stream_totals(self) -> list:
         return []  # per-rank streams publish no sim.stream.* counters

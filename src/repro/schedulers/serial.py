@@ -39,31 +39,16 @@ class SerialScheduler(Scheduler):
 
     def schedule(self, ctx: IterationContext, iterations: int) -> None:
         plan = self._plan(ctx)
+        # Only the first collective needs the gate: the comm stream is
+        # in-order, so the rest follow FIFO.
+        ungated = [None] * (len(plan) - 1)
         prev_comm_done = None
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, first_gate=prev_comm_done)
             bp = ctx.submit_backward_pass(iteration)
-            backward_done = bp.done_of(range(len(bp)))
-            comm_done = []
-            for group in plan:
-                # Only the first collective needs the gate: the comm
-                # stream is in-order, so the rest follow FIFO.
-                gate = backward_done if not comm_done else None
-                comm_done.append(
-                    ctx.submit_collective(
-                        "all_reduce",
-                        group.nbytes,
-                        iteration,
-                        label=f"g{group.index}",
-                        gate=gate,
-                        metadata={
-                            "group": group.index,
-                            "layers": group.layer_indices,
-                            "num_tensors": len(group.tensors),
-                        },
-                    ).done
-                )
-            prev_comm_done = ctx.sim.all_of(comm_done)
+            prev_comm_done = ctx.submit_collectives(
+                "all_reduce", plan, iteration, gates=[bp.done, *ungated]
+            ).done
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

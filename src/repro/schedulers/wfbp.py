@@ -63,25 +63,13 @@ class WFBPScheduler(Scheduler):
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, first_gate=prev_comm_done)
             bp = ctx.submit_backward_pass(iteration)
-            comm_done = []
-            for group in plan:
-                bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
-                comm_done.append(
-                    ctx.submit_collective(
-                        "all_reduce",
-                        group.nbytes,
-                        iteration,
-                        label=f"g{group.index}",
-                        gate=bp.done_of(group.layer_indices),
-                        extra_time=self.collective_overhead(ctx, group),
-                        metadata={
-                            "group": group.index,
-                            "layers": group.layer_indices,
-                            "num_tensors": len(group.tensors),
-                        },
-                    ).done
-                )
-            prev_comm_done = ctx.sim.all_of(comm_done)
+            if ctx.tracer is not None:
+                for group in plan:
+                    bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
+            prev_comm_done = ctx.submit_collectives(
+                "all_reduce", plan, iteration, gates=ctx.ready_gates(bp, plan),
+                extras=[self.collective_overhead(ctx, group) for group in plan],
+            ).done
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

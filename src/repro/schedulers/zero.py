@@ -32,19 +32,9 @@ from typing import Optional
 from repro.core.fusion import FusionPlan, buffer_size_groups, no_fusion_groups
 from repro.schedulers.base import Scheduler, register_scheduler
 from repro.schedulers.engine import IterationContext
-from repro.sim.engine import Event
 from repro.workloads.executor import execute_zero
 
 __all__ = ["ZeROScheduler"]
-
-
-def _group_metadata(group) -> dict:
-    """Fusion attribution recorded on every collective span."""
-    return {
-        "group": group.index,
-        "layers": group.layer_indices,
-        "num_tensors": len(group.tensors),
-    }
 
 
 @register_scheduler
@@ -68,57 +58,37 @@ class ZeROScheduler(Scheduler):
     def schedule(self, ctx: IterationContext, iterations: int) -> None:
         plan = self.fusion_plan(ctx)
         forward_groups = plan.groups_forward_order()
-        backward_groups = list(plan)
-        rs_done_of_group: dict[int, Event] = {}
-
+        # The forward gather of a group waits on its reduce-scatter, the
+        # run's slot at the group's index.
+        updated = [(group.index,) for group in forward_groups]
+        rs = None
         for iteration in range(iterations):
             # -- forward: gather parameters per group, overlap compute.
-            ag_fwd_done: dict[int, Event] = {}
-            for group in forward_groups:
-                job = ctx.submit_collective(
-                    "all_gather",
-                    group.nbytes,
-                    iteration,
-                    label=f"fwd.g{group.index}",
-                    gate=rs_done_of_group.get(group.index),
-                    metadata=_group_metadata(group),
-                )
-                ag_fwd_done[group.index] = job.done
+            ag_fwd = ctx.submit_collectives(
+                "all_gather", forward_groups, iteration,
+                gates=None if rs is None else ctx.cover_gates(rs, updated),
+                prefix="fwd.",
+            )
             ctx.submit_forward_pass(
-                iteration,
-                layer_gates=plan.layer_gates(ag_fwd_done, ctx.sim.all_of),
+                iteration, layer_gates=ctx.cover_gates(ag_fwd, plan.forward_cover)
             )
 
             # -- backward: re-gather parameters per group (submitted
             # eagerly: FSDP prefetches, and the FIFO stream keeps them
             # in backward order), then reduce-scatter each group's
             # gradients as they become ready.
-            ag_bwd_done: dict[int, Event] = {}
-            rs_done_of_group = {}
-            for group in backward_groups:
-                job = ctx.submit_collective(
-                    "all_gather",
-                    group.nbytes,
-                    iteration,
-                    label=f"bwd.g{group.index}",
-                    metadata=_group_metadata(group),
-                )
-                ag_bwd_done[group.index] = job.done
-            bp = ctx.submit_backward_pass(
-                iteration,
-                layer_gates=plan.layer_gates(ag_bwd_done, ctx.sim.all_of),
+            ag_bwd = ctx.submit_collectives(
+                "all_gather", plan, iteration, prefix="bwd."
             )
-            for group in backward_groups:
-                bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
-                job = ctx.submit_collective(
-                    "reduce_scatter",
-                    group.nbytes,
-                    iteration,
-                    label=f"g{group.index}",
-                    gate=bp.done_of(group.layer_indices),
-                    metadata=_group_metadata(group),
-                )
-                rs_done_of_group[group.index] = job.done
+            bp = ctx.submit_backward_pass(
+                iteration, layer_gates=ctx.cover_gates(ag_bwd, plan.backward_cover)
+            )
+            if ctx.tracer is not None:
+                for group in plan:
+                    bp.add_flows(group.layer_indices, f"{iteration}.g{group.index}")
+            rs = ctx.submit_collectives(
+                "reduce_scatter", plan, iteration, gates=ctx.ready_gates(bp, plan)
+            )
 
     def schedule_workload(self, ctx: IterationContext, workload,
                           iterations: int) -> None:

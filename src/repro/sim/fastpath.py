@@ -63,9 +63,10 @@ which completes the same schedules.
 
 Two loops implement the recurrence, chosen by the size of the replay
 (``configs x world``), never by an option: one config of one rank runs
-a Python-float loop, anything larger one numpy loop over ``(slots,
-configs, lanes)`` tensors.  Both perform the same IEEE operations in
-the same order, so they agree bit for bit (pinned in
+one pass over Python floats, slot by slot, anything larger one numpy
+loop over ``(slots, configs, lanes)`` tensors.  Python's ``end += d``
+is the same left fold as a seeded cumsum, so both perform the same IEEE
+operations in the same order and agree bit for bit (pinned in
 ``tests/sim/test_fastpath.py``); the float loop exists because at one
 lane it is several times faster than numpy's per-call overhead allows.
 
@@ -92,8 +93,14 @@ stream every lane's ends never decrease (``start >= prev_end`` and
 ``end = start + d`` with ``d >= 0``, and IEEE addition of a
 non-negative number never decreases its operand), and ``max`` adds no
 rounding, so the dropped slots cannot raise any gate.  A replay
-therefore rejects a deferred duration that resolves negative (or NaN,
-which fails ``d >= 0`` too).
+therefore rejects a duration that is not ``>= 0`` (a negative one, or
+NaN): a fixed one at submit, as the event kernel's streams do, and a
+deferred one when it resolves.
+
+A policy's collectives of one kind are recorded the same way, as a
+:class:`Run` (:meth:`Stream.submit_collectives`; a single collective is
+a run of one), and a :class:`GateColumn` gates on positions of an
+earlier chain or run that the fusion plan fixes.
 
 A periodic recording need not be made slot by slot: :meth:`Timeline.tile`
 appends copies of its last block — one iteration — and since gates are
@@ -141,14 +148,14 @@ __all__ = [
     "DeferredRankDurations",
     "FastPathUnsupported",
     "Gate",
+    "GateColumn",
     "JobSet",
+    "Run",
     "SimShim",
     "Stream",
     "Timeline",
     "replay",
 ]
-
-_NEG_INF = float("-inf")
 
 #: Body types fixed at record time; any other is deferred.
 _PLAIN = {float, np.ndarray}
@@ -220,6 +227,28 @@ class Gate:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gate slots={self.slot_ids}>"
+
+
+class GateColumn:
+    """One optional gate per slot, on positions of an earlier chain or
+    run: entry ``i`` waits for slot ``base + positions[i]`` (``None``:
+    no gate).  The recorder stores it as distances in one pass; it
+    indexes and slices like the list of :class:`Gate` it stands for."""
+
+    __slots__ = ("base", "positions")
+
+    def __init__(self, base: int, positions: Sequence[Optional[int]]):
+        self.base = base
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GateColumn(self.base, self.positions[index])
+        position = self.positions[index]
+        return None if position is None else Gate((self.base + position,))
 
 
 class JobSet:
@@ -343,9 +372,7 @@ class Stream:
             durations = body
         else:
             durations = _lane_durations(body, timeline.lanes, name)
-        return timeline._record(
-            self, durations, False, name, category, gate, metadata
-        )
+        return timeline._record(self, durations, name, category, gate, metadata)
 
     def submit_collective(
         self,
@@ -357,12 +384,12 @@ class Stream:
     ) -> JobSet:
         """Record one rendezvous collective slot: a fixed duration shared
         by all ranks, or a :class:`DeferredDuration` priced at the
-        rendezvous start.  On one rank a collective is an ordinary job."""
-        timeline = _alive(self._timeline, "stream", self.name)
-        return timeline._record(
-            self, _scalar_duration(body, name), timeline.world > 1, name,
-            category, gate, metadata,
-        )
+        rendezvous start.  On one rank a collective is an ordinary job.
+        A run of one (:meth:`submit_collectives`)."""
+        return self.submit_collectives(
+            (body,), None if gate is None else (gate,), category,
+            lambda position: (name, metadata or {}),
+        )[0]
 
     def submit_chain(
         self,
@@ -386,6 +413,15 @@ class Stream:
         """
         return _alive(self._timeline, "stream", self.name)._record_chain(
             self, durations, gates, category, label, flows
+        )
+
+    def submit_collectives(self, durations: Sequence[Any], gates,
+                           category: str, describe) -> "Run":
+        """Record a run of collective slots, ``durations`` and ``gates``
+        as for :meth:`submit_chain`; returns its :class:`Run`.
+        ``describe(position)`` gives a slot's ``(name, metadata)``."""
+        return _alive(self._timeline, "stream", self.name)._record_run(
+            self, durations, gates, category, describe
         )
 
 
@@ -428,20 +464,32 @@ class Chain:
         return (self[layer] for layer in range(len(self)))
 
     def __getitem__(self, layer: int) -> JobSet:
-        slot = self.start + self.label[2].index(layer)
+        return self._handle(self.label[2].index(layer))
+
+    def _handle(self, position: int) -> JobSet:
+        slot = self.start + position
         handles = _alive(self._timeline, "chain", self.category)._handles
         handle = handles[slot]
         if handle is None:
-            kind, iteration, _ = self.label
+            name, metadata = self._describe(position)
             handle = handles[slot] = JobSet(
-                self._timeline, slot, f"{kind}.{iteration}.{layer}",
-                self.category, {"iteration": iteration, "layer": layer},
+                self._timeline, slot, name, self.category, metadata
             )
         return handle
+
+    def _describe(self, position: int) -> tuple[str, dict]:
+        kind, iteration, layers = self.label
+        layer = layers[position]
+        return f"{kind}.{iteration}.{layer}", {"iteration": iteration, "layer": layer}
 
     def done_of(self, layers: Iterable[int]) -> Gate:
         """The gate on these layers' jobs: the latest of their slots."""
         return Gate((self.start + max(map(self.label[2].index, layers)),))
+
+    @property
+    def done(self) -> Gate:
+        """The gate on every job: the last slot."""
+        return Gate((self.start + len(self) - 1,))
 
     def add_flows(self, layers: Iterable[int], flow: str) -> None:
         """Append ``flow`` to these layers' ``flows`` span metadata
@@ -451,8 +499,26 @@ class Chain:
                 self[layer].metadata.setdefault("flows", []).append(flow)
 
     def _build_handles(self) -> None:
-        for layer in self.label[2]:
-            self[layer]
+        handles = _alive(self._timeline, "chain", self.category)._handles
+        for position in range(len(self)):
+            if handles[self.start + position] is None:
+                self._handle(position)
+
+
+class Run(Chain):
+    """A run of collectives recorded by :meth:`Stream.submit_collectives`:
+    a chain indexed by position, whose slot ``p`` is named and labelled
+    by ``describe(p)``."""
+
+    __slots__ = ("describe",)
+
+    def __init__(self, timeline: "weakref.ref[Timeline]", start: int,
+                 count: int, category: str, describe):
+        super().__init__(timeline, start, category, ("", 0, range(count)), False)
+        self.describe = describe
+
+    def _describe(self, position: int) -> tuple[str, dict]:
+        return self.describe(position)
 
 
 def _distances(slot: int, gate: Optional[Gate]) -> Optional[tuple[int, ...]]:
@@ -464,6 +530,31 @@ def _distances(slot: int, gate: Optional[Gate]) -> Optional[tuple[int, ...]]:
             f"fast path requires static job gates, got {type(gate).__name__}"
         )
     return tuple([slot - gid for gid in gate.slot_ids])
+
+
+def _gate_distances(index: int, gates, count: int) -> list:
+    """The stored gates of ``count`` slots from ``index`` on."""
+    if gates is None:
+        return [None] * count
+    if len(gates) != count:
+        raise ValueError(f"{count} slots need as many gates, got {len(gates)}")
+    if type(gates) is GateColumn:
+        base = gates.base
+        return [None if position is None else (slot - base - position,)
+                for slot, position in enumerate(gates.positions, index)]
+    return [_distances(slot, gate) for slot, gate in enumerate(gates, index)]
+
+
+def _scalar_bodies(durations: Sequence[Any], chain: Chain) -> list:
+    """One-rank or collective bodies, checked as :meth:`Stream.submit`
+    checks one: floats that are ``>= 0`` pass in one test for the whole
+    chain (``sum`` catches a NaN that ``min`` skips), anything else slot
+    by slot."""
+    if (set(map(type, durations)) == {float}
+            and min(durations) >= 0 and sum(durations) >= 0):
+        return list(durations)
+    return [_scalar_duration(body, chain._describe(position)[0])
+            for position, body in enumerate(durations)]
 
 
 def _lane_durations(body: Any, lanes: int, name: str) -> np.ndarray:
@@ -478,8 +569,8 @@ def _lane_durations(body: Any, lanes: int, name: str) -> np.ndarray:
             f"slot {name!r}: expected {lanes} durations, got shape "
             f"{body.shape}"
         )
-    if np.any(body < 0):
-        raise ValueError(f"slot {name!r} has negative durations")
+    if not (body >= 0).all():
+        raise ValueError(f"slot {name!r} has negative or NaN durations: {body}")
     return body.astype(float, copy=False)
 
 
@@ -490,8 +581,8 @@ def _scalar_duration(body: Any, name: str):
         raise FastPathUnsupported(
             f"fast path requires fixed job durations, got {type(body).__name__}"
         )
-    if body < 0:
-        raise ValueError(f"job {name!r} has negative duration {body}")
+    if not body >= 0:
+        raise ValueError(f"job {name!r} has a negative or NaN duration: {body}")
     return float(body)
 
 
@@ -604,7 +695,7 @@ class Timeline:
         #: slot's handle or, in a chain not yet indexed, ``None``; the
         #: copies :meth:`tile` appends have none.
         self._handles: list[Optional[JobSet]] = []
-        #: every chain, to build its handles when spans are emitted.
+        #: every chain and run, to build its handles when spans are emitted.
         self._chains: list[Chain] = []
         self._deferred = False
         #: ``(block_start, period)`` once :meth:`tile` has run.
@@ -672,8 +763,8 @@ class Timeline:
             )
         return busy.tolist()
 
-    def _record(self, stream: Stream, durations: Any, collective: bool,
-                name: str, category: str, gate: Optional[Gate],
+    def _record(self, stream: Stream, durations: Any, name: str,
+                category: str, gate: Optional[Gate],
                 metadata: Optional[dict]) -> JobSet:
         index = len(self._slot_streams)
         distances = _distances(index, gate)
@@ -681,7 +772,7 @@ class Timeline:
         handle = JobSet(self._ref, index, name, category, metadata or {})
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
-        self._collective.append(collective)
+        self._collective.append(False)
         self._gates.append(distances)
         self._categories.append(category)
         self._codes.append(category_code(category))
@@ -695,56 +786,55 @@ class Timeline:
                       category: str, label: tuple[str, int, range],
                       flows: bool) -> Chain:
         kind, iteration, layers = label
-        count = len(layers)
-        if len(durations) != count or (gates is not None
-                                       and len(gates) != count):
+        if len(durations) != len(layers):
             raise ValueError(
-                f"chain {kind}.{iteration}: {count} layers need as many "
-                f"durations and gates"
+                f"chain {kind}.{iteration}: {len(layers)} layers need as "
+                f"many durations"
             )
-        bodies = self._chain_bodies(durations, label)
-        index = len(self._slot_streams)
-        self._gates.extend(
-            [None] * count if gates is None
-            else [_distances(slot, gate)
-                  for slot, gate in enumerate(gates, index)]
-        )
+        chain = Chain(self._ref, len(self._slot_streams), category, label, flows)
+        bodies = (_scalar_bodies(durations, chain) if self.world == 1
+                  else self._lane_bodies(durations, chain))
+        return self._extend(stream, chain, bodies, gates, False)
+
+    def _record_run(self, stream: Stream, durations: Sequence[Any],
+                    gates: Optional[Sequence[Optional[Gate]]],
+                    category: str, describe) -> Run:
+        run = Run(self._ref, len(self._slot_streams), len(durations),
+                  category, describe)
+        return self._extend(stream, run, _scalar_bodies(durations, run), gates,
+                            self.world > 1)
+
+    def _extend(self, stream: Stream, chain: Chain, bodies: list, gates,
+                collective: bool) -> Chain:
+        """Append ``chain``'s checked ``bodies`` to ``stream``: one list
+        ``extend`` per column."""
+        count = len(bodies)
+        self._gates.extend(_gate_distances(chain.start, gates, count))
         stream.jobs_submitted += count
         self._slot_streams.extend([stream.stream_id] * count)
         self._durations.extend(bodies)
-        self._collective.extend([False] * count)
-        self._categories.extend([category] * count)
-        self._codes.extend([category_code(category)] * count)
+        self._collective.extend([collective] * count)
+        self._categories.extend([chain.category] * count)
+        self._codes.extend([category_code(chain.category)] * count)
         self._handles.extend([None] * count)
         if not set(map(type, bodies)) <= _PLAIN:
             self._deferred = True
-        chain = Chain(self._ref, index, category, label, flows)
         self._chains.append(chain)
         return chain
 
-    def _chain_bodies(self, durations: Sequence[Any],
-                      label: tuple[str, int, range]) -> list:
-        """A chain's bodies, checked as :meth:`Stream.submit` checks
-        one: plain non-negative floats (or ``(lanes,)`` vectors) pass in
-        one test for the whole chain, anything else slot by slot."""
-        kind, iteration, layers = label
-        types = set(map(type, durations))
-        if self.world == 1:
-            if types == {float} and min(durations) >= 0:
-                return list(durations)
-            return [
-                _scalar_duration(body, f"{kind}.{iteration}.{layer}")
-                for body, layer in zip(durations, layers)
-            ]
-        if types == {np.ndarray}:
+    def _lane_bodies(self, durations: Sequence[Any], chain: Chain) -> list:
+        """A multi-rank chain's bodies, checked as :meth:`Stream.submit`
+        checks one: ``(lanes,)`` vectors that are ``>= 0`` pass in one
+        test for the whole chain, anything else slot by slot."""
+        if set(map(type, durations)) == {np.ndarray}:
             stacked = np.asarray(durations)
             if (stacked.shape == (len(durations), self.lanes)
-                    and stacked.dtype == float and not (stacked < 0).any()):
+                    and stacked.dtype == float and (stacked >= 0).all()):
                 return list(durations)
         return [
             body if isinstance(body, DeferredRankDurations)
-            else _lane_durations(body, self.lanes, f"{kind}.{iteration}.{layer}")
-            for body, layer in zip(durations, layers)
+            else _lane_durations(body, self.lanes, chain._describe(position)[0])
+            for position, body in enumerate(durations)
         ]
 
     def tile(self, block_start: int, copies: int) -> int:
@@ -923,92 +1013,47 @@ def replay(
 
 
 def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
-    """One lane (one config, one rank): the Python-float loop.
+    """One lane (one config, one rank): one pass over Python floats.
 
-    Returns ``(slots,)`` start and end arrays.
+    A slot starts at ``base``, its stream's running end, raised by a
+    gate that ends later (strict ``>``: ties keep it, as ``max`` does; a
+    gate on the same stream never raises it); a deferred body is priced
+    there and written back.  Returns ``(slots,)`` start and end arrays.
     """
-    n = len(timeline._slot_streams)
-    starts = np.zeros(n)
-    ends = np.zeros(n)
-    # Python-float mirror of `ends`, grown as the replay advances: gate
-    # lookups read it instead of extracting numpy scalars one by one.
-    ends_list: list[float] = []
-    if not n:
-        return starts, ends
     stream_ids = timeline._slot_streams
-    gates = timeline._gates
-    durations_py = timeline._durations
-    deferred = timeline._deferred
-    # With deferred durations in the list, vector slices come straight
-    # from the (mixed) Python list run by run instead of one prebuilt
-    # array.
-    durations = None if deferred else np.asarray(durations_py)
+    durations = timeline._durations
+    starts: list[float] = []
+    ends: list[float] = []
     prev_end = [0.0] * len(timeline._streams)
+    sid = stream_ids[0] if stream_ids else 0
+    base = 0.0
     alone = 0
-    i = 0
-    while i < n:
-        sid = stream_ids[i]
-        j = i + 1
-        while j < n and stream_ids[j] == sid:
-            j += 1
-        base = prev_end[sid]
-        k = i
-        while k < j:
-            g = k
-            while (g < j and gates[g] is None
-                   and (not deferred or type(durations_py[g]) is float)):
-                g += 1
-            if g > k:
-                # Gateless run: end[k] = end[k-1] + d[k]; seeding
-                # ``np.cumsum`` — a strict left fold — with the base
-                # reproduces that association exactly.
-                chain = np.empty(g - k + 1)
-                chain[0] = base
-                chain[1:] = durations_py[k:g] if deferred else durations[k:g]
-                seg_ends = np.cumsum(chain)
-                starts[k:g] = seg_ends[:-1]
-                ends[k:g] = seg_ends[1:]
-                ends_list.extend(seg_ends[1:].tolist())
-                base = ends_list[-1]
-                k = g
-            if k < j:
-                # Gated or deferred: max(prev, gate) + d.  A gate id
-                # inside the segment (>= i) is an earlier same-stream
-                # job: subsumed by order.
-                gate_time = _NEG_INF
-                backs = gates[k]
-                if backs is not None:
-                    for back in backs:
-                        gid = k - back
-                        if gid < i:
-                            e = ends_list[gid]
-                            if e > gate_time:
-                                gate_time = e
-                start = base if base >= gate_time else gate_time
-                duration = durations_py[k]
-                if type(duration) is not float:
-                    # Deferred: price at the now-known start and keep
-                    # the resolved value (busy-time sums and re-replays
-                    # read it).
-                    duration = float(duration.resolve(start))
-                    if not duration >= 0:
-                        raise ValueError(
-                            f"slot {k} resolved a duration that is not "
-                            f">= 0: {duration}"
-                        )
-                    durations_py[k] = duration
-                    alone += 1
-                end = start + duration
-                starts[k] = start
-                ends[k] = end
-                ends_list.append(end)
-                base = end
-                k += 1
-        prev_end[sid] = base
-        i = j
+    for stream, backs, duration in zip(stream_ids, timeline._gates, durations):
+        if stream != sid:
+            prev_end[sid] = base
+            sid = stream
+            base = prev_end[sid]
+        if backs is not None:
+            slot = len(ends)
+            for back in backs:
+                end = ends[slot - back]
+                if end > base:
+                    base = end
+        if type(duration) is not float:
+            slot = len(ends)
+            duration = float(duration.resolve(base))
+            if not duration >= 0:
+                raise ValueError(
+                    f"slot {slot} resolved a duration that is not >= 0: {duration}"
+                )
+            durations[slot] = duration
+            alone += 1
+        starts.append(base)
+        base += duration
+        ends.append(base)
     if alone:
         _count_deferred(0, alone)
-    return starts, ends
+    return np.array(starts), np.array(ends)
 
 
 def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,10 @@ class Stream:
         gate: Optional[Event] = None,
         metadata: Optional[dict] = None,
     ) -> Job:
-        """Enqueue work; returns the :class:`Job` whose ``done`` event fires on completion."""
+        """Enqueue work; returns the :class:`Job` whose ``done`` event
+        fires on completion.  A plain duration must be ``>= 0``."""
+        if isinstance(body, (int, float)) and not body >= 0:
+            raise ValueError(f"job {name!r} has a negative or NaN duration: {body}")
         job = Job(self._sim, body, name=name, category=category, gate=gate, metadata=metadata)
         self._jobs.append(job)
         self.jobs_submitted += 1

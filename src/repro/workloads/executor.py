@@ -78,7 +78,7 @@ def _collective_price(ctx, node: WorkloadNode) -> float:
     """Healthy price of a literal collective (planning only)."""
     if node.peers:
         return ctx.cost.subgroup_time(node.op, node.nbytes, node.peers)
-    return ctx._collective_time[node.op](node.nbytes)
+    return getattr(ctx.cost, node.op)(node.nbytes)
 
 
 def asap_ready_times(ctx, workload: Workload) -> list[float]:

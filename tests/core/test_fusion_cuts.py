@@ -59,7 +59,9 @@ def _assert_same_plan(model, buffer_bytes: float) -> None:
     assert [_facts(g) for g in got] == [_facts(g) for g in want]
     assert ([g.index for g in got.groups_forward_order()]
             == [g.index for g in want.groups_forward_order()])
-    assert got.layer_cover == want.layer_cover
+    assert got.forward_cover == want.forward_cover
+    assert got.backward_cover == want.backward_cover
+    assert got.ready_positions == want.ready_positions
     assert buffer_cuts(model, buffer_bytes) == tuple(
         np.cumsum([len(g.tensors) for g in want]).tolist()
     )
