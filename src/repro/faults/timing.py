@@ -12,8 +12,8 @@ duration placeholders: :class:`PricedCompute` / :class:`PricedCollective`
 (one duration per job or collective, a
 :class:`~repro.sim.resources.DeferredDuration` the event kernel's
 streams and the rendezvous resolve at start, and the vectorized replay
-at the replayed start) and :class:`RankPricedCompute` (one per lane —
-rank class — of a multi-rank :class:`~repro.sim.fastpath.Timeline`).
+at the replayed start) and :class:`RankPricedCompute` (one per pass of
+a multi-rank :class:`~repro.sim.fastpath.Timeline`, per lane — rank class).
 All of them perform the same float operations on the same (base, start)
 arguments, so faulty runs stay on the vectorized replay and the engines
 stay bit-for-bit comparable — pinned by the fault test suite and the
@@ -94,16 +94,13 @@ class StragglerRows(NamedTuple):
     slowed: np.ndarray
     inverse: Optional[np.ndarray]
 
-    def _hit(self, rows: slice = slice(None)) -> np.ndarray:
-        """The slowed (slot, rank) pairs of ``rows``: rank-wide flags."""
-        hit = self.slowed[rows]
-        return hit if self.inverse is None else hit[:, self.inverse]
+    def _hit(self) -> np.ndarray:
+        """The slowed (slot, rank) pairs: rank-wide flags."""
+        return self.slowed if self.inverse is None else self.slowed[:, self.inverse]
 
-    def ranked(self, column: np.ndarray,
-               rows: slice = slice(None)) -> np.ndarray:
-        """A ``(rows, lanes)`` column, one entry per marker of ``rows``."""
-        hit = self._hit(rows)
-        column = column[rows]
+    def ranked(self, column: np.ndarray) -> np.ndarray:
+        """A ``(rows, lanes)`` column, one entry per marker."""
+        hit = self._hit()
         if self.inverse is not None:
             column = column[:, self.inverse]
         return column.ravel() if hit.all() else column[hit]
@@ -115,15 +112,19 @@ class StragglerRows(NamedTuple):
     def fold(self, total: float) -> float:
         """``total`` plus every extra in marker order: a strict left fold,
         as seeded ``np.cumsum`` runs over a few rows at a time, which
-        bounds the rank-order copies."""
-        ranks = (self.slowed.shape[1] if self.inverse is None
-                 else len(self.inverse))
+        bounds the rank-order copies.  They add unslowed ranks too: their
+        extra, ``base * 1.0 - base``, is exactly ``+0.0``, which changes
+        no total but ``-0.0``, and a ledger that starts at ``0.0`` never
+        holds one."""
+        extras = self.extras
+        ranks = extras.shape[1] if self.inverse is None else len(self.inverse)
         step = max(1, _FOLD_ENTRIES // ranks)
-        for first in range(0, len(self.slowed), step):
-            ranked = self.ranked(self.extras, slice(first, first + step))
-            chain = np.empty(len(ranked) + 1)
+        for first in range(0, len(extras), step):
+            rows = extras[first:first + step]
+            chain = np.empty(len(rows) * ranks + 1)
             chain[0] = total
-            chain[1:] = ranked
+            chain[1:] = (rows if self.inverse is None
+                         else rows.take(self.inverse, axis=1)).ravel()
             total = float(np.cumsum(chain, out=chain)[-1])
         return total
 
@@ -158,6 +159,8 @@ class TimingFaultInjector:
         #: ``_folded`` entries are in ``straggler_seconds``.
         self._straggler_extras: list = []
         self._folded = 0
+        #: :meth:`_chain_factors`' buffers, reused chain after chain.
+        self._scratch: Optional[tuple[np.ndarray, np.ndarray]] = None
         #: markers for the tracer, in injection order: ``(time, name,
         #: args)`` tuples and :class:`StragglerRows` blocks
         #: (:meth:`event_rows` expands both).
@@ -219,8 +222,8 @@ class TimingFaultInjector:
         return slowed
 
     def compute_chain(self, bases: np.ndarray, start: np.ndarray,
-                      inverse: Optional[np.ndarray] = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      inverse: Optional[np.ndarray] = None,
+                      gates=None) -> np.ndarray:
         """:meth:`compute_duration` for every rank of a chain of slots.
 
         The chain is consecutive compute slots of a multi-rank replay,
@@ -242,56 +245,72 @@ class TimingFaultInjector:
         more row, and once the recomputed factors agree with the
         assumed ones on every row but the last, all of them are exact.
         That takes at most ``rows`` rounds, in practice one per window
-        edge a lane crosses, plus one.
+        edge a lane crosses, plus one.  They price every row as if no
+        gate bound, so the rows before the first gate that binds
+        (``gates`` as for
+        :meth:`~repro.sim.fastpath.DeferredRankDurations.resolve_chain`)
+        are exact, and only they are kept.
 
-        The accounting is per rank: factors and extras are gathered to
-        the slowed (row, rank) pairs, slot-major and in rank order
-        within a slot.  Their extras form one entry of
-        :attr:`straggler_seconds` and their markers one
-        :class:`StragglerRows` block, which fold and expand exactly as
-        one entry and one block per slot would.
-
-        Returns ``(slowed, durations)``: the indices of the rows with a
-        slowed lane, and those rows' durations as one compact block.
-        Every other row's durations are its bases.
+        The kept rows that slowed a lane form one entry of
+        :attr:`straggler_seconds` and one :class:`StragglerRows` block of
+        markers (slot-major, ranks in rank order), which fold and expand
+        exactly as one per rank would.  Returns the kept rows' durations,
+        ``base * factor`` (the base itself where the factor is 1).
         """
-        # The fixed point's (rows, lanes) buffers die with this call,
-        # before the fold makes its rank-order copies.
-        slowed, durations, block = _slowed_rows(
-            bases, *self._chain_factors(bases, start), inverse
-        )
-        if block is not None:
+        # A window closed by the chain's first start covers none of it.
+        stragglers = [s for s in self.plan.stragglers if s.end > start.min()]
+        if not stragglers and gates is None:
+            return bases
+        starts, factors = self._chain_factors(bases, start, stragglers)
+        count = DeferredRankDurations.prefix(starts, gates)
+        bases = bases[:count]
+        factors = factors[:count]
+        durations = bases * factors
+        slowed_lanes = factors != 1.0
+        if slowed_lanes.any():
+            slowed = np.flatnonzero(slowed_lanes.any(axis=1))
+            block = StragglerRows(
+                starts[slowed], factors[slowed],
+                durations[slowed] - bases[slowed], slowed_lanes[slowed],
+                inverse,
+            )
             self._straggler_extras.append(block)
             self._fold()
             self.events.append(block)
-        return slowed, durations
+        return durations
 
-    def _chain_factors(self, bases: np.ndarray, start: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    def _chain_factors(self, bases: np.ndarray, start: np.ndarray,
+                       stragglers: list) -> tuple[np.ndarray, np.ndarray]:
         """The fixed point of :meth:`compute_chain`: every row's starts
-        and combined factors, ``(rows, lanes)`` each."""
+        and combined factors, ``(rows, lanes)`` each.  A round recomputes
+        only the rows from the first whose factor it changes: the starts
+        up to that row, and so their factors, stay as they were."""
         rows, lanes = bases.shape
-        stragglers = self.plan.stragglers
+        scratch = self._scratch
+        if scratch is None or not (scratch[0].shape[1] >= rows
+                                   and scratch[0].shape[2] == lanes):
+            scratch = self._scratch = (np.empty((3, rows, lanes)),
+                                       np.empty((2, rows, lanes), dtype=bool))
         # Row r's start: `start` plus the durations of the rows before it.
-        starts = np.empty((rows, lanes))
+        starts, factors, assumed = scratch[0][:, :rows]
+        inside, below = scratch[1][:, :rows]
         starts[0] = start
-        factors = np.empty((rows, lanes))
-        inside = np.empty((rows, lanes), dtype=bool)
-        below = np.empty((rows, lanes), dtype=bool)
-        assumed = np.ones((rows, lanes)) if rows > 1 else None
+        assumed.fill(1.0)
+        first = 0
         for _ in range(rows):
-            if rows > 1:
-                np.multiply(bases[:-1], assumed[:-1], out=starts[1:])
-                np.cumsum(starts, axis=0, out=starts)
-            factors.fill(1.0)
+            np.multiply(bases[first:-1], assumed[first:-1], out=starts[first + 1:])
+            np.cumsum(starts[first:], axis=0, out=starts[first:])
+            factors[first:] = 1.0
             for straggler in stragglers:
-                np.greater_equal(starts, straggler.start, out=inside)
-                np.less(starts, straggler.end, out=below)
-                inside &= below
-                np.multiply(factors, straggler.compute_factor, out=factors,
-                            where=inside)
-            if rows == 1 or np.array_equal(factors[:-1], assumed[:-1]):
+                np.greater_equal(starts[first:], straggler.start, out=inside[first:])
+                np.less(starts[first:], straggler.end, out=below[first:])
+                inside[first:] &= below[first:]
+                np.multiply(factors[first:], straggler.compute_factor,
+                            out=factors[first:], where=inside[first:])
+            changed = (factors[first:-1] != assumed[first:-1]).any(axis=1)
+            if not changed.any():
                 return starts, factors
+            first += int(changed.argmax())
             assumed, factors = factors, assumed
         raise RuntimeError(  # pragma: no cover - each round fixes a row
             "straggler pricing did not reach its fixed point"
@@ -395,25 +414,6 @@ class TimingFaultInjector:
         }
 
 
-def _slowed_rows(bases: np.ndarray, starts: np.ndarray, factors: np.ndarray,
-                 inverse: Optional[np.ndarray]):
-    """A priced chain's slowed rows: ``(indices, durations, block)``.
-
-    The durations are ``base * factor``, one compact block; the
-    :class:`StragglerRows` block is ``None`` when nothing slowed.
-    """
-    slowed_lanes = factors != 1.0
-    if not slowed_lanes.any():
-        return np.empty(0, dtype=np.intp), bases[:0], None
-    slowed = np.flatnonzero(slowed_lanes.any(axis=1))
-    base = bases[slowed]
-    factors = factors[slowed]
-    durations = base * factors
-    block = StragglerRows(starts[slowed], factors, durations - base,
-                          slowed_lanes[slowed], inverse)
-    return slowed, durations, block
-
-
 class PricedCompute(DeferredDuration):
     """Compute duration resolved at job start, on any engine.
 
@@ -459,18 +459,19 @@ class PricedCollective(DeferredDuration):
 class RankPricedCompute(DeferredRankDurations):
     """Per-lane compute durations the multi-rank replay prices at start.
 
-    ``bases`` holds one healthy duration per lane (rank class) and
-    ``inverse`` each rank's lane (``None``: one lane per rank).  The
-    replay resolves consecutive gate-free slots as one chain
-    (:meth:`resolve_chain`, one
-    :meth:`TimingFaultInjector.compute_chain` pass) and any other slot
-    as a chain of one row (:meth:`resolve`).  Either way each lane, and
-    so each rank, gets the scalar
-    :meth:`~TimingFaultInjector.compute_duration`'s float operations,
-    so the durations and the straggler total are bit-identical to the
-    event kernel's per-rank :class:`PricedCompute` jobs.  The replay
-    resolves slots in submission order, which is creation order.  Only
-    the order fault *markers* are logged in differs (slot-major here,
+    One body per pass: ``bases`` holds one healthy duration per lane
+    (rank class) for each of its slots, ``(slots, lanes)`` (a ``(lanes,)``
+    vector: one slot), and ``inverse`` each rank's lane (``None``: one
+    lane per rank).  The replay prices a run of its slots as one chain
+    (:meth:`resolve_chain`, one :meth:`TimingFaultInjector.compute_chain`
+    pass over rows sliced from the passes the run covers).  Each lane,
+    and so each rank, gets the scalar
+    :meth:`~TimingFaultInjector.compute_duration`'s float operations, so
+    the durations and the straggler total are bit-identical to the event
+    kernel's per-rank :class:`PricedCompute` jobs.  The replay resolves
+    slots in submission order, which is creation order, and tiled copies
+    share the body.  Only the order fault *markers* are logged in differs
+    (slot-major here,
     chronological on the kernel), which the sorted trace export
     normalises away.
     """
@@ -480,32 +481,37 @@ class RankPricedCompute(DeferredRankDurations):
     def __init__(self, injector: TimingFaultInjector, bases: np.ndarray,
                  inverse: Optional[np.ndarray] = None):
         self.injector = injector
-        self.bases = bases
+        self.bases = bases if bases.ndim == 2 else bases[None]
         self.inverse = inverse
 
+    def __len__(self) -> int:
+        return len(self.bases)
+
     def resolve(self, starts: np.ndarray) -> np.ndarray:
-        slowed, durations = self.injector.compute_chain(
-            self.bases[None], starts, self.inverse
-        )
-        return durations[0] if len(slowed) else self.bases
+        return self.injector.compute_chain(self.bases[:1], starts, self.inverse)[0]
 
     @classmethod
-    def resolve_chain(cls, bodies: list, start: np.ndarray) -> list:
-        """Price ``bodies`` as one chain when they share one injector and
-        one rank-to-lane index (every chain a run records); otherwise
-        row by row.  An unslowed row resolves to its own ``bases``, a
-        slowed one to a row of the chain's compact block of slowed
-        rows, so a resolved recording keeps no chain-sized buffer."""
+    def resolve_chain(cls, bodies: list, start: np.ndarray, gates=None,
+                      rows: Optional[list] = None):
+        """Price the chain in one pass over its rows, sliced from the
+        passes it covers, when they share one injector and one
+        rank-to-lane index (every chain a run records); otherwise row by
+        row."""
+        rows = rows or [0] * len(bodies)
+        pieces, slot = [], 0
+        while slot < len(bodies):  # (body, first row, end row) per pass
+            body, row = bodies[slot], rows[slot]
+            pieces.append((body, row, min(len(body), row + len(bodies) - slot)))
+            slot += pieces[-1][2] - row
         head = bodies[0]
-        injector = head.injector
-        inverse = head.inverse
-        if any(type(body) is not cls or body.injector is not injector
-               or body.inverse is not inverse for body in bodies):
-            return super().resolve_chain(bodies, start)
-        rows = [body.bases for body in bodies]
-        slowed, durations = injector.compute_chain(
-            np.array(rows, dtype=float), start, inverse
-        )
-        for index, row in zip(slowed.tolist(), durations):
-            rows[index] = row
-        return rows
+        if any(type(body) is not cls or body.injector is not head.injector
+               or body.inverse is not head.inverse for body, _, _ in pieces):
+            return super().resolve_chain([
+                cls(body.injector, body.bases[row], body.inverse)
+                if type(body) is cls else body
+                for body, row in zip(bodies, rows)
+            ], start, gates)
+        bases = (head.bases[rows[0]:pieces[0][2]] if len(pieces) == 1
+                 else np.concatenate([body.bases[row:end]
+                                      for body, row, end in pieces]))
+        return head.injector.compute_chain(bases, start, head.inverse, gates)

@@ -60,6 +60,7 @@ from repro.models.profiles import TimingModel, profile_times
 from repro.network.cost_model import CollectiveTimeModel
 from repro.network.fabric import ClusterSpec
 from repro.faults.plan import FaultPlan, normalize_plan
+from repro.faults.timing import RankPricedCompute
 from repro.schedulers.base import Scheduler
 from repro.schedulers.ddp import DDP_DEFAULT_BUCKET_BYTES, DDPScheduler
 from repro.schedulers.dear import DeARScheduler
@@ -267,10 +268,10 @@ class _RankDurations:
             planning.model, planning.batch_size, iteration_compute,
             scales=scales,
         )
-        #: a pass's ``(classes,)`` vectors in submission order: FF first
-        #: layer first, BP last layer first.
-        self.ff_pass = list(np.ascontiguousarray(self.ff_times.T))
-        self.bp_pass = list(np.ascontiguousarray(self.bp_times.T[::-1]))
+        #: a pass's ``(classes,)`` vectors in submission order, one row
+        #: per layer: FF first layer first, BP last layer first.
+        self.ff_pass = np.ascontiguousarray(self.ff_times.T)
+        self.bp_pass = np.ascontiguousarray(self.bp_times.T[::-1])
         self._kernels: dict[float, np.ndarray] = {}
         self._ratios: Optional[np.ndarray] = None
 
@@ -362,9 +363,10 @@ class FastMultiRankContext(FastIterationContext):
     traced or faulted, tiled to the rest as on one rank; dynamic
     features raise :class:`~repro.sim.fastpath.FastPathUnsupported`, and
     run only on :class:`MultiRankIterationContext`.
-    Timing faults stay on this engine: compute slots carry
-    :class:`~repro.faults.timing.RankPricedCompute` vectors and
-    collectives :class:`~repro.faults.timing.PricedCollective` scalars,
+    Timing faults stay on this engine: each compute pass records one
+    :class:`~repro.faults.timing.RankPricedCompute` body (its slots' rows
+    of lane vectors) and collectives
+    :class:`~repro.faults.timing.PricedCollective` scalars,
     priced at replay from the same start times the event kernel would
     price at.  Set-up, pricing and replay are per rank class, not per
     rank; each recording observes its class count — the replay width —
@@ -389,24 +391,21 @@ class FastMultiRankContext(FastIterationContext):
         self.comm = self.stream("comm")
 
     def _compute_slot(self, durations, name, category, gate, metadata):
+        body = self._pass_bodies(durations[None])
         return self.compute.submit(
-            self._pass_bodies([durations])[0], name=name, category=category,
-            gate=gate, metadata=metadata,
+            body if isinstance(body, RankPricedCompute) else body[0],
+            name=name, category=category, gate=gate, metadata=metadata,
         )
 
     def _pass_bodies(self, durations):
-        """Slot bodies from lane vectors: a one-rank timeline records
-        plain floats, and timing faults record priced placeholders in
-        slot order (the ledger's order)."""
-        faults = self.faults
+        """Slot bodies from a pass's ``(slots, lanes)`` rows: a one-rank
+        timeline records plain floats, and timing faults record one
+        priced body for the pass."""
         if self.world == 1:
-            durations = [vector.item(0) for vector in durations]
-            return super()._pass_bodies(durations)
-        if faults is None:
+            return super()._pass_bodies(durations[:, 0].tolist())
+        if self.faults is None:
             return durations
-        inverse = self.durations.inverse
-        return [faults.compute_priced_ranks(vector, inverse)
-                for vector in durations]
+        return self.faults.compute_priced_ranks(durations, self.durations.inverse)
 
     def _stream_totals(self) -> list:
         return []  # per-rank streams publish no sim.stream.* counters

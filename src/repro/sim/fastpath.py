@@ -44,16 +44,13 @@ same stream layout, same gate graph, different durations (a policy
 sweep over models, clusters, fusion plans or fault scenarios) — and
 replays them together along a third axis, *configs*.  Within one
 *segment* (a maximal run of consecutively submitted same-stream
-slots), gateless per-rank runs telescope to a prefix sum evaluated with
-``np.cumsum`` seeded with the run's base time: a strict left fold per
-(config, rank) lane, so the float association matches the kernel's
-sequential ``end += d``.  Gated and collective slots take
-``max(prev_end, gate_end) + duration`` one slot at a time, and so do
-deferred one-rank and collective slots.  Deferred per-lane slots are
-resolved as *chains*: from a slot, gated or not, through the gate-free
-deferred per-lane slots that follow it in the segment, one
-:meth:`DeferredRankDurations.resolve_chain` call per config, then one
-seeded cumsum (a slot alone is a chain of one row).  Gates
+slots), per-rank slots telescope to a prefix sum evaluated with
+``np.cumsum`` seeded with the base time: a strict left fold per
+(config, lane), so the float association matches the kernel's
+sequential ``end += d``.  Their gates point before the segment, so the
+replay sums on as if none bound and restarts at the first that does,
+from ``max(prev_end, gate_end)``; collectives and deferred one-rank
+slots go one at a time.  Gates
 always point at earlier-submitted slots, so processing slots in
 submission order resolves every dependency; a gate on an earlier slot
 of the *same* segment is subsumed by stream order and is skipped.  Any
@@ -117,12 +114,11 @@ from a start time — the same object the event kernel's streams resolve
 at job start) or, per lane, a :class:`DeferredRankDurations` (priced
 from the lanes' start vector).  They are resolved during replay once
 the start is known; that is how timing faults
-(:mod:`repro.faults.timing`) ride the fast path.  A one-rank or
-collective deferred slot breaks the cumsum batching at that slot; a
-chain of per-lane ones is priced in one pass, whose pricer may solve
-for every start of the chain at once, and is then replayed like a
-gateless run.  The ``sim.replay.deferred_slots`` counter shows how many
-deferred slots each way resolved.  Anything genuinely dynamic —
+(:mod:`repro.faults.timing`) ride the fast path.  A stretch of per-lane
+ones is priced in one pass per config, whose pricer may solve for every
+start at once, and one body may stand for a whole pass.  The
+``sim.replay.deferred_slots`` and ``sim.replay.gates`` counters show how
+deferred slots resolved and how many gates bound.  Anything genuinely dynamic —
 process bodies, ``sim.event()``, raw callbacks — raises
 :class:`FastPathUnsupported`; such a schedule runs only on the event
 kernel, which a run takes with ``fastpath=False``
@@ -160,6 +156,10 @@ __all__ = [
 #: Body types fixed at record time; any other is deferred.
 _PLAIN = {float, np.ndarray}
 
+#: ``Timeline._kinds`` of a duration fixed at record time; a deferred
+#: slot's kind is its row in its body (``0`` but for a pass's body).
+_FIXED = -1
+
 
 class FastPathUnsupported(RuntimeError):
     """The schedule uses a feature only the event-driven kernel has.
@@ -183,11 +183,16 @@ class DeferredRankDurations:
     the event kernel.  Every rank of a lane starts at its lane's start,
     so pricing a lane prices each of its ranks.
 
-    The replay resolves them through :meth:`resolve_chain`, a run of
-    consecutive gate-free slots at a time.
+    A body is one slot, or a whole pass (its row ``r`` is slot ``r``),
+    which tiled copies share: its :meth:`renew` returns itself.  The
+    replay resolves bodies through :meth:`resolve_chain`, a run of
+    consecutive deferred slots at a time.
     """
 
     __slots__ = ()
+
+    def __len__(self) -> int:
+        return 1
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -197,18 +202,34 @@ class DeferredRankDurations:
         return self
 
     @classmethod
-    def resolve_chain(cls, bodies: list, start: np.ndarray) -> list:
+    def resolve_chain(cls, bodies: list, start: np.ndarray, gates=None,
+                      rows: Optional[list] = None):
         """Resolve a chain: slot ``r + 1`` of ``bodies`` starts when slot
-        ``r`` ends, and the first starts at ``start``.  Returns one
-        ``(lanes,)`` duration vector per body.  The replay calls it on
-        the first body's class; this default resolves row by row, with
-        the replay's own addition for each next start."""
-        rows = []
-        for body in bodies:
-            row = body.resolve(start)
-            rows.append(row)
-            start = start + row
-        return rows
+        ``r`` ends, the first at ``start``.  ``rows`` is each slot's row
+        in its body (``None``: one slot each), ``gates`` ``None`` or the
+        gated rows ``>= 1`` and their gate ends, ``(positions, ends)``.
+        Returns the ``(lanes,)`` durations of the slots before the first
+        whose gate ends later than its start in some lane (on a tie
+        ``max`` keeps the running end), one at least.  The replay calls
+        it on the first body's class; this default, for one-slot bodies,
+        checks each row's gate before it prices the row."""
+        resolved = []
+        for row, body in enumerate(bodies):
+            if gates is not None and (gates[1][gates[0] == row] > start).any():
+                break
+            resolved.append(body.resolve(start))
+            start = start + resolved[-1]
+        return resolved
+
+    @staticmethod
+    def prefix(starts: np.ndarray, gates) -> int:
+        """How many rows of a chain whose rows start at ``starts`` (of any
+        shape) come before the first gate that binds, ``gates`` as above."""
+        if gates is None:
+            return len(starts)
+        positions, ends = gates
+        late = (ends > starts[positions]).reshape(len(positions), -1).any(axis=1)
+        return int(positions[late.argmax()]) if late.any() else len(starts)
 
 
 class Gate:
@@ -403,7 +424,9 @@ class Stream:
         :class:`Chain`.
 
         ``durations`` holds one body per slot, in submission order, of
-        the kinds :meth:`submit` takes; ``gates`` is ``None`` or one
+        the kinds :meth:`submit` takes (rows of a ``(slots, lanes)``
+        array), or one :class:`DeferredRankDurations` for the whole
+        multi-rank pass; ``gates`` is ``None`` or one
         optional gate per slot.  ``label`` is ``(kind, iteration,
         layers)``: slot ``p`` is layer ``layers[p]``'s job, named
         ``"{kind}.{iteration}.{layer}"`` with the category and the
@@ -648,8 +671,8 @@ class Timeline:
     """
 
     __slots__ = ("world", "lanes", "sim", "_inverse", "_ref", "_streams",
-                 "_slot_streams", "_durations", "_collective", "_gates",
-                 "_categories", "_codes", "_handles", "_chains", "_deferred", "_block",
+                 "_slot_streams", "_durations", "_kinds", "_collective", "_gates",
+                 "_categories", "_codes", "_handles", "_chains", "_block",
                  "_starts", "_ends", "final_time", "__weakref__")
 
     def __init__(self, world: int = 1, rank_lanes: Optional[np.ndarray] = None):
@@ -678,10 +701,13 @@ class Timeline:
         self._streams: list[Stream] = []
         self._slot_streams: list[int] = []
         #: per slot: float | DeferredDuration for one-rank and collective
-        #: slots, (lanes,) ndarray | DeferredRankDurations otherwise;
-        #: deferred entries are replaced by their resolved values during
-        #: replay.
+        #: slots, (lanes,) ndarray | DeferredRankDurations otherwise (a
+        #: pass's one body in each of its slots); deferred entries are
+        #: replaced by their resolved values during replay.
         self._durations: list[Any] = []
+        #: per slot: ``_FIXED`` or, deferred, its row in its body; set at
+        #: record time and ``_FIXED`` once resolved.
+        self._kinds: list[int] = []
         #: rendezvous flag per slot (always False on one rank, where a
         #: collective is an ordinary job).
         self._collective: list[bool] = []
@@ -697,7 +723,6 @@ class Timeline:
         self._handles: list[Optional[JobSet]] = []
         #: every chain and run, to build its handles when spans are emitted.
         self._chains: list[Chain] = []
-        self._deferred = False
         #: ``(block_start, period)`` once :meth:`tile` has run.
         self._block: Optional[tuple[int, int]] = None
         #: (slots, lanes) results, set by :func:`replay`.
@@ -772,13 +797,12 @@ class Timeline:
         handle = JobSet(self._ref, index, name, category, metadata or {})
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
+        self._kinds.append(_FIXED if type(durations) in _PLAIN else 0)
         self._collective.append(False)
         self._gates.append(distances)
         self._categories.append(category)
         self._codes.append(category_code(category))
         self._handles.append(handle)
-        if type(durations) is not float and type(durations) is not np.ndarray:
-            self._deferred = True
         return handle
 
     def _record_chain(self, stream: Stream, durations: Sequence[Any],
@@ -792,6 +816,10 @@ class Timeline:
                 f"many durations"
             )
         chain = Chain(self._ref, len(self._slot_streams), category, label, flows)
+        if isinstance(durations, DeferredRankDurations) and self.world > 1:
+            count = len(durations)  # one body for the pass, a row per slot
+            return self._extend(stream, chain, [durations] * count, gates,
+                                False, list(range(count)))
         bodies = (_scalar_bodies(durations, chain) if self.world == 1
                   else self._lane_bodies(durations, chain))
         return self._extend(stream, chain, bodies, gates, False)
@@ -805,20 +833,22 @@ class Timeline:
                             self.world > 1)
 
     def _extend(self, stream: Stream, chain: Chain, bodies: list, gates,
-                collective: bool) -> Chain:
-        """Append ``chain``'s checked ``bodies`` to ``stream``: one list
-        ``extend`` per column."""
+                collective: bool, kinds: Optional[list] = None) -> Chain:
+        """Append ``chain``'s checked ``bodies`` (of ``kinds``, by default
+        one slot each) to ``stream``: one list ``extend`` per column."""
         count = len(bodies)
         self._gates.extend(_gate_distances(chain.start, gates, count))
         stream.jobs_submitted += count
         self._slot_streams.extend([stream.stream_id] * count)
         self._durations.extend(bodies)
+        if kinds is None:
+            kinds = ([_FIXED] * count if set(map(type, bodies)) <= _PLAIN else
+                     [_FIXED if type(body) in _PLAIN else 0 for body in bodies])
+        self._kinds.extend(kinds)
         self._collective.extend([collective] * count)
         self._categories.extend([chain.category] * count)
         self._codes.extend([category_code(chain.category)] * count)
         self._handles.extend([None] * count)
-        if not set(map(type, bodies)) <= _PLAIN:
-            self._deferred = True
         self._chains.append(chain)
         return chain
 
@@ -826,7 +856,7 @@ class Timeline:
         """A multi-rank chain's bodies, checked as :meth:`Stream.submit`
         checks one: ``(lanes,)`` vectors that are ``>= 0`` pass in one
         test for the whole chain, anything else slot by slot."""
-        if set(map(type, durations)) == {np.ndarray}:
+        if type(durations) is np.ndarray or set(map(type, durations)) == {np.ndarray}:
             stacked = np.asarray(durations)
             if (stacked.shape == (len(durations), self.lanes)
                     and stacked.dtype == float and (stacked >= 0).all()):
@@ -858,10 +888,12 @@ class Timeline:
         self._collective.extend(self._collective[block_start:] * copies)
         self._categories.extend(self._categories[block_start:] * copies)
         self._codes.extend(self._codes[block_start:] * copies)
+        kinds = self._kinds[block_start:]
+        self._kinds.extend(kinds * copies)
         block = self._durations[block_start:]
         for _ in range(copies):
-            self._durations.extend(block if not self._deferred else [
-                body if type(body) in _PLAIN else body.renew() for body in block
+            self._durations.extend(block if kinds.count(_FIXED) == period else [
+                body.renew() if kind == 0 else body for body, kind in zip(block, kinds)
             ])
         for stream in self._streams:
             stream.jobs_submitted += streams.count(stream.stream_id) * copies
@@ -1047,6 +1079,7 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
                     f"slot {slot} resolved a duration that is not >= 0: {duration}"
                 )
             durations[slot] = duration
+            timeline._kinds[slot] = _FIXED
             alone += 1
         starts.append(base)
         base += duration
@@ -1059,57 +1092,47 @@ def _replay_floats(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
 def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     """Several lanes: one numpy loop over ``(slots, configs, lanes)``.
 
-    Every operation is the float loop's, applied lane-wise: a gateless
-    run's seeded cumsum along the slot axis is the same left fold per
-    lane, ``np.maximum`` over gate rows is the same pairwise max, a
-    rendezvous is a ``max`` over the lane axis, and breaking a run at
-    *any* config's deferred slot re-seeds the next chain with exact
-    partial sums, which a left fold is insensitive to.  Deferred
-    per-lane slots resolve as chains (:func:`_resolve_chain`): from a
-    slot, gated or not, through the gate-free deferred slots after it.
-    Slot-major layout keeps every per-slot row contiguous.
+    Every operation is the float loop's, applied lane-wise: a seeded
+    cumsum along the slot axis is the same left fold per lane,
+    ``np.maximum`` over gate rows is the same pairwise max, and a
+    rendezvous is a ``max`` over the lane axis.  A *run*, a segment's
+    non-collective slots that every config fixed, or deferred per lane,
+    goes as if no gate bound (deferred slots priced by
+    :meth:`DeferredRankDurations.resolve_chain`, one call per config) up
+    to the first slot whose gate ends later than its start in some config
+    and lane, and restarts there from ``max(running end, gate)``: exact,
+    as ``max`` returns the running end bit for bit where a gate does not
+    bind, and a left fold re-seeded with an exact partial sum is the same
+    fold.  Collectives and one-rank deferred slots go one at a time.
     """
     first = timelines[0]
     n = len(first._slot_streams)
     world = first.world
     lanes = first.lanes
     configs = len(timelines)
-    starts = np.zeros((n, configs, lanes))
-    ends = np.zeros((n, configs, lanes))
+    # Every slot's start and end is written below; one allocation is big
+    # enough at hundreds of lanes for numpy to back it with huge pages.
+    starts, ends = np.empty((2, n, configs, lanes))
     if not n:
         return starts, ends
     slot_streams = first._slot_streams
     collective = first._collective
     gates = first._gates
     duration_lists = [timeline._durations for timeline in timelines]
-    # A slot is plain when every config recorded its duration(s) at
-    # record time: a float where one duration serves all ranks, a
-    # (lanes,) vector otherwise.  It chains when every config deferred
-    # its per-lane durations.
-    deferred = any(timeline._deferred for timeline in timelines)
-    col_plain = [True] * n
-    col_chain = [False] * n
-    if deferred:
-        plain_types = [
-            float if world == 1 or flag else np.ndarray for flag in collective
-        ]
-        fixed = [
-            [type(body) is kind for body, kind in zip(durations, plain_types)]
-            for durations in duration_lists
-        ]
-        col_plain = [all(flags) for flags in zip(*fixed)]
-        if world > 1:
-            col_chain = [
-                not (flag or any(flags))
-                for flag, flags in zip(collective, zip(*fixed))
-            ]
+    kind_lists = [timeline._kinds for timeline in timelines]
+    kinds = kind_lists[0]
+    if configs > 1:  # fixed, or deferred, in every config; else -2: alone
+        low, high = np.min(kind_lists, axis=0), np.max(kind_lists, axis=0)
+        kinds = np.where(low >= 0, 0, np.where(high < 0, _FIXED, -2)).tolist()
     # The common healthy one-rank sweep: one (slots, configs, 1) tensor
     # serves every run slice.
     matrix = (
         np.asarray(duration_lists).T.reshape(n, configs, 1)
-        if world == 1 and not deferred else None
+        if world == 1 and all(t._kinds.count(_FIXED) == n for t in timelines)
+        else None
     )
-    chained = alone = 0
+    # Deferred slots chained and alone, gates bound and free.
+    counts = [0, 0, 0, 0]
     prev = [np.zeros((configs, lanes)) for _ in first._streams]
     i = 0
     while i < n:
@@ -1120,141 +1143,152 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
         base = prev[sid]
         k = i
         while k < j:
-            g = k
-            while (g < j and gates[g] is None and not collective[g]
-                   and col_plain[g]):
-                g += 1
-            if g > k:
-                chain = np.empty((g - k + 1, configs, lanes))
-                chain[0] = base
-                if matrix is not None:
-                    chain[1:] = matrix[k:g]
-                else:
-                    chain[1:] = np.asarray(
-                        [d[k:g] for d in duration_lists]
-                    ).reshape(configs, g - k, lanes).swapaxes(0, 1)
-                seg = np.cumsum(chain, axis=0)
-                starts[k:g] = seg[:-1]
-                ends[k:g] = seg[1:]
-                base = seg[-1]
-                k = g
-            if k < j:
-                arrive = base
-                backs = gates[k]
-                if backs is not None:
-                    for back in backs:
-                        gid = k - back
-                        if gid < i:
-                            arrive = np.maximum(arrive, ends[gid])
-                if world > 1 and not collective[k] and not col_plain[k]:
-                    # Deferred per-lane durations: one chain from here
-                    # through the gate-free deferred slots that follow.
-                    g = k + 1
-                    if col_chain[k]:
-                        while g < j and gates[g] is None and col_chain[g]:
-                            g += 1
-                    if g - k > 1:
-                        chained += g - k
-                    else:
-                        alone += 1
-                    seg = _resolve_chain(duration_lists, k, g, arrive)
-                    starts[k:g] = seg[:-1]
-                    ends[k:g] = seg[1:]
-                    base = seg[-1]
-                    k = g
-                    continue
+            kind = kinds[k]
+            arrive = _arrive(base, gates[k], k, i, ends)
+            if collective[k] or (world == 1 and kind != _FIXED):
                 starts[k] = arrive
-                if not col_plain[k]:
-                    alone += 1
+                fixed = kind == _FIXED
                 # Plain durations broadcast as recorded: the one-rank
-                # sweep's matrix row, or a solo replay's float or
-                # (lanes,) vector.
+                # sweep's matrix row, or a solo replay's float.
                 dur = (
                     matrix[k] if matrix is not None
-                    else duration_lists[0][k] if configs == 1 and col_plain[k]
+                    else duration_lists[0][k] if configs == 1 and fixed
                     else None
                 )
                 if collective[k]:
-                    # Rendezvous per config: start at that config's
-                    # last arrival, end broadcast back after one float
-                    # add per config.
+                    # Rendezvous per config: start at that config's last
+                    # arrival, end broadcast back after one float add.
                     begin = arrive.max(axis=1, keepdims=True)
                     if dur is None:
-                        dur = _column(
-                            duration_lists, k, col_plain[k], begin[:, 0]
-                        )[:, None]
+                        dur = _column(duration_lists, kind_lists, k, fixed,
+                                      begin[:, 0])[:, None]
                     np.add(begin, dur, out=ends[k])
                 else:
-                    if dur is None:
-                        # One rank prices a deferred duration from its
-                        # arrival time.
-                        dur = _column(
-                            duration_lists, k, col_plain[k], arrive[:, 0]
-                        ).reshape(configs, lanes)
+                    # One rank prices a deferred duration from its arrival.
+                    dur = _column(duration_lists, kind_lists, k, fixed,
+                                  arrive[:, 0]).reshape(configs, lanes)
                     np.add(arrive, dur, out=ends[k])
+                counts[1] += not fixed
                 base = ends[k]
                 k += 1
+                continue
+            g = k + 1
+            if kind == _FIXED:
+                while g < j and kinds[g] == _FIXED and not collective[g]:
+                    g += 1
+                plain = (matrix[k:g] if matrix is not None else np.asarray(
+                    [d[k:g] for d in duration_lists]
+                ).reshape(configs, g - k, lanes).swapaxes(0, 1))
+            elif kind >= 0:
+                while g < j and kinds[g] >= 0 and not collective[g]:
+                    g += 1
+            # The run's gates on slots before the segment, one row each.
+            pairs = [(slot, slot - back) for slot in range(k + 1, g)
+                     if gates[slot] is not None for back in gates[slot]
+                     if back > slot - i]
+            gated = len({slot for slot, _ in pairs})
+            if pairs:
+                positions, ids = np.array(pairs).T
+                gate_ends = ends[ids]
+            head = k
+            while k < g:
+                ahead = None
+                stop = g
+                if pairs:
+                    m = int(positions.searchsorted(k, "right"))
+                    if m < len(positions):
+                        # Only rows up to the last gate can restart.
+                        ahead = (positions[m:] - k, gate_ends[m:])
+                        stop = int(positions[-1]) + 1
+                if kind == _FIXED:
+                    block = ends[k:stop]
+                    block[...] = plain[k - head:stop - head]
+                else:
+                    block = _resolve_run(duration_lists, kind_lists, k, stop,
+                                         arrive, ahead, ends)
+                    counts[0 if len(block) > 1 else 1] += len(block)
+                np.add(block[0], arrive, out=block[0])
+                np.cumsum(block, axis=0, out=block)
+                starts[k] = arrive
+                starts[k + 1:k + len(block)] = block[:-1]
+                k += (len(block) if kind != _FIXED
+                      else DeferredRankDurations.prefix(starts[k:stop], ahead))
+                base = ends[k - 1]
+                if k < stop:
+                    counts[2] += 1
+                    gated -= 1
+                if k < g:
+                    arrive = _arrive(base, gates[k], k, i, ends)
+            counts[3] += gated
         prev[sid] = base
         i = j
-    if chained or alone:
-        _count_deferred(chained, alone)
+    _count_deferred(*counts)
     return starts, ends
 
 
-def _resolve_chain(duration_lists, k: int, g: int,
-                   arrive: np.ndarray) -> np.ndarray:
-    """Resolve deferred per-lane slots ``k..g-1`` as one chain per config.
+def _arrive(base: np.ndarray, backs, k: int, first: int,
+            ends: np.ndarray) -> np.ndarray:
+    """Slot ``k``'s arrival: its stream's running end ``base``, raised by
+    its gate's slots before ``first``, its segment's first slot."""
+    if backs is not None:
+        for back in backs:
+            if back > k - first:
+                base = np.maximum(base, ends[k - back])
+    return base
 
-    Slot ``k`` starts at ``arrive[c]`` in config ``c`` and each later
-    slot when the one before it ends.  Each config's bodies resolve
-    through the first body's
-    :meth:`DeferredRankDurations.resolve_chain`, with its own pricer; a
-    slot alone may be plain in some configs, which keep their vectors.
-    Resolved values replace the deferred bodies in the recordings.
-    Returns the chain's ends seeded with ``arrive``: ``(g - k + 1,
-    configs, lanes)``, row ``r`` the start of slot ``k + r``.
-    """
+
+def _resolve_run(duration_lists, kind_lists, k: int, g: int,
+                 arrive: np.ndarray, ahead, ends: np.ndarray) -> np.ndarray:
+    """Price deferred per-lane slots ``k`` to ``g`` up to the first gate
+    that binds in some config (``ahead``: chain rows and ``(gates,
+    configs, lanes)`` ends); returns ``ends[k:]`` holding the accepted
+    rows' durations.  Resolved values replace the deferred bodies, fixed:
+    a config that priced past the accepted rows, or fixed a slot the
+    others deferred, reads them back."""
     resolved = []
-    for c, durations in enumerate(duration_lists):
-        bodies = durations[k:g]
-        head = bodies[0]
-        if type(head) is not np.ndarray:
-            bodies = (
-                [head.resolve(arrive[c])] if g - k == 1
-                else type(head).resolve_chain(bodies, arrive[c])
+    for c, (durations, kinds) in enumerate(zip(duration_lists, kind_lists)):
+        run = kinds[k:g]
+        if run[0] == _FIXED:
+            rows = durations[k:k + next((r for r, kind in enumerate(run) if kind >= 0), len(run))]
+        else:
+            bodies = durations[k:g]
+            rows = type(bodies[0]).resolve_chain(
+                bodies, arrive[c],
+                None if ahead is None else (ahead[0], ahead[1][:, c]), run,
             )
-            durations[k:g] = bodies
-        resolved.append(bodies)
-    seg = np.empty((g - k + 1,) + arrive.shape)
-    seg[0] = arrive
-    for c, bodies in enumerate(resolved):
-        seg[1:, c] = bodies
-    valid = seg[1:] >= 0
-    if not valid.all():
-        bad = np.flatnonzero(~valid.reshape(g - k, -1).all(axis=1))[0]
-        raise ValueError(
-            f"slot {k + bad} resolved a duration that is not >= 0"
-        )
-    return np.cumsum(seg, axis=0, out=seg)
+            durations[k:k + len(rows)] = list(rows)
+            kinds[k:k + len(rows)] = [_FIXED] * len(rows)
+        resolved.append(rows)
+    block = ends[k:k + min(map(len, resolved))]
+    for c, rows in enumerate(resolved):
+        block[:, c] = rows[:len(block)]
+    if not block.min() >= 0:  # NaN fails too
+        bad = np.flatnonzero(~(block >= 0).reshape(len(block), -1).all(axis=1))
+        raise ValueError(f"slot {k + bad[0]} resolved a duration that is not >= 0")
+    return block
 
 
-def _count_deferred(chained: int, alone: int) -> None:
-    """Count one replay's deferred slots by how they were resolved."""
-    counter = default_registry().counter(
-        "sim.replay.deferred_slots",
-        "deferred slots the replay resolved, in chains or one at a time",
-    )
-    if chained:
-        counter.inc(chained, how="chain")
-    if alone:
-        counter.inc(alone, how="slot")
+def _count_deferred(chained: int, alone: int, bound: int = 0,
+                    free: int = 0) -> None:
+    """Count one replay's deferred slots by how they were resolved, and
+    the gates inside its runs by whether they bound."""
+    registry = default_registry()
+    for name, about, label, values in (
+        ("sim.replay.deferred_slots", "deferred slots the replay resolved, "
+         "in chains or one at a time", "how", {"chain": chained, "slot": alone}),
+        ("sim.replay.gates", "gated slots inside replay runs, by whether "
+         "the gate bound", "outcome", {"bound": bound, "free": free}),
+    ):
+        for value, count in values.items():
+            if count:
+                registry.counter(name, about).inc(count, **{label: value})
 
 
-def _column(duration_lists, k: int, plain: bool, begins):
+def _column(duration_lists, kind_lists, k: int, plain: bool, begins):
     """Slot ``k``'s durations across configs, resolving deferred ones.
 
     A deferred body here is one :class:`DeferredDuration` (per-lane
-    ones resolve as chains), priced from ``begins[c]``: config ``c``'s
+    ones resolve in runs), priced from ``begins[c]``: config ``c``'s
     rendezvous start, or its one-rank arrival time.  Resolved values
     replace the deferred bodies in the recordings.
     """
@@ -1263,7 +1297,7 @@ def _column(duration_lists, k: int, plain: bool, begins):
     # Price from Python floats, exactly as the float loop does.
     begins = begins.tolist()
     column = []
-    for c, durations in enumerate(duration_lists):
+    for c, (durations, kinds) in enumerate(zip(duration_lists, kind_lists)):
         body = durations[k]
         if isinstance(body, DeferredDuration):
             body = body.resolve(begins[c])
@@ -1274,5 +1308,6 @@ def _column(duration_lists, k: int, plain: bool, begins):
                     f"slot {k} resolved a duration that is not >= 0"
                 )
             durations[k] = body
+            kinds[k] = _FIXED
         column.append(body)
     return np.asarray(column)

@@ -32,7 +32,7 @@ def replay_floats(timeline) -> tuple[np.ndarray, np.ndarray]:
     stream_ids = timeline._slot_streams
     gates = timeline._gates
     durations_py = timeline._durations
-    deferred = timeline._deferred
+    deferred = timeline._kinds.count(-1) != len(timeline._kinds)
     # With deferred durations in the list, vector slices come straight
     # from the (mixed) Python list run by run instead of one prebuilt
     # array.
