@@ -94,6 +94,19 @@ class StragglerRows(NamedTuple):
     slowed: np.ndarray
     inverse: Optional[np.ndarray]
 
+    @classmethod
+    def of(cls, starts, bases, factors, inverse) -> Optional["StragglerRows"]:
+        """A priced chain's slowed rows (``None``: none); unslowed extras are +0.0, inf too."""
+        hit = factors != 1.0
+        rows = np.flatnonzero(hit.any(axis=1))
+        if not len(rows):
+            return None
+        if len(rows) < len(hit):
+            starts, bases, factors, hit = starts[rows], bases[rows], factors[rows], hit[rows]
+        extras = np.zeros(hit.shape)
+        np.subtract(bases * factors, bases, out=extras, where=hit)
+        return cls(starts.copy(), factors.copy(), extras, hit, inverse)
+
     def _hit(self) -> np.ndarray:
         """The slowed (slot, rank) pairs: rank-wide flags."""
         return self.slowed if self.inverse is None else self.slowed[:, self.inverse]
@@ -113,9 +126,8 @@ class StragglerRows(NamedTuple):
         """``total`` plus every extra in marker order: a strict left fold,
         as seeded ``np.cumsum`` runs over a few rows at a time, which
         bounds the rank-order copies.  They add unslowed ranks too: their
-        extra, ``base * 1.0 - base``, is exactly ``+0.0``, which changes
-        no total but ``-0.0``, and a ledger that starts at ``0.0`` never
-        holds one."""
+        extra is ``+0.0`` (:meth:`of`), which changes no total but
+        ``-0.0``, and a ledger that starts at ``0.0`` never holds one."""
         extras = self.extras
         ranks = extras.shape[1] if self.inverse is None else len(self.inverse)
         step = max(1, _FOLD_ENTRIES // ranks)
@@ -263,28 +275,18 @@ class TimingFaultInjector:
             return bases
         starts, factors = self._chain_factors(bases, start, stragglers)
         count = DeferredRankDurations.prefix(starts, gates)
-        bases = bases[:count]
-        factors = factors[:count]
-        durations = bases * factors
-        slowed_lanes = factors != 1.0
-        if slowed_lanes.any():
-            slowed = np.flatnonzero(slowed_lanes.any(axis=1))
-            block = StragglerRows(
-                starts[slowed], factors[slowed],
-                durations[slowed] - bases[slowed], slowed_lanes[slowed],
-                inverse,
-            )
+        bases, factors = bases[:count], factors[:count]
+        block = StragglerRows.of(starts[:count], bases, factors, inverse)
+        if block is not None:
             self._straggler_extras.append(block)
             self._fold()
             self.events.append(block)
-        return durations
+        return bases * factors
 
     def _chain_factors(self, bases: np.ndarray, start: np.ndarray,
                        stragglers: list) -> tuple[np.ndarray, np.ndarray]:
         """The fixed point of :meth:`compute_chain`: every row's starts
-        and combined factors, ``(rows, lanes)`` each.  A round recomputes
-        only the rows from the first whose factor it changes: the starts
-        up to that row, and so their factors, stay as they were."""
+        and combined factors, ``(rows, lanes)`` each."""
         rows, lanes = bases.shape
         scratch = self._scratch
         if scratch is None or not (scratch[0].shape[1] >= rows
@@ -296,21 +298,18 @@ class TimingFaultInjector:
         inside, below = scratch[1][:, :rows]
         starts[0] = start
         assumed.fill(1.0)
-        first = 0
         for _ in range(rows):
-            np.multiply(bases[first:-1], assumed[first:-1], out=starts[first + 1:])
-            np.cumsum(starts[first:], axis=0, out=starts[first:])
-            factors[first:] = 1.0
+            np.multiply(bases[:-1], assumed[:-1], out=starts[1:])
+            starts.cumsum(axis=0, out=starts)
+            factors.fill(1.0)
             for straggler in stragglers:
-                np.greater_equal(starts[first:], straggler.start, out=inside[first:])
-                np.less(starts[first:], straggler.end, out=below[first:])
-                inside[first:] &= below[first:]
-                np.multiply(factors[first:], straggler.compute_factor,
-                            out=factors[first:], where=inside[first:])
-            changed = (factors[first:-1] != assumed[first:-1]).any(axis=1)
-            if not changed.any():
+                np.greater_equal(starts, straggler.start, out=inside)
+                np.less(starts, straggler.end, out=below)
+                inside &= below
+                np.multiply(factors, straggler.compute_factor, out=factors,
+                            where=inside)
+            if rows == 1 or (factors[:-1] == assumed[:-1]).all():
                 return starts, factors
-            first += int(changed.argmax())
             assumed, factors = factors, assumed
         raise RuntimeError(  # pragma: no cover - each round fixes a row
             "straggler pricing did not reach its fixed point"

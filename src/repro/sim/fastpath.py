@@ -129,6 +129,7 @@ kernel, which a run takes with ``fastpath=False``
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -1103,7 +1104,8 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     and lane, and restarts there from ``max(running end, gate)``: exact,
     as ``max`` returns the running end bit for bit where a gate does not
     bind, and a left fold re-seeded with an exact partial sum is the same
-    fold.  Collectives and one-rank deferred slots go one at a time.
+    fold.  A restart looks only as far ahead as ``window`` allows.
+    Collectives and one-rank gated or deferred slots go one at a time.
     """
     first = timelines[0]
     n = len(first._slot_streams)
@@ -1121,16 +1123,14 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
     duration_lists = [timeline._durations for timeline in timelines]
     kind_lists = [timeline._kinds for timeline in timelines]
     kinds = kind_lists[0]
-    if configs > 1:  # fixed, or deferred, in every config; else -2: alone
+    all_fixed = all(t._kinds.count(_FIXED) == n for t in timelines)
+    if configs > 1 and not all_fixed:  # fixed, or deferred, in every config; else -2
         low, high = np.min(kind_lists, axis=0), np.max(kind_lists, axis=0)
         kinds = np.where(low >= 0, 0, np.where(high < 0, _FIXED, -2)).tolist()
     # The common healthy one-rank sweep: one (slots, configs, 1) tensor
     # serves every run slice.
-    matrix = (
-        np.asarray(duration_lists).T.reshape(n, configs, 1)
-        if world == 1 and all(t._kinds.count(_FIXED) == n for t in timelines)
-        else None
-    )
+    matrix = (np.asarray(duration_lists).T.reshape(n, configs, 1)
+              if world == 1 and all_fixed else None)
     # Deferred slots chained and alone, gates bound and free.
     counts = [0, 0, 0, 0]
     prev = [np.zeros((configs, lanes)) for _ in first._streams]
@@ -1144,8 +1144,13 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
         k = i
         while k < j:
             kind = kinds[k]
-            arrive = _arrive(base, gates[k], k, i, ends)
-            if collective[k] or (world == 1 and kind != _FIXED):
+            arrive = base  # raised by gates on slots before the segment
+            backs = gates[k]
+            for back in backs or ():
+                if back > k - i:
+                    arrive = np.maximum(arrive, ends[k - back])
+            # One rank takes its gated slots one at a time: most bind there.
+            if collective[k] or (world == 1 and (kind != _FIXED or backs is not None)):
                 starts[k] = arrive
                 fixed = kind == _FIXED
                 # Plain durations broadcast as recorded: the one-rank
@@ -1165,8 +1170,9 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                     np.add(begin, dur, out=ends[k])
                 else:
                     # One rank prices a deferred duration from its arrival.
-                    dur = _column(duration_lists, kind_lists, k, fixed,
-                                  arrive[:, 0]).reshape(configs, lanes)
+                    if dur is None:
+                        dur = _column(duration_lists, kind_lists, k, fixed,
+                                      arrive[:, 0]).reshape(configs, lanes)
                     np.add(arrive, dur, out=ends[k])
                 counts[1] += not fixed
                 base = ends[k]
@@ -1174,7 +1180,8 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
                 continue
             g = k + 1
             if kind == _FIXED:
-                while g < j and kinds[g] == _FIXED and not collective[g]:
+                while (g < j and kinds[g] == _FIXED and not collective[g]
+                       and (world > 1 or gates[g] is None)):
                     g += 1
                 plain = (matrix[k:g] if matrix is not None else np.asarray(
                     [d[k:g] for d in duration_lists]
@@ -1185,56 +1192,51 @@ def _replay_lanes(timelines: list[Timeline]) -> tuple[np.ndarray, np.ndarray]:
             # The run's gates on slots before the segment, one row each.
             pairs = [(slot, slot - back) for slot in range(k + 1, g)
                      if gates[slot] is not None for back in gates[slot]
-                     if back > slot - i]
-            gated = len({slot for slot, _ in pairs})
-            if pairs:
-                positions, ids = np.array(pairs).T
-                gate_ends = ends[ids]
+                     if back > slot - i] if world > 1 else []
+            pos = [slot for slot, _ in pairs]
+            gated = len(set(pos))
+            positions, ids = np.array(pairs, dtype=int).reshape(-1, 2).T
+            gate_ends = ends[ids]
+            # Gates a step may pass: all, then what the last passed before a bind (x2 if none).
+            window = len(pos)
             head = k
             while k < g:
-                ahead = None
-                stop = g
-                if pairs:
-                    m = int(positions.searchsorted(k, "right"))
-                    if m < len(positions):
-                        # Only rows up to the last gate can restart.
-                        ahead = (positions[m:] - k, gate_ends[m:])
-                        stop = int(positions[-1]) + 1
-                if kind == _FIXED:
-                    block = ends[k:stop]
-                    block[...] = plain[k - head:stop - head]
-                else:
-                    block = _resolve_run(duration_lists, kind_lists, k, stop,
-                                         arrive, ahead, ends)
-                    counts[0 if len(block) > 1 else 1] += len(block)
-                np.add(block[0], arrive, out=block[0])
-                np.cumsum(block, axis=0, out=block)
+                m = bisect_right(pos, k)
+                stop = pos[m + window] if m + window < len(pos) else g
+                e = bisect_left(pos, stop)
+                ahead = (positions[m:e] - k, gate_ends[m:e]) if e > m else None
                 starts[k] = arrive
-                starts[k + 1:k + len(block)] = block[:-1]
-                k += (len(block) if kind != _FIXED
-                      else DeferredRankDurations.prefix(starts[k:stop], ahead))
+                if kind == _FIXED and stop == k + 1:  # one slot: one add
+                    np.add(arrive, plain[k - head], out=ends[k])
+                    k += 1
+                else:
+                    if kind == _FIXED:
+                        block = ends[k:stop]
+                        block[...] = plain[k - head:stop - head]
+                    else:
+                        block = _resolve_run(duration_lists, kind_lists, k, stop,
+                                             arrive, ahead, ends)
+                        counts[0 if len(block) > 1 else 1] += len(block)
+                    np.add(block[0], arrive, out=block[0])
+                    block.cumsum(axis=0, out=block)
+                    starts[k + 1:k + len(block)] = block[:-1]
+                    k += (len(block) if kind != _FIXED
+                          else DeferredRankDurations.prefix(starts[k:stop], ahead))
                 base = ends[k - 1]
-                if k < stop:
-                    counts[2] += 1
-                    gated -= 1
                 if k < g:
-                    arrive = _arrive(base, gates[k], k, i, ends)
+                    arrive = base
+                    for back in gates[k] or ():
+                        if back > k - i:
+                            arrive = np.maximum(arrive, ends[k - back])
+                    bound = k < stop or bool((arrive > base).any())  # in the step or at its end
+                    counts[2] += bound
+                    gated -= bound
+                    window = bisect_left(pos, k) - m if bound else 2 * window + 1
             counts[3] += gated
         prev[sid] = base
         i = j
     _count_deferred(*counts)
     return starts, ends
-
-
-def _arrive(base: np.ndarray, backs, k: int, first: int,
-            ends: np.ndarray) -> np.ndarray:
-    """Slot ``k``'s arrival: its stream's running end ``base``, raised by
-    its gate's slots before ``first``, its segment's first slot."""
-    if backs is not None:
-        for back in backs:
-            if back > k - first:
-                base = np.maximum(base, ends[k - back])
-    return base
 
 
 def _resolve_run(duration_lists, kind_lists, k: int, g: int,
@@ -1268,8 +1270,7 @@ def _resolve_run(duration_lists, kind_lists, k: int, g: int,
     return block
 
 
-def _count_deferred(chained: int, alone: int, bound: int = 0,
-                    free: int = 0) -> None:
+def _count_deferred(chained: int, alone: int, bound: int = 0, free: int = 0) -> None:
     """Count one replay's deferred slots by how they were resolved, and
     the gates inside its runs by whether they bound."""
     registry = default_registry()

@@ -1,12 +1,13 @@
 """``StragglerRows.fold`` adds every rank of a row, slowed or not.
 
-An unslowed lane's extra in a slowed row is ``base * 1.0 - base``,
-exactly ``+0.0``, and adding ``+0.0`` leaves any total but ``-0.0`` as
-it was, so the fold needs no mask.  A hypothesis property checks it bit
-for bit against the masked rank-order fold it replaced and against the
-scalar loop that defines the ledger: rows where only some lanes are
-slowed, zero bases, factors below 1, one lane per rank or gathered
-lanes, and blocks that cross the fold's chunk boundaries.
+An unslowed lane's extra in a slowed row is ``+0.0`` (also where its
+base is ``inf``, which ``base * 1.0 - base`` would make NaN), and adding
+``+0.0`` leaves any total but ``-0.0`` as it was, so the fold needs no
+mask.  A hypothesis property checks it bit for bit against the masked
+rank-order fold it replaced and against the scalar loop that defines the
+ledger: rows where only some lanes are slowed, zero and ``inf`` bases,
+factors below 1, one lane per rank or gathered lanes, and blocks that
+cross the fold's chunk boundaries.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.faults import timing
 from repro.faults.timing import StragglerRows
 
+#: ``inf``: a profile that overflowed (a compute scale near 1e308).
 _BASES = st.one_of(
-    st.sampled_from((0.0, 0.125, 0.5, 1.0)),
+    st.sampled_from((0.0, 0.125, 0.5, 1.0, math.inf)),
     st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
 )
 #: 1.0 leaves a lane unslowed; the plan accepts any positive factor.
@@ -53,9 +55,7 @@ def _blocks(draw):
                 max_size=world - lanes,
             ))
         )))
-    durations = bases * factors
-    block = StragglerRows(np.zeros_like(bases), factors, durations - bases,
-                          factors != 1.0, inverse)
+    block = StragglerRows.of(np.zeros_like(bases), bases, factors, inverse)
     return block, draw(_TOTALS), draw(st.sampled_from((1, 2, 3, 7, 1 << 16)))
 
 
@@ -89,6 +89,11 @@ def _scalar(block: StragglerRows, total: float) -> float:
                   np.array([[True, False], [True, True]]),
                   np.array([1, 0, 0, 1, 0])),
     0.0, 3,
+))
+@example(case=(
+    StragglerRows.of(np.zeros((1, 2)), np.array([[math.inf, 1.0]]),
+                     np.array([[1.0, 2.0]]), None),
+    0.0, 1 << 16,
 ))
 def test_maskless_fold_equals_the_masked_fold(case):
     block, total, entries = case

@@ -7,14 +7,18 @@ at the first that does; a faulted pass is one priced body.  The oracle
 and every body one slot at a time.  A hypothesis property draws
 multi-rank timelines — binding, free and exactly tied gates, gates on
 several slots, rendezvous collectives, one to three configs, straggler
-windows that open mid-pass, zero bases, generic one-slot pricers —
+windows that open mid-pass, zero bases, lanes at compute scale 1e308
+(huge and ``inf`` bases), generic one-slot pricers —
 records each twice, and compares the two replays bit for bit: starts,
 ends, resolved durations, every injector's straggler total, markers and
-summary, and the starts each generic pricer saw.  Every replay passes
+summary, and the starts each generic pricer saw; each straggler total
+must also be the left fold of its markers' extras.  Every replay passes
 :func:`tests.sim.invariants.verify_timeline`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ _EXACT = st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0))
 _ANY = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 #: Includes a factor below 1 and pairs whose product is 1.
 _FACTORS = st.sampled_from((0.5, 0.75, 1.5, 2.0))
+#: inf stands for a profile that overflowed at a scale near 1e308.
+_LANE_SCALES = (1.0, 1.0, 1.0, 1e308, math.inf)
 _COST = CollectiveTimeModel(cluster_10gbe(nodes=2, gpus_per_node=2))
 
 
@@ -109,12 +115,18 @@ def _cases(draw):
     configs = []
     for _ in range(draw(st.integers(1, 3))):
         durations = []
+        # A lane at compute scale 1e308: huge bases, sums that overflow.
+        scales = np.array(draw(st.lists(st.sampled_from(_LANE_SCALES),
+                                        min_size=lanes, max_size=lanes)))
         for compute, _, count, _ in steps:
             if compute:
-                durations.append(np.array(draw(st.lists(
+                bases = np.array(draw(st.lists(
                     st.lists(value, min_size=lanes, max_size=lanes),
                     min_size=count, max_size=count,
-                ))))
+                )))
+                # inf where the lane's profile overflowed; 0 stays 0.
+                durations.append(np.multiply(bases, scales, out=bases,
+                                             where=bases > 0))
             else:
                 durations.append([
                     None if draw(st.booleans()) else draw(value) * scale
@@ -190,11 +202,17 @@ def _priced(pricer):
     markers, or the starts a logged pricer saw (``None``: healthy)."""
     if pricer is None or type(pricer) is list:
         return pricer
+    # The ledger is the left fold of the markers' extras, in their order.
+    total = 0.0
+    for _, name, args in pricer.event_rows():
+        if name == "fault.straggler":
+            total += args["extra"]
+    assert total.hex() == pricer.straggler_seconds.hex()
     return [
         pricer.straggler_seconds.hex(),
         pricer.degraded_link_seconds.hex(),
         _bits(list(pricer.event_rows())),
-        pricer.summary(),
+        _bits(pricer.summary()),
     ]
 
 
@@ -217,9 +235,23 @@ _SEGMENT = (3, np.array([0, 1, 1]), [
                link_faults=(LinkFault(0.0, 1.0, beta_factor=2.0),)))])
 
 
+def _split(plan, gates=(None, (0,), None, (0,), (0, 1), None)):
+    """Three collectives ending at 0.5, 1.0 and 1.5, then a pass of six
+    0.25 s slots from 0.0 gated on them: the second slot's gate binds and
+    the fifth waits for two collectives.  After the bind the replay
+    looks ahead by fewer gates."""
+    return (2, np.array([0, 1]), [
+        (False, 1, 3, [None] * 3), (True, 0, 6, list(gates)),
+    ], [([[0.5] * 3, np.full((6, 2), 0.25)], plan)])
+
+
 @settings(deadline=None, max_examples=200)
 @given(case=_cases())
 @example(case=_SEGMENT)
+@example(case=_split(None))
+@example(case=_split(FaultPlan(stragglers=(
+    StragglerFault(1.25, 2.0, compute_factor=2.0),
+))))
 def test_lane_loop_equals_the_slot_by_slot_loop(case):
     configs = range(len(case[3]))
     new = [_record(case, config, blocks=True) for config in configs]
@@ -258,3 +290,17 @@ def test_a_tied_gate_is_free_and_a_later_one_binds(gate_end, bound, registry):
     gates = registry.counter("sim.replay.gates")
     assert gates.value(outcome="bound") == bound
     assert gates.value(outcome="free") == 1 - bound
+
+
+@pytest.mark.parametrize("plan", (None, FaultPlan(
+    stragglers=(StragglerFault(1.25, 2.0, compute_factor=2.0),),
+)), ids=("healthy", "faulted"))
+def test_a_gate_that_binds_where_a_step_ends_is_counted(plan, registry):
+    # The fourth slot's gate (1.5 against 1.0) binds where the step after
+    # the first bind ends, not inside a step.
+    case = _split(plan, gates=(None, (0,), None, (2,), (0, 1), None))
+    timeline, _ = _record(case, 0, blocks=True)
+    replay([timeline])
+    assert timeline._starts[3:7, 0].tolist() == [0.0, 0.5, 0.75, 1.5]
+    gates = registry.counter("sim.replay.gates")
+    assert (gates.value(outcome="bound"), gates.value(outcome="free")) == (2, 1)
