@@ -215,7 +215,7 @@ def buffer_cuts(model: ModelSpec, buffer_bytes: float) -> tuple[int, ...]:
     backpropagation-order tensor positions: the longest run of at least
     one tensor that fits ``buffer_bytes``, or (integer bytes) its floor.
     """
-    if buffer_bytes <= 0:
+    if not buffer_bytes > 0:  # NaN fails too
         raise ValueError(f"buffer size must be positive, got {buffer_bytes}")
     _, prefix, _ = _backward_table(model)
     fits = math.floor(buffer_bytes) if buffer_bytes < prefix[-1] else prefix[-1]

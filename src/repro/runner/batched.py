@@ -19,8 +19,9 @@ in its options; batching *is* the fast path, applied across configs).
 A plain check routes them — :func:`run_batched` returns ``None`` for
 them — to the executor's pool/serial path, which computes them the
 classic way; ``runner.batched.specs{outcome}`` counts every outcome.  A
-bytescheduler recording arrives already replayed once, to confirm its
-order, and replays again with its group.
+bytescheduler recording arrives already replayed, to confirm its order
+(:attr:`~repro.sim.fastpath.Timeline.replayed`): its group replays
+without it.
 Multi-rank specs are set up, and collapsed when their ranks are
 identical, exactly as :func:`~repro.schedulers.multirank.simulate_heterogeneous`
 does.
@@ -155,11 +156,14 @@ def run_batched(
     for group in groups.values():
         for chunk in _chunks(group):
             replay_started = time.perf_counter()
-            timelines = [item.ctx._timeline for item in chunk]
-            tracers = [item.ctx.tracer for item in chunk]
-            if timelines[0].world == 1:
+            # An untraced recording already replayed needs no second replay.
+            pending = [item.ctx for item in chunk
+                       if item.ctx.tracer is not None or not item.ctx._timeline.replayed]
+            timelines = [ctx._timeline for ctx in pending]
+            tracers = [ctx.tracer for ctx in pending]
+            if timelines and timelines[0].world == 1:
                 replay_fast_batch(timelines, tracers)
-            else:
+            elif timelines:
                 replay_multirank_batch(timelines, tracers)
             share = (time.perf_counter() - replay_started) / len(chunk)
             group_size.observe(len(chunk))

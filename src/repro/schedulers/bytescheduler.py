@@ -38,29 +38,41 @@ reproduces the engine's choices from exactly those, ties included: the
 kernel keys its heap on ``(time, sequence)``, so at one instant it
 handles readiness and freed channels in the order their jobs started.
 :class:`_DispatchPlan` guesses the order from iteration-relative BP
-times, records each channel's partitions in it as a plain stream gated
-on their BP jobs — the replay's ``start = max(prev_end, ready)`` is then
-the engine's float arithmetic — and after the replay re-derives the
-order from the replayed times, each all-reduce priced at the start the
-derived order gives it
-(:meth:`~repro.schedulers.engine.FastIterationContext.record_verified`).
-Each rejected round settles at least one more iteration, so
-``iterations + 1`` rounds suffice; an order still moving after them is
-an internal error.  :meth:`schedule` drives the credit engine itself on
-the event kernel when the run passes ``fastpath=False``: the oracle the
-replay is tested against.
+times, records each channel's partitions in it as runs of collectives
+gated on their BP jobs — the replay's ``start = max(prev_end, ready)``
+is then the engine's float arithmetic — and after the replay confirms
+the order from the replayed times
+(:meth:`~repro.schedulers.engine.FastIterationContext.record_verified`):
+:func:`_confirm` checks, as arrays, that the replayed claims are the
+greedy list schedule the engine makes, and an iteration it cannot
+decide (an exact tie, a zero-duration claim) is re-derived with
+:func:`_dispatch`, each all-reduce priced at the start the derived
+order gives it.  Each rejected round settles at least one more
+iteration, so ``iterations + 1`` rounds suffice; an order still moving
+after them is an internal error.  :meth:`schedule` drives the credit
+engine itself on the event kernel when the run passes
+``fastpath=False``: the oracle the replay is tested against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
 
+import numpy as np
+
 from repro.schedulers.base import Scheduler, register_scheduler
-from repro.schedulers.engine import FastIterationContext, IterationContext
+from repro.schedulers.engine import (
+    FastIterationContext,
+    IterationContext,
+    collective_times,
+)
 from repro.sim.engine import Event
+from repro.sim.fastpath import Gate, GateColumn
+from repro.telemetry.registry import default_registry
 from repro.workloads.executor import execute_bytescheduler
 
 __all__ = ["ByteSchedulerScheduler", "BYTESCHEDULER_DEFAULT_PARTITION_BYTES"]
@@ -105,10 +117,10 @@ class ByteSchedulerScheduler(Scheduler):
         negotiate: bool = True,
         credit: int = 1,
     ):
-        if partition_bytes <= 0:
+        if not partition_bytes > 0:  # NaN fails too
             raise ValueError(f"partition_bytes must be positive, got {partition_bytes}")
-        if credit < 1:
-            raise ValueError(f"credit must be >= 1, got {credit}")
+        if not isinstance(credit, numbers.Integral) or credit < 1:
+            raise ValueError(f"credit must be an integer >= 1, got {credit}")
         self.partition_bytes = partition_bytes
         self.negotiate = negotiate
         self.credit = credit
@@ -356,6 +368,174 @@ def _dispatch(
                 claims.append((k, entry))
 
 
+def _confirm(starts: np.ndarray, ends: np.ndarray, ready: np.ndarray,
+             layout: "_Layout", idle: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """One iteration's replayed claims checked, as arrays, to be the
+    credit engine's: the channels in the order they went idle once every
+    claim has ended, or ``None`` where the arrays do not decide.
+
+    ``starts``, ``ends`` and ``ready`` hold, in claim order, each claim's
+    replayed start and end and its partition's ready time; ``layout`` is
+    the claims' :class:`_Layout`, and ``idle`` every channel, in the
+    order it went idle.  A ready time equal to a claim's end (the tie
+    :func:`_dispatch` orders by the jobs' starts) and a claim that ends
+    as it starts are not decided here, nor is a claim order that fails
+    a condition below: :func:`_dispatch` settles those.  Without them,
+    every instant is a readiness or channels freeing, never both, and
+    the claims are the greedy list schedule the engine makes when:
+
+    - each claim starts at ``max(its channel's free time, ready)``, a
+      channel free from ``-inf`` until its first claim, and claims are
+      made in time order;
+    - each claim takes the best partition ready and not yet claimed;
+    - no channel is idle while a ready partition waits: no partition's
+      wait (ready to claimed) meets a channel's idle spell (free to
+      claim, or to the end);
+    - channels freeing at one instant take turns in the order their
+      claims were made (the kernel's heap: end, start, claim), and a
+      turn that idles comes after every turn that claims;
+    - a readiness wakes idle channels in the order they went idle
+      (carried-over channels first, in ``idle`` order): ordered so,
+      idle spells end in claim order.
+    """
+    count = len(starts)
+    if not count:
+        return tuple(idle)
+    if not (ends > starts).all():
+        return None
+    # The end of the claim before on the same channel; -inf for a first.
+    free = np.full(count, -math.inf)
+    free[layout.follows] = ends[layout.before]
+    if not (starts == np.maximum(free, ready)).all():
+        return None
+    by_ready = np.sort(ready)
+    if (by_ready[np.minimum(np.searchsorted(by_ready, ends), count - 1)] == ends).any():
+        return None
+    multi = layout.credit > 1
+    if multi and (starts[1:] < starts[:-1]).any():
+        return None
+    # The best partition: every claim since a partition was ready ranks better.
+    since = np.searchsorted(starts, ready)
+    span = layout.positions - since
+    waited = span > 0
+    if waited.any():
+        level = np.frexp(span[waited])[1] - 1
+        table = layout.table
+        best = np.maximum(table[level, since[waited]],
+                          table[level, layout.positions[waited] - (1 << level)])
+        if (best > layout.ranks[waited]).any():
+            return None
+    # Idle spells: before each claim that found its channel free, and
+    # after each channel's last claim (from -inf for an unused channel).
+    # Waits: ready to claimed, for each claim that found it busy.
+    woken = starts > free
+    busy = ~woken
+    finals = len(layout.last) + len(layout.unused)
+    spell_from = np.concatenate((free[woken], ends[layout.last],
+                                 np.full(len(layout.unused), -math.inf)))
+    spell_to = np.concatenate((starts[woken], np.full(finals, math.inf)))
+    if busy.any():
+        by_wait = np.argsort(ready[busy], kind="stable")
+        latest = np.maximum.accumulate(starts[busy][by_wait])
+        met = np.searchsorted(ready[busy][by_wait], spell_to)
+        if (latest[met[met > 0] - 1] > spell_from[met > 0]).any():
+            return None
+    if not multi:
+        return tuple(idle)
+    # A turn's place at its instant: the claim that freed its channel.
+    # Carried-over channels went idle first, in ``idle`` order.
+    carried = np.empty(layout.credit, dtype=np.intp)
+    carried[list(idle)] = np.arange(layout.credit)
+    channel = np.concatenate((layout.channels[woken], layout.channels[layout.last],
+                              layout.unused))
+    turn = np.concatenate((layout.previous[woken], layout.last,
+                           np.full(len(layout.unused), -1)))
+    first = np.isneginf(spell_from)
+    turn[first] = carried[channel[first]]
+    taken = layout.previous[busy]
+    at = starts[busy]
+    if (taken[1:] < taken[:-1])[at[1:] == at[:-1]].any():
+        return None
+    times = np.concatenate((at, spell_from[~first]))
+    turns = np.concatenate((taken, turn[~first]))
+    idles = np.concatenate((np.zeros(len(at), bool), np.ones(len(turns) - len(at), bool)))
+    tied = np.lexsort((turns, times))
+    times, idles = times[tied], idles[tied]
+    if (idles[:-1] & ~idles[1:] & (times[1:] == times[:-1])).any():
+        return None
+    fifo = np.lexsort((turn, spell_from))
+    spell_to = spell_to[fifo]
+    claim = np.concatenate((layout.positions[woken], np.full(finals, count)))[fifo]
+    later = spell_to[1:] > spell_to[:-1]
+    same = (spell_to[1:] == spell_to[:-1]) & (
+        (claim[1:] > claim[:-1]) | np.isinf(spell_to[1:]))
+    if not (later | same).all():
+        return None
+    return tuple(channel[fifo][np.isinf(spell_to)].tolist())
+
+
+class _Layout:
+    """One iteration's claims as arrays (:func:`_confirm`) and as runs
+    of consecutive claims on one channel (:meth:`_DispatchPlan.__call__`).
+
+    ``runs`` holds each run's channel, and per claim its partition's
+    ``(layer, bytes, label)``, healthy duration and BP pass position;
+    ``cover`` each layer's claim positions, ``()`` for none.
+    """
+
+    def __init__(self, plan: "_DispatchPlan", claims: list[tuple[int, int]]):
+        count = len(claims)
+        self.credit = plan.credit
+        pairs = np.array(claims, dtype=np.intp).reshape(count, 2)
+        partitions, self.channels = pairs[:, 0], pairs[:, 1]
+        self.positions = np.arange(count)
+        #: each claim's partition's BP slot, as an offset in the block.
+        self.bp_slots = plan.bp_slots[partitions]
+        #: each claim's partition's rank in the engine's heap order.
+        self.ranks = plan.ranks[partitions]
+        ks = partitions.tolist()
+        cuts = [0] + (np.flatnonzero(np.diff(self.channels)) + 1).tolist() + [count]
+        self.runs = [
+            (claims[lo][1], [plan.parts[k] for k in ks[lo:hi]],
+             [plan.healthy[k] for k in ks[lo:hi]],
+             [plan.layers - 1 - plan.parts[k][0] for k in ks[lo:hi]])
+            for lo, hi in zip(cuts, cuts[1:]) if hi > lo
+        ]
+        cover: list[list[int]] = [[] for _ in range(plan.layers)]
+        for position, k in enumerate(ks):
+            cover[plan.parts[k][0]].append(position)
+        self.cover = [tuple(positions) for positions in cover]
+        # Per channel, in claim order: which claim follows which.
+        by_channel = np.argsort(self.channels, kind="stable")
+        grouped = self.channels[by_channel]
+        same = grouped[1:] == grouped[:-1]
+        self.follows = by_channel[1:][same]
+        self.before = by_channel[:-1][same]
+        #: the claim before on the same channel, ``-1`` for a first.
+        self.previous = np.full(count, -1, dtype=np.intp)
+        self.previous[self.follows] = self.before
+        #: each channel's last claim, and the channels with none.
+        self.last = by_channel[np.append(~same, True)] if count else by_channel
+        self.unused = np.setdiff1d(np.arange(plan.credit), self.channels)
+        self._table: Optional[np.ndarray] = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """``table[l, i]``, the greatest of ``ranks[i:i + 2**l]``: a
+        sparse table for range maxima, built on first use."""
+        if self._table is None:
+            count = len(self.ranks)
+            table = np.empty((max(1, count.bit_length()), count), dtype=np.intp)
+            table[0] = self.ranks
+            for level in range(1, len(table)):
+                half = 1 << (level - 1)
+                table[level] = table[level - 1]
+                np.maximum(table[level - 1, :count - half], table[level - 1, half:],
+                           out=table[level, :count - half])
+            self._table = table
+        return self._table
+
+
 class _DispatchPlan:
     """ByteScheduler's layer-wise schedule as a verified static order.
 
@@ -363,18 +543,18 @@ class _DispatchPlan:
     order (tensors in backward order, each split into equal
     partitions); ``orders[i]`` is iteration ``i``'s ``(partition,
     channel)`` claims.  Called as a schedule it records, per iteration,
-    the FF pass, the BP pass, then each claim on its channel's stream,
-    gated on its layer's BP job, with the engine's span names,
-    categories, metadata and durations — so every iteration is a block
-    of ``period`` slots at fixed offsets.  The first orders come from
-    :func:`_dispatch` over iteration-relative BP ends and healthy
-    durations, every channel idle at each iteration's first ready
-    partition; :meth:`verify` re-derives them from a replay.
+    the FF pass, the BP pass, then the claims as runs of collectives on
+    their channels' streams, each gated on its layer's BP job, with the
+    engine's span names, categories, metadata and durations — so every
+    iteration is a block of ``period`` slots at fixed offsets.  The
+    first orders come from :func:`_dispatch` over iteration-relative BP
+    ends and healthy durations, every channel idle at each iteration's
+    first ready partition; :meth:`verify` confirms them from a replay.
     """
 
     def __init__(self, scheduler: ByteSchedulerScheduler,
                  ctx: IterationContext, iterations: int):
-        layers = ctx.model.num_layers
+        layers = self.layers = ctx.model.num_layers
         self.credit = scheduler.credit
         self.extra = scheduler._overhead(ctx)
         #: ``(layer, bytes, label)`` of each partition.
@@ -389,12 +569,20 @@ class _DispatchPlan:
                 )
                 self.priorities.append((tensor.layer_index, part))
         self.healthy = [
-            ctx.cost.all_reduce(nbytes) + self.extra for _, nbytes, _ in self.parts
+            duration + self.extra for duration in collective_times(
+                ctx.cost, "all_reduce", [nbytes for _, nbytes, _ in self.parts])
         ]
         self.period = 2 * layers + len(self.parts)
         #: offset of each partition's BP slot in its iteration's block,
         #: whose first ``2 * layers`` slots are the FF and BP passes.
-        self._bp_slots = [2 * layers - 1 - layer for layer, _, _ in self.parts]
+        slots = [2 * layers - 1 - layer for layer, _, _ in self.parts]
+        self.bp_slots = np.array(slots, dtype=np.intp)
+        #: each partition's rank in the engine's heap order.
+        self.ranks = np.empty(len(self.parts), dtype=np.intp)
+        self.ranks[sorted(range(len(self.parts)),
+                          key=lambda k: (self.priorities[k], k))] = np.arange(len(self.parts))
+        #: each order's :class:`_Layout`, by identity (orders repeat).
+        self._layouts: dict[int, tuple[list, _Layout]] = {}
         # The BP pass from its start, last layer first.
         starts, ends = [], []
         elapsed = 0.0
@@ -403,8 +591,8 @@ class _DispatchPlan:
             elapsed += duration
             ends.append(elapsed)
         owners = _owners(starts, ends)
-        ready = [ends[slot - layers] for slot in self._bp_slots]
-        owners = [owners[slot - layers] for slot in self._bp_slots]
+        ready = [ends[slot - layers] for slot in slots]
+        owners = [owners[slot - layers] for slot in slots]
         guesses: dict[tuple[int, ...], tuple[list, tuple[int, ...]]] = {}
         idle = tuple(range(self.credit))
         self.orders: list[list[tuple[int, int]]] = []
@@ -425,6 +613,12 @@ class _DispatchPlan:
         #: whether every iteration repeats iteration 0's claims (tiling).
         self.periodic = all(order == self.orders[0] for order in self.orders[1:])
 
+    def _layout(self, claims: list[tuple[int, int]]) -> _Layout:
+        entry = self._layouts.get(id(claims))
+        if entry is None:
+            entry = self._layouts[id(claims)] = (claims, _Layout(self, claims))
+        return entry[1]
+
     def __call__(self, ctx: IterationContext, iterations: int) -> None:
         channels = [ctx.comm] + [
             ctx.stream(f"comm.ch{index}", actor=f"gpu.comm{index}")
@@ -432,42 +626,89 @@ class _DispatchPlan:
         ]
         faults = ctx.faults
         extra = self.extra
-        layer_gates: Optional[dict] = None
+        layer_gates = None
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
             bp = ctx.submit_backward_pass(iteration)
-            done_by_layer: dict[int, list] = {}
-            for k, channel in self.orders[iteration]:
-                layer, nbytes, label = self.parts[k]
-                job = channels[channel].submit(
-                    self.healthy[k] if faults is None
-                    else faults.collective_priced("all_reduce", nbytes, extra),
-                    name=f"all_reduce.{iteration}.{label}",
-                    category="comm.ar",
-                    gate=bp.done_of((layer,)),
-                    metadata={"iteration": iteration, "bytes": nbytes,
-                              "extra": extra},
+            layout = self._layout(self.orders[iteration])
+            runs = [
+                channels[channel].submit_collectives(
+                    durations if faults is None else [
+                        faults.collective_priced("all_reduce", nbytes, extra)
+                        for _, nbytes, _ in run_parts
+                    ],
+                    GateColumn(bp.start, positions), "comm.ar",
+                    _describer(iteration, run_parts, extra),
                 )
-                done_by_layer.setdefault(layer, []).append(job.done)
-            layer_gates = {
-                layer: ctx.sim.all_of(events)
-                for layer, events in done_by_layer.items()
-            }
+                for channel, run_parts, durations, positions in layout.runs
+            ]
+            if len(runs) == 1:
+                layer_gates = ctx.cover_gates(runs[0], layout.cover)
+            else:  # claims on several channels: the latest on each
+                layer_gates = {
+                    layer: ctx.sim.all_of([Gate((runs[0].start + position,))
+                                           for position in positions])
+                    for layer, positions in enumerate(layout.cover) if positions
+                }
 
     def verify(self, ctx: FastIterationContext) -> bool:
         """Whether the replayed ``ctx`` confirms :attr:`orders`.
 
-        Re-derives every iteration's claims with :func:`_dispatch` from
-        the replayed BP ends and readiness owners, pricing each claim at
-        the start :func:`_dispatch` gives it (as the replay resolved it,
-        when the orders agree), channels carried over from the iteration
-        before.  Up to the first iteration that differs the replay
-        followed the engine, so that iteration's ready times are exact
-        and so are its derived claims: every rejected round settles at
-        least one more iteration.  The iterations after it were replayed
-        from shifted times; their derived claims are kept as the next
-        round's guess.
+        Checks each iteration's replayed claims with :func:`_confirm`,
+        channels carried over from the iteration before; an iteration
+        it does not decide is re-derived with :func:`_dispatch` from the
+        replayed BP ends and readiness owners, pricing each claim at the
+        start :func:`_dispatch` gives it (as the replay resolved it, when
+        the orders agree).  Up to the first iteration that differs the
+        replay followed the engine, so that iteration's ready times are
+        exact and so are its derived claims: every rejected round
+        settles at least one more iteration.  The iterations after it
+        were replayed from shifted times; each is re-derived with
+        :func:`_dispatch`, and its derived claims are kept as the next
+        round's guess.  ``schedulers.bytescheduler.verify{how}`` counts
+        the iterations each way decided.
         """
+        idle: Sequence[int] = range(self.credit)
+        confirmed = True
+        decided = {"array": 0, "dispatch": 0}
+        for iteration, claims in enumerate(self.orders):
+            after = self.confirm(ctx, iteration, idle) if confirmed else None
+            if after is not None:
+                decided["array"] += 1
+                idle = after
+                continue
+            decided["dispatch"] += 1
+            derived, idle = self.derive(ctx, iteration, idle)
+            if derived != claims:
+                self.orders[iteration] = derived
+                confirmed = False
+        self._update_periodic()
+        counter = default_registry().counter(
+            "schedulers.bytescheduler.verify",
+            "ByteScheduler iterations whose dispatch order was checked, by how",
+        )
+        for how, iterations in decided.items():
+            if iterations:
+                counter.inc(iterations, how=how)
+        return confirmed
+
+    def confirm(self, ctx: FastIterationContext, iteration: int,
+                idle: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """:func:`_confirm` on iteration ``iteration`` of the replayed
+        ``ctx``, channels idle in ``idle`` order."""
+        timeline = ctx._timeline
+        layout = self._layout(self.orders[iteration])
+        first = iteration * self.period + 2 * self.layers
+        claims = slice(first, first + len(self.parts))
+        ends = timeline._ends[:, 0]
+        return _confirm(timeline._starts[claims, 0], ends[claims],
+                        ends[iteration * self.period + layout.bp_slots],
+                        layout, idle)
+
+    def derive(self, ctx: FastIterationContext, iteration: int,
+               idle: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
+        """:func:`_dispatch` over iteration ``iteration``'s replayed FF
+        and BP passes, channels idle in ``idle`` order."""
         faults = ctx.faults
         if faults is None:
             price = self._healthy_price
@@ -479,21 +720,22 @@ class _DispatchPlan:
                     "all_reduce", parts[k][1], extra, start
                 )
 
-        starts = ctx._timeline._starts[:, 0].tolist()
-        ends = ctx._timeline._ends[:, 0].tolist()
-        passes = 2 * ctx.model.num_layers
-        idle = range(self.credit)
-        confirmed = True
-        for iteration, claims in enumerate(self.orders):
-            base = iteration * self.period
-            owners = _owners(starts[base:base + passes], ends[base:base + passes])
-            derived, idle = _dispatch(
-                [ends[base + slot] for slot in self._bp_slots],
-                [owners[slot] for slot in self._bp_slots],
-                price, self.priorities, idle,
-            )
-            if derived != claims:
-                self.orders[iteration] = derived
-                confirmed = False
-        self._update_periodic()
-        return confirmed
+        passes = slice(iteration * self.period,
+                       iteration * self.period + 2 * self.layers)
+        starts = ctx._timeline._starts[passes, 0].tolist()
+        ends = ctx._timeline._ends[passes, 0].tolist()
+        owners = _owners(starts, ends)
+        slots = self.bp_slots.tolist()
+        return _dispatch([ends[slot] for slot in slots],
+                         [owners[slot] for slot in slots],
+                         price, self.priorities, idle)
+
+
+def _describer(iteration: int, parts: list[tuple[int, float, str]], extra: float):
+    """A run's ``describe``: the credit engine's span name and metadata."""
+    def describe(position: int) -> tuple[str, dict]:
+        _, nbytes, label = parts[position]
+        return f"all_reduce.{iteration}.{label}", {
+            "iteration": iteration, "bytes": nbytes, "extra": extra,
+        }
+    return describe

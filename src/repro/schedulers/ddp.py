@@ -39,7 +39,7 @@ class DDPScheduler(WFBPScheduler):
         buffer_bytes: float = DDP_DEFAULT_BUCKET_BYTES,
         launch_overhead: float = 50e-6,
     ):
-        if buffer_bytes is None or buffer_bytes <= 0:
+        if buffer_bytes is None or not buffer_bytes > 0:  # NaN fails too
             raise ValueError("DDP requires a positive bucket size")
         super().__init__(buffer_bytes=buffer_bytes)
         self.launch_overhead = launch_overhead

@@ -72,7 +72,7 @@ class DeARScheduler(Scheduler):
     ):
         if fusion not in ("none", "layers", "buffer", "bo"):
             raise ValueError(f"unknown DeAR fusion mode {fusion!r}")
-        if fusion == "buffer" and (buffer_bytes is None or buffer_bytes <= 0):
+        if fusion == "buffer" and (buffer_bytes is None or not buffer_bytes > 0):
             raise ValueError("DeAR buffer fusion requires a positive buffer size")
         self.fusion = fusion
         self.buffer_bytes = buffer_bytes

@@ -36,7 +36,7 @@ from repro.sim.resources import Job, Stream
 from repro.sim.trace import Tracer, category_code
 from repro.telemetry.registry import default_registry
 
-__all__ = ["IterationContext", "FastIterationContext"]
+__all__ = ["IterationContext", "FastIterationContext", "collective_times"]
 
 #: Tracer category of each collective kind.
 COLLECTIVE_CATEGORIES = {
@@ -287,12 +287,10 @@ class IterationContext:
         if iteration != self._iteration:
             self._enter_iteration(iteration)
         extras = extras or [0.0] * len(sizes)
-        if peers is not None:
-            times = [self.cost.subgroup_time(kind, nbytes, peers) for nbytes in sizes]
-        elif hasattr(self.cost, "collective_times"):
-            times = self.cost.collective_times(kind, sizes)
-        else:  # a cost model with the per-size methods only
-            times = list(map(getattr(self.cost, kind), sizes))
+        times = (
+            [self.cost.subgroup_time(kind, nbytes, peers) for nbytes in sizes]
+            if peers is not None else collective_times(self.cost, kind, sizes)
+        )
         if self.faults is not None and peers is None:
             priced = self.faults.collective_priced
             bodies = [priced(kind, nbytes, extra) for nbytes, extra in zip(sizes, extras)]
@@ -484,6 +482,15 @@ class IterationContext:
         return extras
 
 
+def collective_times(cost, kind: str, sizes: Sequence[float]) -> list[float]:
+    """``[cost.<kind>(nbytes) for nbytes in sizes]``, in one pass where
+    ``cost`` has :meth:`~repro.network.cost_model.CollectiveTimeModel.collective_times`
+    (a cost model with the per-size methods only is asked size by size)."""
+    if hasattr(cost, "collective_times"):
+        return cost.collective_times(kind, sizes)
+    return list(map(getattr(cost, kind), sizes))
+
+
 def _slot_gates(layer_gates, layers: range):
     """A pass's gate per slot, ``layers`` in slot order, from per-layer
     gates: a dict by layer, or a sequence indexed by layer."""
@@ -670,15 +677,18 @@ class FastIterationContext(IterationContext):
         replay confirms it.
 
         ``plan`` records like any schedule, in the order it currently
-        holds; after each replay ``plan.verify(self)`` re-derives that
-        order from the replayed times and either confirms it or adopts
-        the derived one.  A rejected round starts over on a fresh
+        holds; after each replay ``plan.verify(self)`` checks that
+        order against the replayed times and either confirms it or adopts
+        the one they give.  A rejected round starts over on a fresh
         recording and fault injector (the replay priced its deferred
         durations into the old one), so nothing is counted twice.  The
-        context is left replayed: :meth:`run` replays it again, and the
-        batched runner replays it with its group.  ``rounds`` is a
-        bound the plan proves; an order still moving after it is an
-        internal error (``RuntimeError``), not a reason to fall back.
+        context is left replayed, and its timeline says so
+        (:attr:`~repro.sim.fastpath.Timeline.replayed`): an untraced
+        :meth:`run` and the batched runner take that replay as the
+        run's, and a traced :meth:`run` replays once more to emit its
+        spans.  ``rounds`` is a bound the plan proves; an order still
+        moving after it is an internal error (``RuntimeError``), not a
+        reason to fall back.
         """
         for _ in range(rounds):
             self.record(plan, iterations, periodic=plan.periodic)
@@ -723,10 +733,14 @@ class FastIterationContext(IterationContext):
         Nothing to check for stalls: recordable schedules only carry
         back-edges, so they cannot deadlock.  A tracer attached after
         an untraced recording raises ``RuntimeError``: it has no flow ids.
+        An untraced timeline already replayed since its last submission
+        (:meth:`record_verified`) is not replayed again.
         """
+        timeline = self._timeline
         if self.tracer is not None and self._untraced:
             raise RuntimeError("a tracer attached after recording lacks its flow ids")
-        final = self._timeline.replay(self.tracer)
+        final = (timeline.final_time if self.tracer is None and timeline.replayed
+                 else timeline.replay(self.tracer))
         self.finish()
         return final
 

@@ -58,7 +58,7 @@ class HorovodScheduler(WFBPScheduler):
     ):
         if fusion not in ("buffer", "bo"):
             raise ValueError(f"unknown Horovod fusion mode {fusion!r}")
-        if buffer_bytes is None or buffer_bytes <= 0:
+        if buffer_bytes is None or not buffer_bytes > 0:  # NaN fails too
             raise ValueError("Horovod requires a positive fusion buffer")
         super().__init__(buffer_bytes=buffer_bytes)
         self.cycle_time = cycle_time

@@ -674,7 +674,7 @@ class Timeline:
     __slots__ = ("world", "lanes", "sim", "_inverse", "_ref", "_streams",
                  "_slot_streams", "_durations", "_kinds", "_collective", "_gates",
                  "_categories", "_codes", "_handles", "_chains", "_block",
-                 "_starts", "_ends", "final_time", "__weakref__")
+                 "_starts", "_ends", "final_time", "replayed", "__weakref__")
 
     def __init__(self, world: int = 1, rank_lanes: Optional[np.ndarray] = None):
         if world < 1:
@@ -730,6 +730,9 @@ class Timeline:
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
         self.final_time = 0.0
+        #: whether the result arrays are the replay of every slot: set by
+        #: :func:`replay`, cleared by any later submission or tiling.
+        self.replayed = False
 
     def stream(self, name: str, actor: str = "") -> Stream:
         """Create a new in-order stream on every rank.
@@ -794,6 +797,7 @@ class Timeline:
                 metadata: Optional[dict]) -> JobSet:
         index = len(self._slot_streams)
         distances = _distances(index, gate)
+        self.replayed = False
         stream.jobs_submitted += 1
         handle = JobSet(self._ref, index, name, category, metadata or {})
         self._slot_streams.append(stream.stream_id)
@@ -839,6 +843,7 @@ class Timeline:
         one slot each) to ``stream``: one list ``extend`` per column."""
         count = len(bodies)
         self._gates.extend(_gate_distances(chain.start, gates, count))
+        self.replayed = False
         stream.jobs_submitted += count
         self._slot_streams.extend([stream.stream_id] * count)
         self._durations.extend(bodies)
@@ -883,6 +888,7 @@ class Timeline:
         """
         period = len(self._slot_streams) - block_start
         self._block = (block_start, period)
+        self.replayed = False
         streams = self._slot_streams[block_start:]
         self._gates.extend(self._gates[block_start:] * copies)
         self._slot_streams.extend(streams * copies)
@@ -1038,6 +1044,7 @@ def replay(
     for c, (timeline, (starts, ends)) in enumerate(zip(timelines, results)):
         timeline._starts = starts
         timeline._ends = ends
+        timeline.replayed = True
         timeline.final_time = float(ends.max()) if n else 0.0
         finals.append(timeline.final_time)
         if tracers is not None and tracers[c] is not None:

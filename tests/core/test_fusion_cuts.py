@@ -108,6 +108,12 @@ def test_non_positive_buffer_rejected():
         buffer_cuts(MODELS["resnet50"], 0.0)
 
 
+def test_nan_buffer_rejected():
+    """``nan < total`` is false, so NaN used to fuse the whole model."""
+    with pytest.raises(ValueError, match="must be positive"):
+        buffer_cuts(MODELS["resnet50"], float("nan"))
+
+
 class TestForwardOrderTies:
     """``groups_forward_order`` sorts on ``(first_layer, last_layer)``
     stably; it is not the reversed group list."""

@@ -54,6 +54,31 @@ class TestRejectedAtCreation:
         with pytest.raises(ValueError, match="bad options"):
             spec.replace(options={"fusion": "buffer"})
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"partition_bytes": float("nan")}, {"credit": 1.5}, {"credit": 2.0}],
+        ids=["nan-partition", "fractional-credit", "float-credit"],
+    )
+    def test_bytescheduler_values_a_run_would_fail_on(self, options):
+        with pytest.raises(ValueError, match="bad options"):
+            _create("bytescheduler", **options)
+
+    @pytest.mark.parametrize(
+        "scheduler, options",
+        [("ddp", {}), ("horovod", {}), ("dear", {"fusion": "buffer"})],
+    )
+    def test_nan_fusion_buffer(self, scheduler, options):
+        with pytest.raises(ValueError, match="bad options"):
+            _create(scheduler, buffer_bytes=float("nan"), **options)
+
+    @pytest.mark.parametrize("scheduler", ["wfbp", "zero", "serial"])
+    def test_nan_fusion_buffer_fails_at_the_cuts(self, scheduler):
+        """Policies whose constructor takes any buffer (``None`` means no
+        fusion) reject NaN where the plan is cut, instead of fusing the
+        whole model into one group."""
+        with pytest.raises(ValueError, match="buffer size must be positive"):
+            _create(scheduler, buffer_bytes=float("nan")).run()
+
     def test_zero_planning_scale_of_a_workload_run(self):
         with pytest.raises(ValueError, match="planning rank"):
             _create("wfbp", compute_scales=(0.0, 1.0, 1.0, 1.0), workload="moe")

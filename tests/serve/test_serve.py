@@ -200,8 +200,14 @@ class TestWireValidation:
             {**PAYLOAD, "scheduler": "bytescheduler", "options": {"credit": 0}},
             {**PAYLOAD, "compute_scales": [1.0] * 64,
              "options": {"fusion_buffer_bytes": -1}, "scheduler": "ddp"},
+            {**PAYLOAD, "scheduler": "bytescheduler", "options": {"credit": 1.5}},
+            {**PAYLOAD, "scheduler": "bytescheduler",
+             "options": {"partition_bytes": float("nan")}},
+            {**PAYLOAD, "scheduler": "ddp", "options": {"buffer_bytes": float("nan")}},
         ],
-        ids=["ddp-bucket", "bytescheduler-credit", "multirank-bucket"],
+        ids=["ddp-bucket", "bytescheduler-credit", "multirank-bucket",
+             "bytescheduler-fractional-credit", "bytescheduler-nan-partition",
+             "ddp-nan-bucket"],
     )
     def test_option_values_the_scheduler_rejects_answer_400(self, client, payload):
         config_before = _counter("serve.errors", stage="config")
