@@ -43,11 +43,11 @@ gated on their BP jobs — the replay's ``start = max(prev_end, ready)``
 is then the engine's float arithmetic — and after the replay confirms
 the order from the replayed times
 (:meth:`~repro.schedulers.engine.FastIterationContext.record_verified`):
-:func:`_confirm` checks, as arrays, that the replayed claims are the
-greedy list schedule the engine makes, and an iteration it cannot
-decide (an exact tie, a zero-duration claim) is re-derived with
-:func:`_dispatch`, each all-reduce priced at the start the derived
-order gives it.  Each rejected round settles at least one more
+:func:`_confirm` checks, as arrays, that one channel's replayed claims
+are the greedy list schedule the engine makes, and an iteration it
+cannot decide (an exact tie, a zero-duration claim, ``credit > 1``) is
+re-derived with :func:`_dispatch`, each all-reduce priced at the start
+the derived order gives it.  Each rejected round settles at least one more
 iteration, so ``iterations + 1`` rounds suffice; an order still moving
 after them is an internal error.  :meth:`schedule` drives the credit
 engine itself on the event kernel when the run passes
@@ -369,51 +369,41 @@ def _dispatch(
 
 
 def _confirm(starts: np.ndarray, ends: np.ndarray, ready: np.ndarray,
-             layout: "_Layout", idle: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One iteration's replayed claims checked, as arrays, to be the
-    credit engine's: the channels in the order they went idle once every
-    claim has ended, or ``None`` where the arrays do not decide.
+             layout: "_Layout") -> bool:
+    """Whether one channel's replayed claims are, as arrays, the credit
+    engine's for one iteration (``credit = 1``).
 
     ``starts``, ``ends`` and ``ready`` hold, in claim order, each claim's
     replayed start and end and its partition's ready time; ``layout`` is
-    the claims' :class:`_Layout`, and ``idle`` every channel, in the
-    order it went idle.  A ready time equal to a claim's end (the tie
-    :func:`_dispatch` orders by the jobs' starts) and a claim that ends
-    as it starts are not decided here, nor is a claim order that fails
-    a condition below: :func:`_dispatch` settles those.  Without them,
-    every instant is a readiness or channels freeing, never both, and
-    the claims are the greedy list schedule the engine makes when:
+    the claims' :class:`_Layout`.  A ready time equal to a claim's end
+    (the tie :func:`_dispatch` orders by the jobs' starts) and a claim
+    that ends as it starts are not decided here, nor is a claim order
+    that fails a condition below: :func:`_dispatch` settles those.
+    Without them, every instant is a readiness or the channel freeing,
+    never both, and the claims are the greedy list schedule the engine
+    makes when:
 
-    - each claim starts at ``max(its channel's free time, ready)``, a
-      channel free from ``-inf`` until its first claim, and claims are
-      made in time order;
+    - each claim starts at ``max(the claim before's end, ready)``, the
+      channel free from ``-inf`` until its first claim;
     - each claim takes the best partition ready and not yet claimed;
-    - no channel is idle while a ready partition waits: no partition's
-      wait (ready to claimed) meets a channel's idle spell (free to
-      claim, or to the end);
-    - channels freeing at one instant take turns in the order their
-      claims were made (the kernel's heap: end, start, claim), and a
-      turn that idles comes after every turn that claims;
-    - a readiness wakes idle channels in the order they went idle
-      (carried-over channels first, in ``idle`` order): ordered so,
-      idle spells end in claim order.
+    - the channel is never idle while a ready partition waits: no
+      partition's wait (ready to claimed) meets an idle spell (free to
+      claim, or to the end).
     """
     count = len(starts)
     if not count:
-        return tuple(idle)
+        return True
     if not (ends > starts).all():
-        return None
-    # The end of the claim before on the same channel; -inf for a first.
-    free = np.full(count, -math.inf)
-    free[layout.follows] = ends[layout.before]
+        return False
+    # The end of the claim before; -inf for the first.
+    free = np.empty(count)
+    free[0] = -math.inf
+    free[1:] = ends[:-1]
     if not (starts == np.maximum(free, ready)).all():
-        return None
+        return False
     by_ready = np.sort(ready)
     if (by_ready[np.minimum(np.searchsorted(by_ready, ends), count - 1)] == ends).any():
-        return None
-    multi = layout.credit > 1
-    if multi and (starts[1:] < starts[:-1]).any():
-        return None
+        return False
     # The best partition: every claim since a partition was ready ranks better.
     since = np.searchsorted(starts, ready)
     span = layout.positions - since
@@ -424,54 +414,21 @@ def _confirm(starts: np.ndarray, ends: np.ndarray, ready: np.ndarray,
         best = np.maximum(table[level, since[waited]],
                           table[level, layout.positions[waited] - (1 << level)])
         if (best > layout.ranks[waited]).any():
-            return None
-    # Idle spells: before each claim that found its channel free, and
-    # after each channel's last claim (from -inf for an unused channel).
-    # Waits: ready to claimed, for each claim that found it busy.
+            return False
+    # Idle spells: before each claim that found the channel free, and
+    # after the last claim.  Waits: ready to claimed, for each claim
+    # that found it busy.
     woken = starts > free
     busy = ~woken
-    finals = len(layout.last) + len(layout.unused)
-    spell_from = np.concatenate((free[woken], ends[layout.last],
-                                 np.full(len(layout.unused), -math.inf)))
-    spell_to = np.concatenate((starts[woken], np.full(finals, math.inf)))
     if busy.any():
+        spell_from = np.append(free[woken], ends[-1])
+        spell_to = np.append(starts[woken], math.inf)
         by_wait = np.argsort(ready[busy], kind="stable")
         latest = np.maximum.accumulate(starts[busy][by_wait])
         met = np.searchsorted(ready[busy][by_wait], spell_to)
         if (latest[met[met > 0] - 1] > spell_from[met > 0]).any():
-            return None
-    if not multi:
-        return tuple(idle)
-    # A turn's place at its instant: the claim that freed its channel.
-    # Carried-over channels went idle first, in ``idle`` order.
-    carried = np.empty(layout.credit, dtype=np.intp)
-    carried[list(idle)] = np.arange(layout.credit)
-    channel = np.concatenate((layout.channels[woken], layout.channels[layout.last],
-                              layout.unused))
-    turn = np.concatenate((layout.previous[woken], layout.last,
-                           np.full(len(layout.unused), -1)))
-    first = np.isneginf(spell_from)
-    turn[first] = carried[channel[first]]
-    taken = layout.previous[busy]
-    at = starts[busy]
-    if (taken[1:] < taken[:-1])[at[1:] == at[:-1]].any():
-        return None
-    times = np.concatenate((at, spell_from[~first]))
-    turns = np.concatenate((taken, turn[~first]))
-    idles = np.concatenate((np.zeros(len(at), bool), np.ones(len(turns) - len(at), bool)))
-    tied = np.lexsort((turns, times))
-    times, idles = times[tied], idles[tied]
-    if (idles[:-1] & ~idles[1:] & (times[1:] == times[:-1])).any():
-        return None
-    fifo = np.lexsort((turn, spell_from))
-    spell_to = spell_to[fifo]
-    claim = np.concatenate((layout.positions[woken], np.full(finals, count)))[fifo]
-    later = spell_to[1:] > spell_to[:-1]
-    same = (spell_to[1:] == spell_to[:-1]) & (
-        (claim[1:] > claim[:-1]) | np.isinf(spell_to[1:]))
-    if not (later | same).all():
-        return None
-    return tuple(channel[fifo][np.isinf(spell_to)].tolist())
+            return False
+    return True
 
 
 class _Layout:
@@ -485,16 +442,15 @@ class _Layout:
 
     def __init__(self, plan: "_DispatchPlan", claims: list[tuple[int, int]]):
         count = len(claims)
-        self.credit = plan.credit
         pairs = np.array(claims, dtype=np.intp).reshape(count, 2)
-        partitions, self.channels = pairs[:, 0], pairs[:, 1]
+        partitions, channels = pairs[:, 0], pairs[:, 1]
         self.positions = np.arange(count)
         #: each claim's partition's BP slot, as an offset in the block.
         self.bp_slots = plan.bp_slots[partitions]
         #: each claim's partition's rank in the engine's heap order.
         self.ranks = plan.ranks[partitions]
         ks = partitions.tolist()
-        cuts = [0] + (np.flatnonzero(np.diff(self.channels)) + 1).tolist() + [count]
+        cuts = [0] + (np.flatnonzero(np.diff(channels)) + 1).tolist() + [count]
         self.runs = [
             (claims[lo][1], [plan.parts[k] for k in ks[lo:hi]],
              [plan.healthy[k] for k in ks[lo:hi]],
@@ -505,18 +461,6 @@ class _Layout:
         for position, k in enumerate(ks):
             cover[plan.parts[k][0]].append(position)
         self.cover = [tuple(positions) for positions in cover]
-        # Per channel, in claim order: which claim follows which.
-        by_channel = np.argsort(self.channels, kind="stable")
-        grouped = self.channels[by_channel]
-        same = grouped[1:] == grouped[:-1]
-        self.follows = by_channel[1:][same]
-        self.before = by_channel[:-1][same]
-        #: the claim before on the same channel, ``-1`` for a first.
-        self.previous = np.full(count, -1, dtype=np.intp)
-        self.previous[self.follows] = self.before
-        #: each channel's last claim, and the channels with none.
-        self.last = by_channel[np.append(~same, True)] if count else by_channel
-        self.unused = np.setdiff1d(np.arange(plan.credit), self.channels)
         self._table: Optional[np.ndarray] = None
 
     @property
@@ -581,8 +525,6 @@ class _DispatchPlan:
         self.ranks = np.empty(len(self.parts), dtype=np.intp)
         self.ranks[sorted(range(len(self.parts)),
                           key=lambda k: (self.priorities[k], k))] = np.arange(len(self.parts))
-        #: each order's :class:`_Layout`, by identity (orders repeat).
-        self._layouts: dict[int, tuple[list, _Layout]] = {}
         # The BP pass from its start, last layer first.
         starts, ends = [], []
         elapsed = 0.0
@@ -593,17 +535,20 @@ class _DispatchPlan:
         owners = _owners(starts, ends)
         ready = [ends[slot - layers] for slot in slots]
         owners = [owners[slot - layers] for slot in slots]
-        guesses: dict[tuple[int, ...], tuple[list, tuple[int, ...]]] = {}
+        guesses: dict[tuple[int, ...], tuple[list, _Layout, tuple[int, ...]]] = {}
         idle = tuple(range(self.credit))
         self.orders: list[list[tuple[int, int]]] = []
+        #: each order's :class:`_Layout`.
+        self.layouts: list[_Layout] = []
         for _ in range(iterations):
             if idle not in guesses:
                 claims, after = _dispatch(
                     ready, owners, self._healthy_price, self.priorities, idle
                 )
-                guesses[idle] = (claims, tuple(after))
-            claims, idle = guesses[idle]
+                guesses[idle] = (claims, _Layout(self, claims), tuple(after))
+            claims, layout, idle = guesses[idle]
             self.orders.append(claims)
+            self.layouts.append(layout)
         self._update_periodic()
 
     def _healthy_price(self, k: int, start: float) -> float:
@@ -612,12 +557,6 @@ class _DispatchPlan:
     def _update_periodic(self) -> None:
         #: whether every iteration repeats iteration 0's claims (tiling).
         self.periodic = all(order == self.orders[0] for order in self.orders[1:])
-
-    def _layout(self, claims: list[tuple[int, int]]) -> _Layout:
-        entry = self._layouts.get(id(claims))
-        if entry is None:
-            entry = self._layouts[id(claims)] = (claims, _Layout(self, claims))
-        return entry[1]
 
     def __call__(self, ctx: IterationContext, iterations: int) -> None:
         channels = [ctx.comm] + [
@@ -630,7 +569,7 @@ class _DispatchPlan:
         for iteration in range(iterations):
             ctx.submit_forward_pass(iteration, layer_gates=layer_gates)
             bp = ctx.submit_backward_pass(iteration)
-            layout = self._layout(self.orders[iteration])
+            layout = self.layouts[iteration]
             runs = [
                 channels[channel].submit_collectives(
                     durations if faults is None else [
@@ -654,33 +593,35 @@ class _DispatchPlan:
     def verify(self, ctx: FastIterationContext) -> bool:
         """Whether the replayed ``ctx`` confirms :attr:`orders`.
 
-        Checks each iteration's replayed claims with :func:`_confirm`,
-        channels carried over from the iteration before; an iteration
-        it does not decide is re-derived with :func:`_dispatch` from the
-        replayed BP ends and readiness owners, pricing each claim at the
-        start :func:`_dispatch` gives it (as the replay resolved it, when
-        the orders agree).  Up to the first iteration that differs the
-        replay followed the engine, so that iteration's ready times are
-        exact and so are its derived claims: every rejected round
-        settles at least one more iteration.  The iterations after it
-        were replayed from shifted times; each is re-derived with
-        :func:`_dispatch`, and its derived claims are kept as the next
-        round's guess.  ``schedulers.bytescheduler.verify{how}`` counts
-        the iterations each way decided.
+        Checks each iteration's replayed claims with :func:`_confirm`
+        (one channel); an iteration it does not decide, and every
+        iteration with more than one channel, is re-derived with
+        :func:`_dispatch` from the replayed BP ends and readiness owners,
+        channels carried over from the iteration before, pricing each
+        claim at the start :func:`_dispatch` gives it (as the replay
+        resolved it, when the orders agree).  Up to the first iteration
+        that differs the replay followed the engine, so that iteration's
+        ready times are exact and so are its derived claims: every
+        rejected round settles at least one more iteration.  The
+        iterations after it were replayed from shifted times; each is
+        re-derived with :func:`_dispatch`, and its derived claims are
+        kept as the next round's guess.
+        ``schedulers.bytescheduler.verify{how}`` counts the iterations
+        each way decided.
         """
         idle: Sequence[int] = range(self.credit)
         confirmed = True
         decided = {"array": 0, "dispatch": 0}
         for iteration, claims in enumerate(self.orders):
-            after = self.confirm(ctx, iteration, idle) if confirmed else None
-            if after is not None:
+            # A confirmed iteration has one channel: ``idle`` stays (0,).
+            if confirmed and self.confirm(ctx, iteration):
                 decided["array"] += 1
-                idle = after
                 continue
             decided["dispatch"] += 1
             derived, idle = self.derive(ctx, iteration, idle)
             if derived != claims:
                 self.orders[iteration] = derived
+                self.layouts[iteration] = _Layout(self, derived)
                 confirmed = False
         self._update_periodic()
         counter = default_registry().counter(
@@ -692,18 +633,20 @@ class _DispatchPlan:
                 counter.inc(iterations, how=how)
         return confirmed
 
-    def confirm(self, ctx: FastIterationContext, iteration: int,
-                idle: Sequence[int]) -> Optional[tuple[int, ...]]:
+    def confirm(self, ctx: FastIterationContext, iteration: int) -> bool:
         """:func:`_confirm` on iteration ``iteration`` of the replayed
-        ``ctx``, channels idle in ``idle`` order."""
+        ``ctx``; ``False`` with more than one channel, whose turns and
+        wake order :func:`_dispatch` decides."""
+        if self.credit > 1:
+            return False
         timeline = ctx._timeline
-        layout = self._layout(self.orders[iteration])
+        layout = self.layouts[iteration]
         first = iteration * self.period + 2 * self.layers
         claims = slice(first, first + len(self.parts))
         ends = timeline._ends[:, 0]
         return _confirm(timeline._starts[claims, 0], ends[claims],
                         ends[iteration * self.period + layout.bp_slots],
-                        layout, idle)
+                        layout)
 
     def derive(self, ctx: FastIterationContext, iteration: int,
                idle: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
