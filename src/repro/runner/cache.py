@@ -9,7 +9,15 @@ changes, and every stale entry silently becomes a miss.
 
 Corruption is never fatal — an unreadable or mismatched entry is
 treated as a miss (and evicted), so the worst a damaged cache can do is
-force a recompute.
+force a recompute.  A damaged counters file reads as zeros.
+
+Each :class:`ResultCache` counts its lookups and puts in memory and
+merges them into the store's lifetime counters (:data:`COUNTERS_FILE`)
+every :data:`FLUSH_EVERY` lookups and puts, on :meth:`ResultCache.flush`,
+when it is garbage-collected, and when the process exits.  So the file
+may lag a live process by fewer than :data:`FLUSH_EVERY` counts; it is
+exact after any of those, and a killed process loses only its
+unflushed counts.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import dataclasses
 import json
 import os
 import tempfile
+import threading
+import weakref
 from pathlib import Path
 from typing import Optional
 
@@ -28,6 +38,7 @@ from repro.telemetry.registry import default_registry
 
 __all__ = [
     "COUNTERS_FILE",
+    "FLUSH_EVERY",
     "SCHEMA_VERSION",
     "ResultCache",
     "default_cache",
@@ -43,8 +54,19 @@ SCHEMA_VERSION = "dear-cache-v2"
 #: Store-level lifetime counters (JSON), kept next to the schema
 #: directories so ``dear-repro cache stats`` can report hit rates across
 #: processes.  Deliberately NOT named ``*.json``: everything matching
-#: ``*.json`` under the root is a cache entry.
+#: ``*.json`` under the root is a cache entry.  Written in blocks, not per
+#: lookup: it lags each live process by fewer than :data:`FLUSH_EVERY`
+#: counts, and is exact once every process has flushed or exited.
 COUNTERS_FILE = "counters"
+
+#: Lookups and puts a ResultCache counts in memory before it merges them
+#: into :data:`COUNTERS_FILE`.
+FLUSH_EVERY = 100
+
+#: Serialises merges into counters files, so flushes within one process
+#: never lose each other's counts.  Reentrant: a cache collected while a
+#: merge is running on the same thread flushes from inside it.
+_MERGE_LOCK = threading.RLock()
 
 #: Fields of ScheduleResult that persist (the tracer is deliberately
 #: dropped: it is large, not JSON-serialisable, and only timeline
@@ -111,6 +133,64 @@ def result_from_dict(payload: dict):
     return ScheduleResult(tracer=None, **data)
 
 
+def _read_counters(root: Path) -> dict:
+    """The lifetime counters stored under ``root``.
+
+    Only non-negative integers count; a missing or unreadable file, a
+    document that is not an object, and any other value read as zero.
+    """
+    try:
+        data = json.loads((root / COUNTERS_FILE).read_text())
+    except (OSError, ValueError, RecursionError):
+        return {}
+    if not isinstance(data, dict):
+        return {}
+    return {key: value for key, value in data.items()
+            if type(value) is int and value >= 0}
+
+
+def _flush(root: Path, pending: dict, lock: threading.Lock) -> None:
+    """Merge the ``pending`` counts into ``root``'s counters file.
+
+    The counts are taken out under ``lock``, so a lookup counted while
+    the file is written waits for the next flush instead of being lost.
+    Read-modify-replace without a file lock: writers in other processes
+    can still lose each other's increments, which is fine for what the
+    counters are (an operational gauge for ``dear-repro cache stats``,
+    not an exact ledger).  Any I/O failure drops the counts and leaves
+    the store untouched.
+    """
+    with lock:
+        deltas = dict(pending)
+        pending.clear()
+    if not deltas:
+        return
+    with _MERGE_LOCK:
+        counts = _read_counters(root)
+        for key, delta in deltas.items():
+            counts[key] = counts.get(key, 0) + delta
+        temp_name = None
+        try:
+            root.mkdir(parents=True, exist_ok=True)
+            handle = tempfile.NamedTemporaryFile(
+                "w", dir=root, suffix=".tmp", delete=False
+            )
+            temp_name = handle.name
+            with handle:
+                handle.write(json.dumps(counts))
+            os.replace(temp_name, root / COUNTERS_FILE)
+        except (OSError, ValueError):
+            if temp_name is not None:
+                _unlink(Path(temp_name))
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass
+
+
 class ResultCache:
     """Filesystem cache keyed by :attr:`RunSpec.fingerprint`."""
 
@@ -131,6 +211,11 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        # Lifetime counts not yet in COUNTERS_FILE; the finalizer flushes
+        # them when the cache is collected or the process exits.
+        self._pending: dict[str, int] = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _flush, self.root, self._pending, self._lock)
 
     @property
     def hit_rate(self) -> float:
@@ -150,32 +235,17 @@ class ResultCache:
     def _path(self, fingerprint: str) -> Path:
         return self.root / self.schema / fingerprint[:2] / f"{fingerprint}.json"
 
-    def _bump_store_counter(self, key: str) -> None:
-        """Best-effort increment of the store's lifetime counters.
+    def _count(self, key: str) -> None:
+        """Count one lookup or put towards the store's lifetime counters."""
+        with self._lock:
+            self._pending[key] = self._pending.get(key, 0) + 1
+            due = sum(self._pending.values()) >= FLUSH_EVERY
+        if due:
+            self.flush()
 
-        Read-modify-replace without a lock: concurrent writers can lose
-        increments, which is fine for what the counters are (an
-        operational gauge for ``dear-repro cache stats``, not an exact
-        ledger).  Any I/O failure leaves the store untouched.
-        """
-        path = self.root / COUNTERS_FILE
-        try:
-            data = json.loads(path.read_text())
-            if not isinstance(data, dict):
-                data = {}
-        except (OSError, ValueError):
-            data = {}
-        data[key] = int(data.get(key, 0)) + 1
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=self.root, suffix=".tmp", delete=False
-            )
-            with handle:
-                handle.write(json.dumps(data))
-            os.replace(handle.name, path)
-        except (OSError, TypeError):
-            pass
+    def flush(self) -> None:
+        """Merge this cache's unflushed counts into :data:`COUNTERS_FILE`."""
+        _flush(self.root, self._pending, self._lock)
 
     def get(self, spec: RunSpec) -> Optional[ScheduleResult]:
         """Cached result for ``spec``, or None on any kind of miss."""
@@ -192,22 +262,22 @@ class ResultCache:
             result = result_from_dict(entry["result"])
         except FileNotFoundError:
             self.misses += 1
-            self._bump_store_counter("misses")
+            self._count("misses")
             default_registry().counter(
                 "runner.cache.misses", "result-cache lookups that recomputed"
             ).inc()
             return None
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupted or stale entry: evict and recompute.
-            self._evict(path)
+            _unlink(path)
             self.misses += 1
-            self._bump_store_counter("misses")
+            self._count("misses")
             default_registry().counter(
                 "runner.cache.misses", "result-cache lookups that recomputed"
             ).inc()
             return None
         self.hits += 1
-        self._bump_store_counter("hits")
+        self._count("hits")
         try:
             # Touch on hit so prune-by-age keeps warm entries (LRU-ish).
             os.utime(path)
@@ -245,19 +315,13 @@ class ResultCache:
         except (OSError, TypeError):
             # A cache that cannot write is a cache that is off.
             if temp_name is not None:
-                self._evict(Path(temp_name))
+                _unlink(Path(temp_name))
             return
         self.puts += 1
-        self._bump_store_counter("puts")
+        self._count("puts")
         default_registry().counter(
             "runner.cache.puts", "results persisted into the cache"
         ).inc()
-
-    def _evict(self, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
 
 
 _DEFAULT: Optional[ResultCache] = None

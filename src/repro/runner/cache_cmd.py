@@ -16,6 +16,10 @@ the entry's mtime, which the cache refreshes on every hit — old means
 *cold*, not merely *written long ago*.  Size pruning evicts
 oldest-first until the store fits the budget.
 
+The lifetime counters lag each running process by fewer than
+:data:`~repro.runner.cache.FLUSH_EVERY` lookups and puts; they are exact
+once it has exited (or, for ``dear-repro serve``, drained).
+
 Exit codes: 0 success, 2 bad usage / unreadable root.
 """
 
@@ -27,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.runner.cache import COUNTERS_FILE, ResultCache
+from repro.runner.cache import FLUSH_EVERY, ResultCache, _read_counters
 
 __all__ = ["cache_main", "scan_store", "prune_store"]
 
@@ -63,14 +67,9 @@ def scan_store(root: Path) -> dict:
         total_bytes += stat.st_size
         oldest = stat.st_mtime if oldest is None else min(oldest, stat.st_mtime)
         newest = stat.st_mtime if newest is None else max(newest, stat.st_mtime)
-    try:
-        counters = json.loads((root / COUNTERS_FILE).read_text())
-        if not isinstance(counters, dict):
-            counters = {}
-    except (OSError, ValueError):
-        counters = {}
-    hits = int(counters.get("hits", 0))
-    misses = int(counters.get("misses", 0))
+    counters = _read_counters(root)
+    hits = counters.get("hits", 0)
+    misses = counters.get("misses", 0)
     lookups = hits + misses
     return {
         "root": str(root),
@@ -82,7 +81,7 @@ def scan_store(root: Path) -> dict:
         "counters": {
             "hits": hits,
             "misses": misses,
-            "puts": int(counters.get("puts", 0)),
+            "puts": counters.get("puts", 0),
             "hit_rate": (hits / lookups) if lookups else 0.0,
         },
     }
@@ -164,8 +163,13 @@ def cache_main(argv: list[str]) -> int:
         help="cache directory (default: DEAR_CACHE_DIR or .dear-cache)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    stats_help = (
+        "entries, bytes, and lifetime hit counters (a running process "
+        f"writes its counts every {FLUSH_EVERY} lookups and puts, and "
+        "when it exits)"
+    )
     stats_parser = commands.add_parser(
-        "stats", help="entries, bytes, and lifetime hit counters"
+        "stats", help=stats_help, description=stats_help
     )
     stats_parser.add_argument(
         "--json", action="store_true", help="machine-readable output"

@@ -20,7 +20,8 @@ runner layers underneath contribute ``runner.specs``
 (cached/computed/deduped) and ``runner.batched.*``.
 
 Shutdown is always a drain: ``POST /v1/shutdown`` (or Ctrl-C) stops
-accepting work, finishes every queued request, then stops the listener.
+accepting work, finishes every queued request, flushes the result
+cache's lifetime counters, then stops the listener.
 """
 
 from __future__ import annotations
@@ -352,6 +353,11 @@ class _Handler(BaseHTTPRequestHandler):
         """Read, validate and submit one request: ``(spec, future)``."""
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # rfile.read(-1) would wait for the client to close.  The
+                # body's end is unknown, so the connection ends here too.
+                self.close_connection = True
+                raise ValueError("negative Content-Length")
             payload = json.loads(self.rfile.read(length))
         except (ValueError, json.JSONDecodeError):
             raise _Rejected(400, "body must be a JSON object", "parse") from None
@@ -394,6 +400,7 @@ class SimulationServer:
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
         self.batcher = RequestBatcher(batch_window=batch_window, jobs=jobs, cache=cache)
+        self._cache = cache
         self.request_timeout = request_timeout
         self._httpd = _ServeHTTPServer((host, port), _Handler)
         self._httpd.owner = self
@@ -424,12 +431,16 @@ class SimulationServer:
         return self
 
     def shutdown(self) -> None:
-        """Drain the batcher, then stop the listener. Idempotent."""
+        """Drain the batcher, flush the cache's counters, then stop the
+        listener. Idempotent."""
         with self._shutdown_lock:
             if self._down:
                 return
             self._down = True
             self.batcher.close()
+            # Drained: put the lifetime counters on disk, so that
+            # `dear-repro cache stats` is exact once shutdown returns.
+            (self._cache if self._cache is not None else default_cache()).flush()
             self._httpd.shutdown()
             self._httpd.server_close()
         if self._thread is not None and self._thread is not threading.current_thread():

@@ -21,6 +21,7 @@ import pytest
 
 from repro.api import config_from_payload
 from repro.runner.cache import ResultCache
+from repro.runner.cache_cmd import scan_store
 from repro.serve import ServeClient, ServeError, SimulationServer, daemon
 from repro.serve.smoke import wait_until_down
 from repro.telemetry.registry import default_registry
@@ -318,6 +319,30 @@ class TestWireValidation:
         assert excinfo.value.code == 400
 
 
+    def test_negative_content_length_answers_400_at_once(self, tmp_path):
+        server = _start_server(tmp_path, batch_window=30.0)
+        try:
+            errors_before = _counter("serve.errors", stage="parse")
+            with socket.create_connection(server.address, timeout=30.0) as raw:
+                raw.sendall(
+                    b"POST /v1/simulate HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                status_line = raw.makefile("rb").readline()
+                assert status_line.split()[1] == b"400"
+                assert _counter("serve.errors", stage="parse") - errors_before == 1
+                _wait_for(lambda: server.batcher.arriving_count == 0)
+                # While that connection is open, a lone request still
+                # closes its window as idle, not at the 30 s deadline.
+                idle_before = _counter("serve.window_closes", reason="idle")
+                client = ServeClient(server.url, timeout=120.0)
+                assert _status(client, PAYLOAD) == 200
+                assert _counter("serve.window_closes", reason="idle") - idle_before == 1
+        finally:
+            server.shutdown()
+
+
 class TestBatchingAndDedup:
     def test_identical_concurrent_requests_compute_once(self, client):
         computed_before = _counter("runner.specs", outcome="computed")
@@ -552,6 +577,15 @@ class TestShutdown:
             pytest.fail("listener still answering after shutdown")
         with pytest.raises(RuntimeError, match="draining"):
             server.batcher.submit(object())
+
+    def test_drain_flushes_the_lifetime_counters(self, tmp_path):
+        server = _start_server(tmp_path)
+        client = ServeClient(server.url, timeout=120.0)
+        client.simulate(PAYLOAD)
+        client.simulate(PAYLOAD)
+        server.shutdown()
+        counters = scan_store(tmp_path / "serve-cache")["counters"]
+        assert (counters["hits"], counters["misses"], counters["puts"]) == (1, 1, 1)
 
     def test_shutdown_is_idempotent(self, server, client):
         client.simulate(PAYLOAD)
